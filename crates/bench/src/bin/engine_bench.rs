@@ -21,9 +21,11 @@
 //! * `mat_view` — the materialized join view: per-mutation cost of
 //!   `MatView`'s delta-driven provenance maintenance versus recomputing
 //!   the two-table join from scratch at every poke.
-//! * `agg_probe` — the delta-fed aggregation probe: per-event cost of
-//!   `AggProbe`'s cached per-group contributions versus the counted full
-//!   scan it replaces.
+//! * `agg_probe` — the aggregation probe's access path, with a new probed
+//!   key every event: a primary-key probe versus a full scan over 64
+//!   distinct rows (Narada's R5), and one evaluation per distinct row
+//!   projection versus one per row over 160 rows holding 8 projections
+//!   (Chord's L2).
 //!
 //! The binary also smoke-asserts the strand path: the shared Chord plan
 //! must contain fused strands, and the `chord_deliver` section exercises
@@ -39,7 +41,7 @@ use p2_core::{P2Node, PlanConfig, PlannedProgram};
 use p2_dataflow::elements::{AggProbe, FusedStrand, Insert, MatView, TableAgg, ViewInput};
 use p2_dataflow::{Element, ElementCtx, Engine, Graph, Route};
 use p2_overlays::chord;
-use p2_pel::{BinOp, Expr, Program};
+use p2_pel::{BinOp, Expr, IntervalKind, Program};
 use p2_table::{AggFunc, Table, TableRef, TableSpec};
 use p2_value::{SimTime, Tuple, TupleBuilder, Uint160, Value};
 use serde::Serialize;
@@ -557,92 +559,201 @@ fn bench_mat_view(rows: usize, groups: i64, mutations: u64) -> MatViewResult {
 
 #[derive(Debug, Clone, Serialize)]
 struct AggProbeResult {
+    /// `keyed_vs_scan` (Narada R5) or `dedup_vs_naive` (Chord L2).
+    case: &'static str,
     rows: usize,
+    /// Distinct projections of the rows onto the columns the probe's
+    /// programs read.
+    distinct_projections: usize,
     events: u64,
-    incremental_wall_secs: f64,
-    incremental_ns_per_event: f64,
-    scan_wall_secs: f64,
-    scan_ns_per_event: f64,
+    probe_ns_per_event: f64,
+    baseline_ns_per_event: f64,
     speedup: f64,
 }
 
-/// Measures aggregation-probe cost under a mutate-then-probe churn
-/// (Chord's L2/SU1 shape): `rows` table rows, each step replaces one row
-/// (Delete+Insert deltas) and delivers a probe event, aggregating
-/// MIN(V - K) over the rows passing `B > K`. The delta-fed probe folds
-/// its cached per-group contributions; the baseline pays a counted full
-/// scan with per-row PEL evaluation.
-fn bench_agg_probe(rows: usize, events: u64) -> AggProbeResult {
-    let run = |incremental: bool| -> f64 {
-        let table: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(Table::new(
-            TableSpec::new("row", vec![0]),
-        )));
-        let filter = Program::compile(&Expr::bin(BinOp::Gt, Expr::Field(1), Expr::Field(0)));
-        let agg_expr = Program::compile(&Expr::bin(BinOp::Sub, Expr::Field(2), Expr::Field(0)));
-        let probe: Box<dyn Element> = if incremental {
-            Box::new(AggProbe::new_incremental(
-                table.clone(),
-                2,
-                AggFunc::Min,
-                Some(filter),
-                agg_expr,
-                "out",
-            ))
-        } else {
-            Box::new(AggProbe::new(
-                table.clone(),
-                2,
-                AggFunc::Min,
-                Some(filter),
-                agg_expr,
-                "out",
-            ))
-        };
-        let mut g = Graph::new();
-        let demux = g.add(
-            "demux",
-            Box::new(p2_dataflow::elements::Demux::new(vec![
-                "row".into(),
-                "ev".into(),
-            ])),
-        );
-        let ins = g.add("insert", Box::new(Insert::new(table)));
-        let probe = g.add("probe", probe);
-        let sink = g.add("sink", Box::new(Count { seen: 0 }));
-        g.connect(demux, 0, ins, 0);
-        g.connect(demux, 1, probe, 0);
-        g.connect(probe, 0, sink, 0);
-        let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: demux,
-            port: 0,
-        });
-        engine.start(SimTime::ZERO);
-        let mk = |key: usize, payload: i64| {
-            Tuple::new("row", vec![Value::Int(key as i64), Value::Int(payload)])
-        };
-        for key in 0..rows {
-            engine.deliver(mk(key, 0), SimTime::from_secs(1));
+/// Reference probe for the `dedup_vs_naive` case: `min` over a counted
+/// full scan with the filter and aggregate expression evaluated on every
+/// row — what `AggProbe` does minus the per-projection memo.
+struct NaiveMinProbe {
+    table: TableRef,
+    filter: Program,
+    agg_expr: Program,
+}
+
+impl Element for NaiveMinProbe {
+    fn class(&self) -> &'static str {
+        "NaiveMinProbe"
+    }
+    fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+        let guard = self.table.lock();
+        let mut best: Option<(Value, &Tuple)> = None;
+        for row in guard.scan_iter_counted() {
+            if !matches!(
+                self.filter.eval_bool_joined(tuple, row, ctx.eval()),
+                Ok(true)
+            ) {
+                continue;
+            }
+            let Ok(v) = self.agg_expr.eval_joined(tuple, row, ctx.eval()) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(b, _)| v < *b) {
+                best = Some((v, row));
+            }
         }
-        let event = TupleBuilder::new("ev").push(2i64).build();
-        let start = Instant::now();
-        for i in 0..events {
-            let key = (i as usize) % rows;
-            engine.deliver(mk(key, i as i64 + 1), SimTime::from_secs(2));
-            engine.deliver(event.clone(), SimTime::from_secs(2));
+        if let Some((v, row)) = best {
+            let mut extra = row.values().to_vec();
+            extra.push(v);
+            ctx.emit(0, tuple.extended(extra).renamed("out"));
         }
-        start.elapsed().as_secs_f64()
+    }
+}
+
+/// Delivers `events` probe events (cycling through `stream`, so the probed
+/// key changes every event) to the probe `make` builds over a fresh `spec`
+/// table preloaded with `rows`; returns ns per event.
+fn time_probe(
+    spec: TableSpec,
+    rows: &[Tuple],
+    stream: &[Tuple],
+    events: u64,
+    make: impl FnOnce(TableRef) -> Box<dyn Element>,
+) -> f64 {
+    let mut table = Table::new(spec);
+    for row in rows {
+        table
+            .insert(row.clone(), SimTime::from_secs(1))
+            .expect("well-formed row");
+    }
+    let table: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(table));
+    let mut g = Graph::new();
+    let probe = g.add("probe", make(table));
+    let sink = g.add("sink", Box::new(Count { seen: 0 }));
+    g.connect(probe, 0, sink, 0);
+    let mut engine = Engine::new(g, "n1", 1);
+    engine.set_entry(Route {
+        element: probe,
+        port: 0,
+    });
+    engine.start(SimTime::ZERO);
+    let start = Instant::now();
+    for i in 0..events as usize {
+        engine.deliver(stream[i % stream.len()].clone(), SimTime::from_secs(2));
+    }
+    start.elapsed().as_secs_f64() * 1e9 / events.max(1) as f64
+}
+
+/// Narada's R5: `count<*>` over 64 `member` rows of which at most one has
+/// the event's `A`. The keyed probe takes `member`'s primary index; the
+/// baseline is the same element with `B == A` left in its filter.
+fn bench_agg_probe_keyed(events: u64) -> AggProbeResult {
+    let rows: Vec<Tuple> = (0..64i64)
+        .map(|i| {
+            TupleBuilder::new("member")
+                .push("n1")
+                .push(format!("m{i}"))
+                .push(i)
+                .build()
+        })
+        .collect();
+    // Four in five events name a member, the rest a stranger.
+    let stream: Vec<Tuple> = (0..80)
+        .map(|i| {
+            TupleBuilder::new("refreshMsg")
+                .push("n1")
+                .push(format!("m{i}"))
+                .build()
+        })
+        .collect();
+    let spec = || TableSpec::new("member", vec![1]);
+    let same_node = || Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(2));
+    let count = |table: TableRef, filter: Expr| {
+        let one = Program::compile(&Expr::int(1));
+        let filter = Some(Program::compile(&filter));
+        AggProbe::new(table, 3, AggFunc::Count, filter, one, "out")
     };
-    let incremental_wall_secs = run(true);
-    let scan_wall_secs = run(false);
+    let probe_ns_per_event = time_probe(spec(), &rows, &stream, events, |t| {
+        Box::new(count(t, same_node()).with_key(vec![(1, 1)]))
+    });
+    let baseline_ns_per_event = time_probe(spec(), &rows, &stream, events, |t| {
+        let same_member = Expr::bin(BinOp::Eq, Expr::Field(1), Expr::Field(3));
+        Box::new(count(t, Expr::bin(BinOp::And, same_node(), same_member)))
+    });
     AggProbeResult {
-        rows,
+        case: "keyed_vs_scan",
+        rows: rows.len(),
+        distinct_projections: rows.len(),
         events,
-        incremental_wall_secs,
-        incremental_ns_per_event: incremental_wall_secs * 1e9 / events.max(1) as f64,
-        scan_wall_secs,
-        scan_ns_per_event: scan_wall_secs * 1e9 / events.max(1) as f64,
-        speedup: scan_wall_secs / incremental_wall_secs.max(1e-12),
+        probe_ns_per_event,
+        baseline_ns_per_event,
+        speedup: baseline_ns_per_event / probe_ns_per_event.max(1e-12),
+    }
+}
+
+/// Chord's L2: `min<K - B - 1>` over 160 `finger` rows holding 8 distinct
+/// `B`, filtered by `B in (N, K)`, with a new `K` every event. Both arms
+/// scan; the baseline evaluates all 160 rows, `AggProbe` 8 projections.
+fn bench_agg_probe_dedup(events: u64) -> AggProbeResult {
+    let id = |x: u64| Value::Id(Uint160::from_u64(x));
+    // Finger `i` points at the first of 8 nodes at or past `2^i`-ish
+    // distance: runs of equal `B`, as in a real finger table.
+    let rows: Vec<Tuple> = (0..160u64)
+        .map(|i| {
+            TupleBuilder::new("finger")
+                .push("n1")
+                .push(i as i64)
+                .push(id(1000 * (1 + i / 20)))
+                .push(format!("n{}", i / 20))
+                .build()
+        })
+        .collect();
+    // Event layout (NI, K, R, E, N); joined B is field 7.
+    let stream: Vec<Tuple> = (0..1024u64)
+        .map(|i| {
+            TupleBuilder::new("lookup")
+                .push("n1")
+                .push(id(500 + 8 * i))
+                .push("n9")
+                .push(i as i64)
+                .push(id(5))
+                .build()
+        })
+        .collect();
+    let spec = || TableSpec::new("finger", vec![1]);
+    let filter = || {
+        Program::compile(&Expr::Interval {
+            kind: IntervalKind::OpenOpen,
+            value: Box::new(Expr::Field(7)),
+            low: Box::new(Expr::Field(4)),
+            high: Box::new(Expr::Field(1)),
+        })
+    };
+    let agg = || {
+        Program::compile(&Expr::bin(
+            BinOp::Sub,
+            Expr::bin(BinOp::Sub, Expr::Field(1), Expr::Field(7)),
+            Expr::int(1),
+        ))
+    };
+    let probe_ns_per_event = time_probe(spec(), &rows, &stream, events, |table| {
+        let filter = Some(filter());
+        Box::new(AggProbe::new(table, 4, AggFunc::Min, filter, agg(), "out"))
+    });
+    let baseline_ns_per_event = time_probe(spec(), &rows, &stream, events, |table| {
+        Box::new(NaiveMinProbe {
+            table,
+            filter: filter(),
+            agg_expr: agg(),
+        })
+    });
+    AggProbeResult {
+        case: "dedup_vs_naive",
+        rows: rows.len(),
+        distinct_projections: 8,
+        events,
+        probe_ns_per_event,
+        baseline_ns_per_event,
+        speedup: baseline_ns_per_event / probe_ns_per_event.max(1e-12),
     }
 }
 
@@ -756,12 +867,17 @@ fn main() {
 
     let mut agg_probe = Vec::new();
     let probe_events = mutations / 2;
-    for rows in [rows / 10, rows] {
-        eprintln!("agg probe: {rows} rows, {probe_events} mutate+probe events...");
-        let r = bench_agg_probe(rows, probe_events);
+    for r in [
+        bench_agg_probe_keyed(probe_events),
+        bench_agg_probe_dedup(probe_events),
+    ] {
         eprintln!(
-            "  incremental {:>7.0} ns/event vs scan {:>8.0} ns/event: {:.1}x",
-            r.incremental_ns_per_event, r.scan_ns_per_event, r.speedup
+            "agg probe {}: {} rows, {} distinct projections, {} events",
+            r.case, r.rows, r.distinct_projections, r.events
+        );
+        eprintln!(
+            "  probe {:>7.0} ns/event vs baseline {:>8.0} ns/event: {:.1}x",
+            r.probe_ns_per_event, r.baseline_ns_per_event, r.speedup
         );
         agg_probe.push(r);
     }

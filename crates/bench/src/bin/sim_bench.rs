@@ -21,11 +21,12 @@
 //!   chains must produce identical NetStats and event counts, and the
 //!   binary **exits non-zero on divergence** (CI runs this in smoke mode,
 //!   like the `--par` golden gate).
-//! * `view_gate` — the incrementalization equivalence gate: the same ring
-//!   planned with materialized views and delta-fed aggregate probes (the
-//!   default) and with the rescanning translation must produce identical
-//!   NetStats and event counts, and the binary **exits non-zero on
-//!   divergence**. `--view-gate` runs only this gate (the CI smoke step).
+//! * `view_gate` — the view-materialization equivalence gate: the same
+//!   ring planned with materialized views (the default) and with the
+//!   per-trigger strands they replace must produce identical NetStats and
+//!   event counts, and the binary **exits non-zero on divergence**.
+//!   `--view-gate` runs only this gate (the CI smoke step). Aggregate
+//!   probes are the same stateless element on both arms.
 //! * `sched_gate` — the delta-scheduling equivalence gate: the same ring
 //!   with the delta-driven scheduler on (the default) and off must produce
 //!   identical NetStats and event counts, identical final routing state
@@ -36,9 +37,10 @@
 //!   runs only this gate (the CI smoke step).
 //!
 //! The `chord_rings` section reports an interleaved in-process A/B of the
-//! incremental plan against the generic element chains, the rescanning
-//! (views-off) plan, and the poke-everything (scheduler-off) plan, plus
-//! per-event full-scan rates for each.
+//! default plan against the generic element chains, the views-off plan,
+//! and the poke-everything (scheduler-off) plan, plus per-event full-scan
+//! rates with views on and off (an unkeyed aggregate probe is a counted
+//! full scan on every arm).
 //!
 //! With `--par` the binary instead benchmarks the **parallel sharded
 //! simulator**: steady-state Chord-ring throughput at 1/2/4/8 workers per
@@ -137,12 +139,12 @@ struct ChordResult {
     /// strand fusion (plus the identical event streams make the windows
     /// directly comparable).
     fused_speedup: f64,
-    /// Throughput of the same ring with view materialization and delta-fed
-    /// aggregate probes disabled (the rescanning translation), interleaved
-    /// in the same windows.
+    /// Throughput of the same ring with view materialization disabled
+    /// (pure-join table rules run as per-trigger strands), interleaved in
+    /// the same windows.
     views_off_events_per_sec: f64,
     /// `events_per_sec / views_off_events_per_sec`: the isolated win of
-    /// incrementalization.
+    /// materialized views.
     views_speedup: f64,
     /// Throughput of the same ring with delta-driven scheduling disabled
     /// (the poke-everything engine), interleaved in the same windows.
@@ -154,9 +156,11 @@ struct ChordResult {
     /// windows (static refresh masks + dynamic `would_wake` guards).
     suppressed_pokes: u64,
     /// Full table scans per processed event in the measurement windows,
-    /// incremental plan (the ISSUE-7 success metric: ~0).
+    /// default plan: unkeyed aggregate probes (Chord's L2/L3/SU1/S3 share
+    /// only the location with their table) plus consumer rebuilds.
     full_scans_per_event: f64,
-    /// Full table scans per processed event, rescanning plan.
+    /// Full table scans per processed event with views off: the same
+    /// probes (the strands the views replace read through indexes).
     views_off_full_scans_per_event: f64,
     /// End-of-run table-storage counters of the incremental ring.
     storage_ops: StorageOps,
@@ -195,9 +199,9 @@ struct ViewGate {
     mat_view_count: usize,
     views_on: GoldenPin,
     views_off: GoldenPin,
-    /// Full table scans over the gate window, incremental plan.
+    /// Full table scans over the gate window, views on.
     views_on_full_scans: u64,
-    /// Full table scans over the gate window, rescanning plan.
+    /// Full table scans over the gate window, views off.
     views_off_full_scans: u64,
     matches: bool,
 }
@@ -394,7 +398,7 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
     );
     assert_eq!(
         events, rescan_events,
-        "incremental and rescanning rings must process identical event streams"
+        "views-on and views-off rings must process identical event streams"
     );
     assert_eq!(
         events, unsched_events,
@@ -484,12 +488,13 @@ fn strand_gate(nodes: usize, warmup_secs: u64) -> StrandGate {
     }
 }
 
-/// Runs the incrementalization equivalence gate: the same staggered
-/// bring-up ring planned with materialized views and delta-fed aggregate
-/// probes, and with the rescanning translation, must produce identical
-/// NetStats and event counts. Views keep emission poke-driven through the
-/// shared strand executor precisely so this holds bit-for-bit; the gate is
-/// the end-to-end proof, and the full-scan counters show the work saved.
+/// Runs the view-materialization equivalence gate: the same staggered
+/// bring-up ring planned with materialized views, and with the
+/// per-trigger strands they replace, must produce identical NetStats and
+/// event counts. Views keep emission poke-driven through the shared strand
+/// executor precisely so this holds bit-for-bit; the gate is the
+/// end-to-end proof. The full-scan counters are reported for both arms
+/// (unkeyed aggregate probes scan on either).
 fn view_gate(nodes: usize, warmup_secs: u64) -> ViewGate {
     let run = |views: bool| {
         let mut cluster = ChordCluster::builder(nodes, 42)
@@ -1081,7 +1086,7 @@ fn main() {
     // equivalence gate and exit, writing no report.
     if view_gate_only {
         let gate_nodes = if smoke { 16 } else { 64 };
-        eprintln!("view gate: {gate_nodes}-node ring, incremental vs rescanning plans...");
+        eprintln!("view gate: {gate_nodes}-node ring, views on vs off...");
         let gate = view_gate(gate_nodes, if smoke { 60 } else { 120 });
         eprintln!(
             "  {} materialized views; on {:?} ({} full scans) vs off {:?} ({} full scans) -> {}",
@@ -1093,7 +1098,7 @@ fn main() {
             if gate.matches { "MATCH" } else { "DIVERGED" }
         );
         if !gate.matches {
-            eprintln!("error: view-materialized run diverged from the rescanning run");
+            eprintln!("error: view-materialized run diverged from the views-off run");
             std::process::exit(1);
         }
         std::process::exit(0);
@@ -1162,7 +1167,7 @@ fn main() {
         eprintln!(
             "  bring-up {:.2} s wall, ring {:.2}, {} events in {:.3} s -> {:>12.0} events/s \
              ({:>8.0} msgs/virtual-s; generic plan {:>12.0} events/s, fused {:.2}x; \
-             rescanning plan {:>12.0} events/s, views {:.2}x; \
+             views-off plan {:>12.0} events/s, views {:.2}x; \
              poke-everything plan {:>12.0} events/s, sched {:.2}x, {} suppressed; \
              full scans/event {:.4} vs {:.4})",
             r.build_wall_secs,
@@ -1221,7 +1226,7 @@ fn main() {
     );
     let strands_match = gate.matches;
 
-    eprintln!("view gate: {gate_nodes}-node ring, incremental vs rescanning plans...");
+    eprintln!("view gate: {gate_nodes}-node ring, views on vs off...");
     let vgate = view_gate(gate_nodes, if smoke { 60 } else { 120 });
     eprintln!(
         "  {} materialized views; on {:?} ({} full scans) vs off {:?} ({} full scans) -> {}",
@@ -1271,7 +1276,7 @@ fn main() {
         std::process::exit(1);
     }
     if !views_match {
-        eprintln!("error: view-materialized run diverged from the rescanning run");
+        eprintln!("error: view-materialized run diverged from the views-off run");
         std::process::exit(1);
     }
     if !sched_matches {

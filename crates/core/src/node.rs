@@ -31,8 +31,8 @@ pub struct NodeConfig {
     /// element graph).
     pub fuse_strands: bool,
     /// Whether pure-join table rules become incrementally maintained view
-    /// elements and eligible aggregation probes run delta-fed (on by
-    /// default; disable to force the recompute-everything lowering).
+    /// elements (on by default; disable to run them as per-trigger
+    /// strands).
     pub materialize_views: bool,
     /// Whether delta-driven rule scheduling suppresses provably no-op
     /// pokes (on by default; disable to restore the poke-everything
@@ -73,7 +73,7 @@ impl NodeConfig {
         self
     }
 
-    /// Disables materialized views and delta-fed aggregation probes.
+    /// Disables materialized views.
     pub fn without_views(mut self) -> NodeConfig {
         self.materialize_views = false;
         self

@@ -17,27 +17,25 @@
 //!
 //! # Incremental lowering
 //!
-//! With [`PlanConfig::materialize_views`] (the default), two further shapes
-//! leave the rescanning translation:
-//!
-//! * A non-delete rule whose every body predicate is a stored table, with
-//!   pure programs and no probe or anti-join of a trigger table, lowers to
-//!   **one [`MatView`] element** instead of per-trigger strands: port `k`
-//!   carries the insert pokes of trigger table `k` (emission stays
-//!   poke-driven and bit-identical to the strands it replaces, including on
-//!   soft-state refreshes), while the view maintains provenance counts of
-//!   the derivable head rows from the tables' delta streams and emits exact
-//!   retractions on the port past the triggers (left unwired in the shipped
-//!   plan).
-//! * An in-strand [`AggProbe`] whose filter and aggregate programs are pure
-//!   becomes **delta-fed**: per-event-class contribution state maintained
-//!   from the table's delta stream replaces the counted full scan per
-//!   event, with a scan-identical rebuild fallback on delta-log overflow.
-//!
-//! Both consume pooled per-table [`DeltaSubscription`]s created in
+//! With [`PlanConfig::materialize_views`] (the default), a non-delete rule
+//! whose every body predicate is a stored table, with pure programs and no
+//! probe or anti-join of a trigger table, lowers to **one [`MatView`]
+//! element** instead of per-trigger strands: port `k` carries the insert
+//! pokes of trigger table `k` (emission stays poke-driven and bit-identical
+//! to the strands it replaces, including on soft-state refreshes), while
+//! the view maintains provenance counts of the derivable head rows from the
+//! tables' delta streams and emits exact retractions on the port past the
+//! triggers (left unwired in the shipped plan). Views and [`TableAgg`]s
+//! consume pooled per-table [`DeltaSubscription`]s created in
 //! [`PlannedProgram::instantiate`]. [`PlanConfig::without_views`] is the
 //! escape hatch back to the rescanning translation; the `view_gate` in
 //! `sim_bench` pins both translations to identical event streams.
+//!
+//! An in-strand [`AggProbe`] keeps no state in either mode. Its filter's
+//! `event field == row column` equalities are split off into a probe key,
+//! so it reads the table through the same access path as a [`Join`]
+//! (primary index, declared secondary index, or counted scan); see the
+//! aggregation block of [`Builder::analyze_strand`].
 //!
 //! # Delta-driven scheduling
 //!
@@ -120,8 +118,7 @@ pub struct PlanOptions {
     /// elements (see [`PlanConfig::fuse_strands`]).
     pub fuse_strands: bool,
     /// Whether pure-join table rules are lowered to incrementally
-    /// maintained view elements and aggregation probes run delta-fed
-    /// (see [`PlanConfig::materialize_views`]).
+    /// maintained view elements (see [`PlanConfig::materialize_views`]).
     pub materialize_views: bool,
     /// Whether delta-driven rule scheduling is enabled: refresh-kind
     /// pokes are suppressed into refresh-transparent rule strands and
@@ -163,8 +160,8 @@ impl PlanOptions {
         self
     }
 
-    /// Disables materialized views and delta-fed aggregation probes
-    /// (everything recomputes by scanning, the pre-incremental behaviour).
+    /// Disables materialized views (pure-join table rules recompute per
+    /// trigger, the pre-incremental behaviour).
     pub fn without_views(mut self) -> PlanOptions {
         self.materialize_views = false;
         self
@@ -194,13 +191,12 @@ pub struct PlanConfig {
     /// [`PlanConfig::without_fusion`] forces it everywhere (used by the
     /// strand-equivalence gates).
     pub fuse_strands: bool,
-    /// Whether the plan is lowered incrementally: pure-join table rules
-    /// become [`MatView`] elements maintained from their trigger tables'
-    /// delta streams, and eligible aggregation probes run delta-fed
-    /// ([`AggProbe::with_subscription`]) instead of rescanning per event.
-    /// On by default; [`PlanConfig::without_views`] restores the
-    /// recompute-everything lowering (used by the view-equivalence gate
-    /// and as the escape hatch if a maintenance bug surfaces).
+    /// Whether pure-join table rules become [`MatView`] elements
+    /// maintained from their trigger tables' delta streams. Governs views
+    /// only — aggregation probes are stateless either way. On by default;
+    /// [`PlanConfig::without_views`] restores the per-trigger strands
+    /// (used by the view-equivalence gate and as the escape hatch if a
+    /// maintenance bug surfaces).
     pub materialize_views: bool,
     /// Whether delta-driven rule scheduling is enabled. When on, the
     /// planner compiles a per-element *refresh suppression mask*: the
@@ -261,7 +257,7 @@ impl PlanConfig {
         self
     }
 
-    /// Disables materialized views and delta-fed aggregation probes.
+    /// Disables materialized views.
     pub fn without_views(mut self) -> PlanConfig {
         self.materialize_views = false;
         self
@@ -326,19 +322,17 @@ enum ElementSpec {
         out_name: Arc<str>,
         fields: Vec<PelProgram>,
     },
-    /// Per-event aggregation probe over a table. `incremental` probes are
-    /// fed from a pooled delta subscription and keep per-group aggregate
-    /// state alive across events instead of rescanning; it is set only
-    /// when the plan materializes views and the programs are pure
-    /// (`AggProbe::can_increment`).
+    /// Per-event aggregation probe over a table: candidates are the rows
+    /// equal to the event on the `(event field, table column)` pairs of
+    /// `key` (the whole table when empty), `filter` is the residue.
     AggProbe {
         table: usize,
         table_arity: usize,
         func: AggFunc,
+        key: Vec<(usize, usize)>,
         filter: Option<PelProgram>,
         agg_expr: PelProgram,
         out_name: Arc<str>,
-        incremental: bool,
     },
     /// Materialized aggregate watcher over a table.
     TableAgg {
@@ -591,18 +585,13 @@ impl PlannedProgram {
         }
 
         // Delta-subscription pooling: count the subscriptions every
-        // delta-fed consumer (TableAgg, incremental AggProbe, MatView
-        // input) needs per table, then create them table-by-table under a
-        // single lock each instead of re-locking per element.
+        // delta-fed consumer (TableAgg, MatView input) needs per table,
+        // then create them table-by-table under a single lock each
+        // instead of re-locking per element.
         let mut sub_counts = vec![0usize; self.tables.len()];
         for spec in &self.specs {
             match spec {
                 ElementSpec::TableAgg { table, .. } => sub_counts[*table] += 1,
-                ElementSpec::AggProbe {
-                    table,
-                    incremental: true,
-                    ..
-                } => sub_counts[*table] += 1,
                 ElementSpec::MatView { inputs, .. } => {
                     for input in inputs {
                         sub_counts[input.table] += 1;
@@ -669,32 +658,21 @@ impl PlannedProgram {
                     table,
                     table_arity,
                     func,
+                    key,
                     filter,
                     agg_expr,
                     out_name,
-                    incremental,
-                } => {
-                    if *incremental {
-                        Box::new(AggProbe::with_subscription(
-                            refs[*table].clone(),
-                            *table_arity,
-                            *func,
-                            filter.clone(),
-                            agg_expr.clone(),
-                            out_name.to_string(),
-                            take_sub(*table),
-                        ))
-                    } else {
-                        Box::new(AggProbe::new(
-                            refs[*table].clone(),
-                            *table_arity,
-                            *func,
-                            filter.clone(),
-                            agg_expr.clone(),
-                            out_name.to_string(),
-                        ))
-                    }
-                }
+                } => Box::new(
+                    AggProbe::new(
+                        refs[*table].clone(),
+                        *table_arity,
+                        *func,
+                        filter.clone(),
+                        agg_expr.clone(),
+                        out_name.to_string(),
+                    )
+                    .with_key(key.clone()),
+                ),
                 ElementSpec::TableAgg {
                     table,
                     func,
@@ -853,9 +831,9 @@ struct Builder<'a> {
     /// Number of rules lowered to materialized view elements.
     mat_views: usize,
     /// Per-rule delta-safety classification from the whole-program
-    /// analyzer, parallel to `program.rules`. Fusion, view, and
-    /// incremental-aggregate eligibility read from here instead of
-    /// re-deriving purity from compiled PEL stages.
+    /// analyzer, parallel to `program.rules`. Fusion and view eligibility
+    /// read from here instead of re-deriving purity from compiled PEL
+    /// stages.
     rule_classes: Vec<RuleClass>,
     /// Classification of the rule currently being planned (set by
     /// [`Builder::build`] before each `plan_rule` call).
@@ -1011,6 +989,46 @@ impl<'a> Builder<'a> {
         if !plan.extra_indexes.contains(&cols) {
             plan.extra_indexes.push(cols);
         }
+    }
+
+    /// Chooses which of an aggregation probe's `(event field, table
+    /// column)` equalities form its key; the caller keeps the rest in the
+    /// residual filter. A key compares by index equality, exactly like a
+    /// join key: `Value`'s hash agrees with PEL `==` within the numeric
+    /// types and within `Str`/`Id`, but `Id(x) == Int(x)` holds while the
+    /// two hash differently, so a program equating an `Id` column with an
+    /// `Int` field matches through a filter and misses through a key
+    /// (pinned by `agg_probe_key_uses_index_equality_for_id_vs_int`).
+    ///
+    /// The primary key serves whenever the equalities cover it — one
+    /// candidate row, no extra index. Otherwise a secondary index is
+    /// declared, unless only the location column is keyed: every row of a
+    /// node's table shares it, so an index would select nothing.
+    fn agg_probe_key(
+        &mut self,
+        table: usize,
+        pred: &Predicate,
+        equalities: &[(usize, usize)],
+    ) -> Vec<(usize, usize)> {
+        let pk = &self.tables[table].spec.primary_key;
+        let keyed = |col: &usize| equalities.iter().any(|(_, c)| c == col);
+        if !pk.is_empty() && pk.iter().all(keyed) {
+            return equalities
+                .iter()
+                .filter(|(_, c)| pk.contains(c))
+                .copied()
+                .collect();
+        }
+        let loc_col = pred.location.as_ref().and_then(|loc| {
+            pred.args
+                .iter()
+                .position(|a| matches!(a, OExpr::Var(v) if v == loc))
+        });
+        if equalities.iter().all(|(_, c)| Some(*c) == loc_col) {
+            return Vec::new();
+        }
+        self.declare_probe_index(table, equalities);
+        equalities.to_vec()
     }
 
     fn build(mut self) -> Result<PlannedProgram, PlanError> {
@@ -1625,10 +1643,10 @@ impl<'a> Builder<'a> {
     ///    the skipped duplicates sustain no soft state anywhere
     ///    downstream;
     /// 3. the entry element is a plain strand-chain element. Delta-fed
-    ///    consumers (TableAgg, MatView, incremental AggProbe) must see
-    ///    every poke — a suppressed poke could strand a pending expiry
-    ///    delta in their subscription queue — so they are never masked
-    ///    statically; their `would_wake` guards are the sole authority.
+    ///    consumers (TableAgg, MatView) must see every poke — a
+    ///    suppressed poke could strand a pending expiry delta in their
+    ///    subscription queue — so they are never masked statically; their
+    ///    `would_wake` guards are the sole authority.
     ///
     /// Notably, for the shipped Chord program this masks *nothing*: the
     /// fixpoint proves every refresh cascade load-bearing (`succ`
@@ -1646,9 +1664,7 @@ impl<'a> Builder<'a> {
         }
         if matches!(
             self.specs[entry],
-            ElementSpec::TableAgg { .. }
-                | ElementSpec::MatView { .. }
-                | ElementSpec::AggProbe { .. }
+            ElementSpec::TableAgg { .. } | ElementSpec::MatView { .. }
         ) {
             return;
         }
@@ -1862,14 +1878,13 @@ impl<'a> Builder<'a> {
             let binding = agg_layout
                 .bind_predicate(pred, true)
                 .map_err(|e| PlanError::in_rule(&rule.id, e.message))?;
+            // Conjuncts of the shape `event field == row column` — the
+            // variables the predicate shares with the strand, and explicit
+            // conditions such as R5's `B == A` — can be served by the
+            // table's access path instead of per-row PEL; the rest is the
+            // probe's residual filter.
+            let mut equalities: Vec<(usize, usize)> = binding.join_keys.clone();
             let mut filter: Vec<PExpr> = Vec::new();
-            for (existing, col) in &binding.join_keys {
-                filter.push(PExpr::bin(
-                    BinOp::Eq,
-                    PExpr::Field(*existing),
-                    PExpr::Field(base + col),
-                ));
-            }
             for (col, value) in &binding.const_checks {
                 filter.push(PExpr::bin(
                     BinOp::Eq,
@@ -1888,7 +1903,19 @@ impl<'a> Builder<'a> {
                 let compiled = agg_layout
                     .compile_expr(cond)
                     .map_err(|e| PlanError::in_rule(&rule.id, e.message))?;
-                filter.push(compiled);
+                match event_row_equality(&compiled, base) {
+                    Some(pair) => equalities.push(pair),
+                    None => filter.push(compiled),
+                }
+            }
+            let table = self.table_id(rule, &pred.name)?;
+            let key = self.agg_probe_key(table, pred, &equalities);
+            for (field, col) in equalities.iter().filter(|pair| !key.contains(pair)) {
+                filter.push(PExpr::bin(
+                    BinOp::Eq,
+                    PExpr::Field(*field),
+                    PExpr::Field(base + col),
+                ));
             }
             // Any assignment that could not be applied earlier must be
             // definable over the aggregate table's columns; it can only be
@@ -1927,28 +1954,21 @@ impl<'a> Builder<'a> {
                     ))
                 }
             };
-            let table = self.table_id(rule, &pred.name)?;
             let filter = if filter.is_empty() {
                 None
             } else {
                 Some(PelProgram::compile(&and_all(filter)))
             };
-            let agg_expr = PelProgram::compile(&agg_expr);
-            // Rule-level purity subsumes the per-program `can_increment`
-            // scan (the debug_assert in `AggProbe::with_subscription`
-            // still cross-checks the compiled programs).
-            let incremental = self.config.materialize_views && self.current_class.pure;
-            debug_assert!(!incremental || AggProbe::can_increment(&filter, &agg_expr));
             stages.push(Stage::Other {
                 label: format!("{}:agg:{}", rule.id, pred.name),
                 spec: ElementSpec::AggProbe {
                     table,
                     table_arity: pred.args.len(),
                     func: aggp.spec.func,
+                    key,
                     filter,
-                    agg_expr,
+                    agg_expr: PelProgram::compile(&agg_expr),
                     out_name: format!("{}#agg", rule.id).into(),
-                    incremental,
                 },
             });
             layout = agg_layout;
@@ -2275,6 +2295,20 @@ impl<'a> Builder<'a> {
     }
 }
 
+/// Recognizes `Field(a) == Field(b)` with one side in the event part of
+/// the joined layout (`< base`) and the other in the row part, returning
+/// `(event field, row column)`.
+fn event_row_equality(expr: &PExpr, base: usize) -> Option<(usize, usize)> {
+    let PExpr::Binary(BinOp::Eq, lhs, rhs) = expr else {
+        return None;
+    };
+    match (&**lhs, &**rhs) {
+        (PExpr::Field(a), PExpr::Field(b)) if *a < base && *b >= base => Some((*a, b - base)),
+        (PExpr::Field(a), PExpr::Field(b)) if *b < base && *a >= base => Some((*b, a - base)),
+        _ => None,
+    }
+}
+
 /// Conjunction of a non-empty list of boolean expressions.
 fn and_all(mut exprs: Vec<PExpr>) -> PExpr {
     let mut acc = exprs.remove(0);
@@ -2554,6 +2588,88 @@ mod tests {
         let table = planned.catalog.get("member").unwrap();
         let indexes = table.lock().indexes();
         assert!(indexes.contains(&vec![0, 1]), "indexes: {indexes:?}");
+    }
+
+    /// Narada's R5 keys its `count<*>` probe on `member`'s primary key
+    /// (the explicit `B == A`; the shared location `X` stays a residual
+    /// check) while Chord's L2/L3, which share only the location with
+    /// `finger`, carry no key and add no index.
+    #[test]
+    fn aggregate_probes_take_the_join_access_path() {
+        let src = r#"
+            materialize(member, 120, infinity, keys(2)).
+            materialize(node, infinity, 1, keys(1)).
+            materialize(finger, 180, 160, keys(2)).
+            R5 membersFound@X(X, A, AS, AL, count<*>) :- refreshMsg@X(X, Y, YS, A, AS, AL),
+               member@X(X, B, BS, BT, BL), B == A.
+            L2 bestLookupDist@NI(NI, K, R, E, min<D>) :- node@NI(NI, N),
+               lookup@NI(NI, K, R, E), finger@NI(NI, I, B, BI), D := K - B - 1,
+               B in (N, K).
+            L3 lookup@BI(min<BI>, K, R, E) :- node@NI(NI, N),
+               bestLookupDist@NI(NI, K, R, E, D), finger@NI(NI, I, B, BI),
+               D == K - B - 1, B in (N, K).
+        "#;
+        let program = compile_checked(src).unwrap();
+        let shared =
+            PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
+        let key_of = |name: &str| {
+            let at = shared.names.iter().position(|n| &**n == name).unwrap();
+            match &shared.specs[at] {
+                ElementSpec::AggProbe { key, .. } => key.clone(),
+                _ => panic!("{name} is not an aggregation probe"),
+            }
+        };
+        assert_eq!(key_of("R5:agg:member"), vec![(3, 1)]);
+        assert_eq!(key_of("L2:agg:finger"), vec![]);
+        assert_eq!(key_of("L3:agg:finger"), vec![]);
+
+        let mut node = shared.instantiate("n1", 7);
+        assert!(node
+            .catalog
+            .get("finger")
+            .unwrap()
+            .lock()
+            .indexes()
+            .is_empty());
+        let member = node.catalog.get("member").unwrap();
+        assert!(member.lock().indexes().is_empty());
+        node.engine.set_entry(Route {
+            element: 0,
+            port: 0,
+        });
+        node.engine.start(p2_value::SimTime::ZERO);
+        let at = p2_value::SimTime::from_secs(1);
+        for i in 0..8i64 {
+            let row = p2_value::Tuple::new(
+                "member",
+                vec![
+                    Value::str("n1"),
+                    Value::str(format!("m{i}")),
+                    Value::Int(i),
+                    Value::Int(0),
+                    Value::Int(1),
+                ],
+            );
+            node.engine.deliver(row, at);
+        }
+        let before = member.lock().stats();
+        for a in ["m3", "nobody"] {
+            let msg = p2_value::Tuple::new(
+                "refreshMsg",
+                vec![
+                    Value::str("n1"),
+                    Value::str("n2"),
+                    Value::Int(9),
+                    Value::str(a),
+                    Value::Int(4),
+                    Value::Int(1),
+                ],
+            );
+            node.engine.deliver(msg, at);
+        }
+        let after = member.lock().stats();
+        assert_eq!(after.primary_lookups - before.primary_lookups, 2);
+        assert_eq!(after.full_scans, before.full_scans);
     }
 
     #[test]

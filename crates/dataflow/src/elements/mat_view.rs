@@ -131,19 +131,13 @@ pub struct MatView {
 /// below their arity derive identical head tuples against identical table
 /// state.
 fn relevant_fields(inp: &ViewInput) -> Vec<usize> {
-    fn loads(p: &Program, refs: &mut Vec<usize>) {
-        refs.extend(p.ops().iter().filter_map(|op| match op {
-            p2_pel::Op::Load(i) => Some(*i),
-            _ => None,
-        }));
-    }
     let mut refs = Vec::new();
     for f in &inp.pre_filters {
-        loads(f, &mut refs);
+        refs.extend(f.loads());
     }
     for op in &inp.ops {
         match op {
-            StrandOp::Filter(p) | StrandOp::Assign(p) => loads(p, &mut refs),
+            StrandOp::Filter(p) | StrandOp::Assign(p) => refs.extend(p.loads()),
             StrandOp::Probe { key, .. } | StrandOp::AntiJoin { key, .. } => {
                 refs.extend(key.pairs.iter().map(|(s, _)| *s));
                 refs.extend(key.stream_checks.iter().flat_map(|&(a, b)| [a, b]));
@@ -151,7 +145,7 @@ fn relevant_fields(inp: &ViewInput) -> Vec<usize> {
         }
     }
     for h in &inp.head_fields {
-        loads(h, &mut refs);
+        refs.extend(h.loads());
     }
     refs.sort_unstable();
     refs.dedup();

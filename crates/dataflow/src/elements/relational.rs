@@ -20,6 +20,15 @@ pub(crate) const NULL_VALUE: Value = Value::Null;
 /// (`(s1, t), (s2, t)`), one pair drives the probe and the rest become
 /// stream-side equality checks (`tuple[s1] == tuple[s2]`): the constraints
 /// can only both hold when those stream values agree.
+///
+/// A key compares by *index* equality: a primary or declared secondary
+/// index is probed by `Value`'s hash and each hit confirmed with `==`. The
+/// hash agrees with `==` within Bool/Int/Double/Time and within `Str` and
+/// `Id`, but `Id(x) == Int(x)` holds while the two hash differently — a key
+/// equating an `Id` with an `Int` finds nothing through an index, where
+/// the same equality written as a PEL condition would match. This holds
+/// for join, anti-join and aggregation-probe keys alike; programs keep a
+/// column to one of the two types.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeKey {
     /// `(stream field, table column)` with unique table columns, sorted by

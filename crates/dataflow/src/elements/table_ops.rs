@@ -27,11 +27,12 @@ use std::collections::{HashMap, HashSet};
 
 use p2_pel::{EvalContext, Program};
 use p2_table::{
-    AggFunc, AggState, DeltaKind, DeltaSubscription, InsertOutcome, RowId, TableDelta, TableRef,
+    AggFunc, AggState, DeltaKind, DeltaSubscription, InsertOutcome, TableDelta, TableRef,
 };
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
+use crate::elements::relational::ProbeKey;
 
 /// Stores arriving tuples into a table and re-emits them as *deltas*.
 ///
@@ -156,10 +157,10 @@ impl Element for Delete {
 
 /// Per-event aggregation over a table (Figure 2's "Agg min<D> on finger").
 ///
-/// For every arriving (partially joined) event tuple, the probe scans the
-/// configured table; each candidate row is concatenated onto the event
-/// tuple, the optional `filter` decides whether it contributes, and
-/// `agg_expr` computes the contributed value.
+/// For every arriving (partially joined) event tuple, the probe walks the
+/// configured table's candidate rows; each candidate is (virtually)
+/// concatenated onto the event tuple, the optional `filter` decides
+/// whether it contributes, and `agg_expr` computes the contributed value.
 ///
 /// The emitted tuple is `event ++ witness_row ++ [aggregate]`:
 ///
@@ -173,97 +174,181 @@ impl Element for Delete {
 ///   contributes (Narada's `membersFound ... count<*>` relies on seeing 0),
 ///   while `min`/`max`/`avg` emit nothing.
 ///
-/// # Delta-fed mode
+/// # Access path
 ///
-/// A probe built through [`AggProbe::with_subscription`] /
-/// [`AggProbe::new_incremental`] stops rescanning the table per event.
-/// It keeps a `RowId`-sorted **mirror** of the table maintained from the
-/// delta stream, plus per-*event-class* contribution lists: two events
-/// that agree on every field the filter and aggregate expression actually
-/// read (and on arity) compute identical per-row results, so they share
-/// one cached [`ProbeGroup`]. A probe then folds the group's precomputed
-/// `(RowId, value)` contributions — already in scan order — through the
-/// very same witness/accumulate/finish logic as the scan path, which keeps
-/// emissions bit-for-bit identical. Delta-queue overflow or any state
-/// incoherence falls back to a counted full scan
-/// ([`p2_table::Table::scan_rows_counted`]) and reports the rebuild via
-/// [`p2_table::Table::note_rebuild`]. Expressions that read the RNG or the
-/// clock are not pure functions of their inputs, so such probes refuse the
-/// cache (see [`AggProbe::can_increment`]) and stay on the scan path.
+/// The probe is stateless and reads the table the way [`super::Join`]
+/// does. `event field == row column` equalities the planner split off the
+/// filter form a key ([`AggProbe::with_key`]) served by
+/// [`p2_table::Table::lookup_iter`] — the primary index when the key
+/// columns are the table's primary key, a declared secondary index
+/// otherwise; with no key the probe pays a counted full scan. Key
+/// equality is *index* equality, exactly as for join keys (see
+/// [`super::relational::ProbeKey`]). Either way candidates arrive in
+/// ascending `RowId` order and are folded one by one, so the witness
+/// choice, the accumulation order and the emitted tuple are those of a
+/// plain scan over the matching rows.
+///
+/// Within one event the two programs are functions of the row's
+/// projection onto the columns they load, so each *distinct projection*
+/// is evaluated once and the result reused for every other candidate that
+/// agrees on those columns (Chord's 160 `finger` rows hold ~8 distinct
+/// `B`). Only evaluation is shared — every candidate still passes through
+/// the fold. Programs drawing on the RNG (`max<R>` with `R := f_rand()`)
+/// are not functions of the row and are evaluated per candidate.
 pub struct AggProbe {
     table: TableRef,
     table_arity: usize,
+    key: ProbeKey,
+    out_name: String,
+    fold: RowFold,
+    /// Evaluations of the filter or aggregate expression that raised an
+    /// error (the row — and every row sharing its projection — is skipped).
+    pub eval_errors: u64,
+}
+
+/// Bound on the distinct projections remembered per event. A table that
+/// shows more is not low-cardinality, and searching the memo per row would
+/// cost more than it saves: from then on a row is compared with the
+/// previous row only (one slot is recycled) and otherwise evaluated.
+const MEMO_CAP: usize = 16;
+
+/// The evaluate-and-fold half of an [`AggProbe`], separate from the table
+/// handle and key so a fold can run while the table is locked and probed.
+struct RowFold {
     func: AggFunc,
     filter: Option<Program>,
     agg_expr: Program,
-    out_name: String,
-    /// Delta-fed state; `None` runs the recompute-per-event scan path.
-    inc: Option<ProbeCache>,
+    /// Sorted, deduplicated `event ++ row` field indices the two programs
+    /// load.
+    loads: Vec<usize>,
+    /// Whether evaluation results may be shared between rows (false for
+    /// programs that draw on the RNG).
+    dedup: bool,
+    /// Per-event evaluation memo: one representative row per distinct
+    /// projection with its contribution (`None`: filtered out or failed).
+    /// Emptied at the end of every fold (only the capacity is kept); at
+    /// most [`MEMO_CAP`] entries.
+    memo: Vec<(Tuple, Option<Value>)>,
 }
 
-/// Bound on the per-event-class groups a delta-fed [`AggProbe`] keeps
-/// alive; beyond it the least-recently-probed group is replaced. Chord's
-/// hot probes (SU1's best-successor scan) use a single class per node, so
-/// the cap only matters for per-lookup classes (L2), where the group is
-/// rebuilt from the mirror instead of from a table scan.
-const MAX_PROBE_GROUPS: usize = 8;
-
-/// Contribution state for one class of event tuples (same arity, same
-/// values at every field the probe's programs read).
-struct ProbeGroup {
-    /// `(event arity, referenced-field projection)` identifying the class.
-    key: (usize, Vec<Value>),
-    /// Representative event; delta-time evaluations join rows against it.
-    event: Tuple,
-    /// `(row, value)` for every mirror row passing the filter, ascending
-    /// `RowId` — exactly the table's scan order.
-    contribs: Vec<(RowId, Value)>,
-    /// Tick of the last probe that used this group (LRU replacement).
-    last_used: u64,
-}
-
-/// The delta-fed half of an [`AggProbe`].
-struct ProbeCache {
-    sub: DeltaSubscription,
-    /// `RowId`-sorted mirror of the aggregate table.
-    rows: Vec<(RowId, Tuple)>,
-    groups: Vec<ProbeGroup>,
-    /// Sorted field indices the filter and aggregate expression read.
-    refs: Vec<usize>,
-    needs_rebuild: bool,
-    /// False until the first mirror build (which is initialization, not a
-    /// fallback, and therefore not reported via `note_rebuild`).
-    built: bool,
-    /// Reused delta drain buffer.
-    scratch: Vec<TableDelta>,
-    /// Reused class-key buffer (group hits allocate nothing).
-    key_scratch: Vec<Value>,
-    tick: u64,
-}
-
-/// Evaluates one row's contribution against `event ++ row`, replicating
-/// the scan path's row handling exactly: a false or failed filter and a
-/// failed aggregate expression both mean "does not contribute".
-fn contribution(
-    filter: &Option<Program>,
-    agg_expr: &Program,
-    event: &Tuple,
-    row: &Tuple,
-    ev: &mut EvalContext,
-) -> Option<Value> {
-    if let Some(filter) = filter {
-        match filter.eval_bool_joined(event, row, ev) {
-            Ok(true) => {}
-            _ => return None,
-        }
+/// True if `a` and `b` are the same value of the same variant (`==` alone
+/// equates `Int(1)` with `Double(1.0)`, which an expression can tell
+/// apart), or are both out of range.
+fn same_field(a: Option<&Value>, b: Option<&Value>) -> bool {
+    match (a, b) {
+        (Some(x), Some(y)) => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
+        (None, None) => true,
+        _ => false,
     }
-    agg_expr.eval_joined(event, row, ev).ok()
+}
+
+impl RowFold {
+    /// Evaluates one row's contribution against `event ++ row`: a false or
+    /// failed filter and a failed aggregate expression both mean "does not
+    /// contribute"; failures are counted in `errors`.
+    fn contribution(
+        &self,
+        event: &Tuple,
+        row: &Tuple,
+        ev: &mut EvalContext,
+        errors: &mut u64,
+    ) -> Option<Value> {
+        if let Some(filter) = &self.filter {
+            match filter.eval_bool_joined(event, row, ev) {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(_) => {
+                    *errors += 1;
+                    return None;
+                }
+            }
+        }
+        self.agg_expr
+            .eval_joined(event, row, ev)
+            .map_err(|_| *errors += 1)
+            .ok()
+    }
+
+    /// Folds `rows` (ascending `RowId` order) into `(aggregate, witness)`;
+    /// `None` when nothing is to be emitted. Contributions stream straight
+    /// into the shared accumulator, and only the winning witness row is
+    /// cloned. A value the accumulator rejects (non-numeric sum/avg)
+    /// aborts the whole probe without emitting, exactly like
+    /// `AggFunc::apply` erroring over the collected contributions would.
+    fn run<'t>(
+        &mut self,
+        event: &Tuple,
+        rows: impl Iterator<Item = &'t Tuple>,
+        ev: &mut EvalContext,
+        errors: &mut u64,
+    ) -> Option<(Value, Option<Tuple>)> {
+        // Loads below the event's arity read the event, which is the same
+        // for every row; the rest are the row columns a result depends on.
+        let split = event.arity();
+        let row_loads = &self.loads[self.loads.partition_point(|&i| i < split)..];
+        let mut state = AggState::new(self.func);
+        let mut witness: Option<(Value, Tuple)> = None;
+        // Memo slot of the previous row: runs of equal projections (a
+        // finger table's repeated `B`) hit it without searching.
+        let mut at = 0;
+        for row in rows {
+            let same = |(rep, _): &(Tuple, Option<Value>)| {
+                row_loads
+                    .iter()
+                    .all(|&i| same_field(rep.values().get(i - split), row.values().get(i - split)))
+            };
+            let full = self.memo.len() == MEMO_CAP;
+            let found = if !self.dedup {
+                None
+            } else if self.memo.get(at).is_some_and(same) {
+                Some(at)
+            } else if full {
+                None
+            } else {
+                self.memo.iter().position(same)
+            };
+            at = match found {
+                Some(slot) => slot,
+                None => {
+                    let entry = (row.clone(), self.contribution(event, row, ev, errors));
+                    if full {
+                        self.memo[at] = entry;
+                        at
+                    } else {
+                        self.memo.push(entry);
+                        self.memo.len() - 1
+                    }
+                }
+            };
+            let Some(v) = &self.memo[at].1 else {
+                continue;
+            };
+            let better = match (&witness, self.func) {
+                (None, _) => true,
+                (Some((best, _)), AggFunc::Min) => v < best,
+                (Some((best, _)), AggFunc::Max) => v > best,
+                _ => false,
+            };
+            if better {
+                witness = Some((v.clone(), row.clone()));
+            }
+            if state.accumulate(v).is_err() {
+                self.memo.clear();
+                return None;
+            }
+        }
+        self.memo.clear();
+        // min/max/avg over an empty contribution set finish to `None` and
+        // produce no tuple at all; count/sum legitimately produce 0.
+        let aggregate = state.finish()?;
+        Some((aggregate, witness.map(|(_, row)| row)))
+    }
 }
 
 impl AggProbe {
-    /// Creates a recompute-per-event aggregation probe over a table whose
-    /// rows have `table_arity` fields (every event pays a counted full
-    /// scan).
+    /// Creates an aggregation probe over a table whose rows have
+    /// `table_arity` fields. Without a key ([`AggProbe::with_key`]) every
+    /// event pays a counted full scan.
     pub fn new(
         table: TableRef,
         table_arity: usize,
@@ -272,328 +357,34 @@ impl AggProbe {
         agg_expr: Program,
         out_name: impl Into<String>,
     ) -> AggProbe {
+        let programs = || filter.iter().chain(std::iter::once(&agg_expr));
+        let mut loads: Vec<usize> = programs().flat_map(Program::loads).collect();
+        loads.sort_unstable();
+        loads.dedup();
+        let dedup = !programs().any(Program::uses_random);
         AggProbe {
             table,
             table_arity,
-            func,
-            filter,
-            agg_expr,
+            key: ProbeKey::default(),
             out_name: out_name.into(),
-            inc: None,
+            fold: RowFold {
+                func,
+                filter,
+                agg_expr,
+                loads,
+                dedup,
+                memo: Vec::new(),
+            },
+            eval_errors: 0,
         }
     }
 
-    /// True if a probe with these programs may cache evaluation results
-    /// across events: programs that read the RNG (`f_rand`, `f_coinFlip`)
-    /// or the clock (`f_now`) are not pure functions of their inputs and
-    /// must stay on the scan path. Planners check this before creating the
-    /// delta subscription for [`AggProbe::with_subscription`].
-    pub fn can_increment(filter: &Option<Program>, agg_expr: &Program) -> bool {
-        let pure = |p: &Program| !p.uses_random() && !p.uses_time();
-        pure(agg_expr) && filter.as_ref().is_none_or(pure)
-    }
-
-    /// Creates a delta-fed probe over an already-created subscription (the
-    /// planner pools subscriptions per table at instantiation). The caller
-    /// must have verified [`AggProbe::can_increment`] — an impure program
-    /// would cache stale evaluation results.
-    pub fn with_subscription(
-        table: TableRef,
-        table_arity: usize,
-        func: AggFunc,
-        filter: Option<Program>,
-        agg_expr: Program,
-        out_name: impl Into<String>,
-        sub: DeltaSubscription,
-    ) -> AggProbe {
-        debug_assert!(Self::can_increment(&filter, &agg_expr));
-        let mut refs: Vec<usize> = agg_expr
-            .ops()
-            .iter()
-            .chain(filter.iter().flat_map(|f| f.ops().iter()))
-            .filter_map(|op| match op {
-                p2_pel::Op::Load(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
-        refs.sort_unstable();
-        refs.dedup();
-        AggProbe {
-            table,
-            table_arity,
-            func,
-            filter,
-            agg_expr,
-            out_name: out_name.into(),
-            inc: Some(ProbeCache {
-                sub,
-                rows: Vec::new(),
-                groups: Vec::new(),
-                refs,
-                needs_rebuild: true,
-                built: false,
-                scratch: Vec::new(),
-                key_scratch: Vec::new(),
-                tick: 0,
-            }),
-        }
-    }
-
-    /// Creates a delta-fed probe, subscribing to the table's delta stream;
-    /// falls back to the scan path when the programs are impure.
-    pub fn new_incremental(
-        table: TableRef,
-        table_arity: usize,
-        func: AggFunc,
-        filter: Option<Program>,
-        agg_expr: Program,
-        out_name: impl Into<String>,
-    ) -> AggProbe {
-        if !Self::can_increment(&filter, &agg_expr) {
-            return Self::new(table, table_arity, func, filter, agg_expr, out_name);
-        }
-        let sub = table.lock().subscribe_deltas();
-        Self::with_subscription(table, table_arity, func, filter, agg_expr, out_name, sub)
-    }
-
-    /// True if this probe runs in delta-fed mode (planner diagnostics).
-    pub fn is_incremental(&self) -> bool {
-        self.inc.is_some()
-    }
-
-    /// The recompute path: scan the table through the borrowing iterator,
-    /// evaluating the filter and aggregate expression against the *virtual*
-    /// join `event ++ row` (`Program::eval_joined`): no per-row
-    /// joined-tuple materialization; only the winning witness row is
-    /// cloned.
-    fn push_scan(&mut self, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        let guard = self.table.lock();
-        // Contributions stream straight into the shared accumulator — no
-        // per-event contribution vector, no second fold over it. A value
-        // the accumulator rejects (non-numeric sum/avg) aborts the whole
-        // probe without emitting, exactly like `AggFunc::apply` erroring
-        // over the collected vector used to.
-        let mut state = AggState::new(self.func);
-        let mut witness: Option<(Value, Tuple)> = None;
-        for row in guard.scan_iter_counted() {
-            if let Some(filter) = &self.filter {
-                match filter.eval_bool_joined(tuple, row, ctx.eval()) {
-                    Ok(true) => {}
-                    _ => continue,
-                }
-            }
-            let Ok(v) = self.agg_expr.eval_joined(tuple, row, ctx.eval()) else {
-                continue;
-            };
-            let better = match (&witness, self.func) {
-                (None, _) => true,
-                (Some((best, _)), AggFunc::Min) => v < *best,
-                (Some((best, _)), AggFunc::Max) => v > *best,
-                _ => false,
-            };
-            if better {
-                witness = Some((v.clone(), row.clone()));
-            }
-            if state.accumulate(&v).is_err() {
-                return;
-            }
-        }
-        drop(guard);
-        // min/max/avg over an empty contribution set finish to `None` and
-        // produce no tuple at all; count/sum legitimately produce 0.
-        let Some(aggregate) = state.finish() else {
-            return;
-        };
-        let row_part: Vec<Value> = match (self.func, witness) {
-            (AggFunc::Min | AggFunc::Max, Some((_, row))) => row.values().to_vec(),
-            _ => vec![Value::Null; self.table_arity],
-        };
-        let mut extra = row_part;
-        extra.push(aggregate);
-        ctx.emit(0, tuple.extended(extra).renamed(&self.out_name));
-    }
-
-    /// The delta-fed path: catch up on the table's deltas, locate (or
-    /// build) the event's contribution group, then fold its contributions
-    /// in scan order through the same witness/accumulate/finish logic as
-    /// [`AggProbe::push_scan`].
-    fn push_incremental(&mut self, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        let AggProbe {
-            table,
-            table_arity,
-            func,
-            filter,
-            agg_expr,
-            out_name,
-            inc,
-        } = self;
-        let cache = inc.as_mut().expect("push_incremental requires the cache");
-        // Quiet fast path: no pending deltas means the mirror and every
-        // cached group are already exact — skip the lock/drain round trip
-        // (one atomic load instead).
-        if cache.needs_rebuild || cache.sub.has_pending() {
-            // Catching up on deltas mutates the mirror/groups: real work,
-            // not a refresh no-op.
-            ctx.note_state_change();
-            // Borrow a local clone of the `Arc` so the cache stays freely
-            // borrowable while the table is locked.
-            let table = table.clone();
-            let mut guard = table.lock();
-            if guard.drain_deltas(&cache.sub, &mut cache.scratch) {
-                cache.needs_rebuild = true;
-                cache.scratch.clear();
-            }
-            if !cache.needs_rebuild && !cache.apply_deltas(filter, agg_expr, ctx.eval()) {
-                cache.needs_rebuild = true;
-            }
-            cache.scratch.clear();
-            if cache.needs_rebuild {
-                if cache.built {
-                    guard.note_rebuild();
-                }
-                cache.rows = guard
-                    .scan_rows_counted()
-                    .map(|(id, t)| (id, t.clone()))
-                    .collect();
-                cache.groups.clear();
-                cache.needs_rebuild = false;
-                cache.built = true;
-            }
-        }
-
-        cache.tick += 1;
-        let tick = cache.tick;
-        let arity = tuple.arity();
-        // The class key is built in a reused scratch vector: probes that
-        // hit an existing group (the steady state) allocate nothing.
-        cache.key_scratch.clear();
-        let refs = &cache.refs;
-        cache.key_scratch.extend(
-            refs.iter()
-                .filter(|&&i| i < arity)
-                .map(|&i| tuple.field(i).clone()),
-        );
-        let pos = cache
-            .groups
-            .iter()
-            .position(|g| g.key.0 == arity && g.key.1 == cache.key_scratch);
-        let pos = match pos {
-            Some(p) => {
-                cache.groups[p].last_used = tick;
-                p
-            }
-            None => {
-                let key = std::mem::take(&mut cache.key_scratch);
-                // First event of its class: fold the mirror once (instead
-                // of the table), caching per-row results for every later
-                // event of the class.
-                let mut contribs = Vec::new();
-                for (id, row) in &cache.rows {
-                    if let Some(v) = contribution(filter, agg_expr, tuple, row, ctx.eval()) {
-                        contribs.push((*id, v));
-                    }
-                }
-                let group = ProbeGroup {
-                    key: (arity, key),
-                    event: tuple.clone(),
-                    contribs,
-                    last_used: tick,
-                };
-                if cache.groups.len() >= MAX_PROBE_GROUPS {
-                    let evict = cache
-                        .groups
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, g)| g.last_used)
-                        .map(|(i, _)| i)
-                        .expect("non-empty group cache");
-                    cache.groups[evict] = group;
-                    evict
-                } else {
-                    cache.groups.push(group);
-                    cache.groups.len() - 1
-                }
-            }
-        };
-
-        // The fold below is line-for-line the scan path's, over the cached
-        // contributions (already in scan order).
-        let group = &cache.groups[pos];
-        let mut state = AggState::new(*func);
-        let mut witness: Option<(&Value, RowId)> = None;
-        for (id, v) in &group.contribs {
-            let better = match (&witness, *func) {
-                (None, _) => true,
-                (Some((best, _)), AggFunc::Min) => v < *best,
-                (Some((best, _)), AggFunc::Max) => v > *best,
-                _ => false,
-            };
-            if better {
-                witness = Some((v, *id));
-            }
-            if state.accumulate(v).is_err() {
-                return;
-            }
-        }
-        let Some(aggregate) = state.finish() else {
-            return;
-        };
-        let row_part: Vec<Value> = match (*func, witness) {
-            (AggFunc::Min | AggFunc::Max, Some((_, id))) => {
-                let at = cache
-                    .rows
-                    .binary_search_by_key(&id, |(rid, _)| *rid)
-                    .expect("witness row present in mirror");
-                cache.rows[at].1.values().to_vec()
-            }
-            _ => vec![Value::Null; *table_arity],
-        };
-        let mut extra = row_part;
-        extra.push(aggregate);
-        ctx.emit(0, tuple.extended(extra).renamed(out_name));
-    }
-}
-
-impl ProbeCache {
-    /// Applies drained deltas to the mirror and every cached group;
-    /// `false` means the mirror no longer matches the table and must be
-    /// rebuilt from a scan.
-    fn apply_deltas(
-        &mut self,
-        filter: &Option<Program>,
-        agg_expr: &Program,
-        ev: &mut EvalContext,
-    ) -> bool {
-        for i in 0..self.scratch.len() {
-            let delta = &self.scratch[i];
-            if delta.kind.is_removal() {
-                match self.rows.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                    Ok(at) => {
-                        self.rows.remove(at);
-                    }
-                    Err(_) => return false, // removal of an unknown row
-                }
-                for g in &mut self.groups {
-                    if let Ok(at) = g.contribs.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                        g.contribs.remove(at);
-                    }
-                }
-            } else {
-                match self.rows.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                    Ok(_) => return false, // insert into an occupied slot
-                    Err(at) => self.rows.insert(at, (delta.row, delta.tuple.clone())),
-                }
-                for g in &mut self.groups {
-                    if let Some(v) = contribution(filter, agg_expr, &g.event, &delta.tuple, ev) {
-                        match g.contribs.binary_search_by_key(&delta.row, |(id, _)| *id) {
-                            Ok(_) => return false,
-                            Err(at) => g.contribs.insert(at, (delta.row, v)),
-                        }
-                    }
-                }
-            }
-        }
-        true
+    /// Restricts the candidates to rows equal to the event on the given
+    /// `(event field, table column)` pairs. The key *replaces* those
+    /// equalities: the planner removes them from the filter.
+    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggProbe {
+        self.key = ProbeKey::new(key);
+        self
     }
 }
 
@@ -603,11 +394,39 @@ impl Element for AggProbe {
     }
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        if self.inc.is_some() {
-            self.push_incremental(tuple, ctx);
+        let AggProbe {
+            table,
+            table_arity,
+            key,
+            out_name,
+            fold,
+            eval_errors,
+        } = self;
+        let guard = table.lock();
+        let keyed = if key.is_empty() {
+            Some(fold.run(tuple, guard.scan_iter_counted(), ctx.eval(), eval_errors))
+        } else if key.stream_checks_hold(tuple) == Some(true) {
+            key.with_probe(tuple, |probe| {
+                let rows = guard.lookup_iter(&key.table_cols, probe);
+                fold.run(tuple, rows, ctx.eval(), eval_errors)
+            })
         } else {
-            self.push_scan(tuple, ctx);
-        }
+            None
+        };
+        // Conflicting key constraints, or an event too short to probe:
+        // no row matches (`count`/`sum` still report their zero).
+        let folded =
+            keyed.unwrap_or_else(|| fold.run(tuple, std::iter::empty(), ctx.eval(), eval_errors));
+        drop(guard);
+        let Some((aggregate, witness)) = folded else {
+            return;
+        };
+        let mut extra: Vec<Value> = match (fold.func, witness) {
+            (AggFunc::Min | AggFunc::Max, Some(row)) => row.values().to_vec(),
+            _ => vec![Value::Null; *table_arity],
+        };
+        extra.push(aggregate);
+        ctx.emit(0, tuple.extended(extra).renamed(out_name));
     }
 }
 
@@ -1258,229 +1077,87 @@ mod tests {
         assert!(run_one(Box::new(probe), vec![event]).is_empty());
     }
 
-    /// Chord L2 shapes for the incremental-probe equivalence tests: event
-    /// layout (NI, K, R, E, N), finger layout (NI, I, B, BI); joined B is
-    /// field 7, the filter is B in (N, K) and the aggregate K - B - 1.
-    fn chord_filter() -> Program {
-        Program::compile(&Expr::Interval {
-            kind: IntervalKind::OpenOpen,
-            value: Box::new(Expr::Field(7)),
-            low: Box::new(Expr::Field(4)),
-            high: Box::new(Expr::Field(1)),
-        })
+    /// `member(X, A, S)` rows keyed on `A`, probed by `refresh(X, A)`
+    /// events with `count<*>` — Narada's R5 in miniature.
+    fn member_count_probe(rows: Vec<Tuple>, filter: Option<Program>) -> (TableRef, AggProbe) {
+        let t = table(TableSpec::new("member", vec![1]), rows);
+        let one = Program::compile(&Expr::int(1));
+        let probe = AggProbe::new(t.clone(), 3, AggFunc::Count, filter, one, "membersFound");
+        (t, probe)
     }
 
-    fn chord_agg() -> Program {
-        Program::compile(&Expr::bin(
-            BinOp::Sub,
-            Expr::bin(BinOp::Sub, Expr::Field(1), Expr::Field(7)),
-            Expr::int(1),
-        ))
-    }
-
-    fn finger(b: u64, bi: &str) -> Tuple {
-        TupleBuilder::new("finger")
+    fn member(a: impl Into<Value>, s: i64) -> Tuple {
+        TupleBuilder::new("member")
             .push("n1")
-            .push(0i64)
-            .push(Value::Id(Uint160::from_u64(b)))
-            .push(bi)
+            .push(a)
+            .push(s)
             .build()
     }
 
-    fn lookup(k: u64, n: u64) -> Tuple {
-        TupleBuilder::new("lookup_node")
-            .push("n1")
-            .push(Value::Id(Uint160::from_u64(k)))
-            .push("n1")
-            .push(123i64)
-            .push(Value::Id(Uint160::from_u64(n)))
-            .build()
-    }
-
-    /// A scan-path probe and a delta-fed probe over two identically
-    /// mutated tables; every poke goes to both and the outputs must match
-    /// tuple-for-tuple.
-    struct ProbePair {
-        tables: [TableRef; 2],
-        engines: [Engine; 2],
-        bufs: [crate::elements::CollectorHandle; 2],
-    }
-
-    impl ProbePair {
-        fn new(spec: TableSpec) -> ProbePair {
-            let mk = |incremental: bool| {
-                let t = table(spec.clone(), vec![]);
-                let probe = if incremental {
-                    AggProbe::new_incremental(
-                        t.clone(),
-                        4,
-                        AggFunc::Min,
-                        Some(chord_filter()),
-                        chord_agg(),
-                        "bestLookupDist",
-                    )
-                } else {
-                    AggProbe::new(
-                        t.clone(),
-                        4,
-                        AggFunc::Min,
-                        Some(chord_filter()),
-                        chord_agg(),
-                        "bestLookupDist",
-                    )
-                };
-                assert_eq!(probe.is_incremental(), incremental);
-                let mut g = Graph::new();
-                let e = g.add("probe", Box::new(probe));
-                let (c, buf) = Collector::new();
-                let c = g.add("tap", Box::new(c));
-                g.connect(e, 0, c, 0);
-                let mut engine = Engine::new(g, "n1", 1);
-                engine.set_entry(Route {
-                    element: e,
-                    port: 0,
-                });
-                engine.start(SimTime::ZERO);
-                (t, engine, buf)
-            };
-            let (t0, e0, b0) = mk(false);
-            let (t1, e1, b1) = mk(true);
-            ProbePair {
-                tables: [t0, t1],
-                engines: [e0, e1],
-                bufs: [b0, b1],
-            }
-        }
-
-        fn mutate(&self, f: impl Fn(&mut Table)) {
-            for t in &self.tables {
-                f(&mut t.lock());
-            }
-        }
-
-        fn poke(&mut self, event: Tuple, at: SimTime) {
-            for e in &mut self.engines {
-                e.deliver(event.clone(), at);
-            }
-        }
-
-        fn assert_outputs_match(&self) {
-            let dump = |b: &crate::elements::CollectorHandle| -> Vec<Tuple> {
-                b.lock().iter().map(|(_, t)| t.clone()).collect()
-            };
-            let scan = dump(&self.bufs[0]);
-            let inc = dump(&self.bufs[1]);
-            assert_eq!(scan, inc, "delta-fed probe diverged from scan probe");
-            assert!(!scan.is_empty(), "vacuous equivalence: nothing emitted");
-        }
-    }
-
-    /// The delta-fed probe must match the scan probe bit-for-bit across
-    /// every table mutation kind: insert, replace, delete, expire, evict.
     #[test]
-    fn agg_probe_incremental_matches_scan_across_mutations() {
-        let spec = TableSpec::new("finger", vec![2])
-            .with_lifetime_secs(100)
-            .with_max_size(4);
-        let mut pair = ProbePair::new(spec);
-
-        pair.mutate(|t| {
-            for (b, bi) in [(10, "n10"), (40, "n40"), (90, "n90")] {
-                t.insert(finger(b, bi), SimTime::from_secs(1)).unwrap();
-            }
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(2));
-
-        // Insert a better finger: same event class must pick it up.
-        pair.mutate(|t| {
-            t.insert(finger(60, "n60"), SimTime::from_secs(3)).unwrap();
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(3));
-
-        // Replace (same key B=60, new BI): Delete+Insert under one RowId.
-        pair.mutate(|t| {
-            t.insert(finger(60, "n60b"), SimTime::from_secs(4)).unwrap();
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(4));
-
-        // Delete the current winner.
-        pair.mutate(|t| {
-            t.delete_matching(&finger(60, "n60b")).unwrap();
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(5));
-
-        // A different event class (different K, N) in the same run.
-        pair.poke(lookup(100, 20), SimTime::from_secs(6));
-
-        // Eviction: the table caps at 4 rows.
-        pair.mutate(|t| {
-            for (b, bi) in [(20, "n20"), (30, "n30"), (50, "n50")] {
-                t.insert(finger(b, bi), SimTime::from_secs(7)).unwrap();
-            }
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(8));
-
-        // Expiry: everything inserted before t=7 ages out at t=105.
-        pair.mutate(|t| {
-            t.expire(SimTime::from_secs(105));
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(106));
-
-        pair.assert_outputs_match();
-        // The observable perf contract: the scan probe pays one full scan
-        // per event; the delta-fed probe only scanned to build its mirror.
-        let scan_scans = pair.tables[0].lock().stats().full_scans;
-        let inc_scans = pair.tables[1].lock().stats().full_scans;
-        assert_eq!(scan_scans, 7);
-        assert_eq!(inc_scans, 1, "delta path should not rescan per event");
+    fn agg_probe_key_takes_the_primary_index() {
+        let rows = (0..64i64).map(|i| member(format!("m{i}"), i)).collect();
+        let (t, probe) = member_count_probe(rows, None);
+        // Event field 1 (A) against member column 1: the primary key.
+        let probe = probe.with_key(vec![(1, 1)]);
+        let hit = TupleBuilder::new("refresh").push("n1").push("m7").build();
+        let miss = TupleBuilder::new("refresh").push("n1").push("zz").build();
+        let out = run_one(Box::new(probe), vec![hit, miss]);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].field(5), &Value::Int(1));
+        assert_eq!(out[1].field(5), &Value::Int(0));
+        let stats = t.lock().stats();
+        assert_eq!((stats.primary_lookups, stats.full_scans), (2, 0));
     }
 
-    /// Overflowing the delta log between pokes forces a mirror rebuild
-    /// (counted in `TableStats::rebuilds`) and still matches the scan.
+    /// The semantics of a pushed-down equality: a key compares by *index*
+    /// equality (hash bucket, then `==`), like a join key. PEL `==` equates
+    /// `Id(7)` with `Int(7)` but the two hash differently, so the same
+    /// equality matches as a filter conjunct and misses as a key.
     #[test]
-    fn agg_probe_overflow_rebuilds_and_matches() {
-        let mut pair = ProbePair::new(TableSpec::new("finger", vec![2]));
-        pair.mutate(|t| {
-            t.insert(finger(40, "n40"), SimTime::from_secs(1)).unwrap();
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(2));
+    fn agg_probe_key_uses_index_equality_for_id_vs_int() {
+        let rows = || vec![member(Value::Id(Uint160::from_u64(7)), 1)];
+        let event = TupleBuilder::new("refresh").push("n1").push(7i64).build();
 
-        pair.mutate(|t| {
-            for i in 0..(p2_table::DELTA_LOG_CAP as u64 + 8) {
-                // Distinct keys: every insert is a fresh delta.
-                t.insert(finger(1000 + i, "bulk"), SimTime::from_secs(3))
-                    .unwrap();
-            }
-            t.delete_matching(&finger(40, "n40")).unwrap();
-            t.insert(finger(30, "n30"), SimTime::from_secs(3)).unwrap();
-        });
-        pair.poke(lookup(70, 5), SimTime::from_secs(4));
+        let eq = Program::compile(&Expr::bin(BinOp::Eq, Expr::Field(1), Expr::Field(3)));
+        let (_, filtered) = member_count_probe(rows(), Some(eq));
+        let out = run_one(Box::new(filtered), vec![event.clone()]);
+        assert_eq!(out[0].field(5), &Value::Int(1));
 
-        pair.assert_outputs_match();
-        assert_eq!(pair.tables[1].lock().stats().rebuilds, 1);
-        assert_eq!(pair.tables[0].lock().stats().rebuilds, 0);
+        let (_, keyed) = member_count_probe(rows(), None);
+        let out = run_one(Box::new(keyed.with_key(vec![(1, 1)])), vec![event]);
+        assert_eq!(out[0].field(5), &Value::Int(0));
     }
 
-    /// More event classes than `MAX_PROBE_GROUPS`: stale groups are
-    /// LRU-evicted and rebuilt from the in-memory mirror — correct
-    /// answers, still no table rescans.
     #[test]
-    fn agg_probe_lru_rebuilds_groups_from_mirror() {
-        let mut pair = ProbePair::new(TableSpec::new("finger", vec![2]));
-        pair.mutate(|t| {
-            for b in [10u64, 40, 90] {
-                t.insert(finger(b, "x"), SimTime::from_secs(1)).unwrap();
-            }
-        });
-        // 12 distinct (K, N) classes overflow the 8-entry group cache,
-        // then the first class comes back after being evicted.
-        for k in 0..12u64 {
-            pair.poke(lookup(60 + k, 5), SimTime::from_secs(2 + k));
-        }
-        pair.poke(lookup(60, 5), SimTime::from_secs(20));
-
-        pair.assert_outputs_match();
-        assert_eq!(pair.tables[1].lock().stats().full_scans, 1);
+    fn agg_probe_counts_one_eval_error_per_distinct_projection() {
+        // sum<10 / S>: S = 0 fails; the three S = 0 rows share one
+        // projection and one evaluation, S = 5 contributes twice.
+        let rows = vec![
+            member("a", 0),
+            member("b", 5),
+            member("c", 0),
+            member("d", 5),
+            member("e", 0),
+        ];
+        let t = table(TableSpec::new("member", vec![1]), rows);
+        let agg = Program::compile(&Expr::bin(BinOp::Div, Expr::int(10), Expr::Field(3)));
+        let mut probe = AggProbe::new(t, 3, AggFunc::Sum, None, agg, "out");
+        let mut eval = EvalContext::new("n1", 1);
+        let (mut out, mut sends, mut timers) = (Vec::new(), Vec::new(), Vec::new());
+        let mut ctx = ElementCtx::new(
+            SimTime::ZERO,
+            0,
+            &mut eval,
+            &mut out,
+            &mut sends,
+            &mut timers,
+        );
+        let event = TupleBuilder::new("ev").push("n1").build();
+        probe.push(0, &event, &mut ctx);
+        assert_eq!(probe.eval_errors, 1);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].1.field(4), &Value::Int(4));
     }
 
     #[test]

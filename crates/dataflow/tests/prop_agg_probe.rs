@@ -1,14 +1,16 @@
-//! Property test pinning the delta-fed `AggProbe` to the
-//! recompute-per-event scan path it replaces: two identical rigs — one
-//! probe built with `AggProbe::new` (counted full scan per event), one
-//! with `AggProbe::new_incremental` (per-group contribution state fed by
-//! the table's delta stream) — receive the same arbitrary interleaving of
-//! inserts, deletes, expirations, evictions, and probe events, and must
-//! produce bit-identical emission streams for every aggregate function.
+//! Property test pinning `AggProbe` — keyed candidates, one evaluation
+//! per distinct row projection — to a naive reference fold that walks
+//! every live row in scan order and evaluates the full filter and the
+//! aggregate expression on each (no key, no dedup). Both see the same
+//! arbitrary interleaving of inserts, deletes, expirations, evictions and
+//! probe events over a table with many duplicate projections, for every
+//! aggregate function, with and without a pushed-down key, under a filter
+//! that fails on some rows; emitted tuples (witness row included) must
+//! agree exactly.
 
 use p2_dataflow::elements::{AggProbe, Collector, CollectorHandle, Delete, Demux, Insert};
 use p2_dataflow::{Engine, Graph, Route};
-use p2_pel::{BinOp, Expr, Program};
+use p2_pel::{BinOp, EvalContext, Expr, Program};
 use p2_table::{AggFunc, Table, TableRef, TableSpec};
 use p2_value::{SimTime, Tuple, TupleBuilder, Value};
 use proptest::prelude::*;
@@ -16,35 +18,51 @@ use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Action {
-    /// Insert `row(b, v)` (same `b` replaces; over-capacity evicts).
-    Insert { b: i64, v: i64, at_secs: u64 },
-    /// Delete the row keyed `b`.
-    Delete { b: i64 },
-    /// Expire soft state (observable only through the delta stream).
+    /// Insert `row(id, g, b, v)` (same `id` replaces; over-capacity evicts).
+    Insert {
+        id: i64,
+        g: i64,
+        b: i64,
+        v: i64,
+        at_secs: u64,
+    },
+    /// Delete the row keyed `id`.
+    Delete { id: i64 },
+    /// Expire soft state.
     Expire { at_secs: u64 },
-    /// Deliver the probe event `ev(k)`: aggregate over matching rows.
-    Probe { k: i64, at_secs: u64 },
+    /// Deliver the probe event `ev(g, k)`: aggregate over matching rows.
+    Probe { g: i64, k: i64, at_secs: u64 },
 }
 
 fn arb_action() -> impl Strategy<Value = Action> {
     // The vendored proptest has no weighted arms; duplication stands in
-    // for weights (inserts and probes dominate).
+    // for weights (inserts and probes dominate). 40 row ids draw `(g, b,
+    // v)` from 3 x 4 x 3 values, so projections repeat heavily, yet a
+    // full table can still hold more distinct ones than the probe's memo.
     let insert = || {
-        (0i64..10, -20i64..20, 0u64..150).prop_map(|(b, v, at_secs)| Action::Insert {
-            b,
-            v,
-            at_secs,
+        // (The vendored proptest implements tuples up to arity four.)
+        (0i64..40, (0i64..3, 0i64..4, 0i64..3), 0u64..150).prop_map(|(id, (g, b, v), at_secs)| {
+            Action::Insert {
+                id,
+                g,
+                b,
+                v,
+                at_secs,
+            }
         })
     };
-    let probe = || (0i64..10, 0u64..150).prop_map(|(k, at_secs)| Action::Probe { k, at_secs });
+    let probe = || {
+        (0i64..3, 0i64..4, 0u64..150).prop_map(|(g, k, at_secs)| Action::Probe { g, k, at_secs })
+    };
     prop_oneof![
         insert(),
         insert(),
         insert(),
+        insert(),
         probe(),
         probe(),
         probe(),
-        (0i64..10).prop_map(|b| Action::Delete { b }),
+        (0i64..40).prop_map(|id| Action::Delete { id }),
         (0u64..200).prop_map(|at_secs| Action::Expire { at_secs }),
     ]
 }
@@ -59,9 +77,79 @@ fn arb_func() -> impl Strategy<Value = AggFunc> {
     ]
 }
 
-/// One probe rig: demuxed insert/delete bridges into the table plus the
-/// probe on the event stream. The joined tuple is `ev(K) ++ row(B, V)`,
-/// so field 0 is the event key, fields 1-2 the row.
+// The joined tuple is `ev(G, K) ++ row(ID, G', B, V)`: fields 0-1 the
+// event, 2-5 the row.
+
+/// `G == G'`: the equality a keyed probe pushes into its key.
+fn key_equality() -> Expr {
+    Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(3))
+}
+
+/// `12 / (B - K) > 0`: true for `B > K`, false for `B < K`, and a
+/// division error on the rows with `B == K`.
+fn residual() -> Expr {
+    Expr::bin(
+        BinOp::Gt,
+        Expr::bin(
+            BinOp::Div,
+            Expr::int(12),
+            Expr::bin(BinOp::Sub, Expr::Field(4), Expr::Field(1)),
+        ),
+        Expr::int(0),
+    )
+}
+
+/// `V * 10 + B - K`: ties between rows are common, so the first-scanned
+/// witness rule is exercised.
+fn agg_expr() -> Expr {
+    Expr::bin(
+        BinOp::Sub,
+        Expr::bin(
+            BinOp::Add,
+            Expr::bin(BinOp::Mul, Expr::Field(5), Expr::int(10)),
+            Expr::Field(4),
+        ),
+        Expr::Field(1),
+    )
+}
+
+/// The reference: every live row, in scan order, through the whole filter
+/// and the aggregate expression.
+fn naive_probe(table: &Table, func: AggFunc, event: &Tuple) -> Option<Tuple> {
+    let filter = Program::compile(&Expr::bin(BinOp::And, key_equality(), residual()));
+    let agg = Program::compile(&agg_expr());
+    let mut ev = EvalContext::new("n1", 1);
+    let mut contribs: Vec<Value> = Vec::new();
+    let mut witness: Option<(Value, Tuple)> = None;
+    for row in table.scan_iter() {
+        if !matches!(filter.eval_bool_joined(event, row, &mut ev), Ok(true)) {
+            continue;
+        }
+        let Ok(v) = agg.eval_joined(event, row, &mut ev) else {
+            continue;
+        };
+        let better = match (&witness, func) {
+            (None, _) => true,
+            (Some((best, _)), AggFunc::Min) => v < *best,
+            (Some((best, _)), AggFunc::Max) => v > *best,
+            _ => false,
+        };
+        if better {
+            witness = Some((v.clone(), row.clone()));
+        }
+        contribs.push(v);
+    }
+    let aggregate = func.apply(&contribs).ok().flatten()?;
+    let mut extra = match (func, witness) {
+        (AggFunc::Min | AggFunc::Max, Some((_, row))) => row.values().to_vec(),
+        _ => vec![Value::Null; 4],
+    };
+    extra.push(aggregate);
+    Some(event.extended(extra).renamed("out"))
+}
+
+/// Demuxed insert/delete bridges into the table plus the probe on the
+/// event stream.
 struct Rig {
     engine: Engine,
     table: TableRef,
@@ -69,21 +157,25 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(func: AggFunc, max_size: usize, incremental: bool) -> Rig {
+    fn new(func: AggFunc, max_size: usize, keyed: bool) -> Rig {
         let spec = TableSpec::new("row", vec![0])
             .with_lifetime_secs(40)
             .with_max_size(max_size);
-        let table: TableRef = Arc::new(parking_lot::Mutex::new(Table::new(spec)));
-        // Filter: B > K (event-dependent, so contributions are cached per
-        // event class). Aggregate expression: V - K.
-        let filter = Program::compile(&Expr::bin(BinOp::Gt, Expr::Field(1), Expr::Field(0)));
-        let agg_expr = Program::compile(&Expr::bin(BinOp::Sub, Expr::Field(2), Expr::Field(0)));
-        let probe = if incremental {
-            AggProbe::new_incremental(table.clone(), 2, func, Some(filter), agg_expr, "out")
-        } else {
-            AggProbe::new(table.clone(), 2, func, Some(filter), agg_expr, "out")
+        let mut table = Table::new(spec);
+        let agg = Program::compile(&agg_expr());
+        let probe = |table: TableRef| {
+            if keyed {
+                let filter = Program::compile(&residual());
+                AggProbe::new(table, 4, func, Some(filter), agg, "out").with_key(vec![(0, 1)])
+            } else {
+                let filter = Program::compile(&Expr::bin(BinOp::And, key_equality(), residual()));
+                AggProbe::new(table, 4, func, Some(filter), agg, "out")
+            }
         };
-        assert_eq!(probe.is_incremental(), incremental);
+        if keyed {
+            table.add_index(vec![1]);
+        }
+        let table: TableRef = Arc::new(parking_lot::Mutex::new(table));
 
         let mut g = Graph::new();
         let demux = g.add(
@@ -92,7 +184,7 @@ impl Rig {
         );
         let ins = g.add("insert", Box::new(Insert::new(table.clone())));
         let del = g.add("delete", Box::new(Delete::new(table.clone())));
-        let probe_id = g.add("probe", Box::new(probe));
+        let probe_id = g.add("probe", Box::new(probe(table.clone())));
         let (c, buf) = Collector::new();
         let tap = g.add("tap", Box::new(c));
         g.connect(demux, 0, ins, 0);
@@ -113,48 +205,49 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn incremental_agg_probe_matches_scan_probe(
+    fn agg_probe_matches_naive_fold(
         func in arb_func(),
-        actions in proptest::collection::vec(arb_action(), 1..80),
-        max_size in 2usize..8,
+        keyed in any::<bool>(),
+        actions in proptest::collection::vec(arb_action(), 1..120),
+        max_size in 4usize..40,
     ) {
-        let mut scan = Rig::new(func, max_size, false);
-        let mut inc = Rig::new(func, max_size, true);
+        let mut rig = Rig::new(func, max_size, keyed);
+        let mut expected: Vec<Tuple> = Vec::new();
         let mut now = SimTime::ZERO;
         for action in actions {
             match action {
-                Action::Insert { b, v, at_secs } => {
+                Action::Insert { id, g, b, v, at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
-                    for rig in [&mut scan, &mut inc] {
-                        let t = TupleBuilder::new("row").push(b).push(v).build();
-                        rig.engine.deliver(t, now);
-                    }
+                    let t = TupleBuilder::new("row").push(id).push(g).push(b).push(v).build();
+                    rig.engine.deliver(t, now);
                 }
-                Action::Delete { b } => {
-                    for rig in [&mut scan, &mut inc] {
-                        let pattern =
-                            Tuple::new("zap", vec![Value::Int(b), Value::Null]);
-                        rig.engine.deliver(pattern, now);
-                    }
+                Action::Delete { id } => {
+                    let pattern = Tuple::new(
+                        "zap",
+                        vec![Value::Int(id), Value::Null, Value::Null, Value::Null],
+                    );
+                    rig.engine.deliver(pattern, now);
                 }
                 Action::Expire { at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
-                    scan.table.lock().expire(now);
-                    inc.table.lock().expire(now);
+                    rig.table.lock().expire(now);
                 }
-                Action::Probe { k, at_secs } => {
+                Action::Probe { g, k, at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
-                    for rig in [&mut scan, &mut inc] {
-                        let ev = TupleBuilder::new("ev").push(k).build();
-                        rig.engine.deliver(ev, now);
-                    }
+                    let ev = TupleBuilder::new("ev").push(g).push(k).build();
+                    expected.extend(naive_probe(&rig.table.lock(), func, &ev));
+                    rig.engine.deliver(ev, now);
                 }
             }
-            scan.table.lock().check_consistency().unwrap();
-            inc.table.lock().check_consistency().unwrap();
-            let a = scan.buf.lock();
-            let b = inc.buf.lock();
-            prop_assert_eq!(&*a, &*b, "probe divergence for {:?} at {:?}", func, now);
+            rig.table.lock().check_consistency().unwrap();
+            let got: Vec<Tuple> = rig.buf.lock().iter().map(|(_, t)| t.clone()).collect();
+            prop_assert_eq!(&got, &expected, "probe divergence for {:?} at {:?}", func, now);
+        }
+        let stats = rig.table.lock().stats();
+        if keyed {
+            prop_assert_eq!(stats.full_scans, 0, "a keyed probe never scans");
+        } else {
+            prop_assert_eq!(stats.indexed_lookups, 0);
         }
     }
 }

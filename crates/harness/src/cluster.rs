@@ -113,10 +113,10 @@ impl ChordClusterBuilder {
     }
 
     /// Selects incremental view materialization (default on): pure
-    /// table-join rules become [`p2_dataflow::elements::MatView`] elements
-    /// and eligible aggregate probes keep delta-fed per-group state. The
-    /// rescanning translation is kept available for the view-equivalence
-    /// gate, which asserts both produce bit-identical event streams.
+    /// table-join rules become [`p2_dataflow::elements::MatView`]
+    /// elements. The per-trigger strands they replace are kept available
+    /// for the view-equivalence gate, which asserts both produce
+    /// bit-identical event streams.
     pub fn materialize_views(mut self, on: bool) -> ChordClusterBuilder {
         self.materialize_views = on;
         self

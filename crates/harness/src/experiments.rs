@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use p2_value::Uint160;
+use p2_value::{SimTime, Uint160};
 
 use crate::churn::ChurnSchedule;
 use crate::cluster::{expected_owner, BaselineCluster, ChordCluster, LookupHandle};
@@ -225,12 +225,12 @@ pub fn churn_chord(params: &ChurnParams) -> Vec<ChurnResult> {
 
 fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult {
     let mut cluster = ChordCluster::build(params.n, params.warmup_secs, params.seed);
-    let start = cluster.now().as_secs_f64();
-    let end = start + params.churn_secs as f64;
+    let start = cluster.now();
+    let end = start + SimTime::from_secs(params.churn_secs);
     let mut schedule = ChurnSchedule::new(
         params.n,
         session_minutes * 60.0,
-        start,
+        start.as_secs_f64(),
         params.seed ^ 0xC0FFEE,
     );
     cluster.sim.reset_stats();
@@ -241,23 +241,24 @@ fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult
     let mut issued = 0usize;
     let mut completed = 0usize;
 
-    let mut next_probe = start + params.probe_interval_secs as f64;
+    let probe_interval = SimTime::from_secs(params.probe_interval_secs);
+    let mut next_probe = start + probe_interval;
     let mut outstanding: Vec<(Uint160, Vec<LookupHandle>)> = Vec::new();
     let mut rng_key = params.seed;
 
-    while cluster.now().as_secs_f64() < end {
-        let now = cluster.now().as_secs_f64();
-        let next_churn = schedule.next_event_at().unwrap_or(end).min(end);
+    // Every target is a whole microsecond of `SimTime` (churn times rounded
+    // up) reached with `run_until`: stepping by the float gap to the next
+    // event can round to 0 µs, leaving the clock short of it forever.
+    while cluster.now() < end {
+        let next_churn = schedule
+            .next_event_at()
+            .map_or(end, |secs| SimTime::from_micros((secs * 1e6).ceil() as u64));
         let next_event = next_churn.min(next_probe).min(end);
-        if next_event > now {
-            cluster.run_for(next_event - now);
+        if next_event > cluster.now() {
+            cluster.sim.run_until(next_event);
         }
 
-        if schedule
-            .next_event_at()
-            .map(|t| t <= cluster.now().as_secs_f64() + 1e-9)
-            == Some(true)
-        {
+        if next_churn <= cluster.now() {
             if let Some((_, idx)) = schedule.pop() {
                 let addr = cluster.addrs()[idx].clone();
                 cluster.crash(&addr);
@@ -265,7 +266,7 @@ fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult
             }
         }
 
-        if cluster.now().as_secs_f64() + 1e-9 >= next_probe {
+        if cluster.now() >= next_probe {
             // Harvest the previous round of probes before issuing new ones.
             harvest_probes(
                 &cluster,
@@ -296,7 +297,7 @@ fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult
                 issued += 1;
             }
             outstanding.push((key, handles));
-            next_probe += params.probe_interval_secs as f64;
+            next_probe += probe_interval;
         }
     }
     cluster.run_for(15.0);
@@ -510,6 +511,31 @@ mod tests {
         // The headline claim: the declarative spec is more than an order of
         // magnitude smaller than the hand-coded implementation.
         assert!(report.baseline_chord_loc > 5 * report.chord_rules);
+    }
+
+    /// Regression: the churn driver used to step with
+    /// `run_for(next_event - now)` on `f64` seconds; a gap under half a
+    /// microsecond rounds to zero `SimTime`, the clock stops short of the
+    /// event and the loop spins forever (seen at 100 nodes, 8-minute
+    /// sessions, seed 7 — the same sessions-per-node-second as here).
+    #[test]
+    fn churn_driver_reaches_every_event() {
+        let params = ChurnParams {
+            n: 10,
+            session_minutes: vec![0.8],
+            warmup_secs: 60,
+            churn_secs: 120,
+            probe_interval_secs: 30,
+            probes_per_round: 3,
+            seed: 7,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(churn_chord(&params)));
+        let results = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("churn driver made no progress (virtual clock stuck before an event)");
+        assert_eq!(results.len(), 1);
+        assert!(results[0].maintenance_bw_per_node > 0.0);
     }
 
     #[test]

@@ -48,8 +48,7 @@ pub struct ChordOpts {
     pub join_seed: bool,
     /// Whether eligible rule strands are compiled into fused elements.
     pub fuse_strands: bool,
-    /// Whether pure table-join rules are lowered to materialized views and
-    /// eligible aggregate probes maintain delta-fed per-group state.
+    /// Whether pure table-join rules are lowered to materialized views.
     pub materialize_views: bool,
     /// Whether delta-driven rule scheduling suppresses provably no-op
     /// pokes (refresh-masked strand entries plus `would_wake` guards).

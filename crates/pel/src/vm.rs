@@ -42,6 +42,16 @@ impl Program {
         &self.ops
     }
 
+    /// The field indices the program reads (one per `Load`, in program
+    /// order, possibly repeated): its result depends on the input tuple
+    /// through these fields only.
+    pub fn loads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ops.iter().filter_map(|op| match op {
+            Op::Load(i) => Some(*i),
+            _ => None,
+        })
+    }
+
     /// Evaluates the program against a tuple, yielding a single value.
     pub fn eval(&self, tuple: &Tuple, ctx: &mut EvalContext) -> Result<Value, ValueError> {
         self.eval_fields(tuple.values(), ctx)

@@ -91,9 +91,9 @@
 //!
 //! ## Multi-subscriber drain contract
 //!
-//! Any number of consumers may subscribe to one table (`TableAgg`,
-//! `AggProbe`, and `MatView` routinely share the tables of one node). The
-//! contract each can rely on:
+//! Any number of consumers may subscribe to one table (`TableAgg` and
+//! `MatView` routinely share the tables of one node). The contract each
+//! can rely on:
 //!
 //! * every subscription owns a **private queue**: each mutation appends to
 //!   all of them, and draining one queue never consumes or reorders another
