@@ -18,9 +18,6 @@
 //! * `delta_agg` — the incremental `TableAgg`: per-mutation cost of the
 //!   delta-driven aggregate maintenance versus the recompute-per-poke
 //!   element it replaced (a from-scratch `Table::aggregate` per change).
-//! * `mat_view` — the materialized join view: per-mutation cost of
-//!   `MatView`'s delta-driven provenance maintenance versus recomputing
-//!   the two-table join from scratch at every poke.
 //! * `agg_probe` — the aggregation probe's access path, with a new probed
 //!   key every event: a primary-key probe versus a full scan over 64
 //!   distinct rows (Narada's R5), and one evaluation per distinct row
@@ -38,7 +35,7 @@ use std::time::Instant;
 
 use p2_bench::to_json;
 use p2_core::{P2Node, PlanConfig, PlannedProgram};
-use p2_dataflow::elements::{AggProbe, FusedStrand, Insert, MatView, TableAgg, ViewInput};
+use p2_dataflow::elements::{AggProbe, Insert, TableAgg};
 use p2_dataflow::{Element, ElementCtx, Engine, Graph, Route};
 use p2_overlays::chord;
 use p2_pel::{BinOp, Expr, IntervalKind, Program};
@@ -419,144 +416,6 @@ fn bench_delta_agg(rows: usize, groups: i64, mutations: u64) -> DeltaAggResult {
     }
 }
 
-/// The recompute-per-poke join view baseline: every poke recomputes the
-/// two-table join from scratch and diffs against a memo.
-struct RecomputeView {
-    link: TableRef,
-    node: TableRef,
-    out_name: String,
-    last: HashMap<Vec<Value>, usize>,
-}
-
-impl Element for RecomputeView {
-    fn class(&self) -> &'static str {
-        "RecomputeView"
-    }
-
-    fn push(&mut self, _port: usize, _tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        let mut fresh: HashMap<Vec<Value>, usize> = HashMap::new();
-        {
-            let link = self.link.lock();
-            let node = self.node.lock();
-            for l in link.scan_iter() {
-                for n in node.scan_iter() {
-                    if l.field(0) == n.field(0) {
-                        let head = vec![l.field(0).clone(), l.field(1).clone(), n.field(1).clone()];
-                        *fresh.entry(head).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        for (key, count) in &fresh {
-            if self.last.get(key) != Some(count) {
-                ctx.emit(0, Tuple::new(&self.out_name, key.clone()));
-            }
-        }
-        self.last = fresh;
-    }
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct MatViewResult {
-    rows: usize,
-    groups: i64,
-    mutations: u64,
-    incremental_wall_secs: f64,
-    incremental_ns_per_mutation: f64,
-    recompute_wall_secs: f64,
-    recompute_ns_per_mutation: f64,
-    speedup: f64,
-}
-
-/// Measures join-view maintenance under a replacement churn: `rows` link
-/// rows joined against a static `groups`-row node table; every mutation
-/// replaces one link row's payload (Delete+Insert deltas) and pokes the
-/// view, which maintains provenance counts from the deltas (two indexed
-/// probes) versus recomputing the join from scratch.
-fn bench_mat_view(rows: usize, groups: i64, mutations: u64) -> MatViewResult {
-    let field = |i: usize| Program::compile(&Expr::Field(i));
-    let run = |incremental: bool| -> f64 {
-        let link: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(Table::new(
-            TableSpec::new("link", vec![1]),
-        )));
-        let node: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(Table::new(
-            TableSpec::new("node", vec![0]),
-        )));
-        for g in 0..groups {
-            node.lock()
-                .insert(
-                    Tuple::new("node", vec![Value::Int(g), Value::Int(g * 7)]),
-                    SimTime::ZERO,
-                )
-                .unwrap();
-        }
-        let view: Box<dyn Element> = if incremental {
-            let sub = link.lock().subscribe_deltas();
-            Box::new(MatView::new(
-                vec![ViewInput {
-                    table: link.clone(),
-                    sub,
-                    pre_filters: vec![],
-                    ops: vec![FusedStrand::probe_op(node.clone(), vec![(0, 0)])],
-                    head_fields: vec![field(0), field(1), field(4)],
-                }],
-                "out",
-            ))
-        } else {
-            Box::new(RecomputeView {
-                link: link.clone(),
-                node: node.clone(),
-                out_name: "out".into(),
-                last: HashMap::new(),
-            })
-        };
-        let mut g = Graph::new();
-        let ins = g.add("insert", Box::new(Insert::new(link)));
-        let view = g.add("view", view);
-        let sink = g.add("sink", Box::new(Count { seen: 0 }));
-        g.connect(ins, 0, view, 0);
-        g.connect(view, 0, sink, 0);
-        g.connect(view, 1, sink, 0);
-        let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: ins,
-            port: 0,
-        });
-        engine.start(SimTime::ZERO);
-        let mk = |key: usize, payload: i64| {
-            Tuple::new(
-                "link",
-                vec![
-                    Value::Int(key as i64 % groups),
-                    Value::Int(key as i64),
-                    Value::Int(payload),
-                ],
-            )
-        };
-        for key in 0..rows {
-            engine.deliver(mk(key, 0), SimTime::from_secs(1));
-        }
-        let start = Instant::now();
-        for i in 0..mutations {
-            let key = (i as usize) % rows;
-            engine.deliver(mk(key, i as i64 + 1), SimTime::from_secs(2));
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let incremental_wall_secs = run(true);
-    let recompute_wall_secs = run(false);
-    MatViewResult {
-        rows,
-        groups,
-        mutations,
-        incremental_wall_secs,
-        incremental_ns_per_mutation: incremental_wall_secs * 1e9 / mutations.max(1) as f64,
-        recompute_wall_secs,
-        recompute_ns_per_mutation: recompute_wall_secs * 1e9 / mutations.max(1) as f64,
-        speedup: recompute_wall_secs / incremental_wall_secs.max(1e-12),
-    }
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct AggProbeResult {
     /// `keyed_vs_scan` (Narada R5) or `dedup_vs_naive` (Chord L2).
@@ -764,10 +623,8 @@ struct BenchReport {
     chord_deliver: Vec<ChordDeliverResult>,
     plan_sharing: PlanSharingResult,
     delta_agg: Vec<DeltaAggResult>,
-    mat_view: Vec<MatViewResult>,
     agg_probe: Vec<AggProbeResult>,
     fused_strand_count: usize,
-    mat_view_count: usize,
 }
 
 fn main() {
@@ -854,17 +711,6 @@ fn main() {
         delta_agg.push(r);
     }
 
-    let mut mat_view = Vec::new();
-    for rows in [rows / 10, rows] {
-        eprintln!("mat view: {rows} link rows, {groups} node rows, {mutations} mutations...");
-        let r = bench_mat_view(rows, groups, mutations);
-        eprintln!(
-            "  incremental {:>7.0} ns/mutation vs recompute {:>8.0} ns/mutation: {:.1}x",
-            r.incremental_ns_per_mutation, r.recompute_ns_per_mutation, r.speedup
-        );
-        mat_view.push(r);
-    }
-
     let mut agg_probe = Vec::new();
     let probe_events = mutations / 2;
     for r in [
@@ -882,25 +728,14 @@ fn main() {
         agg_probe.push(r);
     }
 
-    // CI smoke-run of the view path: the default shared plan must lower
-    // the pure-join Chord rules to materialized views.
-    let mat_view_count = chord::shared_plan(false).mat_view_count();
-    assert!(
-        mat_view_count >= 6,
-        "view materialization regressed: only {mat_view_count} views in the Chord plan"
-    );
-    eprintln!("chord shared plan: {mat_view_count} materialized views");
-
     let report = BenchReport {
         bench: "dataflow_engine".to_string(),
         pipeline,
         chord_deliver,
         plan_sharing,
         delta_agg,
-        mat_view,
         agg_probe,
         fused_strand_count,
-        mat_view_count,
     };
     let json = to_json(&report);
     if let Err(e) = std::fs::write(&out_path, &json) {

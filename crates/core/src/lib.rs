@@ -31,7 +31,7 @@ pub mod planner;
 
 pub use error::PlanError;
 pub use node::{NodeConfig, P2Node};
-pub use planner::{plan, PlanConfig, PlanOptions, Planned, PlannedProgram};
+pub use planner::{PlanConfig, Planned, PlannedProgram};
 
 // Re-exported so downstream crates can name the types appearing in
 // `P2Node`'s public API without depending on the dataflow crate directly.

@@ -20,68 +20,32 @@ pub struct NodeConfig {
     /// Seed for the node's deterministic RNG (event identifiers, `f_rand`,
     /// periodic phase jitter).
     pub seed: u64,
-    /// Tuple names to observe; matching tuples arriving at this node are
-    /// recorded and retrievable via [`P2Node::collector`].
-    pub watches: Vec<String>,
-    /// Whether periodic timers start at a random phase (recommended for
-    /// multi-node simulations).
-    pub jitter_periodics: bool,
-    /// Whether eligible rule chains are compiled into fused strand
-    /// elements (on by default; disable to debug against the generic
-    /// element graph).
-    pub fuse_strands: bool,
-    /// Whether pure-join table rules become incrementally maintained view
-    /// elements (on by default; disable to run them as per-trigger
-    /// strands).
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling suppresses provably no-op
-    /// pokes (on by default; disable to restore the poke-everything
-    /// behaviour).
-    pub delta_schedule: bool,
+    /// How the program is planned (watches, periodic jitter, strand fusion,
+    /// delta scheduling); everything here is node-independent.
+    pub plan: PlanConfig,
 }
 
 impl NodeConfig {
-    /// Creates a configuration with the given address and seed.
+    /// Creates a configuration with the given address and seed and the
+    /// default plan ([`PlanConfig::new`]).
     pub fn new(addr: impl Into<String>, seed: u64) -> NodeConfig {
         NodeConfig {
             addr: addr.into(),
             seed,
-            watches: Vec::new(),
-            jitter_periodics: true,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
+            plan: PlanConfig::new(),
         }
     }
 
-    /// Adds a watched tuple name.
+    /// Adds a watched tuple name; matching tuples arriving at this node are
+    /// recorded and retrievable via [`P2Node::collector`].
     pub fn watch(mut self, name: impl Into<String>) -> NodeConfig {
-        self.watches.push(name.into());
+        self.plan = self.plan.watch(name);
         self
     }
 
     /// Disables periodic phase jitter (deterministic timer schedule).
     pub fn without_jitter(mut self) -> NodeConfig {
-        self.jitter_periodics = false;
-        self
-    }
-
-    /// Disables rule-strand fusion (every rule uses the generic element
-    /// chain).
-    pub fn without_fusion(mut self) -> NodeConfig {
-        self.fuse_strands = false;
-        self
-    }
-
-    /// Disables materialized views.
-    pub fn without_views(mut self) -> NodeConfig {
-        self.materialize_views = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling.
-    pub fn without_scheduling(mut self) -> NodeConfig {
-        self.delta_schedule = false;
+        self.plan = self.plan.without_jitter();
         self
     }
 }
@@ -123,14 +87,7 @@ impl P2Node {
         config: NodeConfig,
         extra_facts: Vec<Tuple>,
     ) -> Result<P2Node, PlanError> {
-        let plan_config = PlanConfig {
-            watches: config.watches.clone(),
-            jitter_periodics: config.jitter_periodics,
-            fuse_strands: config.fuse_strands,
-            materialize_views: config.materialize_views,
-            delta_schedule: config.delta_schedule,
-        };
-        let shared = PlannedProgram::compile(program, &plan_config)?;
+        let shared = PlannedProgram::compile(program, &config.plan)?;
         Ok(P2Node::from_plan(
             &shared,
             &config.addr,
@@ -411,6 +368,32 @@ mod tests {
         assert_eq!(n.table("member").unwrap().lock().len(), 1);
         n.advance_to(SimTime::from_secs(10));
         assert_eq!(n.table("member").unwrap().lock().len(), 0);
+    }
+
+    #[test]
+    fn soft_state_refresh_refires_table_delta_rules() {
+        // Re-inserting an identical keyed row changes nothing in `peer` but
+        // its timestamp, yet the poke must still re-run M1: the re-derived
+        // `seen` is what keeps the downstream `cache` row alive (the shape
+        // of Chord's succ -> SU0 -> SU1 keep-alive cascade).
+        let src = r#"
+            materialize(peer, 30, infinity, keys(1,2)).
+            materialize(cache, 30, infinity, keys(1,2)).
+            M1 seen@X(X, Y) :- peer@X(X, Y).
+            M2 cache@X(X, Y) :- seen@X(X, Y).
+        "#;
+        let program = compile_checked(src).unwrap();
+        let config = NodeConfig::new("n1", 1).watch("seen").without_jitter();
+        let mut n = P2Node::new(&program, config).unwrap();
+        n.start(SimTime::ZERO);
+        let peer = TupleBuilder::new("peer").push("n1").push("n2").build();
+        n.deliver(peer.clone(), SimTime::from_secs(1));
+        n.deliver(peer, SimTime::from_secs(20));
+        assert_eq!(n.collector("seen").unwrap().lock().len(), 2);
+        n.advance_to(SimTime::from_secs(40));
+        assert_eq!(n.table("cache").unwrap().lock().len(), 1);
+        n.advance_to(SimTime::from_secs(60));
+        assert_eq!(n.table("cache").unwrap().lock().len(), 0);
     }
 
     #[test]

@@ -15,23 +15,16 @@
 //! materialized table. Rules whose body consists solely of a table and whose
 //! head aggregates over it become materialized [`TableAgg`] watchers instead.
 //!
-//! # Incremental lowering
+//! # One lowering per rule
 //!
-//! With [`PlanConfig::materialize_views`] (the default), a non-delete rule
-//! whose every body predicate is a stored table, with pure programs and no
-//! probe or anti-join of a trigger table, lowers to **one [`MatView`]
-//! element** instead of per-trigger strands: port `k` carries the insert
-//! pokes of trigger table `k` (emission stays poke-driven and bit-identical
-//! to the strands it replaces, including on soft-state refreshes), while
-//! the view maintains provenance counts of the derivable head rows from the
-//! tables' delta streams and emits exact retractions on the port past the
-//! triggers (left unwired in the shipped plan). Views and [`TableAgg`]s
-//! consume pooled per-table [`DeltaSubscription`]s created in
-//! [`PlannedProgram::instantiate`]. [`PlanConfig::without_views`] is the
-//! escape hatch back to the rescanning translation; the `view_gate` in
-//! `sim_bench` pins both translations to identical event streams.
+//! A rule whose body is all stored tables gets one strand per body table,
+//! triggered by that table's insert pokes (including keyed soft-state
+//! refreshes) and probing the others: derived soft state stays alive by
+//! being re-derived on refresh, as in the paper — there is no view
+//! maintenance. The only delta-stream consumer is [`TableAgg`], which
+//! subscribes to its table in [`PlannedProgram::instantiate`].
 //!
-//! An in-strand [`AggProbe`] keeps no state in either mode. Its filter's
+//! An in-strand [`AggProbe`] keeps no state. Its filter's
 //! `event field == row column` equalities are split off into a probe key,
 //! so it reads the table through the same access path as a [`Join`]
 //! (primary index, declared secondary index, or counted scan); see the
@@ -39,26 +32,13 @@
 //!
 //! # Delta-driven scheduling
 //!
-//! With [`PlanConfig::delta_schedule`] (the default), the planner also
-//! compiles a per-element **refresh suppression mask** consumed by the
-//! engine's router. The table layer tags each Insert-element poke with a
-//! [`p2_table::DeltaKind`]: `Assert` for genuinely new or replaced rows,
-//! `Refresh` for keyed soft-state re-inserts that left the table's rows
-//! unchanged (`InsertOutcome::Refreshed`, which logs *no* delta). The mask
-//! marks the entry element of every table-delta-triggered strand whose rule
-//! the whole-program analyzer classified `refresh_transparent` and whose
-//! head is *transitively* TTL-neutral — the skipped re-derivation cascade
-//! provably sustains no soft state anywhere downstream; see
-//! [`Builder::refresh_neutral_preds`] for the fixpoint and
-//! [`Builder::mask_refresh_entry`] for the soundness argument and the
-//! deliberate exclusion of delta-fed consumers. Engines drop
-//! `Refresh` pokes into masked elements at routing time, and additionally
+//! With [`PlanConfig::delta_schedule`] (the default), instantiated engines
 //! consult `Element::would_wake` before invoking any element, letting
-//! strands, table aggregates, and views veto pokes that provably produce no
+//! strands and table aggregates veto pokes that provably produce no
 //! emission, send, or state change. [`PlanConfig::without_scheduling`]
-//! restores the poke-everything behaviour bit-for-bit (the historical
-//! golden pins run with it); the `sched_gate` in `sim_bench` pins both
-//! modes to identical final ring state.
+//! runs every poke (the historical golden pins run with it); the plan
+//! itself is the same either way, and the `sched_gate` in `sim_bench` pins
+//! both modes to identical final ring state.
 //!
 //! # Shared plans
 //!
@@ -77,15 +57,13 @@
 //! A thousand-node simulation therefore pays the expensive translation once
 //! instead of a thousand times, and the per-node resident footprint shrinks
 //! to the genuinely per-node state (tables, element scratch, engine queue).
-//! [`plan`] remains as the one-shot convenience wrapper (compile +
-//! instantiate) for single-node uses.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use p2_dataflow::elements::{
     AggProbe, AntiJoin, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert, Join,
-    MatView, NetOut, Pad, Periodic, Project, Select, StrandOp, TableAgg, ViewInput,
+    NetOut, Pad, Periodic, Project, Select, StrandOp, TableAgg,
 };
 use p2_dataflow::{Element, Engine, Graph, Route};
 use p2_obs::{ElemKind, ElemMeta, ObsMeta, RuleClassBits};
@@ -94,19 +72,16 @@ use p2_overlog::{
     SizeBound,
 };
 use p2_pel::{BinOp, Expr as PExpr, Program as PelProgram};
-use p2_table::{AggFunc, Catalog, DeltaSubscription, TableSpec};
+use p2_table::{AggFunc, Catalog, TableSpec};
 use p2_value::Value;
 
 use crate::binding::Layout;
 use crate::error::PlanError;
 
-/// Options controlling how a program is planned for one node.
+/// Node-independent planning configuration; the per-node address and seed
+/// are arguments of [`PlannedProgram::instantiate`].
 #[derive(Debug, Clone)]
-pub struct PlanOptions {
-    /// The node's network address.
-    pub local_addr: String,
-    /// Seed for the node's deterministic RNG.
-    pub seed: u64,
+pub struct PlanConfig {
     /// Tuple names to attach observation taps to (results are available via
     /// [`Planned::collectors`]).
     pub watches: Vec<String>,
@@ -114,103 +89,21 @@ pub struct PlanOptions {
     /// period (recommended for simulations; disable for deterministic unit
     /// tests).
     pub jitter_periodics: bool,
-    /// Whether eligible rule chains are compiled into fused strand
-    /// elements (see [`PlanConfig::fuse_strands`]).
+    /// Whether eligible rule chains (at most
+    /// [`MAX_STRAND_PROBES`](p2_dataflow::elements::MAX_STRAND_PROBES)
+    /// joins over pairwise-distinct tables, no aggregation probe, no RNG
+    /// builtins) are fused into a single [`FusedStrand`] element followed
+    /// by schedule-preserving pads, instead of the generic element chain.
+    /// On by default; the generic graph remains the fallback for every
+    /// other shape, and [`PlanConfig::without_fusion`] forces it everywhere
+    /// (used by the strand-equivalence gates).
     pub fuse_strands: bool,
-    /// Whether pure-join table rules are lowered to incrementally
-    /// maintained view elements (see [`PlanConfig::materialize_views`]).
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling is enabled: refresh-kind
-    /// pokes are suppressed into refresh-transparent rule strands and
-    /// elements may veto provably no-op invocations
-    /// (see [`PlanConfig::delta_schedule`]).
-    pub delta_schedule: bool,
-}
-
-impl PlanOptions {
-    /// Creates options for a node with the given address and seed.
-    pub fn new(local_addr: impl Into<String>, seed: u64) -> PlanOptions {
-        PlanOptions {
-            local_addr: local_addr.into(),
-            seed,
-            watches: Vec::new(),
-            jitter_periodics: true,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
-        }
-    }
-
-    /// Adds a watched tuple name.
-    pub fn watch(mut self, name: impl Into<String>) -> PlanOptions {
-        self.watches.push(name.into());
-        self
-    }
-
-    /// Disables periodic phase jitter.
-    pub fn without_jitter(mut self) -> PlanOptions {
-        self.jitter_periodics = false;
-        self
-    }
-
-    /// Disables rule-strand fusion (every rule uses the generic element
-    /// chain).
-    pub fn without_fusion(mut self) -> PlanOptions {
-        self.fuse_strands = false;
-        self
-    }
-
-    /// Disables materialized views (pure-join table rules recompute per
-    /// trigger, the pre-incremental behaviour).
-    pub fn without_views(mut self) -> PlanOptions {
-        self.materialize_views = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling (every delta pokes every
-    /// downstream strand, the pre-scheduling behaviour).
-    pub fn without_scheduling(mut self) -> PlanOptions {
-        self.delta_schedule = false;
-        self
-    }
-}
-
-/// Node-independent planning configuration: everything [`PlanOptions`]
-/// carries except the per-node address and seed.
-#[derive(Debug, Clone)]
-pub struct PlanConfig {
-    /// Tuple names to attach observation taps to.
-    pub watches: Vec<String>,
-    /// Whether `periodic` sources start at a random phase.
-    pub jitter_periodics: bool,
-    /// Whether eligible rule chains (at most one table join, no
-    /// aggregation probe, no RNG builtins) are fused into a single
-    /// [`FusedStrand`] element followed by schedule-preserving pads,
-    /// instead of the generic element chain. On by default; the generic
-    /// graph remains the fallback for every other shape, and
-    /// [`PlanConfig::without_fusion`] forces it everywhere (used by the
-    /// strand-equivalence gates).
-    pub fuse_strands: bool,
-    /// Whether pure-join table rules become [`MatView`] elements
-    /// maintained from their trigger tables' delta streams. Governs views
-    /// only — aggregation probes are stateless either way. On by default;
-    /// [`PlanConfig::without_views`] restores the per-trigger strands
-    /// (used by the view-equivalence gate and as the escape hatch if a
-    /// maintenance bug surfaces).
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling is enabled. When on, the
-    /// planner compiles a per-element *refresh suppression mask*: the
-    /// entry element of every table-delta-triggered strand whose rule is
-    /// `refresh_transparent` (per the whole-program analyzer) and whose
-    /// head is transitively TTL-neutral (the skipped re-derivation
-    /// cascade sustains no soft state) is marked, and engines drop
-    /// [`p2_table::DeltaKind::Refresh`] pokes into marked elements at
-    /// routing time. Engines additionally ask elements
-    /// (`Element::would_wake`) to veto pokes that provably produce no
-    /// emission, send, or state change. On by default;
-    /// [`PlanConfig::without_scheduling`] restores the poke-everything
-    /// behaviour bit-for-bit (used by the scheduling-equivalence gate and
-    /// the historical golden pins).
+    /// Whether instantiated engines consult `Element::would_wake` and skip
+    /// pokes an element proves to be no-ops (no emission, send, or state
+    /// change). An engine flag only — the compiled graph is identical
+    /// either way. On by default; [`PlanConfig::without_scheduling`] runs
+    /// every poke (used by the scheduling-equivalence gate and the
+    /// historical golden pins).
     pub delta_schedule: bool,
 }
 
@@ -220,21 +113,19 @@ impl Default for PlanConfig {
             watches: Vec::new(),
             jitter_periodics: false,
             fuse_strands: true,
-            materialize_views: true,
             delta_schedule: true,
         }
     }
 }
 
 impl PlanConfig {
-    /// Creates a config with jitter, strand fusion, view materialization,
-    /// and delta scheduling enabled, no watches.
+    /// Creates a config with jitter, strand fusion, and delta scheduling
+    /// enabled, no watches.
     pub fn new() -> PlanConfig {
         PlanConfig {
             watches: Vec::new(),
             jitter_periodics: true,
             fuse_strands: true,
-            materialize_views: true,
             delta_schedule: true,
         }
     }
@@ -251,19 +142,14 @@ impl PlanConfig {
         self
     }
 
-    /// Disables rule-strand fusion.
+    /// Disables rule-strand fusion (every rule uses the generic element
+    /// chain).
     pub fn without_fusion(mut self) -> PlanConfig {
         self.fuse_strands = false;
         self
     }
 
-    /// Disables materialized views.
-    pub fn without_views(mut self) -> PlanConfig {
-        self.materialize_views = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling.
+    /// Disables delta-driven rule scheduling (every poke runs).
     pub fn without_scheduling(mut self) -> PlanConfig {
         self.delta_schedule = false;
         self
@@ -278,21 +164,6 @@ pub struct Planned {
     pub catalog: Catalog,
     /// Observation buffers for each watched tuple name.
     pub collectors: HashMap<String, CollectorHandle>,
-}
-
-/// Plans a validated OverLog program into a per-node dataflow engine
-/// (compile + instantiate in one step; multi-node callers should compile a
-/// [`PlannedProgram`] once and instantiate it per node).
-pub fn plan(program: &Program, opts: &PlanOptions) -> Result<Planned, PlanError> {
-    let config = PlanConfig {
-        watches: opts.watches.clone(),
-        jitter_periodics: opts.jitter_periodics,
-        fuse_strands: opts.fuse_strands,
-        materialize_views: opts.materialize_views,
-        delta_schedule: opts.delta_schedule,
-    };
-    let planned = PlannedProgram::compile(program, &config)?;
-    Ok(planned.instantiate(opts.local_addr.clone(), opts.seed))
 }
 
 /// A node-independent element description; instantiation turns it into a
@@ -351,18 +222,9 @@ enum ElementSpec {
         head_fields: Vec<PelProgram>,
         out_name: Arc<str>,
     },
-    /// Schedule-preserving forwarder keeping a fused strand's (or view's)
-    /// outputs at the BFS level of the generic chain it replaced.
+    /// Schedule-preserving forwarder keeping a fused strand's outputs at
+    /// the BFS level of the generic chain it replaced.
     Pad,
-    /// A materialized join view: one input per trigger table of a
-    /// pure-join rule, poked on port `k` by inserts into `inputs[k]`'s
-    /// table, maintained incrementally from every input's delta stream
-    /// (see `p2_dataflow::elements::MatView`). The retraction port
-    /// (`inputs.len()`) is deliberately left unwired.
-    MatView {
-        inputs: Vec<ViewInputSpec>,
-        out_name: Arc<str>,
-    },
     /// `periodic` timer source.
     Periodic {
         period: f64,
@@ -391,7 +253,6 @@ impl ElementSpec {
             ElementSpec::TableAgg { .. } => ElemKind::TableAgg,
             ElementSpec::Strand { .. } => ElemKind::Strand,
             ElementSpec::Pad => ElemKind::Pad,
-            ElementSpec::MatView { .. } => ElemKind::MatView,
             ElementSpec::Periodic { .. } => ElemKind::Periodic,
             ElementSpec::NetOut { .. } => ElemKind::NetOut,
             ElementSpec::Collector { .. } => ElemKind::Collector,
@@ -408,15 +269,6 @@ fn class_bits(c: RuleClass) -> RuleClassBits {
         monotone: c.monotone,
         refresh_transparent: c.refresh_transparent,
     }
-}
-
-/// One trigger input of a planned materialized view: the strand that
-/// derives head rows from that trigger's bindings, in spec form.
-struct ViewInputSpec {
-    table: usize,
-    pre_filters: Vec<PelProgram>,
-    ops: Vec<StrandOpSpec>,
-    head_fields: Vec<PelProgram>,
 }
 
 /// One operation of a planned fused strand, in chain order.
@@ -469,16 +321,8 @@ pub struct PlannedProgram {
     facts: Vec<FactTemplate>,
     jitter_periodics: bool,
     fused_strands: usize,
-    mat_views: usize,
     /// Whether instantiated engines run with delta-driven scheduling on.
     delta_schedule: bool,
-    /// Per-element refresh suppression mask, parallel to `specs`:
-    /// `refresh_masks[i]` means element `i` is the entry of a
-    /// table-delta-triggered strand whose rule is refresh-transparent
-    /// with a TTL-neutral head, so `DeltaKind::Refresh` pokes into it
-    /// may be dropped at routing time. Compiled unconditionally (it is
-    /// one cheap `Vec<bool>`), consumed only when `delta_schedule` is on.
-    refresh_masks: Vec<bool>,
     /// Per-element observability metadata (rule id, kind, rule class),
     /// parallel to `specs`. Built unconditionally at compile time — it is
     /// one small shared allocation — and consumed only by engines that
@@ -521,22 +365,10 @@ impl PlannedProgram {
         self.fused_strands
     }
 
-    /// Number of rules lowered to incrementally maintained view elements
-    /// (zero when view materialization is disabled or no rule qualified).
-    pub fn mat_view_count(&self) -> usize {
-        self.mat_views
-    }
-
     /// Whether engines instantiated from this plan run with delta-driven
     /// scheduling enabled.
     pub fn delta_scheduled(&self) -> bool {
         self.delta_schedule
-    }
-
-    /// Number of strand entry elements carrying a refresh suppression
-    /// mask (zero only if no table-delta-triggered rule qualified).
-    pub fn refresh_mask_count(&self) -> usize {
-        self.refresh_masks.iter().filter(|&&m| m).count()
     }
 
     /// Per-element observability metadata: entry `i` describes element `i`
@@ -583,39 +415,6 @@ impl PlannedProgram {
             }
             refs.push(table);
         }
-
-        // Delta-subscription pooling: count the subscriptions every
-        // delta-fed consumer (TableAgg, MatView input) needs per table,
-        // then create them table-by-table under a single lock each
-        // instead of re-locking per element.
-        let mut sub_counts = vec![0usize; self.tables.len()];
-        for spec in &self.specs {
-            match spec {
-                ElementSpec::TableAgg { table, .. } => sub_counts[*table] += 1,
-                ElementSpec::MatView { inputs, .. } => {
-                    for input in inputs {
-                        sub_counts[input.table] += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut sub_pools: Vec<std::collections::VecDeque<DeltaSubscription>> = sub_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                if n == 0 {
-                    return std::collections::VecDeque::new();
-                }
-                let mut guard = refs[i].lock();
-                (0..n).map(|_| guard.subscribe_deltas()).collect()
-            })
-            .collect();
-        let mut take_sub = |table: usize| {
-            sub_pools[table]
-                .pop_front()
-                .expect("pool sized by the counting pass above")
-        };
 
         let lower_op = |op: &StrandOpSpec| match op {
             StrandOpSpec::Filter(p) => StrandOp::Filter(p.clone()),
@@ -679,13 +478,12 @@ impl PlannedProgram {
                     agg_col,
                     group_cols,
                     out_name,
-                } => Box::new(TableAgg::with_subscription(
+                } => Box::new(TableAgg::new(
                     refs[*table].clone(),
                     *func,
                     *agg_col,
                     group_cols.clone(),
                     out_name.to_string(),
-                    take_sub(*table),
                 )),
                 ElementSpec::Strand {
                     pre_filters,
@@ -699,19 +497,6 @@ impl PlannedProgram {
                     out_name.to_string(),
                 )),
                 ElementSpec::Pad => Box::new(Pad),
-                ElementSpec::MatView { inputs, out_name } => Box::new(MatView::new(
-                    inputs
-                        .iter()
-                        .map(|input| ViewInput {
-                            table: refs[input.table].clone(),
-                            sub: take_sub(input.table),
-                            pre_filters: input.pre_filters.clone(),
-                            ops: input.ops.iter().map(lower_op).collect(),
-                            head_fields: input.head_fields.clone(),
-                        })
-                        .collect(),
-                    out_name.to_string(),
-                )),
                 ElementSpec::Periodic {
                     period,
                     count,
@@ -741,10 +526,7 @@ impl PlannedProgram {
 
         let mut engine = Engine::new(graph, local_addr, seed);
         engine.set_entry(self.entry);
-        if self.delta_schedule {
-            engine.set_refresh_masks(self.refresh_masks.clone());
-            engine.set_scheduling(true);
-        }
+        engine.set_scheduling(self.delta_schedule);
         Planned {
             engine,
             catalog,
@@ -828,11 +610,9 @@ struct Builder<'a> {
     delete_ids: HashMap<String, Vec<usize>>,
     /// Number of rule strands compiled into fused elements.
     fused_strands: usize,
-    /// Number of rules lowered to materialized view elements.
-    mat_views: usize,
     /// Per-rule delta-safety classification from the whole-program
-    /// analyzer, parallel to `program.rules`. Fusion and view eligibility
-    /// read from here instead of re-deriving purity from compiled PEL
+    /// analyzer, parallel to `program.rules`. Fusion eligibility reads
+    /// from here instead of re-deriving determinism from compiled PEL
     /// stages.
     rule_classes: Vec<RuleClass>,
     /// Classification of the rule currently being planned (set by
@@ -844,15 +624,6 @@ struct Builder<'a> {
     current_rule: Option<Arc<str>>,
     /// Per-element `(rule id, class)` attribution, parallel to `specs`.
     elem_rules: Vec<Option<(Arc<str>, RuleClass)>>,
-    /// Element ids eligible for refresh suppression: strand entries
-    /// recorded at the `TriggerSource::TableDelta` wiring site (see
-    /// [`Builder::mask_refresh_entry`]).
-    refresh_entries: Vec<usize>,
-    /// Predicates whose refresh-derivation cone provably sustains no soft
-    /// state: the greatest fixpoint of [`Builder::refresh_neutral_preds`].
-    /// A rule's suppressed re-derivation may starve everything downstream
-    /// of its head, so head membership here is the mask precondition.
-    refresh_neutral: HashSet<String>,
 }
 
 impl<'a> Builder<'a> {
@@ -896,7 +667,6 @@ impl<'a> Builder<'a> {
         // even for programs the analyzer has complaints about — the planner
         // only consumes the per-rule classification.
         let rule_classes = analyze::analyze(program).rule_classes;
-        let refresh_neutral = Self::refresh_neutral_preds(program, &rule_classes, &demux_names);
 
         let mut builder = Builder {
             program,
@@ -912,7 +682,6 @@ impl<'a> Builder<'a> {
             table_aggs: HashMap::new(),
             delete_ids: HashMap::new(),
             fused_strands: 0,
-            mat_views: 0,
             rule_classes,
             current_class: RuleClass {
                 deterministic: false,
@@ -922,8 +691,6 @@ impl<'a> Builder<'a> {
             },
             current_rule: None,
             elem_rules: Vec::new(),
-            refresh_entries: Vec::new(),
-            refresh_neutral,
         };
         builder.demux_id = builder.add("demux", ElementSpec::Demux);
 
@@ -1111,10 +878,6 @@ impl<'a> Builder<'a> {
                 })
                 .collect(),
         });
-        let mut refresh_masks = vec![false; self.specs.len()];
-        for id in &self.refresh_entries {
-            refresh_masks[*id] = true;
-        }
         Ok(PlannedProgram {
             specs: self.specs,
             names: self.names,
@@ -1126,9 +889,7 @@ impl<'a> Builder<'a> {
             facts,
             jitter_periodics: self.config.jitter_periodics,
             fused_strands: self.fused_strands,
-            mat_views: self.mat_views,
             delta_schedule: self.config.delta_schedule,
-            refresh_masks,
             obs,
         })
     }
@@ -1188,40 +949,7 @@ impl<'a> Builder<'a> {
             if tables.is_empty() {
                 return Err(PlanError::in_rule(&rule.id, "rule body has no predicates"));
             }
-            // Try the view lowering first: analyse every trigger's strand;
-            // if each one qualifies, the whole rule becomes a single
-            // incrementally maintained MatView element.
-            if self.config.materialize_views && !rule.delete && self.current_class.pure {
-                let mut trigger_ids = Vec::with_capacity(tables.len());
-                for t in &tables {
-                    trigger_ids.push(self.table_id(rule, &t.name)?);
-                }
-                let mut analysed = Vec::with_capacity(tables.len());
-                let mut viewable = true;
-                for (i, trigger) in tables.iter().enumerate() {
-                    let others: Vec<&Predicate> = tables
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .map(|(_, p)| *p)
-                        .collect();
-                    let stages = self.analyze_strand(
-                        rule,
-                        trigger,
-                        &TriggerSource::TableDelta(&trigger.name),
-                        &others,
-                    )?;
-                    if !Self::stages_viewable(&stages, &trigger_ids) {
-                        viewable = false;
-                        break;
-                    }
-                    analysed.push(stages);
-                }
-                if viewable {
-                    return self.lower_view(rule, &tables, analysed);
-                }
-            }
-            // Delta-triggered fallback: updates to any of the body tables
+            // Delta-triggered: updates to any of the body tables
             // re-evaluate the rule against the others.
             for (i, trigger) in tables.iter().enumerate() {
                 let others: Vec<&Predicate> = tables
@@ -1277,142 +1005,6 @@ impl<'a> Builder<'a> {
             }
         }
         true
-    }
-
-    /// Whether one trigger's analysed strand can become an input of an
-    /// incrementally maintained view. The checks extend
-    /// [`Builder::stages_fusable`]'s — the view reuses the fused strand
-    /// executor for both live emission and delta-time derivation — with
-    /// the maintenance-specific one: no probe or anti-join may touch a
-    /// *trigger* table of the rule (replaying a delta would observe the
-    /// post-mutation state of the very table being replayed). Purity
-    /// (no RNG, no clock reads — derivations are re-evaluated at delta
-    /// time, not event time) is enforced before this check through the
-    /// rule's [`RuleClass`]. Unlike fusion, a single-stage strand (bare
-    /// head projection) qualifies: the view's value there is the
-    /// retractable row set, not call-count savings.
-    fn stages_viewable(stages: &[Stage], trigger_tables: &[usize]) -> bool {
-        let mut probed: Vec<usize> = Vec::new();
-        for stage in stages {
-            match stage {
-                Stage::Join { table, .. } => {
-                    if probed.contains(table) || trigger_tables.contains(table) {
-                        return false;
-                    }
-                    probed.push(*table);
-                }
-                Stage::AntiJoin { table, .. } if trigger_tables.contains(table) => {
-                    return false;
-                }
-                Stage::Other { .. } => return false,
-                _ => {}
-            }
-        }
-        if probed.len() > p2_dataflow::elements::MAX_STRAND_PROBES {
-            return false;
-        }
-        for stage in stages {
-            if let Stage::AntiJoin { table, .. } = stage {
-                if probed.contains(table) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Lowers a pure-join table rule (every trigger analysed and checked
-    /// by [`Builder::stages_viewable`]) to one [`ElementSpec::MatView`]
-    /// plus per-trigger pad chains and head routing. Port `k` of the view
-    /// is poked by inserts into trigger `k`'s table and emits that
-    /// trigger's live derivations at the BFS level of the generic chain
-    /// it replaces; the retraction port stays unwired.
-    fn lower_view(
-        &mut self,
-        rule: &Rule,
-        triggers: &[&Predicate],
-        per_trigger: Vec<Vec<Stage>>,
-    ) -> Result<(), PlanError> {
-        let mut inputs = Vec::with_capacity(per_trigger.len());
-        let mut pad_counts = Vec::with_capacity(per_trigger.len());
-        let mut shared_out = None;
-        for (trigger, stages) in triggers.iter().zip(per_trigger) {
-            let table = self.table_id(rule, &trigger.name)?;
-            pad_counts.push(stages.len() - 1);
-            let mut pre_filters = Vec::new();
-            let mut ops: Vec<StrandOpSpec> = Vec::new();
-            let mut head = None;
-            for stage in stages {
-                match stage {
-                    Stage::Select { filter, .. } => {
-                        if ops.is_empty() {
-                            pre_filters.push(filter);
-                        } else {
-                            ops.push(StrandOpSpec::Filter(filter));
-                        }
-                    }
-                    Stage::Join { table, key, .. } => ops.push(StrandOpSpec::Probe { table, key }),
-                    Stage::AntiJoin { table, key, .. } => {
-                        ops.push(StrandOpSpec::AntiJoin { table, key })
-                    }
-                    Stage::Assign { expr, .. } => ops.push(StrandOpSpec::Assign(expr)),
-                    Stage::Head {
-                        out_name, fields, ..
-                    } => head = Some((out_name, fields)),
-                    Stage::Other { .. } => unreachable!("stages_viewable rejects Other"),
-                }
-            }
-            let (out_name, head_fields) = head.expect("every strand ends in its head projection");
-            shared_out = Some(out_name);
-            inputs.push(ViewInputSpec {
-                table,
-                pre_filters,
-                ops,
-                head_fields,
-            });
-        }
-        let out_name = shared_out.expect("rules have at least one trigger");
-        let view = self.add(
-            format!("{}:view", rule.id),
-            ElementSpec::MatView { inputs, out_name },
-        );
-        self.mat_views += 1;
-
-        for (k, (trigger, pad_count)) in triggers.iter().zip(pad_counts).enumerate() {
-            let mut chain = vec![view];
-            for i in 0..pad_count {
-                chain.push(self.add(format!("{}:vpad{k}.{i}", rule.id), ElementSpec::Pad));
-            }
-            // The first hop leaves the view on this trigger's out port;
-            // pads chain on port 0 like every other element.
-            for (j, pair) in chain.windows(2).enumerate() {
-                let out_port = if j == 0 { k } else { 0 };
-                self.connect(pair[0], out_port, pair[1], 0);
-            }
-            let last = *chain.last().expect("chain starts with the view");
-            let last_port = if chain.len() == 1 { k } else { 0 };
-            match &rule.head.location {
-                None => self.connect(last, last_port, self.demux_id, 0),
-                Some(loc) => {
-                    let dest_field = Self::head_dest_field(rule, loc)?;
-                    let id = self.add(
-                        format!("{}:netout{k}", rule.id),
-                        ElementSpec::NetOut { dest_field },
-                    );
-                    self.connect(last, last_port, id, 0);
-                    // Local tuples wrap around into the demultiplexer.
-                    self.connect(id, 0, self.demux_id, 0);
-                }
-            }
-            let insert = *self.insert_ids.get(&trigger.name).ok_or_else(|| {
-                PlanError::in_rule(
-                    &rule.id,
-                    format!("no insert element for table `{}`", trigger.name),
-                )
-            })?;
-            self.connect(insert, 0, view, k);
-        }
-        Ok(())
     }
 
     /// Lowers a stage list to graph elements, returning the chain in
@@ -1557,7 +1149,6 @@ impl<'a> Builder<'a> {
                     PlanError::in_rule(&rule.id, format!("no insert element for table `{name}`"))
                 })?;
                 self.connect(insert, 0, entry.element, entry.port);
-                self.mask_refresh_entry(rule, entry.element);
             }
             TriggerSource::Periodic(pred) => {
                 let periodic = self.make_periodic(rule, pred)?;
@@ -1568,114 +1159,9 @@ impl<'a> Builder<'a> {
         Ok(())
     }
 
-    /// The greatest set of predicates whose refresh-derivation cone
-    /// provably sustains no soft state.
-    ///
-    /// Suppressing a refresh poke into a rule skips the rule's duplicate
-    /// re-derivation — and with it the *entire cascade* downstream of its
-    /// head: TTL extensions of derived soft state, and further events
-    /// those extensions would have triggered. A head predicate is
-    /// therefore "TTL-neutral" only transitively. The fixpoint starts
-    /// optimistic (every stream and infinite-lifetime table is neutral;
-    /// finite-lifetime tables never are — their rows need the re-derived
-    /// refresh) and removes any predicate that *triggers* a rule which is
-    /// either not `refresh_transparent` (the duplicate event could
-    /// produce different output) or whose own head is not neutral (the
-    /// starvation propagates). Only trigger positions count: a join probe
-    /// reads the table's stored rows, which the suppressed poke leaves
-    /// untouched — the trigger table's TTL was already extended by the
-    /// insert that produced the poke. Delete-rule heads are exempt
-    /// (re-deleting already-deleted rows is idempotent).
-    fn refresh_neutral_preds(
-        program: &Program,
-        rule_classes: &[RuleClass],
-        all_names: &[String],
-    ) -> HashSet<String> {
-        let mut neutral: HashSet<String> = all_names.iter().cloned().collect();
-        for m in &program.materializations {
-            if m.to_spec().lifetime.is_some() {
-                neutral.remove(&m.name);
-            }
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (rule, class) in program.rules.iter().zip(rule_classes) {
-                let head_ok = rule.delete || neutral.contains(&rule.head.name);
-                if class.refresh_transparent && head_ok {
-                    continue;
-                }
-                // This rule must keep seeing refresh-derived events:
-                // whatever triggers it cannot be suppressed upstream.
-                let positives = rule.positive_predicates();
-                let stream_or_periodic = positives
-                    .iter()
-                    .any(|p| p.name == "periodic" || !program.is_materialized(&p.name));
-                for p in positives {
-                    if p.name == "periodic" {
-                        continue;
-                    }
-                    // Streams always trigger; table deltas trigger only
-                    // the all-table rules (stream rules merely probe).
-                    let triggers = !program.is_materialized(&p.name) || !stream_or_periodic;
-                    if triggers && neutral.remove(&p.name) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        neutral
-    }
-
-    /// Marks a table-delta-triggered strand entry for refresh
-    /// suppression, when sound.
-    ///
-    /// A `DeltaKind::Refresh` poke (keyed soft-state re-insert that left
-    /// the table's rows unchanged) may be dropped before it enters this
-    /// strand iff skipping the rule's re-run is a whole-system no-op:
-    ///
-    /// 1. the rule is `refresh_transparent` per the whole-program
-    ///    analyzer — its output on the refreshed tuple is identical to
-    ///    what it already produced, so the skipped derivations are pure
-    ///    duplicates;
-    /// 2. the head is transitively TTL-neutral
-    ///    ([`Builder::refresh_neutral_preds`]) or the rule is a delete —
-    ///    the skipped duplicates sustain no soft state anywhere
-    ///    downstream;
-    /// 3. the entry element is a plain strand-chain element. Delta-fed
-    ///    consumers (TableAgg, MatView) must see every poke — a
-    ///    suppressed poke could strand a pending expiry delta in their
-    ///    subscription queue — so they are never masked statically; their
-    ///    `would_wake` guards are the sole authority.
-    ///
-    /// Notably, for the shipped Chord program this masks *nothing*: the
-    /// fixpoint proves every refresh cascade load-bearing (`succ`
-    /// refreshes keep `bestSucc`→`finger[0]` alive, `pred`/`succ` feed
-    /// the soft-state `pingNode`, …), which is exactly why the dynamic
-    /// `would_wake` guards carry the scheduling win there. Programs with
-    /// infinite-lifetime derived state do get masked entries (see the
-    /// planner tests).
-    fn mask_refresh_entry(&mut self, rule: &Rule, entry: usize) {
-        if !self.current_class.refresh_transparent {
-            return;
-        }
-        if !(rule.delete || self.refresh_neutral.contains(&rule.head.name)) {
-            return;
-        }
-        if matches!(
-            self.specs[entry],
-            ElementSpec::TableAgg { .. } | ElementSpec::MatView { .. }
-        ) {
-            return;
-        }
-        self.refresh_entries.push(entry);
-    }
-
     /// Analyses one strand of `rule` into its [`Stage`] list (trigger
     /// checks, joins, anti-joins, assignments, conditions, aggregation,
-    /// head projection) without lowering anything to elements. Shared by
-    /// [`Builder::build_strand`] and the view lowering, which analyses
-    /// every trigger's strand before deciding how to lower the rule.
+    /// head projection) without lowering anything to elements.
     fn analyze_strand(
         &mut self,
         rule: &Rule,
@@ -2325,7 +1811,8 @@ mod tests {
 
     fn plan_src(src: &str) -> Result<Planned, PlanError> {
         let program = compile_checked(src).expect("program should parse and validate");
-        plan(&program, &PlanOptions::new("n1", 7).without_jitter())
+        let shared = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter())?;
+        Ok(shared.instantiate("n1", 7))
     }
 
     #[test]
@@ -2395,64 +1882,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_masks_cover_transitively_neutral_delta_strands() {
-        // Each rule re-derives only a dead-end stream: the skipped
-        // refresh cascade sustains no soft state, so every delta-strand
-        // entry carries the suppression mask (two strands for the
-        // two-table M1, one for the single-table M2). With view lowering
-        // enabled the single-table M2 becomes a MatView instead —
-        // delta-fed consumers are never masked statically (their
-        // `would_wake` guards decide) — while M1 probes its co-trigger
-        // table and therefore keeps its masked strands in both modes.
-        let src = r#"
-            materialize(peer, 30, infinity, keys(1,2)).
-            materialize(link, infinity, infinity, keys(1,2)).
-            M1 seen@X(X, Y) :- peer@X(X, Y), link@X(X, Y).
-            M2 known@X(X, Y) :- peer@X(X, Y).
-        "#;
-        let program = compile_checked(src).unwrap();
-        let strands = PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_views(),
-        )
-        .unwrap();
-        assert!(strands.delta_scheduled());
-        assert_eq!(strands.refresh_mask_count(), 3);
-        let viewed =
-            PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
-        assert_eq!(viewed.mat_view_count(), 1);
-        assert_eq!(viewed.refresh_mask_count(), 2);
-        assert!(!PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_scheduling(),
-        )
-        .unwrap()
-        .delta_scheduled());
-    }
-
-    #[test]
-    fn refresh_masks_respect_downstream_soft_state() {
-        // Identical shape, but the derived stream now sustains a
-        // finite-lifetime table: the TTL-neutrality fixpoint un-marks
-        // `seen`, so no strand entry may suppress refreshes — skipping
-        // the re-derivation would let `cache` rows expire.
-        let src = r#"
-            materialize(peer, 30, infinity, keys(1,2)).
-            materialize(link, infinity, infinity, keys(1,2)).
-            materialize(cache, 30, infinity, keys(1,2)).
-            M1 seen@X(X, Y) :- peer@X(X, Y), link@X(X, Y).
-            M2 cache@X(X, Y) :- seen@X(X, Y).
-        "#;
-        let program = compile_checked(src).unwrap();
-        let strands = PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_views(),
-        )
-        .unwrap();
-        assert_eq!(strands.refresh_mask_count(), 0);
-    }
-
-    #[test]
     fn rng_rules_are_never_fused() {
         // The assignment draws on the node RNG: fusing would change the
         // cross-strand evaluation order the RNG stream observes.
@@ -2480,12 +1909,13 @@ mod tests {
         "#;
         let program = compile_checked(src).unwrap();
         let run = |fuse: bool| {
-            let opts = if fuse {
-                PlanOptions::new("n1", 7).without_jitter()
-            } else {
-                PlanOptions::new("n1", 7).without_jitter().without_fusion()
-            };
-            let mut planned = plan(&program, &opts).unwrap();
+            let mut config = PlanConfig::new().without_jitter();
+            if !fuse {
+                config = config.without_fusion();
+            }
+            let mut planned = PlannedProgram::compile(&program, &config)
+                .unwrap()
+                .instantiate("n1", 7);
             planned.engine.set_entry(Route {
                 element: 0,
                 port: 0,
@@ -2570,11 +2000,10 @@ mod tests {
             P2 pong@X(X, Y, E) :- ping@Y(Y, X, E).
         "#;
         let program = compile_checked(src).unwrap();
-        let planned = plan(
-            &program,
-            &PlanOptions::new("n1", 7).watch("pong").without_jitter(),
-        )
-        .unwrap();
+        let planned =
+            PlannedProgram::compile(&program, &PlanConfig::new().watch("pong").without_jitter())
+                .unwrap()
+                .instantiate("n1", 7);
         assert!(planned.collectors.contains_key("pong"));
     }
 
@@ -2700,9 +2129,6 @@ mod tests {
             ),
             "nodes must not share table storage"
         );
-        // The shared plan matches the one-shot path structurally.
-        let one_shot = plan(&program, &PlanOptions::new("n1", 1).without_jitter()).unwrap();
-        assert_eq!(one_shot.engine.describe(), a.engine.describe());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use p2_pel::EvalContext;
-use p2_table::DeltaKind;
 use p2_value::{SimTime, Tuple};
 
 /// A tuple leaving the node for another node's address.
@@ -31,7 +30,7 @@ pub struct ElementCtx<'a> {
     now: SimTime,
     pending: usize,
     eval: &'a mut EvalContext,
-    emissions: &'a mut Vec<(usize, Tuple, DeltaKind)>,
+    emissions: &'a mut Vec<(usize, Tuple)>,
     outgoing: &'a mut Vec<Outgoing>,
     timers: &'a mut Vec<(u64, SimTime)>,
     state_changed: bool,
@@ -42,7 +41,7 @@ impl<'a> ElementCtx<'a> {
         now: SimTime,
         pending: usize,
         eval: &'a mut EvalContext,
-        emissions: &'a mut Vec<(usize, Tuple, DeltaKind)>,
+        emissions: &'a mut Vec<(usize, Tuple)>,
         outgoing: &'a mut Vec<Outgoing>,
         timers: &'a mut Vec<(u64, SimTime)>,
     ) -> ElementCtx<'a> {
@@ -79,20 +78,9 @@ impl<'a> ElementCtx<'a> {
         self.eval.local_addr_str()
     }
 
-    /// Emits a tuple on the given output port as a genuine assertion
-    /// ([`DeltaKind::Assert`]) — the right default for derived tuples.
+    /// Emits a tuple on the given output port.
     pub fn emit(&mut self, port: usize, tuple: Tuple) {
-        self.emissions.push((port, tuple, DeltaKind::Assert));
-    }
-
-    /// Emits a tuple on the given output port with an explicit
-    /// [`DeltaKind`]. Table-maintaining elements use this to tag keyed
-    /// soft-state refreshes ([`DeltaKind::Refresh`]) and retractions
-    /// ([`DeltaKind::Retract`]); the engine's scheduler suppresses
-    /// refresh-kind pokes into strands the planner proved
-    /// refresh-transparent.
-    pub fn emit_kind(&mut self, port: usize, tuple: Tuple, kind: DeltaKind) {
-        self.emissions.push((port, tuple, kind));
+        self.emissions.push((port, tuple));
     }
 
     /// Hands a tuple to the network for delivery to `dst`.
@@ -110,7 +98,7 @@ impl<'a> ElementCtx<'a> {
     }
 
     /// Marks this invocation as having mutated durable state (a table row,
-    /// a materialized-view count, an aggregate cache). The profiler uses
+    /// an aggregate's group state). The profiler uses
     /// this to separate real work from soft-state refresh no-ops; an
     /// invocation with no emission, no send and no state change is a
     /// wasted poke. Cheap enough to call unconditionally.
@@ -159,13 +147,6 @@ pub trait Element: Send {
     /// Called once when the engine starts, before any tuple is processed.
     /// Elements use this to emit initial facts or schedule their first timer.
     fn on_start(&mut self, _ctx: &mut ElementCtx<'_>) {}
-
-    /// Downcast hook for diagnostics and equivalence gates. Elements with
-    /// externally inspectable state override this to return `Some(self)`;
-    /// the default keeps internals private.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -210,11 +191,7 @@ mod tests {
 
         assert_eq!(
             emissions,
-            vec![(
-                3,
-                TupleBuilder::new("ping").push("n1").build(),
-                DeltaKind::Assert
-            )]
+            vec![(3, TupleBuilder::new("ping").push("n1").build())]
         );
         assert_eq!(outgoing.len(), 1);
         assert_eq!(&*outgoing[0].dst, "n2");

@@ -7,7 +7,6 @@
 //! egress, and general-purpose glue (demultiplexers, queues, taps).
 
 mod glue;
-mod mat_view;
 mod net;
 mod relational;
 mod source;
@@ -15,7 +14,6 @@ mod strand;
 mod table_ops;
 
 pub use glue::{Collector, CollectorHandle, Demux, Queue};
-pub use mat_view::{MatView, ViewInput};
 pub use net::NetOut;
 pub use relational::{AntiJoin, Join, ProbeKey, Project, Select};
 pub use source::Periodic;

@@ -224,17 +224,13 @@ fn pushed<'a>(rows: &[&'a [Value]], row: &'a [Value]) -> ([&'a [Value]; MAX_PART
 }
 
 /// Runs the remaining ops of a strand for the current row combination,
-/// depth-first, handing one head tuple to `sink` per surviving combination
-/// (the fused strand's sink emits on port 0; `MatView` reuses the same
-/// executor — so exactly the same probe order, error drops, and
-/// depth-first enumeration — both for live emission on its per-input ports
-/// and for delta-time derivation into a buffer). `rows` holds the trigger
-/// plus the rows matched by earlier probes; `extras` holds the assigned
-/// values (pushed and popped around the recursion so sibling combinations
-/// never see each other's assignments). Free function over explicit field
-/// borrows so callers can hold probe guards.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
+/// depth-first, emitting one head tuple on port 0 per surviving
+/// combination. `rows` holds the trigger plus the rows matched by earlier
+/// probes; `extras` holds the assigned values (pushed and popped around the
+/// recursion so sibling combinations never see each other's assignments).
+/// Free function over explicit field borrows so the op list stays borrowed
+/// (and probe guards stay held) while the scratch and error fields mutate.
+fn exec(
     ops: &[StrandOp],
     rows: &[&[Value]],
     extras: &mut Vec<Value>,
@@ -242,7 +238,6 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
     out_name: &str,
     eval_errors: &mut u64,
     ctx: &mut ElementCtx<'_>,
-    sink: &mut S,
 ) {
     // The evaluation view is `rows ++ extras`; rebuilt per op because
     // `extras` may have grown.
@@ -258,7 +253,7 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
                 }
             }
         }
-        sink(ctx, Tuple::new(out_name, values));
+        ctx.emit(0, Tuple::new(out_name, values));
         return;
     };
     match op {
@@ -268,16 +263,7 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
                 filter.eval_bool_concat(&view[..n], ctx.eval())
             };
             match ok {
-                Ok(true) => exec(
-                    rest,
-                    rows,
-                    extras,
-                    head_fields,
-                    out_name,
-                    eval_errors,
-                    ctx,
-                    sink,
-                ),
+                Ok(true) => exec(rest, rows, extras, head_fields, out_name, eval_errors, ctx),
                 Ok(false) => {}
                 Err(_) => *eval_errors += 1,
             }
@@ -290,16 +276,7 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
             match v {
                 Ok(v) => {
                     extras.push(v);
-                    exec(
-                        rest,
-                        rows,
-                        extras,
-                        head_fields,
-                        out_name,
-                        eval_errors,
-                        ctx,
-                        sink,
-                    );
+                    exec(rest, rows, extras, head_fields, out_name, eval_errors, ctx);
                     extras.pop();
                 }
                 Err(_) => *eval_errors += 1,
@@ -325,16 +302,7 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
             // Malformed (None) drops the combination, like the generic
             // element.
             if any_match == Some(false) {
-                exec(
-                    rest,
-                    rows,
-                    extras,
-                    head_fields,
-                    out_name,
-                    eval_errors,
-                    ctx,
-                    sink,
-                );
+                exec(rest, rows, extras, head_fields, out_name, eval_errors, ctx);
             }
         }
         StrandOp::Probe { table, key } => {
@@ -354,7 +322,6 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
                         out_name,
                         eval_errors,
                         ctx,
-                        sink,
                     );
                 }
                 return;
@@ -373,7 +340,6 @@ pub(crate) fn exec<S: FnMut(&mut ElementCtx<'_>, Tuple)>(
                         out_name,
                         eval_errors,
                         ctx,
-                        sink,
                     );
                 }
             });
@@ -528,7 +494,6 @@ impl Element for FusedStrand {
             out_name,
             eval_errors,
             ctx,
-            &mut |ctx: &mut ElementCtx<'_>, t| ctx.emit(0, t),
         );
     }
 

@@ -26,9 +26,7 @@
 use std::collections::{HashMap, HashSet};
 
 use p2_pel::{EvalContext, Program};
-use p2_table::{
-    AggFunc, AggState, DeltaKind, DeltaSubscription, InsertOutcome, TableDelta, TableRef,
-};
+use p2_table::{AggFunc, AggState, DeltaSubscription, InsertOutcome, TableDelta, TableRef};
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
@@ -77,21 +75,12 @@ impl Element for Insert {
                 // A soft-state refresh of an identical row leaves the table
                 // unchanged; anything else (new row, replacement, eviction)
                 // is a real mutation the profiler should see.
-                let refreshed = matches!(outcome, InsertOutcome::Refreshed);
-                if !refreshed || !self.spill.is_empty() {
+                if !matches!(outcome, InsertOutcome::Refreshed) || !self.spill.is_empty() {
                     ctx.note_state_change();
                 }
-                // The poke-stream DeltaKind discriminant: a pure refresh is
-                // tagged so the scheduler can suppress it at
-                // refresh-transparent strands; everything else asserts.
-                let kind = if refreshed {
-                    DeltaKind::Refresh
-                } else {
-                    DeltaKind::Assert
-                };
-                ctx.emit_kind(0, tuple.clone(), kind);
+                ctx.emit(0, tuple.clone());
                 for e in self.spill.drain(..) {
-                    ctx.emit_kind(1, e, DeltaKind::Retract);
+                    ctx.emit(1, e);
                 }
             }
             Err(_) => {
@@ -144,7 +133,7 @@ impl Element for Delete {
                     ctx.note_state_change();
                 }
                 for r in self.spill.drain(..) {
-                    ctx.emit_kind(0, r, DeltaKind::Retract);
+                    ctx.emit(0, r);
                 }
             }
             Err(_) => {
@@ -624,20 +613,6 @@ impl TableAgg {
         out_name: impl Into<String>,
     ) -> TableAgg {
         let sub = table.lock().subscribe_deltas();
-        Self::with_subscription(table, func, agg_col, group_cols, out_name, sub)
-    }
-
-    /// Like [`TableAgg::new`] but over an already-created subscription (the
-    /// planner pools subscriptions per table at instantiation so each
-    /// table is locked once, not once per consuming element).
-    pub fn with_subscription(
-        table: TableRef,
-        func: AggFunc,
-        agg_col: Option<usize>,
-        group_cols: Vec<usize>,
-        out_name: impl Into<String>,
-        sub: DeltaSubscription,
-    ) -> TableAgg {
         TableAgg {
             table,
             sub,

@@ -36,34 +36,20 @@
 //!
 //! # Delta-driven scheduling
 //!
-//! Every emission carries a [`p2_table::DeltaKind`] (assert / retract /
-//! refresh — see the *DeltaKind* section of `p2-table`'s module docs).
 //! When scheduling is enabled ([`Engine::set_scheduling`], wired from
-//! `PlanConfig::delta_schedule` by the planner), the engine suppresses
-//! provably-useless pokes at two points:
+//! `PlanConfig::delta_schedule` by the planner), the engine consults
+//! [`Element::would_wake`] just before invoking an element; a `false`
+//! answer is the element's proof that the invocation would produce zero
+//! emissions, sends and state change, and the call is skipped. Guards run
+//! at invocation time (not enqueue time) because they read element state,
+//! which other queued work may change in between. Guards never evaluate
+//! RNG-bearing programs, so the node's deterministic RNG stream is
+//! untouched and sharded runs stay bit-identical.
 //!
-//! * **Static refresh masks** (absorb time): the planner compiles a
-//!   per-element mask ([`Engine::set_refresh_masks`]) marking the entry
-//!   elements of strands whose rule is refresh-transparent
-//!   (`RuleClass::refresh_transparent`) *and* whose head cannot lose a
-//!   TTL extension from the poke. A `Refresh`-kind emission routed at such
-//!   an element is dropped at enqueue time instead of queued. The decision
-//!   is purely static (rule classification), so applying it while the
-//!   emission is routed — before downstream state mutates — is sound.
-//! * **Dynamic wake guards** (drain time): just before invoking an
-//!   element, the engine consults [`Element::would_wake`]; a `false`
-//!   answer is the element's proof that the invocation would produce zero
-//!   emissions, sends and state change, and the call is skipped. Guards
-//!   run at invocation time (not enqueue time) because they read element
-//!   state, which other queued work may change in between. Guards never
-//!   evaluate RNG-bearing programs, so the node's deterministic RNG
-//!   stream is untouched and sharded runs stay bit-identical.
-//!
-//! Both suppressions are counted ([`EngineStats::suppressed_refresh_pokes`]
-//! / [`EngineStats::suppressed_guard_pokes`] and the profiler's per-element
-//! suppressed counter) so the wasted-poke audit distinguishes "never ran"
-//! from "ran and wasted". With scheduling off (the default for raw
-//! engines) every tuple is delivered exactly as before.
+//! Skipped calls are counted ([`EngineStats::suppressed_guard_pokes`] and
+//! the profiler's per-element suppressed counter) so the wasted-poke audit
+//! distinguishes "never ran" from "ran and wasted". With scheduling off
+//! (the default for raw engines) every tuple is delivered.
 //!
 //! The engine is instantiated per node, but the *plan* it executes can be
 //! shared: see `p2_core::PlannedProgram`, which compiles an OverLog program
@@ -76,7 +62,6 @@ use std::sync::Arc;
 
 use p2_obs::{NodeObs, ObsMeta, TraceEvent};
 use p2_pel::EvalContext;
-use p2_table::DeltaKind;
 use p2_value::{SimTime, Tuple, Value};
 
 use crate::element::{Element, ElementCtx, Outgoing};
@@ -167,10 +152,6 @@ pub struct EngineStats {
     pub timers_fired: u64,
     /// Tuples handed to the network.
     pub sent: u64,
-    /// Pokes dropped at enqueue time by the planner-compiled static
-    /// refresh masks (a `Refresh`-kind emission routed at a
-    /// refresh-transparent strand entry). Zero with scheduling off.
-    pub suppressed_refresh_pokes: u64,
     /// Pokes skipped at invocation time by a [`Element::would_wake`]
     /// guard proving the call a no-op. Zero with scheduling off.
     pub suppressed_guard_pokes: u64,
@@ -224,19 +205,13 @@ pub struct Engine {
     now: SimTime,
     stats: EngineStats,
     started: bool,
-    /// Whether delta-driven scheduling (static refresh masks + dynamic
-    /// wake guards) is active. Off by default so raw engines and unit
-    /// graphs behave exactly as before; the planner turns it on from
-    /// `PlanConfig::delta_schedule`.
+    /// Whether the `would_wake` guards are consulted. Off by default so
+    /// raw engines and unit graphs run every poke; the planner turns it on
+    /// from `PlanConfig::delta_schedule`.
     scheduling: bool,
-    /// Planner-compiled static suppression mask, indexed by element id:
-    /// `true` means `Refresh`-kind emissions routed at this element are
-    /// dropped at enqueue time. Empty (no suppression) unless the planner
-    /// installed masks via [`Engine::set_refresh_masks`].
-    refresh_masks: Vec<bool>,
     /// Reused emission buffer: filled by one element call, drained by
     /// `absorb`, never reallocated in steady state.
-    scratch_emissions: Vec<(usize, Tuple, DeltaKind)>,
+    scratch_emissions: Vec<(usize, Tuple)>,
     /// Reused timer-request buffer, same lifecycle.
     scratch_timers: Vec<(u64, SimTime)>,
     /// Observability taps (profiler counters + provenance tracing). `None`
@@ -296,7 +271,6 @@ impl Engine {
             stats: EngineStats::default(),
             started: false,
             scheduling: false,
-            refresh_masks: Vec::new(),
             scratch_emissions: Vec::new(),
             scratch_timers: Vec::new(),
             obs: None,
@@ -366,15 +340,6 @@ impl Engine {
         self.scheduling
     }
 
-    /// Installs the planner-compiled static refresh-suppression mask:
-    /// `masks[e]` is `true` iff `Refresh`-kind emissions routed at element
-    /// `e` may be dropped at enqueue time. Only consulted while scheduling
-    /// is on; must cover every element.
-    pub fn set_refresh_masks(&mut self, masks: Vec<bool>) {
-        debug_assert!(masks.is_empty() || masks.len() == self.elements.len());
-        self.refresh_masks = masks;
-    }
-
     /// The node's address.
     pub fn local_addr(&self) -> String {
         self.eval.local_addr_str().to_string()
@@ -398,23 +363,6 @@ impl Engine {
     /// True if the compiled graph has no elements.
     pub fn is_empty(&self) -> bool {
         self.elements.is_empty()
-    }
-
-    /// Index of the first element with the given graph name, if any.
-    pub fn element_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| &**n == name)
-    }
-
-    /// Runs `f` against element `index`, for diagnostics and equivalence
-    /// gates that need to inspect element state (e.g. a `MatView`'s
-    /// maintained contents) from outside the graph. Combine with
-    /// [`Element::as_any_mut`] to downcast to the concrete type.
-    pub fn with_element<R>(
-        &mut self,
-        index: usize,
-        f: impl FnOnce(&mut dyn Element) -> R,
-    ) -> Option<R> {
-        self.elements.get_mut(index).map(|e| f(e.as_mut()))
     }
 
     /// The compiled routes out of `(element, out_port)`, in `connect` order.
@@ -587,35 +535,14 @@ impl Engine {
     fn absorb(&mut self, idx: usize) {
         let base = self.port_base[idx];
         let nports = self.port_base[idx + 1] - base;
-        let mask_refreshes = self.scheduling && !self.refresh_masks.is_empty();
-        for (port, tuple, kind) in self.scratch_emissions.drain(..) {
+        for (port, tuple) in self.scratch_emissions.drain(..) {
             // Emissions on unconnected ports are silently dropped, like
             // Click's Discard element.
             if port >= nports {
                 continue;
             }
             let (start, end) = self.route_spans[base + port];
-            let routes = &self.routes[start as usize..end as usize];
-            if mask_refreshes && kind.is_refresh() {
-                // Static suppression: drop the refresh poke at masked
-                // destinations, keep routing it everywhere else.
-                let mut pending: Option<Route> = None;
-                for r in routes {
-                    if self.refresh_masks.get(r.element).copied().unwrap_or(false) {
-                        self.stats.suppressed_refresh_pokes += 1;
-                        if let Some(obs) = &mut self.obs {
-                            obs.record_suppressed(r.element);
-                        }
-                        continue;
-                    }
-                    if let Some(prev) = pending.replace(*r) {
-                        self.queue.push_back((prev, tuple.clone()));
-                    }
-                }
-                if let Some(r) = pending {
-                    self.queue.push_back((r, tuple));
-                }
-            } else if let Some((last, rest)) = routes.split_last() {
+            if let Some((last, rest)) = self.routes[start as usize..end as usize].split_last() {
                 for r in rest {
                     self.queue.push_back((*r, tuple.clone()));
                 }
@@ -692,7 +619,7 @@ impl Engine {
                     idx,
                     tuple,
                     emitted,
-                    self.scratch_emissions.iter().map(|(_, t, _)| t),
+                    self.scratch_emissions.iter().map(|(_, t)| t),
                 );
             }
             for o in &outgoing[sends_before..] {

@@ -22,25 +22,25 @@
 //!
 //! Stored tables publish their mutations as per-subscriber delta streams
 //! (`p2_table::Table::subscribe_deltas`: `Insert`, `Delete`, `Expire`,
-//! `Evict`, with replacement encoded as a Delete/Insert pair). Two
-//! elements consume them instead of rescanning their base tables:
-//! [`elements::TableAgg`] (materialized aggregates maintained per delta)
-//! and [`elements::MatView`] (provenance-counted join views with exact
-//! retractions). In-strand aggregation ([`elements::AggProbe`]) is not a
-//! delta consumer: its result depends on the event as much as on the
-//! table, so it reads the table per event through the join's access path
-//! (index-served key, one evaluation per distinct row projection) and
-//! keeps no state between events. Both consumers share
-//! the same fallback contract: a bounded per-subscriber delta log
+//! `Evict`, with replacement encoded as a Delete/Insert pair). One element
+//! consumes them instead of rescanning its base table:
+//! [`elements::TableAgg`] (materialized aggregates maintained per delta).
+//! In-strand aggregation ([`elements::AggProbe`]) is not a delta consumer:
+//! its result depends on the event as much as on the table, so it reads
+//! the table per event through the join's access path (index-served key,
+//! one evaluation per distinct row projection) and keeps no state between
+//! events. Rule strands likewise re-derive per trigger — derived soft state
+//! stays alive by being re-derived on refresh, as in the paper. The
+//! consumer's fallback contract: a bounded per-subscriber delta log
 //! (`p2_table::DELTA_LOG_CAP`) whose overflow — or any detected
 //! incoherence — triggers a rebuild from a counted scan that restores
 //! bit-for-bit the rescanning behaviour, observable via
-//! `p2_table::TableStats` (`overflows`, `rebuilds`, `full_scans`). Both
-//! also share the quiet fast path: a subscription's lock-free
-//! pending flag (`p2_table::DeltaSubscription::has_pending`) lets a sync
-//! poked on every event cost one atomic load — no table lock, no drain —
-//! when nothing changed, which under refresh-heavy workloads (pure
-//! refreshes log no delta) is the overwhelmingly common case.
+//! `p2_table::TableStats` (`overflows`, `rebuilds`, `full_scans`). Its
+//! quiet fast path: a subscription's lock-free pending flag
+//! (`p2_table::DeltaSubscription::has_pending`) lets a sync poked on every
+//! event cost one atomic load — no table lock, no drain — when nothing
+//! changed, which under refresh-heavy workloads (pure refreshes log no
+//! delta) is the overwhelmingly common case.
 //!
 //! Deviation from the 2005 C++ implementation: the original uses push *and*
 //! pull ports with continuation callbacks for flow control; here every edge

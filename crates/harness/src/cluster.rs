@@ -82,10 +82,7 @@ pub struct ChordClusterBuilder {
     n: usize,
     seed: u64,
     par_threads: Option<usize>,
-    join_seed: bool,
-    fuse_strands: bool,
-    materialize_views: bool,
-    delta_schedule: bool,
+    opts: chord::ChordOpts,
 }
 
 impl ChordClusterBuilder {
@@ -100,7 +97,7 @@ impl ChordClusterBuilder {
     /// request their successor's successor list the moment the join lookup
     /// answers, instead of waiting for the first stabilization period.
     pub fn join_seed(mut self, on: bool) -> ChordClusterBuilder {
-        self.join_seed = on;
+        self.opts.join_seed = on;
         self
     }
 
@@ -108,28 +105,16 @@ impl ChordClusterBuilder {
     /// is kept available for the strand-equivalence gates, which assert
     /// that both translations produce bit-identical event streams.
     pub fn fuse_strands(mut self, on: bool) -> ChordClusterBuilder {
-        self.fuse_strands = on;
+        self.opts.fuse_strands = on;
         self
     }
 
-    /// Selects incremental view materialization (default on): pure
-    /// table-join rules become [`p2_dataflow::elements::MatView`]
-    /// elements. The per-trigger strands they replace are kept available
-    /// for the view-equivalence gate, which asserts both produce
-    /// bit-identical event streams.
-    pub fn materialize_views(mut self, on: bool) -> ChordClusterBuilder {
-        self.materialize_views = on;
-        self
-    }
-
-    /// Selects delta-driven rule scheduling (default on): refresh-kind
-    /// pokes into masked strands are dropped at routing time and elements
-    /// veto provably no-op invocations via `would_wake`. The
-    /// poke-everything behaviour is kept available for the
-    /// scheduling-equivalence gate and reproduces the historical golden
-    /// pins bit-for-bit.
+    /// Selects delta-driven rule scheduling (default on): elements veto
+    /// provably no-op invocations via `would_wake`. The poke-everything
+    /// behaviour is kept available for the scheduling-equivalence gate and
+    /// reproduces the historical golden pins bit-for-bit.
     pub fn delta_schedule(mut self, on: bool) -> ChordClusterBuilder {
-        self.delta_schedule = on;
+        self.opts.delta_schedule = on;
         self
     }
 
@@ -158,10 +143,9 @@ pub struct ChordCluster {
     pub sim: AnySimulator<P2Host>,
     addrs: Vec<String>,
     seed: u64,
-    join_seed: bool,
-    fuse_strands: bool,
-    materialize_views: bool,
-    delta_schedule: bool,
+    /// The program variant every node of this cluster runs (also the cache
+    /// key under which [`chord::shared_plan_for`] holds the shared plan).
+    opts: chord::ChordOpts,
     next_event: i64,
     rng: SmallRng,
     brought_up_at: SimTime,
@@ -177,10 +161,7 @@ impl ChordCluster {
             n,
             seed,
             par_threads: None,
-            join_seed: false,
-            fuse_strands: true,
-            materialize_views: true,
-            delta_schedule: true,
+            opts: chord::ChordOpts::default(),
         }
     }
 
@@ -199,10 +180,7 @@ impl ChordCluster {
             n,
             seed,
             par_threads,
-            join_seed,
-            fuse_strands,
-            materialize_views,
-            delta_schedule,
+            opts,
         } = config;
         let mut sim = AnySimulator::build(NetworkConfig::emulab_default(seed), par_threads);
         let addrs: Vec<String> = (0..n).map(node_addr).collect();
@@ -212,29 +190,15 @@ impl ChordCluster {
             } else {
                 Some(addrs[0].as_str())
             };
-            let host = chord::build_node_for(
-                addr,
-                landmark,
-                seed.wrapping_add(i as u64),
-                chord::ChordOpts {
-                    jitter: true,
-                    join_seed,
-                    fuse_strands,
-                    materialize_views,
-                    delta_schedule,
-                },
-            )
-            .expect("chord node must plan");
+            let host = chord::build_node_for(addr, landmark, seed.wrapping_add(i as u64), opts)
+                .expect("chord node must plan");
             sim.add_node(addr.clone(), host);
         }
         ChordCluster {
             sim,
             addrs,
             seed,
-            join_seed,
-            fuse_strands,
-            materialize_views,
-            delta_schedule,
+            opts,
             next_event: 1_000_000,
             rng: SmallRng::seed_from_u64(seed ^ 0x5EED),
             brought_up_at: SimTime::ZERO,
@@ -273,7 +237,7 @@ impl ChordCluster {
         // the SB1 period) — the finer sampling is what converts seeding's
         // faster convergence into shorter settle rounds; the total settle
         // budget per wave (120 virtual s) is unchanged.
-        let (settle, slices) = if cluster.join_seed {
+        let (settle, slices) = if cluster.opts.join_seed {
             (SimTime::from_secs(2), 60)
         } else {
             (SimTime::from_secs(5), 24)
@@ -390,18 +354,6 @@ impl ChordCluster {
     fn fresh_event(&mut self) -> i64 {
         self.next_event += 1;
         self.next_event
-    }
-
-    /// The program variant every node of this cluster runs (also the cache
-    /// key under which [`chord::shared_plan_for`] holds the shared plan).
-    fn chord_opts(&self) -> chord::ChordOpts {
-        chord::ChordOpts {
-            jitter: true,
-            join_seed: self.join_seed,
-            fuse_strands: self.fuse_strands,
-            materialize_views: self.materialize_views,
-            delta_schedule: self.delta_schedule,
-        }
     }
 
     /// All node addresses.
@@ -614,14 +566,14 @@ impl ChordCluster {
         } else {
             Some(self.addrs[0].as_str())
         };
-        let host = chord::build_node_for(addr, landmark, self.seed, self.chord_opts())
-            .expect("chord node plans");
+        let host =
+            chord::build_node_for(addr, landmark, self.seed, self.opts).expect("chord node plans");
         self.sim.replace_node(addr, host);
         // A replacement node starts with a fresh engine: re-arm the cluster's
         // observability (and any active trace tag) so its counters and trace
         // ring keep participating in cluster-wide aggregation.
         if self.obs_enabled {
-            let meta = chord::shared_plan_for(self.chord_opts()).obs_meta();
+            let meta = chord::shared_plan_for(self.opts).obs_meta();
             let tag = self.trace_tag.clone();
             if let Some(host) = self.sim.node_mut(addr) {
                 host.node_mut().enable_obs(meta);
@@ -688,7 +640,7 @@ impl ChordCluster {
     /// steady state, not bring-up. Tracing stays off until
     /// [`ChordCluster::issue_traced_lookup`] arms a tag.
     pub fn enable_observability(&mut self) {
-        let meta = chord::shared_plan_for(self.chord_opts()).obs_meta();
+        let meta = chord::shared_plan_for(self.opts).obs_meta();
         let addrs = self.addrs.clone();
         for addr in &addrs {
             if let Some(host) = self.sim.node_mut(addr) {
@@ -762,7 +714,7 @@ impl ChordCluster {
     /// The cluster-wide rule-level profile: per-rule invocation and
     /// wasted-poke counters bucketed by the static `RuleClass` analysis.
     pub fn obs_report(&self) -> p2_obs::ProfileReport {
-        let meta = chord::shared_plan_for(self.chord_opts()).obs_meta();
+        let meta = chord::shared_plan_for(self.opts).obs_meta();
         p2_obs::build_report(&meta, &self.obs_counters())
     }
 }

@@ -69,8 +69,10 @@ pub struct EngineOps {
     pub timers_fired: u64,
     /// Tuples handed to the network.
     pub sent: u64,
-    /// Refresh pokes dropped by the planner's static suppression masks
-    /// (delta-driven scheduling; the strand never ran).
+    /// Always 0: the planner's static refresh_masks, which this counted,
+    /// were removed (empty for every shipped program, 0 in every recorded
+    /// run). The field stays only because `benchmark/` builds this struct
+    /// by literal; the next `benchmark` PR may drop it.
     pub suppressed_refresh_pokes: u64,
     /// Pending pokes dropped by the dynamic `would_wake` guard at drain
     /// time (the strand proved the invocation a no-op without running it).
@@ -85,7 +87,6 @@ impl EngineOps {
         self.dropped_no_entry += s.dropped_no_entry;
         self.timers_fired += s.timers_fired;
         self.sent += s.sent;
-        self.suppressed_refresh_pokes += s.suppressed_refresh_pokes;
         self.suppressed_guard_pokes += s.suppressed_guard_pokes;
     }
 }

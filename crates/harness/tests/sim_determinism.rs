@@ -128,7 +128,7 @@ fn golden_pin_holds_with_observability_enabled() {
     // Delta-driven scheduling is on by default, so the profiler must be
     // seeing the suppressed-poke stream, and the wasted rate over this
     // still-converging staggered window must sit well under the 32.8%
-    // poke-everything baseline (measured 13.6% here; the < 12% steady-state
+    // poke-everything baseline (measured 16.4% here; the < 15% steady-state
     // gate lives in `sim_bench --obs`, whose window starts after bring-up).
     assert!(
         report.total_suppressed_pokes > 0,
@@ -181,7 +181,7 @@ fn scheduled_pin_is_worker_invariant() {
                 s.bytes_sent,
                 cluster.sim.events_processed() - events_before,
             ),
-            engine.suppressed_refresh_pokes + engine.suppressed_guard_pokes,
+            engine.suppressed_guard_pokes,
         )
     };
     let (pin, suppressed) = run(None);
@@ -324,7 +324,7 @@ fn scheduler_on_and_off_agree_on_ring_state_and_lookups() {
     // something on the `on` ring.
     let engine = on.engine_stats();
     assert!(
-        engine.suppressed_refresh_pokes + engine.suppressed_guard_pokes > 0,
+        engine.suppressed_guard_pokes > 0,
         "scheduler-on ring suppressed no pokes"
     );
 }

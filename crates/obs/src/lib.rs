@@ -21,10 +21,10 @@
 //!   push when disabled). The drain loop taps each element invocation with
 //!   (emissions, sends, state-changed) deltas it already knows, and the
 //!   element API gains `ElementCtx::note_state_change()` so stateful
-//!   elements (table writers, materialized views, incremental aggregates)
+//!   elements (table writers, incremental aggregates)
 //!   can distinguish a real mutation from a soft-state refresh no-op.
 //!   A **wasted poke** is an invocation of a pokeable element (strand /
-//!   view / agg / rule-body operator) that produced zero emissions, zero
+//!   agg / rule-body operator) that produced zero emissions, zero
 //!   sends and zero state change — exactly the work a delta-driven rule
 //!   scheduler could suppress.
 //! - **Trace mode.** Provenance tracing is content-addressed: the trace tag
@@ -91,7 +91,6 @@ pub enum ElemKind {
     TableAgg,
     Strand,
     Pad,
-    MatView,
     Periodic,
     NetOut,
     Collector,
@@ -112,7 +111,6 @@ impl ElemKind {
             ElemKind::TableAgg => "table_agg",
             ElemKind::Strand => "strand",
             ElemKind::Pad => "pad",
-            ElemKind::MatView => "mat_view",
             ElemKind::Periodic => "periodic",
             ElemKind::NetOut => "netout",
             ElemKind::Collector => "collector",
@@ -129,7 +127,6 @@ impl ElemKind {
         matches!(
             self,
             ElemKind::Strand
-                | ElemKind::MatView
                 | ElemKind::AggProbe
                 | ElemKind::TableAgg
                 | ElemKind::Join
@@ -190,7 +187,7 @@ pub struct ElemCounters {
     /// sends and zero state change.
     pub wasted_pokes: u64,
     /// Pokes the delta-driven scheduler suppressed before the element ran
-    /// (static refresh mask or dynamic wake guard). Counted separately
+    /// (its `would_wake` guard proved a no-op). Counted separately
     /// from `wasted_pokes`, which only covers invocations that actually
     /// happened and wasted — with scheduling on the audit stays
     /// meaningful: would-have-wasted work shows up here instead.
@@ -426,8 +423,8 @@ impl NodeObs {
     }
 
     /// Records one poke of element `idx` suppressed by the delta-driven
-    /// scheduler (static refresh mask or dynamic wake guard) before the
-    /// element ran.
+    /// scheduler (the element's `would_wake` guard) before the element
+    /// ran.
     #[inline]
     pub fn record_suppressed(&mut self, idx: usize) {
         self.counters[idx].suppressed_pokes += 1;

@@ -37,9 +37,10 @@ pub fn program_with_join_seed() -> &'static Program {
 }
 
 /// Plan-variant selection for a Chord node: periodic jitter, the JS1
-/// join-seeding program extension, rule-strand fusion, and incremental view
-/// materialization (both on by default; the generic element graph is kept
-/// for the strand- and view-equivalence gates).
+/// join-seeding program extension, rule-strand fusion, and delta scheduling
+/// (the last two on by default; the generic element graph and the
+/// poke-everything engine are kept for the strand- and
+/// scheduling-equivalence gates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChordOpts {
     /// Whether periodic sources start at a random phase.
@@ -48,10 +49,8 @@ pub struct ChordOpts {
     pub join_seed: bool,
     /// Whether eligible rule strands are compiled into fused elements.
     pub fuse_strands: bool,
-    /// Whether pure table-join rules are lowered to materialized views.
-    pub materialize_views: bool,
-    /// Whether delta-driven rule scheduling suppresses provably no-op
-    /// pokes (refresh-masked strand entries plus `would_wake` guards).
+    /// Whether engines skip pokes an element's `would_wake` guard proves
+    /// to be no-ops.
     pub delta_schedule: bool,
 }
 
@@ -61,19 +60,25 @@ impl Default for ChordOpts {
             jitter: true,
             join_seed: false,
             fuse_strands: true,
-            materialize_views: true,
             delta_schedule: true,
         }
     }
 }
 
 impl ChordOpts {
+    /// Number of boolean flags; the plan cache has one cell per combination.
+    const FLAGS: usize = 4;
+
     fn cache_index(self) -> usize {
-        usize::from(self.jitter)
-            | (usize::from(self.join_seed) << 1)
-            | (usize::from(self.fuse_strands) << 2)
-            | (usize::from(self.materialize_views) << 3)
-            | (usize::from(self.delta_schedule) << 4)
+        let flags: [bool; Self::FLAGS] = [
+            self.jitter,
+            self.join_seed,
+            self.fuse_strands,
+            self.delta_schedule,
+        ];
+        flags
+            .iter()
+            .fold(0, |index, &flag| (index << 1) | usize::from(flag))
     }
 }
 
@@ -96,12 +101,12 @@ pub fn shared_plan_opts(jitter: bool, join_seed: bool) -> &'static PlannedProgra
 }
 
 /// The fully variant-selected shared plan: one cached compilation per
-/// (jitter, join_seed, fuse_strands, materialize_views, delta_schedule)
-/// combination.
+/// (jitter, join_seed, fuse_strands, delta_schedule) combination.
 pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
     #[allow(clippy::declare_interior_mutable_const)]
     const PLAN_CELL: OnceLock<PlannedProgram> = OnceLock::new();
-    static PLANS: [OnceLock<PlannedProgram>; 32] = [PLAN_CELL; 32];
+    static PLANS: [OnceLock<PlannedProgram>; 1 << ChordOpts::FLAGS] =
+        [PLAN_CELL; 1 << ChordOpts::FLAGS];
     let cell = &PLANS[opts.cache_index()];
     cell.get_or_init(|| {
         let mut config = PlanConfig::new().watch("lookupResults").watch("lookup");
@@ -110,9 +115,6 @@ pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
         }
         if !opts.fuse_strands {
             config = config.without_fusion();
-        }
-        if !opts.materialize_views {
-            config = config.without_views();
         }
         if !opts.delta_schedule {
             config = config.without_scheduling();
@@ -326,49 +328,72 @@ mod tests {
     }
 
     #[test]
-    fn view_materialization_covers_the_pure_join_rules() {
-        // The pure table-join rules (successor/finger bookkeeping and the
-        // connectivity-monitor pair) lower to materialized views; everything
-        // else keeps its strand or aggregate chain.
-        let viewed = shared_plan(false);
-        assert!(
-            viewed.mat_view_count() >= 6,
-            "only {} rules lowered to views",
-            viewed.mat_view_count()
-        );
-        let desc = viewed.instantiate("n1", 1).engine.describe();
-        for rule in ["SU0", "SU3", "S2", "F2", "CM2", "CM3"] {
-            assert!(desc.contains(&format!("{rule}:view")), "{rule} not a view");
+    fn all_table_rules_lower_to_one_strand_per_trigger() {
+        // The six rules whose bodies are stored tables only re-derive per
+        // trigger-table poke: one-table bodies with more than a bare head
+        // projection fuse, bare projections keep the generic element.
+        let plan = shared_plan(false);
+        let desc = plan.instantiate("n1", 1).engine.describe();
+        for rule in ["S2", "CM2", "CM3"] {
+            assert!(desc.contains(&format!("{rule}:strand")), "{rule}: {desc}");
         }
-        // The escape hatch keeps the rescanning translation available.
-        let plain = shared_plan_for(ChordOpts {
-            jitter: false,
-            materialize_views: false,
-            ..ChordOpts::default()
-        });
-        assert_eq!(plain.mat_view_count(), 0);
-        assert!(!std::ptr::eq(viewed, plain));
+        for rule in ["SU0", "SU3", "F2"] {
+            assert!(desc.contains(&format!("{rule}:head")), "{rule}: {desc}");
+            assert!(!desc.contains(&format!("{rule}:strand")), "{rule}: {desc}");
+        }
+        assert_eq!(plan.fused_strand_count(), 34);
+        // 193 rule and table elements plus the two harness watches.
+        assert_eq!(plan.element_count(), 195);
+        assert_eq!(shared_plan_opts(false, true).fused_strand_count(), 36);
     }
 
     #[test]
-    fn delta_scheduling_proves_chord_refresh_cascades_load_bearing() {
-        // The planner's transitive TTL-neutrality fixpoint masks *no*
-        // Chord strand entry: every refresh cascade in the program
-        // sustains soft state (succ refreshes keep bestSucc→finger[0]
-        // alive, succ/pred feed the 10-second pingNode table, …), so the
-        // static refresh masks stay empty and the scheduling win comes
-        // entirely from the dynamic `would_wake` guards. The scheduler-off
-        // escape hatch is a distinct cached plan.
-        let scheduled = shared_plan(false);
-        assert!(scheduled.delta_scheduled());
-        assert_eq!(scheduled.refresh_mask_count(), 0);
-        let unscheduled = shared_plan_for(ChordOpts {
+    fn delta_scheduling_is_an_engine_flag_over_one_plan() {
+        use p2_value::SimTime;
+
+        let opts = ChordOpts {
             jitter: false,
-            delta_schedule: false,
             ..ChordOpts::default()
-        });
-        assert!(!unscheduled.delta_scheduled());
-        assert!(!std::ptr::eq(scheduled, unscheduled));
+        };
+        let unscheduled = ChordOpts {
+            delta_schedule: false,
+            ..opts
+        };
+        // Same compiled graph; only the engines' guard flag differs.
+        let (on, off) = (shared_plan_for(opts), shared_plan_for(unscheduled));
+        assert!(on.delta_scheduled() && !off.delta_scheduled());
+        assert!(!std::ptr::eq(on, off));
+        assert_eq!(
+            on.instantiate("n1", 1).engine.describe(),
+            off.instantiate("n1", 1).engine.describe()
+        );
+
+        // A one-node ring stabilizing for a minute: the guards skip pokes,
+        // and skipping them changes nothing the node sends or stores.
+        let run = |opts: ChordOpts| {
+            let mut host = build_node_for("n0:10000", None, 1, opts).unwrap();
+            let node = host.node_mut();
+            let mut sent = node.start(SimTime::ZERO);
+            sent.extend(node.deliver(join_tuple("n0:10000", 1), SimTime::ZERO));
+            while let Some(at) = node.next_deadline() {
+                if at > SimTime::from_secs(60) {
+                    break;
+                }
+                sent.extend(node.advance_to(at));
+            }
+            let succ = node.table("succ").unwrap().lock().scan();
+            (sent, succ, node.stats())
+        };
+        let (sent_on, succ_on, stats_on) = run(opts);
+        let (sent_off, succ_off, stats_off) = run(unscheduled);
+        assert!(stats_on.suppressed_guard_pokes > 0);
+        assert_eq!(stats_off.suppressed_guard_pokes, 0);
+        assert_eq!(
+            stats_on.handoffs + stats_on.suppressed_guard_pokes,
+            stats_off.handoffs
+        );
+        assert_eq!(sent_on, sent_off);
+        assert_eq!(succ_on, succ_off);
     }
 
     #[test]

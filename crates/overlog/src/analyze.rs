@@ -42,8 +42,8 @@
 //!    * `deterministic` — no `f_rand`/`f_coinFlip`; same inputs, same
 //!      outputs. Gate for strand fusion, which reorders evaluation.
 //!    * `pure` — deterministic and no `f_now`; output depends only on the
-//!      joined tuples, so derivations may be replayed at delta time. Gate
-//!      for materialized views and incremental aggregate maintenance.
+//!      joined tuples, so derivations could be replayed at any time.
+//!      Prerequisite of `refresh_transparent`.
 //!    * `monotone` — no negation, no deletion, no aggregation; new inputs
 //!      can only add outputs, never retract them.
 //!    * `refresh_transparent` — pure, and every finite-lifetime
@@ -53,9 +53,10 @@
 //!      (same key, new TTL) can then never change the rule's output, so a
 //!      delta-driven scheduler may skip re-evaluation on refreshes.
 //!
-//! The planner consumes `RuleClass` for its fusion / view / incremental
-//! aggregate eligibility decisions; `olg_lint` surfaces the diagnostics
-//! with source spans in human-readable and JSON form.
+//! The planner consumes `RuleClass` for its fusion eligibility decision and
+//! stamps it on every element for the profiler's per-class buckets;
+//! `olg_lint` surfaces the diagnostics with source spans in human-readable
+//! and JSON form.
 //!
 //! The pass is **total**: it never fails, it only reports. Run
 //! [`validate`](crate::validate::validate) first for per-clause safety

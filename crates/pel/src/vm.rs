@@ -127,9 +127,8 @@ impl Program {
     }
 
     /// True if evaluating this program reads the clock (`f_now`). Such
-    /// programs are not pure functions of their input tuple, so incremental
-    /// consumers (delta-fed probes, materialized views) must not cache their
-    /// results across events.
+    /// programs are not pure functions of their input tuple, so their
+    /// results must not be cached across events.
     pub fn uses_time(&self) -> bool {
         self.ops
             .iter()

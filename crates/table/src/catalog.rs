@@ -10,9 +10,9 @@
 //! Every mutation that reaches a table through the catalog — dataflow
 //! inserts and deletes, and the periodic [`Catalog::expire_all`] sweep —
 //! feeds the table's [delta protocol](crate::table): a consumer that called
-//! [`Catalog::subscribe_deltas`] (or `Table::subscribe_deltas` on the
-//! shared handle) sees the exact `Insert`/`Delete`/`Expire`/`Evict` stream
-//! instead of re-probing table state. The incremental `TableAgg` element in
+//! [`Table::subscribe_deltas`] on the shared handle sees the exact
+//! `Insert`/`Delete`/`Expire`/`Evict` stream instead of re-probing table
+//! state. The incremental `TableAgg` element in
 //! `p2-dataflow` is the canonical consumer; expiry and eviction — which
 //! previously changed state without any dataflow-visible signal — are
 //! observable through the same stream.
@@ -105,18 +105,6 @@ impl Catalog {
             .sum()
     }
 
-    /// Subscribes to the delta stream of the named table, returning the
-    /// shared handle plus the subscription to drain through it. `None` if
-    /// the table is not declared.
-    pub fn subscribe_deltas(
-        &self,
-        name: &str,
-    ) -> Option<(TableRef, crate::table::DeltaSubscription)> {
-        let table = self.get(name)?;
-        let sub = table.lock().subscribe_deltas();
-        Some((table, sub))
-    }
-
     /// Per-table operation counters, sorted by table name (storage
     /// observability: un-indexed scans, expirations, evictions).
     pub fn table_stats(&self) -> Vec<(String, crate::table::TableStats)> {
@@ -180,9 +168,7 @@ mod tests {
                 .with_lifetime_secs(10)
                 .with_max_size(4),
         );
-        let (_, s1) = cat.subscribe_deltas("succ").unwrap();
-        let (_, s2) = cat.subscribe_deltas("succ").unwrap();
-        let (_, s3) = cat.subscribe_deltas("succ").unwrap();
+        let [s1, s2, s3] = [(); 3].map(|()| t.lock().subscribe_deltas());
         let succ = |s: i64, si: &str| {
             TupleBuilder::new("succ")
                 .push("n1")

@@ -40,6 +40,6 @@ pub use aggregate::{AggFunc, AggState};
 pub use catalog::{Catalog, TableRef};
 pub use spec::TableSpec;
 pub use table::{
-    DeltaKind, DeltaSubscription, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableDelta,
+    DeltaSubscription, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableDelta,
     TableDeltaKind, TableStats, DELTA_LOG_CAP,
 };

@@ -54,32 +54,6 @@
 //! * replaying a subscription's delta stream against an empty keyed map
 //!   reconstructs the live row set exactly (property-tested).
 //!
-//! ## DeltaKind: the poke-stream discriminant
-//!
-//! The delta log above carries only *real* state changes — pure refreshes
-//! never appear in it. But the dataflow layer also propagates mutations as
-//! *pokes* (element emissions routed through the engine), and there a
-//! keyed soft-state refresh **does** flow: the `Insert` element emits the
-//! refreshed tuple downstream so time-dependent rules still see it.
-//! [`DeltaKind`] is the three-way discriminant for that emission stream:
-//!
-//! * [`DeltaKind::Assert`] — a genuine new row (or the new half of a
-//!   replacement): `InsertOutcome::New` / `InsertOutcome::Replaced`, and
-//!   [`TableDeltaKind::Insert`];
-//! * [`DeltaKind::Retract`] — a row left the table: explicit delete,
-//!   expiry, or eviction ([`TableDeltaKind::Delete`] / `Expire` / `Evict`);
-//! * [`DeltaKind::Refresh`] — a keyed soft-state refresh
-//!   ([`InsertOutcome::Refreshed`]): the stored tuple is bit-identical,
-//!   only its staleness timestamp moved. Refreshes exist **only** on the
-//!   poke stream — they are never logged as [`TableDelta`]s.
-//!
-//! The planner compiles per-element *refresh suppression masks* from this
-//! discriminant: rules the whole-program analyzer proves refresh-transparent
-//! (`RuleClass::refresh_transparent`) need not be poked on `Refresh`-kind
-//! emissions at all, because their output provably cannot change. See the
-//! scheduling section of `p2-dataflow`'s crate docs for the engine half of
-//! the contract.
-//!
 //! A subscription queue that is never drained is bounded: past
 //! [`DELTA_LOG_CAP`] entries it is discarded and flagged, and the next
 //! [`Table::drain_deltas`] reports the overflow so the consumer can fall
@@ -91,9 +65,8 @@
 //!
 //! ## Multi-subscriber drain contract
 //!
-//! Any number of consumers may subscribe to one table (`TableAgg` and
-//! `MatView` routinely share the tables of one node). The contract each
-//! can rely on:
+//! Any number of consumers may subscribe to one table (several `TableAgg`s
+//! can watch the same one). The contract each can rely on:
 //!
 //! * every subscription owns a **private queue**: each mutation appends to
 //!   all of them, and draining one queue never consumes or reorders another
@@ -171,42 +144,6 @@ impl TableDeltaKind {
     /// True for the kinds that remove a row (everything but `Insert`).
     pub fn is_removal(self) -> bool {
         !matches!(self, TableDeltaKind::Insert)
-    }
-
-    /// The poke-stream discriminant for this logged delta. Logged deltas
-    /// are always real changes, so the answer is never
-    /// [`DeltaKind::Refresh`].
-    pub fn delta_kind(self) -> DeltaKind {
-        match self {
-            TableDeltaKind::Insert => DeltaKind::Assert,
-            TableDeltaKind::Delete | TableDeltaKind::Expire | TableDeltaKind::Evict => {
-                DeltaKind::Retract
-            }
-        }
-    }
-}
-
-/// Three-way discriminant carried by every dataflow emission, telling
-/// downstream consumers whether the tuple represents a real assertion, a
-/// real retraction, or a keyed soft-state refresh that changed nothing but
-/// a staleness timestamp (see the module-level *DeltaKind* section).
-///
-/// `Refresh` arises only from [`InsertOutcome::Refreshed`] on the poke
-/// stream; the logged [`TableDelta`] stream never contains it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeltaKind {
-    /// A genuine new derivation / inserted row.
-    Assert,
-    /// A row or derivation was withdrawn (delete, expiry, eviction).
-    Retract,
-    /// A keyed soft-state refresh: bit-identical tuple, timestamp only.
-    Refresh,
-}
-
-impl DeltaKind {
-    /// True for refreshes — the kind refresh-transparent rules may skip.
-    pub fn is_refresh(self) -> bool {
-        matches!(self, DeltaKind::Refresh)
     }
 }
 
