@@ -24,11 +24,19 @@
 //! maintenance. The only delta-stream consumer is [`TableAgg`], which
 //! subscribes to its table in [`PlannedProgram::instantiate`].
 //!
-//! An in-strand [`AggProbe`] keeps no state. Its filter's
-//! `event field == row column` equalities are split off into a probe key,
-//! so it reads the table through the same access path as a [`Join`]
-//! (primary index, declared secondary index, or counted scan); see the
-//! aggregation block of [`Builder::analyze_strand`].
+//! An in-strand [`AggProbe`] keeps no state, and its access path is chosen
+//! here, per occurrence, at compile time. Its filter's `event field == row
+//! column` equalities are split off into a probe key, so it reads the
+//! table through the same access path as a [`Join`] (primary index or
+//! declared secondary index). A probe left with no key — Chord's L2/L3
+//! over `finger`, SU1/S3 over `succ`, which share only the location with
+//! their table — would walk every row; instead the planner declares a
+//! *group index* on the table over the row columns the residual filter and
+//! the aggregate expression load, and the probe evaluates once per
+//! distinct projection. Only `min`/`max`/`count` probes that draw on no
+//! RNG qualify: `max<R>` with `R := f_rand()` must draw once per row, and
+//! `sum`/`avg` must add in scan order, so those keep the counted row scan.
+//! See the aggregation block of [`Builder::analyze_strand`].
 //!
 //! # Delta-driven scheduling
 //!
@@ -195,12 +203,15 @@ enum ElementSpec {
     },
     /// Per-event aggregation probe over a table: candidates are the rows
     /// equal to the event on the `(event field, table column)` pairs of
-    /// `key` (the whole table when empty), `filter` is the residue.
+    /// `key` (the whole table when empty), `filter` is the residue. A
+    /// keyless probe that may fold by group reads the table through the
+    /// group index over `group_cols`.
     AggProbe {
         table: usize,
         table_arity: usize,
         func: AggFunc,
         key: Vec<(usize, usize)>,
+        group_cols: Option<Vec<usize>>,
         filter: Option<PelProgram>,
         agg_expr: PelProgram,
         out_name: Arc<str>,
@@ -300,10 +311,12 @@ struct FactTemplate {
     fields: Vec<FactField>,
 }
 
-/// A table declaration plus the secondary indices the plan's probes need.
+/// A table declaration plus the secondary and group indices the plan's
+/// probes need.
 struct TablePlan {
     spec: TableSpec,
     extra_indexes: Vec<Vec<usize>>,
+    group_indexes: Vec<Vec<usize>>,
 }
 
 /// An immutable, node-independent compilation of an OverLog program: the
@@ -365,6 +378,21 @@ impl PlannedProgram {
         self.fused_strands
     }
 
+    /// The aggregation probes that read their table through a group index,
+    /// as `(element label, indexed table columns)` in rule order.
+    pub fn group_probes(&self) -> Vec<(&str, &[usize])> {
+        let labelled = self.names.iter().zip(&self.specs);
+        labelled
+            .filter_map(|(name, spec)| match spec {
+                ElementSpec::AggProbe {
+                    group_cols: Some(cols),
+                    ..
+                } => Some((&**name, cols.as_slice())),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Whether engines instantiated from this plan run with delta-driven
     /// scheduling enabled.
     pub fn delta_scheduled(&self) -> bool {
@@ -410,8 +438,14 @@ impl PlannedProgram {
         let mut refs = Vec::with_capacity(self.tables.len());
         for tp in &self.tables {
             let table = catalog.declare(tp.spec.clone());
-            for idx in &tp.extra_indexes {
-                table.lock().add_index(idx.clone());
+            {
+                let mut table = table.lock();
+                for idx in &tp.extra_indexes {
+                    table.add_index(idx.clone());
+                }
+                for idx in &tp.group_indexes {
+                    table.add_group_index(idx.clone());
+                }
             }
             refs.push(table);
         }
@@ -458,11 +492,12 @@ impl PlannedProgram {
                     table_arity,
                     func,
                     key,
+                    group_cols,
                     filter,
                     agg_expr,
                     out_name,
-                } => Box::new(
-                    AggProbe::new(
+                } => {
+                    let probe = AggProbe::new(
                         refs[*table].clone(),
                         *table_arity,
                         *func,
@@ -470,8 +505,12 @@ impl PlannedProgram {
                         agg_expr.clone(),
                         out_name.to_string(),
                     )
-                    .with_key(key.clone()),
-                ),
+                    .with_key(key.clone());
+                    Box::new(match group_cols {
+                        Some(cols) => probe.with_group_index(cols.clone()),
+                        None => probe,
+                    })
+                }
                 ElementSpec::TableAgg {
                     table,
                     func,
@@ -639,6 +678,7 @@ impl<'a> Builder<'a> {
             tables.push(TablePlan {
                 spec: m.to_spec(),
                 extra_indexes: Vec::new(),
+                group_indexes: Vec::new(),
             });
         }
 
@@ -796,6 +836,28 @@ impl<'a> Builder<'a> {
         }
         self.declare_probe_index(table, equalities);
         equalities.to_vec()
+    }
+
+    /// Chooses how a keyless aggregation probe reads its table: through a
+    /// group index over the row columns its programs load — declared here,
+    /// once per distinct column list — when its fold is the same group by
+    /// group as row by row ([`AggProbe::group_columns`]), else `None` for
+    /// the counted row scan. `event_arity` is the width of the tuple the
+    /// probe receives.
+    fn agg_probe_group_index(
+        &mut self,
+        table: usize,
+        func: AggFunc,
+        filter: Option<&PelProgram>,
+        agg_expr: &PelProgram,
+        event_arity: usize,
+    ) -> Option<Vec<usize>> {
+        let cols = AggProbe::group_columns(func, filter, agg_expr, event_arity)?;
+        let declared = &mut self.tables[table].group_indexes;
+        if !declared.contains(&cols) {
+            declared.push(cols.clone());
+        }
+        Some(cols)
     }
 
     fn build(mut self) -> Result<PlannedProgram, PlanError> {
@@ -1445,15 +1507,23 @@ impl<'a> Builder<'a> {
             } else {
                 Some(PelProgram::compile(&and_all(filter)))
             };
+            let agg_expr = PelProgram::compile(&agg_expr);
+            let func = aggp.spec.func;
+            let group_cols = if key.is_empty() {
+                self.agg_probe_group_index(table, func, filter.as_ref(), &agg_expr, base)
+            } else {
+                None
+            };
             stages.push(Stage::Other {
                 label: format!("{}:agg:{}", rule.id, pred.name),
                 spec: ElementSpec::AggProbe {
                     table,
                     table_arity: pred.args.len(),
-                    func: aggp.spec.func,
+                    func,
                     key,
+                    group_cols,
                     filter,
-                    agg_expr: PelProgram::compile(&agg_expr),
+                    agg_expr,
                     out_name: format!("{}#agg", rule.id).into(),
                 },
             });
@@ -2022,7 +2092,8 @@ mod tests {
     /// Narada's R5 keys its `count<*>` probe on `member`'s primary key
     /// (the explicit `B == A`; the shared location `X` stays a residual
     /// check) while Chord's L2/L3, which share only the location with
-    /// `finger`, carry no key and add no index.
+    /// `finger`, carry no key and no secondary index: each reads `finger`
+    /// through a group index over the row columns it loads.
     #[test]
     fn aggregate_probes_take_the_join_access_path() {
         let src = r#"
@@ -2051,17 +2122,23 @@ mod tests {
         assert_eq!(key_of("R5:agg:member"), vec![(3, 1)]);
         assert_eq!(key_of("L2:agg:finger"), vec![]);
         assert_eq!(key_of("L3:agg:finger"), vec![]);
+        // finger(NI, I, B, BI): L2 loads NI (the location check) and B, L3
+        // also the aggregated BI.
+        assert_eq!(
+            shared.group_probes(),
+            [
+                ("L2:agg:finger", &[0, 2][..]),
+                ("L3:agg:finger", &[0, 2, 3][..])
+            ]
+        );
 
         let mut node = shared.instantiate("n1", 7);
-        assert!(node
-            .catalog
-            .get("finger")
-            .unwrap()
-            .lock()
-            .indexes()
-            .is_empty());
+        let finger = node.catalog.get("finger").unwrap();
+        assert!(finger.lock().indexes().is_empty());
+        assert_eq!(finger.lock().group_indexes(), [vec![0, 2], vec![0, 2, 3]]);
         let member = node.catalog.get("member").unwrap();
         assert!(member.lock().indexes().is_empty());
+        assert!(member.lock().group_indexes().is_empty());
         node.engine.set_entry(Route {
             element: 0,
             port: 0,

@@ -23,6 +23,7 @@
 //! retractions can drift in the last ulp relative to a from-scratch fold
 //! (integer contributions — every shipped aggregate — are exact).
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use p2_pel::{EvalContext, Program};
@@ -170,36 +171,45 @@ impl Element for Delete {
 /// filter form a key ([`AggProbe::with_key`]) served by
 /// [`p2_table::Table::lookup_iter`] — the primary index when the key
 /// columns are the table's primary key, a declared secondary index
-/// otherwise; with no key the probe pays a counted full scan. Key
-/// equality is *index* equality, exactly as for join keys (see
-/// [`super::relational::ProbeKey`]). Either way candidates arrive in
-/// ascending `RowId` order and are folded one by one, so the witness
-/// choice, the accumulation order and the emitted tuple are those of a
-/// plain scan over the matching rows.
+/// otherwise. Key equality is *index* equality, exactly as for join keys
+/// (see [`super::relational::ProbeKey`]). Keyed candidates arrive in
+/// ascending `RowId` order and are evaluated and folded one by one.
 ///
-/// Within one event the two programs are functions of the row's
-/// projection onto the columns they load, so each *distinct projection*
-/// is evaluated once and the result reused for every other candidate that
-/// agrees on those columns (Chord's 160 `finger` rows hold ~8 distinct
-/// `B`). Only evaluation is shared — every candidate still passes through
-/// the fold. Programs drawing on the RNG (`max<R>` with `R := f_rand()`)
-/// are not functions of the row and are evaluated per candidate.
+/// With no key every row is a candidate, but within one event the two
+/// programs are functions of the row's projection onto the columns they
+/// load, and a soft-state table repeats itself (Chord's 160 `finger` rows
+/// hold ~8 distinct `B`). An unkeyed `min`/`max`/`count` probe therefore
+/// reads the table through a *group index* over exactly those columns
+/// ([`AggProbe::group_columns`], [`AggProbe::with_group_index`],
+/// [`p2_table::Table::groups`]): one evaluation per group, a uniform
+/// group contributing its value once per row it holds, a non-uniform one
+/// (hash collision, `Int(1)` beside `Double(1.0)`) read row by row. The
+/// witness is the row with the best value and, among equal values, the
+/// lowest `RowId` — what a scan in `RowId` order picks by keeping the
+/// first extremum — so the emitted tuple is that of the plain scan as long
+/// as the contributed values are totally ordered (they always are within
+/// one variant and across the numeric ones), and in every case a function
+/// of the table alone: the table yields groups in a process-independent
+/// order.
+///
+/// Three kinds of unkeyed probe keep the row-by-row counted scan: programs
+/// drawing on the RNG (`max<R>` with `R := f_rand()`) are not functions of
+/// the row and must draw once per row in scan order; `sum`/`avg`
+/// accumulate floating point, whose result depends on the order of
+/// addition; and a probe given no group index.
 pub struct AggProbe {
     table: TableRef,
     table_arity: usize,
     key: ProbeKey,
+    /// Columns of the group index an unkeyed probe reads the table through.
+    group_cols: Option<Vec<usize>>,
     out_name: String,
     fold: RowFold,
     /// Evaluations of the filter or aggregate expression that raised an
-    /// error (the row — and every row sharing its projection — is skipped).
+    /// error (the candidate — a row, or a uniform group of rows — is
+    /// skipped).
     pub eval_errors: u64,
 }
-
-/// Bound on the distinct projections remembered per event. A table that
-/// shows more is not low-cardinality, and searching the memo per row would
-/// cost more than it saves: from then on a row is compared with the
-/// previous row only (one slot is recycled) and otherwise evaluated.
-const MEMO_CAP: usize = 16;
 
 /// The evaluate-and-fold half of an [`AggProbe`], separate from the table
 /// handle and key so a fold can run while the table is locked and probed.
@@ -207,28 +217,30 @@ struct RowFold {
     func: AggFunc,
     filter: Option<Program>,
     agg_expr: Program,
-    /// Sorted, deduplicated `event ++ row` field indices the two programs
-    /// load.
-    loads: Vec<usize>,
-    /// Whether evaluation results may be shared between rows (false for
-    /// programs that draw on the RNG).
-    dedup: bool,
-    /// Per-event evaluation memo: one representative row per distinct
-    /// projection with its contribution (`None`: filtered out or failed).
-    /// Emptied at the end of every fold (only the capacity is kept); at
-    /// most [`MEMO_CAP`] entries.
-    memo: Vec<(Tuple, Option<Value>)>,
 }
 
-/// True if `a` and `b` are the same value of the same variant (`==` alone
-/// equates `Int(1)` with `Double(1.0)`, which an expression can tell
-/// apart), or are both out of range.
-fn same_field(a: Option<&Value>, b: Option<&Value>) -> bool {
-    match (a, b) {
-        (Some(x), Some(y)) => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
-        (None, None) => true,
-        _ => false,
-    }
+/// Whether a probe's result is the same read group by group as row by row
+/// (see [`AggProbe`]'s *Access path*).
+fn folds_by_group<'p>(func: AggFunc, mut programs: impl Iterator<Item = &'p Program>) -> bool {
+    matches!(func, AggFunc::Min | AggFunc::Max | AggFunc::Count)
+        && !programs.any(Program::uses_random)
+}
+
+/// One event's fold in progress: candidates go in through
+/// [`Folding::step`], `(aggregate, witness)` comes out of
+/// [`Folding::finish`].
+struct Folding<'a> {
+    fold: &'a RowFold,
+    event: &'a Tuple,
+    ev: &'a mut EvalContext,
+    errors: &'a mut u64,
+    /// `count`/`sum`/`avg` accumulator.
+    state: AggState,
+    /// `min`/`max`: the best value so far, the scan position of the row
+    /// that contributed it, and that row.
+    best: Option<(Value, usize, Tuple)>,
+    /// The accumulator rejected a value (non-numeric `sum`/`avg`).
+    failed: bool,
 }
 
 impl RowFold {
@@ -258,86 +270,74 @@ impl RowFold {
             .ok()
     }
 
-    /// Folds `rows` (ascending `RowId` order) into `(aggregate, witness)`;
-    /// `None` when nothing is to be emitted. Contributions stream straight
-    /// into the shared accumulator, and only the winning witness row is
-    /// cloned. A value the accumulator rejects (non-numeric sum/avg)
-    /// aborts the whole probe without emitting, exactly like
-    /// `AggFunc::apply` erroring over the collected contributions would.
-    fn run<'t>(
-        &mut self,
-        event: &Tuple,
-        rows: impl Iterator<Item = &'t Tuple>,
-        ev: &mut EvalContext,
-        errors: &mut u64,
-    ) -> Option<(Value, Option<Tuple>)> {
-        // Loads below the event's arity read the event, which is the same
-        // for every row; the rest are the row columns a result depends on.
-        let split = event.arity();
-        let row_loads = &self.loads[self.loads.partition_point(|&i| i < split)..];
-        let mut state = AggState::new(self.func);
-        let mut witness: Option<(Value, Tuple)> = None;
-        // Memo slot of the previous row: runs of equal projections (a
-        // finger table's repeated `B`) hit it without searching.
-        let mut at = 0;
-        for row in rows {
-            let same = |(rep, _): &(Tuple, Option<Value>)| {
-                row_loads
-                    .iter()
-                    .all(|&i| same_field(rep.values().get(i - split), row.values().get(i - split)))
-            };
-            let full = self.memo.len() == MEMO_CAP;
-            let found = if !self.dedup {
-                None
-            } else if self.memo.get(at).is_some_and(same) {
-                Some(at)
-            } else if full {
-                None
-            } else {
-                self.memo.iter().position(same)
-            };
-            at = match found {
-                Some(slot) => slot,
-                None => {
-                    let entry = (row.clone(), self.contribution(event, row, ev, errors));
-                    if full {
-                        self.memo[at] = entry;
-                        at
-                    } else {
-                        self.memo.push(entry);
-                        self.memo.len() - 1
-                    }
-                }
-            };
-            let Some(v) = &self.memo[at].1 else {
-                continue;
-            };
-            let better = match (&witness, self.func) {
-                (None, _) => true,
-                (Some((best, _)), AggFunc::Min) => v < best,
-                (Some((best, _)), AggFunc::Max) => v > best,
-                _ => false,
-            };
-            if better {
-                witness = Some((v.clone(), row.clone()));
-            }
-            if state.accumulate(v).is_err() {
-                self.memo.clear();
-                return None;
-            }
+    fn start<'a>(
+        &'a self,
+        event: &'a Tuple,
+        ev: &'a mut EvalContext,
+        errors: &'a mut u64,
+    ) -> Folding<'a> {
+        Folding {
+            fold: self,
+            event,
+            ev,
+            errors,
+            state: AggState::new(self.func),
+            best: None,
+            failed: false,
         }
-        self.memo.clear();
-        // min/max/avg over an empty contribution set finish to `None` and
-        // produce no tuple at all; count/sum legitimately produce 0.
-        let aggregate = state.finish()?;
-        Some((aggregate, witness.map(|(_, row)| row)))
+    }
+}
+
+impl Folding<'_> {
+    /// Folds in `times` rows that all evaluate like `row`, the first of
+    /// them at scan position `at` (its `RowId`, or any index ascending in
+    /// `RowId`). Candidates may arrive in any order: among equal extrema
+    /// the lowest position wins, as it would in a scan.
+    fn step(&mut self, at: usize, row: &Tuple, times: usize) {
+        let Some(v) = self
+            .fold
+            .contribution(self.event, row, self.ev, self.errors)
+        else {
+            return;
+        };
+        let wanted = match self.fold.func {
+            AggFunc::Min => Ordering::Less,
+            AggFunc::Max => Ordering::Greater,
+            _ => {
+                self.failed |= self.state.accumulate_n(&v, times).is_err();
+                return;
+            }
+        };
+        let better = self.best.as_ref().is_none_or(|(best, best_at, _)| {
+            let ord = v.cmp(best);
+            ord == wanted || (ord == Ordering::Equal && at < *best_at)
+        });
+        if better {
+            self.best = Some((v, at, row.clone()));
+        }
+    }
+
+    /// `(aggregate, witness)`, or `None` when nothing is to be emitted:
+    /// `min`/`max`/`avg` over no contribution produce no tuple at all
+    /// (`count`/`sum` legitimately produce 0), and a value the accumulator
+    /// rejected aborts the whole probe, exactly like `AggFunc::apply`
+    /// erroring over the collected contributions would.
+    fn finish(self) -> Option<(Value, Option<Tuple>)> {
+        if self.failed {
+            return None;
+        }
+        match self.fold.func {
+            AggFunc::Min | AggFunc::Max => self.best.map(|(v, _, row)| (v, Some(row))),
+            _ => self.state.finish().map(|v| (v, None)),
+        }
     }
 }
 
 impl AggProbe {
     /// Creates an aggregation probe over a table whose rows have
-    /// `table_arity` fields. Without a key ([`AggProbe::with_key`]) every
-    /// event pays a counted full scan.
+    /// `table_arity` fields. Without a key ([`AggProbe::with_key`]) or a
+    /// group index ([`AggProbe::with_group_index`]) every event pays a
+    /// counted full scan.
     pub fn new(
         table: TableRef,
         table_arity: usize,
@@ -346,23 +346,16 @@ impl AggProbe {
         agg_expr: Program,
         out_name: impl Into<String>,
     ) -> AggProbe {
-        let programs = || filter.iter().chain(std::iter::once(&agg_expr));
-        let mut loads: Vec<usize> = programs().flat_map(Program::loads).collect();
-        loads.sort_unstable();
-        loads.dedup();
-        let dedup = !programs().any(Program::uses_random);
         AggProbe {
             table,
             table_arity,
             key: ProbeKey::default(),
+            group_cols: None,
             out_name: out_name.into(),
             fold: RowFold {
                 func,
                 filter,
                 agg_expr,
-                loads,
-                dedup,
-                memo: Vec::new(),
             },
             eval_errors: 0,
         }
@@ -373,6 +366,50 @@ impl AggProbe {
     /// equalities: the planner removes them from the filter.
     pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggProbe {
         self.key = ProbeKey::new(key);
+        self
+    }
+
+    /// The table columns (sorted) a group index must cover for an unkeyed
+    /// probe with these programs over events of `event_arity` fields to
+    /// evaluate once per group — every row column the programs load — or
+    /// `None` if such a probe must read row by row (`sum`/`avg`, RNG
+    /// draws).
+    pub fn group_columns(
+        func: AggFunc,
+        filter: Option<&Program>,
+        agg_expr: &Program,
+        event_arity: usize,
+    ) -> Option<Vec<usize>> {
+        let programs = || filter.into_iter().chain([agg_expr]);
+        if !folds_by_group(func, programs()) {
+            return None;
+        }
+        let mut cols: Vec<usize> = programs()
+            .flat_map(Program::loads)
+            .filter_map(|field| field.checked_sub(event_arity))
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        Some(cols)
+    }
+
+    /// Lets the probe, while it has no key, read the table through its
+    /// group index over `cols`, which must be what
+    /// [`AggProbe::group_columns`] returns for this probe and be declared
+    /// on the table ([`p2_table::Table::add_group_index`]; without it the
+    /// probe falls back to the counted scan).
+    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggProbe {
+        let RowFold {
+            func,
+            filter,
+            agg_expr,
+        } = &self.fold;
+        assert!(
+            folds_by_group(*func, filter.iter().chain([agg_expr])),
+            "{func:?} probe of `{}` cannot fold by group",
+            self.out_name
+        );
+        self.group_cols = Some(cols);
         self
     }
 }
@@ -387,32 +424,48 @@ impl Element for AggProbe {
             table,
             table_arity,
             key,
+            group_cols,
             out_name,
             fold,
             eval_errors,
         } = self;
         let guard = table.lock();
-        let keyed = if key.is_empty() {
-            Some(fold.run(tuple, guard.scan_iter_counted(), ctx.eval(), eval_errors))
-        } else if key.stream_checks_hold(tuple) == Some(true) {
-            key.with_probe(tuple, |probe| {
-                let rows = guard.lookup_iter(&key.table_cols, probe);
-                fold.run(tuple, rows, ctx.eval(), eval_errors)
-            })
+        let mut folding = fold.start(tuple, ctx.eval(), eval_errors);
+        if !key.is_empty() {
+            // Conflicting key constraints, or an event too short to probe:
+            // no row matches (`count`/`sum` still report their zero).
+            if key.stream_checks_hold(tuple) == Some(true) {
+                key.with_probe(tuple, |probe| {
+                    let rows = guard.lookup_iter(&key.table_cols, probe);
+                    for (at, row) in rows.enumerate() {
+                        folding.step(at, row, 1);
+                    }
+                });
+            }
+        } else if let Some(groups) = group_cols.as_deref().and_then(|cols| guard.groups(cols)) {
+            for group in groups {
+                if group.is_uniform() {
+                    let (id, row) = group.first();
+                    folding.step(id.index(), row, group.size());
+                } else {
+                    for (id, row) in group.rows() {
+                        folding.step(id.index(), row, 1);
+                    }
+                }
+            }
         } else {
-            None
-        };
-        // Conflicting key constraints, or an event too short to probe:
-        // no row matches (`count`/`sum` still report their zero).
-        let folded =
-            keyed.unwrap_or_else(|| fold.run(tuple, std::iter::empty(), ctx.eval(), eval_errors));
+            for (at, row) in guard.scan_iter_counted().enumerate() {
+                folding.step(at, row, 1);
+            }
+        }
+        let folded = folding.finish();
         drop(guard);
         let Some((aggregate, witness)) = folded else {
             return;
         };
-        let mut extra: Vec<Value> = match (fold.func, witness) {
-            (AggFunc::Min | AggFunc::Max, Some(row)) => row.values().to_vec(),
-            _ => vec![Value::Null; *table_arity],
+        let mut extra: Vec<Value> = match witness {
+            Some(row) => row.values().to_vec(),
+            None => vec![Value::Null; *table_arity],
         };
         extra.push(aggregate);
         ctx.emit(0, tuple.extended(extra).renamed(out_name));
@@ -1104,20 +1157,9 @@ mod tests {
         assert_eq!(out[0].field(5), &Value::Int(0));
     }
 
-    #[test]
-    fn agg_probe_counts_one_eval_error_per_distinct_projection() {
-        // sum<10 / S>: S = 0 fails; the three S = 0 rows share one
-        // projection and one evaluation, S = 5 contributes twice.
-        let rows = vec![
-            member("a", 0),
-            member("b", 5),
-            member("c", 0),
-            member("d", 5),
-            member("e", 0),
-        ];
-        let t = table(TableSpec::new("member", vec![1]), rows);
-        let agg = Program::compile(&Expr::bin(BinOp::Div, Expr::int(10), Expr::Field(3)));
-        let mut probe = AggProbe::new(t, 3, AggFunc::Sum, None, agg, "out");
+    /// Pushes one event through `probe` outside an engine; returns the
+    /// emitted tuples.
+    fn push_one(probe: &mut AggProbe, event: &Tuple) -> Vec<Tuple> {
         let mut eval = EvalContext::new("n1", 1);
         let (mut out, mut sends, mut timers) = (Vec::new(), Vec::new(), Vec::new());
         let mut ctx = ElementCtx::new(
@@ -1128,11 +1170,82 @@ mod tests {
             &mut sends,
             &mut timers,
         );
+        probe.push(0, event, &mut ctx);
+        out.into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn agg_probe_counts_one_eval_error_per_distinct_projection() {
+        // count over 10 / S: S = 0 fails. Through the group index the three
+        // S = 0 rows are one group, one evaluation and one error; the row
+        // path evaluates, and fails, three times. Same tuple either way.
+        let rows = vec![
+            member("a", 0),
+            member("b", 5),
+            member("c", 0),
+            member("d", 5),
+            member("e", 0),
+        ];
+        let t = table(TableSpec::new("member", vec![1]), rows);
+        let agg = || Program::compile(&Expr::bin(BinOp::Div, Expr::int(10), Expr::Field(3)));
         let event = TupleBuilder::new("ev").push("n1").build();
-        probe.push(0, &event, &mut ctx);
-        assert_eq!(probe.eval_errors, 1);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.field(4), &Value::Int(4));
+        let cols = AggProbe::group_columns(AggFunc::Count, None, &agg(), 1).unwrap();
+        assert_eq!(cols, [2]);
+        t.lock().add_group_index(cols.clone());
+
+        let mut grouped =
+            AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out").with_group_index(cols);
+        let out = push_one(&mut grouped, &event);
+        assert_eq!(grouped.eval_errors, 1);
+        assert_eq!(out[0].field(4), &Value::Int(2));
+        assert_eq!(t.lock().stats().full_scans, 0);
+
+        let mut by_row = AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out");
+        assert_eq!(push_one(&mut by_row, &event), out);
+        assert_eq!(by_row.eval_errors, 3);
+        assert_eq!(t.lock().stats().full_scans, 1);
+    }
+
+    #[test]
+    fn agg_probe_group_witness_is_the_lowest_row_id_among_ties() {
+        // min<S % 10> over member(X, A, S): rows b and d tie at the minimum
+        // in *different* groups; whichever group the table yields first,
+        // the witness is the lower RowId, as in a scan.
+        let rows = vec![
+            member("a", 15),
+            member("b", 21),
+            member("c", 15),
+            member("d", 11),
+        ];
+        let agg = || Program::compile(&Expr::bin(BinOp::Mod, Expr::Field(3), Expr::int(10)));
+        let event = TupleBuilder::new("ev").push("n1").build();
+        for (func, winner, value) in [(AggFunc::Min, "b", 1), (AggFunc::Max, "a", 5)] {
+            let t = table(TableSpec::new("member", vec![1]), rows.clone());
+            t.lock().add_group_index(vec![2]);
+            let mut probe = AggProbe::new(t, 3, func, None, agg(), "out").with_group_index(vec![2]);
+            let out = push_one(&mut probe, &event);
+            assert_eq!(out[0].field(2), &Value::str(winner));
+            assert_eq!(out[0].field(4), &Value::Int(value));
+        }
+    }
+
+    #[test]
+    fn agg_probe_group_columns_names_the_row_loads_of_eligible_probes() {
+        // Event of 2 fields: loads 0-1 read the event, 3 and 5 row columns
+        // 1 and 3.
+        let filter = Program::compile(&Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(5)));
+        let agg = Program::compile(&Expr::bin(BinOp::Sub, Expr::Field(3), Expr::Field(1)));
+        let cols = |func| AggProbe::group_columns(func, Some(&filter), &agg, 2);
+        assert_eq!(cols(AggFunc::Min), Some(vec![1, 3]));
+        assert_eq!(cols(AggFunc::Count), Some(vec![1, 3]));
+        assert_eq!(cols(AggFunc::Sum), None);
+        assert_eq!(cols(AggFunc::Avg), None);
+        let rand = Program::compile(&Expr::Call(p2_pel::Builtin::Rand, vec![]));
+        assert_eq!(AggProbe::group_columns(AggFunc::Max, None, &rand, 2), None);
+        // `count<*>` with nothing to evaluate: one group of all rows.
+        let one = Program::compile(&Expr::int(1));
+        let all = AggProbe::group_columns(AggFunc::Count, None, &one, 2);
+        assert_eq!(all, Some(vec![]));
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //! [`elements::TableAgg`] (materialized aggregates maintained per delta).
 //! In-strand aggregation ([`elements::AggProbe`]) is not a delta consumer:
 //! its result depends on the event as much as on the table, so it reads
-//! the table per event through the join's access path (index-served key,
-//! one evaluation per distinct row projection) and keeps no state between
-//! events. Rule strands likewise re-derive per trigger — derived soft state
+//! the table per event — through the join's access path when it has a
+//! key, else through a group index on the table (one evaluation per
+//! distinct row projection) — and keeps no state between events. Rule
+//! strands likewise re-derive per trigger — derived soft state
 //! stays alive by being re-derived on refresh, as in the paper. The
 //! consumer's fallback contract: a bounded per-subscriber delta log
 //! (`p2_table::DELTA_LOG_CAP`) whose overflow — or any detected

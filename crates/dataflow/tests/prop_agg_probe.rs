@@ -1,12 +1,15 @@
-//! Property test pinning `AggProbe` — keyed candidates, one evaluation
-//! per distinct row projection — to a naive reference fold that walks
-//! every live row in scan order and evaluates the full filter and the
-//! aggregate expression on each (no key, no dedup). Both see the same
-//! arbitrary interleaving of inserts, deletes, expirations, evictions and
-//! probe events over a table with many duplicate projections, for every
-//! aggregate function, with and without a pushed-down key, under a filter
-//! that fails on some rows; emitted tuples (witness row included) must
-//! agree exactly.
+//! Property test pinning `AggProbe` — keyed candidates, and one
+//! evaluation per group of a group index for unkeyed `min`/`max`/`count` —
+//! to a naive reference fold that walks every live row in scan order and
+//! evaluates the full filter and the aggregate expression on each (no key,
+//! no grouping). Both see the same arbitrary interleaving of inserts,
+//! replaces, deletes, expirations, evictions and probe events over a table
+//! with many duplicate projections, for every aggregate function, with and
+//! without a pushed-down key, under a filter that fails on some rows;
+//! emitted tuples (witness row included) must agree exactly. Column `B`
+//! mixes `Int(n)` with `Double(n as f64)` — equal, hashed alike, yet
+//! dividing differently — so non-uniform buckets are common and a probe
+//! that trusted the hash would be caught.
 
 use p2_dataflow::elements::{AggProbe, Collector, CollectorHandle, Delete, Demux, Insert};
 use p2_dataflow::{Engine, Graph, Route};
@@ -18,11 +21,13 @@ use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Action {
-    /// Insert `row(id, g, b, v)` (same `id` replaces; over-capacity evicts).
+    /// Insert `row(id, g, b, v)` (same `id` replaces; over-capacity
+    /// evicts), with `b` stored as a `Double` if `b_double`.
     Insert {
         id: i64,
         g: i64,
         b: i64,
+        b_double: bool,
         v: i64,
         at_secs: u64,
     },
@@ -37,19 +42,24 @@ enum Action {
 fn arb_action() -> impl Strategy<Value = Action> {
     // The vendored proptest has no weighted arms; duplication stands in
     // for weights (inserts and probes dominate). 40 row ids draw `(g, b,
-    // v)` from 3 x 4 x 3 values, so projections repeat heavily, yet a
-    // full table can still hold more distinct ones than the probe's memo.
+    // v)` from 3 x (4 x 2 variants) x 3 values, so projections repeat
+    // heavily and most `(g, b, v)` buckets hold both variants of `b`.
     let insert = || {
         // (The vendored proptest implements tuples up to arity four.)
-        (0i64..40, (0i64..3, 0i64..4, 0i64..3), 0u64..150).prop_map(|(id, (g, b, v), at_secs)| {
-            Action::Insert {
+        (
+            0i64..40,
+            (0i64..3, 0i64..4, 0i64..3),
+            any::<bool>(),
+            0u64..150,
+        )
+            .prop_map(|(id, (g, b, v), b_double, at_secs)| Action::Insert {
                 id,
                 g,
                 b,
+                b_double,
                 v,
                 at_secs,
-            }
-        })
+            })
     };
     let probe = || {
         (0i64..3, 0i64..4, 0u64..150).prop_map(|(g, k, at_secs)| Action::Probe { g, k, at_secs })
@@ -99,15 +109,25 @@ fn residual() -> Expr {
     )
 }
 
-/// `V * 10 + B - K`: ties between rows are common, so the first-scanned
-/// witness rule is exercised.
+/// `V % 2 * 10 + 7 / (B + 1) - K`: ties are common within a projection
+/// and (`V` of 0 and 2) across projections, so the first-scanned witness
+/// rule is exercised, and the division is integral for an `Int` `B` but not
+/// for the equal `Double`.
 fn agg_expr() -> Expr {
     Expr::bin(
         BinOp::Sub,
         Expr::bin(
             BinOp::Add,
-            Expr::bin(BinOp::Mul, Expr::Field(5), Expr::int(10)),
-            Expr::Field(4),
+            Expr::bin(
+                BinOp::Mul,
+                Expr::bin(BinOp::Mod, Expr::Field(5), Expr::int(2)),
+                Expr::int(10),
+            ),
+            Expr::bin(
+                BinOp::Div,
+                Expr::int(7),
+                Expr::bin(BinOp::Add, Expr::Field(4), Expr::int(1)),
+            ),
         ),
         Expr::Field(1),
     )
@@ -163,19 +183,36 @@ impl Rig {
             .with_max_size(max_size);
         let mut table = Table::new(spec);
         let agg = Program::compile(&agg_expr());
-        let probe = |table: TableRef| {
-            if keyed {
-                let filter = Program::compile(&residual());
-                AggProbe::new(table, 4, func, Some(filter), agg, "out").with_key(vec![(0, 1)])
-            } else {
-                let filter = Program::compile(&Expr::bin(BinOp::And, key_equality(), residual()));
-                AggProbe::new(table, 4, func, Some(filter), agg, "out")
-            }
+        let filter = if keyed {
+            residual()
+        } else {
+            Expr::bin(BinOp::And, key_equality(), residual())
         };
+        let filter = Program::compile(&filter);
+        // The group index exists whenever the probe has no key, whether or
+        // not this `func` may use it; a keyed probe is handed group columns
+        // the table does not index, so taking that path would show up as a
+        // fallback scan.
+        let min_cols = AggProbe::group_columns(AggFunc::Min, Some(&filter), &agg, 2);
+        let min_cols = min_cols.expect("min folds by group");
+        let cols = AggProbe::group_columns(func, Some(&filter), &agg, 2);
         if keyed {
             table.add_index(vec![1]);
+        } else {
+            assert_eq!(min_cols, [1, 2, 3]);
+            table.add_group_index(min_cols);
         }
         let table: TableRef = Arc::new(parking_lot::Mutex::new(table));
+        let probe = |table: TableRef| {
+            let mut probe = AggProbe::new(table, 4, func, Some(filter), agg, "out");
+            if keyed {
+                probe = probe.with_key(vec![(0, 1)]);
+            }
+            match cols {
+                Some(cols) => probe.with_group_index(cols),
+                None => probe,
+            }
+        };
 
         let mut g = Graph::new();
         let demux = g.add(
@@ -213,11 +250,13 @@ proptest! {
     ) {
         let mut rig = Rig::new(func, max_size, keyed);
         let mut expected: Vec<Tuple> = Vec::new();
+        let mut probes = 0u64;
         let mut now = SimTime::ZERO;
         for action in actions {
             match action {
-                Action::Insert { id, g, b, v, at_secs } => {
+                Action::Insert { id, g, b, b_double, v, at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
+                    let b = if b_double { Value::Double(b as f64) } else { Value::Int(b) };
                     let t = TupleBuilder::new("row").push(id).push(g).push(b).push(v).build();
                     rig.engine.deliver(t, now);
                 }
@@ -237,17 +276,22 @@ proptest! {
                     let ev = TupleBuilder::new("ev").push(g).push(k).build();
                     expected.extend(naive_probe(&rig.table.lock(), func, &ev));
                     rig.engine.deliver(ev, now);
+                    probes += 1;
                 }
             }
             rig.table.lock().check_consistency().unwrap();
             let got: Vec<Tuple> = rig.buf.lock().iter().map(|(_, t)| t.clone()).collect();
             prop_assert_eq!(&got, &expected, "probe divergence for {:?} at {:?}", func, now);
+            // `==` equates `Int(3)` with `Double(3.0)`; the variants must
+            // agree too.
+            prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"));
         }
+        // One index read per probe and never a scan — the key's index for a
+        // keyed probe, the group index for unkeyed min/max/count — while
+        // unkeyed sum/avg scan in row order and leave the group index alone.
         let stats = rig.table.lock().stats();
-        if keyed {
-            prop_assert_eq!(stats.full_scans, 0, "a keyed probe never scans");
-        } else {
-            prop_assert_eq!(stats.indexed_lookups, 0);
-        }
+        let by_group = matches!(func, AggFunc::Min | AggFunc::Max | AggFunc::Count);
+        let (indexed, scans) = if keyed || by_group { (probes, 0) } else { (0, probes) };
+        prop_assert_eq!((stats.indexed_lookups, stats.full_scans), (indexed, scans));
     }
 }

@@ -854,6 +854,36 @@ mod tests {
         cluster.clear_observations();
     }
 
+    /// L2 and L3 run on every lookup hop; both must read `finger` through
+    /// its group indices, never by walking its rows.
+    #[test]
+    fn lookups_never_scan_finger() {
+        let mut cluster = ChordCluster::build(6, 90, 11);
+        let finger_stats = |cluster: &ChordCluster| {
+            let mut total = p2_table::TableStats::default();
+            for id in cluster.sim.up_ids() {
+                let catalog = cluster.sim.node_by_id(id).node().catalog();
+                total += catalog.get("finger").expect("chord table").lock().stats();
+            }
+            total
+        };
+        let before = finger_stats(&cluster);
+        let handles: Vec<LookupHandle> = (0..30)
+            .map(|_| {
+                let handle = cluster.issue_random_lookup();
+                cluster.run_for(1.0);
+                handle
+            })
+            .collect();
+        cluster.run_for(8.0);
+        let answered = handles.iter().filter(|h| cluster.outcome(h).is_some());
+        assert!(answered.count() >= 25, "the ring answers its lookups");
+        let after = finger_stats(&cluster);
+        assert_eq!(after.full_scans, before.full_scans);
+        // At least L2 and L3 once per lookup.
+        assert!(after.indexed_lookups - before.indexed_lookups >= 60);
+    }
+
     #[test]
     fn fast_bring_up_forms_a_ring() {
         // The batched start_all/inject_many path converges too, given the

@@ -111,6 +111,19 @@ impl AggState {
         Ok(())
     }
 
+    /// Folds in `n` contributions of the same value `v`, as `n` consecutive
+    /// calls of [`AggState::accumulate`] would.
+    pub fn accumulate_n(&mut self, v: &Value, n: usize) -> Result<(), ValueError> {
+        if let AggState::Count(c) = self {
+            *c += n as i64;
+            return Ok(());
+        }
+        for _ in 0..n {
+            self.accumulate(v)?;
+        }
+        Ok(())
+    }
+
     /// Produces the final aggregate, or `None` when min/max/avg saw no
     /// contributions.
     pub fn finish(self) -> Option<Value> {

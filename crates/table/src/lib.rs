@@ -10,7 +10,8 @@
 //!   replaces the old row (this is how `sequence`, `bestSucc`,
 //!   `nextFingerFix` behave as updatable singletons);
 //! * in-memory secondary indices provide fast equality lookups for the
-//!   equijoin elements;
+//!   equijoin elements, and group indices let an aggregation probe read a
+//!   table one distinct projection at a time;
 //! * filters written in PEL can be applied to table scans;
 //! * incremental aggregates (min/max/count/sum) can be computed over a table
 //!   with optional group-by, which backs the "aggregate elements that
@@ -40,6 +41,6 @@ pub use aggregate::{AggFunc, AggState};
 pub use catalog::{Catalog, TableRef};
 pub use spec::TableSpec;
 pub use table::{
-    DeltaSubscription, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableDelta,
+    DeltaSubscription, Group, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableDelta,
     TableDeltaKind, TableStats, DELTA_LOG_CAP,
 };

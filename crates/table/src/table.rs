@@ -12,8 +12,46 @@
 //! * **secondary indices** map the hash of the indexed column values to the
 //!   set of matching `RowId`s, again verified against the stored tuple on
 //!   lookup, so no per-row key vectors are materialized;
+//! * **group indices** bucket the rows by their projection onto a column
+//!   list so a consumer can read the table one *distinct projection* at a
+//!   time (see *Group indices* below);
 //! * a **staleness queue** — `BTreeSet<(SimTime, RowId)>` ordered by
 //!   refresh-adjusted insertion time — drives both eviction and expiry.
+//!
+//! # Group indices
+//!
+//! A secondary index answers "which rows equal this probe on these
+//! columns"; a group index ([`Table::add_group_index`]) answers "which
+//! distinct values do these columns hold, and which rows hold each". The
+//! dataflow layer's unkeyed aggregation probe declares one over the row
+//! columns its filter and aggregate expression load and then evaluates
+//! once per group instead of once per row (Chord's 160 `finger` rows hold
+//! ~8 distinct `B`). Both kinds are maintained by the same two functions on
+//! every mutation path — insert, replace, delete, expire, evict; a refresh
+//! changes no column and touches neither — but they are separate
+//! structures, so a join's secondary index pays nothing for the
+//! bookkeeping below.
+//!
+//! Each bucket of a group index carries a `uniform` bit, and the
+//! **uniformity invariant** is: `uniform` ⇒ every row of the bucket agrees
+//! with every other, variant for variant, on the indexed columns (a column
+//! out of range counts as a value of its own). The bit is set when a bucket
+//! is created and cleared the moment a row joins that is not identical to
+//! the bucket's first row — a 64-bit hash collision, or `Int(1)` beside
+//! `Double(1.0)`, which hash and compare equal but which an expression can
+//! tell apart. It is never re-derived: a mixed bucket stays mixed until it
+//! empties and is dropped. Exactness therefore never rests on the hash: a
+//! consumer may treat a uniform group as [`Group::size`] copies of its
+//! first row and must read a non-uniform one row by row
+//! ([`Table::groups`]).
+//!
+//! Buckets live in a `BTreeMap` keyed by a fixed-key hash and hold
+//! ascending `RowId` sets, so [`Table::groups`] yields the same groups in
+//! the same order in every process and under every simulator worker count
+//! (a `HashMap`'s order is process-random). A fold over groups that breaks
+//! ties towards the lowest `RowId` — as the aggregation probe does — is
+//! moreover free of even that order: it picks what a scan in `RowId` order
+//! would.
 //!
 //! # Complexity
 //!
@@ -92,16 +130,20 @@
 //! `BTreeSet` remove + insert per refreshed row. Refreshes that move a
 //! row's timestamp *forward* are now recorded in a small pending map and
 //! applied lazily — the staleness queue is only updated when the row
-//! actually reaches the front of an expiry sweep or eviction scan, so any
-//! number of refreshes between sweeps collapse into **one** queue update
-//! (and rows that stay hot never pay it at all). Backward refreshes (clock
-//! replays in tests) are applied eagerly so the queue order stays exact.
-//! The pending time is always strictly later than the queued time, which
-//! keeps the front-of-queue normalization loop sound: once the front entry
-//! has no pending refresh, it is the true minimum over effective times.
+//! reaches the front of an eviction scan, or of an expiry sweep with a
+//! queued time that has expired, so any number of refreshes between sweeps
+//! collapse into **one** queue update (and rows that stay hot never pay it
+//! at all). Backward refreshes (clock replays in tests) are applied eagerly
+//! so the queue order stays exact. The pending time is always strictly
+//! later than the queued time, which keeps the front-of-queue loops sound:
+//! a front entry with no pending refresh is the true minimum over effective
+//! times, and a front entry still live by its queued time proves every row
+//! live — the per-event expiry sweep ends there without consulting the
+//! pending map.
 
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -281,6 +323,137 @@ type PrimaryBucket = Vec<u32>;
 /// simulator's determinism contract (`p2_netsim::parsim`).
 type SecondaryIndex = HashMap<u64, BTreeSet<u32>>;
 
+/// One group index: the rows bucketed by the hash of their projection onto
+/// `cols` (see the module-level *Group indices* section).
+#[derive(Debug)]
+struct GroupIndex {
+    cols: Vec<usize>,
+    /// Ordered by hash — [`DefaultHasher::new`] has fixed keys — so groups
+    /// iterate identically in every process.
+    buckets: BTreeMap<u64, GroupBucket>,
+}
+
+#[derive(Debug)]
+struct GroupBucket {
+    /// The lowest `RowId`, kept inline: reading a uniform group — its first
+    /// row and its size — touches no set node, and a group of one row
+    /// allocates none.
+    first: u32,
+    /// The other rows, all above `first`.
+    rest: BTreeSet<u32>,
+    /// Set ⇒ all rows are [`same_projection`] on the index's columns.
+    uniform: bool,
+}
+
+impl GroupIndex {
+    /// Files row `id` (not yet in any bucket) under `tuple`'s projection.
+    /// `slots` resolves the bucket's current first row for the uniformity
+    /// check; `id`'s own slot is never read.
+    fn insert(&mut self, slots: &[Option<Row>], id: u32, tuple: &Tuple) {
+        match self.buckets.entry(projection_hash(tuple, &self.cols)) {
+            Entry::Vacant(e) => {
+                e.insert(GroupBucket {
+                    first: id,
+                    rest: BTreeSet::new(),
+                    uniform: true,
+                });
+            }
+            Entry::Occupied(e) => {
+                let bucket = e.into_mut();
+                if bucket.uniform {
+                    let first = slots[bucket.first as usize].as_ref().expect("live RowId");
+                    bucket.uniform = same_projection(&first.tuple, tuple, &self.cols);
+                }
+                let above = if id < bucket.first {
+                    std::mem::replace(&mut bucket.first, id)
+                } else {
+                    id
+                };
+                bucket.rest.insert(above);
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u32, tuple: &Tuple) {
+        let Entry::Occupied(mut e) = self.buckets.entry(projection_hash(tuple, &self.cols)) else {
+            return;
+        };
+        let bucket = e.get_mut();
+        if id != bucket.first {
+            bucket.rest.remove(&id);
+        } else if let Some(next) = bucket.rest.pop_first() {
+            bucket.first = next;
+        } else {
+            e.remove();
+        }
+    }
+}
+
+impl GroupBucket {
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
+/// Hash of `tuple`'s projection onto `cols`; unlike [`Table::index_hash`]
+/// a column out of range hashes as a value of its own, so a group index
+/// holds every row.
+fn projection_hash(tuple: &Tuple, cols: &[usize]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for &c in cols {
+        match tuple.values().get(c) {
+            Some(v) => v.hash(&mut h),
+            None => u8::MAX.hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// True if `a` and `b` hold the same value of the same variant at every
+/// column of `cols` (`==` alone equates `Int(1)` with `Double(1.0)`, which
+/// an expression can tell apart), or are both out of range there.
+fn same_projection(a: &Tuple, b: &Tuple, cols: &[usize]) -> bool {
+    cols.iter()
+        .all(|&c| match (a.values().get(c), b.values().get(c)) {
+            (Some(x), Some(y)) => std::mem::discriminant(x) == std::mem::discriminant(y) && x == y,
+            (None, None) => true,
+            _ => false,
+        })
+}
+
+/// One bucket of a group index, yielded by [`Table::groups`].
+pub struct Group<'a> {
+    table: &'a Table,
+    bucket: &'a GroupBucket,
+}
+
+impl<'a> Group<'a> {
+    /// Whether every row of the group is known to agree, variant for
+    /// variant, on the indexed columns. When false (a hash collision or
+    /// mixed numeric variants) the rows must be read one by one.
+    pub fn is_uniform(&self) -> bool {
+        self.bucket.uniform
+    }
+
+    /// Number of rows in the group; at least one.
+    pub fn size(&self) -> usize {
+        1 + self.bucket.rest.len()
+    }
+
+    /// The group's row with the lowest [`RowId`].
+    pub fn first(&self) -> (RowId, &'a Tuple) {
+        let id = self.bucket.first;
+        (RowId(id), &self.table.row(id).tuple)
+    }
+
+    /// The group's rows in ascending [`RowId`] order.
+    pub fn rows(&self) -> impl Iterator<Item = (RowId, &'a Tuple)> + 'a {
+        let table = self.table;
+        let ids = self.bucket.ids();
+        ids.map(move |id| (RowId(id), &table.row(id).tuple))
+    }
+}
+
 /// A node-local, in-memory, soft-state table.
 ///
 /// Rows are keyed by the primary key declared in the [`TableSpec`]; optional
@@ -298,6 +471,9 @@ pub struct Table {
     live: usize,
     primary: HashMap<u64, PrimaryBucket>,
     secondary: HashMap<Vec<usize>, SecondaryIndex>,
+    /// Group indices (none, or one per distinct column list an unkeyed
+    /// aggregation probe reads).
+    groups: Vec<GroupIndex>,
     /// Rows ordered by refresh-adjusted insertion time.
     staleness: BTreeSet<(SimTime, u32)>,
     /// Lazily applied forward refreshes: `id -> effective time`, always
@@ -350,6 +526,7 @@ impl Table {
             live: 0,
             primary: HashMap::new(),
             secondary: HashMap::new(),
+            groups: Vec::new(),
             staleness: BTreeSet::new(),
             pending_refresh: HashMap::new(),
             subs: Vec::new(),
@@ -548,6 +725,9 @@ impl Table {
                 index.entry(h).or_default().insert(id);
             }
         }
+        for index in &mut self.groups {
+            index.insert(&self.slots, id, tuple);
+        }
     }
 
     fn secondary_remove(&mut self, id: u32, tuple: &Tuple) {
@@ -560,6 +740,9 @@ impl Table {
                     }
                 }
             }
+        }
+        for index in &mut self.groups {
+            index.remove(id, tuple);
         }
     }
 
@@ -639,6 +822,35 @@ impl Table {
     /// The set of secondary index column lists (for planner introspection).
     pub fn indexes(&self) -> Vec<Vec<usize>> {
         self.secondary.keys().cloned().collect()
+    }
+
+    /// Declares a group index over the given (zero-based) columns (see the
+    /// module-level *Group indices* section). An empty list is one group of
+    /// all rows.
+    ///
+    /// Existing rows are indexed immediately; declaring the same index twice
+    /// is a no-op.
+    pub fn add_group_index(&mut self, mut cols: Vec<usize>) {
+        cols.sort_unstable();
+        cols.dedup();
+        if self.groups.iter().any(|g| g.cols == cols) {
+            return;
+        }
+        let mut index = GroupIndex {
+            cols,
+            buckets: BTreeMap::new(),
+        };
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(row) = slot {
+                index.insert(&self.slots, i as u32, &row.tuple);
+            }
+        }
+        self.groups.push(index);
+    }
+
+    /// The group index column lists, in declaration order.
+    pub fn group_indexes(&self) -> Vec<Vec<usize>> {
+        self.groups.iter().map(|g| g.cols.clone()).collect()
     }
 
     // ----- mutation -----------------------------------------------------
@@ -827,22 +1039,21 @@ impl Table {
             return;
         };
         while let Some(&(at, id)) = self.staleness.first() {
+            // Entries are ordered by queued time and a pending refresh only
+            // moves a row later: a front that is live by its queued time
+            // ends the sweep, without a look into `pending_refresh`.
+            if now.saturating_sub(at) <= lifetime {
+                break;
+            }
             // A lazily refreshed row is repositioned (its one coalesced
             // queue update) before the front is trusted.
             if self.apply_pending_refresh(id) {
                 continue;
             }
-            if now.saturating_sub(at) > lifetime {
-                let row = self.remove_row(id);
-                self.stats.expired.set(self.stats.expired.get() + 1);
-                self.log_delta(TableDeltaKind::Expire, id, &row.tuple);
-                sink(row.tuple);
-            } else {
-                // Entries are time-ordered and pending refreshes only move
-                // rows later: the first non-expired, non-pending row ends
-                // the sweep.
-                break;
-            }
+            let row = self.remove_row(id);
+            self.stats.expired.set(self.stats.expired.get() + 1);
+            self.log_delta(TableDeltaKind::Expire, id, &row.tuple);
+            sink(row.tuple);
         }
     }
 
@@ -881,6 +1092,21 @@ impl Table {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u32), &r.tuple)))
+    }
+
+    /// The table read one distinct projection at a time: the buckets of the
+    /// group index declared over exactly `cols` (sorted ascending), in a
+    /// process-independent order, or `None` if there is no such index.
+    /// Counted as one indexed lookup in [`TableStats`].
+    pub fn groups(&self, cols: &[usize]) -> Option<impl Iterator<Item = Group<'_>>> {
+        let index = self.groups.iter().find(|g| g.cols == cols)?;
+        self.stats
+            .indexed_lookups
+            .set(self.stats.indexed_lookups.get() + 1);
+        Some(index.buckets.values().map(move |bucket| Group {
+            table: self,
+            bucket,
+        }))
     }
 
     /// Returns rows whose values at `cols` equal `values`.
@@ -1196,6 +1422,49 @@ impl Table {
                 ));
             }
         }
+
+        // Group indices: every live row in exactly one bucket, under its
+        // projection hash, and `uniform` only where the rows really agree.
+        for index in &self.groups {
+            let cols = &index.cols;
+            let mut filed: Vec<u32> = Vec::with_capacity(self.live);
+            for (&hash, bucket) in &index.buckets {
+                let first = bucket.first;
+                if bucket.rest.first().is_some_and(|&next| next <= first) {
+                    return Err(format!(
+                        "group index {cols:?} bucket {hash:#x}: first row {first} is not the lowest"
+                    ));
+                }
+                for id in bucket.ids() {
+                    let Some(row) = self.slots.get(id as usize).and_then(Option::as_ref) else {
+                        return Err(format!(
+                            "group index {cols:?} bucket {hash:#x} holds dangling id {id}"
+                        ));
+                    };
+                    if projection_hash(&row.tuple, cols) != hash {
+                        return Err(format!(
+                            "row {id} misfiled under group index {cols:?} hash {hash:#x}"
+                        ));
+                    }
+                    if bucket.uniform && !same_projection(&self.row(first).tuple, &row.tuple, cols)
+                    {
+                        return Err(format!(
+                            "group index {cols:?} bucket {hash:#x} is marked uniform but rows \
+                             {first} and {id} differ on the indexed columns"
+                        ));
+                    }
+                    filed.push(id);
+                }
+            }
+            filed.sort_unstable();
+            if filed != live_ids {
+                return Err(format!(
+                    "group index {cols:?} files {} ids for {} live rows",
+                    filed.len(),
+                    self.live
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -1497,6 +1766,73 @@ mod tests {
     }
 
     #[test]
+    fn group_index_tracks_uniformity_until_the_bucket_empties() {
+        let mut t = Table::new(TableSpec::new("finger", vec![1]));
+        t.add_group_index(vec![2]);
+        let f = |i: i64, b: Value| {
+            TupleBuilder::new("finger")
+                .push("n1")
+                .push(i)
+                .push(b)
+                .build()
+        };
+        // (uniform, row keys) per group, sorted by first key.
+        let groups = |t: &Table, cols: &[usize]| {
+            let mut out: Vec<(bool, Vec<i64>)> = t
+                .groups(cols)
+                .expect("declared")
+                .map(|g| {
+                    let keys = g.rows().map(|(_, r)| r.field(1).to_int().unwrap());
+                    (g.is_uniform(), keys.collect())
+                })
+                .collect();
+            out.sort_by_key(|(_, keys)| keys[0]);
+            out
+        };
+        let at = SimTime::ZERO;
+        t.insert(f(0, Value::Int(1)), at).unwrap();
+        t.insert(f(1, Value::Int(1)), at).unwrap();
+        t.insert(f(2, Value::Int(7)), at).unwrap();
+        assert_eq!(groups(&t, &[2]), [(true, vec![0, 1]), (true, vec![2])]);
+        assert!(t.groups(&[1]).is_none(), "no such group index");
+
+        // `Double(1.0)` hashes and compares equal to `Int(1)`: same bucket,
+        // but an expression can tell the rows apart.
+        t.insert(f(3, Value::Double(1.0)), at).unwrap();
+        assert_eq!(groups(&t, &[2]), [(false, vec![0, 1, 3]), (true, vec![2])]);
+        t.check_consistency().unwrap();
+
+        // The bit is not re-derived when the odd row leaves...
+        t.delete_key(&[Value::Int(3)]).unwrap();
+        assert_eq!(groups(&t, &[2]), [(false, vec![0, 1]), (true, vec![2])]);
+        // ...only when the bucket empties: a replace moves row 0 out, a
+        // delete removes row 1, and the next arrival starts a fresh bucket.
+        t.insert(f(0, Value::Int(7)), at).unwrap();
+        t.delete_key(&[Value::Int(1)]).unwrap();
+        t.insert(f(4, Value::Double(1.0)), at).unwrap();
+        assert_eq!(groups(&t, &[2]), [(true, vec![0, 2]), (true, vec![4])]);
+        t.check_consistency().unwrap();
+
+        // A refresh changes nothing; an index declared late sees every row,
+        // including one too short to have the column.
+        let (o, _) = t.insert(f(4, Value::Double(1.0)), at).unwrap();
+        assert_eq!(o, InsertOutcome::Refreshed);
+        t.insert(
+            TupleBuilder::new("finger").push("n1").push(5i64).build(),
+            at,
+        )
+        .unwrap();
+        t.add_group_index(vec![2, 0]);
+        assert_eq!(t.group_indexes(), [vec![2], vec![0, 2]]);
+        assert_eq!(
+            groups(&t, &[0, 2]),
+            [(true, vec![0, 2]), (true, vec![4]), (true, vec![5])]
+        );
+        assert_eq!(t.stats().full_scans, 0);
+        t.check_consistency().unwrap();
+    }
+
+    #[test]
     fn delete_matching_full_tuple() {
         let mut t = Table::new(TableSpec::new("neighbor", vec![1]));
         let n = |y: &str| TupleBuilder::new("neighbor").push("n1").push(y).build();
@@ -1642,6 +1978,7 @@ mod tests {
         );
         t.add_index(vec![2]);
         t.add_index(vec![0, 2]);
+        t.add_group_index(vec![2]);
         let mk = |k: i64, p: i64| TupleBuilder::new("soup").push("n1").push(k).push(p).build();
         for step in 0..200u64 {
             let now = SimTime::from_secs(step);

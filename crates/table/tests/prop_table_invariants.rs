@@ -55,6 +55,7 @@ proptest! {
             .with_max_size(max_size);
         let mut table = Table::new(spec);
         table.add_index(vec![2]);
+        table.add_group_index(vec![2]);
 
         // Delta-stream completeness: replaying the subscription against an
         // empty keyed map must reconstruct the live rows after every
