@@ -339,7 +339,7 @@ impl Element for RecomputeAgg {
                 self.last.insert(key.clone(), agg.clone());
                 let mut values = key;
                 values.push(agg);
-                ctx.emit(0, Tuple::new(&self.out_name, values));
+                ctx.emit(0, Tuple::new(self.out_name.as_str(), values));
             }
         }
     }

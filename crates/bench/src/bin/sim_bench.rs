@@ -21,19 +21,10 @@
 //!   chains must produce identical NetStats and event counts, and the
 //!   binary **exits non-zero on divergence** (CI runs this in smoke mode,
 //!   like the `--par` golden gate).
-//! * `sched_gate` — the delta-scheduling equivalence gate: the same ring
-//!   with the delta-driven scheduler on (the default) and off must produce
-//!   identical NetStats and event counts, identical final routing state
-//!   (succ/pred/bestSucc/finger rows of every node, agreeing on
-//!   single-cycle structure), and identical outcomes for a deterministic
-//!   lookup workload — and the scheduled run must actually have suppressed
-//!   pokes. The binary **exits non-zero on divergence**. `--sched-gate`
-//!   runs only this gate (the CI smoke step).
 //!
 //! The `chord_rings` section reports an interleaved in-process A/B of the
-//! default plan against the generic element chains and the
-//! poke-everything (scheduler-off) plan, plus the per-event full-scan rate
-//! (an unkeyed aggregate probe is a counted full scan).
+//! default plan against the generic element chains, plus the per-event
+//! full-scan rate (an unkeyed aggregate probe is a counted full scan).
 //!
 //! With `--par` the binary instead benchmarks the **parallel sharded
 //! simulator**: steady-state Chord-ring throughput at 1/2/4/8 workers per
@@ -51,8 +42,7 @@
 //! in-process before it is written.
 //!
 //! Usage: `cargo run --release --bin sim_bench [-- --smoke] [--par] [--obs]
-//! [--sched-gate] [--sizes N,N,..] [--workers N,N,..]
-//! [--out PATH]`
+//! [--sizes N,N,..] [--workers N,N,..] [--out PATH]`
 
 use std::time::Instant;
 
@@ -60,7 +50,7 @@ use p2_bench::to_json;
 use p2_harness::metrics::{EngineOps, SimOps, StorageOps};
 use p2_harness::ChordCluster;
 use p2_netsim::{Envelope, Host, NetworkConfig, Simulator};
-use p2_value::{SimTime, Tuple, TupleBuilder, Uint160};
+use p2_value::{SimTime, Tuple, TupleBuilder};
 use serde::{Json, Serialize};
 
 /// A minimal host: one ping to its ring neighbor every second, phase-spread
@@ -132,15 +122,6 @@ struct ChordResult {
     /// strand fusion (plus the identical event streams make the windows
     /// directly comparable).
     fused_speedup: f64,
-    /// Throughput of the same ring with delta-driven scheduling disabled
-    /// (the poke-everything engine), interleaved in the same windows.
-    sched_off_events_per_sec: f64,
-    /// `events_per_sec / sched_off_events_per_sec`: the isolated win of
-    /// suppressing no-op pokes.
-    sched_speedup: f64,
-    /// Pokes the `would_wake` guards suppressed in the default ring's
-    /// measurement windows.
-    suppressed_pokes: u64,
     /// Full table scans per processed event in the measurement windows:
     /// unkeyed aggregate probes (Chord's L2/L3/SU1/S3 share only the
     /// location with their table) plus `TableAgg` rebuilds.
@@ -176,35 +157,12 @@ struct StrandGate {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct SchedGate {
-    nodes: usize,
-    scheduled: GoldenPin,
-    unscheduled: GoldenPin,
-    /// Pokes suppressed in the scheduled run's gate window — the gate is
-    /// vacuous unless this is non-zero.
-    suppressed_pokes: u64,
-    /// Final succ/pred/bestSucc/finger rows of every node identical.
-    state_matches: bool,
-    /// The two rings agree on whether the successor pointers form a single
-    /// cycle (the smoke ring's short staggered bring-up may legitimately
-    /// not have converged yet — what is gated is that scheduling does not
-    /// change the outcome; the harness equivalence test asserts the
-    /// absolute cycle on a fully converged ring).
-    single_cycle_agrees: bool,
-    /// Deterministic lookup workload resolved to the same owners over the
-    /// same hop counts.
-    lookups_match: bool,
-    matches: bool,
-}
-
-#[derive(Debug, Clone, Serialize)]
 struct BenchReport {
     bench: String,
     toy_event_loop: Vec<ToyResult>,
     chord_rings: Vec<ChordResult>,
     join_seed_bring_up: Vec<JoinSeedResult>,
     strand_gate: StrandGate,
-    sched_gate: SchedGate,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -289,11 +247,8 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
     let mut generic = ChordCluster::builder(nodes, 42)
         .fuse_strands(false)
         .build_fast(warmup_secs);
-    let mut unsched = ChordCluster::builder(nodes, 42)
-        .delta_schedule(false)
-        .build_fast(warmup_secs);
 
-    // Interleaved measurement windows: all three rings simulate the same
+    // Interleaved measurement windows: both rings simulate the same
     // deterministic event stream, so alternating short windows makes the
     // comparison robust against machine-load drift within one run (single
     // absolute numbers on a shared box are not). The within-window run
@@ -305,10 +260,8 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
     cluster.sim.reset_stats();
     let before_events = cluster.sim.events_processed();
     let generic_before = generic.sim.events_processed();
-    let unsched_before = unsched.sim.events_processed();
     let scans_before = cluster.storage_ops().full_scans;
-    let suppressed_before = cluster.engine_stats().suppressed_guard_pokes;
-    let (mut wall, mut generic_wall, mut unsched_wall) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut wall, mut generic_wall) = (0.0f64, 0.0f64);
     for w in 0..windows {
         let mut run_main = |wall: &mut f64| {
             let t = Instant::now();
@@ -320,38 +273,24 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
             generic.run_for(slice as f64);
             *wall += t.elapsed().as_secs_f64();
         };
-        let mut run_unsched = |wall: &mut f64| {
-            let t = Instant::now();
-            unsched.run_for(slice as f64);
-            *wall += t.elapsed().as_secs_f64();
-        };
         if w % 2 == 0 {
             run_main(&mut wall);
             run_generic(&mut generic_wall);
-            run_unsched(&mut unsched_wall);
         } else {
-            run_unsched(&mut unsched_wall);
             run_generic(&mut generic_wall);
             run_main(&mut wall);
         }
     }
     let events = cluster.sim.events_processed() - before_events;
     let generic_events = generic.sim.events_processed() - generic_before;
-    let unsched_events = unsched.sim.events_processed() - unsched_before;
     assert_eq!(
         events, generic_events,
         "fused and generic rings must process identical event streams"
-    );
-    assert_eq!(
-        events, unsched_events,
-        "scheduled and poke-everything rings must process identical event streams"
     );
     let full_scans = cluster.storage_ops().full_scans - scans_before;
     let sent = cluster.sim.stats().messages_sent;
     let events_per_sec = events as f64 / wall.max(1e-12);
     let generic_events_per_sec = generic_events as f64 / generic_wall.max(1e-12);
-    let sched_off_events_per_sec = unsched_events as f64 / unsched_wall.max(1e-12);
-    let suppressed_pokes = cluster.engine_stats().suppressed_guard_pokes - suppressed_before;
     ChordResult {
         nodes,
         build_wall_secs,
@@ -363,9 +302,6 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
         messages_per_virtual_sec: sent as f64 / (slice * windows).max(1) as f64,
         generic_events_per_sec,
         fused_speedup: events_per_sec / generic_events_per_sec.max(1e-12),
-        sched_off_events_per_sec,
-        sched_speedup: events_per_sec / sched_off_events_per_sec.max(1e-12),
-        suppressed_pokes,
         full_scans_per_event: full_scans as f64 / events.max(1) as f64,
         storage_ops: cluster.storage_ops(),
         sim_ops: cluster.sim_ops(),
@@ -391,9 +327,9 @@ fn bench_join_seed(nodes: usize, warmup_secs: u64) -> JoinSeedResult {
 
 /// Runs the strand-equivalence gate: the same staggered-bring-up ring
 /// planned with fused strands and with the generic element chains must
-/// produce identical NetStats and event counts. The fused plan's padded
-/// strands are designed to preserve the engine's breadth-first emission
-/// schedule exactly; this gate is the end-to-end proof.
+/// produce identical NetStats and event counts. The fused plan's delayed
+/// strand outputs are designed to preserve the engine's breadth-first
+/// emission schedule exactly; this gate is the end-to-end proof.
 fn strand_gate(nodes: usize, warmup_secs: u64) -> StrandGate {
     let run = |fuse: bool| {
         let mut cluster = ChordCluster::builder(nodes, 42)
@@ -419,81 +355,6 @@ fn strand_gate(nodes: usize, warmup_secs: u64) -> StrandGate {
         fused,
         generic,
         matches: fused == generic,
-    }
-}
-
-/// The full per-node routing state of every up node (succ, pred, bestSucc
-/// and finger rows, sorted), for the scheduler-equivalence comparison.
-fn routing_state(cluster: &ChordCluster) -> Vec<(String, Vec<Vec<String>>)> {
-    cluster
-        .sim
-        .up_addresses_iter()
-        .map(|a| {
-            let tables = ["succ", "pred", "bestSucc", "finger"]
-                .iter()
-                .map(|t| cluster.table_rows(a, t))
-                .collect();
-            (a.to_string(), tables)
-        })
-        .collect()
-}
-
-/// Issues the same deterministic lookup workload on a cluster and returns
-/// each lookup's `(owner, hops)` outcome.
-fn lookup_outcomes(cluster: &mut ChordCluster, n_lookups: usize) -> Vec<Option<(String, usize)>> {
-    let origins = cluster.up_addrs();
-    let handles: Vec<_> = (0..n_lookups)
-        .map(|i| {
-            let origin = origins[i % origins.len()].clone();
-            let key = Uint160::hash_of(format!("sched-gate-key-{i}").as_bytes());
-            cluster.issue_lookup_from(&origin, key)
-        })
-        .collect();
-    cluster.run_for(30.0);
-    handles
-        .iter()
-        .map(|h| cluster.outcome(h).map(|o| (o.owner, o.hops)))
-        .collect()
-}
-
-/// Runs the delta-scheduling equivalence gate: the same staggered
-/// bring-up ring with the scheduler on (the default) and off must produce
-/// identical NetStats and event counts over the gate window, hold
-/// bit-identical final routing state on a single successor cycle, and
-/// resolve a deterministic lookup workload identically. Suppression only
-/// ever skips invocations proved to be no-ops, so any observable
-/// divergence is a scheduler soundness bug; the gate also checks the
-/// scheduled run suppressed a non-zero number of pokes, so it cannot pass
-/// vacuously.
-fn sched_gate(nodes: usize, warmup_secs: u64) -> SchedGate {
-    let build = |schedule: bool| {
-        ChordCluster::builder(nodes, 42)
-            .delta_schedule(schedule)
-            .build(warmup_secs)
-    };
-    let mut on = build(true);
-    let mut off = build(false);
-    let (scheduled, _) = pinned_window(&mut on);
-    let (unscheduled, _) = pinned_window(&mut off);
-    let state_matches = routing_state(&on) == routing_state(&off);
-    let single_cycle_agrees = on.is_single_cycle() == off.is_single_cycle();
-    let on_lookups = lookup_outcomes(&mut on, 16);
-    let off_lookups = lookup_outcomes(&mut off, 16);
-    let lookups_match = on_lookups == off_lookups && on_lookups.iter().all(Option::is_some);
-    let suppressed_pokes = on.engine_stats().suppressed_guard_pokes;
-    SchedGate {
-        nodes,
-        scheduled,
-        unscheduled,
-        suppressed_pokes,
-        state_matches,
-        single_cycle_agrees,
-        lookups_match,
-        matches: scheduled == unscheduled
-            && state_matches
-            && single_cycle_agrees
-            && lookups_match
-            && suppressed_pokes > 0,
     }
 }
 
@@ -643,12 +504,13 @@ fn bench_obs(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ObsSizeResult
     }
 }
 
-/// Ceiling on the 100-node steady-state wasted-poke ratio with delta
-/// scheduling on. The poke-everything engine measured 32.8% (PR 9); the
-/// scheduler's `would_wake` guards bring it to 12.4% (7,406 wasted of
-/// 59,754 pokes), and the `--obs` gate pins the claim so a scheduler
-/// regression fails CI instead of silently re-inflating the waste.
-const WASTED_RATE_CEILING: f64 = 0.15;
+/// Ceiling on the 100-node steady-state wasted-poke ratio of the smoke
+/// profile. The engine runs every poke, and the ratio is pinned to its
+/// measured value (35,570 wasted of 87,918 pokes, 40.5%) with headroom, so
+/// a planning change that multiplies useless triggers fails CI. Wasted
+/// pokes are a count, not time: most are one strand call whose first probe
+/// finds nothing.
+const WASTED_RATE_CEILING: f64 = 0.45;
 
 /// The `--obs` mode: per-size rule-level profiles plus the off/on golden
 /// gate. Exits non-zero if observability perturbs the golden run, if the
@@ -670,38 +532,31 @@ fn run_obs_mode(out_path: &str, smoke: bool, sizes: &[usize]) -> i32 {
         let r = bench_obs(n, warmup_secs, measure_secs);
         let p = &r.profile;
         eprintln!(
-            "  {} rules, {} pokes, {} wasted ({:.1}%), {} suppressed; \
-             refresh-transparent rules: {} pokes, {:.1}% wasted, {} suppressed; \
-             other rules: {} pokes, {:.1}% wasted, {} suppressed",
+            "  {} rules, {} pokes, {} wasted ({:.1}%); \
+             refresh-transparent rules: {} pokes, {:.1}% wasted; \
+             other rules: {} pokes, {:.1}% wasted",
             p.rules.len(),
             p.total_pokes,
             p.total_wasted_pokes,
             100.0 * p.wasted_rate,
-            p.total_suppressed_pokes,
             p.refresh_transparent.pokes,
             100.0 * p.refresh_transparent.wasted_rate,
-            p.refresh_transparent.suppressed_pokes,
             p.other_rules.pokes,
             100.0 * p.other_rules.wasted_rate,
-            p.other_rules.suppressed_pokes
         );
         profiles.push(r);
     }
 
-    // The scheduler-regression gate: the 100-node steady-state profile
-    // (delta scheduling on — the default build) must keep the wasted-poke
-    // ratio under the pinned ceiling, and the scheduler must actually be
-    // suppressing pokes (a silently disabled scheduler would otherwise
-    // pass whenever waste stayed moderate).
+    // The waste gate: the 100-node steady-state profile must keep the
+    // wasted-poke ratio under the pinned ceiling.
     let ratio_gate_ok = profiles.iter().filter(|r| r.nodes == 100).all(|r| {
         let p = &r.profile;
         eprintln!(
-            "  100-node ratio gate: wasted {:.1}% (ceiling {:.0}%), {} suppressed",
+            "  100-node ratio gate: wasted {:.1}% (ceiling {:.0}%)",
             100.0 * p.wasted_rate,
             100.0 * WASTED_RATE_CEILING,
-            p.total_suppressed_pokes
         );
-        p.wasted_rate < WASTED_RATE_CEILING && p.total_suppressed_pokes > 0
+        p.wasted_rate < WASTED_RATE_CEILING
     });
 
     // Golden gate: always the 100-node staggered ring whose NetStats and
@@ -771,8 +626,7 @@ fn run_obs_mode(out_path: &str, smoke: bool, sizes: &[usize]) -> i32 {
     }
     if !ratio_gate_ok {
         eprintln!(
-            "error: 100-node steady-state wasted-poke ratio exceeded {:.0}% \
-             or the scheduler suppressed nothing",
+            "error: 100-node steady-state wasted-poke ratio exceeded {:.0}%",
             100.0 * WASTED_RATE_CEILING
         );
         return 1;
@@ -797,11 +651,7 @@ fn validate_obs_schema(tree: &Json) -> Result<(), String> {
             expect_uint(p, key)?;
         }
         let profile = as_object(field(p, "profile")?, &format!("profiles[{i}].profile"))?;
-        for key in [
-            "total_pokes",
-            "total_wasted_pokes",
-            "total_suppressed_pokes",
-        ] {
+        for key in ["total_pokes", "total_wasted_pokes"] {
             expect_uint(profile, key)?;
         }
         expect_number(profile, "wasted_rate")?;
@@ -817,7 +667,6 @@ fn validate_obs_schema(tree: &Json) -> Result<(), String> {
             }
             expect_uint(r, "pokes")?;
             expect_uint(r, "wasted_pokes")?;
-            expect_uint(r, "suppressed_pokes")?;
             expect_number(r, "wasted_rate")?;
         }
         for bucket in ["refresh_transparent", "other_rules"] {
@@ -825,7 +674,6 @@ fn validate_obs_schema(tree: &Json) -> Result<(), String> {
             expect_uint(b, "rules")?;
             expect_uint(b, "pokes")?;
             expect_uint(b, "wasted_pokes")?;
-            expect_uint(b, "suppressed_pokes")?;
             expect_number(b, "wasted_rate")?;
         }
     }
@@ -954,7 +802,6 @@ fn main() {
     let smoke = flag("--smoke");
     let par = flag("--par");
     let obs = flag("--obs");
-    let sched_gate_only = flag("--sched-gate");
     let out_path = value("--out").unwrap_or_else(|| {
         if par {
             "BENCH_parsim.json".to_string()
@@ -973,30 +820,6 @@ fn main() {
     // Simultaneous joins need more stabilization time than the paper's
     // staggered bring-up: ~300 virtual seconds forms a fully correct ring.
     let (warmup_secs, measure_secs) = if smoke { (60, 10) } else { (300, 30) };
-
-    // Gate-only mode (the CI smoke step): run the delta-scheduling
-    // equivalence gate and exit, writing no report.
-    if sched_gate_only {
-        let gate_nodes = if smoke { 16 } else { 64 };
-        eprintln!("sched gate: {gate_nodes}-node ring, delta scheduler on vs off...");
-        let gate = sched_gate(gate_nodes, if smoke { 60 } else { 120 });
-        eprintln!(
-            "  {} suppressed pokes; on {:?} vs off {:?}; \
-             state {}, cycle {}, lookups {} -> {}",
-            gate.suppressed_pokes,
-            gate.scheduled,
-            gate.unscheduled,
-            gate.state_matches,
-            gate.single_cycle_agrees,
-            gate.lookups_match,
-            if gate.matches { "MATCH" } else { "DIVERGED" }
-        );
-        if !gate.matches {
-            eprintln!("error: delta-scheduled run diverged from the poke-everything run");
-            std::process::exit(1);
-        }
-        std::process::exit(0);
-    }
 
     // Fail on an unwritable output path up front, not after minutes of
     // measurement.
@@ -1036,7 +859,6 @@ fn main() {
         eprintln!(
             "  bring-up {:.2} s wall, ring {:.2}, {} events in {:.3} s -> {:>12.0} events/s \
              ({:>8.0} msgs/virtual-s; generic plan {:>12.0} events/s, fused {:.2}x; \
-             poke-everything plan {:>12.0} events/s, sched {:.2}x, {} suppressed; \
              full scans/event {:.4})",
             r.build_wall_secs,
             r.ring_correctness,
@@ -1046,9 +868,6 @@ fn main() {
             r.messages_per_virtual_sec,
             r.generic_events_per_sec,
             r.fused_speedup,
-            r.sched_off_events_per_sec,
-            r.sched_speedup,
-            r.suppressed_pokes,
             r.full_scans_per_event
         );
         chord_rings.push(r);
@@ -1091,28 +910,12 @@ fn main() {
     );
     let strands_match = gate.matches;
 
-    eprintln!("sched gate: {gate_nodes}-node ring, delta scheduler on vs off...");
-    let sgate = sched_gate(gate_nodes, if smoke { 60 } else { 120 });
-    eprintln!(
-        "  {} suppressed pokes; on {:?} vs off {:?}; \
-         state {}, cycle {}, lookups {} -> {}",
-        sgate.suppressed_pokes,
-        sgate.scheduled,
-        sgate.unscheduled,
-        sgate.state_matches,
-        sgate.single_cycle_agrees,
-        sgate.lookups_match,
-        if sgate.matches { "MATCH" } else { "DIVERGED" }
-    );
-    let sched_matches = sgate.matches;
-
     let report = BenchReport {
         bench: "sim_event_loop".to_string(),
         toy_event_loop,
         chord_rings,
         join_seed_bring_up,
         strand_gate: gate,
-        sched_gate: sgate,
     };
     let json = to_json(&report);
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -1123,10 +926,6 @@ fn main() {
     eprintln!("wrote {out_path}");
     if !strands_match {
         eprintln!("error: strand-compiled run diverged from the generic-plan run");
-        std::process::exit(1);
-    }
-    if !sched_matches {
-        eprintln!("error: delta-scheduled run diverged from the poke-everything run");
         std::process::exit(1);
     }
 }

@@ -20,8 +20,8 @@ pub struct NodeConfig {
     /// Seed for the node's deterministic RNG (event identifiers, `f_rand`,
     /// periodic phase jitter).
     pub seed: u64,
-    /// How the program is planned (watches, periodic jitter, strand fusion,
-    /// delta scheduling); everything here is node-independent.
+    /// How the program is planned (watches, periodic jitter, strand
+    /// fusion); everything here is node-independent.
     pub plan: PlanConfig,
 }
 

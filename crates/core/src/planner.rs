@@ -38,15 +38,18 @@
 //! `sum`/`avg` must add in scan order, so those keep the counted row scan.
 //! See the aggregation block of [`Builder::analyze_strand`].
 //!
-//! # Delta-driven scheduling
+//! # Fused strands and level delays
 //!
-//! With [`PlanConfig::delta_schedule`] (the default), instantiated engines
-//! consult `Element::would_wake` before invoking any element, letting
-//! strands and table aggregates veto pokes that provably produce no
-//! emission, send, or state change. [`PlanConfig::without_scheduling`]
-//! runs every poke (the historical golden pins run with it); the plan
-//! itself is the same either way, and the `sched_gate` in `sim_bench` pins
-//! both modes to identical final ring state.
+//! A rule chain of the dominant shapes (bounded joins, selections,
+//! anti-joins, assignments, head projection) lowers to one [`FusedStrand`]
+//! element instead of one element per stage. Its head tuples are ready
+//! `stages − 1` breadth-first levels before the chain's would be, so the
+//! planner records that many levels as a delay on the strand's output slot
+//! (`Graph::set_delay`); the engine holds each head tuple back by exactly
+//! that much, keeping the event stream bit-identical to the generic
+//! lowering (see `p2_dataflow::engine`, *Level delays*). Every poke runs:
+//! a strand whose probes find nothing emits nothing and stores nothing,
+//! and the profiler counts the call as a wasted poke.
 //!
 //! # Shared plans
 //!
@@ -71,7 +74,7 @@ use std::sync::Arc;
 
 use p2_dataflow::elements::{
     AggProbe, AntiJoin, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert, Join,
-    NetOut, Pad, Periodic, Project, Select, StrandOp, TableAgg,
+    NetOut, Periodic, Project, Select, StrandOp, TableAgg,
 };
 use p2_dataflow::{Element, Engine, Graph, Route};
 use p2_obs::{ElemKind, ElemMeta, ObsMeta, RuleClassBits};
@@ -100,19 +103,12 @@ pub struct PlanConfig {
     /// Whether eligible rule chains (at most
     /// [`MAX_STRAND_PROBES`](p2_dataflow::elements::MAX_STRAND_PROBES)
     /// joins over pairwise-distinct tables, no aggregation probe, no RNG
-    /// builtins) are fused into a single [`FusedStrand`] element followed
-    /// by schedule-preserving pads, instead of the generic element chain.
-    /// On by default; the generic graph remains the fallback for every
-    /// other shape, and [`PlanConfig::without_fusion`] forces it everywhere
-    /// (used by the strand-equivalence gates).
+    /// builtins) are fused into a single [`FusedStrand`] element whose
+    /// output slot carries a level delay, instead of the generic element
+    /// chain. On by default; the generic graph remains the fallback for
+    /// every other shape, and [`PlanConfig::without_fusion`] forces it
+    /// everywhere (used by the strand-equivalence gates).
     pub fuse_strands: bool,
-    /// Whether instantiated engines consult `Element::would_wake` and skip
-    /// pokes an element proves to be no-ops (no emission, send, or state
-    /// change). An engine flag only — the compiled graph is identical
-    /// either way. On by default; [`PlanConfig::without_scheduling`] runs
-    /// every poke (used by the scheduling-equivalence gate and the
-    /// historical golden pins).
-    pub delta_schedule: bool,
 }
 
 impl Default for PlanConfig {
@@ -121,20 +117,17 @@ impl Default for PlanConfig {
             watches: Vec::new(),
             jitter_periodics: false,
             fuse_strands: true,
-            delta_schedule: true,
         }
     }
 }
 
 impl PlanConfig {
-    /// Creates a config with jitter, strand fusion, and delta scheduling
-    /// enabled, no watches.
+    /// Creates a config with jitter and strand fusion enabled, no watches.
     pub fn new() -> PlanConfig {
         PlanConfig {
             watches: Vec::new(),
             jitter_periodics: true,
             fuse_strands: true,
-            delta_schedule: true,
         }
     }
 
@@ -154,12 +147,6 @@ impl PlanConfig {
     /// chain).
     pub fn without_fusion(mut self) -> PlanConfig {
         self.fuse_strands = false;
-        self
-    }
-
-    /// Disables delta-driven rule scheduling (every poke runs).
-    pub fn without_scheduling(mut self) -> PlanConfig {
-        self.delta_schedule = false;
         self
     }
 }
@@ -233,9 +220,6 @@ enum ElementSpec {
         head_fields: Vec<PelProgram>,
         out_name: Arc<str>,
     },
-    /// Schedule-preserving forwarder keeping a fused strand's outputs at
-    /// the BFS level of the generic chain it replaced.
-    Pad,
     /// `periodic` timer source.
     Periodic {
         period: f64,
@@ -263,7 +247,6 @@ impl ElementSpec {
             ElementSpec::AggProbe { .. } => ElemKind::AggProbe,
             ElementSpec::TableAgg { .. } => ElemKind::TableAgg,
             ElementSpec::Strand { .. } => ElemKind::Strand,
-            ElementSpec::Pad => ElemKind::Pad,
             ElementSpec::Periodic { .. } => ElemKind::Periodic,
             ElementSpec::NetOut { .. } => ElemKind::NetOut,
             ElementSpec::Collector { .. } => ElemKind::Collector,
@@ -307,7 +290,7 @@ enum FactField {
 
 /// A program fact with its location variable resolved.
 struct FactTemplate {
-    name: String,
+    name: Arc<str>,
     fields: Vec<FactField>,
 }
 
@@ -327,6 +310,8 @@ pub struct PlannedProgram {
     specs: Vec<ElementSpec>,
     names: Vec<Arc<str>>,
     edges: Vec<(usize, usize, Route)>,
+    /// `(element, output port, levels)` level delays (see the module docs).
+    delays: Vec<(usize, usize, u32)>,
     entry: Route,
     demux_map: Arc<HashMap<Arc<str>, usize>>,
     demux_default: usize,
@@ -334,8 +319,6 @@ pub struct PlannedProgram {
     facts: Vec<FactTemplate>,
     jitter_periodics: bool,
     fused_strands: usize,
-    /// Whether instantiated engines run with delta-driven scheduling on.
-    delta_schedule: bool,
     /// Per-element observability metadata (rule id, kind, rule class),
     /// parallel to `specs`. Built unconditionally at compile time — it is
     /// one small shared allocation — and consumed only by engines that
@@ -393,12 +376,6 @@ impl PlannedProgram {
             .collect()
     }
 
-    /// Whether engines instantiated from this plan run with delta-driven
-    /// scheduling enabled.
-    pub fn delta_scheduled(&self) -> bool {
-        self.delta_schedule
-    }
-
     /// Per-element observability metadata: entry `i` describes element `i`
     /// of every engine instantiated from this plan. Hand it to
     /// `Engine::enable_obs` to turn on the rule-level profiler.
@@ -419,7 +396,7 @@ impl PlannedProgram {
                         FactField::LocalAddr => Value::str(addr),
                     })
                     .collect();
-                p2_value::Tuple::new(&f.name, values)
+                p2_value::Tuple::new(f.name.clone(), values)
             })
             .collect()
     }
@@ -433,7 +410,7 @@ impl PlannedProgram {
     /// plan. Cheap relative to [`PlannedProgram::compile`]: no rule
     /// analysis, no PEL compilation, no string formatting — just element
     /// construction over `Arc`-shared artifacts.
-    pub fn instantiate(&self, local_addr: impl Into<String>, seed: u64) -> Planned {
+    pub fn instantiate(&self, local_addr: impl Into<Arc<str>>, seed: u64) -> Planned {
         let mut catalog = Catalog::new();
         let mut refs = Vec::with_capacity(self.tables.len());
         for tp in &self.tables {
@@ -478,14 +455,14 @@ impl PlannedProgram {
                 } => Box::new(Join::new(
                     refs[*table].clone(),
                     key.clone(),
-                    out_name.to_string(),
+                    out_name.clone(),
                 )),
                 ElementSpec::AntiJoin { table, key } => {
                     Box::new(AntiJoin::new(refs[*table].clone(), key.clone()))
                 }
                 ElementSpec::Select { filter } => Box::new(Select::new(filter.clone())),
                 ElementSpec::Project { out_name, fields } => {
-                    Box::new(Project::new(out_name.to_string(), fields.clone()))
+                    Box::new(Project::new(out_name.clone(), fields.clone()))
                 }
                 ElementSpec::AggProbe {
                     table,
@@ -503,7 +480,7 @@ impl PlannedProgram {
                         *func,
                         filter.clone(),
                         agg_expr.clone(),
-                        out_name.to_string(),
+                        out_name.clone(),
                     )
                     .with_key(key.clone());
                     Box::new(match group_cols {
@@ -522,7 +499,7 @@ impl PlannedProgram {
                     *func,
                     *agg_col,
                     group_cols.clone(),
-                    out_name.to_string(),
+                    out_name.clone(),
                 )),
                 ElementSpec::Strand {
                     pre_filters,
@@ -533,9 +510,8 @@ impl PlannedProgram {
                     pre_filters.clone(),
                     ops.iter().map(lower_op).collect(),
                     head_fields.clone(),
-                    out_name.to_string(),
+                    out_name.clone(),
                 )),
-                ElementSpec::Pad => Box::new(Pad),
                 ElementSpec::Periodic {
                     period,
                     count,
@@ -562,10 +538,12 @@ impl PlannedProgram {
         for &(from, out_port, route) in &self.edges {
             graph.connect(from, out_port, route.element, route.port);
         }
+        for &(from, out_port, levels) in &self.delays {
+            graph.set_delay(from, out_port, levels);
+        }
 
         let mut engine = Engine::new(graph, local_addr, seed);
         engine.set_entry(self.entry);
-        engine.set_scheduling(self.delta_schedule);
         Planned {
             engine,
             catalog,
@@ -593,9 +571,9 @@ struct AggPlan<'a> {
 /// One analysed step of a rule strand, before lowering. The stage list is
 /// the single source of truth for both translations: the generic element
 /// chain (one element per stage) and the fused strand (one element total,
-/// padded back to the same chain length so the engine's breadth-first
-/// emission schedule — and with it the simulator's golden event stream —
-/// is preserved bit-for-bit).
+/// its output delayed by the rest of the chain's length so the engine's
+/// breadth-first emission schedule — and with it the simulator's golden
+/// event stream — is preserved bit-for-bit).
 enum Stage {
     /// PEL selection (trigger checks, join checks, or rule conditions).
     Select { label: String, filter: PelProgram },
@@ -637,6 +615,7 @@ struct Builder<'a> {
     specs: Vec<ElementSpec>,
     names: Vec<Arc<str>>,
     edges: Vec<(usize, usize, Route)>,
+    delays: Vec<(usize, usize, u32)>,
     tables: Vec<TablePlan>,
     table_index: HashMap<String, usize>,
     demux_id: usize,
@@ -714,6 +693,7 @@ impl<'a> Builder<'a> {
             specs: Vec::new(),
             names: Vec::new(),
             edges: Vec::new(),
+            delays: Vec::new(),
             tables,
             table_index,
             demux_id: 0,
@@ -916,7 +896,7 @@ impl<'a> Builder<'a> {
                 }
             }
             facts.push(FactTemplate {
-                name: fact.name.clone(),
+                name: fact.name.as_str().into(),
                 fields,
             });
         }
@@ -944,6 +924,7 @@ impl<'a> Builder<'a> {
             specs: self.specs,
             names: self.names,
             edges: self.edges,
+            delays: self.delays,
             entry,
             demux_map,
             demux_default,
@@ -951,7 +932,6 @@ impl<'a> Builder<'a> {
             facts,
             jitter_periodics: self.config.jitter_periodics,
             fused_strands: self.fused_strands,
-            delta_schedule: self.config.delta_schedule,
             obs,
         })
     }
@@ -1071,9 +1051,9 @@ impl<'a> Builder<'a> {
 
     /// Lowers a stage list to graph elements, returning the chain in
     /// execution order. Generic lowering emits one element per stage; the
-    /// fused lowering emits a single [`FusedStrand`] followed by
-    /// `stages.len() - 1` pads, so head tuples surface at exactly the BFS
-    /// level the generic chain would have emitted them at.
+    /// fused lowering emits a single [`FusedStrand`] whose output slot is
+    /// delayed by `stages.len() - 1` levels, so head tuples surface at
+    /// exactly the BFS level the generic chain would have emitted them at.
     fn lower_stages(&mut self, rule: &Rule, stages: Vec<Stage>) -> Vec<usize> {
         if self.config.fuse_strands
             && self.current_class.deterministic
@@ -1125,7 +1105,7 @@ impl<'a> Builder<'a> {
 
     /// The fused lowering (callers checked [`Builder::stages_fusable`]).
     fn lower_fused(&mut self, rule: &Rule, stages: Vec<Stage>) -> Vec<usize> {
-        let pad_count = stages.len() - 1;
+        let levels = (stages.len() - 1) as u32;
         let mut pre_filters = Vec::new();
         let mut ops: Vec<StrandOpSpec> = Vec::new();
         let mut head = None;
@@ -1162,11 +1142,8 @@ impl<'a> Builder<'a> {
             },
         );
         self.fused_strands += 1;
-        let mut chain = vec![strand];
-        for i in 0..pad_count {
-            chain.push(self.add(format!("{}:pad{i}", rule.id), ElementSpec::Pad));
-        }
-        chain
+        self.delays.push((strand, 0, levels));
+        vec![strand]
     }
 
     /// Builds one strand: trigger → joins → filters → (aggregate) →
@@ -1175,8 +1152,7 @@ impl<'a> Builder<'a> {
     /// The rule body is first analysed into a [`Stage`] list, then lowered
     /// either to the generic element chain or — for the dominant
     /// single-join / select-project shapes — to one [`FusedStrand`]
-    /// element followed by schedule-preserving pads
-    /// ([`Builder::lower_stages`]).
+    /// element with a delayed output slot ([`Builder::lower_stages`]).
     fn build_strand(
         &mut self,
         rule: &Rule,
@@ -1187,7 +1163,7 @@ impl<'a> Builder<'a> {
         let stages = self.analyze_strand(rule, trigger, &source, other_tables)?;
 
         // --- Lower the stage list to elements (generic chain or fused
-        // strand + pads), then attach the routing.
+        // strand), then attach the routing.
         let mut chain = self.lower_stages(rule, stages);
         self.route_head(rule, &mut chain)?;
 
@@ -1914,11 +1890,23 @@ mod tests {
         let planned = plan_src(src).unwrap();
         let desc = planned.engine.describe();
         assert!(desc.contains("Periodic"));
-        // R2 is a single-join rule: it compiles to a fused strand (with a
-        // schedule-preserving pad chain), not a generic join element.
+        // R2 is a single-join rule: it compiles to a fused strand, not a
+        // generic join element, and its three stages (join, assignment,
+        // head) leave the strand's output two levels late.
         assert!(desc.contains("R2:strand"), "{desc}");
-        assert!(desc.contains("R2:pad"), "{desc}");
         assert!(!desc.contains("R2:join:sequence"));
+        let shared = PlannedProgram::compile(
+            &compile_checked(src).unwrap(),
+            &PlanConfig::new().without_jitter(),
+        )
+        .unwrap();
+        let r2 = shared
+            .names
+            .iter()
+            .position(|n| &**n == "R2:strand")
+            .unwrap();
+        assert_eq!(shared.delays, [(r2, 0, 2)]);
+        assert_eq!(planned.engine.delay_of(r2, 0), 2);
         // Aggregation-probe rules keep the generic chain.
         assert!(desc.contains("P0:agg:member"));
         assert!(desc.contains("S1:tableagg:member"));

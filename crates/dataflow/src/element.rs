@@ -62,8 +62,9 @@ impl<'a> ElementCtx<'a> {
     }
 
     /// Number of tuples queued in the engine's work queue behind the one
-    /// being processed (the node's pending backlog). Queueing elements use
-    /// this as their occupancy signal.
+    /// being processed (the node's pending backlog, including tuples waiting
+    /// out a level delay). Queueing elements use this as their occupancy
+    /// signal.
     pub fn pending(&self) -> usize {
         self.pending
     }
@@ -126,20 +127,6 @@ pub trait Element: Send {
 
     /// Handles a tuple arriving on input `port`.
     fn push(&mut self, port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>);
-
-    /// Dynamic scheduling guard, consulted by the engine (only when
-    /// delta-driven scheduling is on) immediately before invoking
-    /// [`Element::push`]. Returning `false` promises the invocation would
-    /// be a provable no-op — zero emissions, zero sends, zero state change
-    /// — so the engine may skip it entirely. The default conservatively
-    /// wakes; elements override this only where the no-op proof is exact
-    /// (e.g. a fused strand whose pre-filter rejects the tuple, or an
-    /// aggregate sync with no pending deltas). Implementations must not
-    /// mutate element state and must not advance any RNG stream (guards
-    /// may never evaluate `f_rand`-bearing programs).
-    fn would_wake(&self, _port: usize, _tuple: &Tuple, _eval: &mut EvalContext) -> bool {
-        true
-    }
 
     /// Handles a timer previously scheduled with [`ElementCtx::schedule`].
     fn on_timer(&mut self, _token: u64, _ctx: &mut ElementCtx<'_>) {}

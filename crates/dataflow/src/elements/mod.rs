@@ -17,5 +17,5 @@ pub use glue::{Collector, CollectorHandle, Demux, Queue};
 pub use net::NetOut;
 pub use relational::{AntiJoin, Join, ProbeKey, Project, Select};
 pub use source::Periodic;
-pub use strand::{FusedStrand, Pad, StrandOp, MAX_STRAND_PROBES};
+pub use strand::{FusedStrand, StrandOp, MAX_STRAND_PROBES};
 pub use table_ops::{AggProbe, Delete, Insert, TableAgg};

@@ -1,5 +1,7 @@
 //! Relational operator elements: equijoin, anti-join, selection, projection.
 
+use std::sync::Arc;
+
 use p2_pel::Program;
 use p2_table::TableRef;
 use p2_value::{Tuple, Value};
@@ -127,13 +129,13 @@ impl ProbeKey {
 pub struct Join {
     table: TableRef,
     key: ProbeKey,
-    out_name: String,
+    out_name: Arc<str>,
 }
 
 impl Join {
     /// Creates an equijoin against `table` on the given
     /// `(stream field, table field)` key pairs.
-    pub fn new(table: TableRef, key: Vec<(usize, usize)>, out_name: impl Into<String>) -> Join {
+    pub fn new(table: TableRef, key: Vec<(usize, usize)>, out_name: impl Into<Arc<str>>) -> Join {
         Join {
             table,
             key: ProbeKey::new(key),
@@ -151,7 +153,7 @@ impl Element for Join {
         let guard = self.table.lock();
         if self.key.is_empty() {
             for row in guard.scan_iter() {
-                ctx.emit(0, tuple.join(&self.out_name, row));
+                ctx.emit(0, tuple.join(self.out_name.clone(), row));
             }
             return;
         }
@@ -160,7 +162,7 @@ impl Element for Join {
         }
         self.key.with_probe(tuple, |probe| {
             for row in guard.lookup_iter(&self.key.table_cols, probe) {
-                ctx.emit(0, tuple.join(&self.out_name, row));
+                ctx.emit(0, tuple.join(self.out_name.clone(), row));
             }
         });
     }
@@ -255,7 +257,7 @@ impl Element for Select {
 /// database projection operator by running a PEL program on each incoming
 /// tuple", §3.4).
 pub struct Project {
-    out_name: String,
+    out_name: Arc<str>,
     fields: Vec<Program>,
     /// Tuples dropped because a field program raised an evaluation error.
     pub eval_errors: u64,
@@ -263,7 +265,7 @@ pub struct Project {
 
 impl Project {
     /// Creates a projection producing tuples named `out_name`.
-    pub fn new(out_name: impl Into<String>, fields: Vec<Program>) -> Project {
+    pub fn new(out_name: impl Into<Arc<str>>, fields: Vec<Program>) -> Project {
         Project {
             out_name: out_name.into(),
             fields,
@@ -288,7 +290,7 @@ impl Element for Project {
                 }
             }
         }
-        ctx.emit(0, Tuple::new(&self.out_name, values));
+        ctx.emit(0, Tuple::new(self.out_name.clone(), values));
     }
 }
 

@@ -1,5 +1,7 @@
 //! Event source elements (`periodic`).
 
+use std::sync::Arc;
+
 use p2_value::{SimTime, Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
@@ -18,7 +20,7 @@ use crate::element::{Element, ElementCtx};
 /// where node start times are not synchronized. The phase can be disabled
 /// for unit tests.
 pub struct Periodic {
-    out_name: String,
+    out_name: Arc<str>,
     period: f64,
     remaining: Option<u64>,
     period_value: Value,
@@ -29,7 +31,7 @@ pub struct Periodic {
 impl Periodic {
     /// Creates a periodic source emitting tuples named `out_name` every
     /// `period` seconds, at most `count` times (`None` = forever).
-    pub fn new(out_name: impl Into<String>, period: f64, count: Option<u64>) -> Periodic {
+    pub fn new(out_name: impl Into<Arc<str>>, period: f64, count: Option<u64>) -> Periodic {
         Periodic {
             out_name: out_name.into(),
             period: period.max(0.0),
@@ -70,13 +72,9 @@ impl Periodic {
             *remaining -= 1;
         }
         let event_id = Value::Int((ctx.eval().next_u64() >> 1) as i64);
-        let mut values = vec![
-            Value::str(ctx.local_addr()),
-            event_id,
-            self.period_value.clone(),
-        ];
+        let mut values = vec![ctx.eval().local_addr(), event_id, self.period_value.clone()];
         values.extend(self.extra_args.iter().cloned());
-        ctx.emit(0, Tuple::new(&self.out_name, values));
+        ctx.emit(0, Tuple::new(self.out_name.clone(), values));
         let more = self.remaining.map(|r| r > 0).unwrap_or(true);
         if more && self.period > 0.0 {
             ctx.schedule(0, SimTime::from_secs_f64(self.period));

@@ -1,4 +1,4 @@
-//! The fused rule-strand element and its schedule-preserving padding.
+//! The fused rule-strand element.
 //!
 //! # Why fuse
 //!
@@ -18,31 +18,19 @@
 //! through the borrowing lookup iterator, and the only tuple ever
 //! materialized is the final head tuple.
 //!
-//! # Why pad
+//! A fused strand runs a `k`-stage chain in one call, so its head tuples
+//! would surface `k − 1` breadth-first levels before the generic chain's.
+//! The planner puts those levels back as a delay on the strand's output
+//! slot; `crate::engine`'s *Level delays* section explains why that keeps
+//! the two lowerings' event streams bit-identical.
 //!
-//! The engine's FIFO work queue processes emissions in breadth-first level
-//! order, and the simulator's determinism contract
-//! (`p2_netsim::parsim`) keys packet ordering on the per-sender emission
-//! index — so the *relative order* of sends produced by different rule
-//! strands triggered by the same tuple is observable. A chain of length
-//! `k` emits its head tuples at BFS level `k`; a fused strand computing
-//! everything at level 1 would emit them `k − 1` levels early and reorder
-//! sends relative to longer/shorter sibling strands.
-//!
-//! Each fused strand is therefore followed by `k − 1` [`Pad`] elements:
-//! trivial forwarders (an `Arc` bump and a queue hop each, no PEL, no
-//! materialization) that carry the finished head tuples to exactly the
-//! level the generic chain would have emitted them at. Because the queue
-//! keeps each parent's children contiguous, the final emission sequence of
-//! the padded strand is **bit-identical** to the generic chain's — the
-//! 100-node golden pins and the `sim_bench` strand gate both hold with
-//! fusion enabled. Dead tuples (filtered out mid-chain) never enter the
-//! pad chain, which is where the queue-traffic savings come from on top of
-//! the per-hop work savings.
+//! A strand that finds no match emits nothing, sends nothing and stores
+//! nothing: the call is the whole cost of a useless poke, and the profiler
+//! counts it as wasted.
 //!
 //! # Probe-time caveat
 //!
-//! Pads preserve emission *levels*, not probe *times*: a fused strand
+//! Level delays preserve emission *levels*, not probe *times*: a fused strand
 //! probes its tables when it executes (one level after its trigger),
 //! while the generic chain's joins probe a few levels later. The two can
 //! disagree only when **the same engine cascade mutates a probed table in
@@ -56,7 +44,9 @@
 //! program that trips the gate should plan with
 //! `PlanConfig::without_fusion` until its rules are restructured.
 
-use p2_pel::{EvalContext, Program};
+use std::sync::Arc;
+
+use p2_pel::Program;
 use p2_table::TableRef;
 use p2_value::{Tuple, Value};
 
@@ -90,8 +80,7 @@ pub enum StrandOp {
 
 /// A whole planned rule strand — trigger filters, table join probes,
 /// anti-joins, assignments, conditions, and the head projection — executed
-/// in a single element call. See the module docs for the fusion and
-/// padding contract.
+/// in a single element call. See the module docs for the fusion contract.
 pub struct FusedStrand {
     /// Filters over the bare trigger tuple (constant/repeat checks).
     pre_filters: Vec<Program>,
@@ -102,19 +91,13 @@ pub struct FusedStrand {
     ops: Vec<StrandOp>,
     /// Head projection programs over the final virtual strand tuple.
     head_fields: Vec<Program>,
-    out_name: String,
+    out_name: Arc<str>,
     /// Scratch buffer for assigned values, reused across rows and calls.
     extras: Vec<Value>,
     /// Tuples dropped because a filter, assignment, or head field raised an
     /// evaluation error (the union of the generic chain's per-element
     /// `eval_errors`).
     pub eval_errors: u64,
-    /// Whether the scheduling guard may walk this strand: every pre-filter
-    /// and body program is RNG-free, so pre-evaluating one in
-    /// [`Element::would_wake`] returns exactly what `push` would compute
-    /// without desyncing the node's deterministic RNG stream. Computed
-    /// once at construction.
-    guardable: bool,
 }
 
 impl FusedStrand {
@@ -127,7 +110,7 @@ impl FusedStrand {
         pre_filters: Vec<Program>,
         ops: Vec<StrandOp>,
         head_fields: Vec<Program>,
-        out_name: impl Into<String>,
+        out_name: impl Into<Arc<str>>,
     ) -> FusedStrand {
         assert!(
             ops.iter()
@@ -136,11 +119,6 @@ impl FusedStrand {
                 <= MAX_STRAND_PROBES,
             "fused strand exceeds MAX_STRAND_PROBES"
         );
-        let guardable = pre_filters.iter().all(|p| !p.uses_random())
-            && ops.iter().all(|op| match op {
-                StrandOp::Filter(p) | StrandOp::Assign(p) => !p.uses_random(),
-                StrandOp::Probe { .. } | StrandOp::AntiJoin { .. } => true,
-            });
         FusedStrand {
             pre_filters,
             ops,
@@ -148,7 +126,6 @@ impl FusedStrand {
             out_name: out_name.into(),
             extras: Vec::new(),
             eval_errors: 0,
-            guardable,
         }
     }
 
@@ -235,7 +212,7 @@ fn exec(
     rows: &[&[Value]],
     extras: &mut Vec<Value>,
     head_fields: &[Program],
-    out_name: &str,
+    out_name: &Arc<str>,
     eval_errors: &mut u64,
     ctx: &mut ElementCtx<'_>,
 ) {
@@ -253,7 +230,7 @@ fn exec(
                 }
             }
         }
-        ctx.emit(0, Tuple::new(out_name, values));
+        ctx.emit(0, Tuple::new(out_name.clone(), values));
         return;
     };
     match op {
@@ -347,116 +324,6 @@ fn exec(
     }
 }
 
-/// The scheduling guard's no-op proof: walks the strand's single live
-/// combination the way [`exec`] would and reports whether any head tuple
-/// could come out. Returns `true` (wake) whenever it cannot decide
-/// cheaply. The walk mirrors `exec`'s drop semantics exactly:
-///
-/// * a `Filter` evaluating `false` kills the combination — suppress;
-/// * an `Assign` binds its value and the walk continues (programs are
-///   RNG-free here, so re-evaluating in `push` yields the same value);
-/// * a `Probe` with no matching row yields zero combinations — suppress;
-///   a probe of a **singleton** table (`max_size == 1`) with a match
-///   binds the one row and continues; any other match fans out into
-///   multiple combinations the guard will not enumerate — wake;
-/// * an `AntiJoin` whose table matches kills the combination — suppress;
-///   no match continues the walk;
-/// * malformed tuples / failed stream checks are dropped by `exec` too —
-///   suppress; evaluation **errors** wake, so `push` re-raises them and
-///   the error counters stay exact;
-/// * running out of ops means the head projection would run — wake.
-fn guard_walk(
-    ops: &[StrandOp],
-    rows: &[&[Value]],
-    extras: &mut Vec<Value>,
-    eval: &mut EvalContext,
-) -> bool {
-    let Some((op, rest)) = ops.split_first() else {
-        return true;
-    };
-    match op {
-        StrandOp::Filter(filter) => {
-            let ok = {
-                let (view, n) = pushed(rows, extras);
-                filter.eval_bool_concat(&view[..n], eval)
-            };
-            match ok {
-                Ok(true) => guard_walk(rest, rows, extras, eval),
-                Ok(false) => false,
-                Err(_) => true,
-            }
-        }
-        StrandOp::Assign(expr) => {
-            let v = {
-                let (view, n) = pushed(rows, extras);
-                expr.eval_concat(&view[..n], eval)
-            };
-            match v {
-                Ok(v) => {
-                    extras.push(v);
-                    let wake = guard_walk(rest, rows, extras, eval);
-                    extras.pop();
-                    wake
-                }
-                Err(_) => true,
-            }
-        }
-        StrandOp::AntiJoin { table, key } => {
-            let any_match = {
-                let guard = table.lock();
-                if key.is_empty() {
-                    Some(!guard.is_empty())
-                } else {
-                    let (view, n) = pushed(rows, extras);
-                    match view_stream_checks(key, &view[..n]) {
-                        Some(false) => Some(false),
-                        None => None,
-                        Some(true) => with_view_probe(key, &view[..n], |probe| {
-                            guard.contains_match(&key.table_cols, probe)
-                        }),
-                    }
-                }
-            };
-            match any_match {
-                // No match: the combination survives, keep walking.
-                Some(false) => guard_walk(rest, rows, extras, eval),
-                // A match (or a malformed tuple) drops it in `exec` too.
-                Some(true) | None => false,
-            }
-        }
-        StrandOp::Probe { table, key } => {
-            let guard = table.lock();
-            if key.is_empty() {
-                // Unkeyed scan: an empty table yields zero combinations;
-                // anything else fans out — wake.
-                return !guard.is_empty();
-            }
-            if view_stream_checks(key, rows) != Some(true) {
-                return false; // exec drops the combination here too
-            }
-            let singleton = guard.spec().max_size == Some(1);
-            with_view_probe(key, rows, |probe| {
-                if !guard.contains_match(&key.table_cols, probe) {
-                    return false;
-                }
-                if !singleton {
-                    return true;
-                }
-                // At most one row in the whole table, and it matches:
-                // bind it and keep walking the single combination.
-                match guard.lookup_iter(&key.table_cols, probe).next() {
-                    Some(row) => {
-                        let (next, n) = pushed(rows, row.values());
-                        guard_walk(rest, &next[..n], extras, eval)
-                    }
-                    None => false,
-                }
-            })
-            .unwrap_or(false)
-        }
-    }
-}
-
 impl Element for FusedStrand {
     fn class(&self) -> &'static str {
         "FusedStrand"
@@ -472,7 +339,6 @@ impl Element for FusedStrand {
             out_name,
             extras,
             eval_errors,
-            ..
         } = self;
 
         for filter in pre_filters.iter() {
@@ -495,41 +361,6 @@ impl Element for FusedStrand {
             eval_errors,
             ctx,
         );
-    }
-
-    /// Provable no-op check for the delta-driven scheduler: pre-filters
-    /// and then [`guard_walk`] over the strand body. Only strands whose
-    /// programs are RNG-free participate (`guardable`); everything else —
-    /// and every undecidable case — wakes.
-    fn would_wake(&self, _port: usize, tuple: &Tuple, eval: &mut EvalContext) -> bool {
-        if !self.guardable {
-            return true;
-        }
-        for filter in &self.pre_filters {
-            match filter.eval_bool(tuple, eval) {
-                Ok(true) => {}
-                Ok(false) => return false,
-                Err(_) => return true,
-            }
-        }
-        let mut extras = Vec::new();
-        guard_walk(&self.ops, &[tuple.values()], &mut extras, eval)
-    }
-}
-
-/// A schedule-preserving forwarder: re-emits every tuple unchanged on port
-/// 0. Chains of pads keep a fused strand's head tuples at the BFS level
-/// the generic element chain would have emitted them at (see the module
-/// docs); each hop costs one `Arc` clone and one queue round-trip.
-pub struct Pad;
-
-impl Element for Pad {
-    fn class(&self) -> &'static str {
-        "Pad"
-    }
-
-    fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        ctx.emit(0, tuple.clone());
     }
 }
 
@@ -562,11 +393,18 @@ mod tests {
     }
 
     fn run_one(element: Box<dyn Element>, input: Tuple) -> Vec<Tuple> {
+        run_delayed(element, input, 0)
+    }
+
+    /// Like [`run_one`], with the element's output slot held back by
+    /// `levels`.
+    fn run_delayed(element: Box<dyn Element>, input: Tuple, levels: u32) -> Vec<Tuple> {
         let mut g = Graph::new();
         let e = g.add("elt", element);
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
         g.connect(e, 0, c, 0);
+        g.set_delay(e, 0, levels);
         let mut engine = Engine::new(g, "n1", 1);
         engine.set_entry(Route {
             element: e,
@@ -713,8 +551,11 @@ mod tests {
 
     #[test]
     fn pad_forwards_unchanged() {
+        // A strand re-emitting its trigger through a slot delayed by three
+        // levels: the tuple arrives once, exactly as emitted.
+        let echo = || FusedStrand::new(vec![], vec![], vec![field(0)], "x");
         let t = TupleBuilder::new("x").push(1i64).build();
-        let out = run_one(Box::new(Pad), t.clone());
-        assert_eq!(out, vec![t]);
+        assert_eq!(run_delayed(Box::new(echo()), t.clone(), 3), vec![t.clone()]);
+        assert_eq!(run_one(Box::new(echo()), t.clone()), vec![t]);
     }
 }

@@ -25,6 +25,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use p2_pel::{EvalContext, Program};
 use p2_table::{AggFunc, AggState, DeltaSubscription, InsertOutcome, TableDelta, TableRef};
@@ -203,7 +204,7 @@ pub struct AggProbe {
     key: ProbeKey,
     /// Columns of the group index an unkeyed probe reads the table through.
     group_cols: Option<Vec<usize>>,
-    out_name: String,
+    out_name: Arc<str>,
     fold: RowFold,
     /// Evaluations of the filter or aggregate expression that raised an
     /// error (the candidate — a row, or a uniform group of rows — is
@@ -344,7 +345,7 @@ impl AggProbe {
         func: AggFunc,
         filter: Option<Program>,
         agg_expr: Program,
-        out_name: impl Into<String>,
+        out_name: impl Into<Arc<str>>,
     ) -> AggProbe {
         AggProbe {
             table,
@@ -463,12 +464,15 @@ impl Element for AggProbe {
         let Some((aggregate, witness)) = folded else {
             return;
         };
-        let mut extra: Vec<Value> = match witness {
-            Some(row) => row.values().to_vec(),
-            None => vec![Value::Null; *table_arity],
-        };
-        extra.push(aggregate);
-        ctx.emit(0, tuple.extended(extra).renamed(out_name));
+        // `event ++ witness-or-nulls ++ [aggregate]`, built in place.
+        let mut values = Vec::with_capacity(tuple.arity() + *table_arity + 1);
+        values.extend_from_slice(tuple.values());
+        match witness {
+            Some(row) => values.extend_from_slice(row.values()),
+            None => values.resize(values.len() + *table_arity, Value::Null),
+        }
+        values.push(aggregate);
+        ctx.emit(0, Tuple::new(out_name.clone(), values));
     }
 }
 
@@ -640,7 +644,7 @@ pub struct TableAgg {
     func: AggFunc,
     agg_col: Option<usize>,
     group_cols: Vec<usize>,
-    out_name: String,
+    out_name: Arc<str>,
     /// Incremental per-group state.
     groups: HashMap<Vec<Value>, GroupState>,
     /// Last emitted value per group (the change-detection memo).
@@ -663,7 +667,7 @@ impl TableAgg {
         func: AggFunc,
         agg_col: Option<usize>,
         group_cols: Vec<usize>,
-        out_name: impl Into<String>,
+        out_name: impl Into<Arc<str>>,
     ) -> TableAgg {
         let sub = table.lock().subscribe_deltas();
         TableAgg {
@@ -860,7 +864,7 @@ impl TableAgg {
                         self.last.insert(key.clone(), agg.clone());
                         let mut values = key;
                         values.push(agg);
-                        ctx.emit(0, Tuple::new(&self.out_name, values));
+                        ctx.emit(0, Tuple::new(self.out_name.clone(), values));
                     }
                 }
                 None => {
@@ -869,7 +873,7 @@ impl TableAgg {
                         if let Some(v) = &empty_value {
                             let mut values = key;
                             values.push(v.clone());
-                            ctx.emit(0, Tuple::new(&self.out_name, values));
+                            ctx.emit(0, Tuple::new(self.out_name.clone(), values));
                         }
                     }
                 }
@@ -897,14 +901,6 @@ impl Element for TableAgg {
 
     fn on_start(&mut self, ctx: &mut ElementCtx<'_>) {
         self.sync(ctx);
-    }
-
-    /// A poke only does work when the delta subscription has pending
-    /// deltas (or a rebuild is owed) — exactly the condition `sync`'s
-    /// quiet fast path checks before touching any state. The pending flag
-    /// is a lock-free atomic, so the guard costs one load.
-    fn would_wake(&self, _port: usize, _tuple: &Tuple, _eval: &mut EvalContext) -> bool {
-        self.needs_rebuild || self.sub.has_pending()
     }
 }
 

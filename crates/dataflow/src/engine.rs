@@ -34,22 +34,33 @@
 //! per-delivery bookkeeping (one outgoing buffer, one queue drain) across
 //! the batch.
 //!
-//! # Delta-driven scheduling
+//! # Level delays
 //!
-//! When scheduling is enabled ([`Engine::set_scheduling`], wired from
-//! `PlanConfig::delta_schedule` by the planner), the engine consults
-//! [`Element::would_wake`] just before invoking an element; a `false`
-//! answer is the element's proof that the invocation would produce zero
-//! emissions, sends and state change, and the call is skipped. Guards run
-//! at invocation time (not enqueue time) because they read element state,
-//! which other queued work may change in between. Guards never evaluate
-//! RNG-bearing programs, so the node's deterministic RNG stream is
-//! untouched and sharded runs stay bit-identical.
+//! The FIFO work queue processes emissions in breadth-first level order,
+//! and the simulator's determinism contract (`p2_netsim::parsim`) keys
+//! packet ordering on the per-sender emission index — so the *relative
+//! order* of sends produced by different rule strands triggered by the
+//! same tuple is observable. A generic rule chain of `k` elements emits its
+//! head tuples at BFS level `k`; a fused strand (`elements::FusedStrand`)
+//! computes everything in one call at level 1 and would emit them `k − 1`
+//! levels early, reordering its sends against longer or shorter sibling
+//! strands.
 //!
-//! Skipped calls are counted ([`EngineStats::suppressed_guard_pokes`] and
-//! the profiler's per-element suppressed counter) so the wasted-poke audit
-//! distinguishes "never ran" from "ran and wasted". With scheduling off
-//! (the default for raw engines) every tuple is delivered.
+//! An output slot may therefore carry a **level delay**
+//! ([`Graph::set_delay`], compiled into `slot_delay` beside the route
+//! spans). Every queue entry carries a remaining-level count, set from its
+//! slot's delay when the emission is routed; [`Engine`]'s drain loop moves
+//! an entry whose count is above zero to the back of the queue with one
+//! level fewer, without calling any element, cloning any tuple or counting
+//! a handoff. Each such move lands the entry exactly where a forwarding
+//! element on the chain would have pushed its output, so after `k − 1`
+//! moves the head tuple reaches its consumer at the level the generic chain
+//! would have delivered it: the fused and generic lowerings produce
+//! **bit-identical** event streams, which the 100-node golden pins assert
+//! with fusion on and off. A slot with several routes enqueues them side by
+//! side and nothing runs between their re-queues, so a fan-out stays
+//! contiguous, as the forwarder's single emission would have kept it.
+//! Dead tuples (filtered out inside a strand) are never enqueued at all.
 //!
 //! The engine is instantiated per node, but the *plan* it executes can be
 //! shared: see `p2_core::PlannedProgram`, which compiles an OverLog program
@@ -86,6 +97,8 @@ pub struct Graph {
     elements: Vec<Box<dyn Element>>,
     names: Vec<Arc<str>>,
     edges: HashMap<(usize, usize), Vec<Route>>,
+    /// Level delay per output slot (absent = 0); see *Level delays*.
+    delays: HashMap<(usize, usize), u32>,
 }
 
 impl Graph {
@@ -109,6 +122,13 @@ impl Graph {
         });
     }
 
+    /// Holds every tuple emitted on `from`'s output port `out_port` back by
+    /// `levels` breadth-first levels before its routes receive it (see the
+    /// module-level *Level delays* section).
+    pub fn set_delay(&mut self, from: usize, out_port: usize, levels: u32) {
+        self.delays.insert((from, out_port), levels);
+    }
+
     /// Number of elements in the graph.
     pub fn len(&self) -> usize {
         self.elements.len()
@@ -128,12 +148,23 @@ impl Graph {
         }
         let mut edges: Vec<(&(usize, usize), &Vec<Route>)> = self.edges.iter().collect();
         edges.sort_by_key(|(k, _)| **k);
-        for ((from, port), routes) in edges {
-            for r in routes {
-                out.push_str(&format!("  {from}:{port} -> {}:{}\n", r.element, r.port));
-            }
+        for (&(from, port), routes) in edges {
+            let delay = self.delays.get(&(from, port)).copied().unwrap_or(0);
+            describe_slot(&mut out, from, port, routes, delay);
         }
         out
+    }
+}
+
+/// Appends one output slot's routes to a graph description; a delayed slot
+/// reads `+N levels`.
+fn describe_slot(out: &mut String, from: usize, port: usize, routes: &[Route], delay: u32) {
+    for r in routes {
+        out.push_str(&format!("  {from}:{port} -> {}:{}", r.element, r.port));
+        if delay > 0 {
+            out.push_str(&format!(" +{delay} levels"));
+        }
+        out.push('\n');
     }
 }
 
@@ -152,9 +183,14 @@ pub struct EngineStats {
     pub timers_fired: u64,
     /// Tuples handed to the network.
     pub sent: u64,
-    /// Pokes skipped at invocation time by a [`Element::would_wake`]
-    /// guard proving the call a no-op. Zero with scheduling off.
-    pub suppressed_guard_pokes: u64,
+}
+
+/// One pending delivery in the work queue.
+struct Pending {
+    route: Route,
+    tuple: Tuple,
+    /// Breadth-first levels left to wait before `route` receives `tuple`.
+    delay: u32,
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -194,21 +230,19 @@ pub struct Engine {
     port_base: Vec<usize>,
     /// Per-slot `(start, end)` span into `routes`.
     route_spans: Vec<(u32, u32)>,
+    /// Per-slot level delay, parallel to `route_spans`.
+    slot_delay: Vec<u32>,
     /// All routes, concatenated in slot order; connect-call order is
     /// preserved within a slot.
     routes: Vec<Route>,
     entry: Option<Route>,
-    queue: VecDeque<(Route, Tuple)>,
+    queue: VecDeque<Pending>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
     eval: EvalContext,
     now: SimTime,
     stats: EngineStats,
     started: bool,
-    /// Whether the `would_wake` guards are consulted. Off by default so
-    /// raw engines and unit graphs run every poke; the planner turns it on
-    /// from `PlanConfig::delta_schedule`.
-    scheduling: bool,
     /// Reused emission buffer: filled by one element call, drained by
     /// `absorb`, never reallocated in steady state.
     scratch_emissions: Vec<(usize, Tuple)>,
@@ -224,11 +258,12 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine for the node with the given address and RNG seed,
     /// compiling the graph's edge map into the dense adjacency table.
-    pub fn new(graph: Graph, local_addr: impl Into<String>, seed: u64) -> Engine {
+    pub fn new(graph: Graph, local_addr: impl Into<Arc<str>>, seed: u64) -> Engine {
         let Graph {
             elements,
             names,
             edges,
+            delays,
         } = graph;
 
         // Output-port count per element (highest connected port + 1).
@@ -249,11 +284,14 @@ impl Engine {
         let mut sorted: Vec<((usize, usize), Vec<Route>)> = edges.into_iter().collect();
         sorted.sort_unstable_by_key(|(k, _)| *k);
         let mut route_spans = vec![(0u32, 0u32); total];
+        let mut slot_delay = vec![0u32; total];
         let mut routes = Vec::new();
         for ((e, p), rs) in sorted {
+            let slot = port_base[e] + p;
             let start = routes.len() as u32;
             routes.extend(rs);
-            route_spans[port_base[e] + p] = (start, routes.len() as u32);
+            route_spans[slot] = (start, routes.len() as u32);
+            slot_delay[slot] = delays.get(&(e, p)).copied().unwrap_or(0);
         }
 
         Engine {
@@ -261,16 +299,16 @@ impl Engine {
             names,
             port_base,
             route_spans,
+            slot_delay,
             routes,
             entry: None,
             queue: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            eval: EvalContext::new(local_addr.into(), seed),
+            eval: EvalContext::new(local_addr, seed),
             now: SimTime::ZERO,
             stats: EngineStats::default(),
             started: false,
-            scheduling: false,
             scratch_emissions: Vec::new(),
             scratch_timers: Vec::new(),
             obs: None,
@@ -329,17 +367,6 @@ impl Engine {
         self.entry = Some(route);
     }
 
-    /// Turns delta-driven scheduling on or off (see the module-level
-    /// *Delta-driven scheduling* section). Off by default.
-    pub fn set_scheduling(&mut self, on: bool) {
-        self.scheduling = on;
-    }
-
-    /// Whether delta-driven scheduling is active.
-    pub fn scheduling(&self) -> bool {
-        self.scheduling
-    }
-
     /// The node's address.
     pub fn local_addr(&self) -> String {
         self.eval.local_addr_str().to_string()
@@ -369,15 +396,29 @@ impl Engine {
     /// Empty for unconnected ports — the compiled equivalent of a missing
     /// edge-map entry (tuples emitted there are discarded).
     pub fn routes_of(&self, element: usize, out_port: usize) -> &[Route] {
+        match self.slot(element, out_port) {
+            Some(slot) => {
+                let (start, end) = self.route_spans[slot];
+                &self.routes[start as usize..end as usize]
+            }
+            None => &[],
+        }
+    }
+
+    /// The compiled level delay of `(element, out_port)` (0 when none, or
+    /// when the slot has no routes).
+    pub fn delay_of(&self, element: usize, out_port: usize) -> u32 {
+        self.slot(element, out_port)
+            .map_or(0, |slot| self.slot_delay[slot])
+    }
+
+    /// The flat slot index of a connected `(element, out_port)`.
+    fn slot(&self, element: usize, out_port: usize) -> Option<usize> {
         if element >= self.elements.len() {
-            return &[];
+            return None;
         }
         let base = self.port_base[element];
-        if out_port >= self.port_base[element + 1] - base {
-            return &[];
-        }
-        let (start, end) = self.route_spans[base + out_port];
-        &self.routes[start as usize..end as usize]
+        (out_port < self.port_base[element + 1] - base).then_some(base + out_port)
     }
 
     /// Human-readable description of the compiled graph (element classes and
@@ -389,9 +430,7 @@ impl Engine {
         }
         for e in 0..self.elements.len() {
             for p in 0..self.port_base[e + 1] - self.port_base[e] {
-                for r in self.routes_of(e, p) {
-                    out.push_str(&format!("  {e}:{p} -> {}:{}\n", r.element, r.port));
-                }
+                describe_slot(&mut out, e, p, self.routes_of(e, p), self.delay_of(e, p));
             }
         }
         out
@@ -449,7 +488,11 @@ impl Engine {
             }
         }
         let mut outgoing = Vec::new();
-        self.queue.push_back((entry, tuple));
+        self.queue.push_back(Pending {
+            route: entry,
+            tuple,
+            delay: 0,
+        });
         self.drain(&mut outgoing);
         self.stats.sent += outgoing.len() as u64;
         outgoing
@@ -478,7 +521,11 @@ impl Engine {
                     obs.trace_recv(self.now, &tuple);
                 }
             }
-            self.queue.push_back((entry, tuple));
+            self.queue.push_back(Pending {
+                route: entry,
+                tuple,
+                delay: 0,
+            });
         }
         self.stats.injected += (self.queue.len() - before) as u64;
         self.drain(&mut outgoing);
@@ -541,12 +588,22 @@ impl Engine {
             if port >= nports {
                 continue;
             }
-            let (start, end) = self.route_spans[base + port];
+            let slot = base + port;
+            let (start, end) = self.route_spans[slot];
+            let delay = self.slot_delay[slot];
             if let Some((last, rest)) = self.routes[start as usize..end as usize].split_last() {
-                for r in rest {
-                    self.queue.push_back((*r, tuple.clone()));
+                for &route in rest {
+                    self.queue.push_back(Pending {
+                        route,
+                        tuple: tuple.clone(),
+                        delay,
+                    });
                 }
-                self.queue.push_back((*last, tuple));
+                self.queue.push_back(Pending {
+                    route: *last,
+                    tuple,
+                    delay,
+                });
             }
         }
         for (token, fire_at) in self.scratch_timers.drain(..) {
@@ -562,18 +619,23 @@ impl Engine {
 
     /// Processes the work queue until empty (run to completion).
     fn drain(&mut self, outgoing: &mut Vec<Outgoing>) {
-        while let Some((route, tuple)) = self.queue.pop_front() {
-            let idx = route.element;
-            if self.scheduling && !self.elements[idx].would_wake(route.port, &tuple, &mut self.eval)
-            {
-                // Dynamic suppression: the element proved this invocation
-                // a no-op (no emission, send, or state change possible).
-                self.stats.suppressed_guard_pokes += 1;
-                if let Some(obs) = &mut self.obs {
-                    obs.record_suppressed(idx);
-                }
+        while let Some(Pending {
+            route,
+            tuple,
+            delay,
+        }) = self.queue.pop_front()
+        {
+            if delay > 0 {
+                // One level later: where a forwarding element would have
+                // pushed it (see *Level delays*).
+                self.queue.push_back(Pending {
+                    route,
+                    tuple,
+                    delay: delay - 1,
+                });
                 continue;
             }
+            let idx = route.element;
             self.stats.handoffs += 1;
             let sends_before = outgoing.len();
             let state_changed;
@@ -888,5 +950,127 @@ mod tests {
         assert_eq!(batched.stats().injected, 4);
         assert_eq!(seq.stats().sent, batched.stats().sent);
         assert_eq!(seq.stats().handoffs, batched.stats().handoffs);
+    }
+
+    /// Logs each tuple it receives, then emits `copies` tagged copies of it
+    /// on port 0 and, with a `dst`, sends it there.
+    struct Logged {
+        name: &'static str,
+        log: Arc<std::sync::Mutex<Vec<String>>>,
+        copies: i64,
+        dst: Option<&'static str>,
+    }
+
+    impl Element for Logged {
+        fn class(&self) -> &'static str {
+            "Logged"
+        }
+        fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("{} {tuple}", self.name));
+            for i in 0..self.copies {
+                ctx.emit(0, tuple.extended(vec![Value::Int(i)]));
+            }
+            if let Some(dst) = self.dst {
+                ctx.send(dst, tuple.clone());
+            }
+        }
+    }
+
+    /// Re-emits every tuple unchanged: the explicit form of one level of
+    /// delay.
+    struct Forward;
+
+    impl Element for Forward {
+        fn class(&self) -> &'static str {
+            "Forward"
+        }
+        fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+            ctx.emit(0, tuple.clone());
+        }
+    }
+
+    /// How the graph of `delay_matches_forwarder_chains` holds a slot back.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Hold {
+        Forwarders,
+        Delay,
+        Nothing,
+    }
+
+    /// `split` fans out to two sibling strands: `a` emits two tuples whose
+    /// slot reaches `x` and `y` two levels late, `b` emits two whose slot
+    /// reaches `z` one level late. Returns the invocation log, the sends
+    /// and the handoff count of one delivery.
+    fn run_held(hold: Hold) -> (Vec<String>, Vec<Outgoing>, u64, String) {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let logged = |name, copies, dst| -> Box<dyn Element> {
+            Box::new(Logged {
+                name,
+                log: log.clone(),
+                copies,
+                dst,
+            })
+        };
+        let mut g = Graph::new();
+        let split = g.add("split", logged("split", 1, None));
+        let a = g.add("a", logged("a", 2, None));
+        let b = g.add("b", logged("b", 2, None));
+        let x = g.add("x", logged("x", 0, Some("nx")));
+        let y = g.add("y", logged("y", 0, Some("ny")));
+        let z = g.add("z", logged("z", 0, Some("nz")));
+        g.connect(split, 0, a, 0);
+        g.connect(split, 0, b, 0);
+        let held = |g: &mut Graph, from: usize, levels: u32| match hold {
+            Hold::Forwarders => (0..levels).fold(from, |prev, i| {
+                let f = g.add(format!("fwd{from}.{i}"), Box::new(Forward));
+                g.connect(prev, 0, f, 0);
+                f
+            }),
+            Hold::Delay => {
+                g.set_delay(from, 0, levels);
+                from
+            }
+            Hold::Nothing => from,
+        };
+        let a_out = held(&mut g, a, 2);
+        g.connect(a_out, 0, x, 0);
+        g.connect(a_out, 0, y, 0);
+        let b_out = held(&mut g, b, 1);
+        g.connect(b_out, 0, z, 0);
+        let described = g.describe();
+
+        let mut engine = Engine::new(g, "n1", 1);
+        assert_eq!(engine.describe(), described);
+        engine.set_entry(Route {
+            element: split,
+            port: 0,
+        });
+        let out = engine.deliver(TupleBuilder::new("t").build(), SimTime::ZERO);
+        let invocations = log.lock().unwrap().clone();
+        (invocations, out, engine.stats().handoffs, described)
+    }
+
+    #[test]
+    fn delay_matches_forwarder_chains() {
+        let (fwd_log, fwd_out, fwd_handoffs, _) = run_held(Hold::Forwarders);
+        let (log, out, handoffs, described) = run_held(Hold::Delay);
+        assert_eq!(log, fwd_log);
+        assert_eq!(out, fwd_out);
+        // `b`'s sends come first: it is one level shallower than `a`, and
+        // each of `a`'s tuples reaches `x` and `y` back to back.
+        let dsts: Vec<&str> = out.iter().map(|o| &*o.dst).collect();
+        assert_eq!(dsts, ["nz", "nz", "nx", "ny", "nx", "ny"]);
+        // The six forwarder calls (two tuples × three levels) are gone.
+        assert_eq!(handoffs + 6, fwd_handoffs);
+        assert!(described.contains("  1:0 -> 3:0 +2 levels\n  1:0 -> 4:0 +2 levels\n"));
+        assert!(described.contains("  2:0 -> 5:0 +1 levels\n"));
+
+        // Without the hold `a`'s sends overtake `b`'s: the check above is
+        // not vacuous.
+        let (_, undelayed, _, _) = run_held(Hold::Nothing);
+        assert_ne!(undelayed, out);
     }
 }

@@ -109,15 +109,6 @@ impl ChordClusterBuilder {
         self
     }
 
-    /// Selects delta-driven rule scheduling (default on): elements veto
-    /// provably no-op invocations via `would_wake`. The poke-everything
-    /// behaviour is kept available for the scheduling-equivalence gate and
-    /// reproduces the historical golden pins bit-for-bit.
-    pub fn delta_schedule(mut self, on: bool) -> ChordClusterBuilder {
-        self.opts.delta_schedule = on;
-        self
-    }
-
     /// Builds and boots the ring with the paper's staggered bring-up (see
     /// [`ChordCluster::build`]).
     pub fn build(self, warmup_secs: u64) -> ChordCluster {
@@ -413,9 +404,9 @@ impl ChordCluster {
     }
 
     /// Sorted display rows of one node's named table (empty when the node
-    /// or table is absent). The scheduler-equivalence tests use this to
+    /// or table is absent). The strand-equivalence tests use this to
     /// compare the full final routing state — successor lists, fingers,
-    /// predecessors — between delta-scheduled and poke-everything runs.
+    /// predecessors — between fused and generic plans.
     pub fn table_rows(&self, addr: &str, table: &str) -> Vec<String> {
         let Some(host) = self.sim.node(addr) else {
             return Vec::new();

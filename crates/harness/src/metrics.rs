@@ -74,8 +74,9 @@ pub struct EngineOps {
     /// run). The field stays only because `benchmark/` builds this struct
     /// by literal; the next `benchmark` PR may drop it.
     pub suppressed_refresh_pokes: u64,
-    /// Pending pokes dropped by the dynamic `would_wake` guard at drain
-    /// time (the strand proved the invocation a no-op without running it).
+    /// Always 0, for the same reason: the engine no longer skips pokes (a
+    /// strand that finds nothing is a wasted poke in the obs report), so
+    /// nothing feeds this counter.
     pub suppressed_guard_pokes: u64,
 }
 
@@ -87,7 +88,6 @@ impl EngineOps {
         self.dropped_no_entry += s.dropped_no_entry;
         self.timers_fired += s.timers_fired;
         self.sent += s.sent;
-        self.suppressed_guard_pokes += s.suppressed_guard_pokes;
     }
 }
 

@@ -31,12 +31,12 @@ fn ring_stats(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
     measure(ChordCluster::build(n, warmup, seed))
 }
 
-/// The historical golden run: delta-driven scheduling off, i.e. the
-/// poke-everything engine every pin before PR 10 was captured on.
-fn ring_stats_unscheduled(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
+/// The golden run on the generic element chains: strand fusion off, so no
+/// output slot carries a level delay.
+fn ring_stats_generic(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
     measure(
         ChordCluster::builder(n, seed)
-            .delta_schedule(false)
+            .fuse_strands(false)
             .build(warmup),
     )
 }
@@ -53,10 +53,8 @@ fn ring_stats_par(n: usize, warmup: u64, seed: u64, workers: usize) -> (u64, u64
 ///
 /// Captured on the pre-refactor (PR 1) simulator and reproduced bit-for-bit
 /// by every engine overhaul since (PR 2 NodeId/timer index, PR 3 compiled
-/// adjacency, PR 6 strands, PR 7 views, PR 10 delta scheduling). The PR 10
-/// re-baseline kept the numbers identical on purpose: the scheduler only
-/// suppresses pokes whose invocations are provable no-ops, so the message
-/// stream — and therefore this pin — must not move. Update only for a
+/// adjacency, PR 6 strands, PR 7 views, PR 10 delta scheduling and its
+/// removal, level delays in place of pad elements). Update only for a
 /// deliberate semantic change, and update `docs/golden-pins.md` with it.
 const GOLDEN_100: (u64, u64, u64, u64, u64) = (29_634, 29_638, 0, 2_787_660, 31_838);
 
@@ -73,25 +71,22 @@ fn ring_pointers(cluster: &ChordCluster) -> Vec<(String, Option<String>)> {
 fn hundred_node_ring_matches_golden_stats() {
     let a = ring_stats(100, 120, 42);
     eprintln!("100-node ring stats: {a:?}");
-    assert_eq!(
-        a, GOLDEN_100,
-        "fixed-seed run (delta scheduling on) diverged from the golden pin"
-    );
+    assert_eq!(a, GOLDEN_100, "fixed-seed run diverged from the golden pin");
     let b = ring_stats(100, 120, 42);
     assert_eq!(a, b, "same seed must give identical NetStats across runs");
 }
 
-/// The scheduler-off escape hatch reproduces the historical poke-everything
-/// engine — and therefore the historical pin — exactly. This is the other
-/// half of the PR 10 re-baseline: `delta_schedule(false)` is not "mostly
-/// the same", it is the bit-for-bit old behaviour.
+/// The generic element chains reproduce the pin exactly: a fused strand's
+/// delayed output slot delivers every head tuple at the breadth-first level
+/// the chain it replaces would have, so fusion is not "mostly the same",
+/// it is the same event stream.
 #[test]
 fn unscheduled_ring_matches_golden_stats() {
-    let a = ring_stats_unscheduled(100, 120, 42);
-    eprintln!("100-node ring stats (scheduler off): {a:?}");
+    let a = ring_stats_generic(100, 120, 42);
+    eprintln!("100-node ring stats (fusion off): {a:?}");
     assert_eq!(
         a, GOLDEN_100,
-        "fixed-seed run with delta scheduling off diverged from the golden pin"
+        "fixed-seed run on the generic chains diverged from the golden pin"
     );
 }
 
@@ -125,18 +120,17 @@ fn golden_pin_holds_with_observability_enabled() {
         "implausible wasted-poke rate {}",
         report.wasted_rate
     );
-    // Delta-driven scheduling is on by default, so the profiler must be
-    // seeing the suppressed-poke stream, and the wasted rate over this
-    // still-converging staggered window must sit well under the 32.8%
-    // poke-everything baseline (measured 16.4% here; the < 15% steady-state
-    // gate lives in `sim_bench --obs`, whose window starts after bring-up).
+    // Every poke runs, so the rules whose triggers mostly find nothing to
+    // do show those calls as wasted pokes.
+    for rule in ["F8", "F9", "CM9"] {
+        let r = report.rules.iter().find(|r| r.rule == rule).unwrap();
+        assert!(r.wasted_pokes > 0, "{rule} wasted no pokes: {r:?}");
+    }
+    // Measured 45.6% over this still-converging staggered window (a count,
+    // not time); the steady-state ceiling lives in `sim_bench --obs`.
     assert!(
-        report.total_suppressed_pokes > 0,
-        "delta scheduling suppressed no pokes over the golden window"
-    );
-    assert!(
-        report.wasted_rate < 0.20,
-        "wasted-poke rate {:.3} regressed toward the 32.8% unscheduled baseline",
+        report.wasted_rate < 0.50,
+        "wasted-poke rate {:.3} above its pinned bound",
         report.wasted_rate
     );
 }
@@ -155,10 +149,9 @@ fn parallel_run_matches_the_sequential_golden_pin() {
     );
 }
 
-/// The delta scheduler's suppression decisions must be worker-invariant:
-/// the `would_wake` guards read per-node strand state only, so sharding the
-/// ring across 1/2/4 workers must leave the scheduler-on pin — and the
-/// total number of suppressed pokes — bit-identical to the sequential run.
+/// Sharding the ring across 1/2/4 workers must leave the pin — and the
+/// total number of element calls, which counts every poke and no level
+/// delay — bit-identical to the sequential run.
 #[test]
 fn scheduled_pin_is_worker_invariant() {
     let run = |workers: Option<usize>| {
@@ -181,20 +174,17 @@ fn scheduled_pin_is_worker_invariant() {
                 s.bytes_sent,
                 cluster.sim.events_processed() - events_before,
             ),
-            engine.suppressed_guard_pokes,
+            engine.handoffs,
         )
     };
-    let (pin, suppressed) = run(None);
-    assert_eq!(pin, GOLDEN_100, "sequential scheduler-on pin diverged");
-    assert!(
-        suppressed > 0,
-        "scheduler-on run suppressed no pokes over the golden window"
-    );
+    let (pin, handoffs) = run(None);
+    assert_eq!(pin, GOLDEN_100, "sequential pin diverged");
+    assert!(handoffs > 0, "no element calls over the golden window");
     for workers in [1, 2, 4] {
         assert_eq!(
             run(Some(workers)),
-            (pin, suppressed),
-            "{workers}-worker scheduler-on run diverged from the sequential pin"
+            (pin, handoffs),
+            "{workers}-worker run diverged from the sequential pin"
         );
     }
 }
@@ -276,7 +266,7 @@ fn lookup_outcomes(cluster: &mut ChordCluster, n_lookups: usize) -> Vec<Option<(
     let handles: Vec<_> = (0..n_lookups)
         .map(|i| {
             let origin = origins[i % origins.len()].clone();
-            let key = Uint160::hash_of(format!("sched-gate-key-{i}").as_bytes());
+            let key = Uint160::hash_of(format!("strand-gate-key-{i}").as_bytes());
             cluster.issue_lookup_from(&origin, key)
         })
         .collect();
@@ -287,55 +277,49 @@ fn lookup_outcomes(cluster: &mut ChordCluster, n_lookups: usize) -> Vec<Option<(
         .collect()
 }
 
-/// The tentpole equivalence statement, checked on state rather than
-/// traffic: a delta-scheduled ring and a poke-everything ring must agree on
-/// the complete final routing state (succ/finger/pred/bestSucc rows of
-/// every node), both must form a single cycle, and a deterministic lookup
-/// workload must resolve to the same owners over the same hop counts.
+/// The lowering equivalence statement, checked on state rather than
+/// traffic: a ring planned with fused strands and one on the generic
+/// element chains must agree on the complete final routing state
+/// (succ/finger/pred/bestSucc rows of every node), both must form a single
+/// cycle, and a deterministic lookup workload must resolve to the same
+/// owners over the same hop counts.
 #[test]
 fn scheduler_on_and_off_agree_on_ring_state_and_lookups() {
-    let build = |schedule: bool| {
+    let build = |fuse: bool| {
         ChordCluster::builder(48, 7)
-            .delta_schedule(schedule)
+            .fuse_strands(fuse)
             .build_fast(180)
     };
-    let mut on = build(true);
-    let mut off = build(false);
-    on.run_for(60.0);
-    off.run_for(60.0);
-    on.assert_single_cycle();
-    off.assert_single_cycle();
+    let mut fused = build(true);
+    let mut generic = build(false);
+    fused.run_for(60.0);
+    generic.run_for(60.0);
+    fused.assert_single_cycle();
+    generic.assert_single_cycle();
     assert_eq!(
-        routing_state(&on),
-        routing_state(&off),
-        "delta scheduling changed the final routing state"
+        routing_state(&fused),
+        routing_state(&generic),
+        "strand fusion changed the final routing state"
     );
-    let on_lookups = lookup_outcomes(&mut on, 24);
-    let off_lookups = lookup_outcomes(&mut off, 24);
+    let fused_lookups = lookup_outcomes(&mut fused, 24);
+    let generic_lookups = lookup_outcomes(&mut generic, 24);
     assert!(
-        on_lookups.iter().all(Option::is_some),
-        "scheduled run dropped lookups: {on_lookups:?}"
+        fused_lookups.iter().all(Option::is_some),
+        "fused run dropped lookups: {fused_lookups:?}"
     );
     assert_eq!(
-        on_lookups, off_lookups,
-        "delta scheduling changed lookup owners or hop counts"
-    );
-    // The comparison is only meaningful if the scheduler actually did
-    // something on the `on` ring.
-    let engine = on.engine_stats();
-    assert!(
-        engine.suppressed_guard_pokes > 0,
-        "scheduler-on ring suppressed no pokes"
+        fused_lookups, generic_lookups,
+        "strand fusion changed lookup owners or hop counts"
     );
 }
 
-// Property form of the scheduler equivalence gate: for arbitrary small
-// rings and seeds, delta scheduling must not change the final
-// best-successor cycle or the routing-table contents. Each case builds and
-// runs two full clusters, so the case budget is deliberately small; the
-// seeds still vary ring size, hash layout and event interleaving far beyond
-// the pinned deterministic tests. (The vendored `proptest!` macro accepts
-// no doc comments on the test fn, hence the plain comment.)
+// Property form of the lowering equivalence gate: for arbitrary small
+// rings and seeds, strand fusion must not change the final best-successor
+// cycle or the routing-table contents. Each case builds and runs two full
+// clusters, so the case budget is deliberately small; the seeds still vary
+// ring size, hash layout and event interleaving far beyond the pinned
+// deterministic tests. (The vendored `proptest!` macro accepts no doc
+// comments on the test fn, hence the plain comment.)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -344,23 +328,23 @@ proptest! {
         n in 8usize..20,
         seed in 0u64..u64::MAX,
     ) {
-        let build = |schedule: bool| {
+        let build = |fuse: bool| {
             ChordCluster::builder(n, seed)
-                .delta_schedule(schedule)
+                .fuse_strands(fuse)
                 .build_fast(120)
         };
-        let mut on = build(true);
-        let mut off = build(false);
-        on.run_for(30.0);
-        off.run_for(30.0);
+        let mut fused = build(true);
+        let mut generic = build(false);
+        fused.run_for(30.0);
+        generic.run_for(30.0);
         prop_assert_eq!(
-            routing_state(&on),
-            routing_state(&off),
-            "delta scheduling changed the final routing state (n={}, seed={})",
+            routing_state(&fused),
+            routing_state(&generic),
+            "strand fusion changed the final routing state (n={}, seed={})",
             n,
             seed
         );
-        prop_assert_eq!(on.is_single_cycle(), off.is_single_cycle());
+        prop_assert_eq!(fused.is_single_cycle(), generic.is_single_cycle());
     }
 }
 

@@ -25,8 +25,8 @@
 //!   can distinguish a real mutation from a soft-state refresh no-op.
 //!   A **wasted poke** is an invocation of a pokeable element (strand /
 //!   agg / rule-body operator) that produced zero emissions, zero
-//!   sends and zero state change — exactly the work a delta-driven rule
-//!   scheduler could suppress.
+//!   sends and zero state change: a rule that was triggered and matched
+//!   nothing, at the cost of one element call.
 //! - **Trace mode.** Provenance tracing is content-addressed: the trace tag
 //!   is a [`Value`] matched by equality against any tuple field. Chord
 //!   lookups already thread a globally unique event id from `lookup` to
@@ -90,7 +90,6 @@ pub enum ElemKind {
     AggProbe,
     TableAgg,
     Strand,
-    Pad,
     Periodic,
     NetOut,
     Collector,
@@ -110,7 +109,6 @@ impl ElemKind {
             ElemKind::AggProbe => "agg_probe",
             ElemKind::TableAgg => "table_agg",
             ElemKind::Strand => "strand",
-            ElemKind::Pad => "pad",
             ElemKind::Periodic => "periodic",
             ElemKind::NetOut => "netout",
             ElemKind::Collector => "collector",
@@ -118,11 +116,11 @@ impl ElemKind {
     }
 
     /// Whether an invocation of this element counts as a *poke*: rule-body
-    /// work that a delta-driven scheduler could in principle suppress. A
-    /// poke that yields zero emissions, zero sends and zero state change is
-    /// recorded as wasted. Forwarding/IO elements (demux, pad, netout,
-    /// periodic, collector, project) and table writers are excluded — their
-    /// invocations are either unconditional plumbing or real mutations.
+    /// work that may find nothing to do. A poke that yields zero emissions,
+    /// zero sends and zero state change is recorded as wasted.
+    /// Forwarding/IO elements (demux, netout, periodic, collector, project)
+    /// and table writers are excluded — their invocations are either
+    /// unconditional plumbing or real mutations.
     pub fn pokeable(self) -> bool {
         matches!(
             self,
@@ -186,12 +184,6 @@ pub struct ElemCounters {
     /// Pokes (invocations of a pokeable element) with zero emissions, zero
     /// sends and zero state change.
     pub wasted_pokes: u64,
-    /// Pokes the delta-driven scheduler suppressed before the element ran
-    /// (its `would_wake` guard proved a no-op). Counted separately
-    /// from `wasted_pokes`, which only covers invocations that actually
-    /// happened and wasted — with scheduling on the audit stays
-    /// meaningful: would-have-wasted work shows up here instead.
-    pub suppressed_pokes: u64,
     /// Timer callbacks delivered to the element.
     pub timer_fires: u64,
 }
@@ -205,7 +197,6 @@ impl ElemCounters {
         self.sent += other.sent;
         self.state_changes += other.state_changes;
         self.wasted_pokes += other.wasted_pokes;
-        self.suppressed_pokes += other.suppressed_pokes;
         self.timer_fires += other.timer_fires;
     }
 }
@@ -422,14 +413,6 @@ impl NodeObs {
         }
     }
 
-    /// Records one poke of element `idx` suppressed by the delta-driven
-    /// scheduler (the element's `would_wake` guard) before the element
-    /// ran.
-    #[inline]
-    pub fn record_suppressed(&mut self, idx: usize) {
-        self.counters[idx].suppressed_pokes += 1;
-    }
-
     /// Records one timer callback into element `idx`.
     #[inline]
     pub fn record_timer(&mut self, idx: usize, emitted: u64, sent: u64, state_changed: bool) {
@@ -594,13 +577,10 @@ pub struct RuleProfile {
     pub elements: u64,
     /// Summed counters over those elements.
     pub counters: ElemCounters,
-    /// Invocations of the rule's pokeable elements (pokes that ran;
-    /// scheduler-suppressed pokes are not included).
+    /// Invocations of the rule's pokeable elements.
     pub pokes: u64,
     /// Pokes with zero emissions, sends and state change.
     pub wasted_pokes: u64,
-    /// Pokes the delta-driven scheduler suppressed before the element ran.
-    pub suppressed_pokes: u64,
     /// `wasted_pokes / pokes` (0 when no pokes).
     pub wasted_rate: f64,
 }
@@ -626,12 +606,10 @@ pub struct TableProfile {
 pub struct ClassBucket {
     /// Rules in the bucket.
     pub rules: u64,
-    /// Pokes into the bucket's rules (ran; suppressed not included).
+    /// Pokes into the bucket's rules.
     pub pokes: u64,
     /// Wasted pokes.
     pub wasted_pokes: u64,
-    /// Scheduler-suppressed pokes.
-    pub suppressed_pokes: u64,
     /// `wasted_pokes / pokes` (0 when no pokes).
     pub wasted_rate: f64,
 }
@@ -654,15 +632,12 @@ pub struct ProfileReport {
     pub infra: ElemCounters,
     /// Counters summed over every element.
     pub totals: ElemCounters,
-    /// Total pokes across all rules (ran; suppressed not included).
+    /// Total pokes across all rules.
     pub total_pokes: u64,
     /// Total wasted pokes across all rules.
     pub total_wasted_pokes: u64,
-    /// Total scheduler-suppressed pokes across all rules.
-    pub total_suppressed_pokes: u64,
-    /// `total_wasted_pokes / total_pokes` — the steady-state waste among
-    /// pokes that actually ran. Suppressed pokes cost nothing, so they
-    /// appear in `total_suppressed_pokes` instead of this rate.
+    /// `total_wasted_pokes / total_pokes`. A count, not a cost: a wasted
+    /// poke is usually a cheap call that finds no match.
     pub wasted_rate: f64,
     /// Bucket for refresh-transparent rules.
     pub refresh_transparent: ClassBucket,
@@ -699,7 +674,6 @@ pub fn build_report(meta: &ObsMeta, counters: &[ElemCounters]) -> ProfileReport 
                     counters: ElemCounters::default(),
                     pokes: 0,
                     wasted_pokes: 0,
-                    suppressed_pokes: 0,
                     wasted_rate: 0.0,
                 });
                 entry.elements += 1;
@@ -707,7 +681,6 @@ pub fn build_report(meta: &ObsMeta, counters: &[ElemCounters]) -> ProfileReport 
                 if em.kind.pokeable() {
                     entry.pokes += c.invocations;
                     entry.wasted_pokes += c.wasted_pokes;
-                    entry.suppressed_pokes += c.suppressed_pokes;
                 }
             }
             None => {
@@ -732,14 +705,12 @@ pub fn build_report(meta: &ObsMeta, counters: &[ElemCounters]) -> ProfileReport 
     let mut rules: Vec<RuleProfile> = by_rule.into_values().collect();
     let mut total_pokes = 0;
     let mut total_wasted = 0;
-    let mut total_suppressed = 0;
     let mut rt = ClassBucket::default();
     let mut other = ClassBucket::default();
     for r in &mut rules {
         r.wasted_rate = rate(r.wasted_pokes, r.pokes);
         total_pokes += r.pokes;
         total_wasted += r.wasted_pokes;
-        total_suppressed += r.suppressed_pokes;
         let bucket = match r.class {
             Some(c) if c.refresh_transparent => &mut rt,
             _ => &mut other,
@@ -747,7 +718,6 @@ pub fn build_report(meta: &ObsMeta, counters: &[ElemCounters]) -> ProfileReport 
         bucket.rules += 1;
         bucket.pokes += r.pokes;
         bucket.wasted_pokes += r.wasted_pokes;
-        bucket.suppressed_pokes += r.suppressed_pokes;
     }
     rt.finish();
     other.finish();
@@ -765,7 +735,6 @@ pub fn build_report(meta: &ObsMeta, counters: &[ElemCounters]) -> ProfileReport 
         totals,
         total_pokes,
         total_wasted_pokes: total_wasted,
-        total_suppressed_pokes: total_suppressed,
         wasted_rate: rate(total_wasted, total_pokes),
         refresh_transparent: rt,
         other_rules: other,
@@ -830,13 +799,6 @@ mod tests {
         assert_eq!(obs.counters()[1].wasted_pokes, 1);
         assert_eq!(obs.counters()[1].invocations, 3);
         assert_eq!(obs.counters()[1].state_changes, 1);
-        // Scheduler suppressions are a separate count: they never ran, so
-        // they must not inflate invocations or wasted pokes.
-        obs.record_suppressed(1);
-        obs.record_suppressed(1);
-        assert_eq!(obs.counters()[1].suppressed_pokes, 2);
-        assert_eq!(obs.counters()[1].invocations, 3);
-        assert_eq!(obs.counters()[1].wasted_pokes, 1);
     }
 
     #[test]
@@ -850,7 +812,6 @@ mod tests {
             sent: 0,
             state_changes: 0,
             wasted_pokes: 6,
-            suppressed_pokes: 3,
             timer_fires: 0,
         };
         counters[2] = ElemCounters {
@@ -860,7 +821,6 @@ mod tests {
             sent: 0,
             state_changes: 5,
             wasted_pokes: 0,
-            suppressed_pokes: 0,
             timer_fires: 0,
         };
         counters[3] = ElemCounters {
@@ -870,18 +830,15 @@ mod tests {
             sent: 0,
             state_changes: 2,
             wasted_pokes: 0,
-            suppressed_pokes: 0,
             timer_fires: 0,
         };
         let report = build_report(&m, &counters);
         assert_eq!(report.rules.len(), 2);
         assert_eq!(report.total_pokes, 15);
         assert_eq!(report.total_wasted_pokes, 6);
-        assert_eq!(report.total_suppressed_pokes, 3);
         assert_eq!(report.refresh_transparent.rules, 1);
         assert_eq!(report.refresh_transparent.pokes, 10);
         assert_eq!(report.refresh_transparent.wasted_pokes, 6);
-        assert_eq!(report.refresh_transparent.suppressed_pokes, 3);
         assert!((report.refresh_transparent.wasted_rate - 0.6).abs() < 1e-12);
         assert_eq!(report.other_rules.pokes, 5);
         assert_eq!(report.tables.len(), 1);
@@ -899,7 +856,6 @@ mod tests {
                 sent: 3,
                 state_changes: 1,
                 wasted_pokes: 0,
-                suppressed_pokes: 5,
                 timer_fires: 4,
             };
             2

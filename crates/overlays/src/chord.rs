@@ -37,10 +37,8 @@ pub fn program_with_join_seed() -> &'static Program {
 }
 
 /// Plan-variant selection for a Chord node: periodic jitter, the JS1
-/// join-seeding program extension, rule-strand fusion, and delta scheduling
-/// (the last two on by default; the generic element graph and the
-/// poke-everything engine are kept for the strand- and
-/// scheduling-equivalence gates).
+/// join-seeding program extension, and rule-strand fusion (on by default;
+/// the generic element graph is kept for the strand-equivalence gates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChordOpts {
     /// Whether periodic sources start at a random phase.
@@ -49,9 +47,6 @@ pub struct ChordOpts {
     pub join_seed: bool,
     /// Whether eligible rule strands are compiled into fused elements.
     pub fuse_strands: bool,
-    /// Whether engines skip pokes an element's `would_wake` guard proves
-    /// to be no-ops.
-    pub delta_schedule: bool,
 }
 
 impl Default for ChordOpts {
@@ -60,22 +55,16 @@ impl Default for ChordOpts {
             jitter: true,
             join_seed: false,
             fuse_strands: true,
-            delta_schedule: true,
         }
     }
 }
 
 impl ChordOpts {
     /// Number of boolean flags; the plan cache has one cell per combination.
-    const FLAGS: usize = 4;
+    const FLAGS: usize = 3;
 
     fn cache_index(self) -> usize {
-        let flags: [bool; Self::FLAGS] = [
-            self.jitter,
-            self.join_seed,
-            self.fuse_strands,
-            self.delta_schedule,
-        ];
+        let flags: [bool; Self::FLAGS] = [self.jitter, self.join_seed, self.fuse_strands];
         flags
             .iter()
             .fold(0, |index, &flag| (index << 1) | usize::from(flag))
@@ -101,7 +90,7 @@ pub fn shared_plan_opts(jitter: bool, join_seed: bool) -> &'static PlannedProgra
 }
 
 /// The fully variant-selected shared plan: one cached compilation per
-/// (jitter, join_seed, fuse_strands, delta_schedule) combination.
+/// (jitter, join_seed, fuse_strands) combination.
 pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
     #[allow(clippy::declare_interior_mutable_const)]
     const PLAN_CELL: OnceLock<PlannedProgram> = OnceLock::new();
@@ -115,9 +104,6 @@ pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
         }
         if !opts.fuse_strands {
             config = config.without_fusion();
-        }
-        if !opts.delta_schedule {
-            config = config.without_scheduling();
         }
         let program = if opts.join_seed {
             program_with_join_seed()
@@ -342,58 +328,56 @@ mod tests {
             assert!(!desc.contains(&format!("{rule}:strand")), "{rule}: {desc}");
         }
         assert_eq!(plan.fused_strand_count(), 34);
-        // 193 rule and table elements plus the two harness watches.
-        assert_eq!(plan.element_count(), 195);
+        // 123 rule and table elements plus the two harness watches; the
+        // fused strands' output slots carry level delays, not elements.
+        assert_eq!(plan.element_count(), 125);
         assert_eq!(shared_plan_opts(false, true).fused_strand_count(), 36);
     }
 
     #[test]
     fn delta_scheduling_is_an_engine_flag_over_one_plan() {
+        use p2_netsim::{NetworkConfig, Simulator};
         use p2_value::SimTime;
 
+        // There is no scheduling flag: one plan per variant, and every poke
+        // runs. A profiled three-node ring stabilizing for two minutes: each
+        // node's handoffs are exactly its profiled element calls, and the
+        // rules whose triggers mostly find nothing to do (F8, F9, CM9) show
+        // those calls as wasted pokes rather than skipped ones.
         let opts = ChordOpts {
             jitter: false,
             ..ChordOpts::default()
         };
-        let unscheduled = ChordOpts {
-            delta_schedule: false,
-            ..opts
-        };
-        // Same compiled graph; only the engines' guard flag differs.
-        let (on, off) = (shared_plan_for(opts), shared_plan_for(unscheduled));
-        assert!(on.delta_scheduled() && !off.delta_scheduled());
-        assert!(!std::ptr::eq(on, off));
-        assert_eq!(
-            on.instantiate("n1", 1).engine.describe(),
-            off.instantiate("n1", 1).engine.describe()
-        );
+        let plan = shared_plan_for(opts);
+        let addrs = ["n0:10000", "n1:10000", "n2:10000"];
+        let mut sim = Simulator::new(NetworkConfig::emulab_default(1));
+        for (i, addr) in addrs.iter().enumerate() {
+            let landmark = (i > 0).then_some(addrs[0]);
+            let mut host = build_node_for(addr, landmark, 1 + i as u64, opts).unwrap();
+            host.node_mut().enable_obs(plan.obs_meta());
+            sim.add_node(addr.to_string(), host);
+        }
+        for (i, addr) in addrs.iter().enumerate() {
+            sim.start_node(addr);
+            sim.inject(addr, join_tuple(addr, 1 + i as i64));
+            sim.run_for(SimTime::from_secs(2));
+        }
+        sim.run_for(SimTime::from_secs(120));
 
-        // A one-node ring stabilizing for a minute: the guards skip pokes,
-        // and skipping them changes nothing the node sends or stores.
-        let run = |opts: ChordOpts| {
-            let mut host = build_node_for("n0:10000", None, 1, opts).unwrap();
-            let node = host.node_mut();
-            let mut sent = node.start(SimTime::ZERO);
-            sent.extend(node.deliver(join_tuple("n0:10000", 1), SimTime::ZERO));
-            while let Some(at) = node.next_deadline() {
-                if at > SimTime::from_secs(60) {
-                    break;
+        let mut wasted = [0u64; 3];
+        for addr in addrs {
+            let node = sim.node(addr).unwrap().node();
+            let obs = node.obs().unwrap();
+            let invocations: u64 = obs.counters().iter().map(|c| c.invocations).sum();
+            assert_eq!(node.stats().handoffs, invocations, "{addr}");
+            for (meta, c) in obs.meta().elems.iter().zip(obs.counters()) {
+                let rule = meta.rule.as_deref();
+                if let Some(i) = ["F8", "F9", "CM9"].iter().position(|r| Some(*r) == rule) {
+                    wasted[i] += c.wasted_pokes;
                 }
-                sent.extend(node.advance_to(at));
             }
-            let succ = node.table("succ").unwrap().lock().scan();
-            (sent, succ, node.stats())
-        };
-        let (sent_on, succ_on, stats_on) = run(opts);
-        let (sent_off, succ_off, stats_off) = run(unscheduled);
-        assert!(stats_on.suppressed_guard_pokes > 0);
-        assert_eq!(stats_off.suppressed_guard_pokes, 0);
-        assert_eq!(
-            stats_on.handoffs + stats_on.suppressed_guard_pokes,
-            stats_off.handoffs
-        );
-        assert_eq!(sent_on, sent_off);
-        assert_eq!(succ_on, succ_off);
+        }
+        assert!(wasted.iter().all(|&w| w > 0), "F8/F9/CM9 wasted {wasted:?}");
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //!      materialized body predicate is read only at its primary-key
 //!      positions (the location argument is exempt: body locations are
 //!      pinned to the local address). A keyed soft-state *refresh*
-//!      (same key, new TTL) can then never change the rule's output, so a
-//!      delta-driven scheduler may skip re-evaluation on refreshes.
+//!      (same key, new TTL) can then never change the rule's output: its
+//!      re-evaluation on a refresh is a wasted poke by construction.
 //!
 //! The planner consumes `RuleClass` for its fusion eligibility decision and
 //! stamps it on every element for the profiler's per-class buckets;
@@ -202,7 +202,7 @@ pub struct PredicateInfo {
 }
 
 /// The result of [`analyze`]: diagnostics plus the artifacts downstream
-/// consumers (planner, scheduler, lint) build on.
+/// consumers (planner, profiler, lint) build on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// All findings, roughly in source order per pass.

@@ -1,5 +1,7 @@
 //! Evaluation environment for PEL programs.
 
+use std::sync::Arc;
+
 use p2_value::{SimTime, Value};
 
 /// Per-node environment available to PEL built-in functions.
@@ -12,7 +14,8 @@ use p2_value::{SimTime, Value};
 pub struct EvalContext {
     now: SimTime,
     rng_state: u64,
-    local_addr: String,
+    /// Shared, so the address as a [`Value`] is a reference-count bump.
+    local_addr: Arc<str>,
     /// Reusable VM evaluation stack: borrowed by `Program::eval` for the
     /// duration of one evaluation and returned, so steady-state PEL
     /// evaluation performs no allocation.
@@ -21,7 +24,7 @@ pub struct EvalContext {
 
 impl EvalContext {
     /// Creates a context for a node with the given address and RNG seed.
-    pub fn new(local_addr: impl Into<String>, seed: u64) -> EvalContext {
+    pub fn new(local_addr: impl Into<Arc<str>>, seed: u64) -> EvalContext {
         EvalContext {
             now: SimTime::ZERO,
             // Avoid the all-zero state that xorshift cannot leave.
@@ -60,7 +63,7 @@ impl EvalContext {
 
     /// The local node's address, as a value.
     pub fn local_addr(&self) -> Value {
-        Value::str(&self.local_addr)
+        Value::Str(self.local_addr.clone())
     }
 
     /// The local node's address, as a string slice.

@@ -136,7 +136,7 @@ proptest! {
 
     #[test]
     fn marshal_roundtrip(values in proptest::collection::vec(arb_value(), 0..8), name in "[a-zA-Z][a-zA-Z0-9]{0,12}") {
-        let t = Tuple::new(&name, values);
+        let t = Tuple::new(name.as_str(), values);
         let bytes = p2_value::wire::marshal(&t);
         prop_assert_eq!(bytes.len(), p2_value::wire::encoded_size(&t));
         let back = p2_value::wire::unmarshal(&bytes).unwrap();

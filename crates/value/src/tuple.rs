@@ -28,10 +28,14 @@ pub struct Tuple {
 
 impl Tuple {
     /// Creates a new tuple with the given relation name and field values.
-    pub fn new(name: impl AsRef<str>, values: Vec<Value>) -> Tuple {
+    ///
+    /// Elements that emit under a fixed plan-time name hold it as an
+    /// `Arc<str>` and pass a clone: the tuple then shares the name instead
+    /// of allocating a copy of it.
+    pub fn new(name: impl Into<Arc<str>>, values: Vec<Value>) -> Tuple {
         Tuple {
             inner: Arc::new(TupleInner {
-                name: Arc::from(name.as_ref()),
+                name: name.into(),
                 values,
             }),
         }
@@ -74,13 +78,17 @@ impl Tuple {
     }
 
     /// Builds a new tuple with the same values under a different name.
-    pub fn renamed(&self, name: impl AsRef<str>) -> Tuple {
+    pub fn renamed(&self, name: impl Into<Arc<str>>) -> Tuple {
         Tuple::new(name, self.inner.values.clone())
     }
 
     /// Builds a new tuple consisting of the selected field indices, under the
     /// given name (a relational projection).
-    pub fn project(&self, name: impl AsRef<str>, indices: &[usize]) -> Result<Tuple, ValueError> {
+    pub fn project(
+        &self,
+        name: impl Into<Arc<str>>,
+        indices: &[usize],
+    ) -> Result<Tuple, ValueError> {
         let mut values = Vec::with_capacity(indices.len());
         for &i in indices {
             values.push(self.get(i)?.clone());
@@ -90,16 +98,18 @@ impl Tuple {
 
     /// Concatenates this tuple's fields with `other`'s, producing the
     /// intermediate result of an equijoin.
-    pub fn join(&self, name: impl AsRef<str>, other: &Tuple) -> Tuple {
+    pub fn join(&self, name: impl Into<Arc<str>>, other: &Tuple) -> Tuple {
         let mut values = Vec::with_capacity(self.arity() + other.arity());
         values.extend_from_slice(self.values());
         values.extend_from_slice(other.values());
         Tuple::new(name, values)
     }
 
-    /// Appends extra fields, producing a new tuple with the same name.
+    /// Appends extra fields, producing a new tuple that shares this one's
+    /// name.
     pub fn extended(&self, extra: Vec<Value>) -> Tuple {
-        let mut values = self.inner.values.clone();
+        let mut values = Vec::with_capacity(self.arity() + extra.len());
+        values.extend_from_slice(self.values());
         values.extend(extra);
         Tuple::new(self.inner.name.clone(), values)
     }
@@ -211,9 +221,12 @@ mod tests {
 
     #[test]
     fn extended_appends() {
-        let t = sample().extended(vec![Value::Id(Uint160::from_u64(3))]);
+        let s = sample();
+        let t = s.extended(vec![Value::Id(Uint160::from_u64(3))]);
         assert_eq!(t.arity(), 5);
         assert_eq!(t.name(), "member");
+        // The extension shares its source's name rather than copying it.
+        assert!(Arc::ptr_eq(&s.inner.name, &t.inner.name));
     }
 
     #[test]
