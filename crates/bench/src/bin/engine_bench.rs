@@ -4,7 +4,7 @@
 //! results to `BENCH_engine.json` so the engine gets the same perf
 //! trajectory tracking as `BENCH_table.json` and `BENCH_sim.json`.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! * `pipeline` — a synthetic chain of pass-through elements with fan-out,
 //!   no tables or PEL. This isolates the engine's per-handoff cost: queue
@@ -15,9 +15,6 @@
 //! * `plan_sharing` — wall time and resident memory to bring up many Chord
 //!   nodes by re-planning per node (the pre-PR-3 path) versus instantiating
 //!   from one shared `PlannedProgram`.
-//! * `delta_agg` — the incremental `TableAgg`: per-mutation cost of the
-//!   delta-driven aggregate maintenance versus the recompute-per-poke
-//!   element it replaced (a from-scratch `Table::aggregate` per change).
 //! * `agg_probe` — the aggregation probe's access path, with a new probed
 //!   key every event: a primary-key probe versus a full scan over 64
 //!   distinct rows (Narada's R5); the group index versus the row-by-row
@@ -35,12 +32,11 @@
 //!
 //! Usage: `cargo run --release --bin engine_bench [-- --smoke] [--out PATH]`
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use p2_bench::to_json;
 use p2_core::{P2Node, PlanConfig, PlannedProgram};
-use p2_dataflow::elements::{AggProbe, Insert, TableAgg};
+use p2_dataflow::elements::AggProbe;
 use p2_dataflow::{Element, ElementCtx, Engine, Graph, Route};
 use p2_overlays::chord;
 use p2_pel::{BinOp, Expr, IntervalKind, Program};
@@ -308,127 +304,6 @@ fn bench_plan_sharing(nodes: usize) -> PlanSharingResult {
     }
 }
 
-/// The recompute-per-poke materialized aggregate this PR replaced, kept
-/// here as the benchmark baseline: every poke recomputes
-/// `Table::aggregate` over the whole table and diffs against a memo.
-struct RecomputeAgg {
-    table: TableRef,
-    func: AggFunc,
-    agg_col: Option<usize>,
-    group_cols: Vec<usize>,
-    out_name: String,
-    last: HashMap<Vec<Value>, Value>,
-}
-
-impl Element for RecomputeAgg {
-    fn class(&self) -> &'static str {
-        "RecomputeAgg"
-    }
-
-    fn push(&mut self, _port: usize, _tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        let groups = match self
-            .table
-            .lock()
-            .aggregate(self.func, self.agg_col, &self.group_cols)
-        {
-            Ok(g) => g,
-            Err(_) => return,
-        };
-        for (key, agg) in groups {
-            if self.last.get(&key) != Some(&agg) {
-                self.last.insert(key.clone(), agg.clone());
-                let mut values = key;
-                values.push(agg);
-                ctx.emit(0, Tuple::new(self.out_name.as_str(), values));
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct DeltaAggResult {
-    rows: usize,
-    groups: i64,
-    mutations: u64,
-    incremental_wall_secs: f64,
-    incremental_ns_per_mutation: f64,
-    recompute_wall_secs: f64,
-    recompute_ns_per_mutation: f64,
-    speedup: f64,
-}
-
-/// Measures aggregate maintenance under a replacement churn: `rows` live
-/// rows in `groups` groups, every mutation replaces one row's payload
-/// (Delete+Insert deltas) and pokes the sum aggregate.
-fn bench_delta_agg(rows: usize, groups: i64, mutations: u64) -> DeltaAggResult {
-    let run = |incremental: bool| -> f64 {
-        let table: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(Table::new(
-            TableSpec::new("t", vec![1]),
-        )));
-        let agg: Box<dyn Element> = if incremental {
-            Box::new(TableAgg::new(
-                table.clone(),
-                AggFunc::Sum,
-                Some(2),
-                vec![0],
-                "out",
-            ))
-        } else {
-            Box::new(RecomputeAgg {
-                table: table.clone(),
-                func: AggFunc::Sum,
-                agg_col: Some(2),
-                group_cols: vec![0],
-                out_name: "out".into(),
-                last: HashMap::new(),
-            })
-        };
-        let mut g = Graph::new();
-        let ins = g.add("insert", Box::new(Insert::new(table)));
-        let agg = g.add("agg", agg);
-        let sink = g.add("sink", Box::new(Count { seen: 0 }));
-        g.connect(ins, 0, agg, 0);
-        g.connect(agg, 0, sink, 0);
-        let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: ins,
-            port: 0,
-        });
-        engine.start(SimTime::ZERO);
-        let mk = |key: usize, payload: i64| {
-            Tuple::new(
-                "t",
-                vec![
-                    Value::Int(key as i64 % groups),
-                    Value::Int(key as i64),
-                    Value::Int(payload),
-                ],
-            )
-        };
-        for key in 0..rows {
-            engine.deliver(mk(key, 0), SimTime::from_secs(1));
-        }
-        let start = Instant::now();
-        for i in 0..mutations {
-            let key = (i as usize) % rows;
-            engine.deliver(mk(key, i as i64 + 1), SimTime::from_secs(2));
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let incremental_wall_secs = run(true);
-    let recompute_wall_secs = run(false);
-    DeltaAggResult {
-        rows,
-        groups,
-        mutations,
-        incremental_wall_secs,
-        incremental_ns_per_mutation: incremental_wall_secs * 1e9 / mutations.max(1) as f64,
-        recompute_wall_secs,
-        recompute_ns_per_mutation: recompute_wall_secs * 1e9 / mutations.max(1) as f64,
-        speedup: recompute_wall_secs / incremental_wall_secs.max(1e-12),
-    }
-}
-
 #[derive(Debug, Clone, Serialize)]
 struct AggProbeResult {
     /// `keyed_vs_scan` (Narada R5), `grouped_vs_scan` (Chord L2) or
@@ -604,7 +479,6 @@ struct BenchReport {
     pipeline: Vec<PipelineResult>,
     chord_deliver: Vec<ChordDeliverResult>,
     plan_sharing: PlanSharingResult,
-    delta_agg: Vec<DeltaAggResult>,
     agg_probe: Vec<AggProbeResult>,
     fused_strand_count: usize,
 }
@@ -620,10 +494,10 @@ fn main() {
 
     let out_path = value("--out").unwrap_or_else(|| "BENCH_engine.json".to_string());
     let smoke = flag("--smoke");
-    let (pipe_deliveries, lookups, fleet) = if smoke {
-        (50_000u64, 20_000u64, 64usize)
+    let (pipe_deliveries, lookups, fleet, probe_events) = if smoke {
+        (50_000u64, 20_000u64, 64usize, 25_000u64)
     } else {
-        (500_000, 100_000, 512)
+        (500_000, 100_000, 512, 100_000)
     };
 
     // Fail on an unwritable output path up front.
@@ -677,24 +551,7 @@ fn main() {
         chord_deliver.push(r);
     }
 
-    let mut delta_agg = Vec::new();
-    let (rows, groups, mutations) = if smoke {
-        (500usize, 4i64, 50_000u64)
-    } else {
-        (1000, 4, 200_000)
-    };
-    for rows in [rows / 10, rows] {
-        eprintln!("delta agg: {rows} rows, {groups} groups, {mutations} mutations...");
-        let r = bench_delta_agg(rows, groups, mutations);
-        eprintln!(
-            "  incremental {:>7.0} ns/mutation vs recompute {:>8.0} ns/mutation: {:.1}x",
-            r.incremental_ns_per_mutation, r.recompute_ns_per_mutation, r.speedup
-        );
-        delta_agg.push(r);
-    }
-
     let mut agg_probe = Vec::new();
-    let probe_events = mutations / 2;
     for r in [
         bench_agg_probe_keyed(probe_events),
         bench_agg_probe_grouped("grouped_vs_scan", 160, 20, probe_events),
@@ -733,7 +590,6 @@ fn main() {
         pipeline,
         chord_deliver,
         plan_sharing,
-        delta_agg,
         agg_probe,
         fused_strand_count,
     };

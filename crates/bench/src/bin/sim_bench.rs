@@ -27,8 +27,10 @@
 //! full-scan rate (an unkeyed aggregate probe is a counted full scan).
 //!
 //! With `--par` the binary instead benchmarks the **parallel sharded
-//! simulator**: steady-state Chord-ring throughput at 1/2/4/8 workers per
-//! ring size, written to `BENCH_parsim.json`, plus a golden gate that runs
+//! simulator**: steady-state Chord-ring throughput of the sequential
+//! `Simulator` and of 1/2/4/8 workers per ring size, each worker count's
+//! speed-up taken against the sequential ring built from the same seed,
+//! written to `BENCH_parsim.json`, plus a golden gate that runs
 //! the same small ring on the sequential and the 2-worker engine and
 //! **exits non-zero if their NetStats or event counts diverge** (CI runs
 //! this in smoke mode).
@@ -123,8 +125,8 @@ struct ChordResult {
     /// directly comparable).
     fused_speedup: f64,
     /// Full table scans per processed event in the measurement windows:
-    /// unkeyed aggregate probes (Chord's L2/L3/SU1/S3 share only the
-    /// location with their table) plus `TableAgg` rebuilds.
+    /// aggregate probes left with neither a key nor a group index (0 for
+    /// Chord, whose unkeyed L2/L3/SU1/S3 probes read group indices).
     full_scans_per_event: f64,
     /// End-of-run table-storage counters of the default ring.
     storage_ops: StorageOps,
@@ -165,6 +167,8 @@ struct BenchReport {
     strand_gate: StrandGate,
 }
 
+/// One steady-state throughput window; `workers` 0 is the sequential
+/// `Simulator`, the baseline of every speed-up.
 #[derive(Debug, Clone, Serialize)]
 struct ParResult {
     nodes: usize,
@@ -175,8 +179,8 @@ struct ParResult {
     events: u64,
     wall_secs: f64,
     events_per_sec: f64,
-    /// Throughput relative to the 1-worker run of the same ring size.
-    speedup_vs_1_worker: f64,
+    /// Throughput relative to the sequential run of the same ring size.
+    speedup_vs_sequential: f64,
     sync_rounds: u64,
 }
 
@@ -358,12 +362,16 @@ fn strand_gate(nodes: usize, warmup_secs: u64) -> StrandGate {
     }
 }
 
-/// Steady-state Chord-ring throughput on the sharded simulator.
+/// Steady-state Chord-ring throughput on the sharded simulator with
+/// `workers` threads, or on the sequential one for 0.
 fn bench_par(nodes: usize, workers: usize, warmup_secs: u64, virtual_secs: u64) -> ParResult {
     let start = Instant::now();
-    let mut cluster = ChordCluster::builder(nodes, 42)
-        .par_threads(workers)
-        .build_fast(warmup_secs);
+    let builder = ChordCluster::builder(nodes, 42);
+    let builder = match workers {
+        0 => builder,
+        w => builder.par_threads(w),
+    };
+    let mut cluster = builder.build_fast(warmup_secs);
     let build_wall_secs = start.elapsed().as_secs_f64();
     let ring_correctness = cluster.ring_correctness();
     let before_events = cluster.sim.events_processed();
@@ -388,7 +396,7 @@ fn bench_par(nodes: usize, workers: usize, warmup_secs: u64, virtual_secs: u64) 
         events,
         wall_secs: wall,
         events_per_sec: events as f64 / wall.max(1e-12),
-        speedup_vs_1_worker: 0.0, // filled in by the caller
+        speedup_vs_sequential: 0.0, // filled in by the caller
         sync_rounds,
     }
 }
@@ -733,25 +741,23 @@ fn run_par_mode(out_path: &str, smoke: bool, sizes: &[usize], workers: &[usize])
     let mut scaling = Vec::new();
     for &n in sizes {
         let mut row: Vec<ParResult> = Vec::new();
-        for &w in workers {
-            eprintln!("parsim chord ring: {n} nodes, {w} workers...");
+        // The sequential ring first: every speed-up is taken against it.
+        for w in std::iter::once(0).chain(workers.iter().copied()) {
+            match w {
+                0 => eprintln!("chord ring: {n} nodes, sequential simulator..."),
+                w => eprintln!("parsim chord ring: {n} nodes, {w} workers..."),
+            }
             let mut r = bench_par(n, w, warmup_secs, measure_secs);
-            let base = row
-                .iter()
-                .find(|r| r.workers == 1)
-                .map(|r| r.events_per_sec);
-            r.speedup_vs_1_worker = match base {
-                Some(b) if b > 0.0 => r.events_per_sec / b,
-                _ => 1.0,
-            };
+            let base = row.first().map_or(r.events_per_sec, |s| s.events_per_sec);
+            r.speedup_vs_sequential = r.events_per_sec / base.max(1e-12);
             eprintln!(
                 "  ring {:.2}, {} events in {:.3} s -> {:>10.0} events/s \
-                 (speedup {:.2}x, {} sync rounds)",
+                 ({:.2}x sequential, {} sync rounds)",
                 r.ring_correctness,
                 r.events,
                 r.wall_secs,
                 r.events_per_sec,
-                r.speedup_vs_1_worker,
+                r.speedup_vs_sequential,
                 r.sync_rounds
             );
             row.push(r);

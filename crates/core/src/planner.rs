@@ -21,8 +21,8 @@
 //! triggered by that table's insert pokes (including keyed soft-state
 //! refreshes) and probing the others: derived soft state stays alive by
 //! being re-derived on refresh, as in the paper — there is no view
-//! maintenance. The only delta-stream consumer is [`TableAgg`], which
-//! subscribes to its table in [`PlannedProgram::instantiate`].
+//! maintenance. A [`TableAgg`] is poked by its table's inserts and deletes
+//! and re-reads the table when the table's change counter has moved.
 //!
 //! An in-strand [`AggProbe`] keeps no state, and its access path is chosen
 //! here, per occurrence, at compile time. Its filter's `event field == row
@@ -36,7 +36,7 @@
 //! distinct projection. Only `min`/`max`/`count` probes that draw on no
 //! RNG qualify: `max<R>` with `R := f_rand()` must draw once per row, and
 //! `sum`/`avg` must add in scan order, so those keep the counted row scan.
-//! See the aggregation block of [`Builder::analyze_strand`].
+//! See the aggregation block of `Builder::analyze_strand`.
 //!
 //! # Fused strands and level delays
 //!
@@ -621,8 +621,8 @@ struct Builder<'a> {
     demux_id: usize,
     demux_names: Vec<String>,
     insert_ids: HashMap<String, usize>,
-    /// TableAgg elements per table name, wired to that table's deltas at the
-    /// end of planning.
+    /// TableAgg elements per table name, wired to that table's insert and
+    /// delete pokes at the end of planning.
     table_aggs: HashMap<String, Vec<usize>>,
     /// Delete elements per table name (their output also pokes TableAggs).
     delete_ids: HashMap<String, Vec<usize>>,
@@ -861,7 +861,7 @@ impl<'a> Builder<'a> {
         }
 
         // Wire materialized aggregates to their table's insert and delete
-        // deltas.
+        // pokes.
         let table_aggs = std::mem::take(&mut self.table_aggs);
         for (table, aggs) in table_aggs {
             for agg in aggs {

@@ -34,6 +34,7 @@ pub struct ElementCtx<'a> {
     outgoing: &'a mut Vec<Outgoing>,
     timers: &'a mut Vec<(u64, SimTime)>,
     state_changed: bool,
+    eval_errors: u64,
 }
 
 impl<'a> ElementCtx<'a> {
@@ -53,6 +54,7 @@ impl<'a> ElementCtx<'a> {
             outgoing,
             timers,
             state_changed: false,
+            eval_errors: 0,
         }
     }
 
@@ -112,6 +114,22 @@ impl<'a> ElementCtx<'a> {
     /// during this invocation.
     pub(crate) fn state_changed(&self) -> bool {
         self.state_changed
+    }
+
+    /// Records one PEL evaluation that raised an error (a filter, an
+    /// assignment, a head field or an aggregate expression over a malformed
+    /// or ill-typed tuple). The element drops what it was evaluating and
+    /// carries on; the engine sums these into
+    /// [`EngineStats::eval_errors`](crate::EngineStats::eval_errors), so a
+    /// rule that fails to evaluate is counted, not silent.
+    #[inline]
+    pub fn note_eval_error(&mut self) {
+        self.eval_errors += 1;
+    }
+
+    /// Evaluation errors noted during this invocation.
+    pub(crate) fn eval_errors(&self) -> u64 {
+        self.eval_errors
     }
 }
 

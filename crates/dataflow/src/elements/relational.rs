@@ -221,20 +221,15 @@ impl Element for AntiJoin {
 /// Selection: forwards tuples for which the PEL filter evaluates to true.
 ///
 /// Evaluation errors drop the tuple (a malformed remote tuple must not take
-/// the node down); the number of such drops is recorded.
+/// the node down) and are counted through [`ElementCtx::note_eval_error`].
 pub struct Select {
     filter: Program,
-    /// Tuples dropped because the filter raised an evaluation error.
-    pub eval_errors: u64,
 }
 
 impl Select {
     /// Creates a selection from a compiled PEL predicate.
     pub fn new(filter: Program) -> Select {
-        Select {
-            filter,
-            eval_errors: 0,
-        }
+        Select { filter }
     }
 }
 
@@ -247,7 +242,7 @@ impl Element for Select {
         match self.filter.eval_bool(tuple, ctx.eval()) {
             Ok(true) => ctx.emit(0, tuple.clone()),
             Ok(false) => {}
-            Err(_) => self.eval_errors += 1,
+            Err(_) => ctx.note_eval_error(),
         }
     }
 }
@@ -255,12 +250,11 @@ impl Element for Select {
 /// Projection: builds the head tuple by evaluating one PEL program per output
 /// field ("a 'project' element implements a superset of a purely logical
 /// database projection operator by running a PEL program on each incoming
-/// tuple", §3.4).
+/// tuple", §3.4). A field program that raises an evaluation error drops the
+/// tuple and is counted through [`ElementCtx::note_eval_error`].
 pub struct Project {
     out_name: Arc<str>,
     fields: Vec<Program>,
-    /// Tuples dropped because a field program raised an evaluation error.
-    pub eval_errors: u64,
 }
 
 impl Project {
@@ -269,7 +263,6 @@ impl Project {
         Project {
             out_name: out_name.into(),
             fields,
-            eval_errors: 0,
         }
     }
 }
@@ -285,7 +278,7 @@ impl Element for Project {
             match program.eval(tuple, ctx.eval()) {
                 Ok(v) => values.push(v),
                 Err(_) => {
-                    self.eval_errors += 1;
+                    ctx.note_eval_error();
                     return;
                 }
             }

@@ -94,10 +94,6 @@ pub struct FusedStrand {
     out_name: Arc<str>,
     /// Scratch buffer for assigned values, reused across rows and calls.
     extras: Vec<Value>,
-    /// Tuples dropped because a filter, assignment, or head field raised an
-    /// evaluation error (the union of the generic chain's per-element
-    /// `eval_errors`).
-    pub eval_errors: u64,
 }
 
 impl FusedStrand {
@@ -125,7 +121,6 @@ impl FusedStrand {
             head_fields,
             out_name: out_name.into(),
             extras: Vec::new(),
-            eval_errors: 0,
         }
     }
 
@@ -206,14 +201,15 @@ fn pushed<'a>(rows: &[&'a [Value]], row: &'a [Value]) -> ([&'a [Value]; MAX_PART
 /// probes; `extras` holds the assigned values (pushed and popped around the
 /// recursion so sibling combinations never see each other's assignments).
 /// Free function over explicit field borrows so the op list stays borrowed
-/// (and probe guards stay held) while the scratch and error fields mutate.
+/// (and probe guards stay held) while the scratch field mutates. A filter,
+/// assignment or head field that raises an evaluation error drops the
+/// combination and is counted through [`ElementCtx::note_eval_error`].
 fn exec(
     ops: &[StrandOp],
     rows: &[&[Value]],
     extras: &mut Vec<Value>,
     head_fields: &[Program],
     out_name: &Arc<str>,
-    eval_errors: &mut u64,
     ctx: &mut ElementCtx<'_>,
 ) {
     // The evaluation view is `rows ++ extras`; rebuilt per op because
@@ -225,7 +221,7 @@ fn exec(
             match program.eval_concat(&view[..n], ctx.eval()) {
                 Ok(v) => values.push(v),
                 Err(_) => {
-                    *eval_errors += 1;
+                    ctx.note_eval_error();
                     return;
                 }
             }
@@ -240,9 +236,9 @@ fn exec(
                 filter.eval_bool_concat(&view[..n], ctx.eval())
             };
             match ok {
-                Ok(true) => exec(rest, rows, extras, head_fields, out_name, eval_errors, ctx),
+                Ok(true) => exec(rest, rows, extras, head_fields, out_name, ctx),
                 Ok(false) => {}
-                Err(_) => *eval_errors += 1,
+                Err(_) => ctx.note_eval_error(),
             }
         }
         StrandOp::Assign(expr) => {
@@ -253,10 +249,10 @@ fn exec(
             match v {
                 Ok(v) => {
                     extras.push(v);
-                    exec(rest, rows, extras, head_fields, out_name, eval_errors, ctx);
+                    exec(rest, rows, extras, head_fields, out_name, ctx);
                     extras.pop();
                 }
-                Err(_) => *eval_errors += 1,
+                Err(_) => ctx.note_eval_error(),
             }
         }
         StrandOp::AntiJoin { table, key } => {
@@ -279,7 +275,7 @@ fn exec(
             // Malformed (None) drops the combination, like the generic
             // element.
             if any_match == Some(false) {
-                exec(rest, rows, extras, head_fields, out_name, eval_errors, ctx);
+                exec(rest, rows, extras, head_fields, out_name, ctx);
             }
         }
         StrandOp::Probe { table, key } => {
@@ -291,15 +287,7 @@ fn exec(
             if key.is_empty() {
                 for row in guard.scan_iter() {
                     let (next, n) = pushed(rows, row.values());
-                    exec(
-                        rest,
-                        &next[..n],
-                        extras,
-                        head_fields,
-                        out_name,
-                        eval_errors,
-                        ctx,
-                    );
+                    exec(rest, &next[..n], extras, head_fields, out_name, ctx);
                 }
                 return;
             }
@@ -309,15 +297,7 @@ fn exec(
             with_view_probe(key, rows, |probe| {
                 for row in guard.lookup_iter(&key.table_cols, probe) {
                     let (next, n) = pushed(rows, row.values());
-                    exec(
-                        rest,
-                        &next[..n],
-                        extras,
-                        head_fields,
-                        out_name,
-                        eval_errors,
-                        ctx,
-                    );
+                    exec(rest, &next[..n], extras, head_fields, out_name, ctx);
                 }
             });
         }
@@ -331,14 +311,13 @@ impl Element for FusedStrand {
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
         // Disjoint field borrows: the op list stays borrowed while the
-        // executor mutates the scratch/error fields.
+        // executor mutates the scratch field.
         let FusedStrand {
             pre_filters,
             ops,
             head_fields,
             out_name,
             extras,
-            eval_errors,
         } = self;
 
         for filter in pre_filters.iter() {
@@ -346,21 +325,13 @@ impl Element for FusedStrand {
                 Ok(true) => {}
                 Ok(false) => return,
                 Err(_) => {
-                    *eval_errors += 1;
+                    ctx.note_eval_error();
                     return;
                 }
             }
         }
         extras.clear();
-        exec(
-            ops,
-            &[tuple.values()],
-            extras,
-            head_fields,
-            out_name,
-            eval_errors,
-            ctx,
-        );
+        exec(ops, &[tuple.values()], extras, head_fields, out_name, ctx);
     }
 }
 

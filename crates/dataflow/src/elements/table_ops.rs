@@ -1,34 +1,24 @@
 //! Elements bridging the dataflow graph and stored tables: insert, delete,
 //! per-event aggregation probes, and materialized table aggregates.
 //!
-//! # Incremental aggregation
+//! # Materialized aggregation
 //!
-//! [`TableAgg`] is the delta protocol's canonical consumer (see the
-//! `p2_table` module docs): instead of recomputing `Table::aggregate` over
-//! the whole table on every poke, it subscribes to the table's exact
-//! `Insert`/`Delete`/`Expire`/`Evict` delta stream and maintains per-group
-//! state incrementally — O(1) per delta for `count`/`sum`/`avg`, with
-//! `min`/`max` falling back to a single batched group rescan only when the
-//! current extremum is retracted. Emission timing and values match the
-//! recompute-per-poke semantics (including the PR 3 vanished-group
-//! retraction contract), which is what keeps the 100-node golden event
-//! pins bit-for-bit; a property test pins the equivalence against a
-//! from-scratch recompute model under arbitrary
-//! insert/delete/expire/evict interleavings. Two deliberate deviations:
-//! when several groups change in one sync they now emit in one sorted
-//! pass (the old element emitted changed groups in process-random
-//! `HashMap` order — a latent determinism hazard; single-group tables,
-//! which all shipped programs use, are unaffected), and `sum`/`avg` over
-//! *floating-point* contributions maintain a running total whose
-//! retractions can drift in the last ulp relative to a from-scratch fold
-//! (integer contributions — every shipped aggregate — are exact).
+//! [`TableAgg`] keeps a rule like `succCount(NI, count<*>) :- succ(NI, S,
+//! SI)` up to date by re-reading its table, `Table::aggregate` from
+//! scratch, whenever the table's change counter (`Table::version`) has
+//! moved since the last read, and diffing the result against what it last
+//! emitted. A poke that finds the counter where it was costs one lock and
+//! one comparison. The tables it watches are small (Chord's `succ` holds at
+//! most a handful of rows), so the whole-table fold is cheap, and there is
+//! no running state to drift: every emission equals a from-scratch
+//! recompute, floating-point sums included, which a property test checks
+//! under arbitrary insert/delete/expire/evict interleavings.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use p2_pel::{EvalContext, Program};
-use p2_table::{AggFunc, AggState, DeltaSubscription, InsertOutcome, TableDelta, TableRef};
+use p2_pel::Program;
+use p2_table::{AggFunc, AggState, InsertOutcome, TableRef};
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
@@ -146,7 +136,7 @@ impl Element for Delete {
     }
 }
 
-/// Per-event aggregation over a table (Figure 2's "Agg min<D> on finger").
+/// Per-event aggregation over a table (Figure 2's `Agg min<D> on finger`).
 ///
 /// For every arriving (partially joined) event tuple, the probe walks the
 /// configured table's candidate rows; each candidate is (virtually)
@@ -198,6 +188,10 @@ impl Element for Delete {
 /// the row and must draw once per row in scan order; `sum`/`avg`
 /// accumulate floating point, whose result depends on the order of
 /// addition; and a probe given no group index.
+///
+/// An evaluation of the filter or aggregate expression that raises an
+/// error skips its candidate (a row, or a uniform group of rows) and is
+/// counted once through [`ElementCtx::note_eval_error`].
 pub struct AggProbe {
     table: TableRef,
     table_arity: usize,
@@ -206,10 +200,6 @@ pub struct AggProbe {
     group_cols: Option<Vec<usize>>,
     out_name: Arc<str>,
     fold: RowFold,
-    /// Evaluations of the filter or aggregate expression that raised an
-    /// error (the candidate — a row, or a uniform group of rows — is
-    /// skipped).
-    pub eval_errors: u64,
 }
 
 /// The evaluate-and-fold half of an [`AggProbe`], separate from the table
@@ -230,11 +220,10 @@ fn folds_by_group<'p>(func: AggFunc, mut programs: impl Iterator<Item = &'p Prog
 /// One event's fold in progress: candidates go in through
 /// [`Folding::step`], `(aggregate, witness)` comes out of
 /// [`Folding::finish`].
-struct Folding<'a> {
+struct Folding<'a, 'c> {
     fold: &'a RowFold,
     event: &'a Tuple,
-    ev: &'a mut EvalContext,
-    errors: &'a mut u64,
+    ctx: &'a mut ElementCtx<'c>,
     /// `count`/`sum`/`avg` accumulator.
     state: AggState,
     /// `min`/`max`: the best value so far, the scan position of the row
@@ -247,41 +236,29 @@ struct Folding<'a> {
 impl RowFold {
     /// Evaluates one row's contribution against `event ++ row`: a false or
     /// failed filter and a failed aggregate expression both mean "does not
-    /// contribute"; failures are counted in `errors`.
-    fn contribution(
-        &self,
-        event: &Tuple,
-        row: &Tuple,
-        ev: &mut EvalContext,
-        errors: &mut u64,
-    ) -> Option<Value> {
+    /// contribute"; failures are counted on `ctx`.
+    fn contribution(&self, event: &Tuple, row: &Tuple, ctx: &mut ElementCtx<'_>) -> Option<Value> {
         if let Some(filter) = &self.filter {
-            match filter.eval_bool_joined(event, row, ev) {
+            match filter.eval_bool_joined(event, row, ctx.eval()) {
                 Ok(true) => {}
                 Ok(false) => return None,
                 Err(_) => {
-                    *errors += 1;
+                    ctx.note_eval_error();
                     return None;
                 }
             }
         }
         self.agg_expr
-            .eval_joined(event, row, ev)
-            .map_err(|_| *errors += 1)
+            .eval_joined(event, row, ctx.eval())
+            .map_err(|_| ctx.note_eval_error())
             .ok()
     }
 
-    fn start<'a>(
-        &'a self,
-        event: &'a Tuple,
-        ev: &'a mut EvalContext,
-        errors: &'a mut u64,
-    ) -> Folding<'a> {
+    fn start<'a, 'c>(&'a self, event: &'a Tuple, ctx: &'a mut ElementCtx<'c>) -> Folding<'a, 'c> {
         Folding {
             fold: self,
             event,
-            ev,
-            errors,
+            ctx,
             state: AggState::new(self.func),
             best: None,
             failed: false,
@@ -289,16 +266,13 @@ impl RowFold {
     }
 }
 
-impl Folding<'_> {
+impl Folding<'_, '_> {
     /// Folds in `times` rows that all evaluate like `row`, the first of
     /// them at scan position `at` (its `RowId`, or any index ascending in
     /// `RowId`). Candidates may arrive in any order: among equal extrema
     /// the lowest position wins, as it would in a scan.
     fn step(&mut self, at: usize, row: &Tuple, times: usize) {
-        let Some(v) = self
-            .fold
-            .contribution(self.event, row, self.ev, self.errors)
-        else {
+        let Some(v) = self.fold.contribution(self.event, row, self.ctx) else {
             return;
         };
         let wanted = match self.fold.func {
@@ -358,7 +332,6 @@ impl AggProbe {
                 filter,
                 agg_expr,
             },
-            eval_errors: 0,
         }
     }
 
@@ -428,10 +401,9 @@ impl Element for AggProbe {
             group_cols,
             out_name,
             fold,
-            eval_errors,
         } = self;
         let guard = table.lock();
-        let mut folding = fold.start(tuple, ctx.eval(), eval_errors);
+        let mut folding = fold.start(tuple, ctx);
         if !key.is_empty() {
             // Conflicting key constraints, or an event too short to probe:
             // no row matches (`count`/`sum` still report their zero).
@@ -476,192 +448,37 @@ impl Element for AggProbe {
     }
 }
 
-/// Incrementally maintained per-group aggregate state.
-///
-/// `contribs` counts the rows currently contributing (valid group key
-/// *and* valid aggregate value, matching `Table::aggregate`'s filtering);
-/// the group vanishes when it reaches zero.
-#[derive(Debug)]
-struct GroupState {
-    contribs: usize,
-    acc: Accum,
-}
-
-#[derive(Debug)]
-enum Accum {
-    /// `count<*>`: the value is `contribs` itself.
-    Count,
-    /// Running sum; `non_int` counts non-integer contributions so the
-    /// all-int result collapse survives retractions.
-    Sum { acc: f64, non_int: usize },
-    /// Running sum for the mean (`contribs` is the divisor).
-    Avg { acc: f64 },
-    /// Current extremum. Retracting a value that is not strictly worse
-    /// than `best` (or is incomparable) marks the group `dirty`; dirty
-    /// groups are rebuilt in one batched table rescan at the end of the
-    /// sync, not per delta.
-    MinMax { best: Option<Value>, dirty: bool },
-}
-
-impl GroupState {
-    fn new(func: AggFunc) -> GroupState {
-        GroupState {
-            contribs: 0,
-            acc: match func {
-                AggFunc::Count => Accum::Count,
-                AggFunc::Sum => Accum::Sum {
-                    acc: 0.0,
-                    non_int: 0,
-                },
-                AggFunc::Avg => Accum::Avg { acc: 0.0 },
-                AggFunc::Min | AggFunc::Max => Accum::MinMax {
-                    best: None,
-                    dirty: false,
-                },
-            },
-        }
-    }
-
-    /// Folds one contribution in. `Err` means the value cannot feed this
-    /// aggregate (non-numeric sum/avg) — the caller falls back to a full
-    /// rebuild, which reproduces `Table::aggregate`'s error behaviour.
-    fn insert(&mut self, func: AggFunc, v: &Value) -> Result<(), p2_value::ValueError> {
-        match &mut self.acc {
-            Accum::Count => {}
-            Accum::Sum { acc, non_int } => {
-                let d = v.to_double()?;
-                if !matches!(v, Value::Int(_)) {
-                    *non_int += 1;
-                }
-                *acc += d;
-            }
-            Accum::Avg { acc } => *acc += v.to_double()?,
-            Accum::MinMax { best, dirty } => {
-                if !*dirty {
-                    let better = match (func, best.as_ref()) {
-                        (_, None) => true,
-                        (AggFunc::Min, Some(b)) => v < b,
-                        (AggFunc::Max, Some(b)) => v > b,
-                        _ => unreachable!("MinMax accum only for min/max"),
-                    };
-                    if better {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-        }
-        self.contribs += 1;
-        Ok(())
-    }
-
-    /// Retracts one contribution. Returns `Err` on numeric failure and
-    /// `Ok(false)` when the state cannot absorb the retraction coherently
-    /// (caller rebuilds).
-    fn remove(&mut self, func: AggFunc, v: &Value) -> Result<bool, p2_value::ValueError> {
-        if self.contribs == 0 {
-            return Ok(false);
-        }
-        match &mut self.acc {
-            Accum::Count => {}
-            Accum::Sum { acc, non_int } => {
-                let d = v.to_double()?;
-                if !matches!(v, Value::Int(_)) {
-                    if *non_int == 0 {
-                        return Ok(false);
-                    }
-                    *non_int -= 1;
-                }
-                *acc -= d;
-            }
-            Accum::Avg { acc } => *acc -= v.to_double()?,
-            Accum::MinMax { best, dirty } => {
-                if !*dirty {
-                    // Removing anything not strictly worse than the current
-                    // extremum (or incomparable to it) invalidates it.
-                    let safe = match (func, best.as_ref()) {
-                        (_, None) => false,
-                        (AggFunc::Min, Some(b)) => {
-                            matches!(v.partial_cmp(b), Some(std::cmp::Ordering::Greater))
-                        }
-                        (AggFunc::Max, Some(b)) => {
-                            matches!(v.partial_cmp(b), Some(std::cmp::Ordering::Less))
-                        }
-                        _ => unreachable!("MinMax accum only for min/max"),
-                    };
-                    if !safe {
-                        *dirty = true;
-                    }
-                }
-            }
-        }
-        self.contribs -= 1;
-        Ok(true)
-    }
-
-    /// The group's current aggregate value (`None` only transiently, for a
-    /// dirty min/max before its rescan).
-    fn value(&self, func: AggFunc) -> Option<Value> {
-        match &self.acc {
-            Accum::Count => Some(Value::Int(self.contribs as i64)),
-            Accum::Sum { acc, non_int } => Some(if *non_int == 0 {
-                Value::Int(*acc as i64)
-            } else {
-                Value::Double(*acc)
-            }),
-            Accum::Avg { acc } => {
-                if self.contribs == 0 {
-                    None
-                } else {
-                    Some(Value::Double(*acc / self.contribs as f64))
-                }
-            }
-            Accum::MinMax { best, .. } => best.clone(),
-        }
-        .filter(|_| self.contribs > 0 || matches!(func, AggFunc::Count | AggFunc::Sum))
-    }
-
-    fn is_dirty(&self) -> bool {
-        matches!(self.acc, Accum::MinMax { dirty: true, .. })
-    }
-}
-
 /// Materialized aggregate over a table, re-emitted whenever it changes.
 ///
 /// Implements rules whose body consists solely of a table and whose head
-/// carries an aggregate (`succCount(NI, count<*>) :- succ(NI, S, SI)`).
-/// The element subscribes to the table's [`TableDelta`] stream and, on
-/// every poke (the planner routes the table's insert and delete deltas
-/// here), drains the deltas accumulated since the last poke — including
-/// expiry and eviction, which the recompute-era element only observed
-/// indirectly — updates its per-group state in O(1) per delta, and emits
-/// `out_name(group..., agg)` for groups whose value changed. Groups whose
-/// last row vanished retract exactly as before: `count`/`sum` emit their
-/// empty value (0) and the memo entry is dropped; `min`/`max`/`avg` are
-/// silently forgotten so a re-appearance re-emits.
+/// carries an aggregate (`succCount(NI, count<*>) :- succ(NI, S, SI)`); the
+/// planner routes the table's insert and delete pokes here. A poke compares
+/// the table's [`Table::version`] with the version last folded. If the
+/// counter moved (an insert, replacement or delete, or an expiry or
+/// eviction since the last poke), the element folds [`Table::aggregate`]
+/// from scratch and walks the live groups and the last-emitted ones in one
+/// sorted pass. It emits `out_name(group..., agg)` for every group whose
+/// value changed. A group whose last row vanished emits its empty value
+/// (`count`/`sum` 0) if it has one, and is forgotten either way, so a
+/// re-appearance re-emits.
+///
+/// [`Table::version`]: p2_table::Table::version
+/// [`Table::aggregate`]: p2_table::Table::aggregate
 pub struct TableAgg {
     table: TableRef,
-    sub: DeltaSubscription,
     func: AggFunc,
     agg_col: Option<usize>,
     group_cols: Vec<usize>,
     out_name: Arc<str>,
-    /// Incremental per-group state.
-    groups: HashMap<Vec<Value>, GroupState>,
-    /// Last emitted value per group (the change-detection memo).
-    last: HashMap<Vec<Value>, Value>,
-    /// Set when the incremental state must be rebuilt from a table scan
-    /// (initial start, delta-queue overflow, or a numeric failure that the
-    /// recompute semantics surface as "emit nothing until fixed").
-    needs_rebuild: bool,
-    /// Reused delta drain buffer.
-    scratch: Vec<TableDelta>,
-    /// Reused touched-group collection buffer.
-    touched: Vec<Vec<Value>>,
+    /// The table version `last` was folded from; `None` until the first
+    /// fold succeeds.
+    folded: Option<u64>,
+    /// Last emitted value per group, sorted by group.
+    last: Vec<(Vec<Value>, Value)>,
 }
 
 impl TableAgg {
-    /// Creates a materialized table aggregate (subscribing to the table's
-    /// delta stream).
+    /// Creates a materialized table aggregate.
     pub fn new(
         table: TableRef,
         func: AggFunc,
@@ -669,225 +486,63 @@ impl TableAgg {
         group_cols: Vec<usize>,
         out_name: impl Into<Arc<str>>,
     ) -> TableAgg {
-        let sub = table.lock().subscribe_deltas();
         TableAgg {
             table,
-            sub,
             func,
             agg_col,
             group_cols,
             out_name: out_name.into(),
-            groups: HashMap::new(),
-            last: HashMap::new(),
-            needs_rebuild: true,
-            scratch: Vec::new(),
-            touched: Vec::new(),
+            folded: None,
+            last: Vec::new(),
         }
     }
 
-    /// The maintained `(group, aggregate)` pairs, sorted by group key.
-    /// Exposed for the equivalence property tests and diagnostics; matches
-    /// `Table::aggregate` output exactly.
-    pub fn current(&self) -> Vec<(Vec<Value>, Value)> {
-        let mut out: Vec<(Vec<Value>, Value)> = self
-            .groups
-            .iter()
-            .filter_map(|(k, s)| s.value(self.func).map(|v| (k.clone(), v)))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Splits a delta tuple into its group key and contribution, exactly
-    /// like one `Table::aggregate` fold step; `None` when the row does not
-    /// participate in this aggregate at all.
-    fn classify<'t>(&self, tuple: &'t Tuple) -> Option<(Vec<Value>, &'t Value)> {
-        let key = extract(tuple, &self.group_cols)?;
-        let contribution = match self.agg_col {
-            Some(c) => tuple.get(c).ok()?,
-            None => &Value::Int(1),
-        };
-        Some((key, contribution))
-    }
-
-    /// Rebuilds the incremental state from a full table scan, replicating
-    /// `Table::aggregate`'s row filtering and error behaviour.
-    fn build_states(
-        &self,
-        table: &p2_table::Table,
-    ) -> Result<HashMap<Vec<Value>, GroupState>, p2_value::ValueError> {
-        let mut groups: HashMap<Vec<Value>, GroupState> = HashMap::new();
-        for tuple in table.scan_iter_counted() {
-            let Some((key, contribution)) = self.classify(tuple) else {
-                continue;
-            };
-            groups
-                .entry(key)
-                .or_insert_with(|| GroupState::new(self.func))
-                .insert(self.func, contribution)?;
-        }
-        Ok(groups)
-    }
-
-    /// Applies drained deltas to the incremental state; `false` means the
-    /// state is no longer coherent and must be rebuilt.
-    fn apply_deltas(&mut self) -> bool {
-        for i in 0..self.scratch.len() {
-            let delta = &self.scratch[i];
-            let Some((key, contribution)) = self.classify(&delta.tuple) else {
-                continue;
-            };
-            if delta.kind.is_removal() {
-                let Some(state) = self.groups.get_mut(&key) else {
-                    return false; // retraction for an unknown group
-                };
-                match state.remove(self.func, contribution) {
-                    Ok(true) => {}
-                    Ok(false) | Err(_) => return false,
-                }
-                if state.contribs == 0 {
-                    self.groups.remove(&key);
-                }
-            } else {
-                let state = self
-                    .groups
-                    .entry(key.clone())
-                    .or_insert_with(|| GroupState::new(self.func));
-                if state.insert(self.func, contribution).is_err() {
-                    return false;
-                }
-            }
-            self.touched.push(key);
-        }
-        true
-    }
-
-    /// Rebuilds the extremum of every dirty min/max group in one batched
-    /// table rescan (the recompute-on-retraction fallback).
-    fn rescan_dirty(&mut self, table: &p2_table::Table) {
-        let dirty: HashSet<Vec<Value>> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| s.is_dirty())
-            .map(|(k, _)| k.clone())
-            .collect();
-        if dirty.is_empty() {
-            return;
-        }
-        let mut fresh: HashMap<Vec<Value>, GroupState> = HashMap::new();
-        for tuple in table.scan_iter_counted() {
-            let Some((key, contribution)) = self.classify(tuple) else {
-                continue;
-            };
-            if !dirty.contains(&key) {
-                continue;
-            }
-            // Min/max contributions never fail to accumulate (comparison
-            // only), so the error arm is unreachable in practice.
-            let _ = fresh
-                .entry(key)
-                .or_insert_with(|| GroupState::new(self.func))
-                .insert(self.func, contribution);
-        }
-        for key in dirty {
-            match fresh.remove(&key) {
-                Some(state) => {
-                    self.groups.insert(key, state);
-                }
-                None => {
-                    self.groups.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Catches up on the table's delta stream and emits every group whose
-    /// aggregate changed. The emission contract matches the recompute-era
-    /// element: per sync, vanished and changed groups come out in one
-    /// deterministic (sorted) pass.
+    /// Re-folds the table if it changed since the last fold and emits every
+    /// group whose aggregate changed, in group order.
     fn sync(&mut self, ctx: &mut ElementCtx<'_>) {
-        // Quiet fast path: nothing pending means no group changed since
-        // the last sync — one atomic load instead of a lock/drain.
-        if !self.needs_rebuild && !self.sub.has_pending() {
-            return;
-        }
-        // Past the quiet check there are deltas (or a rebuild) to fold into
-        // the group states: this poke does real maintenance work.
-        ctx.note_state_change();
-        self.touched.clear();
-        {
-            // The guard borrows a local clone of the `Arc`, not `self`, so
-            // the state-maintenance methods below can borrow `self` freely
-            // while the table stays locked.
-            let table = self.table.clone();
-            let mut guard = table.lock();
-            if guard.drain_deltas(&self.sub, &mut self.scratch) {
-                self.needs_rebuild = true;
-                guard.note_rebuild();
-                self.scratch.clear();
+        let live = {
+            let table = self.table.lock();
+            let version = table.version();
+            if self.folded == Some(version) {
+                return;
             }
-            if !self.needs_rebuild && !self.apply_deltas() {
-                self.needs_rebuild = true;
-                guard.note_rebuild();
-            }
-            self.scratch.clear();
-            if self.needs_rebuild {
-                match self.build_states(&guard) {
-                    Ok(groups) => {
-                        self.groups = groups;
-                        self.needs_rebuild = false;
-                        // Every known or previously emitted group must be
-                        // re-examined after a rebuild.
-                        self.touched.clear();
-                        self.touched.extend(self.groups.keys().cloned());
-                        self.touched.extend(self.last.keys().cloned());
-                    }
-                    Err(_) => {
-                        // Matches `recompute`'s behaviour on aggregation
-                        // errors: emit nothing, retry at the next poke.
-                        return;
-                    }
+            // The table changed: this poke does real maintenance work.
+            ctx.note_state_change();
+            match table.aggregate(self.func, self.agg_col, &self.group_cols) {
+                Ok(live) => {
+                    self.folded = Some(version);
+                    live
                 }
-            } else {
-                self.rescan_dirty(&guard);
+                // A value the aggregate cannot take (non-numeric `sum`):
+                // emit nothing, and fold again at the next poke.
+                Err(_) => return,
+            }
+        };
+        let empty = self.func.apply(&[]).ok().flatten();
+        let mut last = std::mem::take(&mut self.last).into_iter().peekable();
+        for (group, agg) in &live {
+            while let Some((gone, _)) = last.next_if(|(old, _)| old < group) {
+                self.emit(gone, empty.as_ref(), ctx);
+            }
+            let same = last.next_if(|(old, _)| old == group);
+            if same.is_none_or(|(_, was)| was != *agg) {
+                self.emit(group.clone(), Some(agg), ctx);
             }
         }
+        for (gone, _) in last {
+            self.emit(gone, empty.as_ref(), ctx);
+        }
+        self.last = live;
+    }
 
-        // One deterministic pass over the touched groups.
-        self.touched.sort();
-        self.touched.dedup();
-        let empty_value = self.func.apply(&[]).ok().flatten();
-        for key in std::mem::take(&mut self.touched) {
-            match self.groups.get(&key).and_then(|s| s.value(self.func)) {
-                Some(agg) => {
-                    if self.last.get(&key) != Some(&agg) {
-                        self.last.insert(key.clone(), agg.clone());
-                        let mut values = key;
-                        values.push(agg);
-                        ctx.emit(0, Tuple::new(self.out_name.clone(), values));
-                    }
-                }
-                None => {
-                    // Vanished: retract if the group had ever been emitted.
-                    if self.last.remove(&key).is_some() {
-                        if let Some(v) = &empty_value {
-                            let mut values = key;
-                            values.push(v.clone());
-                            ctx.emit(0, Tuple::new(self.out_name.clone(), values));
-                        }
-                    }
-                }
-            }
+    /// Emits `out_name(group..., agg)`; a vanished group without an empty
+    /// value (`min`/`max`/`avg`) has no `agg` and emits nothing.
+    fn emit(&self, mut group: Vec<Value>, agg: Option<&Value>, ctx: &mut ElementCtx<'_>) {
+        if let Some(agg) = agg {
+            group.push(agg.clone());
+            ctx.emit(0, Tuple::new(self.out_name.clone(), group));
         }
     }
-}
-
-/// Extracts the values at `cols`, or `None` if any column is out of range
-/// (mirrors `Table::aggregate`'s row filtering).
-fn extract(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
-    cols.iter()
-        .map(|&c| tuple.get(c).ok().cloned())
-        .collect::<Option<Vec<Value>>>()
 }
 
 impl Element for TableAgg {
@@ -908,7 +563,7 @@ impl Element for TableAgg {
 mod tests {
     use super::*;
     use crate::elements::{Collector, Demux};
-    use crate::engine::{Engine, Graph, Route};
+    use crate::engine::{Engine, EngineStats, Graph, Route};
     use p2_pel::{BinOp, Expr, IntervalKind};
     use p2_table::{Table, TableSpec};
     use p2_value::{SimTime, TupleBuilder, Uint160};
@@ -924,6 +579,11 @@ mod tests {
     }
 
     fn run_one(element: Box<dyn Element>, inputs: Vec<Tuple>) -> Vec<Tuple> {
+        run_counted(element, inputs).0
+    }
+
+    /// Like [`run_one`], also returning the engine's counters.
+    fn run_counted(element: Box<dyn Element>, inputs: Vec<Tuple>) -> (Vec<Tuple>, EngineStats) {
         let mut g = Graph::new();
         let e = g.add("elt", element);
         let (c, buf) = Collector::new();
@@ -939,7 +599,7 @@ mod tests {
             engine.deliver(i, SimTime::from_secs(1));
         }
         let out = buf.lock().iter().map(|(_, t)| t.clone()).collect();
-        out
+        (out, engine.stats())
     }
 
     #[test]
@@ -1153,23 +813,6 @@ mod tests {
         assert_eq!(out[0].field(5), &Value::Int(0));
     }
 
-    /// Pushes one event through `probe` outside an engine; returns the
-    /// emitted tuples.
-    fn push_one(probe: &mut AggProbe, event: &Tuple) -> Vec<Tuple> {
-        let mut eval = EvalContext::new("n1", 1);
-        let (mut out, mut sends, mut timers) = (Vec::new(), Vec::new(), Vec::new());
-        let mut ctx = ElementCtx::new(
-            SimTime::ZERO,
-            0,
-            &mut eval,
-            &mut out,
-            &mut sends,
-            &mut timers,
-        );
-        probe.push(0, event, &mut ctx);
-        out.into_iter().map(|(_, t)| t).collect()
-    }
-
     #[test]
     fn agg_probe_counts_one_eval_error_per_distinct_projection() {
         // count over 10 / S: S = 0 fails. Through the group index the three
@@ -1189,16 +832,17 @@ mod tests {
         assert_eq!(cols, [2]);
         t.lock().add_group_index(cols.clone());
 
-        let mut grouped =
+        let grouped =
             AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out").with_group_index(cols);
-        let out = push_one(&mut grouped, &event);
-        assert_eq!(grouped.eval_errors, 1);
+        let (out, stats) = run_counted(Box::new(grouped), vec![event.clone()]);
+        assert_eq!(stats.eval_errors, 1);
         assert_eq!(out[0].field(4), &Value::Int(2));
         assert_eq!(t.lock().stats().full_scans, 0);
 
-        let mut by_row = AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out");
-        assert_eq!(push_one(&mut by_row, &event), out);
-        assert_eq!(by_row.eval_errors, 3);
+        let by_row = AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out");
+        let (by_row_out, stats) = run_counted(Box::new(by_row), vec![event]);
+        assert_eq!(by_row_out, out);
+        assert_eq!(stats.eval_errors, 3);
         assert_eq!(t.lock().stats().full_scans, 1);
     }
 
@@ -1218,8 +862,8 @@ mod tests {
         for (func, winner, value) in [(AggFunc::Min, "b", 1), (AggFunc::Max, "a", 5)] {
             let t = table(TableSpec::new("member", vec![1]), rows.clone());
             t.lock().add_group_index(vec![2]);
-            let mut probe = AggProbe::new(t, 3, func, None, agg(), "out").with_group_index(vec![2]);
-            let out = push_one(&mut probe, &event);
+            let probe = AggProbe::new(t, 3, func, None, agg(), "out").with_group_index(vec![2]);
+            let out = run_one(Box::new(probe), vec![event.clone()]);
             assert_eq!(out[0].field(2), &Value::str(winner));
             assert_eq!(out[0].field(4), &Value::Int(value));
         }

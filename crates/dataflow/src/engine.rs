@@ -183,6 +183,9 @@ pub struct EngineStats {
     pub timers_fired: u64,
     /// Tuples handed to the network.
     pub sent: u64,
+    /// PEL evaluations that raised an error, summed over every element
+    /// ([`ElementCtx::note_eval_error`]); 0 in a clean run.
+    pub eval_errors: u64,
 }
 
 /// One pending delivery in the work queue.
@@ -461,6 +464,7 @@ impl Engine {
                     &mut self.scratch_timers,
                 );
                 self.elements[idx].on_start(&mut ctx);
+                self.stats.eval_errors += ctx.eval_errors();
             }
             self.absorb(idx);
         }
@@ -564,6 +568,7 @@ impl Engine {
                 );
                 self.elements[idx].on_timer(entry.token, &mut ctx);
                 state_changed = ctx.state_changed();
+                self.stats.eval_errors += ctx.eval_errors();
             }
             if self.obs.is_some() {
                 self.record_obs_timer(idx, state_changed, sends_before, &outgoing);
@@ -650,6 +655,7 @@ impl Engine {
                 );
                 self.elements[idx].push(route.port, &tuple, &mut ctx);
                 state_changed = ctx.state_changed();
+                self.stats.eval_errors += ctx.eval_errors();
             }
             if self.obs.is_some() {
                 self.record_obs_push(idx, &tuple, state_changed, sends_before, outgoing);

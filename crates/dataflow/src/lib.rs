@@ -18,30 +18,23 @@
 //!   per-event and materialized aggregates, table insert/delete bridges,
 //!   periodic event sources, network output, and debugging taps.
 //!
-//! # Incremental dataflow
+//! # Tables are re-read, not mirrored
 //!
-//! Stored tables publish their mutations as per-subscriber delta streams
-//! (`p2_table::Table::subscribe_deltas`: `Insert`, `Delete`, `Expire`,
-//! `Evict`, with replacement encoded as a Delete/Insert pair). One element
-//! consumes them instead of rescanning its base table:
-//! [`elements::TableAgg`] (materialized aggregates maintained per delta).
-//! In-strand aggregation ([`elements::AggProbe`]) is not a delta consumer:
-//! its result depends on the event as much as on the table, so it reads
-//! the table per event — through the join's access path when it has a
-//! key, else through a group index on the table (one evaluation per
-//! distinct row projection) — and keeps no state between events. Rule
-//! strands likewise re-derive per trigger — derived soft state
-//! stays alive by being re-derived on refresh, as in the paper. The
-//! consumer's fallback contract: a bounded per-subscriber delta log
-//! (`p2_table::DELTA_LOG_CAP`) whose overflow — or any detected
-//! incoherence — triggers a rebuild from a counted scan that restores
-//! bit-for-bit the rescanning behaviour, observable via
-//! `p2_table::TableStats` (`overflows`, `rebuilds`, `full_scans`). Its
-//! quiet fast path: a subscription's lock-free pending flag
-//! (`p2_table::DeltaSubscription::has_pending`) lets a sync poked on every
-//! event cost one atomic load — no table lock, no drain — when nothing
-//! changed, which under refresh-heavy workloads (pure refreshes log no
-//! delta) is the overwhelmingly common case.
+//! No element keeps an incremental copy of table state. Rule strands
+//! re-derive per trigger, so derived soft state stays alive by being
+//! re-derived on refresh, as in the paper. In-strand aggregation
+//! ([`elements::AggProbe`]) reads the table per event, through the join's
+//! access path when it has a key, else through a group index on the table
+//! (one evaluation per distinct row projection). A materialized aggregate
+//! ([`elements::TableAgg`]) keeps only what it last emitted and re-reads
+//! its whole table when the table's change counter
+//! (`p2_table::Table::version`) has moved since its last read; a poke that
+//! finds the counter unmoved costs one lock and one comparison. Under
+//! refresh-heavy workloads that is most pokes, since a refresh leaves the
+//! counter alone.
+//!
+//! A PEL evaluation that fails drops what it was evaluating and is counted
+//! in [`EngineStats::eval_errors`].
 //!
 //! Deviation from the 2005 C++ implementation: the original uses push *and*
 //! pull ports with continuation callbacks for flow control; here every edge

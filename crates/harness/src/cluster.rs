@@ -626,6 +626,16 @@ impl ChordCluster {
         total
     }
 
+    /// PEL evaluation errors summed over all up nodes
+    /// (`p2_dataflow::EngineStats::eval_errors`): rule evaluations that
+    /// failed and dropped their tuple. 0 in a clean run.
+    pub fn eval_errors(&self) -> u64 {
+        self.sim
+            .up_ids()
+            .map(|id| self.sim.node_by_id(id).node().stats().eval_errors)
+            .sum()
+    }
+
     /// Turns on the rule-level profiler on every node. Counters start at
     /// zero from this instant; calling this mid-run therefore profiles the
     /// steady state, not bring-up. Tracing stays off until

@@ -20,10 +20,12 @@ pub struct StorageOps {
     pub expired: u64,
     /// Rows evicted by table size bounds.
     pub evicted: u64,
-    /// Delta-subscription queues that overflowed `DELTA_LOG_CAP` (each one
-    /// forces the subscriber into a from-scratch rebuild).
+    /// Always 0: tables keep no per-consumer delta log that could overflow.
+    /// The field stays only because `benchmark/` builds this struct by
+    /// literal; the next `benchmark` PR may drop it.
     pub overflows: u64,
-    /// From-scratch rebuilds reported by incremental delta consumers.
+    /// Always 0, for the same reason: nothing rebuilds after an overflow
+    /// (`TableAgg` re-reads its table whenever the table changed).
     pub rebuilds: u64,
 }
 
@@ -47,8 +49,8 @@ impl From<p2_table::TableStats> for StorageOps {
             full_scans: s.full_scans,
             expired: s.expired,
             evicted: s.evicted,
-            overflows: s.overflows,
-            rebuilds: s.rebuilds,
+            overflows: 0,
+            rebuilds: 0,
         }
     }
 }

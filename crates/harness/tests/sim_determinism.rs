@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// Runs the golden measurement window on an already-built cluster.
-fn measure(mut cluster: ChordCluster) -> (u64, u64, u64, u64, u64) {
+fn measure(cluster: &mut ChordCluster) -> (u64, u64, u64, u64, u64) {
     cluster.sim.reset_stats();
     let events_before = cluster.sim.events_processed();
     cluster.run_for(60.0);
@@ -28,14 +28,14 @@ fn measure(mut cluster: ChordCluster) -> (u64, u64, u64, u64, u64) {
 }
 
 fn ring_stats(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
-    measure(ChordCluster::build(n, warmup, seed))
+    measure(&mut ChordCluster::build(n, warmup, seed))
 }
 
 /// The golden run on the generic element chains: strand fusion off, so no
 /// output slot carries a level delay.
 fn ring_stats_generic(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
     measure(
-        ChordCluster::builder(n, seed)
+        &mut ChordCluster::builder(n, seed)
             .fuse_strands(false)
             .build(warmup),
     )
@@ -43,7 +43,7 @@ fn ring_stats_generic(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, 
 
 fn ring_stats_par(n: usize, warmup: u64, seed: u64, workers: usize) -> (u64, u64, u64, u64, u64) {
     measure(
-        ChordCluster::builder(n, seed)
+        &mut ChordCluster::builder(n, seed)
             .par_threads(workers)
             .build(warmup),
     )
@@ -69,9 +69,13 @@ fn ring_pointers(cluster: &ChordCluster) -> Vec<(String, Option<String>)> {
 
 #[test]
 fn hundred_node_ring_matches_golden_stats() {
-    let a = ring_stats(100, 120, 42);
+    let mut cluster = ChordCluster::build(100, 120, 42);
+    let a = measure(&mut cluster);
     eprintln!("100-node ring stats: {a:?}");
     assert_eq!(a, GOLDEN_100, "fixed-seed run diverged from the golden pin");
+    // Every rule of the clean run evaluates: no node dropped a tuple to a
+    // failed PEL evaluation.
+    assert_eq!(cluster.eval_errors(), 0, "rule evaluations failed");
     let b = ring_stats(100, 120, 42);
     assert_eq!(a, b, "same seed must give identical NetStats across runs");
 }

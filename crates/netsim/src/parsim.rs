@@ -1,6 +1,6 @@
 //! Parallel sharded simulation: a deterministic multi-core executor.
 //!
-//! [`ParSimulator`] mirrors [`Simulator`](crate::Simulator)'s API but shards
+//! [`ParSimulator`] mirrors [`Simulator`]'s API but shards
 //! nodes across a fixed pool of worker threads (`NodeId` modulo worker
 //! count) and runs **conservative time-window synchronization**:
 //!
@@ -41,7 +41,7 @@
 //!   for the pinned workloads (arrival times carry µs-grained serialization
 //!   offsets, so collisions do not occur there).
 //! * **Hash-split loss decisions.** Packet loss rolls
-//!   [`loss_roll`]`(seed, sender, emission index)` — a pure function of
+//!   `loss_roll(seed, sender, emission index)` — a pure function of
 //!   per-sender state shared with the sequential simulator, not a draw from
 //!   one global RNG stream that worker interleaving would scramble.
 //! * **Merge-ordered accounting.** Worker-local [`NetStats`] and event

@@ -4,7 +4,7 @@
 //! table is a dense `Vec` indexed by id, packet deliveries carry ids, and
 //! per-packet latency is two array loads (sender domain, receiver domain)
 //! into the topology's precomputed latency matrix. Node wakeups live in a
-//! dedicated tombstone-free [`TimerIndex`](crate::timer) instead of the
+//! dedicated tombstone-free `TimerIndex` instead of the
 //! delivery heap, so rescheduling a node's timer replaces its entry in
 //! O(log n) and no superseded entries are ever popped and skipped. String
 //! addresses only appear at the public API boundary and are resolved to ids

@@ -1,6 +1,6 @@
 //! Whole-program static analysis of OverLog programs.
 //!
-//! [`validate`](crate::validate) checks each clause in isolation; this module
+//! [`validate`](fn@crate::validate) checks each clause in isolation; this module
 //! looks at the program as a whole. [`analyze`] builds the **predicate
 //! dependency graph** across every rule, fact, and `materialize` declaration
 //! and derives four results from it:
@@ -583,8 +583,8 @@ impl<'a> Context<'a> {
                 };
                 self.edge(&stream.name, &head, kind, &rule.id);
             } else if rule.has_aggregate() {
-                // Incrementally maintained TableAgg: deltas of the
-                // aggregated table re-fire the rule.
+                // Materialized TableAgg: any change to the aggregated
+                // table re-fires the rule.
                 for t in &tables {
                     self.edge(&t.name, &head, EdgeKind::Aggregate, &rule.id);
                 }

@@ -5,8 +5,8 @@
 //! olg_lint [--json] [--deny-warnings] [--expect-fixtures] FILE.olg...
 //! ```
 //!
-//! Each file is parsed, validated ([`p2_overlog::validate`]), and — when it
-//! validates — analyzed ([`p2_overlog::analyze`]). Diagnostics print as
+//! Each file is parsed, validated ([`p2_overlog::validate()`]), and — when
+//! it validates — analyzed ([`p2_overlog::analyze()`]). Diagnostics print as
 //! `file:line:col: severity[code]: message`, or as a JSON array with
 //! `--json` for tooling.
 //!

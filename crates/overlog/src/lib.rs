@@ -13,14 +13,14 @@
 //!
 //! This crate contains the front half of P2: the lexer ([`lexer`]), parser
 //! ([`parser`]), abstract syntax tree ([`ast`]), a semantic validator
-//! ([`validate`]) that enforces the restrictions of the 2005 planner
-//! (collocated rule bodies, stream/table equijoins, safe head variables),
-//! a pretty-printer ([`pretty`]) used for round-trip testing and
-//! debugging, and a whole-program static analyzer ([`analyze`]) that
-//! stratifies the predicate dependency graph, infers schemas, tracks
-//! soft-state lifetime flow, and classifies every rule's delta-safety
-//! ([`RuleClass`]) for the planner. Compilation of validated programs into
-//! dataflow graphs lives in the `p2-core` crate.
+//! ([`validate`](mod@validate)) that enforces the restrictions of the 2005
+//! planner (collocated rule bodies, stream/table equijoins, safe head
+//! variables), a pretty-printer ([`pretty`]) used for round-trip testing
+//! and debugging, and a whole-program static analyzer
+//! ([`analyze`](mod@analyze)) that stratifies the predicate dependency
+//! graph, infers schemas, tracks soft-state lifetime flow, and classifies
+//! every rule's delta-safety ([`RuleClass`]) for the planner. Compilation
+//! of validated programs into dataflow graphs lives in the `p2-core` crate.
 
 pub mod analyze;
 pub mod ast;

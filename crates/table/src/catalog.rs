@@ -5,17 +5,14 @@
 //! owns one shared handle per declared table; dataflow elements clone the
 //! handle they need.
 //!
-//! # Delta plumbing
+//! # Change counters
 //!
 //! Every mutation that reaches a table through the catalog — dataflow
 //! inserts and deletes, and the periodic [`Catalog::expire_all`] sweep —
-//! feeds the table's [delta protocol](crate::table): a consumer that called
-//! [`Table::subscribe_deltas`] on the shared handle sees the exact
-//! `Insert`/`Delete`/`Expire`/`Evict` stream instead of re-probing table
-//! state. The incremental `TableAgg` element in
-//! `p2-dataflow` is the canonical consumer; expiry and eviction — which
-//! previously changed state without any dataflow-visible signal — are
-//! observable through the same stream.
+//! moves that table's [`Table::version`] when it changes a row. Expiry
+//! sends no tuple through the dataflow graph, so a consumer of a whole
+//! table (the `TableAgg` element in `p2-dataflow`) sees it as a moved
+//! counter at its next poke.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,8 +93,8 @@ impl Catalog {
     /// Uses [`Table::expire_count`], so the periodic sweep neither collects
     /// the expired tuples nor scans live rows — each table pays O(log n) for
     /// the staleness-queue peek plus O(log n) per row actually expired —
-    /// and only finite-lifetime tables are visited at all. Expiry feeds the
-    /// tables' delta streams, so subscribed aggregates observe it exactly.
+    /// and only finite-lifetime tables are visited at all. A table that
+    /// loses rows moves its [`Table::version`]; the others keep theirs.
     pub fn expire_all(&self, now: p2_value::SimTime) -> usize {
         self.expiring
             .iter()
@@ -130,7 +127,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2_value::{SimTime, TupleBuilder, Value};
+    use p2_value::{SimTime, TupleBuilder};
 
     #[test]
     fn declare_and_share() {
@@ -158,65 +155,45 @@ mod tests {
         assert!(t1.lock().is_empty() && t2.lock().is_empty());
     }
 
+    /// `expire_all` moves the version of exactly the tables it removed rows
+    /// from: not a table whose rows are all still live, and not an
+    /// infinite-lifetime table, which it never visits.
     #[test]
     fn three_subscribers_drain_the_full_stream_independently() {
-        use crate::table::TableDeltaKind;
-
         let mut cat = Catalog::new();
-        let t = cat.declare(
-            TableSpec::new("succ", vec![1])
-                .with_lifetime_secs(10)
-                .with_max_size(4),
-        );
-        let [s1, s2, s3] = [(); 3].map(|()| t.lock().subscribe_deltas());
-        let succ = |s: i64, si: &str| {
-            TupleBuilder::new("succ")
-                .push("n1")
-                .push(s)
-                .push(si)
-                .build()
+        let spec = |name: &str, lifetime: Option<u64>| {
+            let spec = TableSpec::new(name, vec![0]);
+            match lifetime {
+                Some(secs) => spec.with_lifetime_secs(secs),
+                None => spec,
+            }
         };
-
-        // Phase 1: five inserts into a 4-row bound (one eviction), then a
-        // replacement (Delete + Insert of the same key).
-        for (i, s) in [1i64, 2, 3, 4, 5].iter().enumerate() {
-            t.lock()
-                .insert(succ(*s, "x"), SimTime::from_secs(i as u64))
-                .unwrap();
+        let tables = [
+            cat.declare(spec("short", Some(10))),
+            cat.declare(spec("long", Some(1_000))),
+            cat.declare(spec("forever", None)),
+        ];
+        for (t, name) in tables.iter().zip(["short", "long", "forever"]) {
+            for (i, at) in [0u64, 5, 20].into_iter().enumerate() {
+                t.lock()
+                    .insert(
+                        TupleBuilder::new(name).push(i as i64).build(),
+                        SimTime::from_secs(at),
+                    )
+                    .unwrap();
+            }
         }
-        t.lock()
-            .insert(succ(2, "y"), SimTime::from_secs(5))
-            .unwrap();
+        let versions = || tables.each_ref().map(|t| t.lock().version());
 
-        // s1 drains mid-stream; the other queues are untouched by it.
-        let mut d1 = Vec::new();
-        assert!(!t.lock().drain_deltas(&s1, &mut d1));
-        let phase1 = d1.len();
-        assert!(phase1 > 0);
+        let before = versions();
+        assert_eq!(cat.expire_all(SimTime::from_secs(20)), 2);
+        let after = versions();
+        assert_eq!(after[0], before[0] + 2, "two expired rows, two steps");
+        assert_eq!(after[1..], before[1..], "nothing expired there");
 
-        // Phase 2: an explicit delete and an expiry sweep.
-        t.lock().delete_key(&[Value::Int(3)]);
-        assert!(cat.expire_all(SimTime::from_secs(100)) > 0);
-
-        // s1 picks up only phase 2; s2 and s3 each still hold the full
-        // stream, drained independently and identically.
-        assert!(!t.lock().drain_deltas(&s1, &mut d1));
-        let (mut d2, mut d3) = (Vec::new(), Vec::new());
-        assert!(!t.lock().drain_deltas(&s2, &mut d2));
-        assert!(!t.lock().drain_deltas(&s3, &mut d3));
-        assert_eq!(d1, d2, "split drain concatenates to the full stream");
-        assert_eq!(d2, d3, "subscribers see identical streams");
-        for kind in [
-            TableDeltaKind::Insert,
-            TableDeltaKind::Delete,
-            TableDeltaKind::Expire,
-            TableDeltaKind::Evict,
-        ] {
-            assert!(
-                d2.iter().any(|d| d.kind == kind),
-                "stream is missing {kind:?}"
-            );
-        }
+        // A sweep that expires nothing moves nothing.
+        assert_eq!(cat.expire_all(SimTime::from_secs(21)), 0);
+        assert_eq!(versions(), after);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   equijoin elements, and group indices let an aggregation probe read a
 //!   table one distinct projection at a time;
 //! * filters written in PEL can be applied to table scans;
-//! * incremental aggregates (min/max/count/sum) can be computed over a table
-//!   with optional group-by, which backs the "aggregate elements that
-//!   maintain an up-to-date aggregate on a table" of §3.4.
+//! * aggregates (min/max/count/sum/avg) can be computed over a table with
+//!   optional group-by, and a change counter ([`Table::version`]) says when
+//!   one is stale, which backs the "aggregate elements that maintain an
+//!   up-to-date aggregate on a table" of §3.4.
 //!
 //! # Storage engine
 //!
@@ -40,7 +41,4 @@ pub mod table;
 pub use aggregate::{AggFunc, AggState};
 pub use catalog::{Catalog, TableRef};
 pub use spec::TableSpec;
-pub use table::{
-    DeltaSubscription, Group, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableDelta,
-    TableDeltaKind, TableStats, DELTA_LOG_CAP,
-};
+pub use table::{Group, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableStats};

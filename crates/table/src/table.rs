@@ -68,60 +68,15 @@
 //! `Vec<Tuple>` results; the owning `scan`/`lookup`/`get` APIs are preserved
 //! unchanged for existing callers.
 //!
-//! # Delta protocol
+//! # Change counter
 //!
-//! Every mutation path — insert, replace, explicit delete, soft-state
-//! expiry, and size-bound eviction — emits a [`TableDelta`] describing
-//! exactly what changed. Consumers (the dataflow layer's incremental
-//! `TableAgg` is the canonical one) call [`Table::subscribe_deltas`] once
-//! and then [`Table::drain_deltas`] whenever they want to catch up; each
-//! subscription has its own queue, so independent consumers never steal
-//! each other's deltas. The contract:
-//!
-//! * a **refresh** (re-insert of an identical tuple) changes no visible
-//!   state and emits no delta;
-//! * a **replace** emits `Delete` of the displaced tuple followed by
-//!   `Insert` of the new one, so aggregate maintainers see an exact
-//!   retraction;
-//! * **expiry** and **eviction** emit `Expire` / `Evict` deltas — state
-//!   that previously vanished silently is now observable;
-//! * deltas are queued in mutation order, which is deterministic under the
-//!   simulator's determinism contract (`p2_netsim::parsim`): mutation order
-//!   is driven entirely by the deterministic event stream, so the delta
-//!   stream is bit-identical across runs and worker counts;
-//! * replaying a subscription's delta stream against an empty keyed map
-//!   reconstructs the live row set exactly (property-tested).
-//!
-//! A subscription queue that is never drained is bounded: past
-//! [`DELTA_LOG_CAP`] entries it is discarded and flagged, and the next
-//! [`Table::drain_deltas`] reports the overflow so the consumer can fall
-//! back to a from-scratch rebuild. Overflows increment
-//! [`TableStats::overflows`]; consumers that rebuild report it back via
-//! [`Table::note_rebuild`], so a rebuild storm (queues sized below the
-//! mutation rate) is visible in the stats instead of silently degrading
-//! every consumer to recompute.
-//!
-//! ## Multi-subscriber drain contract
-//!
-//! Any number of consumers may subscribe to one table (several `TableAgg`s
-//! can watch the same one). The contract each can rely on:
-//!
-//! * every subscription owns a **private queue**: each mutation appends to
-//!   all of them, and draining one queue never consumes or reorders another
-//!   subscriber's deltas;
-//! * each subscriber therefore sees the **full stream** — including
-//!   `Expire` and `Evict` — in the same mutation order as every other
-//!   subscriber, regardless of when or how often it drains;
-//! * overflow is **per queue**: a slow subscriber that overflows (and must
-//!   rebuild) does not disturb subscribers that drain promptly;
-//! * subscriptions are permanent for the table's lifetime (there is no
-//!   unsubscribe), so a [`DeltaSubscription`] handle never dangles;
-//! * the handle's [`DeltaSubscription::has_pending`] flag is readable
-//!   **without the table lock** and is `true` exactly when draining would
-//!   yield deltas (or an overflow signal) — sync paths poked on every
-//!   event use it to skip the lock/drain round trip entirely when quiet,
-//!   which under refresh-heavy workloads is almost always (refreshes log
-//!   no delta).
+//! [`Table::version`] moves on every change to the live row set: a new
+//! row, a replacement, an explicit delete, a soft-state expiry and a
+//! size-bound eviction. A **refresh** (re-insert of an identical tuple)
+//! changes no row and leaves the counter where it was. A consumer that
+//! derives state from the whole table (the dataflow layer's `TableAgg`)
+//! remembers the version it last read and re-reads only when the counter
+//! has moved.
 //!
 //! # Batched refresh
 //!
@@ -145,8 +100,6 @@ use std::cell::Cell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use p2_pel::{EvalContext, Program};
 use p2_value::{SimTime, Tuple, Value, ValueError};
@@ -166,78 +119,6 @@ impl RowId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-}
-
-/// The kind of state change a [`TableDelta`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TableDeltaKind {
-    /// A row was added (or the new half of a replacement).
-    Insert,
-    /// A row was removed by an explicit delete (or the retracted half of a
-    /// replacement).
-    Delete,
-    /// A row was removed because its soft-state lifetime elapsed.
-    Expire,
-    /// A row was removed to honour the size bound.
-    Evict,
-}
-
-impl TableDeltaKind {
-    /// True for the kinds that remove a row (everything but `Insert`).
-    pub fn is_removal(self) -> bool {
-        !matches!(self, TableDeltaKind::Insert)
-    }
-}
-
-/// One exact state change of a table, emitted uniformly by every mutation
-/// path (see the module-level *Delta protocol* section).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableDelta {
-    /// What happened.
-    pub kind: TableDeltaKind,
-    /// The slab address the row occupied (or occupies). Valid only until
-    /// the next mutation; carried for diagnostics and dedup, not for
-    /// dereferencing.
-    pub row: RowId,
-    /// The affected tuple (the removed tuple for removals).
-    pub tuple: Tuple,
-}
-
-/// Handle identifying one delta subscription of a table.
-///
-/// The handle carries a lock-free *pending* flag shared with the table:
-/// [`DeltaSubscription::has_pending`] tells a consumer whether draining
-/// would yield anything **without taking the table lock**, so quiet sync
-/// paths (the common case under refresh-heavy workloads, where pure
-/// refreshes log no delta at all) cost one atomic load instead of a
-/// lock/drain round trip.
-#[derive(Debug, Clone)]
-pub struct DeltaSubscription {
-    idx: usize,
-    pending: Arc<AtomicBool>,
-}
-
-impl DeltaSubscription {
-    /// True if the subscription has undrained deltas (or an undrained
-    /// overflow signal). Readable without the table lock; a `false` result
-    /// means [`Table::drain_deltas`] would be a no-op right now.
-    pub fn has_pending(&self) -> bool {
-        self.pending.load(Ordering::Acquire)
-    }
-}
-
-/// Bound on an undrained subscription queue; beyond this the queue is
-/// discarded and the subscriber is told to rebuild from a table scan.
-pub const DELTA_LOG_CAP: usize = 8192;
-
-/// One subscriber's pending delta queue.
-#[derive(Debug, Default)]
-struct SubQueue {
-    log: Vec<TableDelta>,
-    overflowed: bool,
-    /// Mirror of `!log.is_empty() || overflowed`, shared with the
-    /// subscriber's [`DeltaSubscription`] for lock-free quiet checks.
-    pending: Arc<AtomicBool>,
 }
 
 /// Result of inserting a tuple into a table.
@@ -271,12 +152,6 @@ pub struct TableStats {
     pub expired: u64,
     /// Rows evicted to honour the size bound.
     pub evicted: u64,
-    /// Delta-subscription queues that hit [`DELTA_LOG_CAP`] and were
-    /// discarded (one count per queue per overflow episode).
-    pub overflows: u64,
-    /// From-scratch rebuilds reported by incremental consumers via
-    /// [`Table::note_rebuild`] after an overflow or state incoherence.
-    pub rebuilds: u64,
 }
 
 impl std::ops::AddAssign for TableStats {
@@ -286,8 +161,6 @@ impl std::ops::AddAssign for TableStats {
         self.full_scans += rhs.full_scans;
         self.expired += rhs.expired;
         self.evicted += rhs.evicted;
-        self.overflows += rhs.overflows;
-        self.rebuilds += rhs.rebuilds;
     }
 }
 
@@ -299,8 +172,6 @@ struct StatCells {
     full_scans: Cell<u64>,
     expired: Cell<u64>,
     evicted: Cell<u64>,
-    overflows: Cell<u64>,
-    rebuilds: Cell<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -480,8 +351,8 @@ pub struct Table {
     /// strictly later than the row's queued `inserted_at` (see the
     /// module-level *Batched refresh* section).
     pending_refresh: HashMap<u32, SimTime>,
-    /// Per-subscription delta queues (usually empty or a single entry).
-    subs: Vec<SubQueue>,
+    /// Change counter (see the module-level *Change counter* section).
+    version: u64,
     stats: StatCells,
 }
 
@@ -529,7 +400,7 @@ impl Table {
             groups: Vec::new(),
             staleness: BTreeSet::new(),
             pending_refresh: HashMap::new(),
-            subs: Vec::new(),
+            version: 0,
             stats: StatCells::default(),
         }
     }
@@ -562,72 +433,13 @@ impl Table {
             full_scans: self.stats.full_scans.get(),
             expired: self.stats.expired.get(),
             evicted: self.stats.evicted.get(),
-            overflows: self.stats.overflows.get(),
-            rebuilds: self.stats.rebuilds.get(),
         }
     }
 
-    /// Records that an incremental consumer of this table's deltas fell back
-    /// to a from-scratch rebuild (after a queue overflow or a state
-    /// incoherence it could not repair incrementally). Purely an
-    /// observability hook — see [`TableStats::rebuilds`].
-    pub fn note_rebuild(&self) {
-        self.stats.rebuilds.set(self.stats.rebuilds.get() + 1);
-    }
-
-    // ----- delta subscriptions ----------------------------------------
-
-    /// Registers a new delta subscriber; every subsequent mutation appends
-    /// a [`TableDelta`] to the subscription's private queue.
-    pub fn subscribe_deltas(&mut self) -> DeltaSubscription {
-        self.subs.push(SubQueue::default());
-        DeltaSubscription {
-            idx: self.subs.len() - 1,
-            pending: self.subs.last().expect("just pushed").pending.clone(),
-        }
-    }
-
-    /// True if anyone subscribed to this table's deltas.
-    pub fn has_delta_subscribers(&self) -> bool {
-        !self.subs.is_empty()
-    }
-
-    /// Moves the subscription's pending deltas into `out` (appending, in
-    /// mutation order). Returns `true` if the queue overflowed since the
-    /// last drain — the deltas are gone and the subscriber must rebuild
-    /// from a table scan instead.
-    pub fn drain_deltas(&mut self, sub: &DeltaSubscription, out: &mut Vec<TableDelta>) -> bool {
-        let q = &mut self.subs[sub.idx];
-        let overflowed = q.overflowed;
-        q.overflowed = false;
-        if overflowed {
-            q.log.clear();
-        } else {
-            out.append(&mut q.log);
-        }
-        q.pending.store(false, Ordering::Release);
-        overflowed
-    }
-
-    /// Appends a delta to every subscription queue (no-op with none).
-    fn log_delta(&mut self, kind: TableDeltaKind, id: u32, tuple: &Tuple) {
-        for q in &mut self.subs {
-            if q.overflowed {
-                continue;
-            }
-            q.pending.store(true, Ordering::Release);
-            if q.log.len() >= DELTA_LOG_CAP {
-                q.log.clear();
-                q.overflowed = true;
-                self.stats.overflows.set(self.stats.overflows.get() + 1);
-                continue;
-            }
-            q.log.push(TableDelta {
-                kind,
-                row: RowId(id),
-                tuple: tuple.clone(),
-            });
-        }
+    /// The change counter: moves whenever the live row set changes, and
+    /// only then (see the module-level *Change counter* section).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Approximate resident size in bytes (used by the footprint benchmark).
@@ -773,10 +585,12 @@ impl Table {
     }
 
     /// Unlinks and returns the row at `id`, fixing up every index and the
-    /// staleness queue. O(log n + indices).
+    /// staleness queue, and moves the version: every removal path (delete,
+    /// expiry, eviction) ends here. O(log n + indices).
     fn remove_row(&mut self, id: u32) -> Row {
         let row = self.slots[id as usize].take().expect("live RowId");
         self.live -= 1;
+        self.version += 1;
         self.free.push(id);
         self.pending_refresh.remove(&id);
         self.staleness.remove(&(row.inserted_at, id));
@@ -893,7 +707,7 @@ impl Table {
                 let row = self.slots[id as usize].as_ref().expect("live RowId");
                 let old_at = row.inserted_at;
                 if row.tuple.values() == tuple.values() {
-                    // Refresh: no visible state change, no delta. Forward
+                    // Refresh: no visible state change, no version. Forward
                     // refreshes are recorded lazily (one staleness-queue
                     // update per sweep instead of one per refresh);
                     // backward refreshes reposition eagerly so the queue
@@ -914,9 +728,7 @@ impl Table {
                     let slot = self.slots[id as usize].as_mut().expect("live RowId");
                     slot.tuple = tuple.clone();
                     slot.inserted_at = now;
-                    // A replacement is an exact retraction plus assertion.
-                    self.log_delta(TableDeltaKind::Delete, id, &old);
-                    self.log_delta(TableDeltaKind::Insert, id, &tuple);
+                    self.version += 1;
                     (InsertOutcome::Replaced(old), id)
                 }
             }
@@ -929,7 +741,7 @@ impl Table {
                 self.primary.entry(hash).or_default().push(id);
                 self.secondary_insert(id, &tuple);
                 self.staleness.insert((now, id));
-                self.log_delta(TableDeltaKind::Insert, id, &tuple);
+                self.version += 1;
                 (InsertOutcome::New, id)
             }
         };
@@ -952,7 +764,6 @@ impl Table {
                         }
                         let row = self.remove_row(id);
                         self.stats.evicted.set(self.stats.evicted.get() + 1);
-                        self.log_delta(TableDeltaKind::Evict, id, &row.tuple);
                         spill.push(row.tuple);
                     }
                     None => break,
@@ -992,9 +803,7 @@ impl Table {
             // Exact equality is subsumed by the loose match: a pattern with
             // no nulls matches only a field-identical row.
             if row_matches_loosely(&self.row(id).tuple, tuple) {
-                let row = self.remove_row(id);
-                self.log_delta(TableDeltaKind::Delete, id, &row.tuple);
-                spill.push(row.tuple);
+                spill.push(self.remove_row(id).tuple);
                 return Ok(1);
             }
         }
@@ -1010,9 +819,7 @@ impl Table {
             .iter()
             .copied()
             .find(|&id| self.row_key_matches(&self.row(id).tuple, key))?;
-        let row = self.remove_row(id);
-        self.log_delta(TableDeltaKind::Delete, id, &row.tuple);
-        Some(row.tuple)
+        Some(self.remove_row(id).tuple)
     }
 
     /// Removes and returns every row older than the table's lifetime.
@@ -1052,7 +859,6 @@ impl Table {
             }
             let row = self.remove_row(id);
             self.stats.expired.set(self.stats.expired.get() + 1);
-            self.log_delta(TableDeltaKind::Expire, id, &row.tuple);
             sink(row.tuple);
         }
     }
@@ -1072,26 +878,13 @@ impl Table {
     }
 
     /// Like [`Table::scan_iter`] but counted as a full scan in
-    /// [`TableStats`]. Dataflow elements that derive output by walking the
-    /// whole table (recompute-style probes, incremental-consumer rebuilds)
-    /// use this so un-indexed O(n) work stays observable; bookkeeping walks
-    /// like [`Table::resident_bytes`] stay on the uncounted iterator.
+    /// [`TableStats`]. Probes that find their candidate rows by walking the
+    /// whole table use this so un-indexed O(n) lookups stay observable;
+    /// bookkeeping walks like [`Table::resident_bytes`] stay on the
+    /// uncounted iterator.
     pub fn scan_iter_counted(&self) -> impl Iterator<Item = &Tuple> {
         self.stats.full_scans.set(self.stats.full_scans.get() + 1);
         self.scan_iter()
-    }
-
-    /// Counted scan yielding each live row with its [`RowId`], in ascending
-    /// `RowId` order (the same order as [`Table::scan_iter`]). Incremental
-    /// consumers use the ids to key row mirrors that later deltas address
-    /// by `RowId`; the ids obey the usual caveat of being valid only until
-    /// the next mutation.
-    pub fn scan_rows_counted(&self) -> impl Iterator<Item = (RowId, &Tuple)> {
-        self.stats.full_scans.set(self.stats.full_scans.get() + 1);
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u32), &r.tuple)))
     }
 
     /// The table read one distinct projection at a time: the buckets of the
@@ -1242,7 +1035,8 @@ impl Table {
     }
 
     /// Computes `func` over column `agg_col` of every live row, grouped by
-    /// `group_cols`. Returns one `(group_values, aggregate)` pair per group.
+    /// `group_cols`. Returns one `(group_values, aggregate)` pair per group,
+    /// sorted by group values.
     ///
     /// For `count<*>` pass `agg_col = None`. Aggregation folds row by row —
     /// no per-group contribution vectors are materialized.
@@ -1252,30 +1046,35 @@ impl Table {
         agg_col: Option<usize>,
         group_cols: &[usize],
     ) -> Result<Vec<(Vec<Value>, Value)>, ValueError> {
-        let mut groups: HashMap<Vec<Value>, AggState> = HashMap::new();
+        let mut groups: BTreeMap<Vec<Value>, AggState> = BTreeMap::new();
+        // One key buffer for all rows: only a group's first row allocates.
+        let mut key = Vec::with_capacity(group_cols.len());
         for tuple in self.scan_iter() {
-            let Some(group_key) = extract(tuple, group_cols) else {
+            let values = tuple.values();
+            if group_cols.iter().any(|&c| c >= values.len()) {
                 continue;
-            };
+            }
             let contribution = match agg_col {
-                Some(c) => match tuple.get(c) {
-                    Ok(v) => v,
-                    Err(_) => continue,
+                Some(c) => match values.get(c) {
+                    Some(v) => v,
+                    None => continue,
                 },
                 None => &Value::Int(1),
             };
-            groups
-                .entry(group_key)
-                .or_insert_with(|| AggState::new(func))
-                .accumulate(contribution)?;
-        }
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, state) in groups {
-            if let Some(agg) = state.finish() {
-                out.push((key, agg));
+            key.clear();
+            key.extend(group_cols.iter().map(|&c| values[c].clone()));
+            if let Some(state) = groups.get_mut(key.as_slice()) {
+                state.accumulate(contribution)?;
+            } else {
+                let mut state = AggState::new(func);
+                state.accumulate(contribution)?;
+                groups.insert(key.clone(), state);
             }
         }
-        Ok(out)
+        Ok(groups
+            .into_iter()
+            .filter_map(|(key, state)| Some((key, state.finish()?)))
+            .collect())
     }
 
     // ----- invariant checking -------------------------------------------
@@ -1525,13 +1324,6 @@ impl<'a, V: ProbeValue> Iterator for LookupIter<'a, V> {
     }
 }
 
-/// Extracts the values at `cols`, or `None` if any column is out of range.
-fn extract(tuple: &Tuple, cols: &[usize]) -> Option<Vec<Value>> {
-    cols.iter()
-        .map(|&c| tuple.get(c).ok().cloned())
-        .collect::<Option<Vec<Value>>>()
-}
-
 /// A delete pattern matches a stored row if every non-null field is equal;
 /// null fields in the pattern act as wildcards.
 fn row_matches_loosely(stored: &Tuple, pattern: &Tuple) -> bool {
@@ -1710,27 +1502,20 @@ mod tests {
         assert_eq!(t.stats().indexed_lookups, 1);
     }
 
+    /// More mutations than any bounded log could hold: the counter just
+    /// keeps counting, one step per new row, with nothing to overflow.
     #[test]
     fn overflow_and_rebuild_are_counted() {
         let mut t = Table::new(TableSpec::new("x", vec![0]));
-        let sub = t.subscribe_deltas();
-        for i in 0..(DELTA_LOG_CAP as i64 + 1) {
+        let n = 10_000u64;
+        for i in 0..n as i64 {
+            let before = t.version();
             t.insert(TupleBuilder::new("x").push(i).build(), SimTime::ZERO)
                 .unwrap();
+            assert_eq!(t.version(), before + 1);
         }
-        assert_eq!(t.stats().overflows, 1);
-        let mut out = Vec::new();
-        assert!(t.drain_deltas(&sub, &mut out));
-        assert!(out.is_empty(), "overflowed queue is discarded");
-        // The consumer's from-scratch recovery is reported back.
-        t.note_rebuild();
-        assert_eq!(t.stats().rebuilds, 1);
-        // Further inserts queue normally again.
-        t.insert(TupleBuilder::new("x").push(-1i64).build(), SimTime::ZERO)
-            .unwrap();
-        assert!(!t.drain_deltas(&sub, &mut out));
-        assert_eq!(out.len(), 1);
-        assert_eq!(t.stats().overflows, 1);
+        assert_eq!(t.version(), n);
+        assert_eq!(t.len(), n as usize);
     }
 
     #[test]
@@ -2023,90 +1808,112 @@ mod tests {
     #[test]
     fn deltas_cover_every_mutation_path() {
         let mut t = Table::new(succ_spec()); // lifetime 10 s, max 4 rows
-        let sub = t.subscribe_deltas();
-        let mut log = Vec::new();
+        assert_eq!(t.version(), 0);
+        // Runs one mutation; returns whether it moved the version.
+        let moved = |t: &mut Table, op: &dyn Fn(&mut Table)| {
+            let before = t.version();
+            op(t);
+            assert!(t.version() >= before, "the version never steps back");
+            t.version() != before
+        };
 
-        // New insert.
-        t.insert(succ(5, "n5"), SimTime::from_secs(1)).unwrap();
-        // Refresh: no delta.
-        t.insert(succ(5, "n5"), SimTime::from_secs(2)).unwrap();
-        // Replace: Delete(old) + Insert(new).
-        t.insert(succ(5, "n5b"), SimTime::from_secs(3)).unwrap();
-        // Explicit delete.
-        t.delete_key(&[Value::Int(5)]);
-        assert!(!t.drain_deltas(&sub, &mut log));
-        let kinds: Vec<TableDeltaKind> = log.iter().map(|d| d.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                TableDeltaKind::Insert,
-                TableDeltaKind::Delete,
-                TableDeltaKind::Insert,
-                TableDeltaKind::Delete,
-            ]
-        );
-        assert_eq!(log[1].tuple.field(2), &Value::str("n5"));
-        assert_eq!(log[2].tuple.field(2), &Value::str("n5b"));
-        log.clear();
+        let new = |t: &mut Table| {
+            t.insert(succ(5, "n5"), SimTime::from_secs(1)).unwrap();
+        };
+        assert!(moved(&mut t, &new), "new row");
+        let refresh = |t: &mut Table| {
+            let (o, _) = t.insert(succ(5, "n5"), SimTime::from_secs(2)).unwrap();
+            assert_eq!(o, InsertOutcome::Refreshed);
+        };
+        assert!(!moved(&mut t, &refresh), "a refresh changes no row");
+        let replace = |t: &mut Table| {
+            let (o, _) = t.insert(succ(5, "n5b"), SimTime::from_secs(3)).unwrap();
+            assert!(matches!(o, InsertOutcome::Replaced(_)));
+        };
+        assert!(moved(&mut t, &replace), "replace");
+        let delete = |t: &mut Table| {
+            t.delete_key(&[Value::Int(5)]).unwrap();
+        };
+        assert!(moved(&mut t, &delete), "delete");
+        let missed = |t: &mut Table| {
+            assert!(t.delete_key(&[Value::Int(5)]).is_none());
+        };
+        assert!(!moved(&mut t, &missed), "deleting nothing");
 
-        // Eviction: fill past the bound.
-        for (i, s) in [10i64, 20, 30, 40, 50].iter().enumerate() {
+        // Eviction: the fifth row pushes the first one out.
+        for (i, s) in [10i64, 20, 30, 40].iter().enumerate() {
             t.insert(succ(*s, "x"), SimTime::from_secs(10 + i as u64))
                 .unwrap();
         }
-        t.drain_deltas(&sub, &mut log);
-        assert_eq!(
-            log.iter()
-                .filter(|d| d.kind == TableDeltaKind::Evict)
-                .count(),
-            1
-        );
-        assert_eq!(log.last().unwrap().kind, TableDeltaKind::Evict);
-        assert_eq!(log.last().unwrap().tuple.field(1), &Value::Int(10));
-        log.clear();
+        let before = t.version();
+        let (_, evicted) = t.insert(succ(50, "x"), SimTime::from_secs(14)).unwrap();
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(t.version(), before + 2, "the new row and the eviction");
 
-        // Expiry.
-        t.expire(SimTime::from_secs(40));
-        t.drain_deltas(&sub, &mut log);
-        assert_eq!(log.len(), 4);
-        assert!(log.iter().all(|d| d.kind == TableDeltaKind::Expire));
-        assert!(TableDeltaKind::Expire.is_removal());
-        assert!(!TableDeltaKind::Insert.is_removal());
+        // Expiry: one step per expired row; a sweep that expires nothing
+        // leaves the version alone.
+        let quiet = |t: &mut Table| assert!(t.expire(SimTime::from_secs(15)).is_empty());
+        assert!(
+            !moved(&mut t, &quiet),
+            "an expiry sweep that removes nothing"
+        );
+        let before = t.version();
+        assert_eq!(t.expire(SimTime::from_secs(40)).len(), 4);
+        assert_eq!(t.version(), before + 4);
         t.check_consistency().unwrap();
     }
 
+    /// Many mutations in a row, through every path, and the counter only
+    /// ever moves forward.
     #[test]
     fn delta_overflow_reports_once_and_recovers() {
-        let mut t = Table::new(TableSpec::new("t", vec![1]));
-        let sub = t.subscribe_deltas();
-        for i in 0..(DELTA_LOG_CAP as i64 + 10) {
-            t.insert(succ(i, "x"), SimTime::ZERO).unwrap();
-        }
-        let mut log = Vec::new();
-        assert!(
-            t.drain_deltas(&sub, &mut log),
-            "queue should have overflowed"
+        let mut t = Table::new(
+            TableSpec::new("t", vec![1])
+                .with_lifetime_secs(5)
+                .with_max_size(64),
         );
-        assert!(log.is_empty(), "overflow discards the partial log");
-        // After the rebuild signal, the stream resumes normally.
-        t.insert(succ(-1, "x"), SimTime::ZERO).unwrap();
-        assert!(!t.drain_deltas(&sub, &mut log));
-        assert_eq!(log.len(), 1);
+        let mut last = t.version();
+        for i in 0..10_000i64 {
+            let at = SimTime::from_secs(i as u64 / 16);
+            match i % 4 {
+                0 | 1 => {
+                    t.insert(succ(i % 200, "x"), at).unwrap();
+                }
+                2 => {
+                    t.insert(succ(i % 200, "y"), at).unwrap();
+                }
+                _ => {
+                    t.delete_key(&[Value::Int(i % 150)]);
+                    t.expire(at);
+                }
+            }
+            assert!(t.version() >= last, "step {i}: the version stepped back");
+            last = t.version();
+        }
+        assert!(last > 8_192, "only {last} changes counted");
+        let stats = t.stats();
+        assert!(stats.evicted > 0 && stats.expired > 0);
+        t.check_consistency().unwrap();
     }
 
+    /// A reader that looks after every mutation and one that looks only at
+    /// the end agree: the counter is table state, with no per-reader queue
+    /// to fill up or fall behind.
     #[test]
     fn independent_subscriptions_see_the_same_stream() {
         let mut t = Table::new(TableSpec::new("t", vec![1]));
-        let a = t.subscribe_deltas();
-        t.insert(succ(1, "x"), SimTime::ZERO).unwrap();
-        let b = t.subscribe_deltas();
-        t.insert(succ(2, "y"), SimTime::ZERO).unwrap();
-        let (mut la, mut lb) = (Vec::new(), Vec::new());
-        t.drain_deltas(&a, &mut la);
-        t.drain_deltas(&b, &mut lb);
-        assert_eq!(la.len(), 2, "first subscriber sees both inserts");
-        assert_eq!(lb.len(), 1, "late subscriber sees only later mutations");
-        assert_eq!(la[1], lb[0]);
+        let late_reader = t.version();
+        let mut eager_reader = t.version();
+        // One row replaced over and over: every insert is a replacement.
+        t.insert(succ(1, "x0"), SimTime::ZERO).unwrap();
+        for i in 1..=9_000 {
+            t.insert(succ(1, &format!("x{i}")), SimTime::ZERO).unwrap();
+            assert!(t.version() > eager_reader, "replacement {i} not counted");
+            eager_reader = t.version();
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.version() - late_reader, 9_001);
+        assert_eq!(eager_reader, t.version());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the soft-state table invariants:
 //! primary-key uniqueness, size bounds, lifetime expiry,
-//! secondary-index/scan agreement, and delta-stream completeness under
-//! arbitrary operation sequences.
+//! secondary-index/scan agreement, and a change counter that moves whenever
+//! the live row set changes, under arbitrary operation sequences.
 
-use p2_table::{Table, TableDeltaKind, TableSpec};
+use p2_table::{Table, TableSpec};
 use p2_value::{SimTime, Tuple, Value};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -57,13 +57,17 @@ proptest! {
         table.add_index(vec![2]);
         table.add_group_index(vec![2]);
 
-        // Delta-stream completeness: replaying the subscription against an
-        // empty keyed map must reconstruct the live rows after every
-        // action, whatever mix of insert/replace/refresh/delete/expiry/
-        // eviction produced them.
-        let sub = table.subscribe_deltas();
-        let mut deltas = Vec::new();
-        let mut shadow: BTreeMap<i64, Vec<Value>> = BTreeMap::new();
+        // The change counter: after every action, whatever mix of insert/
+        // replace/refresh/delete/expiry/eviction it was, the version moved
+        // if and only if the live row set changed, and never backwards.
+        let live_rows = |table: &Table| {
+            let mut rows: Vec<Vec<Value>> =
+                table.scan().iter().map(|t| t.values().to_vec()).collect();
+            rows.sort();
+            rows
+        };
+        let mut seen_rows = live_rows(&table);
+        let mut seen_version = table.version();
 
         for a in actions {
             let action_desc = format!("{a:?}");
@@ -82,31 +86,20 @@ proptest! {
             // Size bound always holds.
             prop_assert!(table.len() <= max_size);
 
-            // Replay the action's deltas into the shadow map.
-            deltas.clear();
-            prop_assert!(!table.drain_deltas(&sub, &mut deltas), "unexpected overflow");
-            for d in &deltas {
-                let key = d.tuple.field(1).to_int().unwrap();
-                match d.kind {
-                    TableDeltaKind::Insert => {
-                        shadow.insert(key, d.tuple.values().to_vec());
-                    }
-                    TableDeltaKind::Delete | TableDeltaKind::Expire | TableDeltaKind::Evict => {
-                        let removed = shadow.remove(&key);
-                        prop_assert_eq!(
-                            removed.as_deref(),
-                            Some(d.tuple.values()),
-                            "removal delta does not match the shadowed row"
-                        );
-                    }
-                }
-            }
-            let mut live: Vec<Vec<Value>> =
-                table.scan().iter().map(|t| t.values().to_vec()).collect();
-            live.sort();
-            let mut replayed: Vec<Vec<Value>> = shadow.values().cloned().collect();
-            replayed.sort();
-            prop_assert_eq!(live, replayed, "delta replay diverged from table state");
+            // The version moved exactly when the live rows did.
+            let rows = live_rows(&table);
+            let version = table.version();
+            prop_assert!(version >= seen_version, "version stepped back after {}", action_desc);
+            prop_assert_eq!(
+                version != seen_version,
+                rows != seen_rows,
+                "version {} -> {} disagrees with the row set after {}",
+                seen_version,
+                version,
+                action_desc
+            );
+            seen_rows = rows;
+            seen_version = version;
 
             // The storage engine's internal cross-references (slab, free
             // list, primary/secondary indices, staleness queue) stay exact.

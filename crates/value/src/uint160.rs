@@ -8,7 +8,7 @@
 //!
 //! The value is stored as three little-endian 64-bit limbs; the most
 //! significant limb only ever holds 32 significant bits so every operation
-//! re-applies [`Uint160::MASK_TOP`].
+//! re-applies `Uint160::MASK_TOP`.
 
 use std::cmp::Ordering;
 use std::fmt;
