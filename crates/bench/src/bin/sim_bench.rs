@@ -3,19 +3,18 @@
 //! lookup) and writes the results to `BENCH_sim.json` so the trajectory is
 //! tracked like `BENCH_table.json`.
 //!
-//! Two sections:
+//! Three sections:
 //!
 //! * `toy_event_loop` — rings of trivial periodic hosts (one ping per
 //!   second per node, no dataflow machinery). This isolates the simulator's
 //!   own per-event cost; with the interned core it should be roughly
 //!   independent of node count and allocation-free on the delivery and
 //!   wakeup paths.
-//! * `chord_rings` — full declarative Chord rings brought up with the
-//!   batched `start_all`/`inject_many` path, reporting bring-up wall time
-//!   and steady-state event throughput.
-//! * `join_seed_bring_up` — virtual bring-up time of the batched path with
-//!   and without the JS1 join-time successor-seeding rule (ROADMAP
-//!   bottleneck 2: seeding collapses idle stabilization waits).
+//! * `chord_rings` — full declarative Chord rings booted converged by
+//!   `ChordCluster::build_fast`, reporting bring-up wall time (boot plus
+//!   warm-up) and steady-state event throughput. The binary **exits
+//!   non-zero unless every ring's `ring_correctness` is 1.0** after the
+//!   warm-up.
 //! * `strand_gate` — the rule-strand equivalence gate: the same ring
 //!   planned with fused strands (the default) and with the generic element
 //!   chains must produce identical NetStats and event counts, and the
@@ -109,7 +108,9 @@ struct ToyResult {
 #[derive(Debug, Clone, Serialize)]
 struct ChordResult {
     nodes: usize,
+    /// Wall seconds of `build_fast`: the converged boot plus the warm-up.
     build_wall_secs: f64,
+    /// Must read 1.0, or the binary exits non-zero.
     ring_correctness: f64,
     virtual_secs: u64,
     events: u64,
@@ -137,19 +138,6 @@ struct ChordResult {
 }
 
 #[derive(Debug, Clone, Serialize)]
-struct JoinSeedResult {
-    nodes: usize,
-    /// Virtual seconds to a settled ring, base program.
-    base_bring_up_virtual_secs: f64,
-    /// Virtual seconds to a settled ring with JS1 seeding.
-    seeded_bring_up_virtual_secs: f64,
-    /// Positive = seeding converged faster.
-    delta_virtual_secs: f64,
-    base_ring_correctness: f64,
-    seeded_ring_correctness: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
 struct StrandGate {
     nodes: usize,
     fused_strand_count: usize,
@@ -163,7 +151,6 @@ struct BenchReport {
     bench: String,
     toy_event_loop: Vec<ToyResult>,
     chord_rings: Vec<ChordResult>,
-    join_seed_bring_up: Vec<JoinSeedResult>,
     strand_gate: StrandGate,
 }
 
@@ -310,22 +297,6 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
         storage_ops: cluster.storage_ops(),
         sim_ops: cluster.sim_ops(),
         engine_ops: cluster.engine_stats(),
-    }
-}
-
-/// Measures batched bring-up with and without JS1 join-time seeding.
-fn bench_join_seed(nodes: usize, warmup_secs: u64) -> JoinSeedResult {
-    let base = ChordCluster::builder(nodes, 42).build_fast(warmup_secs);
-    let seeded = ChordCluster::builder(nodes, 42)
-        .join_seed(true)
-        .build_fast(warmup_secs);
-    JoinSeedResult {
-        nodes,
-        base_bring_up_virtual_secs: base.bring_up_virtual_secs(),
-        seeded_bring_up_virtual_secs: seeded.bring_up_virtual_secs(),
-        delta_virtual_secs: base.bring_up_virtual_secs() - seeded.bring_up_virtual_secs(),
-        base_ring_correctness: base.ring_correctness(),
-        seeded_ring_correctness: seeded.ring_correctness(),
     }
 }
 
@@ -514,7 +485,7 @@ fn bench_obs(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ObsSizeResult
 
 /// Ceiling on the 100-node steady-state wasted-poke ratio of the smoke
 /// profile. The engine runs every poke, and the ratio is pinned to its
-/// measured value (35,570 wasted of 87,918 pokes, 40.5%) with headroom, so
+/// measured value (33,773 wasted of 85,668 pokes, 39.4%) with headroom, so
 /// a planning change that multiplies useless triggers fails CI. Wasted
 /// pokes are a count, not time: most are one strand call whose first probe
 /// finds nothing.
@@ -823,9 +794,10 @@ fn main() {
         None if par => vec![500, 2000],
         None => vec![100, 500, 2000],
     };
-    // Simultaneous joins need more stabilization time than the paper's
-    // staggered bring-up: ~300 virtual seconds forms a fully correct ring.
-    let (warmup_secs, measure_secs) = if smoke { (60, 10) } else { (300, 30) };
+    // `build_fast` rings start converged; the warm-up only lets the
+    // periodic timers run through a few of their periods.
+    let warmup_secs = 60;
+    let measure_secs = if smoke { 10 } else { 30 };
 
     // Fail on an unwritable output path up front, not after minutes of
     // measurement.
@@ -860,7 +832,7 @@ fn main() {
 
     let mut chord_rings = Vec::new();
     for &n in &sizes {
-        eprintln!("chord ring: {n} nodes (batched bring-up, warmup {warmup_secs} s)...");
+        eprintln!("chord ring: {n} nodes (converged boot, warmup {warmup_secs} s)...");
         let r = bench_chord(n, warmup_secs, measure_secs);
         eprintln!(
             "  bring-up {:.2} s wall, ring {:.2}, {} events in {:.3} s -> {:>12.0} events/s \
@@ -879,30 +851,7 @@ fn main() {
         chord_rings.push(r);
     }
 
-    // Join-time successor seeding: bring-up delta at moderate sizes (the
-    // seeded and base rings are each built once; 2000-node doubles would
-    // dominate the whole benchmark run).
-    let mut join_seed_bring_up = Vec::new();
-    let seed_sizes: Vec<usize> = {
-        let mut s: Vec<usize> = sizes.iter().copied().filter(|&n| n <= 500).collect();
-        if s.is_empty() {
-            s.push(100);
-        }
-        s
-    };
-    for &n in &seed_sizes {
-        eprintln!("join-seed bring-up: {n} nodes (base vs JS1)...");
-        let r = bench_join_seed(n, warmup_secs);
-        eprintln!(
-            "  base {:.0} virtual s -> seeded {:.0} virtual s (delta {:+.0} s, rings {:.2}/{:.2})",
-            r.base_bring_up_virtual_secs,
-            r.seeded_bring_up_virtual_secs,
-            r.delta_virtual_secs,
-            r.base_ring_correctness,
-            r.seeded_ring_correctness
-        );
-        join_seed_bring_up.push(r);
-    }
+    let rings_correct = chord_rings.iter().all(|r| r.ring_correctness == 1.0);
 
     let gate_nodes = if smoke { 16 } else { 64 };
     eprintln!("strand gate: {gate_nodes}-node ring, fused vs generic plans...");
@@ -920,7 +869,6 @@ fn main() {
         bench: "sim_event_loop".to_string(),
         toy_event_loop,
         chord_rings,
-        join_seed_bring_up,
         strand_gate: gate,
     };
     let json = to_json(&report);
@@ -930,6 +878,10 @@ fn main() {
     }
     println!("{json}");
     eprintln!("wrote {out_path}");
+    if !rings_correct {
+        eprintln!("error: a Chord ring's best successors were not all correct after the warm-up");
+        std::process::exit(1);
+    }
     if !strands_match {
         eprintln!("error: strand-compiled run diverged from the generic-plan run");
         std::process::exit(1);

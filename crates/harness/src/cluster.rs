@@ -95,7 +95,10 @@ impl ChordClusterBuilder {
 
     /// Enables join-time successor-list seeding (the JS1 rule): joiners
     /// request their successor's successor list the moment the join lookup
-    /// answers, instead of waiting for the first stabilization period.
+    /// answers, instead of waiting for the first stabilization period. It
+    /// affects only joins, so [`ChordClusterBuilder::build`] and
+    /// [`ChordCluster::rejoin`]; a [`ChordClusterBuilder::build_fast`] ring
+    /// never joins.
     pub fn join_seed(mut self, on: bool) -> ChordClusterBuilder {
         self.opts.join_seed = on;
         self
@@ -117,11 +120,11 @@ impl ChordClusterBuilder {
         cluster
     }
 
-    /// Builds and boots the ring with the batched doubling-wave bring-up
-    /// (see [`ChordCluster::build_fast`]).
+    /// Builds the ring already converged (see [`ChordCluster::build_fast`]).
     pub fn build_fast(self, warmup_secs: u64) -> ChordCluster {
-        let cluster = ChordCluster::new_unbooted(self);
-        ChordCluster::boot_fast(cluster, warmup_secs)
+        let mut cluster = ChordCluster::new_unbooted(self);
+        cluster.boot_fast(warmup_secs);
+        cluster
     }
 }
 
@@ -198,124 +201,90 @@ impl ChordCluster {
         }
     }
 
-    /// Builds an `n`-node ring with the batched bring-up path: every node is
-    /// started at the same virtual instant (`start_all`) and joins are
-    /// injected in *doubling waves*, each wave landing on a ring already
-    /// stabilized by its predecessors.
+    /// Builds an `n`-node ring that starts converged, then runs it for
+    /// `warmup_secs`. Every node starts at virtual time 0 and receives,
+    /// through its own dataflow, the routing state the specification
+    /// reaches on this ring ([`chord::converged_ring`]). No node joins:
+    /// [`ChordCluster::build`], [`ChordCluster::rejoin`] and churn are the
+    /// paths that exercise the join protocol.
     ///
-    /// The original all-at-once batch funnelled every join through the
-    /// single landmark's trivial one-node ring, whose lookups handed every
-    /// joiner the same successor — rings of 500+ nodes never sorted
-    /// themselves out (ROADMAP bottleneck 2). A wave is therefore sized to
-    /// the ring formed so far: with at most about one joiner landing
-    /// between any two existing nodes, Chord's stabilization integrates a
-    /// whole wave in a couple of periods, and `n` nodes join in `O(log n)`
-    /// waves. [`ChordCluster::build`] remains the paper's staggered
-    /// bring-up.
+    /// That state is a fixpoint of the rules, so the ring keeps it:
+    ///
+    /// * every `succ` row is refreshed each ping period by CM8, and the
+    ///   fifth successor that SB5–SB7 hand back is evicted again by S2;
+    /// * no node lies between a node's `pred` and itself, so SB9 never
+    ///   replaces it;
+    /// * one fix-finger cycle takes one F1 period per finger group, well
+    ///   inside the 180 s finger lifetime, and re-derives every finger
+    ///   through F3–F6;
+    /// * `bestSucc`, `succCount`, finger 0 and `pingNode` come from the
+    ///   node's own rules (SU0–SU3, S1, CM2/CM3).
+    ///
+    /// The routing state after a warm-up equals the staggered
+    /// [`ChordCluster::build`] ring's, and it does not change when the ring
+    /// runs on past the finger lifetime (`sim_determinism`'s
+    /// `analytic_bring_up_is_the_joined_fixpoint`).
     pub fn build_fast(n: usize, warmup_secs: u64, seed: u64) -> ChordCluster {
         ChordCluster::builder(n, seed).build_fast(warmup_secs)
     }
 
-    fn boot_fast(mut cluster: ChordCluster, warmup_secs: u64) -> ChordCluster {
-        let n = cluster.addrs.len();
-        cluster.sim.start_all();
-        // Sample wave progress in short slices: a wave that is already
-        // ring-consistent proceeds immediately instead of idling out the
-        // full SB1 stabilization period. With join-time seeding (JS1/JS2)
-        // joiners learn their successor lists from the join lookup itself
-        // rather than from the next stabilization round, so the seeded
-        // wave policy samples in 2 s slices (vs 5 s unseeded, a third of
-        // the SB1 period) — the finer sampling is what converts seeding's
-        // faster convergence into shorter settle rounds; the total settle
-        // budget per wave (120 virtual s) is unchanged.
-        let (settle, slices) = if cluster.opts.join_seed {
-            (SimTime::from_secs(2), 60)
-        } else {
-            (SimTime::from_secs(5), 24)
-        };
-        let mut joined = 0usize;
-        let max_waves = 4 * (usize::BITS - n.max(1).leading_zeros()) as usize + 16;
-        for _ in 0..max_waves {
-            // Ring size so far bounds the next wave (≈ one joiner per gap);
-            // the first wave seeds the ring with the landmark plus a few
-            // followers.
-            let wave = joined.max(4).min(n);
-            let joins = cluster.join_batch(wave);
-            if joins.is_empty() {
-                break;
-            }
-            cluster.sim.inject_many(joins);
-            // Let the wave integrate before the next one relies on its
-            // lookups: settle until the joined subset is ring-consistent
-            // again (bounded at the previous 8 × 15 s budget — stragglers
-            // are re-issued next wave).
-            for _ in 0..slices {
-                cluster.sim.run_for(settle);
-                if cluster.joined_ring_correctness() >= 0.97 {
-                    break;
-                }
-            }
-            joined = cluster
-                .addrs
-                .iter()
-                .filter(|a| cluster.is_joined(a))
-                .count();
-        }
-        cluster.brought_up_at = cluster.sim.now();
-        cluster.sim.run_for(SimTime::from_secs(warmup_secs));
-        cluster.clear_observations();
-        cluster.sim.reset_stats();
-        cluster
+    /// `start_all`, then one injection per tuple of
+    /// [`chord::converged_ring`], then the caller's warm-up, the only
+    /// burn-in. Three details keep the run itself, not only its routing
+    /// state, like a joined ring's:
+    ///
+    /// * **Fix-finger phases differ per node.** With every node at
+    ///   `nextFingerFix = 0`, every node's first fix would run finger 0's
+    ///   ~150-step F6 chain in the same F1 period.
+    /// * **Strings are shared.** Each address is one `Value::Str` and each
+    ///   relation name one `Arc<str>` across all injected rows; a fresh
+    ///   string per row would stay resident in the tables.
+    /// * **One tuple per injection.** A batched injection of a node's ~165
+    ///   rows would leave its engine's work queue at that capacity for
+    ///   good.
+    fn boot_fast(&mut self, warmup_secs: u64) {
+        self.sim.start_all();
+        let sim = &mut self.sim;
+        chord::converged_ring(&self.addrs, self.seed, |addr, tuple| {
+            sim.inject(addr, tuple)
+        });
+        self.brought_up_at = self.sim.now();
+        self.sim.run_for(SimTime::from_secs(warmup_secs));
+        self.clear_observations();
+        self.sim.reset_stats();
     }
 
-    /// Virtual seconds the bring-up phase spent until every node had joined
-    /// and the ring settled (measured before the warm-up window). The
-    /// join-seed benchmark reports the delta of this between the base and
-    /// the JS1-seeded program.
+    /// Virtual seconds the join phase of bring-up took, measured before
+    /// the warm-up window: until every node of [`ChordCluster::build`] had
+    /// learned a successor; 0 for [`ChordCluster::build_fast`], where no
+    /// node joins.
     pub fn bring_up_virtual_secs(&self) -> f64 {
         self.brought_up_at.as_secs_f64()
     }
 
-    /// Fraction of *joined* nodes whose best successor is their correct
-    /// clockwise successor among the joined nodes (bring-up progress
-    /// metric; un-joined nodes are excluded from both sides).
-    fn joined_ring_correctness(&self) -> f64 {
-        let mut ids: Vec<(Uint160, &str)> = self
-            .addrs
-            .iter()
-            .filter(|a| self.is_joined(a))
-            .map(|a| (chord::node_id(a), a.as_str()))
+    /// Sends a fresh `join` event to every up node that has not learned a
+    /// best successor, in address order, and returns how many it sent.
+    ///
+    /// A `join` lives 10 s. A join lookup that crosses a dead node is lost,
+    /// and then the node never joins: a crash-and-rejoin driver calls this
+    /// periodically, as a real node would retry.
+    pub fn reissue_joins(&mut self) -> usize {
+        let pending: Vec<String> = self
+            .sim
+            .up_addresses_iter()
+            .filter(|a| !self.is_joined(a))
+            .map(str::to_string)
             .collect();
-        if ids.len() < 2 {
-            return 1.0;
-        }
-        ids.sort();
-        let correct = (0..ids.len())
-            .filter(|&pos| {
-                let a = ids[pos].1;
-                let expect = ids[(pos + 1) % ids.len()].1;
-                self.best_successor(a).as_deref() == Some(expect)
+        let joins: Vec<(String, Tuple)> = pending
+            .into_iter()
+            .map(|addr| {
+                let tuple = chord::join_tuple(&addr, self.fresh_event());
+                (addr, tuple)
             })
-            .count();
-        correct as f64 / ids.len() as f64
-    }
-
-    /// Fresh join tuples for up to `limit` nodes that have not yet learned
-    /// a successor, in address order.
-    fn join_batch(&mut self, limit: usize) -> Vec<(String, Tuple)> {
-        let mut out = Vec::new();
-        for i in 0..self.addrs.len() {
-            if out.len() >= limit {
-                break;
-            }
-            if !self.is_joined(&self.addrs[i]) {
-                let addr = self.addrs[i].clone();
-                let event = self.fresh_event();
-                let tuple = chord::join_tuple(&addr, event);
-                out.push((addr, tuple));
-            }
-        }
-        out
+            .collect();
+        let sent = joins.len();
+        self.sim.inject_many(joins);
+        sent
     }
 
     fn boot(&mut self, warmup_secs: u64) {
@@ -326,15 +295,12 @@ impl ChordCluster {
             self.sim.inject(addr, chord::join_tuple(addr, event));
             self.sim.run_for(SimTime::from_millis(500));
         }
-        // Re-issue joins for stragglers (the `join` tuple only lives 10 s),
-        // in one batch per round.
+        // Re-issue joins for stragglers, in one batch per round.
         for _ in 0..12 {
             self.sim.run_for(SimTime::from_secs(20));
-            let rejoin: Vec<(String, Tuple)> = self.join_batch(usize::MAX);
-            if rejoin.is_empty() {
+            if self.reissue_joins() == 0 {
                 break;
             }
-            self.sim.inject_many(rejoin);
         }
         self.brought_up_at = self.sim.now();
         self.sim.run_for(SimTime::from_secs(warmup_secs));
@@ -887,8 +853,8 @@ mod tests {
 
     #[test]
     fn fast_bring_up_forms_a_ring() {
-        // The batched start_all/inject_many path converges too, given the
-        // longer stabilization window simultaneous joins need.
+        // The converged boot stays a ring once its timers have run and
+        // answers lookups from its injected fingers.
         let mut cluster = ChordCluster::build_fast(8, 300, 17);
         assert!(
             cluster.ring_correctness() > 0.99,
@@ -913,6 +879,49 @@ mod tests {
             "timer index leaked entries: {ops:?}"
         );
         cluster.sim.check_consistency();
+    }
+
+    /// A rejoining node whose join lookup ends at a dead node stays out of
+    /// the ring once its 10 s `join` expires; a reissued join brings it in.
+    #[test]
+    fn reissued_join_recovers_a_lost_rejoin() {
+        let lost_rejoin = || {
+            let mut cluster = ChordCluster::build_fast(16, 30, 5);
+            let landmark = node_addr(0);
+            let mut ring: Vec<(Uint160, String)> = cluster
+                .addrs()
+                .iter()
+                .map(|a| (chord::node_id(a), a.clone()))
+                .collect();
+            ring.sort();
+            // A node and its ring predecessor, where a lookup for the
+            // node's own identifier ends; neither is the landmark.
+            let pos = (1..ring.len())
+                .find(|&p| ring[p].1 != landmark && ring[p - 1].1 != landmark)
+                .expect("16 nodes leave such a pair");
+            let (pred, node) = (ring[pos - 1].1.clone(), ring[pos].1.clone());
+            cluster.crash(&pred);
+            cluster.crash(&node);
+            cluster.rejoin(&node);
+            cluster.run_for(60.0);
+            assert!(!cluster.is_joined(&node), "the join lookup was not lost");
+            (cluster, node)
+        };
+
+        let (mut unretried, node) = lost_rejoin();
+        unretried.run_for(240.0);
+        assert!(!unretried.is_joined(&node), "a lost join recovered alone");
+
+        // Until the fingers that point at the dead predecessor are fixed or
+        // expire, a retry can be lost the same way, so retry every 20 s.
+        let (mut cluster, node) = lost_rejoin();
+        let retried = (0..12).any(|_| {
+            assert_eq!(cluster.reissue_joins(), 1, "one node is un-joined");
+            cluster.run_for(20.0);
+            cluster.is_joined(&node)
+        });
+        assert!(retried, "every reissued join was lost");
+        assert_eq!(cluster.reissue_joins(), 0);
     }
 
     #[test]

@@ -276,6 +276,8 @@ fn churn_chord_single(session_minutes: f64, params: &ChurnParams) -> ChurnResult
                 &mut completed,
             );
             cluster.clear_observations();
+            // A rejoin whose join lookup crossed a dead node is lost; retry.
+            cluster.reissue_joins();
             rng_key = rng_key.wrapping_mul(6364136223846793005).wrapping_add(1);
             let key = Uint160::hash_of(&rng_key.to_be_bytes());
             // Pick the probe origins without cloning the whole address list

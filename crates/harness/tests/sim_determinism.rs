@@ -193,7 +193,7 @@ fn scheduled_pin_is_worker_invariant() {
     }
 }
 
-/// Parallel-vs-sequential equivalence on a small batched-bring-up ring:
+/// Parallel-vs-sequential equivalence on a small `build_fast` ring:
 /// every worker count yields the sequential run's NetStats, event counters,
 /// and final successor pointers (the ring state itself, not just traffic
 /// totals).
@@ -353,17 +353,59 @@ proptest! {
 }
 
 /// Join-time successor-list seeding (JS1) must still form a correct ring
-/// with the batched bring-up, and must not regress bring-up time.
+/// through the staggered joins, and must not regress bring-up time.
 #[test]
 fn join_seeded_bring_up_forms_a_ring() {
-    let base = ChordCluster::builder(16, 31).build_fast(60);
-    let seeded = ChordCluster::builder(16, 31).join_seed(true).build_fast(60);
+    let base = ChordCluster::builder(16, 31).build(180);
+    let seeded = ChordCluster::builder(16, 31).join_seed(true).build(180);
     seeded.assert_single_cycle();
     assert!(
         seeded.bring_up_virtual_secs() <= base.bring_up_virtual_secs(),
         "JS1 seeding slowed bring-up: {} s vs {} s",
         seeded.bring_up_virtual_secs(),
         base.bring_up_virtual_secs()
+    );
+}
+
+/// `build_fast` hands every node the routing state Chord's rules reach, so
+/// it must be the state a joined ring converges to, and a fixpoint: (a) a
+/// staggered joined ring holds the same rows, (b) running on past the
+/// 180 s finger lifetime changes none of them, and (c) the fix-finger
+/// cycles start at different groups rather than all at finger 0.
+#[test]
+fn analytic_bring_up_is_the_joined_fixpoint() {
+    let mut analytic = ChordCluster::builder(16, 3).build_fast(120);
+    let mut joined = ChordCluster::build(16, 120, 3);
+    analytic.run_for(60.0);
+    joined.run_for(60.0);
+    joined.assert_single_cycle();
+    assert_eq!(
+        routing_state(&analytic),
+        routing_state(&joined),
+        "analytic ring differs from the staggered joined ring"
+    );
+
+    let mut ring = ChordCluster::builder(64, 42).build_fast(0);
+    assert_eq!(ring.bring_up_virtual_secs(), 0.0);
+    ring.assert_single_cycle();
+    let seeded = routing_state(&ring);
+    // `nextFingerFix(NI, I)` rows, reduced to their `I`.
+    let fix_starts: std::collections::BTreeSet<String> = ring
+        .addrs()
+        .iter()
+        .flat_map(|a| ring.table_rows(a, "nextFingerFix"))
+        .filter_map(|row| Some(row.rsplit_once(", ")?.1.trim_end_matches(')').to_string()))
+        .collect();
+    assert!(
+        fix_starts.len() >= 2,
+        "every node starts its fix-finger cycle at the same group: {fix_starts:?}"
+    );
+    ring.run_for(240.0);
+    ring.assert_single_cycle();
+    assert_eq!(
+        routing_state(&ring),
+        seeded,
+        "the analytic routing state moved: not a fixpoint"
     );
 }
 

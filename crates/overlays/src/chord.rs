@@ -1,6 +1,6 @@
 //! The full Chord DHT overlay (Appendix B of the paper).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use p2_core::{P2Node, PlanConfig, PlanError, PlannedProgram};
 use p2_overlog::{compile_checked, Program};
@@ -168,6 +168,78 @@ pub fn lookup_tuple(at: &str, key: Uint160, requester: &str, event_id: i64) -> T
         .build()
 }
 
+/// The converged routing state of a Chord ring over `addrs`, computed from
+/// the sorted identifier space: the tuples the specification's own rules
+/// leave in each node's tables once the ring has stabilized. `emit`
+/// receives them as `(address, tuple)` pairs, node by node in identifier
+/// order. For the node at identifier `N` on an `n`-node ring:
+///
+/// * `succ(NI, S, SI)` for the `min(4, n)` nodes that follow `N` clockwise:
+///   S2 evicts the farthest above four, and on a ring of four or fewer the
+///   node closes its own list, as SB5–SB7 hand it back;
+/// * `pred(NI, P, PI)` for the node that precedes `N`;
+/// * `finger(NI, I, B, BI)` for every `I` in `0..160` whose F3 target
+///   `N + 2^I` another node owns, plus the first `I` the node owns itself:
+///   F4/F5 store that answer before F8 restarts the fix-finger cycle;
+/// * `nextFingerFix(NI, I)` at one fix-finger group start (`I` = 0, or an
+///   `I` whose owner differs from `I − 1`'s: where F9 resumes), drawn from
+///   `seed` and the address so that nodes fix different groups in the same
+///   F1 period.
+///
+/// `bestSucc`, `succCount` and `pingNode` are not emitted: SU0–SU2, S1
+/// and CM2/CM3 derive them from the rows above. Every row shares one
+/// `Value::Str` per address and one name per relation.
+pub fn converged_ring(addrs: &[String], seed: u64, mut emit: impl FnMut(&str, Tuple)) {
+    let n = addrs.len();
+    let mut ring: Vec<(Uint160, usize)> = addrs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| (node_id(a), i))
+        .collect();
+    ring.sort_unstable();
+    let strs: Vec<Value> = addrs.iter().map(Value::str).collect();
+    let [succ, pred, finger, next_fix]: [Arc<str>; 4] =
+        ["succ", "pred", "finger", "nextFingerFix"].map(Arc::from);
+    // The ring position that owns `key`: its clockwise successor.
+    let owner = |key: Uint160| ring.partition_point(|&(id, _)| id < key) % n;
+    // A row whose last two fields name the node at ring position `to`.
+    let peer_row = |name: &Arc<str>, head: &[Value], to: usize| {
+        let mut values = Vec::with_capacity(head.len() + 2);
+        values.extend_from_slice(head);
+        values.push(Value::Id(ring[to].0));
+        values.push(strs[ring[to].1].clone());
+        Tuple::new(name.clone(), values)
+    };
+    for (pos, &(id, i)) in ring.iter().enumerate() {
+        let (addr, ni) = (addrs[i].as_str(), &strs[i]);
+        let at_node = std::slice::from_ref(ni);
+        for k in 1..=n.min(4) {
+            emit(addr, peer_row(&succ, at_node, (pos + k) % n));
+        }
+        emit(addr, peer_row(&pred, at_node, (pos + n - 1) % n));
+        let mut group_starts = Vec::new();
+        let mut last_owner = None;
+        for bit in 0..Uint160::BITS {
+            let to = owner(Uint160::ONE.shl(bit).wrapping_add(id));
+            if last_owner != Some(to) {
+                group_starts.push(bit);
+                last_owner = Some(to);
+            }
+            emit(
+                addr,
+                peer_row(&finger, &[ni.clone(), Value::Int(bit.into())], to),
+            );
+            if to == pos {
+                break;
+            }
+        }
+        let draw = Uint160::hash_of(format!("{seed}/{addr}").as_bytes()).low_u64();
+        let start = group_starts[(draw % group_starts.len() as u64) as usize];
+        let values = vec![ni.clone(), Value::Int(start.into())];
+        emit(addr, Tuple::new(next_fix.clone(), values));
+    }
+}
+
 /// Builds a ready-to-run Chord node wrapped for the network simulator.
 ///
 /// The node watches `lookupResults` so the harness can observe completed
@@ -223,6 +295,7 @@ pub fn build_node_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn program_parses_and_validates() {
@@ -378,6 +451,36 @@ mod tests {
             }
         }
         assert!(wasted.iter().all(|&w| w > 0), "F8/F9/CM9 wasted {wasted:?}");
+    }
+
+    #[test]
+    fn converged_ring_rows_share_their_strings() {
+        let addrs: Vec<String> = (0..6).map(|i| format!("n{i}:10000")).collect();
+        let mut rows: Vec<(String, Tuple)> = Vec::new();
+        converged_ring(&addrs, 9, |addr, t| rows.push((addr.to_string(), t)));
+        for addr in &addrs {
+            let count = |name: &str| {
+                let mine = rows.iter().filter(|(a, t)| a == addr && t.name() == name);
+                mine.count()
+            };
+            assert_eq!(
+                (count("succ"), count("pred"), count("nextFingerFix")),
+                (4, 1, 1)
+            );
+            assert!((1..=160).contains(&count("finger")), "{addr}");
+        }
+        // One allocation per address and one per relation name, across rows.
+        let mut first_seen: HashMap<String, *const u8> = HashMap::new();
+        let mut shared =
+            |s: &str| *first_seen.entry(s.to_string()).or_insert(s.as_ptr()) == s.as_ptr();
+        for (_, t) in &rows {
+            assert!(shared(t.name()), "{t}");
+            for v in t.values() {
+                if let Value::Str(s) = v {
+                    assert!(shared(s), "{t}");
+                }
+            }
+        }
     }
 
     #[test]
