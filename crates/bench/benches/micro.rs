@@ -8,7 +8,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
 
-use p2_dataflow::elements::{Join, Queue, Select};
+use p2_dataflow::elements::{FusedStrand, Queue};
 use p2_dataflow::{Engine, Graph, Route};
 use p2_pel::{BinOp, EvalContext, Expr, Program};
 use p2_table::{Table, TableRef, TableSpec};
@@ -93,18 +93,28 @@ fn bench_table(c: &mut Criterion) {
     });
 }
 
+/// Head programs copying the first `width` fields of a strand's virtual
+/// tuple.
+fn copy_fields(width: usize) -> Vec<Program> {
+    (0..width)
+        .map(|i| Program::compile(&Expr::Field(i)))
+        .collect()
+}
+
 fn bench_elements(c: &mut Criterion) {
-    // A three-element chain: Queue -> Select -> Queue; measures per-tuple
-    // handoff cost through the engine's work queue.
+    // A three-element chain: Queue -> selecting strand -> Queue; measures
+    // per-tuple handoff cost through the engine's work queue.
     let mut g = Graph::new();
     let q1 = g.add("q1", Box::new(Queue::new(None)));
+    let select = Program::compile(&Expr::bin(BinOp::Ne, Expr::Field(0), Expr::str("-")));
     let sel = g.add(
         "sel",
-        Box::new(Select::new(Program::compile(&Expr::bin(
-            BinOp::Ne,
-            Expr::Field(0),
-            Expr::str("-"),
-        )))),
+        Box::new(FusedStrand::new(
+            vec![select],
+            vec![],
+            copy_fields(4),
+            "lookup",
+        )),
     );
     let q2 = g.add("q2", Box::new(Queue::new(None)));
     g.connect(q1, 0, sel, 0);
@@ -119,7 +129,7 @@ fn bench_elements(c: &mut Criterion) {
         b.iter(|| engine.deliver(black_box(tuple.clone()), SimTime::ZERO))
     });
 
-    // Stream-table equijoin probing a 100-row indexed table.
+    // A strand's equijoin probe of a 100-row indexed table.
     let mut table = Table::new(TableSpec::new("succ", vec![1]));
     table.add_index(vec![0]);
     for i in 0..100i64 {
@@ -132,7 +142,16 @@ fn bench_elements(c: &mut Criterion) {
     }
     let table: TableRef = Arc::new(Mutex::new(table));
     let mut g = Graph::new();
-    let join = g.add("join", Box::new(Join::new(table, vec![(0, 0)], "probe")));
+    let probe = FusedStrand::probe_op(table, vec![(0, 0)]);
+    let join = g.add(
+        "join",
+        Box::new(FusedStrand::new(
+            vec![],
+            vec![probe],
+            copy_fields(5),
+            "probe",
+        )),
+    );
     let mut engine = Engine::new(g, "node0:11111", 1);
     engine.set_entry(Route {
         element: join,

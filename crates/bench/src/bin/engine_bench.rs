@@ -10,21 +10,23 @@
 //!   no tables or PEL. This isolates the engine's per-handoff cost: queue
 //!   pop, adjacency lookup, tuple clone per route.
 //! * `chord_deliver` — a single-node Chord ring answering `lookup` tuples
-//!   end-to-end (demux, joins, agg probes, head projection, netout),
-//!   through both the one-at-a-time and the batched delivery entry points.
+//!   end-to-end (demux, rule strands with their probes and aggregations,
+//!   netout), through both the one-at-a-time and the batched delivery
+//!   entry points.
 //! * `plan_sharing` — wall time and resident memory to bring up many Chord
 //!   nodes by re-planning per node (the pre-PR-3 path) versus instantiating
 //!   from one shared `PlannedProgram`.
-//! * `agg_probe` — the aggregation probe's access path, with a new probed
+//! * `agg_probe` — a strand aggregation's access path, with a new probed
 //!   key every event: a primary-key probe versus a full scan over 64
 //!   distinct rows (Narada's R5); the group index versus the row-by-row
 //!   scan over 160 rows holding 8 projections (Chord's L2); and the same
 //!   pair on an adverse table whose 64 rows are 64 groups, where grouping
 //!   can save nothing.
 //!
-//! The binary also asserts what CI guards here: the shared Chord plan must
-//! contain fused strands (the `chord_deliver` section then drives them
-//! end-to-end), the group index must read the 160 / 8 table at least
+//! The binary also asserts what CI guards here: every rule of the shared
+//! Chord plan must lower to strands, with no other rule-body element (the
+//! `chord_deliver` section then drives them end-to-end), the group index
+//! must read the 160 / 8 table at least
 //! [`GROUPED_MIN_SPEEDUP`]× faster than the row scan, and on the adverse
 //! table it may cost at most [`ADVERSE_MAX_RATIO`]× the row scan — the
 //! measurement that lets the planner take the group path whenever the
@@ -36,7 +38,7 @@ use std::time::Instant;
 
 use p2_bench::to_json;
 use p2_core::{P2Node, PlanConfig, PlannedProgram};
-use p2_dataflow::elements::AggProbe;
+use p2_dataflow::elements::{AggOp, FusedStrand};
 use p2_dataflow::{Element, ElementCtx, Engine, Graph, Route};
 use p2_overlays::chord;
 use p2_pel::{BinOp, Expr, IntervalKind, Program};
@@ -319,8 +321,20 @@ struct AggProbeResult {
     speedup: f64,
 }
 
+/// A strand whose only op is `agg`, emitting `trigger ++ witness ++
+/// [aggregate]` (`width` fields).
+fn agg_strand(agg: AggOp, width: usize) -> Box<dyn Element> {
+    let head = (0..width).map(|i| Program::compile(&Expr::Field(i)));
+    Box::new(FusedStrand::new(
+        vec![],
+        vec![agg.into()],
+        head.collect(),
+        "out",
+    ))
+}
+
 /// Delivers `events` probe events (cycling through `stream`, so the probed
-/// key changes every event) to the probe `make` builds over a fresh `spec`
+/// key changes every event) to the strand `make` builds over a fresh `spec`
 /// table preloaded with `rows`; returns ns per event.
 fn time_probe(
     spec: TableSpec,
@@ -354,8 +368,8 @@ fn time_probe(
 }
 
 /// Narada's R5: `count<*>` over 64 `member` rows of which at most one has
-/// the event's `A`. The keyed probe takes `member`'s primary index; the
-/// baseline is the same element with `B == A` left in its filter.
+/// the event's `A`. The keyed aggregation takes `member`'s primary index;
+/// the baseline is the same strand with `B == A` left in its filter.
 fn bench_agg_probe_keyed(events: u64) -> AggProbeResult {
     let rows: Vec<Tuple> = (0..64i64)
         .map(|i| {
@@ -380,14 +394,14 @@ fn bench_agg_probe_keyed(events: u64) -> AggProbeResult {
     let count = |table: TableRef, filter: Expr| {
         let one = Program::compile(&Expr::int(1));
         let filter = Some(Program::compile(&filter));
-        AggProbe::new(table, 3, AggFunc::Count, filter, one, "out")
+        AggOp::new(table, 3, AggFunc::Count, filter, one)
     };
     let probe_ns_per_event = time_probe(spec(), &rows, &stream, events, |t| {
-        Box::new(count(t, same_node()).with_key(vec![(1, 1)]))
+        agg_strand(count(t, same_node()).with_key(vec![(1, 1)]), 6)
     });
     let baseline_ns_per_event = time_probe(spec(), &rows, &stream, events, |t| {
         let same_member = Expr::bin(BinOp::Eq, Expr::Field(1), Expr::Field(3));
-        Box::new(count(t, Expr::bin(BinOp::And, same_node(), same_member)))
+        agg_strand(count(t, Expr::bin(BinOp::And, same_node(), same_member)), 6)
     });
     AggProbeResult {
         case: "keyed_vs_scan",
@@ -402,8 +416,8 @@ fn bench_agg_probe_keyed(events: u64) -> AggProbeResult {
 
 /// Chord's L2: `min<K - B - 1>` over `rows` `finger` rows holding
 /// `rows / run` distinct `B`, filtered by `B in (N, K)`, with a new `K` every
-/// event. The probe reads the table through the group index on `B`; the
-/// baseline is the same element without it, scanning row by row.
+/// event. The aggregation reads the table through the group index on `B`;
+/// the baseline is the same strand without it, scanning row by row.
 fn bench_agg_probe_grouped(case: &'static str, rows: u64, run: u64, events: u64) -> AggProbeResult {
     let id = |x: u64| Value::Id(Uint160::from_u64(x));
     // Finger `i` points at the first node at or past `2^i`-ish distance:
@@ -445,7 +459,7 @@ fn bench_agg_probe_grouped(case: &'static str, rows: u64, run: u64, events: u64)
             Expr::bin(BinOp::Sub, Expr::Field(1), Expr::Field(7)),
             Expr::int(1),
         ));
-        AggProbe::new(table, 4, AggFunc::Min, Some(filter), agg, "out")
+        AggOp::new(table, 4, AggFunc::Min, Some(filter), agg)
     };
     // The two arms alternate and each keeps its fastest round: the CI
     // bounds below compare them, and interference on a shared box only
@@ -454,11 +468,11 @@ fn bench_agg_probe_grouped(case: &'static str, rows: u64, run: u64, events: u64)
     for _ in 0..ROUNDS {
         let ns = time_probe(spec(), &rows, &stream, events / ROUNDS, |table| {
             table.lock().add_group_index(vec![2]);
-            Box::new(probe(table).with_group_index(vec![2]))
+            agg_strand(probe(table).with_group_index(vec![2]), 10)
         });
         probe_ns_per_event = probe_ns_per_event.min(ns);
         let ns = time_probe(spec(), &rows, &stream, events / ROUNDS, |table| {
-            Box::new(probe(table))
+            agg_strand(probe(table), 10)
         });
         baseline_ns_per_event = baseline_ns_per_event.min(ns);
     }
@@ -480,7 +494,35 @@ struct BenchReport {
     chord_deliver: Vec<ChordDeliverResult>,
     plan_sharing: PlanSharingResult,
     agg_probe: Vec<AggProbeResult>,
-    fused_strand_count: usize,
+    /// Strand elements in the shared Chord plan: every rule lowers to
+    /// strands.
+    strand_count: usize,
+}
+
+/// Asserts that every rule of `plan` lowers to strands, with no rule
+/// element besides its strands, trigger timer, egress, delete bridge and
+/// materialized aggregate; returns the number of strands.
+fn assert_strands_only(plan: &PlannedProgram) -> usize {
+    let meta = plan.obs_meta();
+    let mut strands = 0;
+    let mut rules_with_strands = std::collections::BTreeSet::new();
+    let mut rules = std::collections::BTreeSet::new();
+    for elem in &meta.elems {
+        let Some(rule) = elem.rule.as_deref() else {
+            continue;
+        };
+        rules.insert(rule);
+        match elem.kind.as_str() {
+            "strand" => {
+                strands += 1;
+                rules_with_strands.insert(rule);
+            }
+            "periodic" | "netout" | "delete" | "table_agg" => {}
+            other => panic!("rule {rule} lowered to a {other} element"),
+        }
+    }
+    assert_eq!(rules, rules_with_strands, "a rule has no strand");
+    strands
 }
 
 fn main() {
@@ -530,15 +572,11 @@ fn main() {
         pipeline.push(r);
     }
 
-    // CI smoke-run of the strand path: the default shared plan must fuse
-    // the dominant Chord rule shapes, and the lookup benchmark below then
-    // drives them end-to-end.
-    let fused_strand_count = chord::shared_plan(false).fused_strand_count();
-    assert!(
-        fused_strand_count >= 20,
-        "strand fusion regressed: only {fused_strand_count} fused strands in the Chord plan"
-    );
-    eprintln!("chord shared plan: {fused_strand_count} fused rule strands");
+    // CI smoke-run of the strand path: every rule of the default shared
+    // plan lowers to strands, and the lookup benchmark below then drives
+    // them end-to-end.
+    let strand_count = assert_strands_only(chord::shared_plan(false));
+    eprintln!("chord shared plan: {strand_count} rule strands, no other rule-body element");
 
     let mut chord_deliver = Vec::new();
     for batch in [1usize, 64] {
@@ -591,7 +629,7 @@ fn main() {
         chord_deliver,
         plan_sharing,
         agg_probe,
-        fused_strand_count,
+        strand_count,
     };
     let json = to_json(&report);
     if let Err(e) = std::fs::write(&out_path, &json) {

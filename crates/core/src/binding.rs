@@ -80,8 +80,8 @@ impl Layout {
     }
 
     /// Merges a predicate's arguments into the layout, assuming the
-    /// predicate's fields are appended after the current fields (as the
-    /// [`Join`](p2_dataflow::elements::Join) element does).
+    /// predicate's fields are appended after the current fields (as a
+    /// strand's probe appends its matched row).
     ///
     /// Returns the join keys, constant checks and repeated-variable checks
     /// needed to make the match exact. When `absorb` is false the layout is

@@ -20,8 +20,8 @@ pub struct NodeConfig {
     /// Seed for the node's deterministic RNG (event identifiers, `f_rand`,
     /// periodic phase jitter).
     pub seed: u64,
-    /// How the program is planned (watches, periodic jitter, strand
-    /// fusion); everything here is node-independent.
+    /// How the program is planned (watches, periodic jitter); everything
+    /// here is node-independent.
     pub plan: PlanConfig,
 }
 
@@ -417,7 +417,8 @@ mod tests {
         let program = compile_checked(PING_PONG).unwrap();
         let n = P2Node::new(&program, NodeConfig::new("n1", 1)).unwrap();
         let desc = n.graph_description();
-        assert!(desc.contains("P1:head"));
+        assert!(desc.contains("P1:strand"));
+        assert!(desc.contains("P2:strand"));
         assert!(desc.contains("insert:node"));
         assert!(n.resident_table_bytes() == 0);
     }

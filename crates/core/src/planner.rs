@@ -1,21 +1,22 @@
 //! The OverLog planner: compiles a validated program into a *shared*,
 //! node-independent plan, then stamps out per-node dataflow engines from it.
 //!
-//! The translation follows §3.5 of the paper. Every rule becomes one or more
-//! *strands*; a strand is a chain of elements
+//! The translation follows §3.5 of the paper: every rule becomes one
+//! *strand* per trigger, and a strand is one [`FusedStrand`] element
 //!
 //! ```text
-//! trigger ─ Select ─ Join* ─ AntiJoin* ─ Project(assign)* ─ Select(cond)
-//!         ─ [AggProbe] ─ Project(head) ─ NetOut ─┐
-//!                                                └── local wrap → Demux
+//! trigger ─ strand(checks, probes*, anti-joins*, assignments*, conditions,
+//!                  [aggregation], head) ─ NetOut ─┐
+//!                                                 └── local wrap → Demux
 //! ```
 //!
 //! where the trigger is a `periodic` timer element, the arrival of a stream
 //! tuple (via the node's main demultiplexer) or the insertion delta of a
 //! materialized table. Rules whose body consists solely of a table and whose
-//! head aggregates over it become materialized [`TableAgg`] watchers instead.
+//! head aggregates over it become materialized [`TableAgg`] watchers feeding
+//! an op-less strand, their head projection.
 //!
-//! # One lowering per rule
+//! # One strand per trigger
 //!
 //! A rule whose body is all stored tables gets one strand per body table,
 //! triggered by that table's insert pokes (including keyed soft-state
@@ -24,32 +25,32 @@
 //! maintenance. A [`TableAgg`] is poked by its table's inserts and deletes
 //! and re-reads the table when the table's change counter has moved.
 //!
-//! An in-strand [`AggProbe`] keeps no state, and its access path is chosen
-//! here, per occurrence, at compile time. Its filter's `event field == row
-//! column` equalities are split off into a probe key, so it reads the
-//! table through the same access path as a [`Join`] (primary index or
-//! declared secondary index). A probe left with no key — Chord's L2/L3
-//! over `finger`, SU1/S3 over `succ`, which share only the location with
-//! their table — would walk every row; instead the planner declares a
+//! An in-strand aggregation ([`AggOp`]) keeps no state, and its access path
+//! is chosen here, per occurrence, at compile time. Its filter's `event
+//! field == row column` equalities are split off into a probe key, so it
+//! reads the table through the same access path as a probe (primary index
+//! or declared secondary index). An aggregation left with no key — Chord's
+//! L2/L3 over `finger`, SU1/S3 over `succ`, which share only the location
+//! with their table — would walk every row; instead the planner declares a
 //! *group index* on the table over the row columns the residual filter and
-//! the aggregate expression load, and the probe evaluates once per
-//! distinct projection. Only `min`/`max`/`count` probes that draw on no
-//! RNG qualify: `max<R>` with `R := f_rand()` must draw once per row, and
-//! `sum`/`avg` must add in scan order, so those keep the counted row scan.
-//! See the aggregation block of `Builder::analyze_strand`.
+//! the aggregate expression load, and the fold evaluates once per distinct
+//! projection. Only `min`/`max`/`count` folds that draw on no RNG qualify:
+//! `max<R>` with `R := f_rand()` must draw once per row, and `sum`/`avg`
+//! must add in scan order, so those keep the counted row scan. See the
+//! aggregation block of `Builder::analyze_strand`.
 //!
-//! # Fused strands and level delays
+//! # Level delays
 //!
-//! A rule chain of the dominant shapes (bounded joins, selections,
-//! anti-joins, assignments, head projection) lowers to one [`FusedStrand`]
-//! element instead of one element per stage. Its head tuples are ready
-//! `stages − 1` breadth-first levels before the chain's would be, so the
-//! planner records that many levels as a delay on the strand's output slot
-//! (`Graph::set_delay`); the engine holds each head tuple back by exactly
-//! that much, keeping the event stream bit-identical to the generic
-//! lowering (see `p2_dataflow::engine`, *Level delays*). Every poke runs:
-//! a strand whose probes find nothing emits nothing and stores nothing,
-//! and the profiler counts the call as a wasted poke.
+//! A strand runs its `k` steps (each trigger check and op counts one, the
+//! head one more) in one call. The planner records `k − 1` levels as a
+//! delay on the strand's output slot (`Graph::set_delay`), and the engine
+//! holds each head tuple back by exactly that much (see
+//! `p2_dataflow::engine`, *Level delays*), so tuples surface in the
+//! breadth-first order the golden event stream was pinned on. Every poke
+//! runs: a strand whose probes find nothing emits nothing and stores
+//! nothing, and the profiler counts the call as a wasted poke. Rules that
+//! draw on the RNG lower the same way: a strand draws once per row, in
+//! lookup order, inside one call, so a seed fixes the draws.
 //!
 //! # Shared plans
 //!
@@ -73,8 +74,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use p2_dataflow::elements::{
-    AggProbe, AntiJoin, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert, Join,
-    NetOut, Periodic, Project, Select, StrandOp, TableAgg,
+    AggOp, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert, NetOut, Periodic,
+    StrandOp, TableAgg,
 };
 use p2_dataflow::{Element, Engine, Graph, Route};
 use p2_obs::{ElemKind, ElemMeta, ObsMeta, RuleClassBits};
@@ -91,7 +92,7 @@ use crate::error::PlanError;
 
 /// Node-independent planning configuration; the per-node address and seed
 /// are arguments of [`PlannedProgram::instantiate`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanConfig {
     /// Tuple names to attach observation taps to (results are available via
     /// [`Planned::collectors`]).
@@ -100,34 +101,14 @@ pub struct PlanConfig {
     /// period (recommended for simulations; disable for deterministic unit
     /// tests).
     pub jitter_periodics: bool,
-    /// Whether eligible rule chains (at most
-    /// [`MAX_STRAND_PROBES`](p2_dataflow::elements::MAX_STRAND_PROBES)
-    /// joins over pairwise-distinct tables, no aggregation probe, no RNG
-    /// builtins) are fused into a single [`FusedStrand`] element whose
-    /// output slot carries a level delay, instead of the generic element
-    /// chain. On by default; the generic graph remains the fallback for
-    /// every other shape, and [`PlanConfig::without_fusion`] forces it
-    /// everywhere (used by the strand-equivalence gates).
-    pub fuse_strands: bool,
-}
-
-impl Default for PlanConfig {
-    fn default() -> PlanConfig {
-        PlanConfig {
-            watches: Vec::new(),
-            jitter_periodics: false,
-            fuse_strands: true,
-        }
-    }
 }
 
 impl PlanConfig {
-    /// Creates a config with jitter and strand fusion enabled, no watches.
+    /// Creates a config with jitter enabled and no watches.
     pub fn new() -> PlanConfig {
         PlanConfig {
             watches: Vec::new(),
             jitter_periodics: true,
-            fuse_strands: true,
         }
     }
 
@@ -140,13 +121,6 @@ impl PlanConfig {
     /// Disables periodic phase jitter.
     pub fn without_jitter(mut self) -> PlanConfig {
         self.jitter_periodics = false;
-        self
-    }
-
-    /// Disables rule-strand fusion (every rule uses the generic element
-    /// chain).
-    pub fn without_fusion(mut self) -> PlanConfig {
-        self.fuse_strands = false;
         self
     }
 }
@@ -170,39 +144,6 @@ enum ElementSpec {
     Insert { table: usize },
     /// Delete bridge into table `table`.
     Delete { table: usize },
-    /// Stream × table equijoin.
-    Join {
-        table: usize,
-        key: Vec<(usize, usize)>,
-        out_name: Arc<str>,
-    },
-    /// Stream × table anti-join.
-    AntiJoin {
-        table: usize,
-        key: Vec<(usize, usize)>,
-    },
-    /// PEL selection.
-    Select { filter: PelProgram },
-    /// PEL projection.
-    Project {
-        out_name: Arc<str>,
-        fields: Vec<PelProgram>,
-    },
-    /// Per-event aggregation probe over a table: candidates are the rows
-    /// equal to the event on the `(event field, table column)` pairs of
-    /// `key` (the whole table when empty), `filter` is the residue. A
-    /// keyless probe that may fold by group reads the table through the
-    /// group index over `group_cols`.
-    AggProbe {
-        table: usize,
-        table_arity: usize,
-        func: AggFunc,
-        key: Vec<(usize, usize)>,
-        group_cols: Option<Vec<usize>>,
-        filter: Option<PelProgram>,
-        agg_expr: PelProgram,
-        out_name: Arc<str>,
-    },
     /// Materialized aggregate watcher over a table.
     TableAgg {
         table: usize,
@@ -211,15 +152,10 @@ enum ElementSpec {
         group_cols: Vec<usize>,
         out_name: Arc<str>,
     },
-    /// A whole fused rule strand: trigger filters, join probes, anti-joins,
-    /// assignments, conditions, and the head projection in one element (see
-    /// `p2_dataflow::elements::FusedStrand`).
-    Strand {
-        pre_filters: Vec<PelProgram>,
-        ops: Vec<StrandOpSpec>,
-        head_fields: Vec<PelProgram>,
-        out_name: Arc<str>,
-    },
+    /// A rule strand: trigger checks, probes, anti-joins, assignments,
+    /// conditions, an aggregation and the head projection in one element
+    /// (see `p2_dataflow::elements::FusedStrand`).
+    Strand(StrandSpec),
     /// `periodic` timer source.
     Periodic {
         period: f64,
@@ -240,13 +176,8 @@ impl ElementSpec {
             ElementSpec::Demux => ElemKind::Demux,
             ElementSpec::Insert { .. } => ElemKind::Insert,
             ElementSpec::Delete { .. } => ElemKind::Delete,
-            ElementSpec::Join { .. } => ElemKind::Join,
-            ElementSpec::AntiJoin { .. } => ElemKind::AntiJoin,
-            ElementSpec::Select { .. } => ElemKind::Select,
-            ElementSpec::Project { .. } => ElemKind::Project,
-            ElementSpec::AggProbe { .. } => ElemKind::AggProbe,
             ElementSpec::TableAgg { .. } => ElemKind::TableAgg,
-            ElementSpec::Strand { .. } => ElemKind::Strand,
+            ElementSpec::Strand(_) => ElemKind::Strand,
             ElementSpec::Periodic { .. } => ElemKind::Periodic,
             ElementSpec::NetOut { .. } => ElemKind::NetOut,
             ElementSpec::Collector { .. } => ElemKind::Collector,
@@ -265,7 +196,34 @@ fn class_bits(c: RuleClass) -> RuleClassBits {
     }
 }
 
-/// One operation of a planned fused strand, in chain order.
+/// A planned rule strand.
+#[derive(Default)]
+struct StrandSpec {
+    /// Checks on the bare trigger tuple: the filters before the first op.
+    pre_filters: Vec<PelProgram>,
+    ops: Vec<StrandOpSpec>,
+    head_fields: Vec<PelProgram>,
+    out_name: Arc<str>,
+}
+
+impl StrandSpec {
+    /// Appends a selection: a trigger check while no op precedes it.
+    fn filter(&mut self, filter: PelProgram) {
+        if self.ops.is_empty() {
+            self.pre_filters.push(filter);
+        } else {
+            self.ops.push(StrandOpSpec::Filter(filter));
+        }
+    }
+
+    /// The strand's level delay: one level per step after the first, the
+    /// head being the last step (see the module docs).
+    fn levels(&self) -> u32 {
+        (self.pre_filters.len() + self.ops.len()) as u32
+    }
+}
+
+/// One operation of a planned strand, in rule-body order.
 enum StrandOpSpec {
     Filter(PelProgram),
     Probe {
@@ -277,6 +235,20 @@ enum StrandOpSpec {
         key: Vec<(usize, usize)>,
     },
     Assign(PelProgram),
+    /// Aggregation over `table`: candidates are the rows equal to the
+    /// strand on the `(strand field, table column)` pairs of `key` (the
+    /// whole table when empty), `filter` is the residue. A keyless fold
+    /// that may go by group reads the table through the group index over
+    /// `group_cols`.
+    Agg {
+        table: usize,
+        table_arity: usize,
+        func: AggFunc,
+        key: Vec<(usize, usize)>,
+        group_cols: Option<Vec<usize>>,
+        filter: Option<PelProgram>,
+        agg_expr: PelProgram,
+    },
 }
 
 /// One field of a program fact, resolved at compile time.
@@ -318,7 +290,6 @@ pub struct PlannedProgram {
     tables: Vec<TablePlan>,
     facts: Vec<FactTemplate>,
     jitter_periodics: bool,
-    fused_strands: usize,
     /// Per-element observability metadata (rule id, kind, rule class),
     /// parallel to `specs`. Built unconditionally at compile time — it is
     /// one small shared allocation — and consumed only by engines that
@@ -355,22 +326,19 @@ impl PlannedProgram {
         self.edges.len()
     }
 
-    /// Number of rule strands compiled into fused single-call elements
-    /// (zero when fusion is disabled or no rule shape qualified).
-    pub fn fused_strand_count(&self) -> usize {
-        self.fused_strands
-    }
-
-    /// The aggregation probes that read their table through a group index,
-    /// as `(element label, indexed table columns)` in rule order.
+    /// The strands whose aggregation reads its table through a group
+    /// index, as `(element label, indexed table columns)` in rule order.
     pub fn group_probes(&self) -> Vec<(&str, &[usize])> {
         let labelled = self.names.iter().zip(&self.specs);
         labelled
             .filter_map(|(name, spec)| match spec {
-                ElementSpec::AggProbe {
-                    group_cols: Some(cols),
-                    ..
-                } => Some((&**name, cols.as_slice())),
+                ElementSpec::Strand(strand) => match strand.ops.last() {
+                    Some(StrandOpSpec::Agg {
+                        group_cols: Some(cols),
+                        ..
+                    }) => Some((&**name, cols.as_slice())),
+                    _ => None,
+                },
                 _ => None,
             })
             .collect()
@@ -436,6 +404,29 @@ impl PlannedProgram {
                 FusedStrand::anti_op(refs[*table].clone(), key.clone())
             }
             StrandOpSpec::Assign(p) => StrandOp::Assign(p.clone()),
+            StrandOpSpec::Agg {
+                table,
+                table_arity,
+                func,
+                key,
+                group_cols,
+                filter,
+                agg_expr,
+            } => {
+                let agg = AggOp::new(
+                    refs[*table].clone(),
+                    *table_arity,
+                    *func,
+                    filter.clone(),
+                    agg_expr.clone(),
+                )
+                .with_key(key.clone());
+                match group_cols {
+                    Some(cols) => agg.with_group_index(cols.clone()),
+                    None => agg,
+                }
+                .into()
+            }
         };
 
         let mut collectors = HashMap::new();
@@ -448,46 +439,6 @@ impl PlannedProgram {
                 )),
                 ElementSpec::Insert { table } => Box::new(Insert::new(refs[*table].clone())),
                 ElementSpec::Delete { table } => Box::new(Delete::new(refs[*table].clone())),
-                ElementSpec::Join {
-                    table,
-                    key,
-                    out_name,
-                } => Box::new(Join::new(
-                    refs[*table].clone(),
-                    key.clone(),
-                    out_name.clone(),
-                )),
-                ElementSpec::AntiJoin { table, key } => {
-                    Box::new(AntiJoin::new(refs[*table].clone(), key.clone()))
-                }
-                ElementSpec::Select { filter } => Box::new(Select::new(filter.clone())),
-                ElementSpec::Project { out_name, fields } => {
-                    Box::new(Project::new(out_name.clone(), fields.clone()))
-                }
-                ElementSpec::AggProbe {
-                    table,
-                    table_arity,
-                    func,
-                    key,
-                    group_cols,
-                    filter,
-                    agg_expr,
-                    out_name,
-                } => {
-                    let probe = AggProbe::new(
-                        refs[*table].clone(),
-                        *table_arity,
-                        *func,
-                        filter.clone(),
-                        agg_expr.clone(),
-                        out_name.clone(),
-                    )
-                    .with_key(key.clone());
-                    Box::new(match group_cols {
-                        Some(cols) => probe.with_group_index(cols.clone()),
-                        None => probe,
-                    })
-                }
                 ElementSpec::TableAgg {
                     table,
                     func,
@@ -501,16 +452,11 @@ impl PlannedProgram {
                     group_cols.clone(),
                     out_name.clone(),
                 )),
-                ElementSpec::Strand {
-                    pre_filters,
-                    ops,
-                    head_fields,
-                    out_name,
-                } => Box::new(FusedStrand::new(
-                    pre_filters.clone(),
-                    ops.iter().map(lower_op).collect(),
-                    head_fields.clone(),
-                    out_name.clone(),
+                ElementSpec::Strand(strand) => Box::new(FusedStrand::new(
+                    strand.pre_filters.clone(),
+                    strand.ops.iter().map(lower_op).collect(),
+                    strand.head_fields.clone(),
+                    strand.out_name.clone(),
                 )),
                 ElementSpec::Periodic {
                     period,
@@ -563,50 +509,8 @@ enum TriggerSource<'a> {
 
 struct AggPlan<'a> {
     spec: &'a AggSpec,
-    /// The table predicate whose rows are aggregated over, when the rule has
-    /// a stream/periodic trigger.
-    table: Option<&'a Predicate>,
-}
-
-/// One analysed step of a rule strand, before lowering. The stage list is
-/// the single source of truth for both translations: the generic element
-/// chain (one element per stage) and the fused strand (one element total,
-/// its output delayed by the rest of the chain's length so the engine's
-/// breadth-first emission schedule — and with it the simulator's golden
-/// event stream — is preserved bit-for-bit).
-enum Stage {
-    /// PEL selection (trigger checks, join checks, or rule conditions).
-    Select { label: String, filter: PelProgram },
-    /// Stream × table equijoin.
-    Join {
-        label: String,
-        table: usize,
-        key: Vec<(usize, usize)>,
-        out_name: Arc<str>,
-    },
-    /// Stream × table anti-join.
-    AntiJoin {
-        label: String,
-        table: usize,
-        key: Vec<(usize, usize)>,
-    },
-    /// Assignment appending one computed field (the generic lowering is a
-    /// whole-tuple projection of `prior_len` copies plus the expression).
-    Assign {
-        label: String,
-        out_name: Arc<str>,
-        expr: PelProgram,
-        prior_len: usize,
-    },
-    /// Head projection (always the last stage).
-    Head {
-        label: String,
-        out_name: Arc<str>,
-        fields: Vec<PelProgram>,
-    },
-    /// A stage with no fused form (currently only `AggProbe`); its
-    /// presence forces the generic lowering.
-    Other { label: String, spec: ElementSpec },
+    /// The table predicate whose rows are aggregated over.
+    table: &'a Predicate,
 }
 
 struct Builder<'a> {
@@ -626,12 +530,9 @@ struct Builder<'a> {
     table_aggs: HashMap<String, Vec<usize>>,
     /// Delete elements per table name (their output also pokes TableAggs).
     delete_ids: HashMap<String, Vec<usize>>,
-    /// Number of rule strands compiled into fused elements.
-    fused_strands: usize,
     /// Per-rule delta-safety classification from the whole-program
-    /// analyzer, parallel to `program.rules`. Fusion eligibility reads
-    /// from here instead of re-deriving determinism from compiled PEL
-    /// stages.
+    /// analyzer, parallel to `program.rules`; stamped on each element for
+    /// the profiler.
     rule_classes: Vec<RuleClass>,
     /// Classification of the rule currently being planned (set by
     /// [`Builder::build`] before each `plan_rule` call).
@@ -684,7 +585,8 @@ impl<'a> Builder<'a> {
 
         // Whole-program analysis: total (never fails), so planning proceeds
         // even for programs the analyzer has complaints about — the planner
-        // only consumes the per-rule classification.
+        // only copies the per-rule classification into the profiler's
+        // metadata.
         let rule_classes = analyze::analyze(program).rule_classes;
 
         let mut builder = Builder {
@@ -701,7 +603,6 @@ impl<'a> Builder<'a> {
             insert_ids: HashMap::new(),
             table_aggs: HashMap::new(),
             delete_ids: HashMap::new(),
-            fused_strands: 0,
             rule_classes,
             current_class: RuleClass {
                 deterministic: false,
@@ -778,7 +679,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Chooses which of an aggregation probe's `(event field, table
+    /// Chooses which of an aggregation's `(event field, table
     /// column)` equalities form its key; the caller keeps the rest in the
     /// residual filter. A key compares by index equality, exactly like a
     /// join key: `Value`'s hash agrees with PEL `==` within the numeric
@@ -818,12 +719,12 @@ impl<'a> Builder<'a> {
         equalities.to_vec()
     }
 
-    /// Chooses how a keyless aggregation probe reads its table: through a
-    /// group index over the row columns its programs load — declared here,
-    /// once per distinct column list — when its fold is the same group by
-    /// group as row by row ([`AggProbe::group_columns`]), else `None` for
-    /// the counted row scan. `event_arity` is the width of the tuple the
-    /// probe receives.
+    /// Chooses how a keyless aggregation reads its table: through a group
+    /// index over the row columns its programs load — declared here, once
+    /// per distinct column list — when its fold is the same group by group
+    /// as row by row ([`AggOp::group_columns`]), else `None` for the
+    /// counted row scan. `event_arity` is the width of the strand tuple the
+    /// fold appends rows to.
     fn agg_probe_group_index(
         &mut self,
         table: usize,
@@ -832,7 +733,7 @@ impl<'a> Builder<'a> {
         agg_expr: &PelProgram,
         event_arity: usize,
     ) -> Option<Vec<usize>> {
-        let cols = AggProbe::group_columns(func, filter, agg_expr, event_arity)?;
+        let cols = AggOp::group_columns(func, filter, agg_expr, event_arity)?;
         let declared = &mut self.tables[table].group_indexes;
         if !declared.contains(&cols) {
             declared.push(cols.clone());
@@ -931,7 +832,6 @@ impl<'a> Builder<'a> {
             tables: self.tables,
             facts,
             jitter_periodics: self.config.jitter_periodics,
-            fused_strands: self.fused_strands,
             obs,
         })
     }
@@ -1011,148 +911,18 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Whether a stage list has a fused form: a bounded number of join
-    /// probes over pairwise-distinct tables, no fuse-less stages
-    /// (aggregation probes), and no anti-join over a probed table (which
-    /// would dead-lock on that table's guard). RNG-drawing rules are
-    /// rejected *before* this check by their [`RuleClass`]: fusion changes
-    /// the cross-strand evaluation order, which a nondeterministic rule
-    /// would observe — same-seed runs would diverge.
-    fn stages_fusable(stages: &[Stage]) -> bool {
-        if stages.len() < 2 {
-            // A bare head projection gains nothing from fusion.
-            return false;
+    /// Adds `strand` as the rule's element `{rule}:strand`, its output slot
+    /// delayed by the strand's level count.
+    fn add_strand(&mut self, rule: &Rule, strand: StrandSpec) -> usize {
+        let levels = strand.levels();
+        let id = self.add(format!("{}:strand", rule.id), ElementSpec::Strand(strand));
+        if levels > 0 {
+            self.delays.push((id, 0, levels));
         }
-        let mut probed: Vec<usize> = Vec::new();
-        for stage in stages {
-            match stage {
-                Stage::Join { table, .. } => {
-                    if probed.contains(table) {
-                        return false; // self-join: probing under its own guard
-                    }
-                    probed.push(*table);
-                }
-                Stage::Other { .. } => return false,
-                _ => {}
-            }
-        }
-        if probed.len() > p2_dataflow::elements::MAX_STRAND_PROBES {
-            return false;
-        }
-        for stage in stages {
-            if let Stage::AntiJoin { table, .. } = stage {
-                if probed.contains(table) {
-                    return false;
-                }
-            }
-        }
-        true
+        id
     }
 
-    /// Lowers a stage list to graph elements, returning the chain in
-    /// execution order. Generic lowering emits one element per stage; the
-    /// fused lowering emits a single [`FusedStrand`] whose output slot is
-    /// delayed by `stages.len() - 1` levels, so head tuples surface at
-    /// exactly the BFS level the generic chain would have emitted them at.
-    fn lower_stages(&mut self, rule: &Rule, stages: Vec<Stage>) -> Vec<usize> {
-        if self.config.fuse_strands
-            && self.current_class.deterministic
-            && Self::stages_fusable(&stages)
-        {
-            return self.lower_fused(rule, stages);
-        }
-        stages
-            .into_iter()
-            .map(|stage| match stage {
-                Stage::Select { label, filter } => self.add(label, ElementSpec::Select { filter }),
-                Stage::Join {
-                    label,
-                    table,
-                    key,
-                    out_name,
-                } => self.add(
-                    label,
-                    ElementSpec::Join {
-                        table,
-                        key,
-                        out_name,
-                    },
-                ),
-                Stage::AntiJoin { label, table, key } => {
-                    self.add(label, ElementSpec::AntiJoin { table, key })
-                }
-                Stage::Assign {
-                    label,
-                    out_name,
-                    expr,
-                    prior_len,
-                } => {
-                    let mut fields: Vec<PelProgram> = (0..prior_len)
-                        .map(|i| PelProgram::compile(&PExpr::Field(i)))
-                        .collect();
-                    fields.push(expr);
-                    self.add(label, ElementSpec::Project { out_name, fields })
-                }
-                Stage::Head {
-                    label,
-                    out_name,
-                    fields,
-                } => self.add(label, ElementSpec::Project { out_name, fields }),
-                Stage::Other { label, spec } => self.add(label, spec),
-            })
-            .collect()
-    }
-
-    /// The fused lowering (callers checked [`Builder::stages_fusable`]).
-    fn lower_fused(&mut self, rule: &Rule, stages: Vec<Stage>) -> Vec<usize> {
-        let levels = (stages.len() - 1) as u32;
-        let mut pre_filters = Vec::new();
-        let mut ops: Vec<StrandOpSpec> = Vec::new();
-        let mut head = None;
-        for stage in stages {
-            match stage {
-                Stage::Select { filter, .. } => {
-                    if ops.is_empty() {
-                        // Leading selections run on the bare trigger tuple,
-                        // exactly like the generic trigger-select.
-                        pre_filters.push(filter);
-                    } else {
-                        ops.push(StrandOpSpec::Filter(filter));
-                    }
-                }
-                Stage::Join { table, key, .. } => ops.push(StrandOpSpec::Probe { table, key }),
-                Stage::AntiJoin { table, key, .. } => {
-                    ops.push(StrandOpSpec::AntiJoin { table, key })
-                }
-                Stage::Assign { expr, .. } => ops.push(StrandOpSpec::Assign(expr)),
-                Stage::Head {
-                    out_name, fields, ..
-                } => head = Some((out_name, fields)),
-                Stage::Other { .. } => unreachable!("stages_fusable rejects Other"),
-            }
-        }
-        let (out_name, head_fields) = head.expect("every strand ends in its head projection");
-        let strand = self.add(
-            format!("{}:strand", rule.id),
-            ElementSpec::Strand {
-                pre_filters,
-                ops,
-                head_fields,
-                out_name,
-            },
-        );
-        self.fused_strands += 1;
-        self.delays.push((strand, 0, levels));
-        vec![strand]
-    }
-
-    /// Builds one strand: trigger → joins → filters → (aggregate) →
-    /// projection → routing.
-    ///
-    /// The rule body is first analysed into a [`Stage`] list, then lowered
-    /// either to the generic element chain or — for the dominant
-    /// single-join / select-project shapes — to one [`FusedStrand`]
-    /// element with a delayed output slot ([`Builder::lower_stages`]).
+    /// Builds one strand: the strand element, its routing, and its trigger.
     fn build_strand(
         &mut self,
         rule: &Rule,
@@ -1160,55 +930,49 @@ impl<'a> Builder<'a> {
         source: TriggerSource<'_>,
         other_tables: &[&Predicate],
     ) -> Result<(), PlanError> {
-        let stages = self.analyze_strand(rule, trigger, &source, other_tables)?;
-
-        // --- Lower the stage list to elements (generic chain or fused
-        // strand), then attach the routing.
-        let mut chain = self.lower_stages(rule, stages);
+        let strand = self.analyze_strand(rule, trigger, &source, other_tables)?;
+        let strand = self.add_strand(rule, strand);
+        let mut chain = vec![strand];
         self.route_head(rule, &mut chain)?;
 
         // --- Wire the chain and its trigger source.
         for pair in chain.windows(2) {
             self.connect(pair[0], 0, pair[1], 0);
         }
-        let entry = Route {
-            element: chain[0],
-            port: 0,
-        };
         match source {
             TriggerSource::Stream(name) => {
                 let port = self.demux_port(name).ok_or_else(|| {
                     PlanError::in_rule(&rule.id, format!("no demux port for stream `{name}`"))
                 })?;
-                self.connect(self.demux_id, port, entry.element, entry.port);
+                self.connect(self.demux_id, port, strand, 0);
             }
             TriggerSource::TableDelta(name) => {
                 let insert = *self.insert_ids.get(name).ok_or_else(|| {
                     PlanError::in_rule(&rule.id, format!("no insert element for table `{name}`"))
                 })?;
-                self.connect(insert, 0, entry.element, entry.port);
+                self.connect(insert, 0, strand, 0);
             }
             TriggerSource::Periodic(pred) => {
                 let periodic = self.make_periodic(rule, pred)?;
                 let id = self.add(format!("{}:periodic", rule.id), periodic);
-                self.connect(id, 0, entry.element, entry.port);
+                self.connect(id, 0, strand, 0);
             }
         }
         Ok(())
     }
 
-    /// Analyses one strand of `rule` into its [`Stage`] list (trigger
-    /// checks, joins, anti-joins, assignments, conditions, aggregation,
-    /// head projection) without lowering anything to elements.
+    /// Analyses one strand of `rule`: trigger checks, probes, anti-joins,
+    /// assignments, conditions, aggregation and the head projection, in
+    /// that order.
     fn analyze_strand(
         &mut self,
         rule: &Rule,
         trigger: &Predicate,
         source: &TriggerSource<'_>,
         other_tables: &[&Predicate],
-    ) -> Result<Vec<Stage>, PlanError> {
+    ) -> Result<StrandSpec, PlanError> {
         let mut layout = Layout::new();
-        let mut stages: Vec<Stage> = Vec::new();
+        let mut strand = StrandSpec::default();
 
         // --- Trigger.
         let trigger_binding = layout
@@ -1226,11 +990,7 @@ impl<'a> Builder<'a> {
             trigger_checks.push(PExpr::bin(BinOp::Eq, PExpr::Field(*a), PExpr::Field(*b)));
         }
         if !trigger_checks.is_empty() && !matches!(source, TriggerSource::Periodic(_)) {
-            let filter = PelProgram::compile(&and_all(trigger_checks));
-            stages.push(Stage::Select {
-                label: format!("{}:trigger-select", rule.id),
-                filter,
-            });
+            strand.filter(PelProgram::compile(&and_all(trigger_checks)));
         }
 
         // --- Aggregate analysis.
@@ -1241,20 +1001,14 @@ impl<'a> Builder<'a> {
         let agg_plan = match agg_spec {
             None => None,
             Some(spec) => {
-                let table = self.choose_agg_table(rule, spec, trigger, other_tables)?;
-                Some(AggPlan {
-                    spec,
-                    table: Some(table),
-                })
+                let table = self.choose_agg_table(rule, spec, other_tables)?;
+                Some(AggPlan { spec, table })
             }
         };
         let join_tables: Vec<&Predicate> = other_tables
             .iter()
             .copied()
-            .filter(|p| match &agg_plan {
-                Some(a) => !std::ptr::eq(*p, a.table.expect("set above")),
-                None => true,
-            })
+            .filter(|p| agg_plan.as_ref().is_none_or(|a| !std::ptr::eq(*p, a.table)))
             .collect();
 
         // --- Equijoins against materialized tables.
@@ -1265,11 +1019,9 @@ impl<'a> Builder<'a> {
                 .map_err(|e| PlanError::in_rule(&rule.id, e.message))?;
             let table = self.table_id(rule, &pred.name)?;
             self.declare_probe_index(table, &binding.join_keys);
-            stages.push(Stage::Join {
-                label: format!("{}:join:{}", rule.id, pred.name),
+            strand.ops.push(StrandOpSpec::Probe {
                 table,
                 key: binding.join_keys.clone(),
-                out_name: format!("{}#{}", rule.id, pred.name).into(),
             });
 
             let mut checks: Vec<PExpr> = Vec::new();
@@ -1288,11 +1040,7 @@ impl<'a> Builder<'a> {
                 ));
             }
             if !checks.is_empty() {
-                let filter = PelProgram::compile(&and_all(checks));
-                stages.push(Stage::Select {
-                    label: format!("{}:join-select:{}", rule.id, pred.name),
-                    filter,
-                });
+                strand.filter(PelProgram::compile(&and_all(checks)));
             }
         }
 
@@ -1312,15 +1060,14 @@ impl<'a> Builder<'a> {
             }
             let table = self.table_id(rule, &pred.name)?;
             self.declare_probe_index(table, &binding.join_keys);
-            stages.push(Stage::AntiJoin {
-                label: format!("{}:antijoin:{}", rule.id, pred.name),
+            strand.ops.push(StrandOpSpec::AntiJoin {
                 table,
                 key: binding.join_keys,
             });
         }
 
         // --- Assignments (dependency order), excluding the aggregate
-        // expression which is evaluated inside the AggProbe.
+        // expression which is evaluated inside the aggregation.
         let agg_var = agg_plan.as_ref().and_then(|a| a.spec.var.clone());
         let mut pending: Vec<(&String, &OExpr)> = rule
             .body
@@ -1342,12 +1089,8 @@ impl<'a> Builder<'a> {
             for (var, expr) in pending {
                 match layout.compile_expr(expr) {
                     Ok(compiled) => {
-                        stages.push(Stage::Assign {
-                            label: format!("{}:assign:{}", rule.id, var),
-                            out_name: format!("{}#assign:{}", rule.id, var).into(),
-                            expr: PelProgram::compile(&compiled),
-                            prior_len: layout.len(),
-                        });
+                        let expr = PelProgram::compile(&compiled);
+                        strand.ops.push(StrandOpSpec::Assign(expr));
                         layout.push_var(var.clone());
                         progress = true;
                     }
@@ -1368,7 +1111,8 @@ impl<'a> Builder<'a> {
         }
 
         // --- Conditions: those compilable now become a selection; the rest
-        // must reference the aggregate table and become the AggProbe filter.
+        // must reference the aggregate table and become the aggregation's
+        // filter.
         let mut pre_conditions: Vec<PExpr> = Vec::new();
         let mut deferred_conditions: Vec<&OExpr> = Vec::new();
         for term in &rule.body {
@@ -1386,17 +1130,13 @@ impl<'a> Builder<'a> {
             }
         }
         if !pre_conditions.is_empty() {
-            let filter = PelProgram::compile(&and_all(pre_conditions));
-            stages.push(Stage::Select {
-                label: format!("{}:select", rule.id),
-                filter,
-            });
+            strand.filter(PelProgram::compile(&and_all(pre_conditions)));
         }
 
         // --- Aggregation.
         let mut agg_field: Option<usize> = None;
         if let Some(aggp) = &agg_plan {
-            let pred = aggp.table.expect("stream-trigger aggregates have a table");
+            let pred = aggp.table;
             let base = layout.len();
             let mut agg_layout = layout.clone();
             let binding = agg_layout
@@ -1490,18 +1230,14 @@ impl<'a> Builder<'a> {
             } else {
                 None
             };
-            stages.push(Stage::Other {
-                label: format!("{}:agg:{}", rule.id, pred.name),
-                spec: ElementSpec::AggProbe {
-                    table,
-                    table_arity: pred.args.len(),
-                    func,
-                    key,
-                    group_cols,
-                    filter,
-                    agg_expr,
-                    out_name: format!("{}#agg", rule.id).into(),
-                },
+            strand.ops.push(StrandOpSpec::Agg {
+                table,
+                table_arity: pred.args.len(),
+                func,
+                key,
+                group_cols,
+                filter,
+                agg_expr,
             });
             layout = agg_layout;
             agg_field = Some(layout.push_anonymous());
@@ -1528,12 +1264,9 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        stages.push(Stage::Head {
-            label: format!("{}:head", rule.id),
-            out_name: rule.head.name.as_str().into(),
-            fields,
-        });
-        Ok(stages)
+        strand.head_fields = fields;
+        strand.out_name = rule.head.name.as_str().into();
+        Ok(strand)
     }
 
     /// Routes the head projection output: deletes go straight to the head
@@ -1705,14 +1438,15 @@ impl<'a> Builder<'a> {
                 }
             }
         }
-        let head_id = self.add(
-            format!("{}:head", rule.id),
-            ElementSpec::Project {
+        let head = self.add_strand(
+            rule,
+            StrandSpec {
+                head_fields: fields,
                 out_name: rule.head.name.as_str().into(),
-                fields,
+                ..StrandSpec::default()
             },
         );
-        let mut chain = vec![agg_id, head_id];
+        let mut chain = vec![agg_id, head];
         self.route_head(rule, &mut chain)?;
         for pair in chain.windows(2) {
             self.connect(pair[0], 0, pair[1], 0);
@@ -1731,7 +1465,6 @@ impl<'a> Builder<'a> {
         &self,
         rule: &Rule,
         spec: &AggSpec,
-        _trigger: &Predicate,
         candidates: &[&'r Predicate],
     ) -> Result<&'r Predicate, PlanError> {
         if candidates.is_empty() {
@@ -1872,8 +1605,10 @@ mod tests {
         let desc = planned.engine.describe();
         assert!(desc.contains("Demux"));
         assert!(desc.contains("NetOut"));
-        assert!(desc.contains("P1:head"));
-        assert!(desc.contains("P2:head"));
+        // Bare head projections are op-less strands.
+        assert!(desc.contains("P1:strand"));
+        assert!(desc.contains("P2:strand"));
+        assert!(!desc.contains("+1 levels"), "{desc}");
     }
 
     #[test]
@@ -1890,113 +1625,144 @@ mod tests {
         let planned = plan_src(src).unwrap();
         let desc = planned.engine.describe();
         assert!(desc.contains("Periodic"));
-        // R2 is a single-join rule: it compiles to a fused strand, not a
-        // generic join element, and its three stages (join, assignment,
-        // head) leave the strand's output two levels late.
-        assert!(desc.contains("R2:strand"), "{desc}");
-        assert!(!desc.contains("R2:join:sequence"));
+        // R2's three steps (probe, assignment, head) leave the strand's
+        // output two levels late; P0's two (aggregation, head) one level.
         let shared = PlannedProgram::compile(
             &compile_checked(src).unwrap(),
             &PlanConfig::new().without_jitter(),
         )
         .unwrap();
-        let r2 = shared
-            .names
-            .iter()
-            .position(|n| &**n == "R2:strand")
-            .unwrap();
-        assert_eq!(shared.delays, [(r2, 0, 2)]);
+        let at = |name: &str| shared.names.iter().position(|n| &**n == name).unwrap();
+        let (r2, p0) = (at("R2:strand"), at("P0:strand"));
+        assert_eq!(shared.delays, [(r2, 0, 2), (p0, 0, 1)]);
         assert_eq!(planned.engine.delay_of(r2, 0), 2);
-        // Aggregation-probe rules keep the generic chain.
-        assert!(desc.contains("P0:agg:member"));
+        // S1 is a materialized aggregate feeding an op-less head strand.
         assert!(desc.contains("S1:tableagg:member"));
+        assert!(desc.contains("S1:strand"), "{desc}");
         assert!(planned.catalog.is_table("member"));
     }
 
+    /// Every rule lowers to strands: rule bodies compile to no element
+    /// kind other than a strand, whatever their shape.
     #[test]
     fn fusion_can_be_disabled_and_counts_strands() {
         let src = r#"
             materialize(sequence, infinity, 1, keys(1)).
+            materialize(link, infinity, infinity, keys(1, 2)).
             R1 refreshSeq@X(X, NewSeq) :- refreshEvent@X(X), sequence@X(X, Seq), NewSeq := Seq + 1.
+            R2 hop2@X(X, C) :- ev@X(X, A), link@X(X, A, B), link@X(X, B, C), not link@X(X, C, A).
+            R3 fanout@X(X, count<*>) :- ev@X(X, A), link@X(X, A, B).
+            R4 seen@X(X, A) :- ev@X(X, A).
+            R5 linkCount@X(X, count<*>) :- link@X(X, A, B).
         "#;
         let program = compile_checked(src).unwrap();
-        let fused = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
-        assert_eq!(fused.fused_strand_count(), 1);
-        assert!(fused
+        let plan = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
+        let meta = plan.obs_meta();
+        let rule_kinds: BTreeSet<(&str, &str)> = meta
+            .elems
+            .iter()
+            .filter_map(|e| Some((e.rule.as_deref()?, e.kind.as_str())))
+            .collect();
+        let rules = ["R1", "R2", "R3", "R4", "R5"];
+        let expected: BTreeSet<(&str, &str)> = rules
+            .iter()
+            .flat_map(|&r| [(r, "strand"), (r, "netout")])
+            .chain([("R5", "table_agg")])
+            .collect();
+        assert_eq!(rule_kinds, expected);
+        let strands = meta.elems.iter().filter(|e| e.kind == ElemKind::Strand);
+        assert_eq!(strands.count(), 5);
+    }
+
+    /// A rule drawing on the RNG lowers like any other: it draws once per
+    /// matched row, in lookup order, inside the strand's one call, so the
+    /// same seed gives the same outputs.
+    #[test]
+    fn rng_rules_are_never_fused() {
+        let src = r#"
+            materialize(member, 120, infinity, keys(2)).
+            R1 pick@A(A, X, R) :- ev@X(X), member@X(X, A, S), R := f_rand().
+        "#;
+        let program = compile_checked(src).unwrap();
+        let plan = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
+        assert!(plan
             .instantiate("n1", 1)
             .engine
             .describe()
             .contains("R1:strand"));
-
-        let generic = PlannedProgram::compile(
-            &program,
-            &PlanConfig::new().without_jitter().without_fusion(),
-        )
-        .unwrap();
-        assert_eq!(generic.fused_strand_count(), 0);
-        let desc = generic.instantiate("n1", 1).engine.describe();
-        assert!(desc.contains("R1:join:sequence"), "{desc}");
-        assert!(!desc.contains("R1:strand"));
-    }
-
-    #[test]
-    fn rng_rules_are_never_fused() {
-        // The assignment draws on the node RNG: fusing would change the
-        // cross-strand evaluation order the RNG stream observes.
-        let src = r#"
-            materialize(member, 120, infinity, keys(2)).
-            R1 pick@X(X, R) :- ev@X(X), member@X(X, A, S), R := f_rand().
-        "#;
-        let program = compile_checked(src).unwrap();
-        let planned =
-            PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
-        assert_eq!(planned.fused_strand_count(), 0);
-        assert!(planned
-            .instantiate("n1", 1)
-            .engine
-            .describe()
-            .contains("R1:join:member"));
+        let run = |seed: u64| {
+            let mut node = plan.instantiate("n1", seed);
+            node.engine.set_entry(Route {
+                element: 0,
+                port: 0,
+            });
+            node.engine.start(p2_value::SimTime::ZERO);
+            let at = p2_value::SimTime::from_secs(1);
+            for a in ["a", "b", "c"] {
+                let row = vec![Value::str("n1"), Value::str(a), Value::Int(0)];
+                node.engine.deliver(p2_value::Tuple::new("member", row), at);
+            }
+            let ev = p2_value::Tuple::new("ev", vec![Value::str("n1")]);
+            let mut picks = node.engine.deliver(ev.clone(), at);
+            picks.extend(node.engine.deliver(ev, at));
+            picks
+        };
+        let picks = run(7);
+        assert_eq!(picks, run(7));
+        // Six rows (two events over three members), each with the next
+        // draw of the node's RNG.
+        let draw = PelProgram::compile(&PExpr::Call(p2_pel::Builtin::Rand, vec![]));
+        let mut rng = p2_pel::EvalContext::new("n1", 7);
+        let empty = p2_value::Tuple::new("x", vec![]);
+        let draws: Vec<Value> = (0..6)
+            .map(|_| draw.eval(&empty, &mut rng).unwrap())
+            .collect();
+        let drawn: Vec<Value> = picks.iter().map(|o| o.tuple.field(2).clone()).collect();
+        assert_eq!(drawn, draws);
+        let members: Vec<&Value> = picks.iter().map(|o| o.tuple.field(0)).collect();
+        assert_eq!(members[..3], members[3..]);
     }
 
     #[test]
     fn fused_strand_matches_generic_chain_end_to_end() {
-        // One rule in both translations, same inputs: identical outputs.
+        // Probe, condition, assignment and head in one strand, delivered
+        // through the node's demultiplexer.
         let src = r#"
             materialize(member, 120, infinity, keys(2)).
             R1 out@Y(Y, X, D) :- ev@X(X, Y), member@X(X, Y, S), S > 1, D := S + 10.
         "#;
         let program = compile_checked(src).unwrap();
-        let run = |fuse: bool| {
-            let mut config = PlanConfig::new().without_jitter();
-            if !fuse {
-                config = config.without_fusion();
-            }
-            let mut planned = PlannedProgram::compile(&program, &config)
-                .unwrap()
-                .instantiate("n1", 7);
-            planned.engine.set_entry(Route {
-                element: 0,
-                port: 0,
-            });
-            planned.engine.start(p2_value::SimTime::ZERO);
-            for (y, s) in [("n7", 5i64), ("n8", 1), ("n9", 3)] {
-                let member = p2_value::Tuple::new(
-                    "member",
-                    vec![Value::str("n1"), Value::str(y), Value::Int(s)],
-                );
-                planned
-                    .engine
-                    .deliver(member, p2_value::SimTime::from_secs(1));
-            }
-            let ev = p2_value::Tuple::new("ev", vec![Value::str("n1"), Value::str("n7")]);
+        let mut planned = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter())
+            .unwrap()
+            .instantiate("n1", 7);
+        planned.engine.set_entry(Route {
+            element: 0,
+            port: 0,
+        });
+        planned.engine.start(p2_value::SimTime::ZERO);
+        for (y, s) in [("n7", 5i64), ("n8", 1), ("n9", 3)] {
+            let member = p2_value::Tuple::new(
+                "member",
+                vec![Value::str("n1"), Value::str(y), Value::Int(s)],
+            );
+            planned
+                .engine
+                .deliver(member, p2_value::SimTime::from_secs(1));
+        }
+        let mut out = |y: &str| {
+            let ev = p2_value::Tuple::new("ev", vec![Value::str("n1"), Value::str(y)]);
             planned.engine.deliver(ev, p2_value::SimTime::from_secs(2))
         };
-        let fused = run(true);
-        let generic = run(false);
-        assert_eq!(fused, generic);
-        assert_eq!(fused.len(), 1);
-        assert_eq!(&*fused[0].dst, "n7");
-        assert_eq!(fused[0].tuple.values()[2], Value::Int(15));
+        let sent = out("n7");
+        assert_eq!(sent.len(), 1);
+        assert_eq!(&*sent[0].dst, "n7");
+        assert_eq!(
+            sent[0].tuple.values(),
+            [Value::str("n7"), Value::str("n1"), Value::Int(15)]
+        );
+        // n8's S fails the condition; n5 has no member row.
+        assert!(out("n8").is_empty());
+        assert!(out("n5").is_empty());
     }
 
     #[test]
@@ -2103,21 +1869,21 @@ mod tests {
         let key_of = |name: &str| {
             let at = shared.names.iter().position(|n| &**n == name).unwrap();
             match &shared.specs[at] {
-                ElementSpec::AggProbe { key, .. } => key.clone(),
-                _ => panic!("{name} is not an aggregation probe"),
+                ElementSpec::Strand(StrandSpec { ops, .. }) => match ops.last() {
+                    Some(StrandOpSpec::Agg { key, .. }) => key.clone(),
+                    _ => panic!("{name} does not aggregate"),
+                },
+                _ => panic!("{name} is not a strand"),
             }
         };
-        assert_eq!(key_of("R5:agg:member"), vec![(3, 1)]);
-        assert_eq!(key_of("L2:agg:finger"), vec![]);
-        assert_eq!(key_of("L3:agg:finger"), vec![]);
+        assert_eq!(key_of("R5:strand"), vec![(3, 1)]);
+        assert_eq!(key_of("L2:strand"), vec![]);
+        assert_eq!(key_of("L3:strand"), vec![]);
         // finger(NI, I, B, BI): L2 loads NI (the location check) and B, L3
         // also the aggregated BI.
         assert_eq!(
             shared.group_probes(),
-            [
-                ("L2:agg:finger", &[0, 2][..]),
-                ("L3:agg:finger", &[0, 2, 3][..])
-            ]
+            [("L2:strand", &[0, 2][..]), ("L3:strand", &[0, 2, 3][..])]
         );
 
         let mut node = shared.instantiate("n1", 7);

@@ -1,305 +1,619 @@
-//! The fused rule-strand element.
+//! The rule-strand element: the one lowering of every rule body.
 //!
-//! # Why fuse
+//! [`FusedStrand`] runs a whole rule strand — filters on the trigger,
+//! table probes, anti-joins, assignments, conditions, an aggregation over a
+//! table, and the head projection — in **one element call**. Filters,
+//! assignments and the head are evaluated against the *virtual*
+//! concatenation `trigger ++ matched rows ++ assigned values`
+//! ([`Program::eval_concat`]), probes walk the table through its borrowing
+//! lookup iterator, and an aggregation appends its witness row and value
+//! as two more segments, so the only tuple ever materialized is the head
+//! tuple. A strand with no ops is a bare head projection.
 //!
-//! The planner's generic translation runs a rule body as a chain of
-//! elements (`Select → Join → Select → Project… → Project(head)`), with a
-//! work-queue hand-off between every pair. Each hop pays an element call,
-//! emission-buffer traffic, and — worst of all — a **materialized
-//! intermediate tuple**: every `Join` allocates the concatenated tuple and
-//! every assignment `Project` re-copies the entire strand tuple through
-//! per-field PEL programs just to append one value.
+//! # Level delays
 //!
-//! [`FusedStrand`] collapses the dominant rule shapes (a single table join
-//! — or none — plus selections, anti-joins, and assignments, ending in the
-//! head projection) into **one element call**: filters and assignments are
-//! evaluated against the *virtual* concatenation `trigger ++ joined-row ++
-//! assigned-values` ([`Program::eval_concat`]), the join probes the table
-//! through the borrowing lookup iterator, and the only tuple ever
-//! materialized is the final head tuple.
-//!
-//! A fused strand runs a `k`-stage chain in one call, so its head tuples
-//! would surface `k − 1` breadth-first levels before the generic chain's.
-//! The planner puts those levels back as a delay on the strand's output
-//! slot; `crate::engine`'s *Level delays* section explains why that keeps
-//! the two lowerings' event streams bit-identical.
+//! A strand of `k` steps (each trigger filter and op counts one, the head
+//! one more) computes everything at the first breadth-first level. The
+//! planner records `k − 1` levels as a delay on the strand's output slot,
+//! and the engine holds each head tuple back by that much (`crate::engine`,
+//! *Level delays*), which keeps the engine's emission order — and with it
+//! the simulator's golden event stream — what it was when each step was an
+//! element of its own.
 //!
 //! A strand that finds no match emits nothing, sends nothing and stores
 //! nothing: the call is the whole cost of a useless poke, and the profiler
 //! counts it as wasted.
 //!
+//! # Table guards
+//!
+//! A probe holds its table's guard while the rest of the strand runs once
+//! per matching row. A later probe, anti-join or aggregation over the same
+//! table (a self-join) reads through that held guard instead of locking
+//! again, which would deadlock.
+//!
+//! # Aggregation
+//!
+//! [`AggOp`] folds a table per strand row (Figure 2's `Agg min<D> on
+//! finger`). Candidates are the rows equal to the strand on the key's
+//! columns (the whole table without a key), the filter decides whether a
+//! candidate contributes, and the aggregate expression computes its value.
+//! `min`/`max` append the table row achieving the extremum (the first
+//! scanned on ties) as their witness, so the head may read the winning
+//! row's columns; `count`/`sum`/`avg` append a null row. `count` and `sum`
+//! emit a zero when no row contributes (Narada's `membersFound ...
+//! count<*>` relies on seeing 0), while `min`/`max`/`avg` emit nothing.
+//!
+//! Key equality is *index* equality, exactly as for probe keys (see
+//! [`ProbeKey`]); keyed candidates arrive in ascending `RowId` order. With
+//! no key every row is a candidate, but within one strand row the filter
+//! and the aggregate expression are functions of the row's projection onto
+//! the columns they load, and a soft-state table repeats itself (Chord's
+//! 160 `finger` rows hold ~8 distinct `B`). An unkeyed `min`/`max`/`count`
+//! therefore reads the table through a *group index* over exactly those
+//! columns ([`AggOp::group_columns`], [`AggOp::with_group_index`],
+//! [`p2_table::Table::groups`]): one evaluation per group, a uniform group
+//! contributing its value once per row it holds, a non-uniform one (hash
+//! collision, `Int(1)` beside `Double(1.0)`) read row by row. The witness
+//! is the row with the best value and, among equal values, the lowest
+//! `RowId` — what a scan in `RowId` order picks — so the result is that of
+//! the plain scan whenever the contributed values are totally ordered (they
+//! always are within one variant and across the numeric ones).
+//!
+//! Three kinds of unkeyed aggregation keep the row-by-row counted scan:
+//! programs drawing on the RNG (`max<R>` with `R := f_rand()`) draw once
+//! per row, in scan order, inside the one call, so a seed fixes the draws;
+//! `sum`/`avg` accumulate floating point, whose result depends on the order
+//! of addition; and an aggregation given no group index.
+//!
+//! An evaluation that raises an error drops what it was evaluating (a
+//! strand row, or an aggregation candidate: a row or a uniform group) and
+//! is counted once through [`ElementCtx::note_eval_error`].
+//!
 //! # Probe-time caveat
 //!
-//! Level delays preserve emission *levels*, not probe *times*: a fused strand
-//! probes its tables when it executes (one level after its trigger),
-//! while the generic chain's joins probe a few levels later. The two can
-//! disagree only when **the same engine cascade mutates a probed table in
-//! between** — a program shape where a sibling strand of the same trigger
-//! writes a table that another sibling probes deeply. None of the shipped
-//! OverLog programs has that shape (their table writes wrap around
-//! through the demultiplexer, landing after every sibling probe), and the
-//! equivalence is verified per program rather than assumed: the
-//! `sim_bench` strand gate and the fused-vs-generic ring A/B assert
-//! bit-identical event streams end-to-end and fail CI on divergence. A
-//! program that trips the gate should plan with
-//! `PlanConfig::without_fusion` until its rules are restructured.
+//! Level delays preserve emission *levels*, not probe *times*: a strand
+//! probes its tables when it executes, one level after its trigger, even
+//! where its head surfaces later. A program could observe that only if
+//! **the same cascade mutates a probed table between** the trigger and the
+//! level the head surfaces at — a sibling strand of the same trigger
+//! writing a table that this one probes. None of the shipped OverLog
+//! programs has that shape (their table writes wrap around through the
+//! demultiplexer, landing after every sibling probe). What a rule derives
+//! is checked against a naive reference evaluator over the OverLog AST
+//! (`p2-core`'s `prop_strand_equivalence` tests); the order it derives it
+//! in is pinned end to end by the golden NetStats.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use p2_pel::Program;
-use p2_table::TableRef;
+use p2_table::{AggFunc, AggState, Table, TableRef};
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
-use crate::elements::relational::{ProbeKey, INLINE_PROBE, NULL_VALUE};
+use crate::elements::relational::ProbeKey;
 
-/// Maximum number of segments a strand's virtual tuple can have: the
-/// trigger, up to [`MAX_STRAND_PROBES`] joined rows, and the assigned
-/// values. Planners must not fuse strands with more probes.
-pub const MAX_STRAND_PROBES: usize = 4;
-const MAX_PARTS: usize = MAX_STRAND_PROBES + 2;
+/// Virtual-tuple segments and held guards kept on the stack; deeper
+/// strands spill to the heap.
+const INLINE_PARTS: usize = 8;
 
-/// One operation of a fused strand, in original chain order.
+/// A table an op reads: locked by the op itself, or already held by the
+/// enclosing probe at this depth (0 = the outermost probe; resolved by
+/// [`FusedStrand::new`]).
+pub enum TableAccess {
+    /// The op locks the table itself.
+    Own(TableRef),
+    /// The enclosing probe at this depth holds the table's guard.
+    Held(usize),
+}
+
+impl TableAccess {
+    /// Runs `body` on the table, reading it through the enclosing probe's
+    /// guard when one holds it.
+    fn read<R>(&self, held: &[&Table], body: impl FnOnce(&Table) -> R) -> R {
+        match self {
+            TableAccess::Own(table) => body(&table.lock()),
+            TableAccess::Held(depth) => body(held[*depth]),
+        }
+    }
+}
+
+/// Calls `body` with `prefix ++ [last]`, on the stack up to
+/// [`INLINE_PARTS`] entries and on the heap beyond.
+fn with_pushed<T: Copy, R>(prefix: &[T], last: T, body: impl FnOnce(&[T]) -> R) -> R {
+    let n = prefix.len();
+    if n < INLINE_PARTS {
+        let mut inline = [last; INLINE_PARTS];
+        inline[..n].copy_from_slice(prefix);
+        body(&inline[..=n])
+    } else {
+        let mut heap = Vec::with_capacity(n + 1);
+        heap.extend_from_slice(prefix);
+        heap.push(last);
+        body(&heap)
+    }
+}
+
+/// One operation of a strand, in rule-body order.
 pub enum StrandOp {
     /// Selection over the virtual strand tuple; a false or failed filter
-    /// drops the current row combination (mirroring the generic `Select`).
+    /// drops the current row combination.
     Filter(Program),
     /// Equijoin probe: the table is probed with key values drawn from the
     /// virtual strand tuple, and execution continues once per matching
-    /// row, in the table's deterministic lookup order (mirroring the
-    /// generic `Join`, minus the materialized intermediate tuple).
-    Probe { table: TableRef, key: ProbeKey },
+    /// row, in the table's deterministic lookup order.
+    Probe { table: TableAccess, key: ProbeKey },
     /// Anti-join over the virtual strand tuple: execution continues only
-    /// when no table row matches (mirroring the generic `AntiJoin`).
-    AntiJoin { table: TableRef, key: ProbeKey },
+    /// when no table row matches.
+    AntiJoin { table: TableAccess, key: ProbeKey },
     /// Assignment: evaluates one expression over the virtual strand tuple
-    /// and appends the result (the generic form is a whole-tuple `Project`
-    /// with one extra field).
+    /// and appends the result.
     Assign(Program),
+    /// Aggregation over a table (see the module docs); always the last op.
+    Agg(Box<AggOp>),
 }
 
-/// A whole planned rule strand — trigger filters, table join probes,
-/// anti-joins, assignments, conditions, and the head projection — executed
-/// in a single element call. See the module docs for the fusion contract.
+/// A per-strand-row aggregation over a table: [`StrandOp::Agg`].
+pub struct AggOp {
+    table: TableAccess,
+    key: ProbeKey,
+    /// Columns of the group index an unkeyed aggregation reads through.
+    group_cols: Option<Vec<usize>>,
+    fold: RowFold,
+    /// The witness of `count`/`sum`/`avg`: one null per table column.
+    nulls: Box<[Value]>,
+}
+
+/// The evaluate-and-fold half of an [`AggOp`], separate from the table
+/// handle and key so a fold can run while the table is read.
+struct RowFold {
+    func: AggFunc,
+    filter: Option<Program>,
+    agg_expr: Program,
+}
+
+/// Whether an aggregation's result is the same read group by group as row
+/// by row (see the module docs).
+fn folds_by_group<'p>(func: AggFunc, mut programs: impl Iterator<Item = &'p Program>) -> bool {
+    matches!(func, AggFunc::Min | AggFunc::Max | AggFunc::Count)
+        && !programs.any(Program::uses_random)
+}
+
+/// One strand row's fold in progress: candidates go in through
+/// [`Folding::step`], `(aggregate, witness)` comes out of
+/// [`Folding::finish`].
+struct Folding<'a, 'c> {
+    fold: &'a RowFold,
+    /// The virtual strand tuple the candidates are appended to.
+    event: &'a [&'a [Value]],
+    ctx: &'a mut ElementCtx<'c>,
+    /// `count`/`sum`/`avg` accumulator.
+    state: AggState,
+    /// `min`/`max`: the best value so far, the scan position of the row
+    /// that contributed it, and that row.
+    best: Option<(Value, usize, Tuple)>,
+    /// The accumulator rejected a value (non-numeric `sum`/`avg`).
+    failed: bool,
+}
+
+impl RowFold {
+    /// Evaluates one row's contribution against `event ++ row`: a false or
+    /// failed filter and a failed aggregate expression both mean "does not
+    /// contribute"; failures are counted on `ctx`.
+    fn contribution(
+        &self,
+        event: &[&[Value]],
+        row: &[Value],
+        ctx: &mut ElementCtx<'_>,
+    ) -> Option<Value> {
+        with_pushed(event, row, |view| {
+            if let Some(filter) = &self.filter {
+                match filter.eval_bool_concat(view, ctx.eval()) {
+                    Ok(true) => {}
+                    Ok(false) => return None,
+                    Err(_) => {
+                        ctx.note_eval_error();
+                        return None;
+                    }
+                }
+            }
+            self.agg_expr
+                .eval_concat(view, ctx.eval())
+                .map_err(|_| ctx.note_eval_error())
+                .ok()
+        })
+    }
+
+    fn start<'a, 'c>(
+        &'a self,
+        event: &'a [&'a [Value]],
+        ctx: &'a mut ElementCtx<'c>,
+    ) -> Folding<'a, 'c> {
+        Folding {
+            fold: self,
+            event,
+            ctx,
+            state: AggState::new(self.func),
+            best: None,
+            failed: false,
+        }
+    }
+}
+
+impl Folding<'_, '_> {
+    /// Folds in `times` rows that all evaluate like `row`, the first of
+    /// them at scan position `at` (its `RowId`, or any index ascending in
+    /// `RowId`). Candidates may arrive in any order: among equal extrema
+    /// the lowest position wins, as it would in a scan.
+    fn step(&mut self, at: usize, row: &Tuple, times: usize) {
+        let Some(v) = self.fold.contribution(self.event, row.values(), self.ctx) else {
+            return;
+        };
+        let wanted = match self.fold.func {
+            AggFunc::Min => Ordering::Less,
+            AggFunc::Max => Ordering::Greater,
+            _ => {
+                self.failed |= self.state.accumulate_n(&v, times).is_err();
+                return;
+            }
+        };
+        let better = self.best.as_ref().is_none_or(|(best, best_at, _)| {
+            let ord = v.cmp(best);
+            ord == wanted || (ord == Ordering::Equal && at < *best_at)
+        });
+        if better {
+            self.best = Some((v, at, row.clone()));
+        }
+    }
+
+    /// `(aggregate, witness)`, or `None` when nothing is to be emitted:
+    /// `min`/`max`/`avg` over no contribution produce no tuple at all
+    /// (`count`/`sum` legitimately produce 0), and a value the accumulator
+    /// rejected aborts the whole fold, exactly like `AggFunc::apply`
+    /// erroring over the collected contributions would.
+    fn finish(self) -> Option<(Value, Option<Tuple>)> {
+        if self.failed {
+            return None;
+        }
+        match self.fold.func {
+            AggFunc::Min | AggFunc::Max => self.best.map(|(v, _, row)| (v, Some(row))),
+            _ => self.state.finish().map(|v| (v, None)),
+        }
+    }
+}
+
+impl AggOp {
+    /// Creates an aggregation over a table whose rows have `table_arity`
+    /// fields. Without a key ([`AggOp::with_key`]) or a group index
+    /// ([`AggOp::with_group_index`]) every strand row pays a counted full
+    /// scan.
+    pub fn new(
+        table: TableRef,
+        table_arity: usize,
+        func: AggFunc,
+        filter: Option<Program>,
+        agg_expr: Program,
+    ) -> AggOp {
+        AggOp {
+            table: TableAccess::Own(table),
+            key: ProbeKey::default(),
+            group_cols: None,
+            fold: RowFold {
+                func,
+                filter,
+                agg_expr,
+            },
+            nulls: vec![Value::Null; table_arity].into(),
+        }
+    }
+
+    /// Restricts the candidates to rows equal to the strand on the given
+    /// `(strand field, table column)` pairs. The key *replaces* those
+    /// equalities: the planner removes them from the filter.
+    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggOp {
+        self.key = ProbeKey::new(key);
+        self
+    }
+
+    /// The table columns (sorted) a group index must cover for an unkeyed
+    /// aggregation with these programs over a strand tuple of
+    /// `event_arity` fields to evaluate once per group — every row column
+    /// the programs load — or `None` if it must read row by row
+    /// (`sum`/`avg`, RNG draws).
+    pub fn group_columns(
+        func: AggFunc,
+        filter: Option<&Program>,
+        agg_expr: &Program,
+        event_arity: usize,
+    ) -> Option<Vec<usize>> {
+        let programs = || filter.into_iter().chain([agg_expr]);
+        if !folds_by_group(func, programs()) {
+            return None;
+        }
+        let mut cols: Vec<usize> = programs()
+            .flat_map(Program::loads)
+            .filter_map(|field| field.checked_sub(event_arity))
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        Some(cols)
+    }
+
+    /// Lets the aggregation, while it has no key, read the table through
+    /// its group index over `cols`, which must be what
+    /// [`AggOp::group_columns`] returns for it and be declared on the table
+    /// ([`p2_table::Table::add_group_index`]; without it the fold falls
+    /// back to the counted scan).
+    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggOp {
+        let RowFold {
+            func,
+            filter,
+            agg_expr,
+        } = &self.fold;
+        assert!(
+            folds_by_group(*func, filter.iter().chain([agg_expr])),
+            "a {func:?} aggregation cannot fold by group"
+        );
+        self.group_cols = Some(cols);
+        self
+    }
+
+    /// Folds `table` for the strand tuple `event`: `(aggregate, witness)`,
+    /// or `None` when nothing is to be emitted.
+    fn fold(
+        &self,
+        table: &Table,
+        event: &[&[Value]],
+        ctx: &mut ElementCtx<'_>,
+    ) -> Option<(Value, Option<Tuple>)> {
+        let mut folding = self.fold.start(event, ctx);
+        if !self.key.is_empty() {
+            // Conflicting key constraints, or a strand too short to probe:
+            // no row matches (`count`/`sum` still report their zero).
+            if self.key.stream_checks_hold(event) == Some(true) {
+                self.key.with_probe(event, |probe| {
+                    let rows = table.lookup_iter(&self.key.table_cols, probe);
+                    for (at, row) in rows.enumerate() {
+                        folding.step(at, row, 1);
+                    }
+                });
+            }
+        } else if let Some(groups) = self.group_cols.as_deref().and_then(|c| table.groups(c)) {
+            for group in groups {
+                if group.is_uniform() {
+                    let (id, row) = group.first();
+                    folding.step(id.index(), row, group.size());
+                } else {
+                    for (id, row) in group.rows() {
+                        folding.step(id.index(), row, 1);
+                    }
+                }
+            }
+        } else {
+            for (at, row) in table.scan_iter_counted().enumerate() {
+                folding.step(at, row, 1);
+            }
+        }
+        folding.finish()
+    }
+}
+
+impl From<AggOp> for StrandOp {
+    fn from(op: AggOp) -> StrandOp {
+        StrandOp::Agg(Box::new(op))
+    }
+}
+
+/// A whole planned rule strand executed in a single element call. See the
+/// module docs for the contract.
 pub struct FusedStrand {
     /// Filters over the bare trigger tuple (constant/repeat checks).
-    pre_filters: Vec<Program>,
-    /// The strand body, in chain order. Probes nest: each match of an
-    /// earlier probe runs the remaining ops once, depth-first, which
-    /// enumerates row combinations in exactly the order the generic
-    /// chain's breadth-first expansion emits them.
-    ops: Vec<StrandOp>,
+    pre_filters: Box<[Program]>,
+    /// The strand body, in rule-body order. Probes nest: each match of an
+    /// earlier probe runs the remaining ops once, depth-first.
+    ops: Box<[StrandOp]>,
     /// Head projection programs over the final virtual strand tuple.
-    head_fields: Vec<Program>,
+    head_fields: Box<[Program]>,
     out_name: Arc<str>,
     /// Scratch buffer for assigned values, reused across rows and calls.
     extras: Vec<Value>,
 }
 
 impl FusedStrand {
-    /// Creates a fused strand. The `ops` must contain at most
-    /// [`MAX_STRAND_PROBES`] probes, and a probe's table must not recur in
-    /// a later probe or anti-join (the planner's fusability check
-    /// guarantees both; violating the latter would self-deadlock on the
-    /// table guard).
+    /// Creates a strand. An [`StrandOp::Agg`] may only be the last op. An
+    /// op reading a table an earlier probe holds reads through that
+    /// probe's guard.
     pub fn new(
         pre_filters: Vec<Program>,
-        ops: Vec<StrandOp>,
+        mut ops: Vec<StrandOp>,
         head_fields: Vec<Program>,
         out_name: impl Into<Arc<str>>,
     ) -> FusedStrand {
+        let last = ops.len().saturating_sub(1);
         assert!(
             ops.iter()
-                .filter(|op| matches!(op, StrandOp::Probe { .. }))
-                .count()
-                <= MAX_STRAND_PROBES,
-            "fused strand exceeds MAX_STRAND_PROBES"
+                .enumerate()
+                .all(|(i, op)| i == last || !matches!(op, StrandOp::Agg(_))),
+            "an aggregation must be a strand's last op"
         );
+        // The tables the enclosing probes lock, outermost first.
+        let mut probed: Vec<TableRef> = Vec::new();
+        for op in &mut ops {
+            let is_probe = matches!(op, StrandOp::Probe { .. });
+            let access = match op {
+                StrandOp::Probe { table, .. } | StrandOp::AntiJoin { table, .. } => table,
+                StrandOp::Agg(agg) => &mut agg.table,
+                StrandOp::Filter(_) | StrandOp::Assign(_) => continue,
+            };
+            let TableAccess::Own(table) = access else {
+                unreachable!("ops are built over their own tables");
+            };
+            let table = table.clone();
+            if let Some(depth) = probed.iter().position(|t| Arc::ptr_eq(t, &table)) {
+                *access = TableAccess::Held(depth);
+            }
+            if is_probe {
+                probed.push(table);
+            }
+        }
         FusedStrand {
-            pre_filters,
-            ops,
-            head_fields,
+            pre_filters: pre_filters.into(),
+            ops: ops.into(),
+            head_fields: head_fields.into(),
             out_name: out_name.into(),
             extras: Vec::new(),
         }
     }
 
-    /// Creates a probe op from raw `(strand field, table column)` key pairs
-    /// (normalized exactly like the generic `Join`).
+    /// Creates a probe op from raw `(strand field, table column)` key
+    /// pairs.
     pub fn probe_op(table: TableRef, key: Vec<(usize, usize)>) -> StrandOp {
         StrandOp::Probe {
-            table,
+            table: TableAccess::Own(table),
             key: ProbeKey::new(key),
         }
     }
 
     /// Creates an anti-join op from raw `(strand field, table column)` key
-    /// pairs (normalized exactly like the generic `AntiJoin`).
+    /// pairs.
     pub fn anti_op(table: TableRef, key: Vec<(usize, usize)>) -> StrandOp {
         StrandOp::AntiJoin {
-            table,
+            table: TableAccess::Own(table),
             key: ProbeKey::new(key),
         }
     }
 }
 
-/// Collects the probe values for `key` out of the virtual strand tuple
-/// `parts`, then runs `body`. `None` when a referenced field is missing
-/// (malformed tuple — the generic chain drops it too).
-fn with_view_probe<R>(
-    key: &ProbeKey,
-    parts: &[&[Value]],
-    body: impl FnOnce(&[&Value]) -> R,
-) -> Option<R> {
-    // Shared segmented-field resolution (`p2_pel::concat_get`): probe keys
-    // and PEL programs agree on what a field index means by construction.
-    let view = |i: usize| p2_pel::concat_get(parts, i);
-    let n = key.pairs.len();
-    let mut stack: [&Value; INLINE_PROBE] = [&NULL_VALUE; INLINE_PROBE];
-    let mut heap: Vec<&Value>;
-    let probe: &[&Value] = if n <= INLINE_PROBE {
-        for (slot, (s, _)) in stack.iter_mut().zip(&key.pairs) {
-            *slot = view(*s)?;
-        }
-        &stack[..n]
-    } else {
-        heap = Vec::with_capacity(n);
-        for (s, _) in &key.pairs {
-            heap.push(view(*s)?);
-        }
-        &heap
-    };
-    Some(body(probe))
-}
-
-/// Whether the folded duplicate-column constraints hold over the virtual
-/// strand tuple (`None` when a field is missing), mirroring
-/// `ProbeKey::stream_checks_hold`.
-fn view_stream_checks(key: &ProbeKey, parts: &[&[Value]]) -> Option<bool> {
-    let view = |i: usize| p2_pel::concat_get(parts, i);
-    for &(a, b) in &key.stream_checks {
-        match (view(a), view(b)) {
-            (Some(x), Some(y)) if x == y => {}
-            (Some(_), Some(_)) => return Some(false),
-            _ => return None,
-        }
-    }
-    Some(true)
-}
-
-/// Appends `row` to the segment list (bounded by [`MAX_PARTS`]).
-fn pushed<'a>(rows: &[&'a [Value]], row: &'a [Value]) -> ([&'a [Value]; MAX_PARTS], usize) {
-    let mut next: [&[Value]; MAX_PARTS] = [&[]; MAX_PARTS];
-    next[..rows.len()].copy_from_slice(rows);
-    next[rows.len()] = row;
-    (next, rows.len() + 1)
-}
-
-/// Runs the remaining ops of a strand for the current row combination,
-/// depth-first, emitting one head tuple on port 0 per surviving
-/// combination. `rows` holds the trigger plus the rows matched by earlier
-/// probes; `extras` holds the assigned values (pushed and popped around the
-/// recursion so sibling combinations never see each other's assignments).
-/// Free function over explicit field borrows so the op list stays borrowed
-/// (and probe guards stay held) while the scratch field mutates. A filter,
-/// assignment or head field that raises an evaluation error drops the
-/// combination and is counted through [`ElementCtx::note_eval_error`].
-fn exec(
-    ops: &[StrandOp],
-    rows: &[&[Value]],
-    extras: &mut Vec<Value>,
+/// Evaluates the head over the final virtual tuple and emits it on port 0;
+/// a failing field drops the tuple.
+fn emit_head(
+    view: &[&[Value]],
     head_fields: &[Program],
     out_name: &Arc<str>,
     ctx: &mut ElementCtx<'_>,
 ) {
-    // The evaluation view is `rows ++ extras`; rebuilt per op because
-    // `extras` may have grown.
-    let Some((op, rest)) = ops.split_first() else {
-        let mut values = Vec::with_capacity(head_fields.len());
-        for program in head_fields {
-            let (view, n) = pushed(rows, extras);
-            match program.eval_concat(&view[..n], ctx.eval()) {
-                Ok(v) => values.push(v),
-                Err(_) => {
-                    ctx.note_eval_error();
-                    return;
-                }
-            }
-        }
-        ctx.emit(0, Tuple::new(out_name.clone(), values));
-        return;
-    };
-    match op {
-        StrandOp::Filter(filter) => {
-            let ok = {
-                let (view, n) = pushed(rows, extras);
-                filter.eval_bool_concat(&view[..n], ctx.eval())
-            };
-            match ok {
-                Ok(true) => exec(rest, rows, extras, head_fields, out_name, ctx),
-                Ok(false) => {}
-                Err(_) => ctx.note_eval_error(),
-            }
-        }
-        StrandOp::Assign(expr) => {
-            let v = {
-                let (view, n) = pushed(rows, extras);
-                expr.eval_concat(&view[..n], ctx.eval())
-            };
-            match v {
-                Ok(v) => {
-                    extras.push(v);
-                    exec(rest, rows, extras, head_fields, out_name, ctx);
-                    extras.pop();
-                }
-                Err(_) => ctx.note_eval_error(),
-            }
-        }
-        StrandOp::AntiJoin { table, key } => {
-            let any_match = {
-                let guard = table.lock();
-                if key.is_empty() {
-                    Some(!guard.is_empty())
-                } else {
-                    let (view, n) = pushed(rows, extras);
-                    match view_stream_checks(key, &view[..n]) {
-                        // Conflicting constraints: nothing can match.
-                        Some(false) => Some(false),
-                        None => None,
-                        Some(true) => with_view_probe(key, &view[..n], |probe| {
-                            guard.contains_match(&key.table_cols, probe)
-                        }),
-                    }
-                }
-            };
-            // Malformed (None) drops the combination, like the generic
-            // element.
-            if any_match == Some(false) {
-                exec(rest, rows, extras, head_fields, out_name, ctx);
-            }
-        }
-        StrandOp::Probe { table, key } => {
-            // Probe keys reference only fields bound before this probe
-            // (trigger and earlier rows), so the probe view excludes
-            // `extras` — which also keeps it mutably free for the
-            // recursion.
-            let guard = table.lock();
-            if key.is_empty() {
-                for row in guard.scan_iter() {
-                    let (next, n) = pushed(rows, row.values());
-                    exec(rest, &next[..n], extras, head_fields, out_name, ctx);
-                }
+    let mut values = Vec::with_capacity(head_fields.len());
+    for program in head_fields {
+        match program.eval_concat(view, ctx.eval()) {
+            Ok(v) => values.push(v),
+            Err(_) => {
+                ctx.note_eval_error();
                 return;
             }
-            if view_stream_checks(key, rows) != Some(true) {
-                return; // conflicting constraints or malformed tuple
-            }
-            with_view_probe(key, rows, |probe| {
-                for row in guard.lookup_iter(&key.table_cols, probe) {
-                    let (next, n) = pushed(rows, row.values());
-                    exec(rest, &next[..n], extras, head_fields, out_name, ctx);
-                }
+        }
+    }
+    ctx.emit(0, Tuple::new(out_name.clone(), values));
+}
+
+/// The borrowed, loop-invariant half of a strand call.
+struct Run<'s> {
+    head_fields: &'s [Program],
+    out_name: &'s Arc<str>,
+}
+
+impl Run<'_> {
+    /// Runs the remaining ops of a strand for the current row combination,
+    /// depth-first, emitting one head tuple per surviving combination.
+    /// `rows` holds the trigger plus the rows matched by earlier probes,
+    /// `held` the tables those probes hold; `extras` holds the assigned
+    /// values (pushed and popped around the recursion so sibling
+    /// combinations never see each other's assignments).
+    fn exec(
+        &self,
+        ops: &[StrandOp],
+        rows: &[&[Value]],
+        held: &[&Table],
+        extras: &mut Vec<Value>,
+        ctx: &mut ElementCtx<'_>,
+    ) {
+        let Some((op, rest)) = ops.split_first() else {
+            with_pushed(rows, extras.as_slice(), |view| {
+                emit_head(view, self.head_fields, self.out_name, ctx)
             });
+            return;
+        };
+        match op {
+            StrandOp::Filter(filter) => {
+                let ok = with_pushed(rows, extras.as_slice(), |view| {
+                    filter.eval_bool_concat(view, ctx.eval())
+                });
+                match ok {
+                    Ok(true) => self.exec(rest, rows, held, extras, ctx),
+                    Ok(false) => {}
+                    Err(_) => ctx.note_eval_error(),
+                }
+            }
+            StrandOp::Assign(expr) => {
+                let v = with_pushed(rows, extras.as_slice(), |view| {
+                    expr.eval_concat(view, ctx.eval())
+                });
+                match v {
+                    Ok(v) => {
+                        extras.push(v);
+                        self.exec(rest, rows, held, extras, ctx);
+                        extras.pop();
+                    }
+                    Err(_) => ctx.note_eval_error(),
+                }
+            }
+            StrandOp::AntiJoin { table, key } => {
+                let any_match = with_pushed(rows, extras.as_slice(), |view| {
+                    table.read(held, |table| {
+                        if key.is_empty() {
+                            return Some(!table.is_empty());
+                        }
+                        match key.stream_checks_hold(view) {
+                            // Conflicting constraints: nothing can match.
+                            Some(false) => Some(false),
+                            None => None,
+                            Some(true) => key.with_probe(view, |probe| {
+                                table.contains_match(&key.table_cols, probe)
+                            }),
+                        }
+                    })
+                });
+                // A malformed strand (None) drops the combination.
+                if any_match == Some(false) {
+                    self.exec(rest, rows, held, extras, ctx);
+                }
+            }
+            StrandOp::Probe { table, key } => {
+                // Probe keys reference only fields bound before this probe
+                // (trigger and earlier rows): the planner places every
+                // probe before the first assignment.
+                table.read(held, |table| {
+                    with_pushed(held, table, |held| {
+                        let mut each = |row: &Tuple| {
+                            with_pushed(rows, row.values(), |rows| {
+                                self.exec(rest, rows, held, extras, ctx)
+                            })
+                        };
+                        if key.is_empty() {
+                            table.scan_iter().for_each(&mut each);
+                        } else if key.stream_checks_hold(rows) == Some(true) {
+                            key.with_probe(rows, |probe| {
+                                table
+                                    .lookup_iter(&key.table_cols, probe)
+                                    .for_each(&mut each)
+                            });
+                        }
+                    })
+                });
+            }
+            StrandOp::Agg(agg) => {
+                with_pushed(rows, extras.as_slice(), |event| {
+                    let folded = agg.table.read(held, |table| agg.fold(table, event, ctx));
+                    let Some((aggregate, witness)) = folded else {
+                        return;
+                    };
+                    let witness = witness.as_ref().map_or(&agg.nulls[..], Tuple::values);
+                    with_pushed(event, witness, |view| {
+                        with_pushed(view, std::slice::from_ref(&aggregate), |view| {
+                            emit_head(view, self.head_fields, self.out_name, ctx)
+                        })
+                    })
+                });
+            }
         }
     }
 }
@@ -310,17 +624,7 @@ impl Element for FusedStrand {
     }
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        // Disjoint field borrows: the op list stays borrowed while the
-        // executor mutates the scratch field.
-        let FusedStrand {
-            pre_filters,
-            ops,
-            head_fields,
-            out_name,
-            extras,
-        } = self;
-
-        for filter in pre_filters.iter() {
+        for filter in &self.pre_filters {
             match filter.eval_bool(tuple, ctx.eval()) {
                 Ok(true) => {}
                 Ok(false) => return,
@@ -330,8 +634,12 @@ impl Element for FusedStrand {
                 }
             }
         }
-        extras.clear();
-        exec(ops, &[tuple.values()], extras, head_fields, out_name, ctx);
+        let run = Run {
+            head_fields: &self.head_fields,
+            out_name: &self.out_name,
+        };
+        self.extras.clear();
+        run.exec(&self.ops, &[tuple.values()], &[], &mut self.extras, ctx);
     }
 }
 
@@ -518,6 +826,56 @@ mod tests {
         );
         let input = TupleBuilder::new("ev").push("n1").build();
         assert!(run_one(Box::new(strand), input).is_empty());
+    }
+
+    /// `link(A, B)` rows forming the chain 0 → 1 → … → 11.
+    fn link_table() -> TableRef {
+        let mut t = Table::new(TableSpec::new("link", vec![0, 1]));
+        t.add_index(vec![0]);
+        for a in 0..11i64 {
+            let row = TupleBuilder::new("link").push(a).push(a + 1).build();
+            t.insert(row, SimTime::ZERO).unwrap();
+        }
+        Arc::new(Mutex::new(t))
+    }
+
+    #[test]
+    fn self_join_reads_through_the_held_guard() {
+        // out(A, C) :- ev(A), link(A, B), link(B, C), not link(C, A),
+        // count<*> over link(C, _): the second probe, the anti-join and the
+        // aggregation all read the table the first probe holds. Locking it
+        // again would deadlock.
+        let link = link_table();
+        let strand = FusedStrand::new(
+            vec![],
+            vec![
+                FusedStrand::probe_op(link.clone(), vec![(0, 0)]),
+                FusedStrand::probe_op(link.clone(), vec![(2, 0)]),
+                FusedStrand::anti_op(link.clone(), vec![(4, 0), (0, 1)]),
+                AggOp::new(link, 2, p2_table::AggFunc::Count, None, field(0))
+                    .with_key(vec![(4, 0)])
+                    .into(),
+            ],
+            vec![field(0), field(4), field(7)],
+            "out",
+        );
+        let out = run_one(Box::new(strand), TupleBuilder::new("ev").push(3i64).build());
+        let got: Vec<&[Value]> = out.iter().map(|t| t.values()).collect();
+        assert_eq!(got, [&[Value::Int(3), Value::Int(5), Value::Int(1)][..]]);
+    }
+
+    #[test]
+    fn deep_strands_spill_to_the_heap() {
+        // Ten chained self-probes: more segments and held guards than the
+        // inline arrays carry.
+        let link = link_table();
+        let ops = (0..10)
+            .map(|i| FusedStrand::probe_op(link.clone(), vec![(2 * i, 0)]))
+            .collect();
+        let strand = FusedStrand::new(vec![], ops, vec![field(20)], "out");
+        let out = run_one(Box::new(strand), TupleBuilder::new("ev").push(1i64).build());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].values(), &[Value::Int(11)]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Elements bridging the dataflow graph and stored tables: insert, delete,
-//! per-event aggregation probes, and materialized table aggregates.
+//! and materialized table aggregates. (A rule's per-row aggregation over a
+//! table is a strand op, `crate::elements::AggOp`.)
 //!
 //! # Materialized aggregation
 //!
@@ -14,15 +15,12 @@
 //! recompute, floating-point sums included, which a property test checks
 //! under arbitrary insert/delete/expire/evict interleavings.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
-use p2_pel::Program;
-use p2_table::{AggFunc, AggState, InsertOutcome, TableRef};
+use p2_table::{AggFunc, InsertOutcome, TableRef};
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
-use crate::elements::relational::ProbeKey;
 
 /// Stores arriving tuples into a table and re-emits them as *deltas*.
 ///
@@ -133,318 +131,6 @@ impl Element for Delete {
                 self.spill.clear();
             }
         }
-    }
-}
-
-/// Per-event aggregation over a table (Figure 2's `Agg min<D> on finger`).
-///
-/// For every arriving (partially joined) event tuple, the probe walks the
-/// configured table's candidate rows; each candidate is (virtually)
-/// concatenated onto the event tuple, the optional `filter` decides
-/// whether it contributes, and `agg_expr` computes the contributed value.
-///
-/// The emitted tuple is `event ++ witness_row ++ [aggregate]`:
-///
-/// * for `min`/`max` the witness is the table row achieving the extremum
-///   (first one scanned on ties), which gives OverLog its "choose the member
-///   associated with the maximum random number" / "first address of a finger
-///   with that minimum distance" semantics — the head of the rule may refer
-///   to columns of the winning row;
-/// * for `count`/`sum`/`avg` there is no meaningful witness, so the row part
-///   is null-padded; `count` and `sum` emit a zero even when no row
-///   contributes (Narada's `membersFound ... count<*>` relies on seeing 0),
-///   while `min`/`max`/`avg` emit nothing.
-///
-/// # Access path
-///
-/// The probe is stateless and reads the table the way [`super::Join`]
-/// does. `event field == row column` equalities the planner split off the
-/// filter form a key ([`AggProbe::with_key`]) served by
-/// [`p2_table::Table::lookup_iter`] — the primary index when the key
-/// columns are the table's primary key, a declared secondary index
-/// otherwise. Key equality is *index* equality, exactly as for join keys
-/// (see [`super::relational::ProbeKey`]). Keyed candidates arrive in
-/// ascending `RowId` order and are evaluated and folded one by one.
-///
-/// With no key every row is a candidate, but within one event the two
-/// programs are functions of the row's projection onto the columns they
-/// load, and a soft-state table repeats itself (Chord's 160 `finger` rows
-/// hold ~8 distinct `B`). An unkeyed `min`/`max`/`count` probe therefore
-/// reads the table through a *group index* over exactly those columns
-/// ([`AggProbe::group_columns`], [`AggProbe::with_group_index`],
-/// [`p2_table::Table::groups`]): one evaluation per group, a uniform
-/// group contributing its value once per row it holds, a non-uniform one
-/// (hash collision, `Int(1)` beside `Double(1.0)`) read row by row. The
-/// witness is the row with the best value and, among equal values, the
-/// lowest `RowId` — what a scan in `RowId` order picks by keeping the
-/// first extremum — so the emitted tuple is that of the plain scan as long
-/// as the contributed values are totally ordered (they always are within
-/// one variant and across the numeric ones), and in every case a function
-/// of the table alone: the table yields groups in a process-independent
-/// order.
-///
-/// Three kinds of unkeyed probe keep the row-by-row counted scan: programs
-/// drawing on the RNG (`max<R>` with `R := f_rand()`) are not functions of
-/// the row and must draw once per row in scan order; `sum`/`avg`
-/// accumulate floating point, whose result depends on the order of
-/// addition; and a probe given no group index.
-///
-/// An evaluation of the filter or aggregate expression that raises an
-/// error skips its candidate (a row, or a uniform group of rows) and is
-/// counted once through [`ElementCtx::note_eval_error`].
-pub struct AggProbe {
-    table: TableRef,
-    table_arity: usize,
-    key: ProbeKey,
-    /// Columns of the group index an unkeyed probe reads the table through.
-    group_cols: Option<Vec<usize>>,
-    out_name: Arc<str>,
-    fold: RowFold,
-}
-
-/// The evaluate-and-fold half of an [`AggProbe`], separate from the table
-/// handle and key so a fold can run while the table is locked and probed.
-struct RowFold {
-    func: AggFunc,
-    filter: Option<Program>,
-    agg_expr: Program,
-}
-
-/// Whether a probe's result is the same read group by group as row by row
-/// (see [`AggProbe`]'s *Access path*).
-fn folds_by_group<'p>(func: AggFunc, mut programs: impl Iterator<Item = &'p Program>) -> bool {
-    matches!(func, AggFunc::Min | AggFunc::Max | AggFunc::Count)
-        && !programs.any(Program::uses_random)
-}
-
-/// One event's fold in progress: candidates go in through
-/// [`Folding::step`], `(aggregate, witness)` comes out of
-/// [`Folding::finish`].
-struct Folding<'a, 'c> {
-    fold: &'a RowFold,
-    event: &'a Tuple,
-    ctx: &'a mut ElementCtx<'c>,
-    /// `count`/`sum`/`avg` accumulator.
-    state: AggState,
-    /// `min`/`max`: the best value so far, the scan position of the row
-    /// that contributed it, and that row.
-    best: Option<(Value, usize, Tuple)>,
-    /// The accumulator rejected a value (non-numeric `sum`/`avg`).
-    failed: bool,
-}
-
-impl RowFold {
-    /// Evaluates one row's contribution against `event ++ row`: a false or
-    /// failed filter and a failed aggregate expression both mean "does not
-    /// contribute"; failures are counted on `ctx`.
-    fn contribution(&self, event: &Tuple, row: &Tuple, ctx: &mut ElementCtx<'_>) -> Option<Value> {
-        if let Some(filter) = &self.filter {
-            match filter.eval_bool_joined(event, row, ctx.eval()) {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(_) => {
-                    ctx.note_eval_error();
-                    return None;
-                }
-            }
-        }
-        self.agg_expr
-            .eval_joined(event, row, ctx.eval())
-            .map_err(|_| ctx.note_eval_error())
-            .ok()
-    }
-
-    fn start<'a, 'c>(&'a self, event: &'a Tuple, ctx: &'a mut ElementCtx<'c>) -> Folding<'a, 'c> {
-        Folding {
-            fold: self,
-            event,
-            ctx,
-            state: AggState::new(self.func),
-            best: None,
-            failed: false,
-        }
-    }
-}
-
-impl Folding<'_, '_> {
-    /// Folds in `times` rows that all evaluate like `row`, the first of
-    /// them at scan position `at` (its `RowId`, or any index ascending in
-    /// `RowId`). Candidates may arrive in any order: among equal extrema
-    /// the lowest position wins, as it would in a scan.
-    fn step(&mut self, at: usize, row: &Tuple, times: usize) {
-        let Some(v) = self.fold.contribution(self.event, row, self.ctx) else {
-            return;
-        };
-        let wanted = match self.fold.func {
-            AggFunc::Min => Ordering::Less,
-            AggFunc::Max => Ordering::Greater,
-            _ => {
-                self.failed |= self.state.accumulate_n(&v, times).is_err();
-                return;
-            }
-        };
-        let better = self.best.as_ref().is_none_or(|(best, best_at, _)| {
-            let ord = v.cmp(best);
-            ord == wanted || (ord == Ordering::Equal && at < *best_at)
-        });
-        if better {
-            self.best = Some((v, at, row.clone()));
-        }
-    }
-
-    /// `(aggregate, witness)`, or `None` when nothing is to be emitted:
-    /// `min`/`max`/`avg` over no contribution produce no tuple at all
-    /// (`count`/`sum` legitimately produce 0), and a value the accumulator
-    /// rejected aborts the whole probe, exactly like `AggFunc::apply`
-    /// erroring over the collected contributions would.
-    fn finish(self) -> Option<(Value, Option<Tuple>)> {
-        if self.failed {
-            return None;
-        }
-        match self.fold.func {
-            AggFunc::Min | AggFunc::Max => self.best.map(|(v, _, row)| (v, Some(row))),
-            _ => self.state.finish().map(|v| (v, None)),
-        }
-    }
-}
-
-impl AggProbe {
-    /// Creates an aggregation probe over a table whose rows have
-    /// `table_arity` fields. Without a key ([`AggProbe::with_key`]) or a
-    /// group index ([`AggProbe::with_group_index`]) every event pays a
-    /// counted full scan.
-    pub fn new(
-        table: TableRef,
-        table_arity: usize,
-        func: AggFunc,
-        filter: Option<Program>,
-        agg_expr: Program,
-        out_name: impl Into<Arc<str>>,
-    ) -> AggProbe {
-        AggProbe {
-            table,
-            table_arity,
-            key: ProbeKey::default(),
-            group_cols: None,
-            out_name: out_name.into(),
-            fold: RowFold {
-                func,
-                filter,
-                agg_expr,
-            },
-        }
-    }
-
-    /// Restricts the candidates to rows equal to the event on the given
-    /// `(event field, table column)` pairs. The key *replaces* those
-    /// equalities: the planner removes them from the filter.
-    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggProbe {
-        self.key = ProbeKey::new(key);
-        self
-    }
-
-    /// The table columns (sorted) a group index must cover for an unkeyed
-    /// probe with these programs over events of `event_arity` fields to
-    /// evaluate once per group — every row column the programs load — or
-    /// `None` if such a probe must read row by row (`sum`/`avg`, RNG
-    /// draws).
-    pub fn group_columns(
-        func: AggFunc,
-        filter: Option<&Program>,
-        agg_expr: &Program,
-        event_arity: usize,
-    ) -> Option<Vec<usize>> {
-        let programs = || filter.into_iter().chain([agg_expr]);
-        if !folds_by_group(func, programs()) {
-            return None;
-        }
-        let mut cols: Vec<usize> = programs()
-            .flat_map(Program::loads)
-            .filter_map(|field| field.checked_sub(event_arity))
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        Some(cols)
-    }
-
-    /// Lets the probe, while it has no key, read the table through its
-    /// group index over `cols`, which must be what
-    /// [`AggProbe::group_columns`] returns for this probe and be declared
-    /// on the table ([`p2_table::Table::add_group_index`]; without it the
-    /// probe falls back to the counted scan).
-    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggProbe {
-        let RowFold {
-            func,
-            filter,
-            agg_expr,
-        } = &self.fold;
-        assert!(
-            folds_by_group(*func, filter.iter().chain([agg_expr])),
-            "{func:?} probe of `{}` cannot fold by group",
-            self.out_name
-        );
-        self.group_cols = Some(cols);
-        self
-    }
-}
-
-impl Element for AggProbe {
-    fn class(&self) -> &'static str {
-        "AggProbe"
-    }
-
-    fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        let AggProbe {
-            table,
-            table_arity,
-            key,
-            group_cols,
-            out_name,
-            fold,
-        } = self;
-        let guard = table.lock();
-        let mut folding = fold.start(tuple, ctx);
-        if !key.is_empty() {
-            // Conflicting key constraints, or an event too short to probe:
-            // no row matches (`count`/`sum` still report their zero).
-            if key.stream_checks_hold(tuple) == Some(true) {
-                key.with_probe(tuple, |probe| {
-                    let rows = guard.lookup_iter(&key.table_cols, probe);
-                    for (at, row) in rows.enumerate() {
-                        folding.step(at, row, 1);
-                    }
-                });
-            }
-        } else if let Some(groups) = group_cols.as_deref().and_then(|cols| guard.groups(cols)) {
-            for group in groups {
-                if group.is_uniform() {
-                    let (id, row) = group.first();
-                    folding.step(id.index(), row, group.size());
-                } else {
-                    for (id, row) in group.rows() {
-                        folding.step(id.index(), row, 1);
-                    }
-                }
-            }
-        } else {
-            for (at, row) in guard.scan_iter_counted().enumerate() {
-                folding.step(at, row, 1);
-            }
-        }
-        let folded = folding.finish();
-        drop(guard);
-        let Some((aggregate, witness)) = folded else {
-            return;
-        };
-        // `event ++ witness-or-nulls ++ [aggregate]`, built in place.
-        let mut values = Vec::with_capacity(tuple.arity() + *table_arity + 1);
-        values.extend_from_slice(tuple.values());
-        match witness {
-            Some(row) => values.extend_from_slice(row.values()),
-            None => values.resize(values.len() + *table_arity, Value::Null),
-        }
-        values.push(aggregate);
-        ctx.emit(0, Tuple::new(out_name.clone(), values));
     }
 }
 
@@ -562,9 +248,9 @@ impl Element for TableAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elements::{Collector, Demux};
+    use crate::elements::{AggOp, Collector, Demux, FusedStrand};
     use crate::engine::{Engine, EngineStats, Graph, Route};
-    use p2_pel::{BinOp, Expr, IntervalKind};
+    use p2_pel::{BinOp, Expr, IntervalKind, Program};
     use p2_table::{Table, TableSpec};
     use p2_value::{SimTime, TupleBuilder, Uint160};
     use parking_lot::Mutex;
@@ -576,6 +262,18 @@ mod tests {
             t.insert(r, SimTime::ZERO).unwrap();
         }
         Arc::new(Mutex::new(t))
+    }
+
+    /// A strand whose only op is `agg`, emitting `trigger ++ witness ++
+    /// [aggregate]` (`width` fields) under `out_name`.
+    fn agg_strand(agg: AggOp, width: usize, out_name: &str) -> Box<dyn Element> {
+        let head = (0..width).map(|i| Program::compile(&Expr::Field(i)));
+        Box::new(FusedStrand::new(
+            vec![],
+            vec![agg.into()],
+            head.collect(),
+            out_name,
+        ))
     }
 
     fn run_one(element: Box<dyn Element>, inputs: Vec<Tuple>) -> Vec<Tuple> {
@@ -689,7 +387,11 @@ mod tests {
             Expr::bin(BinOp::Sub, Expr::Field(1), Expr::Field(7)),
             Expr::int(1),
         ));
-        let probe = AggProbe::new(t, 4, AggFunc::Min, Some(filter), agg, "bestLookupDist");
+        let probe = agg_strand(
+            AggOp::new(t, 4, AggFunc::Min, Some(filter), agg),
+            10,
+            "bestLookupDist",
+        );
         let event = TupleBuilder::new("lookup_node")
             .push("n1")
             .push(Value::Id(Uint160::from_u64(70)))
@@ -697,7 +399,7 @@ mod tests {
             .push(123i64)
             .push(Value::Id(Uint160::from_u64(5)))
             .build();
-        let out = run_one(Box::new(probe), vec![event]);
+        let out = run_one(probe, vec![event]);
         assert_eq!(out.len(), 1);
         let got = &out[0];
         assert_eq!(got.name(), "bestLookupDist");
@@ -734,9 +436,9 @@ mod tests {
         let t = table(TableSpec::new("member", vec![2]), members);
         // Event: (X, E); joined row starts at field 2, score at field 4.
         let agg = Program::compile(&Expr::Field(4));
-        let probe = AggProbe::new(t, 3, AggFunc::Max, None, agg, "pingEvent");
+        let probe = agg_strand(AggOp::new(t, 3, AggFunc::Max, None, agg), 6, "pingEvent");
         let event = TupleBuilder::new("periodic").push("n1").push(77i64).build();
-        let out = run_one(Box::new(probe), vec![event]);
+        let out = run_one(probe, vec![event]);
         assert_eq!(out.len(), 1);
         // Witness row is m2 (score 9).
         assert_eq!(out[0].field(3), &Value::str("m2"));
@@ -747,9 +449,9 @@ mod tests {
     fn agg_probe_count_emits_zero_and_min_does_not() {
         let t = table(TableSpec::new("member", vec![1]), vec![]);
         let agg = Program::compile(&Expr::Field(0));
-        let probe = AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg, "membersFound");
+        let probe = AggOp::new(t.clone(), 3, AggFunc::Count, None, agg);
         let event = TupleBuilder::new("refresh").push("n1").build();
-        let out = run_one(Box::new(probe), vec![event.clone()]);
+        let out = run_one(agg_strand(probe, 5, "membersFound"), vec![event.clone()]);
         assert_eq!(out.len(), 1);
         // event (1) ++ null row padding (3) ++ count.
         assert_eq!(out[0].arity(), 5);
@@ -757,16 +459,16 @@ mod tests {
         assert_eq!(out[0].field(4), &Value::Int(0));
 
         let agg = Program::compile(&Expr::Field(0));
-        let probe = AggProbe::new(t, 3, AggFunc::Min, None, agg, "best");
-        assert!(run_one(Box::new(probe), vec![event]).is_empty());
+        let probe = AggOp::new(t, 3, AggFunc::Min, None, agg);
+        assert!(run_one(agg_strand(probe, 5, "best"), vec![event]).is_empty());
     }
 
     /// `member(X, A, S)` rows keyed on `A`, probed by `refresh(X, A)`
     /// events with `count<*>` — Narada's R5 in miniature.
-    fn member_count_probe(rows: Vec<Tuple>, filter: Option<Program>) -> (TableRef, AggProbe) {
+    fn member_count_probe(rows: Vec<Tuple>, filter: Option<Program>) -> (TableRef, AggOp) {
         let t = table(TableSpec::new("member", vec![1]), rows);
         let one = Program::compile(&Expr::int(1));
-        let probe = AggProbe::new(t.clone(), 3, AggFunc::Count, filter, one, "membersFound");
+        let probe = AggOp::new(t.clone(), 3, AggFunc::Count, filter, one);
         (t, probe)
     }
 
@@ -786,7 +488,7 @@ mod tests {
         let probe = probe.with_key(vec![(1, 1)]);
         let hit = TupleBuilder::new("refresh").push("n1").push("m7").build();
         let miss = TupleBuilder::new("refresh").push("n1").push("zz").build();
-        let out = run_one(Box::new(probe), vec![hit, miss]);
+        let out = run_one(agg_strand(probe, 6, "membersFound"), vec![hit, miss]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].field(5), &Value::Int(1));
         assert_eq!(out[1].field(5), &Value::Int(0));
@@ -805,11 +507,12 @@ mod tests {
 
         let eq = Program::compile(&Expr::bin(BinOp::Eq, Expr::Field(1), Expr::Field(3)));
         let (_, filtered) = member_count_probe(rows(), Some(eq));
-        let out = run_one(Box::new(filtered), vec![event.clone()]);
+        let out = run_one(agg_strand(filtered, 6, "out"), vec![event.clone()]);
         assert_eq!(out[0].field(5), &Value::Int(1));
 
         let (_, keyed) = member_count_probe(rows(), None);
-        let out = run_one(Box::new(keyed.with_key(vec![(1, 1)])), vec![event]);
+        let keyed = agg_strand(keyed.with_key(vec![(1, 1)]), 6, "out");
+        let out = run_one(keyed, vec![event]);
         assert_eq!(out[0].field(5), &Value::Int(0));
     }
 
@@ -828,19 +531,18 @@ mod tests {
         let t = table(TableSpec::new("member", vec![1]), rows);
         let agg = || Program::compile(&Expr::bin(BinOp::Div, Expr::int(10), Expr::Field(3)));
         let event = TupleBuilder::new("ev").push("n1").build();
-        let cols = AggProbe::group_columns(AggFunc::Count, None, &agg(), 1).unwrap();
+        let cols = AggOp::group_columns(AggFunc::Count, None, &agg(), 1).unwrap();
         assert_eq!(cols, [2]);
         t.lock().add_group_index(cols.clone());
 
-        let grouped =
-            AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out").with_group_index(cols);
-        let (out, stats) = run_counted(Box::new(grouped), vec![event.clone()]);
+        let grouped = AggOp::new(t.clone(), 3, AggFunc::Count, None, agg()).with_group_index(cols);
+        let (out, stats) = run_counted(agg_strand(grouped, 5, "out"), vec![event.clone()]);
         assert_eq!(stats.eval_errors, 1);
         assert_eq!(out[0].field(4), &Value::Int(2));
         assert_eq!(t.lock().stats().full_scans, 0);
 
-        let by_row = AggProbe::new(t.clone(), 3, AggFunc::Count, None, agg(), "out");
-        let (by_row_out, stats) = run_counted(Box::new(by_row), vec![event]);
+        let by_row = AggOp::new(t.clone(), 3, AggFunc::Count, None, agg());
+        let (by_row_out, stats) = run_counted(agg_strand(by_row, 5, "out"), vec![event]);
         assert_eq!(by_row_out, out);
         assert_eq!(stats.eval_errors, 3);
         assert_eq!(t.lock().stats().full_scans, 1);
@@ -862,8 +564,8 @@ mod tests {
         for (func, winner, value) in [(AggFunc::Min, "b", 1), (AggFunc::Max, "a", 5)] {
             let t = table(TableSpec::new("member", vec![1]), rows.clone());
             t.lock().add_group_index(vec![2]);
-            let probe = AggProbe::new(t, 3, func, None, agg(), "out").with_group_index(vec![2]);
-            let out = run_one(Box::new(probe), vec![event.clone()]);
+            let probe = AggOp::new(t, 3, func, None, agg()).with_group_index(vec![2]);
+            let out = run_one(agg_strand(probe, 5, "out"), vec![event.clone()]);
             assert_eq!(out[0].field(2), &Value::str(winner));
             assert_eq!(out[0].field(4), &Value::Int(value));
         }
@@ -875,16 +577,16 @@ mod tests {
         // 1 and 3.
         let filter = Program::compile(&Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(5)));
         let agg = Program::compile(&Expr::bin(BinOp::Sub, Expr::Field(3), Expr::Field(1)));
-        let cols = |func| AggProbe::group_columns(func, Some(&filter), &agg, 2);
+        let cols = |func| AggOp::group_columns(func, Some(&filter), &agg, 2);
         assert_eq!(cols(AggFunc::Min), Some(vec![1, 3]));
         assert_eq!(cols(AggFunc::Count), Some(vec![1, 3]));
         assert_eq!(cols(AggFunc::Sum), None);
         assert_eq!(cols(AggFunc::Avg), None);
         let rand = Program::compile(&Expr::Call(p2_pel::Builtin::Rand, vec![]));
-        assert_eq!(AggProbe::group_columns(AggFunc::Max, None, &rand, 2), None);
+        assert_eq!(AggOp::group_columns(AggFunc::Max, None, &rand, 2), None);
         // `count<*>` with nothing to evaluate: one group of all rows.
         let one = Program::compile(&Expr::int(1));
-        let all = AggProbe::group_columns(AggFunc::Count, None, &one, 2);
+        let all = AggOp::group_columns(AggFunc::Count, None, &one, 2);
         assert_eq!(all, Some(vec![]));
     }
 

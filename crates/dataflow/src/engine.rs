@@ -40,11 +40,12 @@
 //! and the simulator's determinism contract (`p2_netsim::parsim`) keys
 //! packet ordering on the per-sender emission index — so the *relative
 //! order* of sends produced by different rule strands triggered by the
-//! same tuple is observable. A generic rule chain of `k` elements emits its
-//! head tuples at BFS level `k`; a fused strand (`elements::FusedStrand`)
-//! computes everything in one call at level 1 and would emit them `k − 1`
-//! levels early, reordering its sends against longer or shorter sibling
-//! strands.
+//! same tuple is observable. A rule strand (`elements::FusedStrand`) runs
+//! its `k` steps — trigger checks, probes, anti-joins, assignments,
+//! conditions, an aggregation, the head — in one call at level 1. The
+//! golden event stream was pinned when each step was an element of its
+//! own and the head surfaced at level `k`; emitted at level 1, the strand's
+//! sends would move against longer or shorter sibling strands.
 //!
 //! An output slot may therefore carry a **level delay**
 //! ([`Graph::set_delay`], compiled into `slot_delay` beside the route
@@ -53,14 +54,12 @@
 //! an entry whose count is above zero to the back of the queue with one
 //! level fewer, without calling any element, cloning any tuple or counting
 //! a handoff. Each such move lands the entry exactly where a forwarding
-//! element on the chain would have pushed its output, so after `k − 1`
-//! moves the head tuple reaches its consumer at the level the generic chain
-//! would have delivered it: the fused and generic lowerings produce
-//! **bit-identical** event streams, which the 100-node golden pins assert
-//! with fusion on and off. A slot with several routes enqueues them side by
+//! element would have pushed its output, so after `k − 1` moves the head
+//! tuple reaches its consumer at level `k`, which keeps the 100-node golden
+//! pins bit-identical. A slot with several routes enqueues them side by
 //! side and nothing runs between their re-queues, so a fan-out stays
-//! contiguous, as the forwarder's single emission would have kept it.
-//! Dead tuples (filtered out inside a strand) are never enqueued at all.
+//! contiguous, as a forwarder's single emission would have kept it. Dead
+//! tuples (filtered out inside a strand) are never enqueued at all.
 //!
 //! The engine is instantiated per node, but the *plan* it executes can be
 //! shared: see `p2_core::PlannedProgram`, which compiles an OverLog program

@@ -13,9 +13,10 @@
 //! * [`Engine`] and [`Graph`] — per-node execution: an explicit work queue
 //!   (push semantics), a timer wheel, network send collection, and runtime
 //!   statistics;
-//! * [`elements`] — the element library used by the OverLog planner:
-//!   demultiplexers, queues, equijoins, anti-joins, selections, projections,
-//!   per-event and materialized aggregates, table insert/delete bridges,
+//! * [`elements`] — the element library used by the OverLog planner: the
+//!   rule strand (probes, anti-joins, selections, assignments, per-row
+//!   aggregation and the head projection in one element), materialized
+//!   aggregates, table insert/delete bridges, demultiplexers, queues,
 //!   periodic event sources, network output, and debugging taps.
 //!
 //! # Tables are re-read, not mirrored
@@ -23,7 +24,7 @@
 //! No element keeps an incremental copy of table state. Rule strands
 //! re-derive per trigger, so derived soft state stays alive by being
 //! re-derived on refresh, as in the paper. In-strand aggregation
-//! ([`elements::AggProbe`]) reads the table per event, through the join's
+//! ([`elements::AggOp`]) reads the table per strand row, through a probe's
 //! access path when it has a key, else through a group index on the table
 //! (one evaluation per distinct row projection). A materialized aggregate
 //! ([`elements::TableAgg`]) keeps only what it last emitted and re-reads

@@ -1,6 +1,6 @@
-//! Property test pinning `AggProbe` — keyed candidates, and one
-//! evaluation per group of a group index for unkeyed `min`/`max`/`count` —
-//! to a naive reference fold that walks every live row in scan order and
+//! Property test pinning a strand's aggregation (`AggOp`) — keyed
+//! candidates, and one evaluation per group of a group index for unkeyed
+//! `min`/`max`/`count` — to a naive reference fold that walks every live row in scan order and
 //! evaluates the full filter and the aggregate expression on each (no key,
 //! no grouping). Both see the same arbitrary interleaving of inserts,
 //! replaces, deletes, expirations, evictions and probe events over a table
@@ -11,7 +11,9 @@
 //! dividing differently — so non-uniform buckets are common and a probe
 //! that trusted the hash would be caught.
 
-use p2_dataflow::elements::{AggProbe, Collector, CollectorHandle, Delete, Demux, Insert};
+use p2_dataflow::elements::{
+    AggOp, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert,
+};
 use p2_dataflow::{Engine, Graph, Route};
 use p2_pel::{BinOp, EvalContext, Expr, Program};
 use p2_table::{AggFunc, Table, TableRef, TableSpec};
@@ -142,10 +144,11 @@ fn naive_probe(table: &Table, func: AggFunc, event: &Tuple) -> Option<Tuple> {
     let mut contribs: Vec<Value> = Vec::new();
     let mut witness: Option<(Value, Tuple)> = None;
     for row in table.scan_iter() {
-        if !matches!(filter.eval_bool_joined(event, row, &mut ev), Ok(true)) {
+        let joined = [event.values(), row.values()];
+        if !matches!(filter.eval_bool_concat(&joined, &mut ev), Ok(true)) {
             continue;
         }
-        let Ok(v) = agg.eval_joined(event, row, &mut ev) else {
+        let Ok(v) = agg.eval_concat(&joined, &mut ev) else {
             continue;
         };
         let better = match (&witness, func) {
@@ -168,8 +171,8 @@ fn naive_probe(table: &Table, func: AggFunc, event: &Tuple) -> Option<Tuple> {
     Some(event.extended(extra).renamed("out"))
 }
 
-/// Demuxed insert/delete bridges into the table plus the probe on the
-/// event stream.
+/// Demuxed insert/delete bridges into the table plus the aggregating
+/// strand on the event stream.
 struct Rig {
     engine: Engine,
     table: TableRef,
@@ -193,9 +196,9 @@ impl Rig {
         // not this `func` may use it; a keyed probe is handed group columns
         // the table does not index, so taking that path would show up as a
         // fallback scan.
-        let min_cols = AggProbe::group_columns(AggFunc::Min, Some(&filter), &agg, 2);
+        let min_cols = AggOp::group_columns(AggFunc::Min, Some(&filter), &agg, 2);
         let min_cols = min_cols.expect("min folds by group");
-        let cols = AggProbe::group_columns(func, Some(&filter), &agg, 2);
+        let cols = AggOp::group_columns(func, Some(&filter), &agg, 2);
         if keyed {
             table.add_index(vec![1]);
         } else {
@@ -204,14 +207,17 @@ impl Rig {
         }
         let table: TableRef = Arc::new(parking_lot::Mutex::new(table));
         let probe = |table: TableRef| {
-            let mut probe = AggProbe::new(table, 4, func, Some(filter), agg, "out");
+            let mut probe = AggOp::new(table, 4, func, Some(filter), agg);
             if keyed {
                 probe = probe.with_key(vec![(0, 1)]);
             }
-            match cols {
+            let probe = match cols {
                 Some(cols) => probe.with_group_index(cols),
                 None => probe,
-            }
+            };
+            // `ev(G, K) ++ witness ++ [aggregate]`, the reference's shape.
+            let head = (0..7).map(|i| Program::compile(&Expr::Field(i)));
+            FusedStrand::new(vec![], vec![probe.into()], head.collect(), "out")
         };
 
         let mut g = Graph::new();

@@ -104,14 +104,6 @@ impl ChordClusterBuilder {
         self
     }
 
-    /// Selects rule-strand fusion (default on). The generic element graph
-    /// is kept available for the strand-equivalence gates, which assert
-    /// that both translations produce bit-identical event streams.
-    pub fn fuse_strands(mut self, on: bool) -> ChordClusterBuilder {
-        self.opts.fuse_strands = on;
-        self
-    }
-
     /// Builds and boots the ring with the paper's staggered bring-up (see
     /// [`ChordCluster::build`]).
     pub fn build(self, warmup_secs: u64) -> ChordCluster {
@@ -145,6 +137,18 @@ pub struct ChordCluster {
     brought_up_at: SimTime,
     obs_enabled: bool,
     trace_tag: Option<Value>,
+    /// Counters of the engines crashes took down, so cluster totals
+    /// survive the nodes that produced them.
+    departed: Departed,
+}
+
+/// Storage, engine and evaluation-error counters folded in from nodes at
+/// the moment they went down.
+#[derive(Debug, Clone, Copy, Default)]
+struct Departed {
+    storage: p2_table::TableStats,
+    engine: crate::metrics::EngineOps,
+    eval_errors: u64,
 }
 
 impl ChordCluster {
@@ -198,6 +202,7 @@ impl ChordCluster {
             brought_up_at: SimTime::ZERO,
             obs_enabled: false,
             trace_tag: None,
+            departed: Departed::default(),
         }
     }
 
@@ -370,9 +375,9 @@ impl ChordCluster {
     }
 
     /// Sorted display rows of one node's named table (empty when the node
-    /// or table is absent). The strand-equivalence tests use this to
-    /// compare the full final routing state — successor lists, fingers,
-    /// predecessors — between fused and generic plans.
+    /// or table is absent). The determinism tests use this to compare the
+    /// full routing state — successor lists, fingers, predecessors — with
+    /// the state `chord::converged_ring` seeds.
     pub fn table_rows(&self, addr: &str, table: &str) -> Vec<String> {
         let Some(host) = self.sim.node(addr) else {
             return Vec::new();
@@ -509,9 +514,28 @@ impl ChordCluster {
         }
     }
 
-    /// Crashes a node (fail-stop).
+    /// Crashes a node (fail-stop). Its counters stay in the cluster totals
+    /// ([`ChordCluster::storage_ops`], [`ChordCluster::engine_stats`],
+    /// [`ChordCluster::eval_errors`]).
     pub fn crash(&mut self, addr: &str) {
+        self.fold_departing(addr);
         self.sim.take_down(addr);
+    }
+
+    /// Folds an up node's counters into the departed totals, before its
+    /// engine stops counting (a crash) or is dropped (a rejoin).
+    fn fold_departing(&mut self, addr: &str) {
+        if !self.sim.is_up(addr) {
+            return;
+        }
+        let Some(host) = self.sim.node(addr) else {
+            return;
+        };
+        let node = host.node();
+        let stats = node.stats();
+        self.departed.storage += node.catalog().stats_total();
+        self.departed.engine.absorb(stats);
+        self.departed.eval_errors += stats.eval_errors;
     }
 
     /// Replaces a crashed node with a fresh instance that rejoins through
@@ -525,6 +549,7 @@ impl ChordCluster {
         };
         let host =
             chord::build_node_for(addr, landmark, self.seed, self.opts).expect("chord node plans");
+        self.fold_departing(addr);
         self.sim.replace_node(addr, host);
         // A replacement node starts with a fresh engine: re-arm the cluster's
         // observability (and any active trace tag) so its counters and trace
@@ -558,11 +583,12 @@ impl ChordCluster {
         total as f64 / count as f64
     }
 
-    /// Table-storage operation counters summed over all up nodes (indexed
-    /// vs. full-scan lookups, expirations, evictions). Lets experiments
-    /// verify that the hot probe paths stay on an index.
+    /// Table-storage operation counters summed over all nodes, crashed
+    /// ones included (indexed vs. full-scan lookups, expirations,
+    /// evictions). Lets experiments verify that the hot probe paths stay on
+    /// an index.
     pub fn storage_ops(&self) -> crate::metrics::StorageOps {
-        let mut total = p2_table::TableStats::default();
+        let mut total = self.departed.storage;
         for id in self.sim.up_ids() {
             total += self.sim.node_by_id(id).node().catalog().stats_total();
         }
@@ -581,25 +607,27 @@ impl ChordCluster {
         }
     }
 
-    /// Engine ingress counters summed over all up nodes (injected tuples,
-    /// drops for names with no entry port), the dataflow-layer companion of
-    /// [`ChordCluster::storage_ops`] and [`ChordCluster::sim_ops`].
+    /// Engine ingress counters summed over all nodes, crashed ones included
+    /// (injected tuples, drops for names with no entry port), the
+    /// dataflow-layer companion of [`ChordCluster::storage_ops`] and
+    /// [`ChordCluster::sim_ops`].
     pub fn engine_stats(&self) -> crate::metrics::EngineOps {
-        let mut total = crate::metrics::EngineOps::default();
+        let mut total = self.departed.engine;
         for id in self.sim.up_ids() {
             total.absorb(self.sim.node_by_id(id).node().stats());
         }
         total
     }
 
-    /// PEL evaluation errors summed over all up nodes
+    /// PEL evaluation errors summed over all nodes, crashed ones included
     /// (`p2_dataflow::EngineStats::eval_errors`): rule evaluations that
     /// failed and dropped their tuple. 0 in a clean run.
     pub fn eval_errors(&self) -> u64 {
-        self.sim
-            .up_ids()
+        let up = self.sim.up_ids();
+        let live: u64 = up
             .map(|id| self.sim.node_by_id(id).node().stats().eval_errors)
-            .sum()
+            .sum();
+        self.departed.eval_errors + live
     }
 
     /// Turns on the rule-level profiler on every node. Counters start at
@@ -922,6 +950,48 @@ mod tests {
         });
         assert!(retried, "every reissued join was lost");
         assert_eq!(cluster.reissue_joins(), 0);
+    }
+
+    /// Crashing and rejoining a node keeps its counters in the cluster
+    /// totals: no total ever decreases.
+    #[test]
+    fn cluster_totals_survive_crash_and_rejoin() {
+        let mut cluster = ChordCluster::build_fast(16, 30, 11);
+        let totals = |c: &ChordCluster| {
+            let s = c.storage_ops();
+            let e = c.engine_stats();
+            [
+                s.primary_lookups,
+                s.indexed_lookups,
+                s.full_scans,
+                s.expired,
+                s.evicted,
+                e.handoffs,
+                e.injected,
+                e.dropped_no_entry,
+                e.timers_fired,
+                e.sent,
+                c.eval_errors(),
+            ]
+        };
+        let victim = node_addr(5);
+        let mut last = totals(&cluster);
+        let mut step = |cluster: &mut ChordCluster, what: &str| {
+            let now = totals(cluster);
+            for (i, (was, is)) in last.iter().zip(&now).enumerate() {
+                assert!(is >= was, "total {i} fell from {was} to {is} after {what}");
+            }
+            last = now;
+        };
+        cluster.crash(&victim);
+        step(&mut cluster, "the crash");
+        cluster.run_for(20.0);
+        step(&mut cluster, "running without the node");
+        cluster.rejoin(&victim);
+        step(&mut cluster, "the rejoin");
+        cluster.run_for(20.0);
+        step(&mut cluster, "running with the new node");
+        assert!(last[5] > 0, "no element calls counted");
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!   element API gains `ElementCtx::note_state_change()` so stateful
 //!   elements (table writers, incremental aggregates)
 //!   can distinguish a real mutation from a soft-state refresh no-op.
-//!   A **wasted poke** is an invocation of a pokeable element (strand /
-//!   agg / rule-body operator) that produced zero emissions, zero
-//!   sends and zero state change: a rule that was triggered and matched
-//!   nothing, at the cost of one element call.
+//!   A **wasted poke** is an invocation of a pokeable element (a rule
+//!   strand or a materialized aggregate) that produced zero emissions,
+//!   zero sends and zero state change: a rule that was triggered and
+//!   matched nothing, at the cost of one element call.
 //! - **Trace mode.** Provenance tracing is content-addressed: the trace tag
 //!   is a [`Value`] matched by equality against any tuple field. Chord
 //!   lookups already thread a globally unique event id from `lookup` to
@@ -83,11 +83,6 @@ pub enum ElemKind {
     Demux,
     Insert,
     Delete,
-    Join,
-    AntiJoin,
-    Select,
-    Project,
-    AggProbe,
     TableAgg,
     Strand,
     Periodic,
@@ -102,11 +97,6 @@ impl ElemKind {
             ElemKind::Demux => "demux",
             ElemKind::Insert => "insert",
             ElemKind::Delete => "delete",
-            ElemKind::Join => "join",
-            ElemKind::AntiJoin => "antijoin",
-            ElemKind::Select => "select",
-            ElemKind::Project => "project",
-            ElemKind::AggProbe => "agg_probe",
             ElemKind::TableAgg => "table_agg",
             ElemKind::Strand => "strand",
             ElemKind::Periodic => "periodic",
@@ -116,21 +106,14 @@ impl ElemKind {
     }
 
     /// Whether an invocation of this element counts as a *poke*: rule-body
-    /// work that may find nothing to do. A poke that yields zero emissions,
-    /// zero sends and zero state change is recorded as wasted.
-    /// Forwarding/IO elements (demux, netout, periodic, collector, project)
-    /// and table writers are excluded — their invocations are either
-    /// unconditional plumbing or real mutations.
+    /// work that may find nothing to do. Every strand and materialized
+    /// aggregate invocation is one. A poke that yields zero emissions, zero
+    /// sends and zero state change is recorded as wasted. Forwarding/IO
+    /// elements (demux, netout, periodic, collector) and table writers are
+    /// excluded — their invocations are either unconditional plumbing or
+    /// real mutations.
     pub fn pokeable(self) -> bool {
-        matches!(
-            self,
-            ElemKind::Strand
-                | ElemKind::AggProbe
-                | ElemKind::TableAgg
-                | ElemKind::Join
-                | ElemKind::AntiJoin
-                | ElemKind::Select
-        )
+        matches!(self, ElemKind::Strand | ElemKind::TableAgg)
     }
 }
 
@@ -768,9 +751,9 @@ mod tests {
                     class: Some(class_rt),
                 },
                 ElemMeta {
-                    name: Arc::from("L2:agg"),
+                    name: Arc::from("L2:strand"),
                     rule: Some(Arc::from("L2")),
-                    kind: ElemKind::AggProbe,
+                    kind: ElemKind::Strand,
                     class: Some(class_other),
                 },
                 ElemMeta {

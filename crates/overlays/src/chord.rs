@@ -36,17 +36,14 @@ pub fn program_with_join_seed() -> &'static Program {
     })
 }
 
-/// Plan-variant selection for a Chord node: periodic jitter, the JS1
-/// join-seeding program extension, and rule-strand fusion (on by default;
-/// the generic element graph is kept for the strand-equivalence gates).
+/// Plan-variant selection for a Chord node: periodic jitter and the JS1
+/// join-seeding program extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChordOpts {
     /// Whether periodic sources start at a random phase.
     pub jitter: bool,
     /// Whether the JS1/JS2 join-time successor-seeding rules are included.
     pub join_seed: bool,
-    /// Whether eligible rule strands are compiled into fused elements.
-    pub fuse_strands: bool,
 }
 
 impl Default for ChordOpts {
@@ -54,17 +51,16 @@ impl Default for ChordOpts {
         ChordOpts {
             jitter: true,
             join_seed: false,
-            fuse_strands: true,
         }
     }
 }
 
 impl ChordOpts {
     /// Number of boolean flags; the plan cache has one cell per combination.
-    const FLAGS: usize = 3;
+    const FLAGS: usize = 2;
 
     fn cache_index(self) -> usize {
-        let flags: [bool; Self::FLAGS] = [self.jitter, self.join_seed, self.fuse_strands];
+        let flags: [bool; Self::FLAGS] = [self.jitter, self.join_seed];
         flags
             .iter()
             .fold(0, |index, &flag| (index << 1) | usize::from(flag))
@@ -82,15 +78,11 @@ pub fn shared_plan(jitter: bool) -> &'static PlannedProgram {
 /// Like [`shared_plan`], additionally selecting the join-seeded program
 /// variant.
 pub fn shared_plan_opts(jitter: bool, join_seed: bool) -> &'static PlannedProgram {
-    shared_plan_for(ChordOpts {
-        jitter,
-        join_seed,
-        ..ChordOpts::default()
-    })
+    shared_plan_for(ChordOpts { jitter, join_seed })
 }
 
 /// The fully variant-selected shared plan: one cached compilation per
-/// (jitter, join_seed, fuse_strands) combination.
+/// (jitter, join_seed) combination.
 pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
     #[allow(clippy::declare_interior_mutable_const)]
     const PLAN_CELL: OnceLock<PlannedProgram> = OnceLock::new();
@@ -101,9 +93,6 @@ pub fn shared_plan_for(opts: ChordOpts) -> &'static PlannedProgram {
         let mut config = PlanConfig::new().watch("lookupResults").watch("lookup");
         if !opts.jitter {
             config = config.without_jitter();
-        }
-        if !opts.fuse_strands {
-            config = config.without_fusion();
         }
         let program = if opts.join_seed {
             program_with_join_seed()
@@ -264,16 +253,7 @@ pub fn build_node_opts(
     jitter: bool,
     join_seed: bool,
 ) -> Result<P2Host, PlanError> {
-    build_node_for(
-        addr,
-        landmark,
-        seed,
-        ChordOpts {
-            jitter,
-            join_seed,
-            ..ChordOpts::default()
-        },
-    )
+    build_node_for(addr, landmark, seed, ChordOpts { jitter, join_seed })
 }
 
 /// Builds a Chord node from the fully variant-selected shared plan.
@@ -321,10 +301,10 @@ mod tests {
     fn node_plans_successfully() {
         let host = build_node("n0:10000", None, 1, false).unwrap();
         let desc = host.node().graph_description();
-        // L1 (a two-table join) compiles to a fused strand; aggregation
-        // probes keep the generic chain.
+        // L1 (a two-table join) and L2 (an aggregation over `finger`)
+        // each compile to one strand.
         assert!(desc.contains("L1:strand"));
-        assert!(desc.contains("L2:agg:finger"));
+        assert!(desc.contains("L2:strand"));
         assert!(desc.contains("S1:tableagg:succ"));
         assert!(desc.contains("F1:periodic"));
         assert!(host.node().table("node").unwrap().lock().len() == 1);
@@ -345,7 +325,7 @@ mod tests {
 
         let host = build_node_opts("n0:10000", None, 1, false, true).unwrap();
         let desc = host.node().graph_description();
-        // JS1 is a single-join rule, so it compiles to a fused strand.
+        // JS1 is a rule like any other: one strand.
         assert!(desc.contains("JS1:strand"), "{desc}");
         // The two variants plan to distinct shared plans, cached per mode.
         assert!(!std::ptr::eq(
@@ -358,53 +338,75 @@ mod tests {
         ));
     }
 
+    /// Element kinds per rule: every rule body is strands only.
+    fn rule_kinds(plan: &PlannedProgram) -> Vec<(String, Vec<&'static str>)> {
+        let mut by_rule: Vec<(String, Vec<&'static str>)> = Vec::new();
+        for elem in &plan.obs_meta().elems {
+            let Some(rule) = elem.rule.as_deref() else {
+                continue;
+            };
+            match by_rule.iter_mut().find(|(r, _)| r == rule) {
+                Some((_, kinds)) => kinds.push(elem.kind.as_str()),
+                None => by_rule.push((rule.to_string(), vec![elem.kind.as_str()])),
+            }
+        }
+        by_rule
+    }
+
     #[test]
     fn strand_fusion_covers_the_dominant_chord_shapes() {
-        let fused = shared_plan(false);
-        // The join / select-project shapes dominate the 45-rule program;
-        // only the aggregation-probe rules keep the generic chain, so the
-        // fused plan must cover most strands (34 at last count: the
-        // single-join/select-project shapes plus the two-join rules L1,
-        // SU2, SB4, SB8, SB9, J2, J3, and S4).
-        assert!(
-            fused.fused_strand_count() >= 28,
-            "only {} strands fused",
-            fused.fused_strand_count()
-        );
-        let generic = shared_plan_for(ChordOpts {
-            jitter: false,
-            fuse_strands: false,
-            ..ChordOpts::default()
-        });
-        assert_eq!(generic.fused_strand_count(), 0);
-        assert!(!std::ptr::eq(fused, generic));
-        // Aggregate rules (L2/L3, SU1, S3) keep the generic chain; the hot
-        // ping-refresh rule CM8 fuses.
-        let desc = fused.instantiate("n1", 1).engine.describe();
-        assert!(desc.contains("L2:agg:finger"), "{desc}");
-        assert!(desc.contains("CM8:strand"), "{desc}");
-        assert!(desc.contains("SB5:strand"), "{desc}");
+        // Every one of the 45 rules lowers to strands: joins, aggregations
+        // (L2/L3, SU1, S3), bare head projections and S1's head alike. The
+        // only other rule elements are timers, egress, deletes and S1's
+        // materialized aggregate.
+        let plan = shared_plan(false);
+        let rules = rule_kinds(plan);
+        assert_eq!(rules.len(), 45);
+        for (rule, kinds) in &rules {
+            assert!(kinds.contains(&"strand"), "{rule}: {kinds:?}");
+            for kind in kinds {
+                assert!(
+                    ["strand", "periodic", "netout", "delete", "table_agg"].contains(kind),
+                    "{rule}: {kinds:?}"
+                );
+            }
+        }
+        let desc = plan.instantiate("n1", 1).engine.describe();
+        for rule in ["L2", "L3", "SU1", "S3", "CM8", "SB5", "S1"] {
+            assert!(desc.contains(&format!("{rule}:strand")), "{rule}: {desc}");
+        }
+        // Two flags, four cached plans.
+        assert!(!std::ptr::eq(plan, shared_plan(true)));
+        assert!(std::ptr::eq(
+            plan,
+            shared_plan_for(ChordOpts {
+                jitter: false,
+                join_seed: false
+            })
+        ));
     }
 
     #[test]
     fn all_table_rules_lower_to_one_strand_per_trigger() {
-        // The six rules whose bodies are stored tables only re-derive per
-        // trigger-table poke: one-table bodies with more than a bare head
-        // projection fuse, bare projections keep the generic element.
+        // The rules whose bodies are stored tables only re-derive per
+        // trigger-table poke, one strand per body table (J2/J3 have
+        // three), bare projections included.
         let plan = shared_plan(false);
         let desc = plan.instantiate("n1", 1).engine.describe();
-        for rule in ["S2", "CM2", "CM3"] {
+        for rule in ["S2", "CM2", "CM3", "SU0", "SU3", "F2"] {
             assert!(desc.contains(&format!("{rule}:strand")), "{rule}: {desc}");
+            assert!(!desc.contains(&format!("{rule}:head")), "{rule}: {desc}");
         }
-        for rule in ["SU0", "SU3", "F2"] {
-            assert!(desc.contains(&format!("{rule}:head")), "{rule}: {desc}");
-            assert!(!desc.contains(&format!("{rule}:strand")), "{rule}: {desc}");
-        }
-        assert_eq!(plan.fused_strand_count(), 34);
-        // 123 rule and table elements plus the two harness watches; the
-        // fused strands' output slots carry level delays, not elements.
-        assert_eq!(plan.element_count(), 125);
-        assert_eq!(shared_plan_opts(false, true).fused_strand_count(), 36);
+        let strands = |plan: &PlannedProgram| {
+            let meta = plan.obs_meta();
+            let kinds = meta.elems.iter().map(|e| e.kind.as_str());
+            kinds.filter(|k| *k == "strand").count()
+        };
+        assert_eq!(strands(plan), 49);
+        // Rule and table elements plus the two harness watches; the
+        // strands' output slots carry level delays, not elements.
+        assert_eq!(plan.element_count(), 117);
+        assert_eq!(strands(shared_plan_opts(false, true)), 51);
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod tests {
         assert_eq!(rule_count(), 3);
         let host = build_node("n1", &["n2", "n3"], 1, false).unwrap();
         assert_eq!(host.node().table("link").unwrap().lock().len(), 2);
-        assert!(host.node().graph_description().contains("G2:agg:link"));
+        assert!(host.node().graph_description().contains("G2:strand"));
     }
 
     #[test]

@@ -77,7 +77,7 @@ mod tests {
         let host = build_node("n1", &["n2", "n3"], 7, false).unwrap();
         assert_eq!(host.node().table("env").unwrap().lock().len(), 2);
         let desc = host.node().graph_description();
-        assert!(desc.contains("R5:agg:member"));
+        assert!(desc.contains("R5:strand"));
         assert!(desc.contains("L3:delete:neighbor"));
     }
 

@@ -1,8 +1,8 @@
 //! End-to-end front-end coverage for every shipped overlay program:
 //! parse → validate → analyze, pinning each program's per-rule
 //! [`RuleClass`] so a change in the delta-safety classification (which
-//! gates planner fusion/view/incremental-aggregate decisions) shows up as
-//! a reviewable diff, not a silent plan change.
+//! buckets the profiler's wasted-poke report) shows up as a reviewable
+//! diff, not a silent change.
 
 use p2_overlog::analyze::{analyze, Analysis, Severity};
 use p2_overlog::parse_program;

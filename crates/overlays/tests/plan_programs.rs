@@ -1,5 +1,5 @@
-//! Planner coverage for every shipped overlay program: which aggregation
-//! probes read their table through a group index, so a change in the
+//! Planner coverage for every shipped overlay program: which strands'
+//! aggregations read their table through a group index, so a change in the
 //! access-path choice shows up as a reviewable diff, not a silent plan
 //! change.
 
@@ -7,8 +7,8 @@ use p2_core::{PlanConfig, PlannedProgram};
 use p2_overlays::{chord, gossip, monitor, narada};
 use p2_overlog::Program;
 
-/// Group probes as `(label, columns)`, and tables as `(name, column lists
-/// of its group indices)`.
+/// Group-index aggregations as `(strand label, columns)`, and tables as
+/// `(name, column lists of its group indices)`.
 type Declared = (Vec<(String, Vec<usize>)>, Vec<(String, Vec<Vec<usize>>)>);
 
 /// Plans `program`; returns its group probes and the group indices an
@@ -43,10 +43,10 @@ fn chord_lookup_and_successor_probes_read_through_group_indexes() {
         assert_eq!(
             probes,
             [
-                ("L2:agg:finger".to_string(), vec![0, 2]),
-                ("L3:agg:finger".to_string(), vec![0, 2, 3]),
-                ("SU1:agg:succ".to_string(), vec![0, 1]),
-                ("S3:agg:succ".to_string(), vec![0, 1]),
+                ("L2:strand".to_string(), vec![0, 2]),
+                ("L3:strand".to_string(), vec![0, 2, 3]),
+                ("SU1:strand".to_string(), vec![0, 1]),
+                ("S3:strand".to_string(), vec![0, 1]),
             ]
         );
         assert_eq!(

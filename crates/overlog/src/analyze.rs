@@ -40,7 +40,9 @@
 //!    [`RuleClass`]:
 //!
 //!    * `deterministic` — no `f_rand`/`f_coinFlip`; same inputs, same
-//!      outputs. Gate for strand fusion, which reorders evaluation.
+//!      outputs. (A nondeterministic rule still plans to a strand like any
+//!      other: it draws once per row, in lookup order, so a seed fixes its
+//!      draws.)
 //!    * `pure` — deterministic and no `f_now`; output depends only on the
 //!      joined tuples, so derivations could be replayed at any time.
 //!      Prerequisite of `refresh_transparent`.
@@ -53,8 +55,8 @@
 //!      (same key, new TTL) can then never change the rule's output: its
 //!      re-evaluation on a refresh is a wasted poke by construction.
 //!
-//! The planner consumes `RuleClass` for its fusion eligibility decision and
-//! stamps it on every element for the profiler's per-class buckets;
+//! The planner makes no decision on `RuleClass`: it stamps it on every
+//! element for the profiler's per-class buckets;
 //! `olg_lint` surfaces the diagnostics with source spans in human-readable
 //! and JSON form.
 //!

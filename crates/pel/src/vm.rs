@@ -57,42 +57,11 @@ impl Program {
         self.eval_fields(tuple.values(), ctx)
     }
 
-    /// Evaluates the program against the *virtual concatenation*
-    /// `left ++ right`, without materializing a joined tuple: `Field(i)`
-    /// resolves into `left` for `i < left.arity()` and into `right` beyond.
-    /// Aggregation probes use this to scan a table against an event tuple
-    /// allocation-free.
-    pub fn eval_joined(
-        &self,
-        left: &Tuple,
-        right: &Tuple,
-        ctx: &mut EvalContext,
-    ) -> Result<Value, ValueError> {
-        let split = left.arity();
-        self.eval_with(ctx, |i| {
-            if i < split {
-                left.get(i)
-            } else {
-                right.get(i - split)
-            }
-        })
-    }
-
-    /// Like [`Program::eval_joined`], interpreting the result as a boolean.
-    pub fn eval_bool_joined(
-        &self,
-        left: &Tuple,
-        right: &Tuple,
-        ctx: &mut EvalContext,
-    ) -> Result<bool, ValueError> {
-        Ok(self.eval_joined(left, right, ctx)?.truthy())
-    }
-
     /// Evaluates the program against the *virtual concatenation* of several
     /// field segments: `Field(i)` resolves into the first segment while
-    /// `i` is in range, then falls through to the next. The fused
-    /// rule-strand element uses this to run a whole
-    /// `trigger ++ joined-row ++ assigned-values` chain without
+    /// `i` is in range, then falls through to the next. The rule-strand
+    /// element uses this to run a whole
+    /// `trigger ++ joined-rows ++ assigned-values` chain without
     /// materializing any intermediate tuple.
     pub fn eval_concat(
         &self,
@@ -118,8 +87,8 @@ impl Program {
 
     /// True if evaluating this program draws on the node's RNG (`f_rand`,
     /// `f_coinFlip`). Such programs are order-sensitive beyond their
-    /// inputs: the planner must not re-schedule them (e.g. into a fused
-    /// strand) relative to other RNG users, or same-seed runs diverge.
+    /// inputs: an aggregation must evaluate them once per row, in scan
+    /// order, never once per group of equal rows.
     pub fn uses_random(&self) -> bool {
         self.ops
             .iter()

@@ -56,7 +56,7 @@ impl AggFunc {
 
 /// Streaming accumulator behind [`AggFunc::apply`], the table's grouped
 /// [`crate::table::Table::aggregate`], and the dataflow layer's
-/// per-event aggregation probe: one source of truth for the aggregate
+/// per-row strand aggregation: one source of truth for the aggregate
 /// semantics (all-int sums collapse to `Int`, min/max keep the first
 /// extremum, avg over nothing yields no value). Streaming callers fold
 /// values in one pass instead of materializing a contribution vector.

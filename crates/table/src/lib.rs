@@ -10,8 +10,8 @@
 //!   replaces the old row (this is how `sequence`, `bestSucc`,
 //!   `nextFingerFix` behave as updatable singletons);
 //! * in-memory secondary indices provide fast equality lookups for the
-//!   equijoin elements, and group indices let an aggregation probe read a
-//!   table one distinct projection at a time;
+//!   rule strands' probes, and group indices let a strand's aggregation
+//!   read a table one distinct projection at a time;
 //! * filters written in PEL can be applied to table scans;
 //! * aggregates (min/max/count/sum/avg) can be computed over a table with
 //!   optional group-by, and a change counter ([`Table::version`]) says when

@@ -23,7 +23,7 @@
 //! A secondary index answers "which rows equal this probe on these
 //! columns"; a group index ([`Table::add_group_index`]) answers "which
 //! distinct values do these columns hold, and which rows hold each". The
-//! dataflow layer's unkeyed aggregation probe declares one over the row
+//! dataflow layer's unkeyed strand aggregation declares one over the row
 //! columns its filter and aggregate expression load and then evaluates
 //! once per group instead of once per row (Chord's 160 `finger` rows hold
 //! ~8 distinct `B`). Both kinds are maintained by the same two functions on
@@ -49,7 +49,7 @@
 //! ascending `RowId` sets, so [`Table::groups`] yields the same groups in
 //! the same order in every process and under every simulator worker count
 //! (a `HashMap`'s order is process-random). A fold over groups that breaks
-//! ties towards the lowest `RowId` — as the aggregation probe does — is
+//! ties towards the lowest `RowId` — as the strand aggregation does — is
 //! moreover free of even that order: it picks what a scan in `RowId` order
 //! would.
 //!
@@ -343,7 +343,7 @@ pub struct Table {
     primary: HashMap<u64, PrimaryBucket>,
     secondary: HashMap<Vec<usize>, SecondaryIndex>,
     /// Group indices (none, or one per distinct column list an unkeyed
-    /// aggregation probe reads).
+    /// strand aggregation reads).
     groups: Vec<GroupIndex>,
     /// Rows ordered by refresh-adjusted insertion time.
     staleness: BTreeSet<(SimTime, u32)>,
