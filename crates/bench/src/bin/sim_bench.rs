@@ -17,15 +17,6 @@
 //!   warm-up. It also reports the per-event full-scan rate (an unkeyed
 //!   aggregation without a group index is a counted full scan).
 //!
-//! With `--par` the binary instead benchmarks the **parallel sharded
-//! simulator**: steady-state Chord-ring throughput of the sequential
-//! `Simulator` and of 1/2/4/8 workers per ring size, each worker count's
-//! speed-up taken against the sequential ring built from the same seed,
-//! written to `BENCH_parsim.json`, plus a golden gate that runs
-//! the same small ring on the sequential and the 2-worker engine and
-//! **exits non-zero if their NetStats or event counts diverge** (CI runs
-//! this in smoke mode).
-//!
 //! With `--obs` the binary runs the **rule-level profiler** instead: each
 //! ring size is profiled over a steady-state window and the merged per-rule
 //! invocation/wasted-poke report is written to `BENCH_obs.json`, together
@@ -35,8 +26,8 @@
 //! wasted pokes per simulated event. The report tree is schema-checked
 //! in-process before it is written.
 //!
-//! Usage: `cargo run --release --bin sim_bench [-- --smoke] [--par] [--obs]
-//! [--sizes N,N,..] [--workers N,N,..] [--out PATH]`
+//! Usage: `cargo run --release --bin sim_bench [-- --smoke] [--obs]
+//! [--sizes N,N,..] [--out PATH]`
 
 use std::time::Instant;
 
@@ -129,23 +120,6 @@ struct BenchReport {
     chord_rings: Vec<ChordResult>,
 }
 
-/// One steady-state throughput window; `workers` 0 is the sequential
-/// `Simulator`, the baseline of every speed-up.
-#[derive(Debug, Clone, Serialize)]
-struct ParResult {
-    nodes: usize,
-    workers: usize,
-    build_wall_secs: f64,
-    ring_correctness: f64,
-    virtual_secs: u64,
-    events: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-    /// Throughput relative to the sequential run of the same ring size.
-    speedup_vs_sequential: f64,
-    sync_rounds: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 struct GoldenPin {
     messages_sent: u64,
@@ -153,23 +127,6 @@ struct GoldenPin {
     messages_dropped: u64,
     bytes_sent: u64,
     events_processed: u64,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct GoldenGate {
-    nodes: usize,
-    workers: usize,
-    sequential: GoldenPin,
-    parallel: GoldenPin,
-    matches: bool,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct ParReport {
-    bench: String,
-    machine_cores: usize,
-    scaling: Vec<Vec<ParResult>>,
-    golden_gate: GoldenGate,
 }
 
 fn bench_toy(nodes: usize, virtual_secs: u64) -> ToyResult {
@@ -233,79 +190,6 @@ fn bench_chord(nodes: usize, warmup_secs: u64, virtual_secs: u64) -> ChordResult
         storage_ops: cluster.storage_ops(),
         sim_ops: cluster.sim_ops(),
         engine_ops: cluster.engine_stats(),
-    }
-}
-
-/// Steady-state Chord-ring throughput on the sharded simulator with
-/// `workers` threads, or on the sequential one for 0.
-fn bench_par(nodes: usize, workers: usize, warmup_secs: u64, virtual_secs: u64) -> ParResult {
-    let start = Instant::now();
-    let builder = ChordCluster::builder(nodes, 42);
-    let builder = match workers {
-        0 => builder,
-        w => builder.par_threads(w),
-    };
-    let mut cluster = builder.build_fast(warmup_secs);
-    let build_wall_secs = start.elapsed().as_secs_f64();
-    let ring_correctness = cluster.ring_correctness();
-    let before_events = cluster.sim.events_processed();
-    let rounds_before = match &cluster.sim {
-        p2_netsim::AnySimulator::Par(sim) => sim.sync_rounds(),
-        p2_netsim::AnySimulator::Seq(_) => 0,
-    };
-    let start = Instant::now();
-    cluster.run_for(virtual_secs as f64);
-    let wall = start.elapsed().as_secs_f64();
-    let events = cluster.sim.events_processed() - before_events;
-    let sync_rounds = match &cluster.sim {
-        p2_netsim::AnySimulator::Par(sim) => sim.sync_rounds() - rounds_before,
-        p2_netsim::AnySimulator::Seq(_) => 0,
-    };
-    ParResult {
-        nodes,
-        workers,
-        build_wall_secs,
-        ring_correctness,
-        virtual_secs,
-        events,
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall.max(1e-12),
-        speedup_vs_sequential: 0.0, // filled in by the caller
-        sync_rounds,
-    }
-}
-
-/// Runs the golden equivalence gate: the same staggered-bring-up ring on
-/// the sequential and the parallel engine must produce identical NetStats
-/// and event counts.
-fn golden_gate(nodes: usize, workers: usize, warmup_secs: u64) -> GoldenGate {
-    let run = |par: Option<usize>| {
-        let builder = ChordCluster::builder(nodes, 42);
-        let builder = match par {
-            None => builder,
-            Some(w) => builder.par_threads(w),
-        };
-        let mut cluster = builder.build(warmup_secs);
-        cluster.sim.reset_stats();
-        let before = cluster.sim.events_processed();
-        cluster.run_for(60.0);
-        let s = cluster.sim.stats();
-        GoldenPin {
-            messages_sent: s.messages_sent,
-            messages_delivered: s.messages_delivered,
-            messages_dropped: s.messages_dropped,
-            bytes_sent: s.bytes_sent,
-            events_processed: cluster.sim.events_processed() - before,
-        }
-    };
-    let sequential = run(None);
-    let parallel = run(Some(workers));
-    GoldenGate {
-        nodes,
-        workers,
-        sequential,
-        parallel,
-        matches: sequential == parallel,
     }
 }
 
@@ -618,70 +502,6 @@ fn expect_number(obj: &[(String, Json)], key: &str) -> Result<(), String> {
     }
 }
 
-fn run_par_mode(out_path: &str, smoke: bool, sizes: &[usize], workers: &[usize]) -> i32 {
-    let (warmup_secs, measure_secs) = if smoke { (60, 10) } else { (300, 30) };
-    let machine_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut scaling = Vec::new();
-    for &n in sizes {
-        let mut row: Vec<ParResult> = Vec::new();
-        // The sequential ring first: every speed-up is taken against it.
-        for w in std::iter::once(0).chain(workers.iter().copied()) {
-            match w {
-                0 => eprintln!("chord ring: {n} nodes, sequential simulator..."),
-                w => eprintln!("parsim chord ring: {n} nodes, {w} workers..."),
-            }
-            let mut r = bench_par(n, w, warmup_secs, measure_secs);
-            let base = row.first().map_or(r.events_per_sec, |s| s.events_per_sec);
-            r.speedup_vs_sequential = r.events_per_sec / base.max(1e-12);
-            eprintln!(
-                "  ring {:.2}, {} events in {:.3} s -> {:>10.0} events/s \
-                 ({:.2}x sequential, {} sync rounds)",
-                r.ring_correctness,
-                r.events,
-                r.wall_secs,
-                r.events_per_sec,
-                r.speedup_vs_sequential,
-                r.sync_rounds
-            );
-            row.push(r);
-        }
-        scaling.push(row);
-    }
-
-    let gate_nodes = if smoke { 16 } else { 64 };
-    eprintln!("golden gate: {gate_nodes}-node ring, sequential vs 2 workers...");
-    let gate = golden_gate(gate_nodes, 2, if smoke { 60 } else { 120 });
-    eprintln!(
-        "  sequential {:?} vs parallel {:?} -> {}",
-        gate.sequential,
-        gate.parallel,
-        if gate.matches { "MATCH" } else { "DIVERGED" }
-    );
-
-    let matches = gate.matches;
-    let report = ParReport {
-        bench: "parsim_scaling".to_string(),
-        machine_cores,
-        scaling,
-        golden_gate: gate,
-    };
-    let json = to_json(&report);
-    if let Err(e) = std::fs::write(out_path, &json) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return 2;
-    }
-    println!("{json}");
-    eprintln!("wrote {out_path}");
-    if !matches {
-        eprintln!("error: parallel golden run diverged from the sequential pin");
-        return 1;
-    }
-    0
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -692,12 +512,9 @@ fn main() {
     };
 
     let smoke = flag("--smoke");
-    let par = flag("--par");
     let obs = flag("--obs");
     let out_path = value("--out").unwrap_or_else(|| {
-        if par {
-            "BENCH_parsim.json".to_string()
-        } else if obs {
+        if obs {
             "BENCH_obs.json".to_string()
         } else {
             "BENCH_sim.json".to_string()
@@ -706,7 +523,6 @@ fn main() {
     let sizes: Vec<usize> = match value("--sizes") {
         Some(s) => s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
         None if smoke => vec![16],
-        None if par => vec![500, 2000],
         None => vec![100, 500, 2000],
     };
     // `build_fast` rings start converged; the warm-up only lets the
@@ -719,15 +535,6 @@ fn main() {
     if let Err(e) = std::fs::write(&out_path, "{}") {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(2);
-    }
-
-    if par {
-        let workers: Vec<usize> = match value("--workers") {
-            Some(s) => s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
-            None if smoke => vec![1, 2],
-            None => vec![1, 2, 4, 8],
-        };
-        std::process::exit(run_par_mode(&out_path, smoke, &sizes, &workers));
     }
 
     if obs {

@@ -6,7 +6,7 @@
 //! cascade — the tagged tuple's arrival at each node, the rule firings it
 //! feeds, and the network sends it causes — into per-node ring buffers. The
 //! drained trace is deterministic (sorted by virtual time, node, per-node
-//! sequence) and identical across the sequential and sharded simulators.
+//! sequence) and identical across runs.
 //!
 //! Usage: `cargo run --release --bin sim_trace [-- --nodes N] [--seed S]
 //! [--jsonl]`

@@ -298,18 +298,6 @@ pub struct PlannedProgram {
     obs: Arc<ObsMeta>,
 }
 
-// Compile-time audit: the shared plan is handed out as `&'static` from
-// per-process caches and read concurrently by every worker thread of the
-// parallel simulator while nodes are stamped out, so it must stay
-// `Send + Sync`; instantiated nodes must stay `Send` so they can live on
-// (and move between) worker shards.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    const fn assert_send<T: Send>() {}
-    assert_send_sync::<PlannedProgram>();
-    assert_send::<crate::P2Node>();
-};
-
 impl PlannedProgram {
     /// Runs the full §3.5 translation once, producing a shareable plan.
     pub fn compile(program: &Program, config: &PlanConfig) -> Result<PlannedProgram, PlanError> {

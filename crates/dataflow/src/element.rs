@@ -138,7 +138,7 @@ impl<'a> ElementCtx<'a> {
 /// Elements are single-threaded and processed to completion: `push` is called
 /// with one tuple at a time and must not block. All effects go through the
 /// [`ElementCtx`].
-pub trait Element: Send {
+pub trait Element {
     /// Short class name used in graph dumps and statistics
     /// (e.g. `"Join"`, `"Insert"`).
     fn class(&self) -> &'static str;

@@ -37,15 +37,15 @@
 //! # Level delays
 //!
 //! The FIFO work queue processes emissions in breadth-first level order,
-//! and the simulator's determinism contract (`p2_netsim::parsim`) keys
-//! packet ordering on the per-sender emission index — so the *relative
-//! order* of sends produced by different rule strands triggered by the
-//! same tuple is observable. A rule strand (`elements::FusedStrand`) runs
-//! its `k` steps — trigger checks, probes, anti-joins, assignments,
-//! conditions, an aggregation, the head — in one call at level 1. The
-//! golden event stream was pinned when each step was an element of its
-//! own and the head surfaced at level `k`; emitted at level 1, the strand's
-//! sends would move against longer or shorter sibling strands.
+//! and the simulator puts a node's sends on its access link in the order
+//! the node emits them — so the *relative order* of sends produced by
+//! different rule strands triggered by the same tuple is observable. A
+//! rule strand (`elements::FusedStrand`) runs its `k` steps — trigger
+//! checks, probes, anti-joins, assignments, conditions, an aggregation,
+//! the head — in one call at level 1. The golden event stream was pinned
+//! when each step was an element of its own and the head surfaced at
+//! level `k`; emitted at level 1, the strand's sends would move against
+//! longer or shorter sibling strands.
 //!
 //! An output slot may therefore carry a **level delay**
 //! ([`Graph::set_delay`], compiled into `slot_delay` beside the route
@@ -720,16 +720,6 @@ impl Engine {
         }
     }
 }
-
-// Compile-time audit: the engine (and therefore every element behind its
-// `Box<dyn Element>`s, via the `Element: Send` supertrait) must be `Send`
-// so whole nodes can be sharded across the parallel simulator's worker
-// threads. Any element gaining `Rc`/`RefCell`-style state breaks this
-// assertion instead of breaking multi-core runs at a distance.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Engine>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Whole-overlay cluster bring-up, workload generation and measurement.
 
 use p2_baseline::{BaselineChord, BaselineConfig};
-use p2_netsim::{AnySimulator, NetworkConfig, Simulator};
+use p2_netsim::{NetworkConfig, Simulator};
 use p2_overlays::{chord, P2Host};
 use p2_value::{SimTime, Tuple, TupleBuilder, Uint160, Value};
 use rand::rngs::SmallRng;
@@ -75,24 +75,16 @@ pub fn expected_owner(key: Uint160, nodes: &[String]) -> Option<String> {
     Some(ids[0].1.clone())
 }
 
-/// Configuration knobs for building a [`ChordCluster`]: the simulation
-/// engine (sequential or sharded multi-core) and the Chord program variant.
+/// Configuration for building a [`ChordCluster`]: the ring's size and seed
+/// and the Chord program variant.
 #[derive(Debug, Clone)]
 pub struct ChordClusterBuilder {
     n: usize,
     seed: u64,
-    par_threads: Option<usize>,
     opts: chord::ChordOpts,
 }
 
 impl ChordClusterBuilder {
-    /// Runs the cluster on the sharded [`p2_netsim::ParSimulator`] with
-    /// `workers` worker threads (default: the sequential engine).
-    pub fn par_threads(mut self, workers: usize) -> ChordClusterBuilder {
-        self.par_threads = Some(workers);
-        self
-    }
-
     /// Enables join-time successor-list seeding (the JS1 rule): joiners
     /// request their successor's successor list the moment the join lookup
     /// answers, instead of waiting for the first stabilization period. It
@@ -124,9 +116,7 @@ impl ChordClusterBuilder {
 /// Emulab-like topology.
 pub struct ChordCluster {
     /// The underlying simulator; exposed for stats access and advanced use.
-    /// Either the sequential engine or the sharded multi-core one,
-    /// depending on [`ChordClusterBuilder::par_threads`].
-    pub sim: AnySimulator<P2Host>,
+    pub sim: Simulator<P2Host>,
     addrs: Vec<String>,
     seed: u64,
     /// The program variant every node of this cluster runs (also the cache
@@ -142,23 +132,23 @@ pub struct ChordCluster {
     departed: Departed,
 }
 
-/// Storage, engine and evaluation-error counters folded in from nodes at
-/// the moment they went down.
-#[derive(Debug, Clone, Copy, Default)]
+/// Storage, engine, evaluation-error and profiler counters folded in from
+/// nodes at the moment they went down.
+#[derive(Debug, Clone, Default)]
 struct Departed {
     storage: p2_table::TableStats,
     engine: crate::metrics::EngineOps,
     eval_errors: u64,
+    obs: Vec<p2_obs::ElemCounters>,
 }
 
 impl ChordCluster {
-    /// Starts configuring a cluster of `n` nodes (sequential simulation,
-    /// base Chord program unless overridden).
+    /// Starts configuring a cluster of `n` nodes (base Chord program unless
+    /// overridden).
     pub fn builder(n: usize, seed: u64) -> ChordClusterBuilder {
         ChordClusterBuilder {
             n,
             seed,
-            par_threads: None,
             opts: chord::ChordOpts::default(),
         }
     }
@@ -174,13 +164,8 @@ impl ChordCluster {
     /// Plans `n` Chord nodes and adds them to a fresh simulator without
     /// starting any of them (shared prelude of the bring-up paths).
     fn new_unbooted(config: ChordClusterBuilder) -> ChordCluster {
-        let ChordClusterBuilder {
-            n,
-            seed,
-            par_threads,
-            opts,
-        } = config;
-        let mut sim = AnySimulator::build(NetworkConfig::emulab_default(seed), par_threads);
+        let ChordClusterBuilder { n, seed, opts } = config;
+        let mut sim = Simulator::new(NetworkConfig::emulab_default(seed));
         let addrs: Vec<String> = (0..n).map(node_addr).collect();
         for (i, addr) in addrs.iter().enumerate() {
             let landmark = if i == 0 {
@@ -516,7 +501,7 @@ impl ChordCluster {
 
     /// Crashes a node (fail-stop). Its counters stay in the cluster totals
     /// ([`ChordCluster::storage_ops`], [`ChordCluster::engine_stats`],
-    /// [`ChordCluster::eval_errors`]).
+    /// [`ChordCluster::eval_errors`], [`ChordCluster::obs_counters`]).
     pub fn crash(&mut self, addr: &str) {
         self.fold_departing(addr);
         self.sim.take_down(addr);
@@ -536,6 +521,9 @@ impl ChordCluster {
         self.departed.storage += node.catalog().stats_total();
         self.departed.engine.absorb(stats);
         self.departed.eval_errors += stats.eval_errors;
+        if let Some(obs) = node.obs() {
+            p2_obs::merge_counters(&mut self.departed.obs, obs.counters());
+        }
     }
 
     /// Replaces a crashed node with a fresh instance that rejoins through
@@ -642,6 +630,7 @@ impl ChordCluster {
                 host.node_mut().enable_obs(meta.clone());
             }
         }
+        self.departed.obs.clear();
         self.obs_enabled = true;
     }
 
@@ -674,7 +663,7 @@ impl ChordCluster {
 
     /// Drains every node's trace ring into one deterministically ordered
     /// event list (sorted by virtual time, then node address, then per-node
-    /// sequence number — all worker-count independent).
+    /// sequence number).
     pub fn drain_trace(&mut self) -> Vec<p2_obs::TraceEvent> {
         let mut events = Vec::new();
         let addrs = self.addrs.clone();
@@ -694,10 +683,10 @@ impl ChordCluster {
         p2_obs::trace_jsonl(&events)
     }
 
-    /// Per-element profiler counters merged over all up nodes (element
-    /// index = plan spec index, identical on every node).
+    /// Per-element profiler counters merged over all nodes, crashed ones
+    /// included (element index = plan spec index, identical on every node).
     pub fn obs_counters(&self) -> Vec<p2_obs::ElemCounters> {
-        let mut merged = Vec::new();
+        let mut merged = self.departed.obs.clone();
         for id in self.sim.up_ids() {
             if let Some(obs) = self.sim.node_by_id(id).node().obs() {
                 p2_obs::merge_counters(&mut merged, obs.counters());
@@ -957,9 +946,12 @@ mod tests {
     #[test]
     fn cluster_totals_survive_crash_and_rejoin() {
         let mut cluster = ChordCluster::build_fast(16, 30, 11);
+        cluster.enable_observability();
+        cluster.run_for(20.0);
         let totals = |c: &ChordCluster| {
             let s = c.storage_ops();
             let e = c.engine_stats();
+            let obs = c.obs_counters();
             [
                 s.primary_lookups,
                 s.indexed_lookups,
@@ -972,6 +964,9 @@ mod tests {
                 e.timers_fired,
                 e.sent,
                 c.eval_errors(),
+                obs.iter().map(|o| o.invocations).sum(),
+                obs.iter().map(|o| o.wasted_pokes).sum(),
+                c.obs_report().total_pokes,
             ]
         };
         let victim = node_addr(5);
@@ -992,6 +987,7 @@ mod tests {
         cluster.run_for(20.0);
         step(&mut cluster, "running with the new node");
         assert!(last[5] > 0, "no element calls counted");
+        assert!(last[11] > 0, "the profiler counted no invocations");
     }
 
     #[test]

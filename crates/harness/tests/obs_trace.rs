@@ -1,9 +1,8 @@
 //! Observability determinism gates: the rule-level profiler and the
 //! provenance trace must be pure observers. The JSONL trace and the merged
-//! profiler counters of a tagged lookup are bit-identical between the
-//! sequential simulator and the sharded one at every worker count, and the
-//! profile's wasted-poke audit must agree with the static analyzer's
-//! refresh-transparency classification.
+//! profiler counters of a tagged lookup are bit-identical across two runs
+//! in one process, and the profile's wasted-poke audit must agree with the
+//! static analyzer's refresh-transparency classification.
 
 use p2_harness::ChordCluster;
 use p2_obs::{ElemCounters, TraceKind};
@@ -11,13 +10,8 @@ use p2_value::Uint160;
 
 /// Builds a 16-node ring, profiles a settle window, then traces one tagged
 /// lookup; returns everything the observability layer produced.
-fn traced_run(workers: Option<usize>) -> (String, Vec<ElemCounters>, Option<String>) {
-    let builder = ChordCluster::builder(16, 23);
-    let builder = match workers {
-        None => builder,
-        Some(w) => builder.par_threads(w),
-    };
-    let mut cluster = builder.build_fast(120);
+fn traced_run() -> (String, Vec<ElemCounters>, Option<String>) {
+    let mut cluster = ChordCluster::build_fast(16, 120, 23);
     cluster.enable_observability();
     cluster.run_for(30.0);
     let key = Uint160::hash_of(b"traced determinism object");
@@ -29,9 +23,9 @@ fn traced_run(workers: Option<usize>) -> (String, Vec<ElemCounters>, Option<Stri
 }
 
 #[test]
-fn trace_and_profile_are_identical_across_worker_counts() {
-    let (jsonl, counters, owner) = traced_run(None);
-    assert!(owner.is_some(), "sequential traced lookup did not complete");
+fn trace_and_profile_are_identical_across_runs() {
+    let (jsonl, counters, owner) = traced_run();
+    assert!(owner.is_some(), "traced lookup did not complete");
     assert!(!jsonl.is_empty(), "tagged lookup left no trace");
     assert!(
         jsonl.lines().any(|l| l.contains("lookupResults")),
@@ -41,12 +35,12 @@ fn trace_and_profile_are_identical_across_worker_counts() {
         counters.iter().any(|c| c.invocations > 0),
         "profiler recorded no work"
     );
-    for w in [1, 2, 4] {
-        let (j, c, o) = traced_run(Some(w));
-        assert_eq!(o, owner, "{w}-worker lookup owner diverged");
-        assert_eq!(j, jsonl, "{w}-worker JSONL trace diverged");
-        assert_eq!(c, counters, "{w}-worker profiler counters diverged");
-    }
+    // A fresh run builds fresh hash tables: a trace or profile that leans
+    // on hash iteration order diverges here.
+    let (j, c, o) = traced_run();
+    assert_eq!(o, owner, "second run's lookup owner diverged");
+    assert_eq!(j, jsonl, "second run's JSONL trace diverged");
+    assert_eq!(c, counters, "second run's profiler counters diverged");
 }
 
 /// The wasted-poke audit. The engine runs every poke, so the PR 9 claim

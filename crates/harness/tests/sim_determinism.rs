@@ -32,14 +32,6 @@ fn ring_stats(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
     measure(&mut ChordCluster::build(n, warmup, seed))
 }
 
-fn ring_stats_par(n: usize, warmup: u64, seed: u64, workers: usize) -> (u64, u64, u64, u64, u64) {
-    measure(
-        &mut ChordCluster::builder(n, seed)
-            .par_threads(workers)
-            .build(warmup),
-    )
-}
-
 /// The golden NetStats + event-count pin for `build(100, 120, 42)`.
 ///
 /// Captured on the pre-refactor (PR 1) simulator and reproduced bit-for-bit
@@ -49,15 +41,6 @@ fn ring_stats_par(n: usize, warmup: u64, seed: u64, workers: usize) -> (u64, u64
 /// one strand). Update only for a
 /// deliberate semantic change, and update `docs/golden-pins.md` with it.
 const GOLDEN_100: (u64, u64, u64, u64, u64) = (29_634, 29_638, 0, 2_787_660, 31_838);
-
-/// The final ring state: every up node's best-successor pointer.
-fn ring_pointers(cluster: &ChordCluster) -> Vec<(String, Option<String>)> {
-    cluster
-        .sim
-        .up_addresses_iter()
-        .map(|a| (a.to_string(), cluster.best_successor(a)))
-        .collect()
-}
 
 #[test]
 fn hundred_node_ring_matches_golden_stats() {
@@ -147,113 +130,6 @@ fn golden_pin_holds_with_observability_enabled() {
     );
 }
 
-/// The parallel sharded simulator must reproduce the sequential golden run
-/// bit-for-bit: same NetStats, same events-processed pin, at a worker count
-/// that actually exercises cross-shard mailboxes and the conservative
-/// window protocol.
-#[test]
-fn parallel_run_matches_the_sequential_golden_pin() {
-    let p = ring_stats_par(100, 120, 42, 2);
-    eprintln!("100-node ring stats (2 workers): {p:?}");
-    assert_eq!(
-        p, GOLDEN_100,
-        "2-worker run diverged from the sequential golden pin"
-    );
-}
-
-/// Sharding the ring across 1/2/4 workers must leave the pin — and the
-/// total number of element calls, which counts every poke and no level
-/// delay — bit-identical to the sequential run.
-#[test]
-fn scheduled_pin_is_worker_invariant() {
-    let run = |workers: Option<usize>| {
-        let builder = ChordCluster::builder(100, 42);
-        let builder = match workers {
-            None => builder,
-            Some(w) => builder.par_threads(w),
-        };
-        let mut cluster = builder.build(120);
-        cluster.sim.reset_stats();
-        let events_before = cluster.sim.events_processed();
-        cluster.run_for(60.0);
-        let s = cluster.sim.stats();
-        let engine = cluster.engine_stats();
-        (
-            (
-                s.messages_sent,
-                s.messages_delivered,
-                s.messages_dropped,
-                s.bytes_sent,
-                cluster.sim.events_processed() - events_before,
-            ),
-            engine.handoffs,
-        )
-    };
-    let (pin, handoffs) = run(None);
-    assert_eq!(pin, GOLDEN_100, "sequential pin diverged");
-    assert!(handoffs > 0, "no element calls over the golden window");
-    for workers in [1, 2, 4] {
-        assert_eq!(
-            run(Some(workers)),
-            (pin, handoffs),
-            "{workers}-worker run diverged from the sequential pin"
-        );
-    }
-}
-
-/// Parallel-vs-sequential equivalence on a small `build_fast` ring:
-/// every worker count yields the sequential run's NetStats, event counters,
-/// and final successor pointers (the ring state itself, not just traffic
-/// totals).
-#[test]
-fn worker_counts_agree_on_ring_state_and_stats() {
-    let build = |workers: Option<usize>| {
-        let builder = ChordCluster::builder(16, 23);
-        let builder = match workers {
-            None => builder,
-            Some(w) => builder.par_threads(w),
-        };
-        let mut cluster = builder.build_fast(120);
-        cluster.run_for(60.0);
-        cluster.sim.check_consistency();
-        let rounds = match &cluster.sim {
-            p2_netsim::AnySimulator::Par(sim) => sim.sync_rounds(),
-            p2_netsim::AnySimulator::Seq(_) => 0,
-        };
-        (
-            (
-                cluster.sim.stats().messages_sent,
-                cluster.sim.stats().bytes_sent,
-                cluster.sim.events_processed(),
-                cluster.sim.wakeups_processed(),
-                ring_pointers(&cluster),
-            ),
-            rounds,
-        )
-    };
-    let (golden, _) = build(None);
-    assert!(
-        golden.4.iter().all(|(_, succ)| succ.is_some()),
-        "sequential ring did not form"
-    );
-    let mut round_counts = Vec::new();
-    for workers in [1, 3, 4] {
-        let (got, rounds) = build(Some(workers));
-        assert_eq!(
-            got, golden,
-            "{workers}-worker Chord run diverged from the sequential engine"
-        );
-        round_counts.push(rounds);
-    }
-    // The synchronization-round structure itself is sharding-invariant: a
-    // divergence here is the earliest canary for event-timeline drift (it
-    // is exactly how the HashSet-ordered secondary index bug was caught).
-    assert!(
-        round_counts.windows(2).all(|w| w[0] == w[1]),
-        "sync round counts differ across worker counts: {round_counts:?}"
-    );
-}
-
 /// The full per-node routing state of every up node: successor lists,
 /// finger tables, predecessors and best-successor pointers, as sorted
 /// display rows. Two runs with equal digests hold bit-identical ring state.
@@ -269,6 +145,31 @@ fn routing_state(cluster: &ChordCluster) -> Vec<(String, Vec<Vec<String>>)> {
             (a.to_string(), tables)
         })
         .collect()
+}
+
+/// Two runs in one process must agree on the pin, on the total number of
+/// element calls (every poke, no level delay) and on the final routing
+/// state. Each run builds fresh hash tables with fresh `RandomState`s, so
+/// this catches any event order that leans on hash iteration order.
+#[test]
+fn golden_pin_is_reproducible_in_process() {
+    let run = || {
+        let mut cluster = ChordCluster::build(100, 120, 42);
+        let pin = measure(&mut cluster);
+        (
+            pin,
+            cluster.engine_stats().handoffs,
+            routing_state(&cluster),
+        )
+    };
+    let (pin, handoffs, state) = run();
+    assert_eq!(pin, GOLDEN_100, "sequential pin diverged");
+    assert!(handoffs > 0, "no element calls over the golden window");
+    assert_eq!(
+        run(),
+        (pin, handoffs, state),
+        "second run in the same process diverged"
+    );
 }
 
 /// Deterministic lookup workload: each key from a fixed origin, checked

@@ -33,7 +33,7 @@ impl Envelope {
 /// Both the declarative P2 nodes and the hand-coded baseline implement this
 /// trait; the simulator drives them identically, which keeps the comparison
 /// experiments fair.
-pub trait Host: Send {
+pub trait Host {
     /// Boots the node at virtual time `now`.
     fn start(&mut self, now: SimTime) -> Vec<Envelope>;
 

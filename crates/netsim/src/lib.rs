@@ -23,40 +23,9 @@
 //! latencies come from a precomputed domain×domain matrix, and node wakeups
 //! live in a tombstone-free timer index separate from the delivery heap.
 //! String addresses appear only at the public API boundary.
-//!
-//! # Parallel sharded simulation
-//!
-//! [`ParSimulator`] runs the same simulation on a fixed pool of worker
-//! threads by sharding nodes on `NodeId` and synchronizing with
-//! **conservative time windows**:
-//!
-//! * **Lookahead / horizon protocol.** The lookahead `W` is the topology's
-//!   minimum distinct-node link latency ([`Topology::min_latency`]); no
-//!   packet between distinct nodes can arrive sooner than `W` after it was
-//!   sent. Each round, the shards agree on the global earliest pending
-//!   event time `T0` and then independently execute all of their own
-//!   deliveries and wakeups in `[T0, T0 + W)`. Packets that cross shards
-//!   are staged in per-(source, destination) mailboxes and merged into the
-//!   destination shard's queue at the round barrier — by construction they
-//!   arrive at or after the horizon, so no shard ever receives an event in
-//!   its past.
-//! * **Determinism contract.** Deliveries are ordered everywhere by a
-//!   sharding-invariant key assigned at *send* time — `(arrival time, send
-//!   time, sender, per-sender emission index)` — never by arrival or
-//!   mailbox order, and packet loss is decided by hashing `(seed, sender,
-//!   emission index)` rather than by consuming a global RNG stream. A
-//!   parallel run is therefore bit-for-bit reproducible at every worker
-//!   count, and reproduces the sequential [`Simulator`]'s `NetStats` and
-//!   events-processed counters on the pinned golden workloads (see the
-//!   determinism suites under `crates/netsim/tests` and
-//!   `crates/harness/tests`).
-//!
-//! [`AnySimulator`] wraps both engines behind one front-end so harnesses
-//! can switch with a runtime knob.
 
 pub mod host;
 pub mod id;
-pub mod parsim;
 pub mod sim;
 pub mod stats;
 mod timer;
@@ -64,7 +33,6 @@ pub mod topology;
 
 pub use host::{Envelope, Host};
 pub use id::{AddrInterner, NodeId};
-pub use parsim::{AnySimulator, ParSimulator};
 pub use sim::{NetworkConfig, Simulator};
 pub use stats::NetStats;
 pub use topology::Topology;

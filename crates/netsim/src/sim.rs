@@ -51,10 +51,7 @@ struct Slot<H> {
     started: bool,
     link_busy_until: SimTime,
     /// Number of envelopes this node has ever handed to the network. Doubles
-    /// as the per-sender emission index: loss decisions are a pure hash of
-    /// `(seed, sender, emission index)`, so a sharded simulation makes the
-    /// *same* decisions as this sequential one regardless of how node
-    /// processing interleaves (see [`loss_roll`]).
+    /// as the per-sender emission index that [`loss_roll`] hashes.
     sends: u64,
 }
 
@@ -63,10 +60,9 @@ struct Slot<H> {
 /// A splitmix64-style hash of `(seed, sender, emission index)` rather than a
 /// draw from one global RNG stream: the value a packet rolls depends only on
 /// who sent it and how many packets that sender emitted before it, never on
-/// how sends from different nodes interleave. This is what lets
-/// [`ParSimulator`](crate::ParSimulator) shard nodes across worker threads
-/// and still drop exactly the packets the sequential simulator drops.
-pub(crate) fn loss_roll(seed: u64, src: NodeId, emission: u64) -> f64 {
+/// how sends from different nodes interleave. A node's drops therefore do
+/// not shift when other nodes' traffic changes.
+fn loss_roll(seed: u64, src: NodeId, emission: u64) -> f64 {
     let mut x = seed
         ^ (src.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ emission.wrapping_mul(0xD1B5_4A32_D192_ED03);
@@ -80,7 +76,7 @@ pub(crate) fn loss_roll(seed: u64, src: NodeId, emission: u64) -> f64 {
 
 /// Normalizes a user-provided seed (0 is reserved as "unset" by xorshift-era
 /// callers; keep the historical substitute so fixed-seed runs stay stable).
-pub(crate) fn normalize_seed(seed: u64) -> u64 {
+fn normalize_seed(seed: u64) -> u64 {
     if seed == 0 {
         0xDEAD_BEEF
     } else {
@@ -498,13 +494,6 @@ impl<H: Host> Simulator<H> {
     /// Queues envelopes produced by `src` as network transmissions. The
     /// destination address is resolved to a [`NodeId`] here, once per packet;
     /// nothing past this point touches strings.
-    ///
-    /// LOCKSTEP CONTRACT: the parallel simulator's `route_packet`
-    /// (`parsim.rs`) re-implements this sender-side path for sharded state
-    /// and must make byte-identical decisions (accounting order, loss roll,
-    /// serialization and latency arithmetic, unresolved-destination
-    /// fallback). Mirror any change there; the golden suite and the CI
-    /// `sim_bench --par` gate enforce the equivalence.
     fn dispatch(&mut self, src: NodeId, envelopes: Vec<Envelope>) {
         for env in envelopes {
             let payload = wire::encoded_size(&env.tuple) + wire::UDP_IP_HEADER;

@@ -54,24 +54,6 @@ impl NetStats {
         self.messages_dropped += 1;
     }
 
-    /// Adds every counter of `other` into `self`.
-    ///
-    /// Counter addition commutes, so merging per-shard statistics in any
-    /// order yields the same totals the sequential simulator would have
-    /// recorded; the parallel simulator merges in shard order anyway.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.messages_sent += other.messages_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.messages_dropped += other.messages_dropped;
-        self.bytes_sent += other.bytes_sent;
-        for (name, bytes) in &other.bytes_by_name {
-            bump(&mut self.bytes_by_name, name, *bytes);
-        }
-        for (src, bytes) in &other.bytes_by_source {
-            bump(&mut self.bytes_by_source, src, *bytes);
-        }
-    }
-
     /// Total bytes across tuple names for which `classify` returns true.
     pub fn bytes_where(&self, classify: impl Fn(&str) -> bool) -> u64 {
         self.bytes_by_name

@@ -126,21 +126,6 @@ impl Topology {
         self.domain_latency(da, db)
     }
 
-    /// The smallest one-way latency between two *distinct* nodes anywhere in
-    /// the topology (the minimum over the whole domain×domain matrix).
-    ///
-    /// This is the conservative lookahead bound used by the parallel
-    /// simulator: a packet sent at time `t` between distinct nodes can never
-    /// arrive before `t + min_latency()`, so shards may process a window of
-    /// that width independently before exchanging cross-shard traffic.
-    pub fn min_latency(&self) -> SimTime {
-        self.latency_matrix
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Transmission (serialization) delay of a packet of `bytes` bytes on a
     /// stub node's access link.
     pub fn access_tx_delay(&self, bytes: usize) -> SimTime {

@@ -32,7 +32,7 @@
 //!   lookups already thread a globally unique event id from `lookup` to
 //!   `lookupResults` — including across the network, because the id rides
 //!   *inside* the tuple — so tagging needs no envelope or simulator
-//!   changes and is deterministic under any `ParSimulator` worker count.
+//!   changes and is as deterministic as the simulation it observes.
 //!   Tagged derivations are recorded into a bounded per-node ring buffer
 //!   ([`TraceRing`]) as [`TraceEvent`]s: tuple received at the node entry,
 //!   rule fired (element invocation consuming a tagged tuple), tagged

@@ -35,15 +35,6 @@ fn convert(out: Vec<Outgoing>) -> Vec<Envelope> {
         .collect()
 }
 
-// Compile-time audit: `Host: Send` already forces this, but assert it
-// directly so a non-`Send` addition to the node stack (an `Rc`, a raw
-// pointer, a thread-local handle) is reported here, at the simulator
-// boundary it would break, rather than via a distant trait-bound error.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<P2Host>();
-};
-
 impl Host for P2Host {
     fn start(&mut self, now: SimTime) -> Vec<Envelope> {
         convert(self.node.start(now))

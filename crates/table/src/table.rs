@@ -47,8 +47,8 @@
 //!
 //! Buckets live in a `BTreeMap` keyed by a fixed-key hash and hold
 //! ascending `RowId` sets, so [`Table::groups`] yields the same groups in
-//! the same order in every process and under every simulator worker count
-//! (a `HashMap`'s order is process-random). A fold over groups that breaks
+//! the same order in every process and in every run (a `HashMap`'s order
+//! is process-random). A fold over groups that breaks
 //! ties towards the lowest `RowId` — as the strand aggregation does — is
 //! moreover free of even that order: it picks what a scan in `RowId` order
 //! would.
@@ -190,8 +190,8 @@ type PrimaryBucket = Vec<u32>;
 /// matches in ascending `RowId` order. `HashSet` iteration order depends on
 /// the process-random hasher state, which made the *emission order* of
 /// multi-row joins (e.g. Chord's per-successor ping fan-out) differ from
-/// run to run — invisible in aggregate statistics, but a violation of the
-/// simulator's determinism contract (`p2_netsim::parsim`).
+/// run to run — invisible in aggregate statistics, but it moved the golden
+/// event stream, which pins every send in order.
 type SecondaryIndex = HashMap<u64, BTreeSet<u32>>;
 
 /// One group index: the rows bucketed by the hash of their projection onto

@@ -18,7 +18,7 @@
 pub mod prelude {
     pub use p2_core::{NodeConfig, P2Node};
     pub use p2_harness::{BaselineCluster, ChordCluster, ChordClusterBuilder};
-    pub use p2_netsim::{AnySimulator, NetworkConfig, ParSimulator, Simulator};
+    pub use p2_netsim::{NetworkConfig, Simulator};
     pub use p2_overlays::{chord, gossip, monitor, narada, P2Host};
     pub use p2_overlog::compile_checked;
     pub use p2_value::{SimTime, Tuple, TupleBuilder, Uint160, Value};
