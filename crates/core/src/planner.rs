@@ -58,26 +58,34 @@
 //!
 //! * [`PlannedProgram::compile`] runs the whole §3.5 translation **once per
 //!   program**: rule analysis, variable layout, PEL compilation, element
-//!   naming and edge wiring. The result is immutable and node-independent —
-//!   element *specs* instead of element instances, table specs instead of
-//!   tables, and a prebuilt shared demux classifier map.
-//! * [`PlannedProgram::instantiate`] stamps out one node's engine from the
-//!   shared plan: fresh tables, fresh (stateful) elements parameterized by
-//!   the shared compiled artifacts (PEL byte-code is `Arc`-shared, the demux
-//!   map is one allocation program-wide), and the precompiled edge list.
+//!   naming and edge wiring. It compiles everything that does not depend on
+//!   the node into shared, immutable form: the engine's routing table
+//!   (element names, adjacency, level delays; `p2_dataflow::Routing`), one
+//!   [`StrandBody`] per rule strand (trigger checks, ops with their probe
+//!   keys and aggregation, head programs, each table named by slot), the
+//!   demux classifier map and the profiler's element metadata. Tables stay
+//!   declarations with their indices.
+//! * [`PlannedProgram::instantiate`] stamps out one node from the plan. It
+//!   declares the node's tables, builds each element's per-node state —
+//!   a strand binds the shared body to the node's tables in its slots
+//!   ([`FusedStrand::bind`]) — and hands the elements to
+//!   `Engine::with_routing` with the shared routing table. It builds no
+//!   graph and compiles no routing.
 //!
-//! A thousand-node simulation therefore pays the expensive translation once
-//! instead of a thousand times, and the per-node resident footprint shrinks
-//! to the genuinely per-node state (tables, element scratch, engine queue).
+//! A node therefore holds only the genuinely per-node state: its tables,
+//! element state (strand scratch, periodic phases, materialized-aggregate
+//! results, collector buffers), its engine's queue, timers, RNG and
+//! counters. A thousand-node simulation pays the translation once instead
+//! of a thousand times.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use p2_dataflow::elements::{
     AggOp, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert, NetOut, Periodic,
-    StrandOp, TableAgg,
+    StrandBody, StrandOp, TableAgg,
 };
-use p2_dataflow::{Element, Engine, Graph, Route};
+use p2_dataflow::{Element, Engine, Route, Routing};
 use p2_obs::{ElemKind, ElemMeta, ObsMeta, RuleClassBits};
 use p2_overlog::{
     analyze, AggSpec, BodyTerm, Expr as OExpr, HeadArg, Predicate, Program, Rule, RuleClass,
@@ -154,8 +162,12 @@ enum ElementSpec {
     },
     /// A rule strand: trigger checks, probes, anti-joins, assignments,
     /// conditions, an aggregation and the head projection in one element
-    /// (see `p2_dataflow::elements::FusedStrand`).
-    Strand(StrandSpec),
+    /// (see `p2_dataflow::elements::FusedStrand`). Every node binds the
+    /// shared `body`; `tables[i]` is the plan table filling slot `i`.
+    Strand {
+        body: Arc<StrandBody>,
+        tables: Box<[usize]>,
+    },
     /// `periodic` timer source.
     Periodic {
         period: f64,
@@ -177,7 +189,7 @@ impl ElementSpec {
             ElementSpec::Insert { .. } => ElemKind::Insert,
             ElementSpec::Delete { .. } => ElemKind::Delete,
             ElementSpec::TableAgg { .. } => ElemKind::TableAgg,
-            ElementSpec::Strand(_) => ElemKind::Strand,
+            ElementSpec::Strand { .. } => ElemKind::Strand,
             ElementSpec::Periodic { .. } => ElemKind::Periodic,
             ElementSpec::NetOut { .. } => ElemKind::NetOut,
             ElementSpec::Collector { .. } => ElemKind::Collector,
@@ -196,12 +208,12 @@ fn class_bits(c: RuleClass) -> RuleClassBits {
     }
 }
 
-/// A planned rule strand.
+/// A rule strand under analysis; its ops name tables by plan table id.
 #[derive(Default)]
 struct StrandSpec {
     /// Checks on the bare trigger tuple: the filters before the first op.
     pre_filters: Vec<PelProgram>,
-    ops: Vec<StrandOpSpec>,
+    ops: Vec<StrandOp<usize>>,
     head_fields: Vec<PelProgram>,
     out_name: Arc<str>,
 }
@@ -212,7 +224,7 @@ impl StrandSpec {
         if self.ops.is_empty() {
             self.pre_filters.push(filter);
         } else {
-            self.ops.push(StrandOpSpec::Filter(filter));
+            self.ops.push(StrandOp::Filter(filter));
         }
     }
 
@@ -221,34 +233,6 @@ impl StrandSpec {
     fn levels(&self) -> u32 {
         (self.pre_filters.len() + self.ops.len()) as u32
     }
-}
-
-/// One operation of a planned strand, in rule-body order.
-enum StrandOpSpec {
-    Filter(PelProgram),
-    Probe {
-        table: usize,
-        key: Vec<(usize, usize)>,
-    },
-    AntiJoin {
-        table: usize,
-        key: Vec<(usize, usize)>,
-    },
-    Assign(PelProgram),
-    /// Aggregation over `table`: candidates are the rows equal to the
-    /// strand on the `(strand field, table column)` pairs of `key` (the
-    /// whole table when empty), `filter` is the residue. A keyless fold
-    /// that may go by group reads the table through the group index over
-    /// `group_cols`.
-    Agg {
-        table: usize,
-        table_arity: usize,
-        func: AggFunc,
-        key: Vec<(usize, usize)>,
-        group_cols: Option<Vec<usize>>,
-        filter: Option<PelProgram>,
-        agg_expr: PelProgram,
-    },
 }
 
 /// One field of a program fact, resolved at compile time.
@@ -275,15 +259,14 @@ struct TablePlan {
 }
 
 /// An immutable, node-independent compilation of an OverLog program: the
-/// element graph as *specs*, the edge list, table declarations, and the
-/// program facts. Build once with [`PlannedProgram::compile`], then stamp
-/// out per-node engines with [`PlannedProgram::instantiate`].
+/// element graph as *specs* (strands as shared bodies), the compiled
+/// routing table, table declarations, and the program facts. Build once
+/// with [`PlannedProgram::compile`], then stamp out per-node engines with
+/// [`PlannedProgram::instantiate`].
 pub struct PlannedProgram {
     specs: Vec<ElementSpec>,
-    names: Vec<Arc<str>>,
-    edges: Vec<(usize, usize, Route)>,
-    /// `(element, output port, levels)` level delays (see the module docs).
-    delays: Vec<(usize, usize, u32)>,
+    /// Element names, adjacency and level delays, shared by every engine.
+    routing: Arc<Routing>,
     entry: Route,
     demux_map: Arc<HashMap<Arc<str>, usize>>,
     demux_default: usize,
@@ -311,22 +294,25 @@ impl PlannedProgram {
 
     /// Number of edges in the planned graph.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.routing.route_count()
+    }
+
+    /// The compiled routing table every engine instantiated from this plan
+    /// shares.
+    pub fn routing(&self) -> &Arc<Routing> {
+        &self.routing
     }
 
     /// The strands whose aggregation reads its table through a group
     /// index, as `(element label, indexed table columns)` in rule order.
     pub fn group_probes(&self) -> Vec<(&str, &[usize])> {
-        let labelled = self.names.iter().zip(&self.specs);
+        let labelled = self.specs.iter().enumerate();
         labelled
-            .filter_map(|(name, spec)| match spec {
-                ElementSpec::Strand(strand) => match strand.ops.last() {
-                    Some(StrandOpSpec::Agg {
-                        group_cols: Some(cols),
-                        ..
-                    }) => Some((&**name, cols.as_slice())),
-                    _ => None,
-                },
+            .filter_map(|(i, spec)| match spec {
+                ElementSpec::Strand { body, .. } => {
+                    let cols = body.agg()?.group_index()?;
+                    Some((&**self.routing.name(i), cols))
+                }
                 _ => None,
             })
             .collect()
@@ -364,8 +350,9 @@ impl PlannedProgram {
 
     /// Stamps out one node's engine, catalog, and collectors from the shared
     /// plan. Cheap relative to [`PlannedProgram::compile`]: no rule
-    /// analysis, no PEL compilation, no string formatting — just element
-    /// construction over `Arc`-shared artifacts.
+    /// analysis, no PEL compilation, no routing — the node gets fresh tables
+    /// and element state, bound to the plan's shared strand bodies and
+    /// routing table.
     pub fn instantiate(&self, local_addr: impl Into<Arc<str>>, seed: u64) -> Planned {
         let mut catalog = Catalog::new();
         let mut refs = Vec::with_capacity(self.tables.len());
@@ -383,44 +370,10 @@ impl PlannedProgram {
             refs.push(table);
         }
 
-        let lower_op = |op: &StrandOpSpec| match op {
-            StrandOpSpec::Filter(p) => StrandOp::Filter(p.clone()),
-            StrandOpSpec::Probe { table, key } => {
-                FusedStrand::probe_op(refs[*table].clone(), key.clone())
-            }
-            StrandOpSpec::AntiJoin { table, key } => {
-                FusedStrand::anti_op(refs[*table].clone(), key.clone())
-            }
-            StrandOpSpec::Assign(p) => StrandOp::Assign(p.clone()),
-            StrandOpSpec::Agg {
-                table,
-                table_arity,
-                func,
-                key,
-                group_cols,
-                filter,
-                agg_expr,
-            } => {
-                let agg = AggOp::new(
-                    refs[*table].clone(),
-                    *table_arity,
-                    *func,
-                    filter.clone(),
-                    agg_expr.clone(),
-                )
-                .with_key(key.clone());
-                match group_cols {
-                    Some(cols) => agg.with_group_index(cols.clone()),
-                    None => agg,
-                }
-                .into()
-            }
-        };
-
         let mut collectors = HashMap::new();
-        let mut graph = Graph::new();
-        for (spec, name) in self.specs.iter().zip(&self.names) {
-            let element: Box<dyn Element> = match spec {
+        let mut elements: Vec<Box<dyn Element>> = Vec::with_capacity(self.specs.len());
+        for spec in &self.specs {
+            elements.push(match spec {
                 ElementSpec::Demux => Box::new(Demux::from_shared(
                     self.demux_map.clone(),
                     self.demux_default,
@@ -440,11 +393,9 @@ impl PlannedProgram {
                     group_cols.clone(),
                     out_name.clone(),
                 )),
-                ElementSpec::Strand(strand) => Box::new(FusedStrand::new(
-                    strand.pre_filters.clone(),
-                    strand.ops.iter().map(lower_op).collect(),
-                    strand.head_fields.clone(),
-                    strand.out_name.clone(),
+                ElementSpec::Strand { body, tables } => Box::new(FusedStrand::bind(
+                    body.clone(),
+                    tables.iter().map(|&t| refs[t].clone()).collect(),
                 )),
                 ElementSpec::Periodic {
                     period,
@@ -466,17 +417,10 @@ impl PlannedProgram {
                     collectors.insert(watch.clone(), handle);
                     Box::new(collector)
                 }
-            };
-            graph.add(name.clone(), element);
-        }
-        for &(from, out_port, route) in &self.edges {
-            graph.connect(from, out_port, route.element, route.port);
-        }
-        for &(from, out_port, levels) in &self.delays {
-            graph.set_delay(from, out_port, levels);
+            });
         }
 
-        let mut engine = Engine::new(graph, local_addr, seed);
+        let mut engine = Engine::with_routing(self.routing.clone(), elements, local_addr, seed);
         engine.set_entry(self.entry);
         Planned {
             engine,
@@ -809,11 +753,10 @@ impl<'a> Builder<'a> {
                 })
                 .collect(),
         });
+        let routing = Routing::compile(self.names, &self.edges, &self.delays);
         Ok(PlannedProgram {
             specs: self.specs,
-            names: self.names,
-            edges: self.edges,
-            delays: self.delays,
+            routing: Arc::new(routing),
             entry,
             demux_map,
             demux_default,
@@ -900,10 +843,22 @@ impl<'a> Builder<'a> {
     }
 
     /// Adds `strand` as the rule's element `{rule}:strand`, its output slot
-    /// delayed by the strand's level count.
+    /// delayed by the strand's level count; its body is compiled here, once
+    /// for every node.
     fn add_strand(&mut self, rule: &Rule, strand: StrandSpec) -> usize {
         let levels = strand.levels();
-        let id = self.add(format!("{}:strand", rule.id), ElementSpec::Strand(strand));
+        let StrandSpec {
+            pre_filters,
+            ops,
+            head_fields,
+            out_name,
+        } = strand;
+        let (body, tables) = StrandBody::new(pre_filters, ops, head_fields, out_name, usize::eq);
+        let spec = ElementSpec::Strand {
+            body,
+            tables: tables.into(),
+        };
+        let id = self.add(format!("{}:strand", rule.id), spec);
         if levels > 0 {
             self.delays.push((id, 0, levels));
         }
@@ -1007,10 +962,8 @@ impl<'a> Builder<'a> {
                 .map_err(|e| PlanError::in_rule(&rule.id, e.message))?;
             let table = self.table_id(rule, &pred.name)?;
             self.declare_probe_index(table, &binding.join_keys);
-            strand.ops.push(StrandOpSpec::Probe {
-                table,
-                key: binding.join_keys.clone(),
-            });
+            let key = binding.join_keys.clone();
+            strand.ops.push(FusedStrand::probe_op(table, key));
 
             let mut checks: Vec<PExpr> = Vec::new();
             for (col, value) in &binding.const_checks {
@@ -1048,10 +1001,9 @@ impl<'a> Builder<'a> {
             }
             let table = self.table_id(rule, &pred.name)?;
             self.declare_probe_index(table, &binding.join_keys);
-            strand.ops.push(StrandOpSpec::AntiJoin {
-                table,
-                key: binding.join_keys,
-            });
+            strand
+                .ops
+                .push(FusedStrand::anti_op(table, binding.join_keys));
         }
 
         // --- Assignments (dependency order), excluding the aggregate
@@ -1078,7 +1030,7 @@ impl<'a> Builder<'a> {
                 match layout.compile_expr(expr) {
                     Ok(compiled) => {
                         let expr = PelProgram::compile(&compiled);
-                        strand.ops.push(StrandOpSpec::Assign(expr));
+                        strand.ops.push(StrandOp::Assign(expr));
                         layout.push_var(var.clone());
                         progress = true;
                     }
@@ -1218,15 +1170,14 @@ impl<'a> Builder<'a> {
             } else {
                 None
             };
-            strand.ops.push(StrandOpSpec::Agg {
-                table,
-                table_arity: pred.args.len(),
-                func,
-                key,
-                group_cols,
-                filter,
-                agg_expr,
-            });
+            let agg = AggOp::new(table, pred.args.len(), func, filter, agg_expr).with_key(key);
+            strand.ops.push(
+                match group_cols {
+                    Some(cols) => agg.with_group_index(cols),
+                    None => agg,
+                }
+                .into(),
+            );
             layout = agg_layout;
             agg_field = Some(layout.push_anonymous());
         }
@@ -1582,6 +1533,14 @@ mod tests {
         Ok(shared.instantiate("n1", 7))
     }
 
+    /// The index of the element labelled `name`.
+    fn element_at(plan: &PlannedProgram, name: &str) -> usize {
+        let routing = plan.routing();
+        (0..routing.len())
+            .find(|&i| &**routing.name(i) == name)
+            .unwrap_or_else(|| panic!("no element {name}"))
+    }
+
     #[test]
     fn plans_a_minimal_ping_program() {
         let src = r#"
@@ -1620,9 +1579,16 @@ mod tests {
             &PlanConfig::new().without_jitter(),
         )
         .unwrap();
-        let at = |name: &str| shared.names.iter().position(|n| &**n == name).unwrap();
-        let (r2, p0) = (at("R2:strand"), at("P0:strand"));
-        assert_eq!(shared.delays, [(r2, 0, 2), (p0, 0, 1)]);
+        let (r2, p0) = (
+            element_at(&shared, "R2:strand"),
+            element_at(&shared, "P0:strand"),
+        );
+        let routing = shared.routing();
+        let delayed: Vec<(usize, u32)> = (0..routing.len())
+            .map(|e| (e, routing.delay_of(e, 0)))
+            .filter(|&(_, levels)| levels > 0)
+            .collect();
+        assert_eq!(delayed, [(r2, 2), (p0, 1)]);
         assert_eq!(planned.engine.delay_of(r2, 0), 2);
         // S1 is a materialized aggregate feeding an op-less head strand.
         assert!(desc.contains("S1:tableagg:member"));
@@ -1854,15 +1820,12 @@ mod tests {
         let program = compile_checked(src).unwrap();
         let shared =
             PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
-        let key_of = |name: &str| {
-            let at = shared.names.iter().position(|n| &**n == name).unwrap();
-            match &shared.specs[at] {
-                ElementSpec::Strand(StrandSpec { ops, .. }) => match ops.last() {
-                    Some(StrandOpSpec::Agg { key, .. }) => key.clone(),
-                    _ => panic!("{name} does not aggregate"),
-                },
-                _ => panic!("{name} is not a strand"),
-            }
+        let key_of = |name: &str| match &shared.specs[element_at(&shared, name)] {
+            ElementSpec::Strand { body, .. } => match body.agg() {
+                Some(agg) => agg.key().pairs().to_vec(),
+                None => panic!("{name} does not aggregate"),
+            },
+            _ => panic!("{name} is not a strand"),
         };
         assert_eq!(key_of("R5:strand"), vec![(3, 1)]);
         assert_eq!(key_of("L2:strand"), vec![]);
@@ -1948,6 +1911,74 @@ mod tests {
             ),
             "nodes must not share table storage"
         );
+    }
+
+    /// Nodes instantiated from one plan share its routing table and every
+    /// strand body, and bind those bodies to tables of their own: a row one
+    /// node stores is never seen by another node's probe.
+    #[test]
+    fn nodes_from_one_plan_share_routing_and_strand_bodies() {
+        let src = r#"
+            materialize(succ, infinity, 16, keys(2)).
+            R1 found@S(S, X) :- ev@X(X), succ@X(X, S).
+            R2 hop@T(T, X) :- ev@X(X), succ@X(X, S), succ@X(X, T), S != T.
+            S1 succCount@X(X, count<*>) :- succ@X(X, S).
+        "#;
+        let program = compile_checked(src).unwrap();
+        let plan = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
+        let mut a = plan.instantiate("na", 1);
+        let mut b = plan.instantiate("nb", 2);
+        assert!(Arc::ptr_eq(a.engine.routing(), plan.routing()));
+        assert!(Arc::ptr_eq(a.engine.routing(), b.engine.routing()));
+        assert_eq!(a.engine.describe(), b.engine.describe());
+
+        let strand = |planned: &Planned, i: usize| {
+            let element: &dyn std::any::Any = planned.engine.element(i);
+            element.downcast_ref::<FusedStrand>().map(|s| {
+                let tables: Vec<p2_table::TableRef> = s.tables().to_vec();
+                (s.body().clone(), tables)
+            })
+        };
+        let mut strands = 0;
+        for i in 0..a.engine.len() {
+            let (Some((body_a, tables_a)), Some((body_b, tables_b))) =
+                (strand(&a, i), strand(&b, i))
+            else {
+                assert!(strand(&b, i).is_none());
+                continue;
+            };
+            strands += 1;
+            assert!(Arc::ptr_eq(&body_a, &body_b), "element {i}");
+            assert_eq!(tables_a.len(), tables_b.len());
+            for (ta, tb) in tables_a.iter().zip(&tables_b) {
+                assert!(!Arc::ptr_eq(ta, tb), "element {i} shares a table");
+            }
+            // A node's strands read that node's tables.
+            let own = |planned: &Planned, t: &p2_table::TableRef| {
+                let name = t.lock().name().to_string();
+                Arc::ptr_eq(t, &planned.catalog.get(&name).unwrap())
+            };
+            assert!(tables_a.iter().all(|t| own(&a, t)));
+            assert!(tables_b.iter().all(|t| own(&b, t)));
+        }
+        assert_eq!(strands, 3);
+
+        let t0 = p2_value::SimTime::ZERO;
+        let at = p2_value::SimTime::from_secs(1);
+        for node in [&mut a, &mut b] {
+            node.engine.start(t0);
+        }
+        // Node A stores a row that node B's probe key would match: the
+        // same trigger finds it on A and nothing on B.
+        let succ = p2_value::Tuple::new("succ", vec![Value::str("nb"), Value::str("n5")]);
+        a.engine.deliver(succ, at);
+        assert_eq!(a.catalog.get("succ").unwrap().lock().len(), 1);
+        assert!(b.catalog.get("succ").unwrap().lock().is_empty());
+        let ev = p2_value::Tuple::new("ev", vec![Value::str("nb")]);
+        let found = a.engine.deliver(ev.clone(), at);
+        assert_eq!(found.len(), 1);
+        assert_eq!(&*found[0].dst, "n5");
+        assert!(b.engine.deliver(ev, at).is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The element interface.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use p2_pel::EvalContext;
@@ -137,8 +138,9 @@ impl<'a> ElementCtx<'a> {
 ///
 /// Elements are single-threaded and processed to completion: `push` is called
 /// with one tuple at a time and must not block. All effects go through the
-/// [`ElementCtx`].
-pub trait Element {
+/// [`ElementCtx`]. An element is `Any`, so a test or a tool holding a
+/// `&dyn Element` (see `Engine::element`) may downcast it to its type.
+pub trait Element: Any {
     /// Short class name used in graph dumps and statistics
     /// (e.g. `"Join"`, `"Insert"`).
     fn class(&self) -> &'static str;

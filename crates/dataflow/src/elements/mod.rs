@@ -18,5 +18,5 @@ pub use glue::{Collector, CollectorHandle, Demux, Queue};
 pub use net::NetOut;
 pub use relational::ProbeKey;
 pub use source::Periodic;
-pub use strand::{AggOp, FusedStrand, StrandOp, TableAccess};
+pub use strand::{AggOp, FusedStrand, StrandBody, StrandOp, TableAccess};
 pub use table_ops::{Delete, Insert, TableAgg};

@@ -68,6 +68,12 @@ impl ProbeKey {
         self.pairs.is_empty()
     }
 
+    /// The `(strand field, table column)` pairs the probe matches on, one
+    /// per table column, sorted by table column.
+    pub fn pairs(&self) -> &[(usize, usize)] {
+        &self.pairs
+    }
+
     /// Whether the virtual tuple `parts` satisfies the folded
     /// duplicate-column constraints: `Some(true)` if all hold (vacuously
     /// with none declared), `Some(false)` if some pair is present but

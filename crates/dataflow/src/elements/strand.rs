@@ -24,12 +24,23 @@
 //! nothing: the call is the whole cost of a useless poke, and the profiler
 //! counts it as wasted.
 //!
-//! # Table guards
+//! # Shared bodies, slots and table guards
 //!
-//! A probe holds its table's guard while the rest of the strand runs once
-//! per matching row. A later probe, anti-join or aggregation over the same
-//! table (a self-join) reads through that held guard instead of locking
-//! again, which would deadlock.
+//! A strand is split in two. Its [`StrandBody`] — trigger filters, ops with
+//! their probe keys and aggregation, head programs and output name — is
+//! built once per planned strand and shared (`Arc`) by every node. A node's
+//! [`FusedStrand`] holds only that body, its own tables and the scratch for
+//! assigned values ([`FusedStrand::bind`]).
+//!
+//! The body therefore names each table an op reads by *slot*
+//! ([`TableAccess::Slot`]), never by handle; a node fills slot `i` with its
+//! own table. A probe holds its table's guard while the rest of the strand
+//! runs once per matching row. A later probe, anti-join or aggregation over
+//! the same table (a self-join) reads through that held guard
+//! ([`TableAccess::Held`]) instead of locking again, which would deadlock.
+//! [`StrandBody::new`] resolves both once, from ops naming their tables by
+//! node handle (tests, [`FusedStrand::new`]) or by plan table id (the
+//! planner).
 //!
 //! # Aggregation
 //!
@@ -97,23 +108,25 @@ use crate::elements::relational::ProbeKey;
 /// strands spill to the heap.
 const INLINE_PARTS: usize = 8;
 
-/// A table an op reads: locked by the op itself, or already held by the
-/// enclosing probe at this depth (0 = the outermost probe; resolved by
-/// [`FusedStrand::new`]).
+/// The table a shared strand body's op reads, named by slot, never by
+/// handle, so one body serves every node (resolved by [`StrandBody::new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableAccess {
-    /// The op locks the table itself.
-    Own(TableRef),
-    /// The enclosing probe at this depth holds the table's guard.
+    /// The op locks the strand's table in slot `i` itself.
+    Slot(usize),
+    /// The enclosing probe at this depth (0 = the outermost probe) holds
+    /// the table's guard.
     Held(usize),
 }
 
 impl TableAccess {
     /// Runs `body` on the table, reading it through the enclosing probe's
-    /// guard when one holds it.
-    fn read<R>(&self, held: &[&Table], body: impl FnOnce(&Table) -> R) -> R {
+    /// guard when one holds it and else locking the node's table in its
+    /// slot.
+    fn read<R>(self, tables: &[TableRef], held: &[&Table], body: impl FnOnce(&Table) -> R) -> R {
         match self {
-            TableAccess::Own(table) => body(&table.lock()),
-            TableAccess::Held(depth) => body(held[*depth]),
+            TableAccess::Slot(slot) => body(&tables[slot].lock()),
+            TableAccess::Held(depth) => body(held[depth]),
         }
     }
 }
@@ -134,28 +147,65 @@ fn with_pushed<T: Copy, R>(prefix: &[T], last: T, body: impl FnOnce(&[T]) -> R) 
     }
 }
 
-/// One operation of a strand, in rule-body order.
-pub enum StrandOp {
+/// One operation of a strand, in rule-body order, naming its table by `T`:
+/// a node's [`TableRef`] or a plan's table id when built, a
+/// [`TableAccess`] inside a [`StrandBody`].
+pub enum StrandOp<T = TableRef> {
     /// Selection over the virtual strand tuple; a false or failed filter
     /// drops the current row combination.
     Filter(Program),
     /// Equijoin probe: the table is probed with key values drawn from the
     /// virtual strand tuple, and execution continues once per matching
     /// row, in the table's deterministic lookup order.
-    Probe { table: TableAccess, key: ProbeKey },
+    Probe { table: T, key: ProbeKey },
     /// Anti-join over the virtual strand tuple: execution continues only
     /// when no table row matches.
-    AntiJoin { table: TableAccess, key: ProbeKey },
+    AntiJoin { table: T, key: ProbeKey },
     /// Assignment: evaluates one expression over the virtual strand tuple
     /// and appends the result.
     Assign(Program),
     /// Aggregation over a table (see the module docs); always the last op.
-    Agg(Box<AggOp>),
+    Agg(Box<AggOp<T>>),
+}
+
+impl<T> StrandOp<T> {
+    /// The op with its table renamed by `rename`, which also learns whether
+    /// the op is a probe (whose guard later ops may read through).
+    fn map_table<U>(self, rename: impl FnOnce(T, bool) -> U) -> StrandOp<U> {
+        match self {
+            StrandOp::Filter(p) => StrandOp::Filter(p),
+            StrandOp::Assign(p) => StrandOp::Assign(p),
+            StrandOp::Probe { table, key } => StrandOp::Probe {
+                table: rename(table, true),
+                key,
+            },
+            StrandOp::AntiJoin { table, key } => StrandOp::AntiJoin {
+                table: rename(table, false),
+                key,
+            },
+            StrandOp::Agg(agg) => {
+                let AggOp {
+                    table,
+                    key,
+                    group_cols,
+                    fold,
+                    nulls,
+                } = *agg;
+                StrandOp::Agg(Box::new(AggOp {
+                    table: rename(table, false),
+                    key,
+                    group_cols,
+                    fold,
+                    nulls,
+                }))
+            }
+        }
+    }
 }
 
 /// A per-strand-row aggregation over a table: [`StrandOp::Agg`].
-pub struct AggOp {
-    table: TableAccess,
+pub struct AggOp<T = TableRef> {
+    table: T,
     key: ProbeKey,
     /// Columns of the group index an unkeyed aggregation reads through.
     group_cols: Option<Vec<usize>>,
@@ -282,20 +332,20 @@ impl Folding<'_, '_> {
     }
 }
 
-impl AggOp {
+impl<T> AggOp<T> {
     /// Creates an aggregation over a table whose rows have `table_arity`
     /// fields. Without a key ([`AggOp::with_key`]) or a group index
     /// ([`AggOp::with_group_index`]) every strand row pays a counted full
     /// scan.
     pub fn new(
-        table: TableRef,
+        table: T,
         table_arity: usize,
         func: AggFunc,
         filter: Option<Program>,
         agg_expr: Program,
-    ) -> AggOp {
+    ) -> AggOp<T> {
         AggOp {
-            table: TableAccess::Own(table),
+            table,
             key: ProbeKey::default(),
             group_cols: None,
             fold: RowFold {
@@ -310,33 +360,9 @@ impl AggOp {
     /// Restricts the candidates to rows equal to the strand on the given
     /// `(strand field, table column)` pairs. The key *replaces* those
     /// equalities: the planner removes them from the filter.
-    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggOp {
+    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggOp<T> {
         self.key = ProbeKey::new(key);
         self
-    }
-
-    /// The table columns (sorted) a group index must cover for an unkeyed
-    /// aggregation with these programs over a strand tuple of
-    /// `event_arity` fields to evaluate once per group — every row column
-    /// the programs load — or `None` if it must read row by row
-    /// (`sum`/`avg`, RNG draws).
-    pub fn group_columns(
-        func: AggFunc,
-        filter: Option<&Program>,
-        agg_expr: &Program,
-        event_arity: usize,
-    ) -> Option<Vec<usize>> {
-        let programs = || filter.into_iter().chain([agg_expr]);
-        if !folds_by_group(func, programs()) {
-            return None;
-        }
-        let mut cols: Vec<usize> = programs()
-            .flat_map(Program::loads)
-            .filter_map(|field| field.checked_sub(event_arity))
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        Some(cols)
     }
 
     /// Lets the aggregation, while it has no key, read the table through
@@ -344,7 +370,7 @@ impl AggOp {
     /// [`AggOp::group_columns`] returns for it and be declared on the table
     /// ([`p2_table::Table::add_group_index`]; without it the fold falls
     /// back to the counted scan).
-    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggOp {
+    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggOp<T> {
         let RowFold {
             func,
             filter,
@@ -356,6 +382,17 @@ impl AggOp {
         );
         self.group_cols = Some(cols);
         self
+    }
+
+    /// The key candidates must match (empty: every row is a candidate).
+    pub fn key(&self) -> &ProbeKey {
+        &self.key
+    }
+
+    /// The columns of the group index an unkeyed aggregation reads
+    /// through, if it was given one.
+    pub fn group_index(&self) -> Option<&[usize]> {
+        self.group_cols.as_deref()
     }
 
     /// Folds `table` for the strand tuple `event`: `(aggregate, witness)`,
@@ -398,37 +435,67 @@ impl AggOp {
     }
 }
 
-impl From<AggOp> for StrandOp {
-    fn from(op: AggOp) -> StrandOp {
+impl AggOp {
+    /// The table columns (sorted) a group index must cover for an unkeyed
+    /// aggregation with these programs over a strand tuple of
+    /// `event_arity` fields to evaluate once per group — every row column
+    /// the programs load — or `None` if it must read row by row
+    /// (`sum`/`avg`, RNG draws).
+    pub fn group_columns(
+        func: AggFunc,
+        filter: Option<&Program>,
+        agg_expr: &Program,
+        event_arity: usize,
+    ) -> Option<Vec<usize>> {
+        let programs = || filter.into_iter().chain([agg_expr]);
+        if !folds_by_group(func, programs()) {
+            return None;
+        }
+        let mut cols: Vec<usize> = programs()
+            .flat_map(Program::loads)
+            .filter_map(|field| field.checked_sub(event_arity))
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        Some(cols)
+    }
+}
+
+impl<T> From<AggOp<T>> for StrandOp<T> {
+    fn from(op: AggOp<T>) -> StrandOp<T> {
         StrandOp::Agg(Box::new(op))
     }
 }
 
-/// A whole planned rule strand executed in a single element call. See the
-/// module docs for the contract.
-pub struct FusedStrand {
+/// The node-independent half of a rule strand: its programs, probe keys
+/// and aggregation, with every table named by slot. One body is built per
+/// planned strand and shared (`Arc`) by every node's [`FusedStrand`].
+pub struct StrandBody {
     /// Filters over the bare trigger tuple (constant/repeat checks).
     pre_filters: Box<[Program]>,
     /// The strand body, in rule-body order. Probes nest: each match of an
     /// earlier probe runs the remaining ops once, depth-first.
-    ops: Box<[StrandOp]>,
+    ops: Box<[StrandOp<TableAccess>]>,
     /// Head projection programs over the final virtual strand tuple.
     head_fields: Box<[Program]>,
     out_name: Arc<str>,
-    /// Scratch buffer for assigned values, reused across rows and calls.
-    extras: Vec<Value>,
+    /// Number of table slots a node binds.
+    slots: usize,
 }
 
-impl FusedStrand {
-    /// Creates a strand. An [`StrandOp::Agg`] may only be the last op. An
-    /// op reading a table an earlier probe holds reads through that
-    /// probe's guard.
-    pub fn new(
+impl StrandBody {
+    /// Builds a body from ops naming their tables by `T`, where `same`
+    /// tells whether two names denote one table. Returns the body and the
+    /// name behind each of its slots, in slot order. An [`StrandOp::Agg`]
+    /// may only be the last op. An op reading a table an earlier probe
+    /// holds reads through that probe's guard (see the module docs).
+    pub fn new<T>(
         pre_filters: Vec<Program>,
-        mut ops: Vec<StrandOp>,
+        ops: Vec<StrandOp<T>>,
         head_fields: Vec<Program>,
         out_name: impl Into<Arc<str>>,
-    ) -> FusedStrand {
+        same: impl Fn(&T, &T) -> bool,
+    ) -> (Arc<StrandBody>, Vec<T>) {
         let last = ops.len().saturating_sub(1);
         assert!(
             ops.iter()
@@ -436,49 +503,107 @@ impl FusedStrand {
                 .all(|(i, op)| i == last || !matches!(op, StrandOp::Agg(_))),
             "an aggregation must be a strand's last op"
         );
-        // The tables the enclosing probes lock, outermost first.
-        let mut probed: Vec<TableRef> = Vec::new();
-        for op in &mut ops {
-            let is_probe = matches!(op, StrandOp::Probe { .. });
-            let access = match op {
-                StrandOp::Probe { table, .. } | StrandOp::AntiJoin { table, .. } => table,
-                StrandOp::Agg(agg) => &mut agg.table,
-                StrandOp::Filter(_) | StrandOp::Assign(_) => continue,
-            };
-            let TableAccess::Own(table) = access else {
-                unreachable!("ops are built over their own tables");
-            };
-            let table = table.clone();
-            if let Some(depth) = probed.iter().position(|t| Arc::ptr_eq(t, &table)) {
-                *access = TableAccess::Held(depth);
-            }
-            if is_probe {
-                probed.push(table);
-            }
+        let mut slots: Vec<T> = Vec::new();
+        // The slots the enclosing probes lock, outermost first.
+        let mut probed: Vec<usize> = Vec::new();
+        let mut resolved = Vec::with_capacity(ops.len());
+        for op in ops {
+            resolved.push(op.map_table(|table, is_probe| {
+                let slot = match slots.iter().position(|t| same(t, &table)) {
+                    Some(slot) => slot,
+                    None => {
+                        slots.push(table);
+                        slots.len() - 1
+                    }
+                };
+                let access = match probed.iter().position(|&p| p == slot) {
+                    Some(depth) => TableAccess::Held(depth),
+                    None => TableAccess::Slot(slot),
+                };
+                if is_probe {
+                    probed.push(slot);
+                }
+                access
+            }));
         }
-        FusedStrand {
+        let body = StrandBody {
             pre_filters: pre_filters.into(),
-            ops: ops.into(),
+            ops: resolved.into(),
             head_fields: head_fields.into(),
             out_name: out_name.into(),
+            slots: slots.len(),
+        };
+        (Arc::new(body), slots)
+    }
+
+    /// The strand's aggregation, if it ends in one.
+    pub fn agg(&self) -> Option<&AggOp<TableAccess>> {
+        match self.ops.last() {
+            Some(StrandOp::Agg(agg)) => Some(agg),
+            _ => None,
+        }
+    }
+}
+
+/// One node's rule strand: a shared [`StrandBody`] bound to the node's
+/// tables, executed in a single element call. See the module docs for the
+/// contract.
+pub struct FusedStrand {
+    body: Arc<StrandBody>,
+    /// The node's table in each of the body's slots.
+    tables: Box<[TableRef]>,
+    /// Scratch buffer for assigned values, reused across rows and calls.
+    extras: Vec<Value>,
+}
+
+impl FusedStrand {
+    /// Creates a strand over the tables its ops hold, through
+    /// [`StrandBody::new`] and [`FusedStrand::bind`].
+    pub fn new(
+        pre_filters: Vec<Program>,
+        ops: Vec<StrandOp>,
+        head_fields: Vec<Program>,
+        out_name: impl Into<Arc<str>>,
+    ) -> FusedStrand {
+        let (body, tables) = StrandBody::new(pre_filters, ops, head_fields, out_name, Arc::ptr_eq);
+        FusedStrand::bind(body, tables)
+    }
+
+    /// Binds a shared body to one node's tables: `tables[i]` fills slot
+    /// `i`.
+    pub fn bind(body: Arc<StrandBody>, tables: Vec<TableRef>) -> FusedStrand {
+        assert_eq!(tables.len(), body.slots, "one table per slot");
+        FusedStrand {
+            body,
+            tables: tables.into(),
             extras: Vec::new(),
         }
     }
 
+    /// The shared body.
+    pub fn body(&self) -> &Arc<StrandBody> {
+        &self.body
+    }
+
+    /// The node's table in each slot.
+    pub fn tables(&self) -> &[TableRef] {
+        &self.tables
+    }
+
     /// Creates a probe op from raw `(strand field, table column)` key
     /// pairs.
-    pub fn probe_op(table: TableRef, key: Vec<(usize, usize)>) -> StrandOp {
+    pub fn probe_op<T>(table: T, key: Vec<(usize, usize)>) -> StrandOp<T> {
         StrandOp::Probe {
-            table: TableAccess::Own(table),
+            table,
             key: ProbeKey::new(key),
         }
     }
 
     /// Creates an anti-join op from raw `(strand field, table column)` key
     /// pairs.
-    pub fn anti_op(table: TableRef, key: Vec<(usize, usize)>) -> StrandOp {
+    pub fn anti_op<T>(table: T, key: Vec<(usize, usize)>) -> StrandOp<T> {
         StrandOp::AntiJoin {
-            table: TableAccess::Own(table),
+            table,
             key: ProbeKey::new(key),
         }
     }
@@ -509,6 +634,8 @@ fn emit_head(
 struct Run<'s> {
     head_fields: &'s [Program],
     out_name: &'s Arc<str>,
+    /// The node's table in each slot.
+    tables: &'s [TableRef],
 }
 
 impl Run<'_> {
@@ -520,7 +647,7 @@ impl Run<'_> {
     /// combinations never see each other's assignments).
     fn exec(
         &self,
-        ops: &[StrandOp],
+        ops: &[StrandOp<TableAccess>],
         rows: &[&[Value]],
         held: &[&Table],
         extras: &mut Vec<Value>,
@@ -558,7 +685,7 @@ impl Run<'_> {
             }
             StrandOp::AntiJoin { table, key } => {
                 let any_match = with_pushed(rows, extras.as_slice(), |view| {
-                    table.read(held, |table| {
+                    table.read(self.tables, held, |table| {
                         if key.is_empty() {
                             return Some(!table.is_empty());
                         }
@@ -581,7 +708,7 @@ impl Run<'_> {
                 // Probe keys reference only fields bound before this probe
                 // (trigger and earlier rows): the planner places every
                 // probe before the first assignment.
-                table.read(held, |table| {
+                table.read(self.tables, held, |table| {
                     with_pushed(held, table, |held| {
                         let mut each = |row: &Tuple| {
                             with_pushed(rows, row.values(), |rows| {
@@ -602,7 +729,9 @@ impl Run<'_> {
             }
             StrandOp::Agg(agg) => {
                 with_pushed(rows, extras.as_slice(), |event| {
-                    let folded = agg.table.read(held, |table| agg.fold(table, event, ctx));
+                    let folded = agg
+                        .table
+                        .read(self.tables, held, |table| agg.fold(table, event, ctx));
                     let Some((aggregate, witness)) = folded else {
                         return;
                     };
@@ -624,7 +753,8 @@ impl Element for FusedStrand {
     }
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        for filter in &self.pre_filters {
+        let body = &*self.body;
+        for filter in &body.pre_filters {
             match filter.eval_bool(tuple, ctx.eval()) {
                 Ok(true) => {}
                 Ok(false) => return,
@@ -635,11 +765,12 @@ impl Element for FusedStrand {
             }
         }
         let run = Run {
-            head_fields: &self.head_fields,
-            out_name: &self.out_name,
+            head_fields: &body.head_fields,
+            out_name: &body.out_name,
+            tables: &self.tables,
         };
         self.extras.clear();
-        run.exec(&self.ops, &[tuple.values()], &[], &mut self.extras, ctx);
+        run.exec(&body.ops, &[tuple.values()], &[], &mut self.extras, ctx);
     }
 }
 

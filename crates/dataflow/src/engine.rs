@@ -3,16 +3,16 @@
 //!
 //! # Architecture: build-time graph, compiled run-time form
 //!
-//! A [`Graph`] is the *construction* representation: elements plus a
-//! `HashMap` of edges, convenient for the planner to assemble incrementally.
-//! [`Engine::new`] consumes the graph and compiles the edges into a dense
-//! adjacency table — a flat `Vec<Route>` with one contiguous span per
-//! `(element, output port)` slot, addressed by `port_base[element] + port`.
-//! Routing an emission is then two array loads and a slice walk; the
-//! per-emission `HashMap` probe of the original engine is gone. The
-//! compiled form is semantically identical to the edge map (see
-//! [`Engine::routes_of`], which the property tests compare against
-//! [`Graph::connect`] semantics).
+//! A [`Graph`] is the *construction* representation: elements plus the
+//! list of edges in `connect` order, convenient to assemble incrementally.
+//! [`Routing::compile`] turns element names, edges and level delays into a
+//! dense adjacency table — a flat slice of [`Route`]s with one contiguous
+//! span per `(element, output port)` slot, addressed by
+//! `port_base[element] + port`. Routing an emission is then two array loads
+//! and a slice walk. The compiled form is semantically identical to the
+//! edge list (see [`Engine::routes_of`], which the property tests compare
+//! against [`Graph::connect`] semantics). [`Engine::new`] compiles a graph
+//! and hands the result to [`Engine::with_routing`], the one constructor.
 //!
 //! # Hot-path allocation discipline
 //!
@@ -61,13 +61,19 @@
 //! contiguous, as a forwarder's single emission would have kept it. Dead
 //! tuples (filtered out inside a strand) are never enqueued at all.
 //!
-//! The engine is instantiated per node, but the *plan* it executes can be
-//! shared: see `p2_core::PlannedProgram`, which compiles an OverLog program
-//! once into element specs plus this module's edge list, and stamps out
-//! per-node engines cheaply.
+//! # Per-node engines over a shared plan
+//!
+//! An engine runs one node, but nothing in its [`Routing`] depends on the
+//! node: it is immutable and shared (`Arc`) by every engine built over it.
+//! `p2_core::PlannedProgram` compiles an OverLog program once — its
+//! routing table and every rule strand's body
+//! (`elements::StrandBody`) included — and stamps out each node's engine
+//! with [`Engine::with_routing`]. A node's engine then holds only what is
+//! its own: element state (tables, strand scratch, periodic phases), the
+//! work queue, the timer heap, the RNG and the counters.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use p2_obs::{NodeObs, ObsMeta, TraceEvent};
@@ -95,9 +101,10 @@ pub struct Route {
 pub struct Graph {
     elements: Vec<Box<dyn Element>>,
     names: Vec<Arc<str>>,
-    edges: HashMap<(usize, usize), Vec<Route>>,
-    /// Level delay per output slot (absent = 0); see *Level delays*.
-    delays: HashMap<(usize, usize), u32>,
+    /// `(from, out_port, to)` in `connect` order.
+    edges: Vec<(usize, usize, Route)>,
+    /// `(from, out_port, levels)` in `set_delay` order; see *Level delays*.
+    delays: Vec<(usize, usize, u32)>,
 }
 
 impl Graph {
@@ -115,17 +122,19 @@ impl Graph {
 
     /// Connects `from`'s output port `out_port` to `to`'s input port `in_port`.
     pub fn connect(&mut self, from: usize, out_port: usize, to: usize, in_port: usize) {
-        self.edges.entry((from, out_port)).or_default().push(Route {
+        let route = Route {
             element: to,
             port: in_port,
-        });
+        };
+        self.edges.push((from, out_port, route));
     }
 
     /// Holds every tuple emitted on `from`'s output port `out_port` back by
     /// `levels` breadth-first levels before its routes receive it (see the
-    /// module-level *Level delays* section).
+    /// module-level *Level delays* section). A later call for the same port
+    /// replaces an earlier one.
     pub fn set_delay(&mut self, from: usize, out_port: usize, levels: u32) {
-        self.delays.insert((from, out_port), levels);
+        self.delays.push((from, out_port, levels));
     }
 
     /// Number of elements in the graph.
@@ -141,29 +150,154 @@ impl Graph {
     /// Human-readable description of the graph (element classes and edges),
     /// used by the examples and for debugging planner output.
     pub fn describe(&self) -> String {
-        let mut out = String::new();
-        for (i, e) in self.elements.iter().enumerate() {
-            out.push_str(&format!("[{i}] {} ({})\n", self.names[i], e.class()));
-        }
-        let mut edges: Vec<(&(usize, usize), &Vec<Route>)> = self.edges.iter().collect();
-        edges.sort_by_key(|(k, _)| **k);
-        for (&(from, port), routes) in edges {
-            let delay = self.delays.get(&(from, port)).copied().unwrap_or(0);
-            describe_slot(&mut out, from, port, routes, delay);
-        }
-        out
+        let routing = Routing::compile(self.names.clone(), &self.edges, &self.delays);
+        routing.describe(|e| self.elements[e].class())
     }
 }
 
-/// Appends one output slot's routes to a graph description; a delayed slot
-/// reads `+N levels`.
-fn describe_slot(out: &mut String, from: usize, port: usize, routes: &[Route], delay: u32) {
-    for r in routes {
-        out.push_str(&format!("  {from}:{port} -> {}:{}", r.element, r.port));
-        if delay > 0 {
-            out.push_str(&format!(" +{delay} levels"));
+/// The compiled, node-independent wiring of a dataflow graph: element
+/// names, the dense adjacency table and the per-slot level delays (see the
+/// module docs). [`Routing::compile`] builds it once per graph shape, and
+/// every engine running that shape shares it through an `Arc`.
+#[derive(Debug)]
+pub struct Routing {
+    names: Box<[Arc<str>]>,
+    /// `port_base[e]` is the flat slot index of element `e`'s output port 0;
+    /// `port_base[e + 1] - port_base[e]` is the number of connected output
+    /// ports recorded for `e`. One trailing entry marks the total.
+    port_base: Box<[usize]>,
+    /// Per-slot `(start, end)` span into `routes`.
+    route_spans: Box<[(u32, u32)]>,
+    /// Per-slot level delay, parallel to `route_spans`.
+    slot_delay: Box<[u32]>,
+    /// All routes, concatenated in slot order; connect-call order is
+    /// preserved within a slot.
+    routes: Box<[Route]>,
+}
+
+impl Routing {
+    /// Compiles the edges `(from, out_port, to)` of a graph whose elements
+    /// are `names` into the dense adjacency table. `delays` holds
+    /// `(from, out_port, levels)` level delays; the last one given for a
+    /// slot wins, and one on a slot without routes is dropped.
+    pub fn compile(
+        names: Vec<Arc<str>>,
+        edges: &[(usize, usize, Route)],
+        delays: &[(usize, usize, u32)],
+    ) -> Routing {
+        // Output-port count per element (highest connected port + 1).
+        let mut port_counts = vec![0usize; names.len()];
+        for &(e, p, _) in edges {
+            port_counts[e] = port_counts[e].max(p + 1);
         }
-        out.push('\n');
+        let mut port_base = Vec::with_capacity(names.len() + 1);
+        let mut total = 0usize;
+        for &c in &port_counts {
+            port_base.push(total);
+            total += c;
+        }
+        port_base.push(total);
+
+        // Lay the routes out contiguously in (element, port) order; the
+        // sort is stable, so the per-slot route order is exactly the
+        // `connect` call order.
+        let mut sorted: Vec<&(usize, usize, Route)> = edges.iter().collect();
+        sorted.sort_by_key(|&&(e, p, _)| (e, p));
+        let mut route_spans = vec![(0u32, 0u32); total];
+        let mut routes = Vec::with_capacity(edges.len());
+        for &&(e, p, route) in &sorted {
+            let span = &mut route_spans[port_base[e] + p];
+            if span.1 == 0 {
+                span.0 = routes.len() as u32;
+            }
+            routes.push(route);
+            span.1 = routes.len() as u32;
+        }
+        let mut slot_delay = vec![0u32; total];
+        for &(e, p, levels) in delays {
+            let slot = port_base[e] + p;
+            if p < port_counts[e] && route_spans[slot].1 > 0 {
+                slot_delay[slot] = levels;
+            }
+        }
+        Routing {
+            names: names.into(),
+            port_base: port_base.into(),
+            route_spans: route_spans.into(),
+            slot_delay: slot_delay.into(),
+            routes: routes.into(),
+        }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True if the graph has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The name of element `element`.
+    pub fn name(&self, element: usize) -> &Arc<str> {
+        &self.names[element]
+    }
+
+    /// Number of routes (edges) over all slots.
+    pub fn route_count(&self) -> usize {
+        self.routes.len()
+    }
+
+    /// The compiled routes out of `(element, out_port)`, in `connect` order.
+    /// Empty for unconnected ports — the compiled equivalent of a missing
+    /// edge (tuples emitted there are discarded).
+    pub fn routes_of(&self, element: usize, out_port: usize) -> &[Route] {
+        match self.slot(element, out_port) {
+            Some(slot) => {
+                let (start, end) = self.route_spans[slot];
+                &self.routes[start as usize..end as usize]
+            }
+            None => &[],
+        }
+    }
+
+    /// The compiled level delay of `(element, out_port)` (0 when none, or
+    /// when the slot has no routes).
+    pub fn delay_of(&self, element: usize, out_port: usize) -> u32 {
+        self.slot(element, out_port)
+            .map_or(0, |slot| self.slot_delay[slot])
+    }
+
+    /// The flat slot index of a connected `(element, out_port)`.
+    fn slot(&self, element: usize, out_port: usize) -> Option<usize> {
+        if element >= self.names.len() {
+            return None;
+        }
+        let base = self.port_base[element];
+        (out_port < self.port_base[element + 1] - base).then_some(base + out_port)
+    }
+
+    /// Describes the graph, one line per element (`class` names its class)
+    /// and one per route in slot order; a delayed slot reads `+N levels`.
+    fn describe(&self, class: impl Fn(usize) -> &'static str) -> String {
+        let mut out = String::new();
+        for (i, name) in self.names.iter().enumerate() {
+            out.push_str(&format!("[{i}] {name} ({})\n", class(i)));
+        }
+        for e in 0..self.names.len() {
+            for p in 0..self.port_base[e + 1] - self.port_base[e] {
+                let delay = self.delay_of(e, p);
+                for r in self.routes_of(e, p) {
+                    out.push_str(&format!("  {e}:{p} -> {}:{}", r.element, r.port));
+                    if delay > 0 {
+                        out.push_str(&format!(" +{delay} levels"));
+                    }
+                    out.push('\n');
+                }
+            }
+        }
+        out
     }
 }
 
@@ -217,26 +351,16 @@ impl PartialOrd for TimerEntry {
 
 /// The per-node execution engine.
 ///
-/// The engine owns the compiled dataflow graph, a FIFO work queue of pending
-/// `(route, tuple)` deliveries, and a timer heap. External drivers (the
+/// The engine owns the node's elements, a FIFO work queue of pending
+/// `(route, tuple)` deliveries, and a timer heap, and shares the compiled
+/// [`Routing`] with every engine of the same plan. External drivers (the
 /// network simulator or a unit test) interact with it through four calls:
 /// [`Engine::start`], [`Engine::deliver`] / [`Engine::deliver_many`], and
 /// [`Engine::advance_to`]; each returns the tuples the node wants
 /// transmitted.
 pub struct Engine {
     elements: Vec<Box<dyn Element>>,
-    names: Vec<Arc<str>>,
-    /// `port_base[e]` is the flat slot index of element `e`'s output port 0;
-    /// `port_base[e + 1] - port_base[e]` is the number of connected output
-    /// ports recorded for `e`. One trailing entry marks the total.
-    port_base: Vec<usize>,
-    /// Per-slot `(start, end)` span into `routes`.
-    route_spans: Vec<(u32, u32)>,
-    /// Per-slot level delay, parallel to `route_spans`.
-    slot_delay: Vec<u32>,
-    /// All routes, concatenated in slot order; connect-call order is
-    /// preserved within a slot.
-    routes: Vec<Route>,
+    routing: Arc<Routing>,
     entry: Option<Route>,
     queue: VecDeque<Pending>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
@@ -259,7 +383,7 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine for the node with the given address and RNG seed,
-    /// compiling the graph's edge map into the dense adjacency table.
+    /// compiling the graph's edges into the dense adjacency table.
     pub fn new(graph: Graph, local_addr: impl Into<Arc<str>>, seed: u64) -> Engine {
         let Graph {
             elements,
@@ -267,42 +391,26 @@ impl Engine {
             edges,
             delays,
         } = graph;
+        let routing = Routing::compile(names, &edges, &delays);
+        Engine::with_routing(Arc::new(routing), elements, local_addr, seed)
+    }
 
-        // Output-port count per element (highest connected port + 1).
-        let mut port_counts = vec![0usize; elements.len()];
-        for &(e, p) in edges.keys() {
-            port_counts[e] = port_counts[e].max(p + 1);
-        }
-        let mut port_base = Vec::with_capacity(elements.len() + 1);
-        let mut total = 0usize;
-        for &c in &port_counts {
-            port_base.push(total);
-            total += c;
-        }
-        port_base.push(total);
-
-        // Lay the routes out contiguously in (element, port) order; the
-        // per-slot route order is exactly the `connect` call order.
-        let mut sorted: Vec<((usize, usize), Vec<Route>)> = edges.into_iter().collect();
-        sorted.sort_unstable_by_key(|(k, _)| *k);
-        let mut route_spans = vec![(0u32, 0u32); total];
-        let mut slot_delay = vec![0u32; total];
-        let mut routes = Vec::new();
-        for ((e, p), rs) in sorted {
-            let slot = port_base[e] + p;
-            let start = routes.len() as u32;
-            routes.extend(rs);
-            route_spans[slot] = (start, routes.len() as u32);
-            slot_delay[slot] = delays.get(&(e, p)).copied().unwrap_or(0);
-        }
-
+    /// Creates an engine running `elements` (element `i` of `routing` is
+    /// `elements[i]`) over a shared, already compiled routing table.
+    pub fn with_routing(
+        routing: Arc<Routing>,
+        elements: Vec<Box<dyn Element>>,
+        local_addr: impl Into<Arc<str>>,
+        seed: u64,
+    ) -> Engine {
+        assert_eq!(
+            elements.len(),
+            routing.len(),
+            "the routing table describes a graph of another size"
+        );
         Engine {
             elements,
-            names,
-            port_base,
-            route_spans,
-            slot_delay,
-            routes,
+            routing,
             entry: None,
             queue: VecDeque::new(),
             timers: BinaryHeap::new(),
@@ -394,48 +502,32 @@ impl Engine {
         self.elements.is_empty()
     }
 
-    /// The compiled routes out of `(element, out_port)`, in `connect` order.
-    /// Empty for unconnected ports — the compiled equivalent of a missing
-    /// edge-map entry (tuples emitted there are discarded).
+    /// The compiled routing table, shared with every engine built over it.
+    pub fn routing(&self) -> &Arc<Routing> {
+        &self.routing
+    }
+
+    /// Element `element` of the graph.
+    pub fn element(&self, element: usize) -> &dyn Element {
+        &*self.elements[element]
+    }
+
+    /// The compiled routes out of `(element, out_port)`; see
+    /// [`Routing::routes_of`].
     pub fn routes_of(&self, element: usize, out_port: usize) -> &[Route] {
-        match self.slot(element, out_port) {
-            Some(slot) => {
-                let (start, end) = self.route_spans[slot];
-                &self.routes[start as usize..end as usize]
-            }
-            None => &[],
-        }
+        self.routing.routes_of(element, out_port)
     }
 
-    /// The compiled level delay of `(element, out_port)` (0 when none, or
-    /// when the slot has no routes).
+    /// The compiled level delay of `(element, out_port)`; see
+    /// [`Routing::delay_of`].
     pub fn delay_of(&self, element: usize, out_port: usize) -> u32 {
-        self.slot(element, out_port)
-            .map_or(0, |slot| self.slot_delay[slot])
-    }
-
-    /// The flat slot index of a connected `(element, out_port)`.
-    fn slot(&self, element: usize, out_port: usize) -> Option<usize> {
-        if element >= self.elements.len() {
-            return None;
-        }
-        let base = self.port_base[element];
-        (out_port < self.port_base[element + 1] - base).then_some(base + out_port)
+        self.routing.delay_of(element, out_port)
     }
 
     /// Human-readable description of the compiled graph (element classes and
     /// edges), identical in format to [`Graph::describe`].
     pub fn describe(&self) -> String {
-        let mut out = String::new();
-        for (i, e) in self.elements.iter().enumerate() {
-            out.push_str(&format!("[{i}] {} ({})\n", self.names[i], e.class()));
-        }
-        for e in 0..self.elements.len() {
-            for p in 0..self.port_base[e + 1] - self.port_base[e] {
-                describe_slot(&mut out, e, p, self.routes_of(e, p), self.delay_of(e, p));
-            }
-        }
-        out
+        self.routing.describe(|e| self.elements[e].class())
     }
 
     fn set_now(&mut self, now: SimTime) {
@@ -584,8 +676,9 @@ impl Engine {
     /// work queue (via the compiled adjacency table) and registers requested
     /// timers. Leaves both scratch buffers empty with capacity retained.
     fn absorb(&mut self, idx: usize) {
-        let base = self.port_base[idx];
-        let nports = self.port_base[idx + 1] - base;
+        let routing = &*self.routing;
+        let base = routing.port_base[idx];
+        let nports = routing.port_base[idx + 1] - base;
         for (port, tuple) in self.scratch_emissions.drain(..) {
             // Emissions on unconnected ports are silently dropped, like
             // Click's Discard element.
@@ -593,9 +686,9 @@ impl Engine {
                 continue;
             }
             let slot = base + port;
-            let (start, end) = self.route_spans[slot];
-            let delay = self.slot_delay[slot];
-            if let Some((last, rest)) = self.routes[start as usize..end as usize].split_last() {
+            let (start, end) = routing.route_spans[slot];
+            let delay = routing.slot_delay[slot];
+            if let Some((last, rest)) = routing.routes[start as usize..end as usize].split_last() {
                 for &route in rest {
                     self.queue.push_back(Pending {
                         route,

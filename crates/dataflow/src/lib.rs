@@ -10,9 +10,10 @@
 //! The crate provides:
 //!
 //! * [`Element`] and [`ElementCtx`] — the element interface;
-//! * [`Engine`] and [`Graph`] — per-node execution: an explicit work queue
-//!   (push semantics), a timer wheel, network send collection, and runtime
-//!   statistics;
+//! * [`Engine`], [`Graph`] and [`Routing`] — per-node execution: an
+//!   explicit work queue (push semantics), a timer wheel, network send
+//!   collection, and runtime statistics, over a compiled routing table that
+//!   engines running the same graph shape share;
 //! * [`elements`] — the element library used by the OverLog planner: the
 //!   rule strand (probes, anti-joins, selections, assignments, per-row
 //!   aggregation and the head projection in one element), materialized
@@ -47,4 +48,4 @@ pub mod elements;
 pub mod engine;
 
 pub use element::{Element, ElementCtx, Outgoing};
-pub use engine::{Engine, EngineStats, Graph, Route};
+pub use engine::{Engine, EngineStats, Graph, Route, Routing};

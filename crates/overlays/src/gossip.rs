@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use p2_core::{NodeConfig, P2Node, PlanError};
+use p2_core::{P2Node, PlanConfig, PlanError, PlannedProgram};
 use p2_overlog::{compile_checked, Program};
 use p2_value::{Tuple, TupleBuilder};
 
@@ -41,6 +41,20 @@ pub fn rumor_tuple(addr: &str, id: i64, payload: &str) -> Tuple {
         .build()
 }
 
+/// The shared, node-independent plan of the gossip program,
+/// compiled once per process and per jitter mode; every node instantiates
+/// from it.
+fn shared_plan(jitter: bool) -> &'static PlannedProgram {
+    static PLANS: [OnceLock<PlannedProgram>; 2] = [OnceLock::new(), OnceLock::new()];
+    PLANS[usize::from(jitter)].get_or_init(|| {
+        let mut config = PlanConfig::new();
+        if !jitter {
+            config = config.without_jitter();
+        }
+        PlannedProgram::compile(program(), &config).expect("the shipped gossip program must plan")
+    })
+}
+
 /// Builds a ready-to-run gossip node wrapped for the simulator.
 pub fn build_node(
     addr: &str,
@@ -48,11 +62,7 @@ pub fn build_node(
     seed: u64,
     jitter: bool,
 ) -> Result<P2Host, PlanError> {
-    let mut config = NodeConfig::new(addr, seed);
-    if !jitter {
-        config = config.without_jitter();
-    }
-    let node = P2Node::with_facts(program(), config, link_facts(addr, peers))?;
+    let node = P2Node::from_plan(shared_plan(jitter), addr, seed, link_facts(addr, peers));
     Ok(P2Host::new(node))
 }
 

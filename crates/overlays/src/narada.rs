@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use p2_core::{NodeConfig, P2Node, PlanError};
+use p2_core::{P2Node, PlanConfig, PlanError, PlannedProgram};
 use p2_overlog::{compile_checked, Program};
 use p2_value::{Tuple, TupleBuilder};
 
@@ -44,6 +44,20 @@ pub fn env_facts(addr: &str, neighbors: &[&str]) -> Vec<Tuple> {
         .collect()
 }
 
+/// The shared, node-independent plan of the Narada program with the `refresh` watch,
+/// compiled once per process and per jitter mode; every node instantiates
+/// from it.
+fn shared_plan(jitter: bool) -> &'static PlannedProgram {
+    static PLANS: [OnceLock<PlannedProgram>; 2] = [OnceLock::new(), OnceLock::new()];
+    PLANS[usize::from(jitter)].get_or_init(|| {
+        let mut config = PlanConfig::new().watch("refresh");
+        if !jitter {
+            config = config.without_jitter();
+        }
+        PlannedProgram::compile(program(), &config).expect("the shipped Narada program must plan")
+    })
+}
+
 /// Builds a ready-to-run Narada mesh node wrapped for the simulator.
 pub fn build_node(
     addr: &str,
@@ -51,11 +65,7 @@ pub fn build_node(
     seed: u64,
     jitter: bool,
 ) -> Result<P2Host, PlanError> {
-    let mut config = NodeConfig::new(addr, seed).watch("refresh");
-    if !jitter {
-        config = config.without_jitter();
-    }
-    let node = P2Node::with_facts(program(), config, env_facts(addr, neighbors))?;
+    let node = P2Node::from_plan(shared_plan(jitter), addr, seed, env_facts(addr, neighbors));
     Ok(P2Host::new(node))
 }
 

@@ -25,9 +25,12 @@ use crate::table::Table;
 /// A shared, internally synchronized handle to a table.
 ///
 /// A P2 node is single-threaded (run-to-completion), so the lock is never
-/// contended in practice; it exists so that node state can be moved across
-/// threads by the experiment harness (parameter sweeps run simulations in
-/// parallel).
+/// contended. It was introduced so that node state could move across
+/// threads, but nothing does that any more: every simulation runs its
+/// nodes on one thread, and compiled plans, which are shared process-wide,
+/// name tables by slot rather than by handle. Whether an unsynchronized
+/// `Rc<RefCell<Table>>` would be cheaper is a separate measurement; the
+/// uncontended lock costs one atomic operation per access.
 pub type TableRef = Arc<Mutex<Table>>;
 
 /// All materialized tables of one node.

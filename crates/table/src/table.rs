@@ -99,7 +99,7 @@
 use std::cell::Cell;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 
 use p2_pel::{EvalContext, Program};
 use p2_value::{SimTime, Tuple, Value, ValueError};
@@ -184,6 +184,44 @@ struct Row {
 /// hash collision between distinct keys).
 type PrimaryBucket = Vec<u32>;
 
+/// A hasher for keys that need no second hash pass: the `u64` outputs of
+/// [`DefaultHasher`] that key the primary and secondary indices, and `u32`
+/// row ids. One multiplication by an odd constant spreads a key over every
+/// bit the map reads (low bits for the bucket, high bits for the tag) and
+/// is a bijection, so distinct keys stay distinct. Maps under it iterate
+/// in the same order in every process, though nothing reads them in order.
+///
+/// The trade: [`DefaultHasher::new`] has fixed keys, so without a random
+/// second pass a peer that knows them could choose field values whose rows
+/// share a bucket. The tables hold rows of the node's own overlay program,
+/// whose peers run the same program.
+#[derive(Debug, Default, Clone, Copy)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached by key types other than the integers below.
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A `HashMap` over pre-hashed or small integer keys ([`PassThrough`]).
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
+
 /// One secondary index: hash of the indexed column values → matching rows.
 ///
 /// The bucket is a `BTreeSet`, not a `HashSet`, so an indexed probe yields
@@ -192,7 +230,7 @@ type PrimaryBucket = Vec<u32>;
 /// multi-row joins (e.g. Chord's per-successor ping fan-out) differ from
 /// run to run — invisible in aggregate statistics, but it moved the golden
 /// event stream, which pins every send in order.
-type SecondaryIndex = HashMap<u64, BTreeSet<u32>>;
+type SecondaryIndex = IntMap<u64, BTreeSet<u32>>;
 
 /// One group index: the rows bucketed by the hash of their projection onto
 /// `cols` (see the module-level *Group indices* section).
@@ -340,8 +378,11 @@ pub struct Table {
     slots: Vec<Option<Row>>,
     free: Vec<u32>,
     live: usize,
-    primary: HashMap<u64, PrimaryBucket>,
-    secondary: HashMap<Vec<usize>, SecondaryIndex>,
+    primary: IntMap<u64, PrimaryBucket>,
+    /// Secondary indices with their (sorted) column lists, in declaration
+    /// order; a table has at most a few, so a probe finds its index by a
+    /// short linear walk instead of hashing a `Vec`.
+    secondary: Vec<(Vec<usize>, SecondaryIndex)>,
     /// Group indices (none, or one per distinct column list an unkeyed
     /// strand aggregation reads).
     groups: Vec<GroupIndex>,
@@ -350,7 +391,7 @@ pub struct Table {
     /// Lazily applied forward refreshes: `id -> effective time`, always
     /// strictly later than the row's queued `inserted_at` (see the
     /// module-level *Batched refresh* section).
-    pending_refresh: HashMap<u32, SimTime>,
+    pending_refresh: IntMap<u32, SimTime>,
     /// Change counter (see the module-level *Change counter* section).
     version: u64,
     stats: StatCells,
@@ -395,11 +436,11 @@ impl Table {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            primary: HashMap::new(),
-            secondary: HashMap::new(),
+            primary: IntMap::default(),
+            secondary: Vec::new(),
             groups: Vec::new(),
             staleness: BTreeSet::new(),
-            pending_refresh: HashMap::new(),
+            pending_refresh: IntMap::default(),
             version: 0,
             stats: StatCells::default(),
         }
@@ -532,7 +573,7 @@ impl Table {
     }
 
     fn secondary_insert(&mut self, id: u32, tuple: &Tuple) {
-        for (cols, index) in self.secondary.iter_mut() {
+        for (cols, index) in &mut self.secondary {
             if let Some(h) = Self::index_hash(tuple, cols) {
                 index.entry(h).or_default().insert(id);
             }
@@ -543,7 +584,7 @@ impl Table {
     }
 
     fn secondary_remove(&mut self, id: u32, tuple: &Tuple) {
-        for (cols, index) in self.secondary.iter_mut() {
+        for (cols, index) in &mut self.secondary {
             if let Some(h) = Self::index_hash(tuple, cols) {
                 if let Some(set) = index.get_mut(&h) {
                     set.remove(&id);
@@ -619,10 +660,10 @@ impl Table {
     pub fn add_index(&mut self, mut cols: Vec<usize>) {
         cols.sort_unstable();
         cols.dedup();
-        if cols.is_empty() || self.secondary.contains_key(&cols) {
+        if cols.is_empty() || self.secondary_index(&cols).is_some() {
             return;
         }
-        let mut index: SecondaryIndex = HashMap::new();
+        let mut index = SecondaryIndex::default();
         for (i, slot) in self.slots.iter().enumerate() {
             if let Some(row) = slot {
                 if let Some(h) = Self::index_hash(&row.tuple, &cols) {
@@ -630,12 +671,23 @@ impl Table {
                 }
             }
         }
-        self.secondary.insert(cols, index);
+        self.secondary.push((cols, index));
     }
 
-    /// The set of secondary index column lists (for planner introspection).
+    /// The secondary index over exactly `cols` (sorted), if declared.
+    fn secondary_index(&self, cols: &[usize]) -> Option<&SecondaryIndex> {
+        self.secondary
+            .iter()
+            .find_map(|(c, index)| (c.as_slice() == cols).then_some(index))
+    }
+
+    /// The secondary index column lists, in declaration order (for planner
+    /// introspection).
     pub fn indexes(&self) -> Vec<Vec<usize>> {
-        self.secondary.keys().cloned().collect()
+        self.secondary
+            .iter()
+            .map(|(cols, _)| cols.clone())
+            .collect()
     }
 
     /// Declares a group index over the given (zero-based) columns (see the
@@ -974,7 +1026,7 @@ impl Table {
             };
         }
 
-        if let Some(index) = self.secondary.get(cols) {
+        if let Some(index) = self.secondary_index(cols) {
             self.stats
                 .indexed_lookups
                 .set(self.stats.indexed_lookups.get() + 1);
