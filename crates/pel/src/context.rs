@@ -16,10 +16,6 @@ pub struct EvalContext {
     rng_state: u64,
     /// Shared, so the address as a [`Value`] is a reference-count bump.
     local_addr: Arc<str>,
-    /// Reusable VM evaluation stack: borrowed by `Program::eval` for the
-    /// duration of one evaluation and returned, so steady-state PEL
-    /// evaluation performs no allocation.
-    scratch_stack: Vec<Value>,
 }
 
 impl EvalContext {
@@ -34,19 +30,7 @@ impl EvalContext {
                 seed
             },
             local_addr: local_addr.into(),
-            scratch_stack: Vec::new(),
         }
-    }
-
-    /// Takes the reusable evaluation stack out of the context (the VM holds
-    /// it while builtins may re-borrow the context).
-    pub fn take_scratch_stack(&mut self) -> Vec<Value> {
-        std::mem::take(&mut self.scratch_stack)
-    }
-
-    /// Returns the evaluation stack for reuse by the next evaluation.
-    pub fn put_scratch_stack(&mut self, stack: Vec<Value>) {
-        self.scratch_stack = stack;
     }
 
     /// Current virtual time, as returned by `f_now()`.

@@ -6,6 +6,8 @@
 //! directly; the byte-code VM must agree with this reference interpreter
 //! (checked by property tests).
 
+use std::borrow::Borrow;
+
 use p2_value::{Tuple, Uint160, Value, ValueError};
 
 use crate::context::EvalContext;
@@ -188,7 +190,7 @@ impl Expr {
         match self {
             Expr::Const(v) => Ok(v.clone()),
             Expr::Field(i) => tuple.get(*i).cloned(),
-            Expr::Unary(op, e) => apply_unop(*op, e.eval(tuple, ctx)?),
+            Expr::Unary(op, e) => apply_unop(*op, &e.eval(tuple, ctx)?),
             Expr::Binary(op, a, b) => {
                 let lhs = a.eval(tuple, ctx)?;
                 let rhs = b.eval(tuple, ctx)?;
@@ -199,7 +201,7 @@ impl Expr {
                 for a in args {
                     vals.push(a.eval(tuple, ctx)?);
                 }
-                apply_builtin(*builtin, &vals, ctx)
+                apply_builtin(*builtin, &vals[..], ctx)
             }
             Expr::Interval {
                 kind,
@@ -216,12 +218,13 @@ impl Expr {
     }
 }
 
-/// Applies a unary operator.
-pub fn apply_unop(op: UnOp, v: Value) -> Result<Value, ValueError> {
+/// Applies a unary operator. Integer negation wraps, like every other
+/// integer operator: `-i64::MIN` is `i64::MIN`.
+pub fn apply_unop(op: UnOp, v: &Value) -> Result<Value, ValueError> {
     match op {
         UnOp::Not => Ok(Value::Bool(!v.truthy())),
         UnOp::Neg => match v {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Double(d) => Ok(Value::Double(-d)),
             other => Err(ValueError::TypeMismatch {
                 op: "neg",
@@ -332,10 +335,11 @@ pub fn apply_binop(op: BinOp, lhs: &Value, rhs: &Value) -> Result<Value, ValueEr
     Ok(Value::Int(out))
 }
 
-/// Applies a built-in function.
-pub fn apply_builtin(
+/// Applies a built-in function to borrowed arguments (`&[Value]`,
+/// `&[&Value]`, or the VM's operand slots alike).
+pub fn apply_builtin<V: Borrow<Value>>(
     builtin: Builtin,
-    args: &[Value],
+    args: &[V],
     ctx: &mut EvalContext,
 ) -> Result<Value, ValueError> {
     if args.len() != builtin.arity() {
@@ -348,9 +352,9 @@ pub fn apply_builtin(
         Builtin::Now => Value::Time(ctx.now()),
         Builtin::Rand => Value::Double(ctx.next_f64()),
         Builtin::LocalAddr => ctx.local_addr(),
-        Builtin::CoinFlip => Value::Bool(ctx.coin_flip(args[0].to_double()?)),
+        Builtin::CoinFlip => Value::Bool(ctx.coin_flip(args[0].borrow().to_double()?)),
         Builtin::Sha1 => {
-            let bytes = args[0].to_display_string();
+            let bytes = args[0].borrow().to_display_string();
             Value::Id(Uint160::hash_of(bytes.as_bytes()))
         }
     })
@@ -485,6 +489,27 @@ mod tests {
             Box::new(Expr::bin(BinOp::Lt, Expr::Field(0), Expr::Field(1))),
         );
         assert_eq!(e.eval(&t(), &mut c).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn unary_operators() {
+        assert_eq!(apply_unop(UnOp::Neg, &Value::Int(5)), Ok(Value::Int(-5)));
+        assert_eq!(
+            apply_unop(UnOp::Neg, &Value::Double(2.5)),
+            Ok(Value::Double(-2.5))
+        );
+        // Integer negation wraps like every other integer operator instead
+        // of overflowing.
+        assert_eq!(
+            apply_unop(UnOp::Neg, &Value::Int(i64::MIN)),
+            Ok(Value::Int(i64::MIN))
+        );
+        assert_eq!(
+            apply_unop(UnOp::Neg, &Value::Int(i64::MAX)),
+            Ok(Value::Int(-i64::MAX))
+        );
+        assert!(apply_unop(UnOp::Neg, &Value::str("x")).is_err());
+        assert_eq!(apply_unop(UnOp::Not, &Value::Int(0)), Ok(Value::Bool(true)));
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! * [`Expr`] — the expression AST the planner produces (constants, tuple
 //!   field accesses, arithmetic, comparisons, ring-interval tests, built-in
 //!   functions such as `f_now`, `f_rand`, `f_coinFlip`, `f_sha1`).
-//! * [`Program`] — a compiled byte-code program ([`Op`] sequence) evaluated
-//!   by a small stack machine.
+//! * [`Program`] — a compiled byte-code program ([`Op`] sequence). A bare
+//!   field or constant, one binary operator over two of them, or one ring
+//!   interval over three evaluates directly on borrowed operands (the
+//!   *flat form*); anything else runs on a small stack machine whose
+//!   operand stack borrows fields and constants (see [`vm`]).
 //! * [`EvalContext`] — per-node evaluation environment (virtual clock,
 //!   deterministic RNG, local address).
 //!

@@ -6,10 +6,12 @@ use crate::expr::{BinOp, Builtin, IntervalKind, UnOp};
 
 /// A single PEL byte-code operation.
 ///
-/// The VM is a pure stack machine: operations pop their operands from the
-/// evaluation stack and push their result. Programs are produced by
-/// [`crate::Program::compile`] from an [`crate::Expr`] in post-order, which
-/// is exactly the RPN/postfix form described in the paper.
+/// The byte-code is a pure stack language: operations pop their operands
+/// from the evaluation stack and push their result. Programs are produced
+/// by [`crate::Program::compile`] from an [`crate::Expr`] in post-order,
+/// which is exactly the RPN/postfix form described in the paper. (A
+/// program simple enough for the flat form never runs its ops; see
+/// [`crate::vm`].)
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Push a literal value.
@@ -20,8 +22,10 @@ pub enum Op {
     Unary(UnOp),
     /// Pop two values (rhs first), apply the binary operator, push result.
     Binary(BinOp),
-    /// Pop `arity` arguments (last argument on top), call the builtin.
-    Call(Builtin),
+    /// Pop the given number of arguments (last argument on top) and call
+    /// the builtin; a count other than [`Builtin::arity`] is the same
+    /// arity error [`crate::Expr::eval`] raises.
+    Call(Builtin, usize),
     /// Pop high, low, value; push the ring-interval membership boolean.
     Interval(IntervalKind),
 }

@@ -1,39 +1,158 @@
-//! The PEL byte-code compiler and stack virtual machine.
+//! The PEL byte-code compiler and evaluator.
+//!
+//! [`Program::compile`] lowers an [`Expr`] to post-order byte-code ([`Op`])
+//! and picks, from the expression alone, one of two evaluation forms:
+//!
+//! * **Flat.** A bare field or constant, a binary operator over two fields
+//!   or constants (`X == Y`, `C + 1`), or a ring interval over three
+//!   (Chord's `K in (N, S]`). Most programs the planner emits have one of
+//!   these shapes: assignments and head projections are mostly bare
+//!   fields, and most selections are one comparison. A flat program reads
+//!   its operands as `&Value`s straight from the input fields and its own
+//!   constants and calls the operator once: no operand stack, and no clone
+//!   except the returned value.
+//! * **Byte-code.** Everything else (`K - B - 1 == D`, conjunctions of
+//!   tests, `f_now() - T > 20`) runs its ops on an operand stack of
+//!   [`Cow`]s that *borrow* loaded fields and constants and own only the
+//!   values operators compute. The stack lives inline up to
+//!   `INLINE_STACK` entries and spills to the heap only beyond.
+//!
+//! Neither form clones a loaded field (for an address string, an atomic
+//! reference-count bump) unless it is the result.
+//!
+//! Both forms agree with the reference interpreter [`Expr::eval`] on
+//! results and errors alike. They visit operands in its left-to-right
+//! order, so field loads — and the first out-of-range field, which is the
+//! error returned — come in the same order, as do builtin calls and with
+//! them every RNG draw. They hand the same values to the same operator
+//! functions ([`expr::apply_binop`], [`expr::apply_unop`],
+//! [`expr::apply_builtin`], [`expr::apply_interval`]), borrowed rather than
+//! cloned, and stop at the first error. The property tests in
+//! `tests/prop_vm_equivalence.rs` check it.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use p2_value::{Tuple, Value, ValueError};
 
 use crate::context::EvalContext;
-use crate::expr::{self, Expr};
+use crate::expr::{self, BinOp, Expr, IntervalKind};
 use crate::ops::Op;
+
+/// Operand-stack depth kept inline; deeper byte-code spills to the heap.
+/// Every program the shipped OverLog overlays compile to fits.
+const INLINE_STACK: usize = 4;
+
+/// Placeholder for operand slots not yet written.
+static EMPTY: Value = Value::Null;
 
 /// A compiled PEL program.
 ///
 /// Dataflow elements (selections, projections, aggregations) are
 /// parameterized by one or more compiled programs; each program evaluates a
-/// single expression over an input tuple and yields one value.
+/// single expression over an input tuple and yields one value. A program
+/// takes the flat form when its expression is a bare field or constant, a
+/// binary operator over two of them, or a ring interval over three, and
+/// runs its byte-code on a borrowing operand stack otherwise (see the
+/// [module docs](crate::vm)). Either way it returns what [`Expr::eval`]
+/// returns.
 ///
-/// The byte-code is held behind an [`Arc`], so cloning a program — as the
-/// shared-plan instantiation path does once per node — shares the compiled
-/// ops instead of duplicating them.
+/// The byte-code is held behind an [`Arc`], so cloning a program shares
+/// the compiled ops instead of duplicating them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     ops: Arc<[Op]>,
-    /// Upper bound on the evaluation stack depth, computed at compile time so
-    /// the VM can pre-allocate.
-    max_stack: usize,
+    form: Form,
+}
+
+/// How a [`Program`] evaluates.
+#[derive(Debug, Clone, PartialEq)]
+enum Form {
+    /// Directly on borrowed operands, without running the ops.
+    Flat(Flat),
+    /// The ops on a borrowing operand stack of at most `max_stack` entries
+    /// (computed at compile time).
+    Stack { max_stack: usize },
+}
+
+/// An expression of the flat form.
+#[derive(Debug, Clone, PartialEq)]
+enum Flat {
+    Leaf(Leaf),
+    Binary(BinOp, Leaf, Leaf),
+    Interval(IntervalKind, [Leaf; 3]),
+}
+
+/// An operand a flat program reads without computing it.
+#[derive(Debug, Clone, PartialEq)]
+enum Leaf {
+    Field(usize),
+    Const(Value),
+}
+
+impl Flat {
+    fn of(expr: &Expr) -> Option<Flat> {
+        Some(match expr {
+            Expr::Binary(op, a, b) => Flat::Binary(*op, Leaf::of(a)?, Leaf::of(b)?),
+            Expr::Interval {
+                kind,
+                value,
+                low,
+                high,
+            } => Flat::Interval(*kind, [Leaf::of(value)?, Leaf::of(low)?, Leaf::of(high)?]),
+            leaf => Flat::Leaf(Leaf::of(leaf)?),
+        })
+    }
+
+    fn eval<'a>(
+        &'a self,
+        load: impl Fn(usize) -> Result<&'a Value, ValueError>,
+    ) -> Result<Value, ValueError> {
+        match self {
+            Flat::Leaf(a) => a.get(&load).cloned(),
+            Flat::Binary(op, a, b) => expr::apply_binop(*op, a.get(&load)?, b.get(&load)?),
+            Flat::Interval(kind, [value, low, high]) => {
+                expr::apply_interval(*kind, value.get(&load)?, low.get(&load)?, high.get(&load)?)
+            }
+        }
+    }
+}
+
+impl Leaf {
+    fn of(expr: &Expr) -> Option<Leaf> {
+        match expr {
+            Expr::Field(i) => Some(Leaf::Field(*i)),
+            Expr::Const(v) => Some(Leaf::Const(v.clone())),
+            _ => None,
+        }
+    }
+
+    fn get<'a>(
+        &'a self,
+        load: &impl Fn(usize) -> Result<&'a Value, ValueError>,
+    ) -> Result<&'a Value, ValueError> {
+        match self {
+            Leaf::Field(i) => load(*i),
+            Leaf::Const(v) => Ok(v),
+        }
+    }
 }
 
 impl Program {
-    /// Compiles an expression AST into byte-code.
+    /// Compiles an expression AST into byte-code and picks its evaluation
+    /// form.
     pub fn compile(expr: &Expr) -> Program {
         let mut ops = Vec::new();
         emit(expr, &mut ops);
-        let max_stack = stack_bound(&ops);
+        let form = match Flat::of(expr) {
+            Some(flat) => Form::Flat(flat),
+            None => Form::Stack {
+                max_stack: stack_bound(&ops),
+            },
+        };
         Program {
             ops: ops.into(),
-            max_stack,
+            form,
         }
     }
 
@@ -92,7 +211,7 @@ impl Program {
     pub fn uses_random(&self) -> bool {
         self.ops
             .iter()
-            .any(|op| matches!(op, Op::Call(b) if b.is_random()))
+            .any(|op| matches!(op, Op::Call(b, _) if b.is_random()))
     }
 
     /// True if evaluating this program reads the clock (`f_now`). Such
@@ -101,7 +220,7 @@ impl Program {
     pub fn uses_time(&self) -> bool {
         self.ops
             .iter()
-            .any(|op| matches!(op, Op::Call(b) if b.is_time()))
+            .any(|op| matches!(op, Op::Call(b, _) if b.is_time()))
     }
 
     /// Evaluates the program over an explicit field slice.
@@ -118,62 +237,24 @@ impl Program {
         })
     }
 
-    /// Core VM loop over a field resolver. The evaluation stack is borrowed
-    /// from the context and reused across calls, so steady-state evaluation
-    /// does not allocate.
-    fn eval_with<'t>(
-        &self,
+    /// Evaluates the program over a field resolver, in its form.
+    fn eval_with<'a>(
+        &'a self,
         ctx: &mut EvalContext,
-        load: impl Fn(usize) -> Result<&'t Value, ValueError>,
+        load: impl Fn(usize) -> Result<&'a Value, ValueError>,
     ) -> Result<Value, ValueError> {
-        // Take the scratch stack out of the context so builtins (which
-        // borrow ctx) cannot observe it; put it back on every path.
-        let mut stack = ctx.take_scratch_stack();
-        stack.clear();
-        stack.reserve(self.max_stack);
-        let result = self.run(&mut stack, ctx, load);
-        ctx.put_scratch_stack(stack);
-        result
-    }
-
-    fn run<'t>(
-        &self,
-        stack: &mut Vec<Value>,
-        ctx: &mut EvalContext,
-        load: impl Fn(usize) -> Result<&'t Value, ValueError>,
-    ) -> Result<Value, ValueError> {
-        for op in self.ops.iter() {
-            match op {
-                Op::Push(v) => stack.push(v.clone()),
-                Op::Load(i) => stack.push(load(*i)?.clone()),
-                Op::Unary(u) => {
-                    let v = pop(stack)?;
-                    stack.push(expr::apply_unop(*u, v)?);
-                }
-                Op::Binary(b) => {
-                    let rhs = pop(stack)?;
-                    let lhs = pop(stack)?;
-                    stack.push(expr::apply_binop(*b, &lhs, &rhs)?);
-                }
-                Op::Call(builtin) => {
-                    let arity = builtin.arity();
-                    if stack.len() < arity {
-                        return Err(stack_underflow());
-                    }
-                    let at = stack.len() - arity;
-                    let v = expr::apply_builtin(*builtin, &stack[at..], ctx)?;
-                    stack.truncate(at);
-                    stack.push(v);
-                }
-                Op::Interval(kind) => {
-                    let high = pop(stack)?;
-                    let low = pop(stack)?;
-                    let value = pop(stack)?;
-                    stack.push(expr::apply_interval(*kind, &value, &low, &high)?);
-                }
+        match &self.form {
+            Form::Flat(flat) => flat.eval(load),
+            Form::Stack { max_stack } if *max_stack <= INLINE_STACK => {
+                let mut stack: [Cow<'a, Value>; INLINE_STACK] =
+                    std::array::from_fn(|_| Cow::Borrowed(&EMPTY));
+                run(&self.ops, &mut stack, ctx, load)
+            }
+            Form::Stack { max_stack } => {
+                let mut stack = vec![Cow::Borrowed(&EMPTY); *max_stack];
+                run(&self.ops, &mut stack, ctx, load)
             }
         }
-        pop(stack)
     }
 
     /// Evaluates the program and interprets the result as a boolean
@@ -181,6 +262,57 @@ impl Program {
     pub fn eval_bool(&self, tuple: &Tuple, ctx: &mut EvalContext) -> Result<bool, ValueError> {
         Ok(self.eval(tuple, ctx)?.truthy())
     }
+}
+
+/// Runs byte-code on `stack`, which holds at least the program's
+/// [`stack_bound`] slots. Constants and loaded fields are pushed borrowed;
+/// an operator's result replaces its first operand's slot, owned. The ops
+/// come from [`emit`], so every pop finds its operand.
+fn run<'a>(
+    ops: &'a [Op],
+    stack: &mut [Cow<'a, Value>],
+    ctx: &mut EvalContext,
+    load: impl Fn(usize) -> Result<&'a Value, ValueError>,
+) -> Result<Value, ValueError> {
+    let mut depth = 0;
+    for op in ops {
+        match op {
+            Op::Push(v) => {
+                stack[depth] = Cow::Borrowed(v);
+                depth += 1;
+            }
+            Op::Load(i) => {
+                stack[depth] = Cow::Borrowed(load(*i)?);
+                depth += 1;
+            }
+            Op::Unary(u) => {
+                let top = &mut stack[depth - 1];
+                *top = Cow::Owned(expr::apply_unop(*u, top)?);
+            }
+            Op::Binary(b) => {
+                depth -= 1;
+                let v = expr::apply_binop(*b, &stack[depth - 1], &stack[depth])?;
+                stack[depth - 1] = Cow::Owned(v);
+            }
+            Op::Call(builtin, argc) => {
+                let at = depth - argc;
+                let v = expr::apply_builtin(*builtin, &stack[at..depth], ctx)?;
+                stack[at] = Cow::Owned(v);
+                depth = at + 1;
+            }
+            Op::Interval(kind) => {
+                depth -= 2;
+                let v = expr::apply_interval(
+                    *kind,
+                    &stack[depth - 1],
+                    &stack[depth],
+                    &stack[depth + 1],
+                )?;
+                stack[depth - 1] = Cow::Owned(v);
+            }
+        }
+    }
+    Ok(std::mem::replace(&mut stack[0], Cow::Borrowed(&EMPTY)).into_owned())
 }
 
 /// Resolves field `i` of the virtual concatenation of `parts` (`None` when
@@ -198,17 +330,6 @@ pub fn concat_get<'a>(parts: &[&'a [Value]], i: usize) -> Option<&'a Value> {
         }
     }
     None
-}
-
-fn pop(stack: &mut Vec<Value>) -> Result<Value, ValueError> {
-    stack.pop().ok_or_else(stack_underflow)
-}
-
-fn stack_underflow() -> ValueError {
-    ValueError::TypeMismatch {
-        op: "pel vm",
-        got: "stack underflow".to_string(),
-    }
 }
 
 /// Emits post-order byte-code for an expression.
@@ -229,7 +350,7 @@ fn emit(expr: &Expr, out: &mut Vec<Op>) {
             for a in args {
                 emit(a, out);
             }
-            out.push(Op::Call(*builtin));
+            out.push(Op::Call(*builtin, args.len()));
         }
         Expr::Interval {
             kind,
@@ -245,7 +366,7 @@ fn emit(expr: &Expr, out: &mut Vec<Op>) {
     }
 }
 
-/// Computes an upper bound on the stack depth of a program.
+/// Computes the stack depth a program needs (at least 1).
 fn stack_bound(ops: &[Op]) -> usize {
     let mut depth: isize = 0;
     let mut max: isize = 0;
@@ -254,7 +375,7 @@ fn stack_bound(ops: &[Op]) -> usize {
             Op::Push(_) | Op::Load(_) => 1,
             Op::Unary(_) => 0,
             Op::Binary(_) => -1,
-            Op::Call(b) => 1 - b.arity() as isize,
+            Op::Call(_, argc) => 1 - *argc as isize,
             Op::Interval(_) => -2,
         };
         depth += delta;
@@ -332,14 +453,102 @@ mod tests {
 
     #[test]
     fn stack_bound_is_respected() {
-        // Deeply right-nested additions: a + (b + (c + ...))
+        // Deeply right-nested additions: a + (b + (c + ...)) spill the
+        // operand stack to the heap.
         let mut e = Expr::int(1);
         for i in 0..50 {
             e = Expr::bin(BinOp::Add, Expr::int(i), e);
         }
         let p = Program::compile(&e);
-        assert!(p.max_stack >= 2);
+        assert_eq!(p.form, Form::Stack { max_stack: 51 });
         assert_eq!(p.eval(&tup(), &mut ctx()).unwrap(), Value::Int(1226));
+        // At the inline depth exactly.
+        let mut e = Expr::Field(0);
+        for _ in 1..INLINE_STACK {
+            e = Expr::bin(BinOp::Sub, Expr::Field(1), e);
+        }
+        let p = Program::compile(&e);
+        assert_eq!(
+            p.form,
+            Form::Stack {
+                max_stack: INLINE_STACK
+            }
+        );
+        assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
+    }
+
+    #[test]
+    fn flat_form_covers_leaves_binaries_and_intervals() {
+        let ring = Expr::Interval {
+            kind: IntervalKind::OpenClosed,
+            value: Box::new(Expr::Field(2)),
+            low: Box::new(Expr::Field(0)),
+            high: Box::new(Expr::Const(Value::Id(Uint160::MAX))),
+        };
+        let flat = [
+            Expr::Field(1),
+            Expr::int(7),
+            Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(1)),
+            Expr::bin(BinOp::Add, Expr::Field(2), Expr::int(1)),
+            ring.clone(),
+        ];
+        for e in &flat {
+            let p = Program::compile(e);
+            assert!(matches!(p.form, Form::Flat(_)), "{e:?}");
+            assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
+        }
+        let nested = [
+            // Chord's `K - B - 1 == D`.
+            Expr::bin(
+                BinOp::Eq,
+                Expr::bin(
+                    BinOp::Sub,
+                    Expr::bin(BinOp::Sub, Expr::Field(2), Expr::Field(0)),
+                    Expr::int(1),
+                ),
+                Expr::Field(1),
+            ),
+            Expr::bin(
+                BinOp::And,
+                ring,
+                Expr::bin(BinOp::Ne, Expr::Field(0), Expr::Field(1)),
+            ),
+            Expr::Call(Builtin::Now, vec![]),
+            Expr::Unary(crate::expr::UnOp::Neg, Box::new(Expr::Field(0))),
+        ];
+        for e in &nested {
+            let p = Program::compile(e);
+            assert!(matches!(p.form, Form::Stack { .. }), "{e:?}");
+            assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
+        }
+    }
+
+    #[test]
+    fn errors_match_the_reference_interpreter() {
+        let exprs = [
+            // The first out-of-range load is the error, in either form.
+            Expr::bin(BinOp::Add, Expr::Field(8), Expr::Field(9)),
+            Expr::bin(
+                BinOp::Add,
+                Expr::bin(BinOp::Add, Expr::Field(0), Expr::Field(8)),
+                Expr::Field(9),
+            ),
+            // An operator error after successful loads.
+            Expr::bin(BinOp::Div, Expr::Field(0), Expr::int(0)),
+            Expr::bin(
+                BinOp::Mul,
+                Expr::Field(2),
+                Expr::bin(BinOp::Add, Expr::Field(0), Expr::Field(1)),
+            ),
+            // A builtin called with the wrong number of arguments.
+            Expr::Call(Builtin::Now, vec![Expr::int(1)]),
+            Expr::Call(Builtin::Sha1, vec![]),
+        ];
+        for e in exprs {
+            let direct = e.eval(&tup(), &mut ctx());
+            assert!(direct.is_err(), "{e:?}");
+            assert_eq!(Program::compile(&e).eval(&tup(), &mut ctx()), direct);
+        }
     }
 
     #[test]

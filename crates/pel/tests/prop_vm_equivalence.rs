@@ -1,14 +1,20 @@
-//! Property tests: the PEL byte-code VM agrees with the reference AST
-//! interpreter on randomly generated expressions, and ring-interval tests
-//! agree with direct `Uint160` interval arithmetic.
+//! Property tests: the PEL evaluator — flat form and byte-code alike —
+//! agrees with the reference AST interpreter on randomly generated
+//! expressions, through every entry point, and ring-interval tests agree
+//! with direct `Uint160` interval arithmetic.
 
-use p2_pel::{BinOp, EvalContext, Expr, IntervalKind, Program, UnOp};
+use p2_pel::{BinOp, Builtin, EvalContext, Expr, IntervalKind, Program, UnOp};
 use p2_value::{SimTime, Tuple, TupleBuilder, Uint160, Value};
 use proptest::prelude::*;
+
+/// Fields in every generated tuple; expressions also load past them.
+const FIELDS: usize = 4;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
         (-1.0e9..1.0e9f64).prop_map(Value::Double),
         any::<bool>().prop_map(Value::Bool),
         "[a-z]{0,8}".prop_map(Value::str),
@@ -47,45 +53,152 @@ fn arb_interval_kind() -> impl Strategy<Value = IntervalKind> {
     ]
 }
 
-/// Expressions that avoid the stateful builtins (f_rand / f_coinFlip) so that
-/// evaluating twice gives the same answer.
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
+fn arb_builtin() -> impl Strategy<Value = Builtin> {
+    prop_oneof![
+        Just(Builtin::Now),
+        Just(Builtin::Rand),
+        Just(Builtin::CoinFlip),
+        Just(Builtin::Sha1),
+        Just(Builtin::LocalAddr),
+    ]
+}
+
+/// Constants, fields in and past the tuple, and calls of
+/// the builtins that take no argument.
+fn arb_leaf() -> BoxedStrategy<Expr> {
+    prop_oneof![
         arb_value().prop_map(Expr::Const),
-        (0usize..4).prop_map(Expr::Field),
-    ];
-    leaf.prop_recursive(4, 32, 3, |inner| {
+        (0..FIELDS).prop_map(Expr::Field),
+        (FIELDS..FIELDS + 3).prop_map(Expr::Field),
         prop_oneof![
+            Just(Builtin::Now),
+            Just(Builtin::Rand),
+            Just(Builtin::LocalAddr)
+        ]
+        .prop_map(|b| Expr::Call(b, vec![])),
+    ]
+    .boxed()
+}
+
+fn interval(kind: IntervalKind, value: Expr, low: Expr, high: Expr) -> Expr {
+    Expr::Interval {
+        kind,
+        value: Box::new(value),
+        low: Box::new(low),
+        high: Box::new(high),
+    }
+}
+
+/// Half shapes that compile to the flat form when their leaves are
+/// constants or fields (a leaf, one binary operator, one interval), half
+/// nested expressions over operators, ring intervals and builtin calls,
+/// the RNG-drawing ones included. A call usually gets its builtin's arity,
+/// sometimes whatever number of arguments was drawn.
+fn arb_expr() -> impl Strategy<Value = Expr> {
+    let leaf = arb_leaf();
+    let flat = prop_oneof![
+        leaf.clone(),
+        (arb_binop(), leaf.clone(), leaf.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
+        (
+            arb_interval_kind(),
+            leaf.clone(),
+            leaf.clone(),
+            leaf.clone()
+        )
+            .prop_map(|(kind, v, lo, hi)| interval(kind, v, lo, hi)),
+    ];
+    let nested = leaf.prop_recursive(3, 32, 3, |inner| {
+        prop_oneof![
+            inner.clone(),
+            (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (arb_binop(), inner.clone(), inner.clone()).prop_map(|(op, a, b)| Expr::bin(op, a, b)),
             (inner.clone()).prop_map(|e| Expr::Unary(UnOp::Not, Box::new(e))),
             (inner.clone()).prop_map(|e| Expr::Unary(UnOp::Neg, Box::new(e))),
-            (arb_interval_kind(), inner.clone(), inner.clone(), inner).prop_map(
-                |(kind, v, lo, hi)| Expr::Interval {
-                    kind,
-                    value: Box::new(v),
-                    low: Box::new(lo),
-                    high: Box::new(hi),
-                }
-            ),
+            (
+                arb_interval_kind(),
+                inner.clone(),
+                inner.clone(),
+                inner.clone()
+            )
+                .prop_map(|(kind, v, lo, hi)| interval(kind, v, lo, hi)),
+            (
+                arb_builtin(),
+                proptest::collection::vec(inner, 0..3),
+                0u32..8
+            )
+                .prop_map(|(b, mut args, pick)| {
+                    if pick != 0 {
+                        args.truncate(b.arity());
+                        while args.len() < b.arity() {
+                            args.push(Expr::Field(0));
+                        }
+                    }
+                    Expr::Call(b, args)
+                }),
         ]
-    })
+    });
+    prop_oneof![flat, nested]
 }
 
 fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    proptest::collection::vec(arb_value(), 4).prop_map(|vs| Tuple::new("prop", vs))
+    proptest::collection::vec(arb_value(), FIELDS).prop_map(|vs| Tuple::new("prop", vs))
+}
+
+/// Splits `fields` at the sorted `cuts` into 1–4 segments, some of them
+/// empty when cuts repeat or fall on an end.
+fn split(fields: &[Value], mut cuts: Vec<usize>) -> Vec<&[Value]> {
+    cuts.sort_unstable();
+    let mut parts = Vec::new();
+    let mut from = 0;
+    for cut in cuts {
+        parts.push(&fields[from..cut]);
+        from = cut;
+    }
+    parts.push(&fields[from..]);
+    parts
+}
+
+/// Exact agreement: same variant and bits (`Value`'s `==` equates `Int(1)`
+/// with `Double(1.0)`), same error.
+fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+    format!("{a:?}") == format!("{b:?}")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn vm_agrees_with_ast_interpreter(expr in arb_expr(), tuple in arb_tuple()) {
-        let mut ctx_a = EvalContext::new("n1", 9);
-        ctx_a.set_now(SimTime::from_secs(123));
-        let mut ctx_b = ctx_a.clone();
-        let direct = expr.eval(&tuple, &mut ctx_a);
-        let compiled = Program::compile(&expr).eval(&tuple, &mut ctx_b);
-        prop_assert_eq!(direct, compiled);
+    fn vm_agrees_with_ast_interpreter(
+        expr in arb_expr(),
+        tuple in arb_tuple(),
+        cuts in proptest::collection::vec(0..FIELDS + 1, 0..4),
+    ) {
+        let mut ctx = EvalContext::new("n1", 9);
+        ctx.set_now(SimTime::from_secs(123));
+        let program = Program::compile(&expr);
+        let parts = split(tuple.values(), cuts);
+
+        // Each entry point runs on a clone of the same context; the draw
+        // after it shows the RNG advanced exactly as the interpreter's did.
+        let mut direct_ctx = ctx.clone();
+        let direct = expr.eval(&tuple, &mut direct_ctx);
+        let next_draw = direct_ctx.next_u64();
+
+        let mut vm_ctx = ctx.clone();
+        let via_eval = program.eval(&tuple, &mut vm_ctx);
+        prop_assert!(same(&via_eval, &direct), "eval {:?} != {:?}", via_eval, direct);
+        prop_assert_eq!(vm_ctx.next_u64(), next_draw);
+
+        let mut concat_ctx = ctx.clone();
+        let via_concat = program.eval_concat(&parts, &mut concat_ctx);
+        prop_assert!(same(&via_concat, &direct), "eval_concat {:?} != {:?}", via_concat, direct);
+        prop_assert_eq!(concat_ctx.next_u64(), next_draw);
+
+        let mut bool_ctx = ctx.clone();
+        let via_bool = program.eval_bool_concat(&parts, &mut bool_ctx);
+        let expect = direct.as_ref().map(Value::truthy).map_err(Clone::clone);
+        prop_assert_eq!(via_bool, expect);
+        prop_assert_eq!(bool_ctx.next_u64(), next_draw);
     }
 
     #[test]
