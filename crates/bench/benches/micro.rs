@@ -3,15 +3,12 @@
 //! operations. These back the paper's §3.3 claim that inter-element
 //! transitions are cheap ("most take about 50 machine instructions").
 
-use std::sync::Arc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use parking_lot::Mutex;
 
 use p2_dataflow::elements::{FusedStrand, Queue};
 use p2_dataflow::{Engine, Graph, Route};
 use p2_pel::{BinOp, EvalContext, Expr, Program};
-use p2_table::{Table, TableRef, TableSpec};
+use p2_table::{Table, TableSpec};
 use p2_value::{wire, SimTime, Tuple, TupleBuilder, Uint160, Value};
 
 fn sample_tuple() -> Tuple {
@@ -140,9 +137,8 @@ fn bench_elements(c: &mut Criterion) {
             .build();
         table.insert(tup, SimTime::ZERO).unwrap();
     }
-    let table: TableRef = Arc::new(Mutex::new(table));
     let mut g = Graph::new();
-    let probe = FusedStrand::probe_op(table, vec![(0, 0)]);
+    let probe = FusedStrand::probe_op(g.add_table(table), vec![(0, 0)]);
     let join = g.add(
         "join",
         Box::new(FusedStrand::new(

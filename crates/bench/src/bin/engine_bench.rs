@@ -42,7 +42,7 @@ use p2_dataflow::elements::{AggOp, FusedStrand};
 use p2_dataflow::{Element, ElementCtx, Engine, Graph, Route};
 use p2_overlays::chord;
 use p2_pel::{BinOp, Expr, IntervalKind, Program};
-use p2_table::{AggFunc, Table, TableRef, TableSpec};
+use p2_table::{AggFunc, Table, TableSpec};
 use p2_value::{SimTime, Tuple, TupleBuilder, Uint160, Value};
 use serde::Serialize;
 
@@ -161,7 +161,7 @@ fn bench_chord_deliver(lookups: u64, batch: usize) -> ChordDeliverResult {
     node.deliver(chord::join_tuple("n0:11111", 1), SimTime::from_secs(1));
     node.advance_to(SimTime::from_secs(30));
     assert!(
-        node.table("bestSucc").map(|t| !t.lock().is_empty()) == Some(true),
+        node.table("bestSucc").is_some_and(|t| !t.is_empty()),
         "single-node ring did not converge"
     );
     let handoffs_before = node.stats().handoffs;
@@ -286,11 +286,7 @@ fn bench_plan_sharing(nodes: usize) -> PlanSharingResult {
     let sanity: usize = fresh
         .iter()
         .chain(shared.iter())
-        .filter(|n| {
-            n.table("node")
-                .map(|t| t.lock().len() == 1)
-                .unwrap_or(false)
-        })
+        .filter(|n| n.table("node").is_some_and(|t| t.len() == 1))
         .count();
     assert_eq!(sanity, 2 * nodes, "fleet sanity check failed");
 
@@ -334,14 +330,15 @@ fn agg_strand(agg: AggOp, width: usize) -> Box<dyn Element> {
 }
 
 /// Delivers `events` probe events (cycling through `stream`, so the probed
-/// key changes every event) to the strand `make` builds over a fresh `spec`
-/// table preloaded with `rows`; returns ns per event.
+/// key changes every event) to the strand `make` builds over table 0, a
+/// fresh `spec` table preloaded with `rows` that `make` may index; returns
+/// ns per event.
 fn time_probe(
     spec: TableSpec,
     rows: &[Tuple],
     stream: &[Tuple],
     events: u64,
-    make: impl FnOnce(TableRef) -> Box<dyn Element>,
+    make: impl FnOnce(&mut Table) -> Box<dyn Element>,
 ) -> f64 {
     let mut table = Table::new(spec);
     for row in rows {
@@ -349,9 +346,9 @@ fn time_probe(
             .insert(row.clone(), SimTime::from_secs(1))
             .expect("well-formed row");
     }
-    let table: TableRef = std::sync::Arc::new(parking_lot::Mutex::new(table));
     let mut g = Graph::new();
-    let probe = g.add("probe", make(table));
+    let probe = g.add("probe", make(&mut table));
+    g.add_table(table);
     let sink = g.add("sink", Box::new(Count { seen: 0 }));
     g.connect(probe, 0, sink, 0);
     let mut engine = Engine::new(g, "n1", 1);
@@ -391,17 +388,17 @@ fn bench_agg_probe_keyed(events: u64) -> AggProbeResult {
         .collect();
     let spec = || TableSpec::new("member", vec![1]);
     let same_node = || Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(2));
-    let count = |table: TableRef, filter: Expr| {
+    let count = |filter: Expr| {
         let one = Program::compile(&Expr::int(1));
         let filter = Some(Program::compile(&filter));
-        AggOp::new(table, 3, AggFunc::Count, filter, one)
+        AggOp::new(0, 3, AggFunc::Count, filter, one)
     };
-    let probe_ns_per_event = time_probe(spec(), &rows, &stream, events, |t| {
-        agg_strand(count(t, same_node()).with_key(vec![(1, 1)]), 6)
+    let probe_ns_per_event = time_probe(spec(), &rows, &stream, events, |_| {
+        agg_strand(count(same_node()).with_key(vec![(1, 1)]), 6)
     });
-    let baseline_ns_per_event = time_probe(spec(), &rows, &stream, events, |t| {
+    let baseline_ns_per_event = time_probe(spec(), &rows, &stream, events, |_| {
         let same_member = Expr::bin(BinOp::Eq, Expr::Field(1), Expr::Field(3));
-        agg_strand(count(t, Expr::bin(BinOp::And, same_node(), same_member)), 6)
+        agg_strand(count(Expr::bin(BinOp::And, same_node(), same_member)), 6)
     });
     AggProbeResult {
         case: "keyed_vs_scan",
@@ -447,7 +444,7 @@ fn bench_agg_probe_grouped(case: &'static str, rows: u64, run: u64, events: u64)
         })
         .collect();
     let spec = || TableSpec::new("finger", vec![1]);
-    let probe = |table: TableRef| {
+    let probe = || {
         let filter = Program::compile(&Expr::Interval {
             kind: IntervalKind::OpenOpen,
             value: Box::new(Expr::Field(7)),
@@ -459,7 +456,7 @@ fn bench_agg_probe_grouped(case: &'static str, rows: u64, run: u64, events: u64)
             Expr::bin(BinOp::Sub, Expr::Field(1), Expr::Field(7)),
             Expr::int(1),
         ));
-        AggOp::new(table, 4, AggFunc::Min, Some(filter), agg)
+        AggOp::new(0, 4, AggFunc::Min, Some(filter), agg)
     };
     // The two arms alternate and each keeps its fastest round: the CI
     // bounds below compare them, and interference on a shared box only
@@ -467,12 +464,12 @@ fn bench_agg_probe_grouped(case: &'static str, rows: u64, run: u64, events: u64)
     let (mut probe_ns_per_event, mut baseline_ns_per_event) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..ROUNDS {
         let ns = time_probe(spec(), &rows, &stream, events / ROUNDS, |table| {
-            table.lock().add_group_index(vec![2]);
-            agg_strand(probe(table).with_group_index(vec![2]), 10)
+            table.add_group_index(vec![2]);
+            agg_strand(probe().with_group_index(vec![2]), 10)
         });
         probe_ns_per_event = probe_ns_per_event.min(ns);
-        let ns = time_probe(spec(), &rows, &stream, events / ROUNDS, |table| {
-            agg_strand(probe(table), 10)
+        let ns = time_probe(spec(), &rows, &stream, events / ROUNDS, |_| {
+            agg_strand(probe(), 10)
         });
         baseline_ns_per_event = baseline_ns_per_event.min(ns);
     }

@@ -1,11 +1,12 @@
 //! The public node API: a running P2 instance for one overlay participant.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use p2_dataflow::elements::CollectorHandle;
 use p2_dataflow::{EngineStats, Outgoing};
 use p2_overlog::Program;
-use p2_table::{Catalog, TableRef};
+use p2_table::{Catalog, Schema, Table};
 use p2_value::{SimTime, Tuple};
 
 use crate::error::PlanError;
@@ -60,8 +61,9 @@ impl NodeConfig {
 /// to other nodes.
 pub struct P2Node {
     addr: String,
+    /// The dataflow engine, which owns the node's tables.
     engine: p2_dataflow::Engine,
-    catalog: Catalog,
+    schema: Arc<Schema>,
     collectors: HashMap<String, CollectorHandle>,
     pending_stream_facts: Vec<Tuple>,
     started: bool,
@@ -108,14 +110,14 @@ impl P2Node {
     ) -> P2Node {
         let Planned {
             engine,
-            catalog,
+            schema,
             collectors,
         } = plan.instantiate(addr, seed);
 
         let mut node = P2Node {
             addr: addr.to_string(),
             engine,
-            catalog,
+            schema,
             collectors,
             pending_stream_facts: Vec::new(),
             started: false,
@@ -130,11 +132,11 @@ impl P2Node {
     }
 
     fn install_fact(&mut self, tuple: Tuple) {
-        match self.catalog.get(tuple.name()) {
-            Some(table) => {
+        match self.schema.id(tuple.name()) {
+            Some(id) => {
                 // Base facts are installed directly; they are present before
                 // the first rule fires, like P2's bootstrap state.
-                let _ = table.lock().insert(tuple, SimTime::ZERO);
+                let _ = self.engine.tables_mut()[id].insert(tuple, SimTime::ZERO);
             }
             None => self.pending_stream_facts.push(tuple),
         }
@@ -166,7 +168,7 @@ impl P2Node {
     /// application event such as a `lookup` request), running the dataflow to
     /// completion.
     pub fn deliver(&mut self, tuple: Tuple, now: SimTime) -> Vec<Outgoing> {
-        self.catalog.expire_all(now);
+        self.schema.expire_all(self.engine.tables_mut(), now);
         self.engine.deliver(tuple, now)
     }
 
@@ -178,14 +180,14 @@ impl P2Node {
         tuples: impl IntoIterator<Item = Tuple>,
         now: SimTime,
     ) -> Vec<Outgoing> {
-        self.catalog.expire_all(now);
+        self.schema.expire_all(self.engine.tables_mut(), now);
         self.engine.deliver_many(tuples, now)
     }
 
     /// Advances the node's clock to `now`, firing due timers and sweeping
     /// expired soft state.
     pub fn advance_to(&mut self, now: SimTime) -> Vec<Outgoing> {
-        self.catalog.expire_all(now);
+        self.schema.expire_all(self.engine.tables_mut(), now);
         self.engine.advance_to(now)
     }
 
@@ -194,14 +196,14 @@ impl P2Node {
         self.engine.next_deadline()
     }
 
-    /// A handle to one of the node's materialized tables.
-    pub fn table(&self, name: &str) -> Option<TableRef> {
-        self.catalog.get(name)
+    /// The node's materialized table `name`.
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.catalog().get(name)
     }
 
-    /// The node's table catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+    /// The node's tables, read by name.
+    pub fn catalog(&self) -> Catalog<'_> {
+        Catalog::new(&self.schema, self.engine.tables())
     }
 
     /// The observation buffer for a watched tuple name.
@@ -217,7 +219,7 @@ impl P2Node {
     /// Enables the rule-level profiler using the plan's element metadata
     /// (see [`PlannedProgram::obs_meta`]). Idempotent in effect but resets
     /// counters when called again.
-    pub fn enable_obs(&mut self, meta: std::sync::Arc<p2_obs::ObsMeta>) {
+    pub fn enable_obs(&mut self, meta: Arc<p2_obs::ObsMeta>) {
         self.engine.enable_obs(meta);
     }
 
@@ -239,7 +241,7 @@ impl P2Node {
 
     /// Approximate bytes of soft state currently held by the node.
     pub fn resident_table_bytes(&self) -> usize {
-        self.catalog.resident_bytes()
+        self.catalog().resident_bytes()
     }
 
     /// Human-readable dump of the planned dataflow graph.
@@ -309,7 +311,7 @@ mod tests {
         "#;
         let program = compile_checked(src).unwrap();
         let mut n = P2Node::new(&program, NodeConfig::new("n5", 3).without_jitter()).unwrap();
-        assert_eq!(n.table("landmark").unwrap().lock().len(), 1);
+        assert_eq!(n.table("landmark").unwrap().len(), 1);
         n.start(SimTime::ZERO);
         let out = n.deliver(
             TupleBuilder::new("joinEvent").push("n5").build(),
@@ -344,8 +346,8 @@ mod tests {
         );
         assert!(out.is_empty());
         let member = n.table("member").unwrap();
-        assert_eq!(member.lock().len(), 1);
-        let row = member.lock().scan()[0].clone();
+        assert_eq!(member.len(), 1);
+        let row = member.scan()[0].clone();
         assert_eq!(row.field(1), &Value::str("n2"));
         assert_eq!(row.field(4), &Value::Bool(true));
     }
@@ -363,11 +365,11 @@ mod tests {
             TupleBuilder::new("memberAdd").push("n1").push("n2").build(),
             SimTime::from_secs(1),
         );
-        assert_eq!(n.table("member").unwrap().lock().len(), 1);
+        assert_eq!(n.table("member").unwrap().len(), 1);
         n.advance_to(SimTime::from_secs(3));
-        assert_eq!(n.table("member").unwrap().lock().len(), 1);
+        assert_eq!(n.table("member").unwrap().len(), 1);
         n.advance_to(SimTime::from_secs(10));
-        assert_eq!(n.table("member").unwrap().lock().len(), 0);
+        assert_eq!(n.table("member").unwrap().len(), 0);
     }
 
     #[test]
@@ -391,9 +393,9 @@ mod tests {
         n.deliver(peer, SimTime::from_secs(20));
         assert_eq!(n.collector("seen").unwrap().lock().len(), 2);
         n.advance_to(SimTime::from_secs(40));
-        assert_eq!(n.table("cache").unwrap().lock().len(), 1);
+        assert_eq!(n.table("cache").unwrap().len(), 1);
         n.advance_to(SimTime::from_secs(60));
-        assert_eq!(n.table("cache").unwrap().lock().len(), 0);
+        assert_eq!(n.table("cache").unwrap().len(), 0);
     }
 
     #[test]
@@ -408,7 +410,7 @@ mod tests {
         n.start(SimTime::ZERO);
         n.advance_to(SimTime::from_secs(9));
         // Ticks at t=2,4,6,8 -> 4 counter rows (each with a unique event id).
-        assert_eq!(n.table("counter").unwrap().lock().len(), 4);
+        assert_eq!(n.table("counter").unwrap().len(), 4);
         assert!(n.stats().timers_fired >= 4);
     }
 

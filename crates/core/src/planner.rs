@@ -62,15 +62,16 @@
 //!   the node into shared, immutable form: the engine's routing table
 //!   (element names, adjacency, level delays; `p2_dataflow::Routing`), one
 //!   [`StrandBody`] per rule strand (trigger checks, ops with their probe
-//!   keys and aggregation, head programs, each table named by slot), the
-//!   demux classifier map and the profiler's element metadata. Tables stay
-//!   declarations with their indices.
+//!   keys and aggregation, head programs), the table [`Schema`], the demux
+//!   classifier map and the profiler's element metadata. Tables stay
+//!   declarations with their indices. A table's id is its position in the
+//!   plan's declarations; every op, bridge and aggregate names its table by
+//!   that id, and the schema maps names to ids.
 //! * [`PlannedProgram::instantiate`] stamps out one node from the plan. It
-//!   declares the node's tables, builds each element's per-node state —
-//!   a strand binds the shared body to the node's tables in its slots
-//!   ([`FusedStrand::bind`]) — and hands the elements to
-//!   `Engine::with_routing` with the shared routing table. It builds no
-//!   graph and compiles no routing.
+//!   creates the node's tables, in id order, builds each element's
+//!   per-node state — a strand is the shared body plus scratch — and hands
+//!   both to `Engine::with_routing` with the shared routing table. It
+//!   builds no graph and compiles no routing.
 //!
 //! A node therefore holds only the genuinely per-node state: its tables,
 //! element state (strand scratch, periodic phases, materialized-aggregate
@@ -92,7 +93,7 @@ use p2_overlog::{
     SizeBound,
 };
 use p2_pel::{BinOp, Expr as PExpr, Program as PelProgram};
-use p2_table::{AggFunc, Catalog, TableSpec};
+use p2_table::{AggFunc, Catalog, Schema, Table, TableSpec};
 use p2_value::Value;
 
 use crate::binding::Layout;
@@ -135,20 +136,27 @@ impl PlanConfig {
 
 /// The result of planning: a ready-to-run engine plus handles to its state.
 pub struct Planned {
-    /// The node's dataflow engine.
+    /// The node's dataflow engine, which owns the node's tables.
     pub engine: Engine,
-    /// The node's materialized tables.
-    pub catalog: Catalog,
+    /// The names of the tables, shared by every node of the plan.
+    pub schema: Arc<Schema>,
     /// Observation buffers for each watched tuple name.
     pub collectors: HashMap<String, CollectorHandle>,
 }
 
+impl Planned {
+    /// The node's tables, read by name.
+    pub fn catalog(&self) -> Catalog<'_> {
+        Catalog::new(&self.schema, self.engine.tables())
+    }
+}
+
 /// A node-independent element description; instantiation turns it into a
-/// stateful element bound to the node's tables.
+/// stateful element. Tables are named by id.
 enum ElementSpec {
     /// The node's main demultiplexer, over the program-wide shared map.
     Demux,
-    /// Insert bridge into table `table` (index into the plan's table list).
+    /// Insert bridge into table `table`.
     Insert { table: usize },
     /// Delete bridge into table `table`.
     Delete { table: usize },
@@ -162,12 +170,9 @@ enum ElementSpec {
     },
     /// A rule strand: trigger checks, probes, anti-joins, assignments,
     /// conditions, an aggregation and the head projection in one element
-    /// (see `p2_dataflow::elements::FusedStrand`). Every node binds the
-    /// shared `body`; `tables[i]` is the plan table filling slot `i`.
-    Strand {
-        body: Arc<StrandBody>,
-        tables: Box<[usize]>,
-    },
+    /// (see `p2_dataflow::elements::FusedStrand`), over a body every node
+    /// shares.
+    Strand(Arc<StrandBody>),
     /// `periodic` timer source.
     Periodic {
         period: f64,
@@ -189,7 +194,7 @@ impl ElementSpec {
             ElementSpec::Insert { .. } => ElemKind::Insert,
             ElementSpec::Delete { .. } => ElemKind::Delete,
             ElementSpec::TableAgg { .. } => ElemKind::TableAgg,
-            ElementSpec::Strand { .. } => ElemKind::Strand,
+            ElementSpec::Strand(_) => ElemKind::Strand,
             ElementSpec::Periodic { .. } => ElemKind::Periodic,
             ElementSpec::NetOut { .. } => ElemKind::NetOut,
             ElementSpec::Collector { .. } => ElemKind::Collector,
@@ -208,12 +213,12 @@ fn class_bits(c: RuleClass) -> RuleClassBits {
     }
 }
 
-/// A rule strand under analysis; its ops name tables by plan table id.
+/// A rule strand under analysis.
 #[derive(Default)]
 struct StrandSpec {
     /// Checks on the bare trigger tuple: the filters before the first op.
     pre_filters: Vec<PelProgram>,
-    ops: Vec<StrandOp<usize>>,
+    ops: Vec<StrandOp>,
     head_fields: Vec<PelProgram>,
     out_name: Arc<str>,
 }
@@ -258,6 +263,20 @@ struct TablePlan {
     group_indexes: Vec<Vec<usize>>,
 }
 
+impl TablePlan {
+    /// A node's empty table, with the plan's indices.
+    fn build(&self) -> Table {
+        let mut table = Table::new(self.spec.clone());
+        for idx in &self.extra_indexes {
+            table.add_index(idx.clone());
+        }
+        for idx in &self.group_indexes {
+            table.add_group_index(idx.clone());
+        }
+        table
+    }
+}
+
 /// An immutable, node-independent compilation of an OverLog program: the
 /// element graph as *specs* (strands as shared bodies), the compiled
 /// routing table, table declarations, and the program facts. Build once
@@ -270,7 +289,9 @@ pub struct PlannedProgram {
     entry: Route,
     demux_map: Arc<HashMap<Arc<str>, usize>>,
     demux_default: usize,
+    /// Table declarations in id order.
     tables: Vec<TablePlan>,
+    schema: Arc<Schema>,
     facts: Vec<FactTemplate>,
     jitter_periodics: bool,
     /// Per-element observability metadata (rule id, kind, rule class),
@@ -309,7 +330,7 @@ impl PlannedProgram {
         let labelled = self.specs.iter().enumerate();
         labelled
             .filter_map(|(i, spec)| match spec {
-                ElementSpec::Strand { body, .. } => {
+                ElementSpec::Strand(body) => {
                     let cols = body.agg()?.group_index()?;
                     Some((&**self.routing.name(i), cols))
                 }
@@ -345,31 +366,15 @@ impl PlannedProgram {
 
     /// Whether the plan declares `name` as a materialized table.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.iter().any(|t| t.spec.name == name)
+        self.schema.id(name).is_some()
     }
 
-    /// Stamps out one node's engine, catalog, and collectors from the shared
+    /// Stamps out one node's engine, tables and collectors from the shared
     /// plan. Cheap relative to [`PlannedProgram::compile`]: no rule
     /// analysis, no PEL compilation, no routing — the node gets fresh tables
-    /// and element state, bound to the plan's shared strand bodies and
-    /// routing table.
+    /// and element state over the plan's shared strand bodies and routing
+    /// table.
     pub fn instantiate(&self, local_addr: impl Into<Arc<str>>, seed: u64) -> Planned {
-        let mut catalog = Catalog::new();
-        let mut refs = Vec::with_capacity(self.tables.len());
-        for tp in &self.tables {
-            let table = catalog.declare(tp.spec.clone());
-            {
-                let mut table = table.lock();
-                for idx in &tp.extra_indexes {
-                    table.add_index(idx.clone());
-                }
-                for idx in &tp.group_indexes {
-                    table.add_group_index(idx.clone());
-                }
-            }
-            refs.push(table);
-        }
-
         let mut collectors = HashMap::new();
         let mut elements: Vec<Box<dyn Element>> = Vec::with_capacity(self.specs.len());
         for spec in &self.specs {
@@ -378,8 +383,8 @@ impl PlannedProgram {
                     self.demux_map.clone(),
                     self.demux_default,
                 )),
-                ElementSpec::Insert { table } => Box::new(Insert::new(refs[*table].clone())),
-                ElementSpec::Delete { table } => Box::new(Delete::new(refs[*table].clone())),
+                ElementSpec::Insert { table } => Box::new(Insert::new(*table)),
+                ElementSpec::Delete { table } => Box::new(Delete::new(*table)),
                 ElementSpec::TableAgg {
                     table,
                     func,
@@ -387,16 +392,13 @@ impl PlannedProgram {
                     group_cols,
                     out_name,
                 } => Box::new(TableAgg::new(
-                    refs[*table].clone(),
+                    *table,
                     *func,
                     *agg_col,
                     group_cols.clone(),
                     out_name.clone(),
                 )),
-                ElementSpec::Strand { body, tables } => Box::new(FusedStrand::bind(
-                    body.clone(),
-                    tables.iter().map(|&t| refs[t].clone()).collect(),
-                )),
+                ElementSpec::Strand(body) => Box::new(FusedStrand::from(body.clone())),
                 ElementSpec::Periodic {
                     period,
                     count,
@@ -420,11 +422,13 @@ impl PlannedProgram {
             });
         }
 
-        let mut engine = Engine::with_routing(self.routing.clone(), elements, local_addr, seed);
+        let tables = self.tables.iter().map(TablePlan::build).collect();
+        let mut engine =
+            Engine::with_routing(self.routing.clone(), elements, tables, local_addr, seed);
         engine.set_entry(self.entry);
         Planned {
             engine,
-            catalog,
+            schema: self.schema.clone(),
             collectors,
         }
     }
@@ -453,7 +457,7 @@ struct Builder<'a> {
     edges: Vec<(usize, usize, Route)>,
     delays: Vec<(usize, usize, u32)>,
     tables: Vec<TablePlan>,
-    table_index: HashMap<String, usize>,
+    schema: Schema,
     demux_id: usize,
     demux_names: Vec<String>,
     insert_ids: HashMap<String, usize>,
@@ -483,16 +487,19 @@ impl<'a> Builder<'a> {
             return Err(PlanError::program("program has no rules or facts"));
         }
 
-        let mut tables = Vec::new();
-        let mut table_index = HashMap::new();
+        // One table per name: validation rejects a repeated `materialize`
+        // unless it repeats the spec.
+        let mut tables: Vec<TablePlan> = Vec::new();
         for m in &program.materializations {
-            table_index.insert(m.name.clone(), tables.len());
-            tables.push(TablePlan {
-                spec: m.to_spec(),
-                extra_indexes: Vec::new(),
-                group_indexes: Vec::new(),
-            });
+            if !tables.iter().any(|t| t.spec.name == m.name) {
+                tables.push(TablePlan {
+                    spec: m.to_spec(),
+                    extra_indexes: Vec::new(),
+                    group_indexes: Vec::new(),
+                });
+            }
         }
+        let schema = Schema::new(tables.iter().map(|t| &t.spec));
 
         // Collect every tuple name the demultiplexer must know about.
         let mut names: BTreeSet<String> = BTreeSet::new();
@@ -529,7 +536,7 @@ impl<'a> Builder<'a> {
             edges: Vec::new(),
             delays: Vec::new(),
             tables,
-            table_index,
+            schema,
             demux_id: 0,
             demux_names,
             insert_ids: HashMap::new(),
@@ -548,12 +555,12 @@ impl<'a> Builder<'a> {
         builder.demux_id = builder.add("demux", ElementSpec::Demux);
 
         // One Insert bridge per materialized table, fed from the demux.
-        for m in &program.materializations {
-            let table = builder.table_index[&m.name];
-            let id = builder.add(format!("insert:{}", m.name), ElementSpec::Insert { table });
-            builder.insert_ids.insert(m.name.clone(), id);
-            let port = builder.demux_port(&m.name).expect("declared above");
+        for table in 0..builder.tables.len() {
+            let name = builder.tables[table].spec.name.clone();
+            let id = builder.add(format!("insert:{name}"), ElementSpec::Insert { table });
+            let port = builder.demux_port(&name).expect("declared above");
             builder.connect(builder.demux_id, port, id, 0);
+            builder.insert_ids.insert(name, id);
         }
         Ok(builder)
     }
@@ -582,7 +589,7 @@ impl<'a> Builder<'a> {
     }
 
     fn table_id(&self, rule: &Rule, name: &str) -> Result<usize, PlanError> {
-        self.table_index.get(name).copied().ok_or_else(|| {
+        self.schema.id(name).ok_or_else(|| {
             PlanError::in_rule(&rule.id, format!("`{name}` is not a materialized table"))
         })
     }
@@ -761,6 +768,7 @@ impl<'a> Builder<'a> {
             demux_map,
             demux_default,
             tables: self.tables,
+            schema: Arc::new(self.schema),
             facts,
             jitter_periodics: self.config.jitter_periodics,
             obs,
@@ -853,12 +861,8 @@ impl<'a> Builder<'a> {
             head_fields,
             out_name,
         } = strand;
-        let (body, tables) = StrandBody::new(pre_filters, ops, head_fields, out_name, usize::eq);
-        let spec = ElementSpec::Strand {
-            body,
-            tables: tables.into(),
-        };
-        let id = self.add(format!("{}:strand", rule.id), spec);
+        let body = StrandBody::new(pre_filters, ops, head_fields, out_name);
+        let id = self.add(format!("{}:strand", rule.id), ElementSpec::Strand(body));
         if levels > 0 {
             self.delays.push((id, 0, levels));
         }
@@ -1593,7 +1597,7 @@ mod tests {
         // S1 is a materialized aggregate feeding an op-less head strand.
         assert!(desc.contains("S1:tableagg:member"));
         assert!(desc.contains("S1:strand"), "{desc}");
-        assert!(planned.catalog.is_table("member"));
+        assert!(planned.catalog().get("member").is_some());
     }
 
     /// Every rule lowers to strands: rule bodies compile to no element
@@ -1792,8 +1796,7 @@ mod tests {
             R1 out@X(X, A) :- trigger@X(X, A), member@X(X, A, S, T, L).
         "#;
         let planned = plan_src(src).unwrap();
-        let table = planned.catalog.get("member").unwrap();
-        let indexes = table.lock().indexes();
+        let indexes = planned.catalog().get("member").unwrap().indexes();
         assert!(indexes.contains(&vec![0, 1]), "indexes: {indexes:?}");
     }
 
@@ -1821,7 +1824,7 @@ mod tests {
         let shared =
             PlannedProgram::compile(&program, &PlanConfig::new().without_jitter()).unwrap();
         let key_of = |name: &str| match &shared.specs[element_at(&shared, name)] {
-            ElementSpec::Strand { body, .. } => match body.agg() {
+            ElementSpec::Strand(body) => match body.agg() {
                 Some(agg) => agg.key().pairs().to_vec(),
                 None => panic!("{name} does not aggregate"),
             },
@@ -1838,12 +1841,12 @@ mod tests {
         );
 
         let mut node = shared.instantiate("n1", 7);
-        let finger = node.catalog.get("finger").unwrap();
-        assert!(finger.lock().indexes().is_empty());
-        assert_eq!(finger.lock().group_indexes(), [vec![0, 2], vec![0, 2, 3]]);
-        let member = node.catalog.get("member").unwrap();
-        assert!(member.lock().indexes().is_empty());
-        assert!(member.lock().group_indexes().is_empty());
+        let finger = node.catalog().get("finger").unwrap();
+        assert!(finger.indexes().is_empty());
+        assert_eq!(finger.group_indexes(), [vec![0, 2], vec![0, 2, 3]]);
+        let member = node.catalog().get("member").unwrap();
+        assert!(member.indexes().is_empty());
+        assert!(member.group_indexes().is_empty());
         node.engine.set_entry(Route {
             element: 0,
             port: 0,
@@ -1863,7 +1866,8 @@ mod tests {
             );
             node.engine.deliver(row, at);
         }
-        let before = member.lock().stats();
+        let member_stats = |node: &Planned| node.catalog().get("member").unwrap().stats();
+        let before = member_stats(&node);
         for a in ["m3", "nobody"] {
             let msg = p2_value::Tuple::new(
                 "refreshMsg",
@@ -1878,7 +1882,7 @@ mod tests {
             );
             node.engine.deliver(msg, at);
         }
-        let after = member.lock().stats();
+        let after = member_stats(&node);
         assert_eq!(after.primary_lookups - before.primary_lookups, 2);
         assert_eq!(after.full_scans, before.full_scans);
     }
@@ -1902,20 +1906,20 @@ mod tests {
         let b = shared.instantiate("n2", 2);
         // Same compiled structure...
         assert_eq!(a.engine.describe(), b.engine.describe());
-        // ...but independent per-node state.
-        assert!(a.catalog.get("member").is_some());
+        // ...and table names, but independent per-node state.
+        assert!(Arc::ptr_eq(&a.schema, &b.schema));
         assert!(
-            !std::sync::Arc::ptr_eq(
-                &a.catalog.get("member").unwrap(),
-                &b.catalog.get("member").unwrap()
+            !std::ptr::eq(
+                a.catalog().get("member").unwrap(),
+                b.catalog().get("member").unwrap()
             ),
             "nodes must not share table storage"
         );
     }
 
     /// Nodes instantiated from one plan share its routing table and every
-    /// strand body, and bind those bodies to tables of their own: a row one
-    /// node stores is never seen by another node's probe.
+    /// strand body, and run those bodies over tables of their own: a row
+    /// one node stores is never seen by another node's probe.
     #[test]
     fn nodes_from_one_plan_share_routing_and_strand_bodies() {
         let src = r#"
@@ -1934,32 +1938,18 @@ mod tests {
 
         let strand = |planned: &Planned, i: usize| {
             let element: &dyn std::any::Any = planned.engine.element(i);
-            element.downcast_ref::<FusedStrand>().map(|s| {
-                let tables: Vec<p2_table::TableRef> = s.tables().to_vec();
-                (s.body().clone(), tables)
-            })
+            element
+                .downcast_ref::<FusedStrand>()
+                .map(|s| s.body().clone())
         };
         let mut strands = 0;
         for i in 0..a.engine.len() {
-            let (Some((body_a, tables_a)), Some((body_b, tables_b))) =
-                (strand(&a, i), strand(&b, i))
-            else {
+            let (Some(body_a), Some(body_b)) = (strand(&a, i), strand(&b, i)) else {
                 assert!(strand(&b, i).is_none());
                 continue;
             };
             strands += 1;
             assert!(Arc::ptr_eq(&body_a, &body_b), "element {i}");
-            assert_eq!(tables_a.len(), tables_b.len());
-            for (ta, tb) in tables_a.iter().zip(&tables_b) {
-                assert!(!Arc::ptr_eq(ta, tb), "element {i} shares a table");
-            }
-            // A node's strands read that node's tables.
-            let own = |planned: &Planned, t: &p2_table::TableRef| {
-                let name = t.lock().name().to_string();
-                Arc::ptr_eq(t, &planned.catalog.get(&name).unwrap())
-            };
-            assert!(tables_a.iter().all(|t| own(&a, t)));
-            assert!(tables_b.iter().all(|t| own(&b, t)));
         }
         assert_eq!(strands, 3);
 
@@ -1972,8 +1962,8 @@ mod tests {
         // same trigger finds it on A and nothing on B.
         let succ = p2_value::Tuple::new("succ", vec![Value::str("nb"), Value::str("n5")]);
         a.engine.deliver(succ, at);
-        assert_eq!(a.catalog.get("succ").unwrap().lock().len(), 1);
-        assert!(b.catalog.get("succ").unwrap().lock().is_empty());
+        assert_eq!(a.catalog().get("succ").unwrap().len(), 1);
+        assert!(b.catalog().get("succ").unwrap().is_empty());
         let ev = p2_value::Tuple::new("ev", vec![Value::str("nb")]);
         let found = a.engine.deliver(ev.clone(), at);
         assert_eq!(found.len(), 1);

@@ -5,8 +5,8 @@
 //! end to end by the golden NetStats, not here) and end with the same
 //! table contents. The program covers every strand shape: bare heads,
 //! selections and assignments, joins with conditions, self-joins, a
-//! five-table join, anti-joins (one over a table the strand also
-//! probes), delete routing, keyed and group-indexed aggregations with
+//! five-table join, anti-joins and an aggregation over a table the
+//! strand also probes, delete routing, keyed and group-indexed aggregations with
 //! witnesses (M5's ties span groups, so the witness is the first row
 //! scanned, not the first of its group), `count<*>` over no rows, a
 //! row-scanned `sum`, and a maintained aggregate feeding a table-triggered
@@ -42,6 +42,7 @@ const PROGRAM: &str = r#"
     L1 link@X(X, A, B) :- addLink@X(X, A, B).
     L2 delete link@X(X, A, B) :- cut@X(X, A, B).
     H1 hop2@C(C, X, A) :- hop@X(X, A), link@X(X, A, B), link@X(X, B, C).
+    H2 fanout@B(B, X, count<*>) :- hop@X(X, A), link@X(X, A, B), link@X(X, B, C).
     N1 oneway@B(B, X, A) :- hop@X(X, A), link@X(X, A, B), not link@X(X, B, A).
     E1 e1@X(X, A, B) :- addEdge@X(X, I, A, B), I == 1.
     E2 e2@X(X, A, B) :- addEdge@X(X, I, A, B), I == 2.
@@ -141,11 +142,7 @@ fn sorted(sent: impl IntoIterator<Item = (String, Tuple)>) -> Sends {
 
 fn table_rows(node: &P2Node, name: &str) -> Vec<Vec<Value>> {
     let table = node.table(name).expect("declared table");
-    let mut rows: Vec<Vec<Value>> = table
-        .lock()
-        .scan_iter()
-        .map(|t| t.values().to_vec())
-        .collect();
+    let mut rows: Vec<Vec<Value>> = table.scan_iter().map(|t| t.values().to_vec()).collect();
     rows.sort();
     rows
 }
@@ -245,8 +242,8 @@ fn link(a: usize, b: usize) -> Step {
     deliver("addLink", vec![peer(a), peer(b)])
 }
 
-/// H1 probes `link` twice: the second probe reads through the guard the
-/// first holds.
+/// H1 probes `link` twice: the second probe reads the table the first is
+/// reading.
 #[test]
 fn self_join_matches_the_reference() {
     let calls = run(&[
@@ -282,8 +279,8 @@ fn five_table_join_matches_the_reference() {
     assert!(calls[7].is_empty());
 }
 
-/// N1 probes `link` and then negates `link`: the anti-join reads through
-/// the probe's guard.
+/// N1 probes `link` and then negates `link`: the anti-join reads the table
+/// the probe is reading.
 #[test]
 fn anti_join_over_a_probed_table_matches_the_reference() {
     let calls = run(&[
@@ -298,6 +295,32 @@ fn anti_join_over_a_probed_table_matches_the_reference() {
         .map(|(dst, _, _)| dst)
         .collect();
     assert_eq!(oneway, ["n3"]);
+}
+
+/// H2 probes `link` and then counts `link` rows keyed on the probed row:
+/// the aggregation reads the table the probe reads.
+#[test]
+fn aggregation_over_a_probed_table_matches_the_reference() {
+    let calls = run(&[
+        link(0, 1),
+        link(0, 2),
+        link(1, 2),
+        link(1, 3),
+        link(1, 0),
+        deliver("hop", vec![peer(0)]),
+    ]);
+    let fanout: Vec<(&String, &Value)> = calls[5]
+        .iter()
+        .filter(|(_, n, _)| n == "fanout")
+        .map(|(dst, _, v)| (dst, &v[2]))
+        .collect();
+    assert_eq!(
+        fanout,
+        [
+            (&"n2".to_string(), &Value::Int(3)),
+            (&"n3".to_string(), &Value::Int(0))
+        ]
+    );
 }
 
 /// M1's `min` sends the witness row's `W` (the first of two tied rows);

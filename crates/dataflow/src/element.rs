@@ -4,6 +4,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use p2_pel::EvalContext;
+use p2_table::Table;
 use p2_value::{SimTime, Tuple};
 
 /// A tuple leaving the node for another node's address.
@@ -27,9 +28,14 @@ pub struct Outgoing {
 /// their output ports, hand tuples destined for other nodes to the network,
 /// and schedule timers. The engine routes emissions to downstream input
 /// ports after the element returns (run-to-completion per element).
+///
+/// The context also lends the element the node's tables, which the engine
+/// owns: an element names a table by its plan id (its index in the node's
+/// tables) and holds no handle of its own.
 pub struct ElementCtx<'a> {
     now: SimTime,
     pending: usize,
+    tables: &'a mut [Table],
     eval: &'a mut EvalContext,
     emissions: &'a mut Vec<(usize, Tuple)>,
     outgoing: &'a mut Vec<Outgoing>,
@@ -42,6 +48,7 @@ impl<'a> ElementCtx<'a> {
     pub(crate) fn new(
         now: SimTime,
         pending: usize,
+        tables: &'a mut [Table],
         eval: &'a mut EvalContext,
         emissions: &'a mut Vec<(usize, Tuple)>,
         outgoing: &'a mut Vec<Outgoing>,
@@ -50,6 +57,7 @@ impl<'a> ElementCtx<'a> {
         ElementCtx {
             now,
             pending,
+            tables,
             eval,
             emissions,
             outgoing,
@@ -70,6 +78,27 @@ impl<'a> ElementCtx<'a> {
     /// signal.
     pub fn pending(&self) -> usize {
         self.pending
+    }
+
+    /// The node's table `id`.
+    pub fn table(&self, id: usize) -> &Table {
+        &self.tables[id]
+    }
+
+    /// The node's table `id`, to change.
+    pub fn table_mut(&mut self, id: usize) -> &mut Table {
+        &mut self.tables[id]
+    }
+
+    /// Runs `body` with the node's tables lent apart from the rest of the
+    /// context, so that it can read them while it emits, evaluates and
+    /// counts errors through the context. Until `body` returns, the
+    /// context itself holds no tables.
+    pub fn with_tables<R>(&mut self, body: impl FnOnce(&[Table], &mut ElementCtx<'a>) -> R) -> R {
+        let tables = std::mem::take(&mut self.tables);
+        let out = body(tables, self);
+        self.tables = tables;
+        out
     }
 
     /// The node-local PEL evaluation context (clock, RNG, local address).
@@ -184,6 +213,7 @@ mod tests {
         let mut ctx = ElementCtx::new(
             SimTime::from_secs(5),
             3,
+            &mut [],
             &mut eval,
             &mut emissions,
             &mut outgoing,

@@ -128,12 +128,11 @@ mod tests {
     use crate::elements::{Collector, FusedStrand, StrandOp};
     use crate::engine::{Engine, Graph, Route};
     use p2_pel::{BinOp, Expr, Program};
-    use p2_table::{Table, TableRef, TableSpec};
+    use p2_table::{Table, TableSpec};
     use p2_value::{SimTime, Tuple, TupleBuilder, Value};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
 
-    fn succ_table() -> TableRef {
+    /// The node's one table, id 0.
+    fn succ_table() -> Table {
         let mut t = Table::new(TableSpec::new("succ", vec![1]));
         t.add_index(vec![0]);
         for (s, si) in [(5i64, "n5"), (9, "n9")] {
@@ -147,7 +146,7 @@ mod tests {
             )
             .unwrap();
         }
-        Arc::new(Mutex::new(t))
+        t
     }
 
     /// A strand running `ops` and emitting the first `width` fields of its
@@ -158,19 +157,21 @@ mod tests {
     }
 
     /// `trigger ++ succ row` for every `succ` row matching `key`.
-    fn join(table: TableRef, key: Vec<(usize, usize)>, trigger_arity: usize) -> Box<dyn Element> {
-        let probe = FusedStrand::probe_op(table, key);
+    fn join(key: Vec<(usize, usize)>, trigger_arity: usize) -> Box<dyn Element> {
+        let probe = FusedStrand::probe_op(0, key);
         strand(vec![probe], trigger_arity + 3, "ev_succ")
     }
 
     /// The trigger, forwarded when no `succ` row matches `key`.
-    fn anti(table: TableRef, key: Vec<(usize, usize)>, trigger_arity: usize) -> Box<dyn Element> {
-        let anti = FusedStrand::anti_op(table, key);
+    fn anti(key: Vec<(usize, usize)>, trigger_arity: usize) -> Box<dyn Element> {
+        let anti = FusedStrand::anti_op(0, key);
         strand(vec![anti], trigger_arity, "ev")
     }
 
+    /// Runs `element` on a node whose table 0 is [`succ_table`].
     fn run_one(element: Box<dyn Element>, input: Tuple) -> Vec<Tuple> {
         let mut g = Graph::new();
+        g.add_table(succ_table());
         let e = g.add("elt", element);
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
@@ -188,7 +189,7 @@ mod tests {
     #[test]
     fn join_emits_one_tuple_per_match() {
         let input = TupleBuilder::new("ev").push("n1").push(42i64).build();
-        let out = run_one(join(succ_table(), vec![(0, 0)], 2), input);
+        let out = run_one(join(vec![(0, 0)], 2), input);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|t| t.name() == "ev_succ" && t.arity() == 5));
         // Trigger fields come first, then the table row.
@@ -198,13 +199,13 @@ mod tests {
     #[test]
     fn join_with_no_match_emits_nothing() {
         let input = TupleBuilder::new("ev").push("n2").build();
-        assert!(run_one(join(succ_table(), vec![(0, 0)], 1), input).is_empty());
+        assert!(run_one(join(vec![(0, 0)], 1), input).is_empty());
     }
 
     #[test]
     fn join_on_empty_key_is_cartesian_with_table() {
         let input = TupleBuilder::new("ev").push("whatever").build();
-        assert_eq!(run_one(join(succ_table(), vec![], 1), input).len(), 2);
+        assert_eq!(run_one(join(vec![], 1), input).len(), 2);
     }
 
     #[test]
@@ -212,27 +213,25 @@ mod tests {
         // Two different trigger fields constraining the same table column:
         // both equalities must hold, so a tuple whose fields disagree
         // matches nothing even though one of them alone would.
-        let table = succ_table();
         let key = || vec![(0, 0), (1, 0)];
         let agree = TupleBuilder::new("ev").push("n1").push("n1").build();
-        assert_eq!(run_one(join(table.clone(), key(), 2), agree).len(), 2);
+        assert_eq!(run_one(join(key(), 2), agree).len(), 2);
 
         let disagree = TupleBuilder::new("ev").push("n1").push("n2").build();
-        assert!(run_one(join(table.clone(), key(), 2), disagree.clone()).is_empty());
+        assert!(run_one(join(key(), 2), disagree.clone()).is_empty());
 
         // The anti-join sees the conflicting constraint as "no match" and
         // forwards the tuple.
-        assert_eq!(run_one(anti(table, key(), 2), disagree).len(), 1);
+        assert_eq!(run_one(anti(key(), 2), disagree).len(), 1);
     }
 
     #[test]
     fn antijoin_forwards_only_non_matching() {
-        let table = succ_table();
         let hit = TupleBuilder::new("ev").push("n1").build();
-        assert!(run_one(anti(table.clone(), vec![(0, 0)], 1), hit).is_empty());
+        assert!(run_one(anti(vec![(0, 0)], 1), hit).is_empty());
 
         let miss = TupleBuilder::new("ev").push("n7").build();
-        assert_eq!(run_one(anti(table, vec![(0, 0)], 1), miss).len(), 1);
+        assert_eq!(run_one(anti(vec![(0, 0)], 1), miss).len(), 1);
     }
 
     #[test]

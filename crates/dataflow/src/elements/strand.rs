@@ -29,23 +29,21 @@
 //! nothing: the call is the whole cost of a useless poke, and the profiler
 //! counts it as wasted.
 //!
-//! # Shared bodies, slots and table guards
+//! # Shared bodies and tables by id
 //!
 //! A strand is split in two. Its [`StrandBody`] — trigger filters, ops with
 //! their probe keys and aggregation, head programs and output name — is
 //! built once per planned strand and shared (`Arc`) by every node. A node's
-//! [`FusedStrand`] holds only that body, its own tables and the scratch for
-//! assigned values ([`FusedStrand::bind`]).
+//! [`FusedStrand`] holds only that body and the scratch for assigned
+//! values.
 //!
-//! The body therefore names each table an op reads by *slot*
-//! ([`TableAccess::Slot`]), never by handle; a node fills slot `i` with its
-//! own table. A probe holds its table's guard while the rest of the strand
-//! runs once per matching row. A later probe, anti-join or aggregation over
-//! the same table (a self-join) reads through that held guard
-//! ([`TableAccess::Held`]) instead of locking again, which would deadlock.
-//! [`StrandBody::new`] resolves both once, from ops naming their tables by
-//! node handle (tests, [`FusedStrand::new`]) or by plan table id (the
-//! planner).
+//! The body names each table an op reads by its plan table id, and a call
+//! reads `tables[id]` from the node's tables, which the engine lends it
+//! apart from the rest of the context ([`ElementCtx::with_tables`]), so the
+//! strand emits, draws from the RNG and counts errors while it reads. A
+//! probe keeps its table borrowed while the rest of the strand runs once
+//! per matching row; a later probe, anti-join or aggregation over the same
+//! table (a self-join) just borrows it again.
 //!
 //! # Aggregation
 //!
@@ -103,38 +101,15 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use p2_pel::Program;
-use p2_table::{AggFunc, AggState, Table, TableRef};
+use p2_table::{AggFunc, AggState, Table};
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
 use crate::elements::relational::ProbeKey;
 
-/// Virtual-tuple segments and held guards kept on the stack; deeper
-/// strands spill to the heap.
+/// Virtual-tuple segments kept on the stack; deeper strands spill to the
+/// heap.
 const INLINE_PARTS: usize = 8;
-
-/// The table a shared strand body's op reads, named by slot, never by
-/// handle, so one body serves every node (resolved by [`StrandBody::new`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableAccess {
-    /// The op locks the strand's table in slot `i` itself.
-    Slot(usize),
-    /// The enclosing probe at this depth (0 = the outermost probe) holds
-    /// the table's guard.
-    Held(usize),
-}
-
-impl TableAccess {
-    /// Runs `body` on the table, reading it through the enclosing probe's
-    /// guard when one holds it and else locking the node's table in its
-    /// slot.
-    fn read<R>(self, tables: &[TableRef], held: &[&Table], body: impl FnOnce(&Table) -> R) -> R {
-        match self {
-            TableAccess::Slot(slot) => body(&tables[slot].lock()),
-            TableAccess::Held(depth) => body(held[depth]),
-        }
-    }
-}
 
 /// Calls `body` with `prefix ++ [last]`, on the stack up to
 /// [`INLINE_PARTS`] entries and on the heap beyond.
@@ -152,79 +127,38 @@ fn with_pushed<T: Copy, R>(prefix: &[T], last: T, body: impl FnOnce(&[T]) -> R) 
     }
 }
 
-/// One operation of a strand, in rule-body order, naming its table by `T`:
-/// a node's [`TableRef`] or a plan's table id when built, a
-/// [`TableAccess`] inside a [`StrandBody`].
-pub enum StrandOp<T = TableRef> {
+/// One operation of a strand, in rule-body order. An op names its table by
+/// plan table id: its index in the node's tables.
+pub enum StrandOp {
     /// Selection over the virtual strand tuple; a false or failed filter
     /// drops the current row combination.
     Filter(Program),
     /// Equijoin probe: the table is probed with key values drawn from the
     /// virtual strand tuple, and execution continues once per matching
     /// row, in the table's deterministic lookup order.
-    Probe { table: T, key: ProbeKey },
+    Probe { table: usize, key: ProbeKey },
     /// Anti-join over the virtual strand tuple: execution continues only
     /// when no table row matches.
-    AntiJoin { table: T, key: ProbeKey },
+    AntiJoin { table: usize, key: ProbeKey },
     /// Assignment: evaluates one expression over the virtual strand tuple
     /// and appends the result.
     Assign(Program),
     /// Aggregation over a table (see the module docs); always the last op.
-    Agg(Box<AggOp<T>>),
-}
-
-impl<T> StrandOp<T> {
-    /// The op with its table renamed by `rename`, which also learns whether
-    /// the op is a probe (whose guard later ops may read through).
-    fn map_table<U>(self, rename: impl FnOnce(T, bool) -> U) -> StrandOp<U> {
-        match self {
-            StrandOp::Filter(p) => StrandOp::Filter(p),
-            StrandOp::Assign(p) => StrandOp::Assign(p),
-            StrandOp::Probe { table, key } => StrandOp::Probe {
-                table: rename(table, true),
-                key,
-            },
-            StrandOp::AntiJoin { table, key } => StrandOp::AntiJoin {
-                table: rename(table, false),
-                key,
-            },
-            StrandOp::Agg(agg) => {
-                let AggOp {
-                    table,
-                    key,
-                    group_cols,
-                    fold,
-                    nulls,
-                } = *agg;
-                StrandOp::Agg(Box::new(AggOp {
-                    table: rename(table, false),
-                    key,
-                    group_cols,
-                    fold,
-                    nulls,
-                }))
-            }
-        }
-    }
+    Agg(Box<AggOp>),
 }
 
 /// A per-strand-row aggregation over a table: [`StrandOp::Agg`].
-pub struct AggOp<T = TableRef> {
-    table: T,
+pub struct AggOp {
+    /// The table's id.
+    table: usize,
     key: ProbeKey,
     /// Columns of the group index an unkeyed aggregation reads through.
     group_cols: Option<Vec<usize>>,
-    fold: RowFold,
-    /// The witness of `count`/`sum`/`avg`: one null per table column.
-    nulls: Box<[Value]>,
-}
-
-/// The evaluate-and-fold half of an [`AggOp`], separate from the table
-/// handle and key so a fold can run while the table is read.
-struct RowFold {
     func: AggFunc,
     filter: Option<Program>,
     agg_expr: Program,
+    /// The witness of `count`/`sum`/`avg`: one null per table column.
+    nulls: Box<[Value]>,
 }
 
 /// Whether an aggregation's result is the same read group by group as row
@@ -238,7 +172,7 @@ fn folds_by_group<'p>(func: AggFunc, mut programs: impl Iterator<Item = &'p Prog
 /// [`Folding::step`], `(aggregate, witness)` comes out of
 /// [`Folding::finish`].
 struct Folding<'a, 'c> {
-    fold: &'a RowFold,
+    agg: &'a AggOp,
     /// The virtual strand tuple the candidates are appended to.
     event: &'a [&'a [Value]],
     ctx: &'a mut ElementCtx<'c>,
@@ -251,7 +185,105 @@ struct Folding<'a, 'c> {
     failed: bool,
 }
 
-impl RowFold {
+impl Folding<'_, '_> {
+    /// Folds in `times` rows that all evaluate like `row`, the first of
+    /// them at scan position `at` (its `RowId`, or any index ascending in
+    /// `RowId`). Candidates may arrive in any order: among equal extrema
+    /// the lowest position wins, as it would in a scan.
+    fn step(&mut self, at: usize, row: &Tuple, times: usize) {
+        let Some(v) = self.agg.contribution(self.event, row.values(), self.ctx) else {
+            return;
+        };
+        let wanted = match self.agg.func {
+            AggFunc::Min => Ordering::Less,
+            AggFunc::Max => Ordering::Greater,
+            _ => {
+                self.failed |= self.state.accumulate_n(&v, times).is_err();
+                return;
+            }
+        };
+        let better = self.best.as_ref().is_none_or(|(best, best_at, _)| {
+            let ord = v.cmp(best);
+            ord == wanted || (ord == Ordering::Equal && at < *best_at)
+        });
+        if better {
+            self.best = Some((v, at, row.clone()));
+        }
+    }
+
+    /// `(aggregate, witness)`, or `None` when nothing is to be emitted:
+    /// `min`/`max`/`avg` over no contribution produce no tuple at all
+    /// (`count`/`sum` legitimately produce 0), and a value the accumulator
+    /// rejected aborts the whole fold, exactly like `AggFunc::apply`
+    /// erroring over the collected contributions would.
+    fn finish(self) -> Option<(Value, Option<Tuple>)> {
+        if self.failed {
+            return None;
+        }
+        match self.agg.func {
+            AggFunc::Min | AggFunc::Max => self.best.map(|(v, _, row)| (v, Some(row))),
+            _ => self.state.finish().map(|v| (v, None)),
+        }
+    }
+}
+
+impl AggOp {
+    /// Creates an aggregation over the table with id `table`, whose rows
+    /// have `table_arity` fields. Without a key ([`AggOp::with_key`]) or a
+    /// group index ([`AggOp::with_group_index`]) every strand row pays a
+    /// counted full scan.
+    pub fn new(
+        table: usize,
+        table_arity: usize,
+        func: AggFunc,
+        filter: Option<Program>,
+        agg_expr: Program,
+    ) -> AggOp {
+        AggOp {
+            table,
+            key: ProbeKey::default(),
+            group_cols: None,
+            func,
+            filter,
+            agg_expr,
+            nulls: vec![Value::Null; table_arity].into(),
+        }
+    }
+
+    /// Restricts the candidates to rows equal to the strand on the given
+    /// `(strand field, table column)` pairs. The key *replaces* those
+    /// equalities: the planner removes them from the filter.
+    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggOp {
+        self.key = ProbeKey::new(key);
+        self
+    }
+
+    /// Lets the aggregation, while it has no key, read the table through
+    /// its group index over `cols`, which must be what
+    /// [`AggOp::group_columns`] returns for it and be declared on the table
+    /// ([`p2_table::Table::add_group_index`]; without it the fold falls
+    /// back to the counted scan).
+    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggOp {
+        let func = self.func;
+        assert!(
+            folds_by_group(func, self.filter.iter().chain([&self.agg_expr])),
+            "a {func:?} aggregation cannot fold by group"
+        );
+        self.group_cols = Some(cols);
+        self
+    }
+
+    /// The key candidates must match (empty: every row is a candidate).
+    pub fn key(&self) -> &ProbeKey {
+        &self.key
+    }
+
+    /// The columns of the group index an unkeyed aggregation reads
+    /// through, if it was given one.
+    pub fn group_index(&self) -> Option<&[usize]> {
+        self.group_cols.as_deref()
+    }
+
     /// Evaluates one row's contribution against `event ++ row`: a false or
     /// failed filter and a failed aggregate expression both mean "does not
     /// contribute"; failures are counted on `ctx`.
@@ -279,127 +311,6 @@ impl RowFold {
         })
     }
 
-    fn start<'a, 'c>(
-        &'a self,
-        event: &'a [&'a [Value]],
-        ctx: &'a mut ElementCtx<'c>,
-    ) -> Folding<'a, 'c> {
-        Folding {
-            fold: self,
-            event,
-            ctx,
-            state: AggState::new(self.func),
-            best: None,
-            failed: false,
-        }
-    }
-}
-
-impl Folding<'_, '_> {
-    /// Folds in `times` rows that all evaluate like `row`, the first of
-    /// them at scan position `at` (its `RowId`, or any index ascending in
-    /// `RowId`). Candidates may arrive in any order: among equal extrema
-    /// the lowest position wins, as it would in a scan.
-    fn step(&mut self, at: usize, row: &Tuple, times: usize) {
-        let Some(v) = self.fold.contribution(self.event, row.values(), self.ctx) else {
-            return;
-        };
-        let wanted = match self.fold.func {
-            AggFunc::Min => Ordering::Less,
-            AggFunc::Max => Ordering::Greater,
-            _ => {
-                self.failed |= self.state.accumulate_n(&v, times).is_err();
-                return;
-            }
-        };
-        let better = self.best.as_ref().is_none_or(|(best, best_at, _)| {
-            let ord = v.cmp(best);
-            ord == wanted || (ord == Ordering::Equal && at < *best_at)
-        });
-        if better {
-            self.best = Some((v, at, row.clone()));
-        }
-    }
-
-    /// `(aggregate, witness)`, or `None` when nothing is to be emitted:
-    /// `min`/`max`/`avg` over no contribution produce no tuple at all
-    /// (`count`/`sum` legitimately produce 0), and a value the accumulator
-    /// rejected aborts the whole fold, exactly like `AggFunc::apply`
-    /// erroring over the collected contributions would.
-    fn finish(self) -> Option<(Value, Option<Tuple>)> {
-        if self.failed {
-            return None;
-        }
-        match self.fold.func {
-            AggFunc::Min | AggFunc::Max => self.best.map(|(v, _, row)| (v, Some(row))),
-            _ => self.state.finish().map(|v| (v, None)),
-        }
-    }
-}
-
-impl<T> AggOp<T> {
-    /// Creates an aggregation over a table whose rows have `table_arity`
-    /// fields. Without a key ([`AggOp::with_key`]) or a group index
-    /// ([`AggOp::with_group_index`]) every strand row pays a counted full
-    /// scan.
-    pub fn new(
-        table: T,
-        table_arity: usize,
-        func: AggFunc,
-        filter: Option<Program>,
-        agg_expr: Program,
-    ) -> AggOp<T> {
-        AggOp {
-            table,
-            key: ProbeKey::default(),
-            group_cols: None,
-            fold: RowFold {
-                func,
-                filter,
-                agg_expr,
-            },
-            nulls: vec![Value::Null; table_arity].into(),
-        }
-    }
-
-    /// Restricts the candidates to rows equal to the strand on the given
-    /// `(strand field, table column)` pairs. The key *replaces* those
-    /// equalities: the planner removes them from the filter.
-    pub fn with_key(mut self, key: Vec<(usize, usize)>) -> AggOp<T> {
-        self.key = ProbeKey::new(key);
-        self
-    }
-
-    /// Lets the aggregation, while it has no key, read the table through
-    /// its group index over `cols`, which must be what
-    /// [`AggOp::group_columns`] returns for it and be declared on the table
-    /// ([`p2_table::Table::add_group_index`]; without it the fold falls
-    /// back to the counted scan).
-    pub fn with_group_index(mut self, cols: Vec<usize>) -> AggOp<T> {
-        let RowFold {
-            func,
-            filter,
-            agg_expr,
-        } = &self.fold;
-        assert!(
-            folds_by_group(*func, filter.iter().chain([agg_expr])),
-            "a {func:?} aggregation cannot fold by group"
-        );
-        self.group_cols = Some(cols);
-        self
-    }
-
-    /// The key candidates must match (empty: every row is a candidate).
-    pub fn key(&self) -> &ProbeKey {
-        &self.key
-    }
-
-    /// The columns of the group index an unkeyed aggregation reads
-    /// through, if it was given one.
-    pub fn group_index(&self) -> Option<&[usize]> {
-        self.group_cols.as_deref()
-    }
-
     /// Folds `table` for the strand tuple `event`: `(aggregate, witness)`,
     /// or `None` when nothing is to be emitted.
     fn fold(
@@ -408,7 +319,14 @@ impl<T> AggOp<T> {
         event: &[&[Value]],
         ctx: &mut ElementCtx<'_>,
     ) -> Option<(Value, Option<Tuple>)> {
-        let mut folding = self.fold.start(event, ctx);
+        let mut folding = Folding {
+            agg: self,
+            event,
+            ctx,
+            state: AggState::new(self.func),
+            best: None,
+            failed: false,
+        };
         if !self.key.is_empty() {
             // Conflicting key constraints, or a strand too short to probe:
             // no row matches (`count`/`sum` still report their zero).
@@ -438,9 +356,7 @@ impl<T> AggOp<T> {
         }
         folding.finish()
     }
-}
 
-impl AggOp {
     /// The table columns (sorted) a group index must cover for an unkeyed
     /// aggregation with these programs over a strand tuple of
     /// `event_arity` fields to evaluate once per group — every row column
@@ -466,41 +382,35 @@ impl AggOp {
     }
 }
 
-impl<T> From<AggOp<T>> for StrandOp<T> {
-    fn from(op: AggOp<T>) -> StrandOp<T> {
+impl From<AggOp> for StrandOp {
+    fn from(op: AggOp) -> StrandOp {
         StrandOp::Agg(Box::new(op))
     }
 }
 
 /// The node-independent half of a rule strand: its programs, probe keys
-/// and aggregation, with every table named by slot. One body is built per
-/// planned strand and shared (`Arc`) by every node's [`FusedStrand`].
+/// and aggregation, with every table named by plan table id. One body is
+/// built per planned strand and shared (`Arc`) by every node's
+/// [`FusedStrand`].
 pub struct StrandBody {
     /// Filters over the bare trigger tuple (constant/repeat checks).
     pre_filters: Box<[Program]>,
     /// The strand body, in rule-body order. Probes nest: each match of an
     /// earlier probe runs the remaining ops once, depth-first.
-    ops: Box<[StrandOp<TableAccess>]>,
+    ops: Box<[StrandOp]>,
     /// Head projection programs over the final virtual strand tuple.
     head_fields: Box<[Program]>,
     out_name: Arc<str>,
-    /// Number of table slots a node binds.
-    slots: usize,
 }
 
 impl StrandBody {
-    /// Builds a body from ops naming their tables by `T`, where `same`
-    /// tells whether two names denote one table. Returns the body and the
-    /// name behind each of its slots, in slot order. An [`StrandOp::Agg`]
-    /// may only be the last op. An op reading a table an earlier probe
-    /// holds reads through that probe's guard (see the module docs).
-    pub fn new<T>(
+    /// Builds a body. An [`StrandOp::Agg`] may only be the last op.
+    pub fn new(
         pre_filters: Vec<Program>,
-        ops: Vec<StrandOp<T>>,
+        ops: Vec<StrandOp>,
         head_fields: Vec<Program>,
         out_name: impl Into<Arc<str>>,
-        same: impl Fn(&T, &T) -> bool,
-    ) -> (Arc<StrandBody>, Vec<T>) {
+    ) -> Arc<StrandBody> {
         let last = ops.len().saturating_sub(1);
         assert!(
             ops.iter()
@@ -508,41 +418,16 @@ impl StrandBody {
                 .all(|(i, op)| i == last || !matches!(op, StrandOp::Agg(_))),
             "an aggregation must be a strand's last op"
         );
-        let mut slots: Vec<T> = Vec::new();
-        // The slots the enclosing probes lock, outermost first.
-        let mut probed: Vec<usize> = Vec::new();
-        let mut resolved = Vec::with_capacity(ops.len());
-        for op in ops {
-            resolved.push(op.map_table(|table, is_probe| {
-                let slot = match slots.iter().position(|t| same(t, &table)) {
-                    Some(slot) => slot,
-                    None => {
-                        slots.push(table);
-                        slots.len() - 1
-                    }
-                };
-                let access = match probed.iter().position(|&p| p == slot) {
-                    Some(depth) => TableAccess::Held(depth),
-                    None => TableAccess::Slot(slot),
-                };
-                if is_probe {
-                    probed.push(slot);
-                }
-                access
-            }));
-        }
-        let body = StrandBody {
+        Arc::new(StrandBody {
             pre_filters: pre_filters.into(),
-            ops: resolved.into(),
+            ops: ops.into(),
             head_fields: head_fields.into(),
             out_name: out_name.into(),
-            slots: slots.len(),
-        };
-        (Arc::new(body), slots)
+        })
     }
 
     /// The strand's aggregation, if it ends in one.
-    pub fn agg(&self) -> Option<&AggOp<TableAccess>> {
+    pub fn agg(&self) -> Option<&AggOp> {
         match self.ops.last() {
             Some(StrandOp::Agg(agg)) => Some(agg),
             _ => None,
@@ -550,39 +435,32 @@ impl StrandBody {
     }
 }
 
-/// One node's rule strand: a shared [`StrandBody`] bound to the node's
-/// tables, executed in a single element call. See the module docs for the
-/// contract.
+/// One node's rule strand: a shared [`StrandBody`] run over the node's
+/// tables in a single element call. See the module docs for the contract.
 pub struct FusedStrand {
     body: Arc<StrandBody>,
-    /// The node's table in each of the body's slots.
-    tables: Box<[TableRef]>,
     /// Scratch buffer for assigned values, reused across rows and calls.
     extras: Vec<Value>,
 }
 
+impl From<Arc<StrandBody>> for FusedStrand {
+    fn from(body: Arc<StrandBody>) -> FusedStrand {
+        FusedStrand {
+            body,
+            extras: Vec::new(),
+        }
+    }
+}
+
 impl FusedStrand {
-    /// Creates a strand over the tables its ops hold, through
-    /// [`StrandBody::new`] and [`FusedStrand::bind`].
+    /// Creates a strand with a body of its own ([`StrandBody::new`]).
     pub fn new(
         pre_filters: Vec<Program>,
         ops: Vec<StrandOp>,
         head_fields: Vec<Program>,
         out_name: impl Into<Arc<str>>,
     ) -> FusedStrand {
-        let (body, tables) = StrandBody::new(pre_filters, ops, head_fields, out_name, Arc::ptr_eq);
-        FusedStrand::bind(body, tables)
-    }
-
-    /// Binds a shared body to one node's tables: `tables[i]` fills slot
-    /// `i`.
-    pub fn bind(body: Arc<StrandBody>, tables: Vec<TableRef>) -> FusedStrand {
-        assert_eq!(tables.len(), body.slots, "one table per slot");
-        FusedStrand {
-            body,
-            tables: tables.into(),
-            extras: Vec::new(),
-        }
+        StrandBody::new(pre_filters, ops, head_fields, out_name).into()
     }
 
     /// The shared body.
@@ -590,23 +468,18 @@ impl FusedStrand {
         &self.body
     }
 
-    /// The node's table in each slot.
-    pub fn tables(&self) -> &[TableRef] {
-        &self.tables
-    }
-
-    /// Creates a probe op from raw `(strand field, table column)` key
-    /// pairs.
-    pub fn probe_op<T>(table: T, key: Vec<(usize, usize)>) -> StrandOp<T> {
+    /// Creates a probe op of the table with id `table` from raw
+    /// `(strand field, table column)` key pairs.
+    pub fn probe_op(table: usize, key: Vec<(usize, usize)>) -> StrandOp {
         StrandOp::Probe {
             table,
             key: ProbeKey::new(key),
         }
     }
 
-    /// Creates an anti-join op from raw `(strand field, table column)` key
-    /// pairs.
-    pub fn anti_op<T>(table: T, key: Vec<(usize, usize)>) -> StrandOp<T> {
+    /// Creates an anti-join op over the table with id `table` from raw
+    /// `(strand field, table column)` key pairs.
+    pub fn anti_op(table: usize, key: Vec<(usize, usize)>) -> StrandOp {
         StrandOp::AntiJoin {
             table,
             key: ProbeKey::new(key),
@@ -639,22 +512,21 @@ fn emit_head(
 struct Run<'s> {
     head_fields: &'s [Program],
     out_name: &'s Arc<str>,
-    /// The node's table in each slot.
-    tables: &'s [TableRef],
+    /// The node's tables, indexed by table id.
+    tables: &'s [Table],
 }
 
 impl Run<'_> {
     /// Runs the remaining ops of a strand for the current row combination,
     /// depth-first, emitting one head tuple per surviving combination.
-    /// `rows` holds the trigger plus the rows matched by earlier probes,
-    /// `held` the tables those probes hold; `extras` holds the assigned
-    /// values (pushed and popped around the recursion so sibling
-    /// combinations never see each other's assignments).
+    /// `rows` holds the trigger plus the rows matched by earlier probes;
+    /// `extras` holds the assigned values (pushed and popped around the
+    /// recursion so sibling combinations never see each other's
+    /// assignments).
     fn exec(
         &self,
-        ops: &[StrandOp<TableAccess>],
+        ops: &[StrandOp],
         rows: &[&[Value]],
-        held: &[&Table],
         extras: &mut Vec<Value>,
         ctx: &mut ElementCtx<'_>,
     ) {
@@ -670,7 +542,7 @@ impl Run<'_> {
                     filter.eval_bool_concat(view, ctx.eval())
                 });
                 match ok {
-                    Ok(true) => self.exec(rest, rows, held, extras, ctx),
+                    Ok(true) => self.exec(rest, rows, extras, ctx),
                     Ok(false) => {}
                     Err(_) => ctx.note_eval_error(),
                 }
@@ -682,61 +554,54 @@ impl Run<'_> {
                 match v {
                     Ok(v) => {
                         extras.push(v);
-                        self.exec(rest, rows, held, extras, ctx);
+                        self.exec(rest, rows, extras, ctx);
                         extras.pop();
                     }
                     Err(_) => ctx.note_eval_error(),
                 }
             }
             StrandOp::AntiJoin { table, key } => {
+                let table = &self.tables[*table];
                 let any_match = with_pushed(rows, extras.as_slice(), |view| {
-                    table.read(self.tables, held, |table| {
-                        if key.is_empty() {
-                            return Some(!table.is_empty());
-                        }
-                        match key.stream_checks_hold(view) {
-                            // Conflicting constraints: nothing can match.
-                            Some(false) => Some(false),
-                            None => None,
-                            Some(true) => key.with_probe(view, |probe| {
-                                table.contains_match(&key.table_cols, probe)
-                            }),
-                        }
-                    })
+                    if key.is_empty() {
+                        return Some(!table.is_empty());
+                    }
+                    match key.stream_checks_hold(view) {
+                        // Conflicting constraints: nothing can match.
+                        Some(false) => Some(false),
+                        None => None,
+                        Some(true) => key
+                            .with_probe(view, |probe| table.contains_match(&key.table_cols, probe)),
+                    }
                 });
                 // A malformed strand (None) drops the combination.
                 if any_match == Some(false) {
-                    self.exec(rest, rows, held, extras, ctx);
+                    self.exec(rest, rows, extras, ctx);
                 }
             }
             StrandOp::Probe { table, key } => {
                 // Probe keys reference only fields bound before this probe
                 // (trigger and earlier rows): the planner places every
                 // probe before the first assignment.
-                table.read(self.tables, held, |table| {
-                    with_pushed(held, table, |held| {
-                        let mut each = |row: &Tuple| {
-                            with_pushed(rows, row.values(), |rows| {
-                                self.exec(rest, rows, held, extras, ctx)
-                            })
-                        };
-                        if key.is_empty() {
-                            table.scan_iter().for_each(&mut each);
-                        } else if key.stream_checks_hold(rows) == Some(true) {
-                            key.with_probe(rows, |probe| {
-                                table
-                                    .lookup_iter(&key.table_cols, probe)
-                                    .for_each(&mut each)
-                            });
-                        }
+                let table = &self.tables[*table];
+                let mut each = |row: &Tuple| {
+                    with_pushed(rows, row.values(), |rows| {
+                        self.exec(rest, rows, extras, ctx)
                     })
-                });
+                };
+                if key.is_empty() {
+                    table.scan_iter().for_each(&mut each);
+                } else if key.stream_checks_hold(rows) == Some(true) {
+                    key.with_probe(rows, |probe| {
+                        table
+                            .lookup_iter(&key.table_cols, probe)
+                            .for_each(&mut each)
+                    });
+                }
             }
             StrandOp::Agg(agg) => {
                 with_pushed(rows, extras.as_slice(), |event| {
-                    let folded = agg
-                        .table
-                        .read(self.tables, held, |table| agg.fold(table, event, ctx));
+                    let folded = agg.fold(&self.tables[agg.table], event, ctx);
                     let Some((aggregate, witness)) = folded else {
                         return;
                     };
@@ -769,13 +634,16 @@ impl Element for FusedStrand {
                 }
             }
         }
-        let run = Run {
-            head_fields: &body.head_fields,
-            out_name: &body.out_name,
-            tables: &self.tables,
-        };
-        self.extras.clear();
-        run.exec(&body.ops, &[tuple.values()], &[], &mut self.extras, ctx);
+        let extras = &mut self.extras;
+        extras.clear();
+        ctx.with_tables(|tables, ctx| {
+            let run = Run {
+                head_fields: &body.head_fields,
+                out_name: &body.out_name,
+                tables,
+            };
+            run.exec(&body.ops, &[tuple.values()], extras, ctx)
+        });
     }
 }
 
@@ -785,12 +653,10 @@ mod tests {
     use crate::elements::Collector;
     use crate::engine::{Engine, Graph, Route};
     use p2_pel::{BinOp, Expr};
-    use p2_table::{Table, TableSpec};
+    use p2_table::TableSpec;
     use p2_value::{SimTime, TupleBuilder};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
 
-    fn succ_table() -> TableRef {
+    fn succ_table() -> Table {
         let mut t = Table::new(TableSpec::new("succ", vec![1]));
         t.add_index(vec![0]);
         for (s, si) in [(5i64, "n5"), (9, "n9")] {
@@ -804,17 +670,26 @@ mod tests {
             )
             .unwrap();
         }
-        Arc::new(Mutex::new(t))
+        t
     }
 
-    fn run_one(element: Box<dyn Element>, input: Tuple) -> Vec<Tuple> {
-        run_delayed(element, input, 0)
+    /// Runs `element` over the node's `tables` (table `i` is `tables[i]`).
+    fn run_one(element: Box<dyn Element>, tables: Vec<Table>, input: Tuple) -> Vec<Tuple> {
+        run_delayed(element, tables, input, 0)
     }
 
     /// Like [`run_one`], with the element's output slot held back by
     /// `levels`.
-    fn run_delayed(element: Box<dyn Element>, input: Tuple, levels: u32) -> Vec<Tuple> {
+    fn run_delayed(
+        element: Box<dyn Element>,
+        tables: Vec<Table>,
+        input: Tuple,
+        levels: u32,
+    ) -> Vec<Tuple> {
         let mut g = Graph::new();
+        for table in tables {
+            g.add_table(table);
+        }
         let e = g.add("elt", element);
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
@@ -842,7 +717,7 @@ mod tests {
         let strand = FusedStrand::new(
             vec![],
             vec![
-                FusedStrand::probe_op(succ_table(), vec![(0, 0)]),
+                FusedStrand::probe_op(0, vec![(0, 0)]),
                 StrandOp::Filter(Program::compile(&Expr::bin(
                     BinOp::Gt,
                     Expr::Field(3),
@@ -858,7 +733,7 @@ mod tests {
             "out",
         );
         let input = TupleBuilder::new("ev").push("n1").push(100i64).build();
-        let out = run_one(Box::new(strand), input);
+        let out = run_one(Box::new(strand), vec![succ_table()], input);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|t| t.name() == "out" && t.arity() == 2));
         let got: Vec<(Value, Value)> = out
@@ -885,9 +760,9 @@ mod tests {
             )
         };
         let hit = TupleBuilder::new("ev").push("n1").push(7i64).build();
-        assert_eq!(run_one(Box::new(mk()), hit).len(), 1);
+        assert_eq!(run_one(Box::new(mk()), vec![], hit).len(), 1);
         let miss = TupleBuilder::new("ev").push("n2").push(7i64).build();
-        assert!(run_one(Box::new(mk()), miss).is_empty());
+        assert!(run_one(Box::new(mk()), vec![], miss).is_empty());
     }
 
     #[test]
@@ -903,19 +778,20 @@ mod tests {
                 )
                 .unwrap();
             }
-            std::sync::Arc::new(Mutex::new(t))
+            t
         };
         let strand = FusedStrand::new(
             vec![],
             vec![
-                FusedStrand::probe_op(succ_table(), vec![(0, 0)]),
+                FusedStrand::probe_op(0, vec![(0, 0)]),
                 // succ row occupies fields 1..4 (ev has arity 1); SI at 3.
-                FusedStrand::probe_op(pref, vec![(3, 0)]),
+                FusedStrand::probe_op(1, vec![(3, 0)]),
             ],
             vec![field(3), field(5)],
             "out",
         );
-        let out = run_one(Box::new(strand), TupleBuilder::new("ev").push("n1").build());
+        let ev = TupleBuilder::new("ev").push("n1").build();
+        let out = run_one(Box::new(strand), vec![succ_table(), pref], ev);
         let got: Vec<(Value, Value)> = out
             .iter()
             .map(|t| (t.field(0).clone(), t.field(1).clone()))
@@ -932,15 +808,15 @@ mod tests {
         let mk = || {
             FusedStrand::new(
                 vec![],
-                vec![FusedStrand::anti_op(succ_table(), vec![(0, 0)])],
+                vec![FusedStrand::anti_op(0, vec![(0, 0)])],
                 vec![field(1)],
                 "out",
             )
         };
         let hit = TupleBuilder::new("ev").push("n1").push(1i64).build();
-        assert!(run_one(Box::new(mk()), hit).is_empty());
+        assert!(run_one(Box::new(mk()), vec![succ_table()], hit).is_empty());
         let miss = TupleBuilder::new("ev").push("n7").push(1i64).build();
-        assert_eq!(run_one(Box::new(mk()), miss).len(), 1);
+        assert_eq!(run_one(Box::new(mk()), vec![succ_table()], miss).len(), 1);
     }
 
     #[test]
@@ -950,7 +826,7 @@ mod tests {
         let strand = FusedStrand::new(
             vec![],
             vec![
-                FusedStrand::probe_op(succ_table(), vec![(0, 0)]),
+                FusedStrand::probe_op(0, vec![(0, 0)]),
                 StrandOp::Filter(Program::compile(&Expr::bin(
                     BinOp::Gt,
                     Expr::Field(9),
@@ -961,55 +837,54 @@ mod tests {
             "out",
         );
         let input = TupleBuilder::new("ev").push("n1").build();
-        assert!(run_one(Box::new(strand), input).is_empty());
+        assert!(run_one(Box::new(strand), vec![succ_table()], input).is_empty());
     }
 
     /// `link(A, B)` rows forming the chain 0 → 1 → … → 11.
-    fn link_table() -> TableRef {
+    fn link_table() -> Table {
         let mut t = Table::new(TableSpec::new("link", vec![0, 1]));
         t.add_index(vec![0]);
         for a in 0..11i64 {
             let row = TupleBuilder::new("link").push(a).push(a + 1).build();
             t.insert(row, SimTime::ZERO).unwrap();
         }
-        Arc::new(Mutex::new(t))
+        t
     }
 
     #[test]
     fn self_join_reads_through_the_held_guard() {
         // out(A, C) :- ev(A), link(A, B), link(B, C), not link(C, A),
         // count<*> over link(C, _): the second probe, the anti-join and the
-        // aggregation all read the table the first probe holds. Locking it
-        // again would deadlock.
-        let link = link_table();
+        // aggregation all read the table the first probe is reading.
         let strand = FusedStrand::new(
             vec![],
             vec![
-                FusedStrand::probe_op(link.clone(), vec![(0, 0)]),
-                FusedStrand::probe_op(link.clone(), vec![(2, 0)]),
-                FusedStrand::anti_op(link.clone(), vec![(4, 0), (0, 1)]),
-                AggOp::new(link, 2, p2_table::AggFunc::Count, None, field(0))
+                FusedStrand::probe_op(0, vec![(0, 0)]),
+                FusedStrand::probe_op(0, vec![(2, 0)]),
+                FusedStrand::anti_op(0, vec![(4, 0), (0, 1)]),
+                AggOp::new(0, 2, p2_table::AggFunc::Count, None, field(0))
                     .with_key(vec![(4, 0)])
                     .into(),
             ],
             vec![field(0), field(4), field(7)],
             "out",
         );
-        let out = run_one(Box::new(strand), TupleBuilder::new("ev").push(3i64).build());
+        let ev = TupleBuilder::new("ev").push(3i64).build();
+        let out = run_one(Box::new(strand), vec![link_table()], ev);
         let got: Vec<&[Value]> = out.iter().map(|t| t.values()).collect();
         assert_eq!(got, [&[Value::Int(3), Value::Int(5), Value::Int(1)][..]]);
     }
 
     #[test]
     fn deep_strands_spill_to_the_heap() {
-        // Ten chained self-probes: more segments and held guards than the
-        // inline arrays carry.
-        let link = link_table();
+        // Ten chained self-probes: more segments than the inline array
+        // carries.
         let ops = (0..10)
-            .map(|i| FusedStrand::probe_op(link.clone(), vec![(2 * i, 0)]))
+            .map(|i| FusedStrand::probe_op(0, vec![(2 * i, 0)]))
             .collect();
         let strand = FusedStrand::new(vec![], ops, vec![field(20)], "out");
-        let out = run_one(Box::new(strand), TupleBuilder::new("ev").push(1i64).build());
+        let ev = TupleBuilder::new("ev").push(1i64).build();
+        let out = run_one(Box::new(strand), vec![link_table()], ev);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].values(), &[Value::Int(11)]);
     }
@@ -1020,7 +895,10 @@ mod tests {
         // levels: the tuple arrives once, exactly as emitted.
         let echo = || FusedStrand::new(vec![], vec![], vec![field(0)], "x");
         let t = TupleBuilder::new("x").push(1i64).build();
-        assert_eq!(run_delayed(Box::new(echo()), t.clone(), 3), vec![t.clone()]);
-        assert_eq!(run_one(Box::new(echo()), t.clone()), vec![t]);
+        assert_eq!(
+            run_delayed(Box::new(echo()), vec![], t.clone(), 3),
+            vec![t.clone()]
+        );
+        assert_eq!(run_one(Box::new(echo()), vec![], t.clone()), vec![t]);
     }
 }

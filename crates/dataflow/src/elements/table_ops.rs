@@ -8,8 +8,8 @@
 //! SI)` up to date by re-reading its table, `Table::aggregate` from
 //! scratch, whenever the table's change counter (`Table::version`) has
 //! moved since the last read, and diffing the result against what it last
-//! emitted. A poke that finds the counter where it was costs one lock and
-//! one comparison. The tables it watches are small (Chord's `succ` holds at
+//! emitted. A poke that finds the counter where it was costs one
+//! comparison. The tables it watches are small (Chord's `succ` holds at
 //! most a handful of rows), so the whole-table fold is cheap, and there is
 //! no running state to drift: every emission equals a from-scratch
 //! recompute, floating-point sums included, which a property test checks
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use p2_table::{AggFunc, InsertOutcome, TableRef};
+use p2_table::{AggFunc, InsertOutcome};
 use p2_value::{Tuple, Value};
 
 use crate::element::{Element, ElementCtx};
@@ -29,7 +29,8 @@ use crate::element::{Element, ElementCtx};
 /// table (e.g. `bestSucc :- succ, ...`) see the change. Rows evicted by the
 /// size bound are emitted on port 1 for optional handling.
 pub struct Insert {
-    table: TableRef,
+    /// The table's id.
+    table: usize,
     /// Number of inserts that failed (malformed tuples).
     pub errors: u64,
     /// Reused eviction spill buffer: eviction-heavy tables hit the
@@ -39,8 +40,8 @@ pub struct Insert {
 }
 
 impl Insert {
-    /// Creates an insert bridge for `table`.
-    pub fn new(table: TableRef) -> Insert {
+    /// Creates an insert bridge for the table with id `table`.
+    pub fn new(table: usize) -> Insert {
         Insert {
             table,
             errors: 0,
@@ -56,10 +57,10 @@ impl Element for Insert {
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
         debug_assert!(self.spill.is_empty(), "spill buffer drained every call");
-        let result = self
-            .table
-            .lock()
-            .insert_spill(tuple.clone(), ctx.now(), &mut self.spill);
+        let now = ctx.now();
+        let result = ctx
+            .table_mut(self.table)
+            .insert_spill(tuple.clone(), now, &mut self.spill);
         match result {
             Ok(outcome) => {
                 // A soft-state refresh of an identical row leaves the table
@@ -86,7 +87,8 @@ impl Element for Insert {
 /// Removed rows are emitted on port 0 so deletions can drive further
 /// processing (e.g. re-computing a materialized aggregate).
 pub struct Delete {
-    table: TableRef,
+    /// The table's id.
+    table: usize,
     /// Number of deletes that failed (malformed tuples).
     pub errors: u64,
     /// Reused removal spill buffer, mirroring `Insert`'s eviction buffer:
@@ -96,8 +98,8 @@ pub struct Delete {
 }
 
 impl Delete {
-    /// Creates a delete bridge for `table`.
-    pub fn new(table: TableRef) -> Delete {
+    /// Creates a delete bridge for the table with id `table`.
+    pub fn new(table: usize) -> Delete {
         Delete {
             table,
             errors: 0,
@@ -113,9 +115,8 @@ impl Element for Delete {
 
     fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
         debug_assert!(self.spill.is_empty(), "spill buffer drained every call");
-        let result = self
-            .table
-            .lock()
+        let result = ctx
+            .table_mut(self.table)
             .delete_matching_spill(tuple, &mut self.spill);
         match result {
             Ok(_removed) => {
@@ -151,7 +152,8 @@ impl Element for Delete {
 /// [`Table::version`]: p2_table::Table::version
 /// [`Table::aggregate`]: p2_table::Table::aggregate
 pub struct TableAgg {
-    table: TableRef,
+    /// The table's id.
+    table: usize,
     func: AggFunc,
     agg_col: Option<usize>,
     group_cols: Vec<usize>,
@@ -164,9 +166,9 @@ pub struct TableAgg {
 }
 
 impl TableAgg {
-    /// Creates a materialized table aggregate.
+    /// Creates a materialized aggregate over the table with id `table`.
     pub fn new(
-        table: TableRef,
+        table: usize,
         func: AggFunc,
         agg_col: Option<usize>,
         group_cols: Vec<usize>,
@@ -186,23 +188,22 @@ impl TableAgg {
     /// Re-folds the table if it changed since the last fold and emits every
     /// group whose aggregate changed, in group order.
     fn sync(&mut self, ctx: &mut ElementCtx<'_>) {
-        let live = {
-            let table = self.table.lock();
-            let version = table.version();
-            if self.folded == Some(version) {
-                return;
+        let table = ctx.table(self.table);
+        let version = table.version();
+        if self.folded == Some(version) {
+            return;
+        }
+        let live = table.aggregate(self.func, self.agg_col, &self.group_cols);
+        // The table changed: this poke does real maintenance work.
+        ctx.note_state_change();
+        let live = match live {
+            Ok(live) => {
+                self.folded = Some(version);
+                live
             }
-            // The table changed: this poke does real maintenance work.
-            ctx.note_state_change();
-            match table.aggregate(self.func, self.agg_col, &self.group_cols) {
-                Ok(live) => {
-                    self.folded = Some(version);
-                    live
-                }
-                // A value the aggregate cannot take (non-numeric `sum`):
-                // emit nothing, and fold again at the next poke.
-                Err(_) => return,
-            }
+            // A value the aggregate cannot take (non-numeric `sum`): emit
+            // nothing, and fold again at the next poke.
+            Err(_) => return,
         };
         let empty = self.func.apply(&[]).ok().flatten();
         let mut last = std::mem::take(&mut self.last).into_iter().peekable();
@@ -249,19 +250,17 @@ impl Element for TableAgg {
 mod tests {
     use super::*;
     use crate::elements::{AggOp, Collector, Demux, FusedStrand};
-    use crate::engine::{Engine, EngineStats, Graph, Route};
+    use crate::engine::{Engine, Graph, Route};
     use p2_pel::{BinOp, Expr, IntervalKind, Program};
     use p2_table::{Table, TableSpec};
     use p2_value::{SimTime, TupleBuilder, Uint160};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
 
-    fn table(spec: TableSpec, rows: Vec<Tuple>) -> TableRef {
+    fn table(spec: TableSpec, rows: Vec<Tuple>) -> Table {
         let mut t = Table::new(spec);
         for r in rows {
             t.insert(r, SimTime::ZERO).unwrap();
         }
-        Arc::new(Mutex::new(t))
+        t
     }
 
     /// A strand whose only op is `agg`, emitting `trigger ++ witness ++
@@ -276,13 +275,20 @@ mod tests {
         ))
     }
 
-    fn run_one(element: Box<dyn Element>, inputs: Vec<Tuple>) -> Vec<Tuple> {
-        run_counted(element, inputs).0
+    /// Runs `element` on a node whose table 0 is `table`.
+    fn run_one(element: Box<dyn Element>, table: Table, inputs: Vec<Tuple>) -> Vec<Tuple> {
+        run_counted(element, table, inputs).0
     }
 
-    /// Like [`run_one`], also returning the engine's counters.
-    fn run_counted(element: Box<dyn Element>, inputs: Vec<Tuple>) -> (Vec<Tuple>, EngineStats) {
+    /// Like [`run_one`], also returning the engine, for its counters and
+    /// its table.
+    fn run_counted(
+        element: Box<dyn Element>,
+        table: Table,
+        inputs: Vec<Tuple>,
+    ) -> (Vec<Tuple>, Engine) {
         let mut g = Graph::new();
+        g.add_table(table);
         let e = g.add("elt", element);
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
@@ -297,28 +303,31 @@ mod tests {
             engine.deliver(i, SimTime::from_secs(1));
         }
         let out = buf.lock().iter().map(|(_, t)| t.clone()).collect();
-        (out, engine.stats())
+        (out, engine)
     }
 
     #[test]
     fn insert_stores_and_emits_delta() {
         let t = table(TableSpec::new("succ", vec![1]), vec![]);
-        let insert = Insert::new(t.clone());
+        let insert = Insert::new(0);
         let tup = TupleBuilder::new("succ")
             .push("n1")
             .push(5i64)
             .push("n5")
             .build();
-        let out = run_one(Box::new(insert), vec![tup.clone()]);
+        let (out, engine) = run_counted(Box::new(insert), t, vec![tup.clone()]);
         assert_eq!(out, vec![tup]);
-        assert_eq!(t.lock().len(), 1);
+        assert_eq!(engine.tables()[0].len(), 1);
     }
 
     #[test]
     fn insert_emits_evictions_on_port_one() {
-        let t = table(TableSpec::new("succ", vec![1]).with_max_size(1), vec![]);
         let mut g = Graph::new();
-        let e = g.add("insert", Box::new(Insert::new(t.clone())));
+        let t = g.add_table(table(
+            TableSpec::new("succ", vec![1]).with_max_size(1),
+            vec![],
+        ));
+        let e = g.add("insert", Box::new(Insert::new(t)));
         let (c, evicted_buf) = Collector::new();
         let c = g.add("evicted", Box::new(c));
         g.connect(e, 1, c, 0);
@@ -335,7 +344,7 @@ mod tests {
                 .build();
             engine.deliver(tup, SimTime::from_secs(s as u64));
         }
-        assert_eq!(t.lock().len(), 1);
+        assert_eq!(engine.tables()[t].len(), 1);
         assert_eq!(evicted_buf.lock().len(), 1);
     }
 
@@ -343,10 +352,9 @@ mod tests {
     fn delete_removes_and_emits() {
         let row = TupleBuilder::new("neighbor").push("n1").push("n2").build();
         let t = table(TableSpec::new("neighbor", vec![1]), vec![row.clone()]);
-        let delete = Delete::new(t.clone());
-        let out = run_one(Box::new(delete), vec![row.clone()]);
+        let (out, engine) = run_counted(Box::new(Delete::new(0)), t, vec![row.clone()]);
         assert_eq!(out, vec![row]);
-        assert!(t.lock().is_empty());
+        assert!(engine.tables()[0].is_empty());
     }
 
     #[test]
@@ -388,7 +396,7 @@ mod tests {
             Expr::int(1),
         ));
         let probe = agg_strand(
-            AggOp::new(t, 4, AggFunc::Min, Some(filter), agg),
+            AggOp::new(0, 4, AggFunc::Min, Some(filter), agg),
             10,
             "bestLookupDist",
         );
@@ -399,7 +407,7 @@ mod tests {
             .push(123i64)
             .push(Value::Id(Uint160::from_u64(5)))
             .build();
-        let out = run_one(probe, vec![event]);
+        let out = run_one(probe, t, vec![event]);
         assert_eq!(out.len(), 1);
         let got = &out[0];
         assert_eq!(got.name(), "bestLookupDist");
@@ -436,9 +444,9 @@ mod tests {
         let t = table(TableSpec::new("member", vec![2]), members);
         // Event: (X, E); joined row starts at field 2, score at field 4.
         let agg = Program::compile(&Expr::Field(4));
-        let probe = agg_strand(AggOp::new(t, 3, AggFunc::Max, None, agg), 6, "pingEvent");
+        let probe = agg_strand(AggOp::new(0, 3, AggFunc::Max, None, agg), 6, "pingEvent");
         let event = TupleBuilder::new("periodic").push("n1").push(77i64).build();
-        let out = run_one(probe, vec![event]);
+        let out = run_one(probe, t, vec![event]);
         assert_eq!(out.len(), 1);
         // Witness row is m2 (score 9).
         assert_eq!(out[0].field(3), &Value::str("m2"));
@@ -447,11 +455,15 @@ mod tests {
 
     #[test]
     fn agg_probe_count_emits_zero_and_min_does_not() {
-        let t = table(TableSpec::new("member", vec![1]), vec![]);
+        let t = || table(TableSpec::new("member", vec![1]), vec![]);
         let agg = Program::compile(&Expr::Field(0));
-        let probe = AggOp::new(t.clone(), 3, AggFunc::Count, None, agg);
+        let probe = AggOp::new(0, 3, AggFunc::Count, None, agg);
         let event = TupleBuilder::new("refresh").push("n1").build();
-        let out = run_one(agg_strand(probe, 5, "membersFound"), vec![event.clone()]);
+        let out = run_one(
+            agg_strand(probe, 5, "membersFound"),
+            t(),
+            vec![event.clone()],
+        );
         assert_eq!(out.len(), 1);
         // event (1) ++ null row padding (3) ++ count.
         assert_eq!(out[0].arity(), 5);
@@ -459,16 +471,16 @@ mod tests {
         assert_eq!(out[0].field(4), &Value::Int(0));
 
         let agg = Program::compile(&Expr::Field(0));
-        let probe = AggOp::new(t, 3, AggFunc::Min, None, agg);
-        assert!(run_one(agg_strand(probe, 5, "best"), vec![event]).is_empty());
+        let probe = AggOp::new(0, 3, AggFunc::Min, None, agg);
+        assert!(run_one(agg_strand(probe, 5, "best"), t(), vec![event]).is_empty());
     }
 
     /// `member(X, A, S)` rows keyed on `A`, probed by `refresh(X, A)`
     /// events with `count<*>` — Narada's R5 in miniature.
-    fn member_count_probe(rows: Vec<Tuple>, filter: Option<Program>) -> (TableRef, AggOp) {
+    fn member_count_probe(rows: Vec<Tuple>, filter: Option<Program>) -> (Table, AggOp) {
         let t = table(TableSpec::new("member", vec![1]), rows);
         let one = Program::compile(&Expr::int(1));
-        let probe = AggOp::new(t.clone(), 3, AggFunc::Count, filter, one);
+        let probe = AggOp::new(0, 3, AggFunc::Count, filter, one);
         (t, probe)
     }
 
@@ -488,11 +500,11 @@ mod tests {
         let probe = probe.with_key(vec![(1, 1)]);
         let hit = TupleBuilder::new("refresh").push("n1").push("m7").build();
         let miss = TupleBuilder::new("refresh").push("n1").push("zz").build();
-        let out = run_one(agg_strand(probe, 6, "membersFound"), vec![hit, miss]);
+        let (out, engine) = run_counted(agg_strand(probe, 6, "membersFound"), t, vec![hit, miss]);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].field(5), &Value::Int(1));
         assert_eq!(out[1].field(5), &Value::Int(0));
-        let stats = t.lock().stats();
+        let stats = engine.tables()[0].stats();
         assert_eq!((stats.primary_lookups, stats.full_scans), (2, 0));
     }
 
@@ -506,13 +518,13 @@ mod tests {
         let event = TupleBuilder::new("refresh").push("n1").push(7i64).build();
 
         let eq = Program::compile(&Expr::bin(BinOp::Eq, Expr::Field(1), Expr::Field(3)));
-        let (_, filtered) = member_count_probe(rows(), Some(eq));
-        let out = run_one(agg_strand(filtered, 6, "out"), vec![event.clone()]);
+        let (t, filtered) = member_count_probe(rows(), Some(eq));
+        let out = run_one(agg_strand(filtered, 6, "out"), t, vec![event.clone()]);
         assert_eq!(out[0].field(5), &Value::Int(1));
 
-        let (_, keyed) = member_count_probe(rows(), None);
+        let (t, keyed) = member_count_probe(rows(), None);
         let keyed = agg_strand(keyed.with_key(vec![(1, 1)]), 6, "out");
-        let out = run_one(keyed, vec![event]);
+        let out = run_one(keyed, t, vec![event]);
         assert_eq!(out[0].field(5), &Value::Int(0));
     }
 
@@ -528,24 +540,27 @@ mod tests {
             member("d", 5),
             member("e", 0),
         ];
-        let t = table(TableSpec::new("member", vec![1]), rows);
         let agg = || Program::compile(&Expr::bin(BinOp::Div, Expr::int(10), Expr::Field(3)));
         let event = TupleBuilder::new("ev").push("n1").build();
         let cols = AggOp::group_columns(AggFunc::Count, None, &agg(), 1).unwrap();
         assert_eq!(cols, [2]);
-        t.lock().add_group_index(cols.clone());
+        let t = || {
+            let mut t = table(TableSpec::new("member", vec![1]), rows.clone());
+            t.add_group_index(cols.clone());
+            t
+        };
 
-        let grouped = AggOp::new(t.clone(), 3, AggFunc::Count, None, agg()).with_group_index(cols);
-        let (out, stats) = run_counted(agg_strand(grouped, 5, "out"), vec![event.clone()]);
-        assert_eq!(stats.eval_errors, 1);
+        let grouped = AggOp::new(0, 3, AggFunc::Count, None, agg()).with_group_index(cols.clone());
+        let (out, engine) = run_counted(agg_strand(grouped, 5, "out"), t(), vec![event.clone()]);
+        assert_eq!(engine.stats().eval_errors, 1);
         assert_eq!(out[0].field(4), &Value::Int(2));
-        assert_eq!(t.lock().stats().full_scans, 0);
+        assert_eq!(engine.tables()[0].stats().full_scans, 0);
 
-        let by_row = AggOp::new(t.clone(), 3, AggFunc::Count, None, agg());
-        let (by_row_out, stats) = run_counted(agg_strand(by_row, 5, "out"), vec![event]);
+        let by_row = AggOp::new(0, 3, AggFunc::Count, None, agg());
+        let (by_row_out, engine) = run_counted(agg_strand(by_row, 5, "out"), t(), vec![event]);
         assert_eq!(by_row_out, out);
-        assert_eq!(stats.eval_errors, 3);
-        assert_eq!(t.lock().stats().full_scans, 1);
+        assert_eq!(engine.stats().eval_errors, 3);
+        assert_eq!(engine.tables()[0].stats().full_scans, 1);
     }
 
     #[test]
@@ -562,10 +577,10 @@ mod tests {
         let agg = || Program::compile(&Expr::bin(BinOp::Mod, Expr::Field(3), Expr::int(10)));
         let event = TupleBuilder::new("ev").push("n1").build();
         for (func, winner, value) in [(AggFunc::Min, "b", 1), (AggFunc::Max, "a", 5)] {
-            let t = table(TableSpec::new("member", vec![1]), rows.clone());
-            t.lock().add_group_index(vec![2]);
-            let probe = AggOp::new(t, 3, func, None, agg()).with_group_index(vec![2]);
-            let out = run_one(agg_strand(probe, 5, "out"), vec![event.clone()]);
+            let mut t = table(TableSpec::new("member", vec![1]), rows.clone());
+            t.add_group_index(vec![2]);
+            let probe = AggOp::new(0, 3, func, None, agg()).with_group_index(vec![2]);
+            let out = run_one(agg_strand(probe, 5, "out"), t, vec![event.clone()]);
             assert_eq!(out[0].field(2), &Value::str(winner));
             assert_eq!(out[0].field(4), &Value::Int(value));
         }
@@ -592,18 +607,12 @@ mod tests {
 
     #[test]
     fn table_agg_emits_only_on_change() {
-        let t = table(TableSpec::new("succ", vec![1]), vec![]);
         let mut g = Graph::new();
-        let ins = g.add("insert", Box::new(Insert::new(t.clone())));
+        let t = g.add_table(table(TableSpec::new("succ", vec![1]), vec![]));
+        let ins = g.add("insert", Box::new(Insert::new(t)));
         let agg = g.add(
             "count",
-            Box::new(TableAgg::new(
-                t.clone(),
-                AggFunc::Count,
-                None,
-                vec![0],
-                "succCount",
-            )),
+            Box::new(TableAgg::new(t, AggFunc::Count, None, vec![0], "succCount")),
         );
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
@@ -644,25 +653,19 @@ mod tests {
     /// re-appearance re-emits from scratch.
     #[test]
     fn table_agg_retracts_when_group_vanishes() {
-        let t = table(TableSpec::new("succ", vec![1]), vec![]);
         let mut g = Graph::new();
+        let t = g.add_table(table(TableSpec::new("succ", vec![1]), vec![]));
         // "succ" tuples insert, "zap" tuples (same layout) delete — the
         // planner's insert-delta and delete-delta wiring in miniature.
         let demux = g.add(
             "demux",
             Box::new(Demux::new(vec!["succ".into(), "zap".into()])),
         );
-        let ins = g.add("insert", Box::new(Insert::new(t.clone())));
-        let del = g.add("delete", Box::new(Delete::new(t.clone())));
+        let ins = g.add("insert", Box::new(Insert::new(t)));
+        let del = g.add("delete", Box::new(Delete::new(t)));
         let agg = g.add(
             "count",
-            Box::new(TableAgg::new(
-                t.clone(),
-                AggFunc::Count,
-                None,
-                vec![0],
-                "succCount",
-            )),
+            Box::new(TableAgg::new(t, AggFunc::Count, None, vec![0], "succCount")),
         );
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
@@ -698,7 +701,10 @@ mod tests {
             .push("n5")
             .build();
         engine.deliver(zap, SimTime::from_secs(2));
-        assert!(t.lock().is_empty(), "delete did not remove the row");
+        assert!(
+            engine.tables()[t].is_empty(),
+            "delete did not remove the row"
+        );
         let emitted: Vec<Tuple> = buf.lock().iter().map(|(_, t)| t.clone()).collect();
         assert_eq!(
             emitted.last().unwrap().values(),

@@ -69,8 +69,14 @@
 //! routing table and every rule strand's body
 //! (`elements::StrandBody`) included — and stamps out each node's engine
 //! with [`Engine::with_routing`]. A node's engine then holds only what is
-//! its own: element state (tables, strand scratch, periodic phases), the
-//! work queue, the timer heap, the RNG and the counters.
+//! its own: its tables, element state (strand scratch, periodic phases),
+//! the work queue, the timer heap, the RNG and the counters.
+//!
+//! The engine owns the node's tables as one slice, indexed by plan table
+//! id, and lends it to each element it calls through [`ElementCtx`].
+//! Elements and shared strand bodies name tables by id only. A node runs
+//! single-threaded to completion, so the tables need no lock: a strand
+//! reading a table twice (a self-join) takes two shared borrows of it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -78,6 +84,7 @@ use std::sync::Arc;
 
 use p2_obs::{NodeObs, ObsMeta, TraceEvent};
 use p2_pel::EvalContext;
+use p2_table::Table;
 use p2_value::{SimTime, Tuple, Value};
 
 use crate::element::{Element, ElementCtx, Outgoing};
@@ -92,7 +99,7 @@ pub struct Route {
 }
 
 /// A dataflow graph under construction: elements plus directed edges from
-/// output ports to input ports.
+/// output ports to input ports, and the tables its elements name by id.
 ///
 /// An output port may be connected to several input ports; the engine
 /// duplicates tuples across them (the explicit `Dup` element of the paper's
@@ -105,6 +112,7 @@ pub struct Graph {
     edges: Vec<(usize, usize, Route)>,
     /// `(from, out_port, levels)` in `set_delay` order; see *Level delays*.
     delays: Vec<(usize, usize, u32)>,
+    tables: Vec<Table>,
 }
 
 impl Graph {
@@ -118,6 +126,12 @@ impl Graph {
         self.elements.push(element);
         self.names.push(name.into());
         self.elements.len() - 1
+    }
+
+    /// Adds a table for the elements to name, returning its id.
+    pub fn add_table(&mut self, table: Table) -> usize {
+        self.tables.push(table);
+        self.tables.len() - 1
     }
 
     /// Connects `from`'s output port `out_port` to `to`'s input port `in_port`.
@@ -361,6 +375,8 @@ impl PartialOrd for TimerEntry {
 pub struct Engine {
     elements: Vec<Box<dyn Element>>,
     routing: Arc<Routing>,
+    /// The node's tables, indexed by table id.
+    tables: Box<[Table]>,
     entry: Option<Route>,
     queue: VecDeque<Pending>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
@@ -390,16 +406,19 @@ impl Engine {
             names,
             edges,
             delays,
+            tables,
         } = graph;
         let routing = Routing::compile(names, &edges, &delays);
-        Engine::with_routing(Arc::new(routing), elements, local_addr, seed)
+        Engine::with_routing(Arc::new(routing), elements, tables, local_addr, seed)
     }
 
     /// Creates an engine running `elements` (element `i` of `routing` is
-    /// `elements[i]`) over a shared, already compiled routing table.
+    /// `elements[i]`) over a shared, already compiled routing table and
+    /// the node's `tables` (table `id` is `tables[id]`).
     pub fn with_routing(
         routing: Arc<Routing>,
         elements: Vec<Box<dyn Element>>,
+        tables: Vec<Table>,
         local_addr: impl Into<Arc<str>>,
         seed: u64,
     ) -> Engine {
@@ -411,6 +430,7 @@ impl Engine {
         Engine {
             elements,
             routing,
+            tables: tables.into(),
             entry: None,
             queue: VecDeque::new(),
             timers: BinaryHeap::new(),
@@ -507,6 +527,16 @@ impl Engine {
         &self.routing
     }
 
+    /// The node's tables, indexed by table id.
+    pub fn tables(&self) -> &[Table] {
+        &self.tables
+    }
+
+    /// The node's tables, to change (the expiry sweep, fact installation).
+    pub fn tables_mut(&mut self) -> &mut [Table] {
+        &mut self.tables
+    }
+
     /// Element `element` of the graph.
     pub fn element(&self, element: usize) -> &dyn Element {
         &*self.elements[element]
@@ -549,6 +579,7 @@ impl Engine {
                 let mut ctx = ElementCtx::new(
                     self.now,
                     self.queue.len(),
+                    &mut self.tables,
                     &mut self.eval,
                     &mut self.scratch_emissions,
                     &mut outgoing,
@@ -652,6 +683,7 @@ impl Engine {
                 let mut ctx = ElementCtx::new(
                     self.now,
                     self.queue.len(),
+                    &mut self.tables,
                     &mut self.eval,
                     &mut self.scratch_emissions,
                     &mut outgoing,
@@ -740,6 +772,7 @@ impl Engine {
                 let mut ctx = ElementCtx::new(
                     self.now,
                     self.queue.len(),
+                    &mut self.tables,
                     &mut self.eval,
                     &mut self.scratch_emissions,
                     outgoing,

@@ -31,7 +31,7 @@
 //! ([`elements::TableAgg`]) keeps only what it last emitted and re-reads
 //! its whole table when the table's change counter
 //! (`p2_table::Table::version`) has moved since its last read; a poke that
-//! finds the counter unmoved costs one lock and one comparison. Under
+//! finds the counter unmoved costs one comparison. Under
 //! refresh-heavy workloads that is most pokes, since a refresh leaves the
 //! counter alone.
 //!

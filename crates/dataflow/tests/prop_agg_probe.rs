@@ -16,10 +16,9 @@ use p2_dataflow::elements::{
 };
 use p2_dataflow::{Engine, Graph, Route};
 use p2_pel::{BinOp, EvalContext, Expr, Program};
-use p2_table::{AggFunc, Table, TableRef, TableSpec};
+use p2_table::{AggFunc, Table, TableSpec};
 use p2_value::{SimTime, Tuple, TupleBuilder, Value};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -175,9 +174,11 @@ fn naive_probe(table: &Table, func: AggFunc, event: &Tuple) -> Option<Tuple> {
 /// strand on the event stream.
 struct Rig {
     engine: Engine,
-    table: TableRef,
     buf: CollectorHandle,
 }
+
+/// The rig's one table.
+const TABLE: usize = 0;
 
 impl Rig {
     fn new(func: AggFunc, max_size: usize, keyed: bool) -> Rig {
@@ -205,9 +206,8 @@ impl Rig {
             assert_eq!(min_cols, [1, 2, 3]);
             table.add_group_index(min_cols);
         }
-        let table: TableRef = Arc::new(parking_lot::Mutex::new(table));
-        let probe = |table: TableRef| {
-            let mut probe = AggOp::new(table, 4, func, Some(filter), agg);
+        let probe = {
+            let mut probe = AggOp::new(TABLE, 4, func, Some(filter), agg);
             if keyed {
                 probe = probe.with_key(vec![(0, 1)]);
             }
@@ -221,13 +221,14 @@ impl Rig {
         };
 
         let mut g = Graph::new();
+        assert_eq!(g.add_table(table), TABLE);
         let demux = g.add(
             "demux",
             Box::new(Demux::new(vec!["row".into(), "zap".into(), "ev".into()])),
         );
-        let ins = g.add("insert", Box::new(Insert::new(table.clone())));
-        let del = g.add("delete", Box::new(Delete::new(table.clone())));
-        let probe_id = g.add("probe", Box::new(probe(table.clone())));
+        let ins = g.add("insert", Box::new(Insert::new(TABLE)));
+        let del = g.add("delete", Box::new(Delete::new(TABLE)));
+        let probe_id = g.add("probe", Box::new(probe));
         let (c, buf) = Collector::new();
         let tap = g.add("tap", Box::new(c));
         g.connect(demux, 0, ins, 0);
@@ -240,7 +241,11 @@ impl Rig {
             port: 0,
         });
         engine.start(SimTime::ZERO);
-        Rig { engine, table, buf }
+        Rig { engine, buf }
+    }
+
+    fn table(&self) -> &Table {
+        &self.engine.tables()[TABLE]
     }
 }
 
@@ -275,17 +280,17 @@ proptest! {
                 }
                 Action::Expire { at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
-                    rig.table.lock().expire(now);
+                    rig.engine.tables_mut()[TABLE].expire(now);
                 }
                 Action::Probe { g, k, at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
                     let ev = TupleBuilder::new("ev").push(g).push(k).build();
-                    expected.extend(naive_probe(&rig.table.lock(), func, &ev));
+                    expected.extend(naive_probe(rig.table(), func, &ev));
                     rig.engine.deliver(ev, now);
                     probes += 1;
                 }
             }
-            rig.table.lock().check_consistency().unwrap();
+            rig.table().check_consistency().unwrap();
             let got: Vec<Tuple> = rig.buf.lock().iter().map(|(_, t)| t.clone()).collect();
             prop_assert_eq!(&got, &expected, "probe divergence for {:?} at {:?}", func, now);
             // `==` equates `Int(3)` with `Double(3.0)`; the variants must
@@ -295,7 +300,7 @@ proptest! {
         // One index read per probe and never a scan — the key's index for a
         // keyed probe, the group index for unkeyed min/max/count — while
         // unkeyed sum/avg scan in row order and leave the group index alone.
-        let stats = rig.table.lock().stats();
+        let stats = rig.table().stats();
         let by_group = matches!(func, AggFunc::Min | AggFunc::Max | AggFunc::Count);
         let (indexed, scans) = if keyed || by_group { (probes, 0) } else { (0, probes) };
         prop_assert_eq!((stats.indexed_lookups, stats.full_scans), (indexed, scans));

@@ -9,7 +9,7 @@
 
 use p2_dataflow::elements::{Collector, Delete, Demux, Insert, TableAgg};
 use p2_dataflow::{Engine, Graph, Route};
-use p2_table::{AggFunc, TableRef, TableSpec};
+use p2_table::{AggFunc, Table, TableSpec};
 use p2_value::{SimTime, Tuple, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -80,9 +80,8 @@ struct RecomputeModel {
 }
 
 impl RecomputeModel {
-    fn poke(&mut self, table: &TableRef) -> Vec<Vec<Value>> {
+    fn poke(&mut self, table: &Table) -> Vec<Vec<Value>> {
         let live: HashMap<Vec<Value>, Value> = table
-            .lock()
             .aggregate(self.func, self.agg_col, &self.group_cols)
             .expect("test values are always aggregable")
             .into_iter()
@@ -141,19 +140,17 @@ proptest! {
         let spec = TableSpec::new("t", vec![1])
             .with_lifetime_secs(50)
             .with_max_size(max_size);
-        let table: TableRef =
-            std::sync::Arc::new(parking_lot::Mutex::new(p2_table::Table::new(spec)));
-
         let mut g = Graph::new();
+        let table = g.add_table(Table::new(spec));
         let demux = g.add(
             "demux",
             Box::new(Demux::new(vec!["t".into(), "zap".into(), "poke".into()])),
         );
-        let ins = g.add("insert", Box::new(Insert::new(table.clone())));
-        let del = g.add("delete", Box::new(Delete::new(table.clone())));
+        let ins = g.add("insert", Box::new(Insert::new(table)));
+        let del = g.add("delete", Box::new(Delete::new(table)));
         let agg = g.add(
             "agg",
-            Box::new(TableAgg::new(table.clone(), func, agg_col, vec![0], "out")),
+            Box::new(TableAgg::new(table, func, agg_col, vec![0], "out")),
         );
         let (c, buf) = Collector::new();
         let tap = g.add("tap", Box::new(c));
@@ -193,7 +190,7 @@ proptest! {
                 }
                 Action::Expire { at_secs } => {
                     now = now.max(SimTime::from_secs(at_secs));
-                    table.lock().expire(now);
+                    engine.tables_mut()[table].expire(now);
                 }
             }
             // A trailing poke flushes any change the action itself did not
@@ -201,7 +198,7 @@ proptest! {
             // silent in both the element and the model.
             engine.deliver(Tuple::new("poke", vec![]), now);
 
-            let expected = model.poke(&table);
+            let expected = model.poke(&engine.tables()[table]);
             let emitted: Vec<Vec<Value>> = {
                 let guard = buf.lock();
                 guard[seen..].iter().map(|(_, t)| t.values().to_vec()).collect()
@@ -214,7 +211,7 @@ proptest! {
                 func,
                 now
             );
-            table.lock().check_consistency().unwrap();
+            engine.tables()[table].check_consistency().unwrap();
         }
     }
 }

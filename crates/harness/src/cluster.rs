@@ -337,12 +337,7 @@ impl ChordCluster {
     pub fn is_joined(&self, addr: &str) -> bool {
         self.sim
             .node(addr)
-            .map(|h| {
-                h.node()
-                    .table("bestSucc")
-                    .map(|t| !t.lock().is_empty())
-                    .unwrap_or(false)
-            })
+            .map(|h| h.node().table("bestSucc").is_some_and(|t| !t.is_empty()))
             .unwrap_or(false)
     }
 
@@ -350,13 +345,11 @@ impl ChordCluster {
     pub fn best_successor(&self, addr: &str) -> Option<String> {
         let host = self.sim.node(addr)?;
         let table = host.node().table("bestSucc")?;
-        let guard = table.lock();
         // Borrowing scan: the singleton row is read in place, no snapshot.
-        let out = guard
+        table
             .scan_iter()
             .next()
-            .map(|t| t.field(2).to_display_string());
-        out
+            .map(|t| t.field(2).to_display_string())
     }
 
     /// Sorted display rows of one node's named table (empty when the node
@@ -370,8 +363,7 @@ impl ChordCluster {
         let Some(table) = host.node().table(table) else {
             return Vec::new();
         };
-        let guard = table.lock();
-        let mut rows: Vec<String> = guard.scan_iter().map(|t| t.to_string()).collect();
+        let mut rows: Vec<String> = table.scan_iter().map(|t| t.to_string()).collect();
         rows.sort();
         rows
     }
@@ -847,7 +839,7 @@ mod tests {
             let mut total = p2_table::TableStats::default();
             for id in cluster.sim.up_ids() {
                 let catalog = cluster.sim.node_by_id(id).node().catalog();
-                total += catalog.get("finger").expect("chord table").lock().stats();
+                total += catalog.get("finger").expect("chord table").stats();
             }
             total
         };

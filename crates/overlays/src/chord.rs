@@ -307,10 +307,10 @@ mod tests {
         assert!(desc.contains("L2:strand"));
         assert!(desc.contains("S1:tableagg:succ"));
         assert!(desc.contains("F1:periodic"));
-        assert!(host.node().table("node").unwrap().lock().len() == 1);
-        assert!(host.node().table("landmark").unwrap().lock().len() == 1);
-        assert!(host.node().table("nextFingerFix").unwrap().lock().len() == 1);
-        assert!(host.node().table("pred").unwrap().lock().len() == 1);
+        assert!(host.node().table("node").unwrap().len() == 1);
+        assert!(host.node().table("landmark").unwrap().len() == 1);
+        assert!(host.node().table("nextFingerFix").unwrap().len() == 1);
+        assert!(host.node().table("pred").unwrap().len() == 1);
     }
 
     #[test]

@@ -74,7 +74,7 @@ mod tests {
     fn program_parses_and_plans() {
         assert_eq!(rule_count(), 3);
         let host = build_node("n1", &["n2", "n3"], 1, false).unwrap();
-        assert_eq!(host.node().table("link").unwrap().lock().len(), 2);
+        assert_eq!(host.node().table("link").unwrap().len(), 2);
         assert!(host.node().graph_description().contains("G2:strand"));
     }
 

@@ -55,7 +55,7 @@ mod tests {
     fn program_parses_and_plans() {
         assert_eq!(rule_count(), 4);
         let host = build_node("n1", &["n2"], 1, false).unwrap();
-        assert_eq!(host.node().table("member").unwrap().lock().len(), 1);
-        assert!(host.node().table("latency").unwrap().lock().is_empty());
+        assert_eq!(host.node().table("member").unwrap().len(), 1);
+        assert!(host.node().table("latency").unwrap().is_empty());
     }
 }

@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn node_plans_with_neighbors() {
         let host = build_node("n1", &["n2", "n3"], 7, false).unwrap();
-        assert_eq!(host.node().table("env").unwrap().lock().len(), 2);
+        assert_eq!(host.node().table("env").unwrap().len(), 2);
         let desc = host.node().graph_description();
         assert!(desc.contains("R5:strand"));
         assert!(desc.contains("L3:delete:neighbor"));

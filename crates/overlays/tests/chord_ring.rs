@@ -35,7 +35,7 @@ fn bring_up(n: usize, seed: u64) -> Simulator<P2Host> {
         for i in 0..n {
             let joined = sim
                 .node(&addr(i))
-                .map(|h| !h.node().table("bestSucc").unwrap().lock().is_empty())
+                .map(|h| !h.node().table("bestSucc").unwrap().is_empty())
                 .unwrap_or(false);
             if !joined {
                 all_joined = false;
@@ -91,7 +91,6 @@ fn ring_forms_and_lookups_find_the_correct_owner() {
             .node()
             .table("bestSucc")
             .unwrap()
-            .lock()
             .scan();
         assert_eq!(best.len(), 1, "{a} has no best successor");
         let succ_addr = best[0].field(2).to_display_string();

@@ -22,8 +22,8 @@ fn group_indexes(program: &Program) -> Declared {
         .materializations
         .iter()
         .map(|m| {
-            let table = node.catalog.get(&m.name).expect("materialized");
-            let indexes = table.lock().group_indexes();
+            let table = node.catalog().get(&m.name).expect("materialized");
+            let indexes = table.group_indexes();
             (m.name.clone(), indexes)
         })
         .filter(|(_, indexes)| !indexes.is_empty())

@@ -12,7 +12,7 @@ use std::fmt;
 
 use p2_pel::Builtin;
 
-use crate::ast::{BodyTerm, Expr, Fact, HeadArg, Program, Rule, Span};
+use crate::ast::{BodyTerm, Expr, Fact, HeadArg, Materialize, Program, Rule, Span};
 
 /// A single validation problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +72,26 @@ pub fn validate(program: &Program) -> Result<(), ValidationError> {
             });
         } else {
             seen_ids.insert(&rule.id, rule.span);
+        }
+    }
+
+    // --- Conflicting declarations: a repeated `materialize` must repeat
+    // the spec; the planner declares one table per name.
+    let mut declared: HashMap<&str, &Materialize> = HashMap::new();
+    for m in &program.materializations {
+        match declared.get(m.name.as_str()) {
+            Some(first) if first.to_spec() != m.to_spec() => issues.push(Issue {
+                rule: None,
+                span: m.span,
+                message: format!(
+                    "table `{}` is materialized again with a different spec (first declared at {})",
+                    m.name, first.span
+                ),
+            }),
+            Some(_) => {}
+            None => {
+                declared.insert(&m.name, m);
+            }
         }
     }
 
@@ -364,6 +384,32 @@ mod tests {
             N2 succDist@NI(NI,S,D) :- node@NI(NI,N), succEvent@NI(NI,S,SI), D := S - N - 1.
             L1 lookupResults@R(R,K,S,SI,E) :- node@NI(NI,N), lookup@NI(NI,K,R,E),
                bestSucc@NI(NI,S,SI), K in (N,S].
+        "#;
+        assert!(check(src).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_conflicting_repeated_materialize() {
+        let err = check(
+            r#"
+            materialize(foo, infinity, infinity, keys(1)).
+            materialize(foo, 5, 1, keys(1,2)).
+            R1 out@X(X, Y) :- foo@X(X, Y).
+        "#,
+        )
+        .unwrap_err();
+        assert_eq!(err.issues.len(), 1);
+        let issue = &err.issues[0];
+        assert!(issue.message.contains("`foo`"), "{err}");
+        assert_eq!(issue.span.line, 3, "the second declaration: {err}");
+    }
+
+    #[test]
+    fn accepts_an_identical_repeated_materialize() {
+        let src = r#"
+            materialize(foo, 5, 1, keys(1,2)).
+            materialize(foo, 5, 1, keys(1,2)).
+            R1 out@X(X, Y) :- foo@X(X, Y).
         "#;
         assert!(check(src).is_ok());
     }

@@ -16,7 +16,12 @@
 //! * aggregates (min/max/count/sum/avg) can be computed over a table with
 //!   optional group-by, and a change counter ([`Table::version`]) says when
 //!   one is stale, which backs the "aggregate elements that maintain an
-//!   up-to-date aggregate on a table" of §3.4.
+//!   up-to-date aggregate on a table" of §3.4;
+//! * tables are named by unique ids: a program's [`Schema`] gives each
+//!   declared table an id, and every node owns its tables as a plain slice
+//!   indexed by it. A node runs single-threaded to completion, so a table
+//!   sits behind no lock and no shared handle; [`Catalog`] reads one
+//!   node's tables by name.
 //!
 //! # Storage engine
 //!
@@ -39,6 +44,6 @@ pub mod spec;
 pub mod table;
 
 pub use aggregate::{AggFunc, AggState};
-pub use catalog::{Catalog, TableRef};
+pub use catalog::{Catalog, Schema};
 pub use spec::TableSpec;
 pub use table::{Group, InsertOutcome, LookupIter, ProbeValue, RowId, Table, TableStats};

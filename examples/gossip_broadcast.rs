@@ -37,7 +37,6 @@ fn main() {
                     .node()
                     .table("rumor")
                     .unwrap()
-                    .lock()
                     .is_empty()
             })
             .count()

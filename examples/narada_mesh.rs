@@ -31,15 +31,7 @@ fn main() {
         sim.run_until(SimTime::from_secs(checkpoint));
         let sizes: Vec<usize> = addrs
             .iter()
-            .map(|a| {
-                sim.node(a)
-                    .unwrap()
-                    .node()
-                    .table("member")
-                    .unwrap()
-                    .lock()
-                    .len()
-            })
+            .map(|a| sim.node(a).unwrap().node().table("member").unwrap().len())
             .collect();
         println!("  t={checkpoint:>3}s  member-table sizes: {sizes:?}");
     }
@@ -51,7 +43,6 @@ fn main() {
         .node()
         .table("member")
         .unwrap()
-        .lock()
         .scan();
     for m in members {
         println!("  {m}");
@@ -62,7 +53,6 @@ fn main() {
         .node()
         .table("neighbor")
         .unwrap()
-        .lock()
         .len();
     println!(
         "\nnode {} now has {} mesh neighbours (started with 0)",

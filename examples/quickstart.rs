@@ -47,11 +47,8 @@ fn main() {
 
     // 4. Inspect the derived state.
     let table = node.table("acquaintance").expect("declared table");
-    println!(
-        "\nacquaintance table now holds {} rows:",
-        table.lock().len()
-    );
-    for row in table.lock().scan() {
+    println!("\nacquaintance table now holds {} rows:", table.len());
+    for row in table.scan() {
         println!("  {row}");
     }
     let counts = node.collector("acquaintanceCount").expect("watched");

@@ -120,7 +120,6 @@ fn chord_survives_moderate_packet_loss() {
                 .node()
                 .table("bestSucc")
                 .unwrap()
-                .lock()
                 .is_empty();
             if !joined {
                 sim.inject(addr, chord::join_tuple(addr, 1000 + round * 10 + i as i64));
@@ -137,7 +136,6 @@ fn chord_survives_moderate_packet_loss() {
                 .node()
                 .table("bestSucc")
                 .unwrap()
-                .lock()
                 .is_empty()
         })
         .count();

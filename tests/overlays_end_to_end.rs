@@ -30,14 +30,7 @@ fn narada_membership_converges_to_full_mesh_knowledge() {
     // Every node should have learned about (nearly) every other member via
     // epidemic refresh propagation along the line of seed neighbours.
     for a in &addrs {
-        let members = sim
-            .node(a)
-            .unwrap()
-            .node()
-            .table("member")
-            .unwrap()
-            .lock()
-            .len();
+        let members = sim.node(a).unwrap().node().table("member").unwrap().len();
         assert!(
             members >= n - 2,
             "{a} only knows {members} members of a {n}-node mesh"
@@ -52,7 +45,6 @@ fn narada_membership_converges_to_full_mesh_knowledge() {
         .node()
         .table("neighbor")
         .unwrap()
-        .lock()
         .len();
     assert!(n0_neighbors >= 1);
 }
@@ -85,14 +77,14 @@ fn narada_declares_dead_neighbors_after_silence() {
     // tables (rule L3) and marked its member entry dead (rule L4).
     for a in &addrs[..2] {
         let node = sim.node(a).unwrap().node();
-        let neighbors = node.table("neighbor").unwrap().lock().scan();
+        let neighbors = node.table("neighbor").unwrap().scan();
         assert!(
             !neighbors
                 .iter()
                 .any(|t| t.field(1).to_display_string() == addrs[2]),
             "{a} still lists the dead node as a neighbour"
         );
-        let members = node.table("member").unwrap().lock().scan();
+        let members = node.table("member").unwrap().scan();
         let dead_entry = members
             .iter()
             .find(|t| t.field(1).to_display_string() == addrs[2])
@@ -116,14 +108,7 @@ fn latency_monitor_measures_round_trip_times() {
     sim.start_node(b);
     sim.run_until(SimTime::from_secs(60));
 
-    let latencies = sim
-        .node(a)
-        .unwrap()
-        .node()
-        .table("latency")
-        .unwrap()
-        .lock()
-        .scan();
+    let latencies = sim.node(a).unwrap().node().table("latency").unwrap().scan();
     assert!(!latencies.is_empty(), "no latency measurements recorded");
     for row in latencies {
         let rtt = row.field(2).to_double().unwrap();
@@ -158,7 +143,6 @@ fn gossip_rumor_reaches_every_node() {
                 .node()
                 .table("rumor")
                 .unwrap()
-                .lock()
                 .is_empty()
         })
         .count();
