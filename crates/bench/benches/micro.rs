@@ -47,6 +47,57 @@ fn bench_pel(c: &mut Criterion) {
     c.bench_function("pel_vm_ring_interval", |b| {
         b.iter(|| ring.eval(black_box(&tuple), &mut ctx).unwrap())
     });
+
+    // Chord L3's filter `D == K - B - 1 && B in (N, K) && NI == NI'` over
+    // its strand's three segments: the `bestLookupDist(NI, K, R, E, D)`
+    // trigger, the `node(NI, N)` row and the `finger(NI, I, B, BI)` row,
+    // with full-width identifiers and one shared address string.
+    let id = |s: &str| Value::Id(Uint160::hash_of(s.as_bytes()));
+    let (n, k, b) = (id("node"), id("key"), id("finger"));
+    let (n_id, k_id, b_id) = (n.to_id().unwrap(), k.to_id().unwrap(), b.to_id().unwrap());
+    let (n, b) = if b_id.in_oo(n_id, k_id) {
+        (n, b)
+    } else {
+        (b, n)
+    };
+    let d = Value::Id(
+        k_id.wrapping_sub(b.to_id().unwrap())
+            .wrapping_sub(Uint160::ONE),
+    );
+    let addr = Value::str("node17:11111");
+    let trigger = [addr.clone(), k, Value::str("node3:11111"), Value::Int(9), d];
+    let node = [addr.clone(), n];
+    let finger = [addr, Value::Int(3), b, Value::str("node5:11111")];
+    let parts: [&[Value]; 3] = [&trigger, &node, &finger];
+    let (ni, k, d, n, ni2, b) = (0, 1, 4, 6, 7, 9);
+    let ring_sub = Expr::bin(
+        BinOp::Sub,
+        Expr::bin(BinOp::Sub, Expr::Field(k), Expr::Field(b)),
+        Expr::int(1),
+    );
+    let distance = Expr::bin(
+        BinOp::And,
+        Expr::bin(
+            BinOp::And,
+            Expr::bin(BinOp::Eq, Expr::Field(d), ring_sub.clone()),
+            Expr::Interval {
+                kind: p2_pel::IntervalKind::OpenOpen,
+                value: Box::new(Expr::Field(b)),
+                low: Box::new(Expr::Field(n)),
+                high: Box::new(Expr::Field(k)),
+            },
+        ),
+        Expr::bin(BinOp::Eq, Expr::Field(ni), Expr::Field(ni2)),
+    );
+    let distance = Program::compile(&distance);
+    assert!(distance.eval_bool_concat(&parts, &mut ctx).unwrap());
+    c.bench_function("pel_vm_ring_distance", |bench| {
+        bench.iter(|| distance.eval_bool_concat(black_box(&parts), &mut ctx))
+    });
+    let ring_sub = Program::compile(&ring_sub);
+    c.bench_function("pel_vm_ring_sub", |bench| {
+        bench.iter(|| ring_sub.eval_concat(black_box(&parts), &mut ctx))
+    });
 }
 
 fn bench_tuples(c: &mut Criterion) {

@@ -8,11 +8,12 @@
 //! ([`Program::eval_concat`]), probes walk the table through its borrowing
 //! lookup iterator, and an aggregation appends its witness row and value
 //! as two more segments, so the only tuple ever materialized is the head
-//! tuple. Evaluation borrows its operands from those segments too: a flat
-//! program (a bare field or constant, one binary operator over two of
-//! them, one ring interval over three) reads them in place, and any other
-//! program runs on an operand stack that borrows them (see `p2_pel::vm`),
-//! so no program clones a field it loads unless that field is its result.
+//! tuple. Evaluation reads its operands from those segments too: every
+//! program runs in PEL's one evaluation loop, which copies identifiers,
+//! integers and booleans onto its operand stack unboxed and borrows every
+//! other field (see `p2_pel::vm`), so no program clones a field it loads
+//! unless that field is its result, and a filter's `bool` is read without
+//! building a `Value`.
 //! A strand with no ops is a bare head projection.
 //!
 //! # Level delays

@@ -12,11 +12,13 @@
 //! * [`Expr`] — the expression AST the planner produces (constants, tuple
 //!   field accesses, arithmetic, comparisons, ring-interval tests, built-in
 //!   functions such as `f_now`, `f_rand`, `f_coinFlip`, `f_sha1`).
-//! * [`Program`] — a compiled byte-code program ([`Op`] sequence). A bare
-//!   field or constant, one binary operator over two of them, or one ring
-//!   interval over three evaluates directly on borrowed operands (the
-//!   *flat form*); anything else runs on a small stack machine whose
-//!   operand stack borrows fields and constants (see [`vm`]).
+//! * [`Program`] — a compiled byte-code program ([`Op`] sequence). Every
+//!   program runs in one evaluation loop whose operand stack holds
+//!   identifiers, integers, booleans, doubles and timestamps unboxed and
+//!   borrows every other field or constant, so ring arithmetic,
+//!   comparisons and intervals build no [`p2_value::Value`] per operator;
+//!   operand pairs without a direct arm go to the reference interpreter's
+//!   operator functions (see [`vm`]).
 //! * [`EvalContext`] — per-node evaluation environment (virtual clock,
 //!   deterministic RNG, local address).
 //!

@@ -101,7 +101,6 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 
-use p2_pel::{EvalContext, Program};
 use p2_value::{SimTime, Tuple, Value, ValueError};
 
 use crate::aggregate::{AggFunc, AggState};
@@ -1079,21 +1078,6 @@ impl Table {
         })
     }
 
-    /// Returns rows accepted by a PEL filter program.
-    pub fn filter_scan(
-        &self,
-        filter: &Program,
-        ctx: &mut EvalContext,
-    ) -> Result<Vec<Tuple>, ValueError> {
-        let mut out = Vec::new();
-        for tuple in self.scan_iter() {
-            if filter.eval_bool(tuple, ctx)? {
-                out.push(tuple.clone());
-            }
-        }
-        Ok(out)
-    }
-
     /// Computes `func` over column `agg_col` of every live row, grouped by
     /// `group_cols`. Returns one `(group_values, aggregate)` pair per group,
     /// sorted by group values.
@@ -1753,7 +1737,7 @@ mod tests {
 
     #[test]
     fn filter_scan_with_pel() {
-        use p2_pel::{BinOp, Expr};
+        use p2_pel::{BinOp, EvalContext, Expr, Program};
         let mut t = Table::new(TableSpec::new("member", vec![1]));
         for i in 0..10i64 {
             let tup = TupleBuilder::new("member")
@@ -1765,7 +1749,10 @@ mod tests {
         }
         let filter = Program::compile(&Expr::bin(BinOp::Ge, Expr::Field(2), Expr::int(70)));
         let mut ctx = EvalContext::new("n1", 1);
-        let hits = t.filter_scan(&filter, &mut ctx).unwrap();
+        let hits: Vec<&Tuple> = t
+            .scan_iter()
+            .filter(|row| filter.eval_bool(row, &mut ctx).unwrap())
+            .collect();
         assert_eq!(hits.len(), 3);
     }
 
