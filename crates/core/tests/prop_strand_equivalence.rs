@@ -9,14 +9,16 @@
 //! strand also probes, delete routing, keyed and group-indexed aggregations with
 //! witnesses (M5's ties span groups, so the witness is the first row
 //! scanned, not the first of its group), `count<*>` over no rows, a
-//! row-scanned `sum`, and a maintained aggregate feeding a table-triggered
-//! rule.
+//! row-scanned `sum`, a maintained aggregate feeding a table-triggered
+//! rule, and Chord's lookup shapes (a `min` over 160-bit ring distances
+//! under a ring interval, and a probe filtered on one) over full-width
+//! identifiers.
 
 mod reference;
 
 use p2_core::{P2Node, PlanConfig, PlannedProgram};
 use p2_overlog::compile_checked;
-use p2_value::{SimTime, Tuple, Value};
+use p2_value::{SimTime, Tuple, Uint160, Value};
 use proptest::prelude::*;
 use reference::RefNode;
 
@@ -31,6 +33,7 @@ const PROGRAM: &str = r#"
     materialize(e4, infinity, infinity, keys(2, 3)).
     materialize(e5, infinity, infinity, keys(2, 3)).
     materialize(cand, 40, infinity, keys(2)).
+    materialize(ring, infinity, infinity, keys(2)).
     R1 member@X(X, Y, S) :- add@X(X, Y, S).
     R2 out@Y(Y, X, D) :- ev@X(X, Y), member@X(X, Y, S), S > 2, D := S + 1.
     R3 far@Y(Y, X, T) :- ev@X(X, Y), X != Y, T := f_now().
@@ -57,6 +60,10 @@ const PROGRAM: &str = r#"
     M3 total@R(R, K, sum<V>) :- ask@X(X, K, R), cand@X(X, W, V).
     M4 known@R(R, W, count<*>) :- askFor@X(X, W, R), cand@X(X, W2, V), W2 == W.
     M5 half@R(R, K, W, max<D>) :- ask@X(X, K, R), cand@X(X, W, V), D := V / 2.
+    A1 ring@X(X, B, BI) :- addRing@X(X, B, BI).
+    G1 near@R(R, K, min<D>) :- seek@X(X, N, K, R), ring@X(X, B, BI), D := K - B - 1,
+       B in (N, K).
+    G2 via@R(R, K, BI) :- pick@X(X, K, D, R), ring@X(X, B, BI), D == K - B - 1.
 "#;
 
 /// The node's address; peers are `n1`..`n4`, so index 0 is local.
@@ -65,6 +72,29 @@ const ME: &str = "n1";
 fn peer(i: usize) -> Value {
     Value::str(["n1", "n2", "n3", "n4"][i])
 }
+
+/// The identifiers the ring rules draw from: full-width values at the
+/// ends of the ring, at a limb boundary and one below it, and a hash and
+/// its successor. `K - B - 1` of two of them is often a third, so G2's
+/// filter holds now and then; ring intervals wrap past zero.
+fn ring_id(i: usize) -> Value {
+    let hash = Uint160::hash_of(b"ring");
+    let ids = [
+        Uint160::ZERO,
+        Uint160::ONE,
+        Uint160::from_u64(2),
+        Uint160::from_limbs([u64::MAX, 0, 0]),
+        Uint160::from_limbs([0, 1, 0]),
+        hash,
+        hash.wrapping_add(Uint160::ONE),
+        Uint160::MAX.wrapping_sub(Uint160::ONE),
+        Uint160::MAX,
+    ];
+    Value::Id(ids[i])
+}
+
+/// How many identifiers [`ring_id`] draws from.
+const RING_IDS: usize = 9;
 
 fn tuple(name: &str, mut values: Vec<Value>) -> Tuple {
     values.insert(0, Value::str(ME));
@@ -124,6 +154,21 @@ fn arb_step() -> impl Strategy<Value = Step> {
                 .boxed()
         ),
         by_pair("askFor"),
+        deliver(
+            (0usize..RING_IDS, 0usize..4)
+                .prop_map(|(b, bi)| tuple("addRing", vec![ring_id(b), peer(bi)]))
+                .boxed()
+        ),
+        deliver(
+            (0usize..RING_IDS, 0usize..RING_IDS, 0usize..4)
+                .prop_map(|(n, k, r)| tuple("seek", vec![ring_id(n), ring_id(k), peer(r)]))
+                .boxed()
+        ),
+        deliver(
+            (0usize..RING_IDS, 0usize..RING_IDS, 0usize..4)
+                .prop_map(|(k, d, r)| tuple("pick", vec![ring_id(k), ring_id(d), peer(r)]))
+                .boxed()
+        ),
         (1u64..40).prop_map(Step::Advance),
     ]
 }
@@ -350,5 +395,56 @@ fn min_witness_and_empty_count_match_the_reference() {
     assert_eq!(
         find(&calls[4], "many"),
         Some(vec![peer(1), Value::Int(5), Value::Int(0)])
+    );
+}
+
+/// G1's `min<K - B - 1>` over the ring rows in `(N, K)`, where the
+/// interval wraps past zero and the distances borrow across the top of
+/// the ring; G2 probes the ring for the row at a given distance, one of
+/// them across a limb boundary.
+#[test]
+fn ring_aggregation_matches_the_reference() {
+    let add = |b: usize, bi: usize| deliver("addRing", vec![ring_id(b), peer(bi)]);
+    let (zero, one, two, below_limb, limb, max_less_one, max) = (0, 1, 2, 3, 4, 7, 8);
+    let calls = run(&[
+        add(max, 1),
+        add(zero, 2),
+        add(one, 3),
+        add(limb, 1),
+        // (MAX - 1, 2) holds MAX, 0 and 1, at distances 2, 1 and 0.
+        deliver("seek", vec![ring_id(max_less_one), ring_id(two), peer(1)]),
+        // 2 - MAX - 1 wraps to 2.
+        deliver("pick", vec![ring_id(two), ring_id(two), peer(2)]),
+        // 2^64 - 0 - 1 borrows from the middle limb.
+        deliver("pick", vec![ring_id(limb), ring_id(below_limb), peer(3)]),
+        // (2, 0) holds 2^64 and MAX; the nearest below 0 is MAX.
+        deliver("seek", vec![ring_id(two), ring_id(zero), peer(3)]),
+    ]);
+    let sent = |call: &Sends| -> Vec<(String, Vec<Value>)> {
+        call.iter()
+            .map(|(_, n, v)| (n.clone(), v.clone()))
+            .collect()
+    };
+    assert_eq!(
+        sent(&calls[4]),
+        [(
+            "near".to_string(),
+            vec![peer(1), ring_id(two), ring_id(zero)]
+        )]
+    );
+    assert_eq!(
+        sent(&calls[5]),
+        [("via".to_string(), vec![peer(2), ring_id(two), peer(1)])]
+    );
+    assert_eq!(
+        sent(&calls[6]),
+        [("via".to_string(), vec![peer(3), ring_id(limb), peer(2)])]
+    );
+    assert_eq!(
+        sent(&calls[7]),
+        [(
+            "near".to_string(),
+            vec![peer(3), ring_id(zero), ring_id(zero)]
+        )]
     );
 }

@@ -12,6 +12,7 @@ use p2_harness::ChordCluster;
 use p2_value::{Tuple, Uint160};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Runs the golden measurement window on an already-built cluster.
 fn measure(cluster: &mut ChordCluster) -> (u64, u64, u64, u64, u64) {
@@ -28,10 +29,6 @@ fn measure(cluster: &mut ChordCluster) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-fn ring_stats(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
-    measure(&mut ChordCluster::build(n, warmup, seed))
-}
-
 /// The golden NetStats + event-count pin for `build(100, 120, 42)`.
 ///
 /// Captured on the pre-refactor (PR 1) simulator and reproduced bit-for-bit
@@ -42,17 +39,46 @@ fn ring_stats(n: usize, warmup: u64, seed: u64) -> (u64, u64, u64, u64, u64) {
 /// deliberate semantic change, and update `docs/golden-pins.md` with it.
 const GOLDEN_100: (u64, u64, u64, u64, u64) = (29_634, 29_638, 0, 2_787_660, 31_838);
 
+/// What one golden run, `build(100, 120, 42)` and its measurement window,
+/// leaves: the pin, the failed PEL evaluations, the element calls and the
+/// final routing state.
+#[derive(Debug, PartialEq)]
+struct GoldenRun {
+    pin: (u64, u64, u64, u64, u64),
+    eval_errors: u64,
+    handoffs: u64,
+    state: Vec<(String, Vec<Vec<String>>)>,
+}
+
+fn golden_run() -> GoldenRun {
+    let mut cluster = ChordCluster::build(100, 120, 42);
+    let pin = measure(&mut cluster);
+    GoldenRun {
+        pin,
+        eval_errors: cluster.eval_errors(),
+        handoffs: cluster.engine_stats().handoffs,
+        state: routing_state(&cluster),
+    }
+}
+
+/// The golden run the tests that only read it share: the simulation runs
+/// once per test process for them.
+fn shared_golden_run() -> &'static GoldenRun {
+    static RUN: OnceLock<GoldenRun> = OnceLock::new();
+    RUN.get_or_init(golden_run)
+}
+
 #[test]
 fn hundred_node_ring_matches_golden_stats() {
-    let mut cluster = ChordCluster::build(100, 120, 42);
-    let a = measure(&mut cluster);
-    eprintln!("100-node ring stats: {a:?}");
-    assert_eq!(a, GOLDEN_100, "fixed-seed run diverged from the golden pin");
+    let run = shared_golden_run();
+    eprintln!("100-node ring stats: {:?}", run.pin);
+    assert_eq!(
+        run.pin, GOLDEN_100,
+        "fixed-seed run diverged from the golden pin"
+    );
     // Every rule of the clean run evaluates: no node dropped a tuple to a
     // failed PEL evaluation.
-    assert_eq!(cluster.eval_errors(), 0, "rule evaluations failed");
-    let b = ring_stats(100, 120, 42);
-    assert_eq!(a, b, "same seed must give identical NetStats across runs");
+    assert_eq!(run.eval_errors, 0, "rule evaluations failed");
 }
 
 /// The pin holds on a plan whose every rule strand is one strand element:
@@ -70,7 +96,7 @@ fn unscheduled_ring_matches_golden_stats() {
             elem.name
         );
     }
-    let a = ring_stats(100, 120, 42);
+    let a = shared_golden_run().pin;
     eprintln!("100-node ring stats (strands only): {a:?}");
     assert_eq!(
         a, GOLDEN_100,
@@ -147,27 +173,22 @@ fn routing_state(cluster: &ChordCluster) -> Vec<(String, Vec<Vec<String>>)> {
         .collect()
 }
 
-/// Two runs in one process must agree on the pin, on the total number of
-/// element calls (every poke, no level delay) and on the final routing
-/// state. Each run builds fresh hash tables with fresh `RandomState`s, so
-/// this catches any event order that leans on hash iteration order.
+/// Two runs in one process, a fresh one and the shared one, must agree on
+/// the pin, on the failed evaluations, on the total number of element
+/// calls (every poke, no level delay) and on the final routing state. Each
+/// run builds fresh hash tables with fresh `RandomState`s, so this catches
+/// any event order that leans on hash iteration order.
 #[test]
 fn golden_pin_is_reproducible_in_process() {
-    let run = || {
-        let mut cluster = ChordCluster::build(100, 120, 42);
-        let pin = measure(&mut cluster);
-        (
-            pin,
-            cluster.engine_stats().handoffs,
-            routing_state(&cluster),
-        )
-    };
-    let (pin, handoffs, state) = run();
-    assert_eq!(pin, GOLDEN_100, "sequential pin diverged");
-    assert!(handoffs > 0, "no element calls over the golden window");
+    let fresh = golden_run();
+    assert_eq!(fresh.pin, GOLDEN_100, "sequential pin diverged");
+    assert!(
+        fresh.handoffs > 0,
+        "no element calls over the golden window"
+    );
     assert_eq!(
-        run(),
-        (pin, handoffs, state),
+        &fresh,
+        shared_golden_run(),
         "second run in the same process diverged"
     );
 }

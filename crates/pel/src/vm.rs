@@ -66,8 +66,102 @@ const INLINE_STACK: usize = 4;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     ops: Arc<[Op]>,
-    /// The operand-stack depth the ops need (computed at compile time).
-    max_stack: usize,
+    form: Form,
+}
+
+/// How a [`Program`] evaluates.
+#[derive(Debug, Clone, PartialEq)]
+enum Form {
+    /// Directly on its operands, without running the ops.
+    Flat(Flat),
+    /// The ops, on an operand stack of at most `max_stack` entries
+    /// (computed at compile time).
+    Stack { max_stack: usize },
+}
+
+/// An expression of the flat form.
+#[derive(Debug, Clone, PartialEq)]
+enum Flat {
+    Leaf(Leaf),
+    /// A builtin called with no argument (`f_now()`, `f_rand()`).
+    Call(Builtin),
+    Binary(BinOp, Leaf, Leaf),
+    Interval(IntervalKind, [Leaf; 3]),
+}
+
+/// An operand a flat program reads without computing it.
+#[derive(Debug, Clone, PartialEq)]
+enum Leaf {
+    Field(usize),
+    Const(Value),
+}
+
+impl Flat {
+    fn of(expr: &Expr) -> Option<Flat> {
+        Some(match expr {
+            Expr::Binary(op, a, b) => Flat::Binary(*op, Leaf::of(a)?, Leaf::of(b)?),
+            Expr::Interval {
+                kind,
+                value,
+                low,
+                high,
+            } => Flat::Interval(*kind, [Leaf::of(value)?, Leaf::of(low)?, Leaf::of(high)?]),
+            Expr::Call(builtin, args) if args.is_empty() => Flat::Call(*builtin),
+            leaf => Flat::Leaf(Leaf::of(leaf)?),
+        })
+    }
+
+    /// Evaluates the expression on its borrowed operands, through the
+    /// operator functions of the reference interpreter.
+    #[inline(always)]
+    fn eval<'a>(
+        &'a self,
+        ctx: &mut EvalContext,
+        load: impl Fn(usize) -> Result<&'a Value, ValueError>,
+    ) -> Result<Value, ValueError> {
+        match self {
+            Flat::Leaf(a) => a.get(&load).cloned(),
+            Flat::Call(builtin) => expr::apply_builtin::<Value>(*builtin, &[], ctx),
+            Flat::Binary(op, a, b) => expr::apply_binop(*op, a.get(&load)?, b.get(&load)?),
+            Flat::Interval(kind, [value, low, high]) => {
+                expr::apply_interval(*kind, value.get(&load)?, low.get(&load)?, high.get(&load)?)
+            }
+        }
+    }
+
+    /// [`Flat::eval`] as a boolean. A leaf is not cloned.
+    #[inline(always)]
+    fn eval_bool<'a>(
+        &'a self,
+        ctx: &mut EvalContext,
+        load: impl Fn(usize) -> Result<&'a Value, ValueError>,
+    ) -> Result<bool, ValueError> {
+        match self {
+            Flat::Leaf(a) => Ok(a.get(&load)?.truthy()),
+            _ => Ok(self.eval(ctx, load)?.truthy()),
+        }
+    }
+}
+
+impl Leaf {
+    fn of(expr: &Expr) -> Option<Leaf> {
+        match expr {
+            Expr::Field(i) => Some(Leaf::Field(*i)),
+            Expr::Const(v) => Some(Leaf::Const(v.clone())),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn get<'a>(
+        &'a self,
+        load: &impl Fn(usize) -> Result<&'a Value, ValueError>,
+    ) -> Result<&'a Value, ValueError> {
+        match self {
+            Leaf::Field(i) => load(*i),
+            Leaf::Const(v) => Ok(v),
+        }
+    }
 }
 
 /// An operand of the evaluation loop.
@@ -116,11 +210,11 @@ impl<'a> Operand<'a> {
     }
 
     /// The operand as a value, borrowed where it is one already.
-    fn value<'b>(self, owned: &'b [Value]) -> Cow<'b, Value>
+    fn value<'b>(&self, owned: &'b [Value]) -> Cow<'b, Value>
     where
         'a: 'b,
     {
-        match self {
+        match *self {
             Operand::Id(x) => Cow::Owned(Value::Id(x)),
             Operand::Int(i) => Cow::Owned(Value::Int(i)),
             Operand::Bool(b) => Cow::Owned(Value::Bool(b)),
@@ -147,11 +241,11 @@ impl<'a> Operand<'a> {
 
     /// [`Value::truthy`] of the operand.
     #[inline(always)]
-    fn truthy(self, owned: &[Value]) -> bool {
+    fn truthy(&self, owned: &[Value]) -> bool {
         match self {
             Operand::Id(x) => !x.is_zero(),
-            Operand::Int(i) => i != 0,
-            Operand::Bool(b) => b,
+            Operand::Int(i) => *i != 0,
+            Operand::Bool(b) => *b,
             other => other.value(owned).truthy(),
         }
     }
@@ -159,8 +253,8 @@ impl<'a> Operand<'a> {
     /// [`Value::to_id`] of an identifier or a non-negative integer; `None`
     /// for every other operand, which takes the generic path.
     #[inline(always)]
-    fn ring(self) -> Option<Uint160> {
-        match self {
+    fn ring(&self) -> Option<Uint160> {
+        match *self {
             Operand::Id(x) => Some(x),
             Operand::Int(i) if i >= 0 => Some(Uint160::from_u64(i as u64)),
             _ => None,
@@ -168,11 +262,11 @@ impl<'a> Operand<'a> {
     }
 
     /// The string the operand holds, if it is one.
-    fn str<'b>(self, owned: &'b [Value]) -> Option<&'b Arc<str>>
+    fn str<'b>(&self, owned: &'b [Value]) -> Option<&'b Arc<str>>
     where
         'a: 'b,
     {
-        match self {
+        match *self {
             Operand::Ref(Value::Str(s)) => Some(s),
             Operand::Owned(i) => match &owned[i] {
                 Value::Str(s) => Some(s),
@@ -184,14 +278,20 @@ impl<'a> Operand<'a> {
 }
 
 impl Program {
-    /// Compiles an expression AST into byte-code.
+    /// Compiles an expression AST into byte-code and picks its evaluation
+    /// form.
     pub fn compile(expr: &Expr) -> Program {
         let mut ops = Vec::new();
         emit(expr, &mut ops);
-        let max_stack = stack_bound(&ops);
+        let form = match Flat::of(expr) {
+            Some(flat) => Form::Flat(flat),
+            None => Form::Stack {
+                max_stack: stack_bound(&ops),
+            },
+        };
         Program {
             ops: ops.into(),
-            max_stack,
+            form,
         }
     }
 
@@ -226,7 +326,12 @@ impl Program {
         parts: &[&[Value]],
         ctx: &mut EvalContext,
     ) -> Result<Value, ValueError> {
-        self.run(ctx, concat_loader(parts), Operand::into_value)
+        match &self.form {
+            Form::Flat(flat) => flat.eval(ctx, concat_loader(parts)),
+            Form::Stack { max_stack } => {
+                self.run(*max_stack, ctx, concat_loader(parts), Operand::into_value)
+            }
+        }
     }
 
     /// Like [`Program::eval_concat`], interpreting the result as a boolean.
@@ -236,7 +341,14 @@ impl Program {
         parts: &[&[Value]],
         ctx: &mut EvalContext,
     ) -> Result<bool, ValueError> {
-        self.run(ctx, concat_loader(parts), |top, owned| top.truthy(&owned))
+        match &self.form {
+            Form::Flat(flat) => flat.eval_bool(ctx, concat_loader(parts)),
+            Form::Stack { max_stack } => {
+                self.run(*max_stack, ctx, concat_loader(parts), |top, owned| {
+                    top.truthy(&owned)
+                })
+            }
+        }
     }
 
     /// True if evaluating this program draws on the node's RNG (`f_rand`,
@@ -270,7 +382,10 @@ impl Program {
                 len: fields.len(),
             })
         };
-        self.run(ctx, load, Operand::into_value)
+        match &self.form {
+            Form::Flat(flat) => flat.eval(ctx, load),
+            Form::Stack { max_stack } => self.run(*max_stack, ctx, load, Operand::into_value),
+        }
     }
 
     /// Evaluates the program and interprets the result as a boolean
@@ -280,11 +395,12 @@ impl Program {
     }
 
     /// Runs the byte-code over a field resolver on an inline operand stack
-    /// (or a heap one, past `INLINE_STACK`) and hands the top operand and
-    /// the side list to `finish`.
+    /// (or a heap one, past `INLINE_STACK`) and hands the result operand
+    /// and the side list to `finish`.
     #[inline(always)]
     fn run<'a, R>(
         &'a self,
+        max_stack: usize,
         ctx: &mut EvalContext,
         load: impl Fn(usize) -> Result<&'a Value, ValueError>,
         finish: impl FnOnce(Operand<'a>, Vec<Value>) -> R,
@@ -292,10 +408,10 @@ impl Program {
         let mut owned = Vec::new();
         let mut inline = [Operand::Int(0); INLINE_STACK];
         let mut heap;
-        let stack = if self.max_stack <= INLINE_STACK {
+        let stack = if max_stack <= INLINE_STACK {
             &mut inline[..]
         } else {
-            heap = vec![Operand::Int(0); self.max_stack];
+            heap = vec![Operand::Int(0); max_stack];
             &mut heap[..]
         };
         let top = run(&self.ops, stack, &mut owned, ctx, load)?;
@@ -313,11 +429,10 @@ fn concat_loader<'a>(parts: &'a [&'a [Value]]) -> impl Fn(usize) -> Result<&'a V
     }
 }
 
-/// Runs byte-code and returns its result operand. The top of the operand
-/// stack is held in a local, and `stack` holds the operands below it: at
-/// least the program's [`stack_bound`] less one. An operator's result
-/// becomes the new top. The ops come from [`emit`], so every pop finds its
-/// operand.
+/// Runs byte-code on `stack`, which holds at least the program's
+/// [`stack_bound`] operands, and returns its result operand. An operator's
+/// result replaces its first operand. The ops come from [`emit`], so every
+/// pop finds its operand.
 #[inline(always)]
 fn run<'a>(
     ops: &'a [Op],
@@ -326,62 +441,53 @@ fn run<'a>(
     ctx: &mut EvalContext,
     load: impl Fn(usize) -> Result<&'a Value, ValueError>,
 ) -> Result<Operand<'a>, ValueError> {
-    // `depth` counts the operands, `top` included.
     let mut depth = 0;
-    let mut top = Operand::Int(0);
     for op in ops {
         match op {
             Op::Push(v) => {
-                if depth > 0 {
-                    stack[depth - 1] = top;
-                }
-                top = Operand::of(v);
+                stack[depth] = Operand::of(v);
                 depth += 1;
             }
             Op::Load(i) => {
-                let v = load(*i)?;
-                if depth > 0 {
-                    stack[depth - 1] = top;
-                }
-                top = Operand::of(v);
+                stack[depth] = Operand::of(load(*i)?);
                 depth += 1;
             }
-            Op::Unary(u) => top = unary(*u, top, owned)?,
+            Op::Unary(u) => unary(*u, &mut stack[depth - 1], owned)?,
             Op::Binary(b) => {
                 depth -= 1;
-                top = binary(*b, stack[depth - 1], top, owned)?;
+                let (a, b_) = stack.split_at_mut(depth);
+                binary(*b, &mut a[depth - 1], &b_[0], owned)?;
             }
             Op::Call(builtin, argc) => {
-                if depth > 0 {
-                    stack[depth - 1] = top;
-                }
                 let at = depth - argc;
-                top = call(*builtin, &stack[at..depth], owned, ctx)?;
+                stack[at] = call(*builtin, &stack[at..depth], owned, ctx)?;
                 depth = at + 1;
             }
             Op::Interval(kind) => {
                 depth -= 2;
-                top = interval(*kind, stack[depth - 1], stack[depth], top, owned)?;
+                let (value, bounds) = stack.split_at_mut(depth);
+                interval(*kind, &mut value[depth - 1], &bounds[0], &bounds[1], owned)?;
             }
         }
     }
-    Ok(top)
+    Ok(stack[0])
 }
 
 #[inline(always)]
-fn unary<'a>(op: UnOp, a: Operand<'a>, owned: &mut Vec<Value>) -> Result<Operand<'a>, ValueError> {
-    match (op, a) {
-        (UnOp::Not, a) => Ok(Operand::Bool(!a.truthy(owned))),
-        (UnOp::Neg, Operand::Int(i)) => Ok(Operand::Int(i.wrapping_neg())),
-        (UnOp::Neg, a) => generic_unary(op, a, owned),
-    }
+fn unary<'a>(op: UnOp, a: &mut Operand<'a>, owned: &mut Vec<Value>) -> Result<(), ValueError> {
+    *a = match (op, *a) {
+        (UnOp::Not, a) => Operand::Bool(!a.truthy(owned)),
+        (UnOp::Neg, Operand::Int(i)) => Operand::Int(i.wrapping_neg()),
+        (UnOp::Neg, a) => generic_unary(op, &a, owned)?,
+    };
+    Ok(())
 }
 
 /// A unary operator through [`expr::apply_unop`].
 #[inline(never)]
 fn generic_unary<'a>(
     op: UnOp,
-    a: Operand<'a>,
+    a: &Operand<'a>,
     owned: &mut Vec<Value>,
 ) -> Result<Operand<'a>, ValueError> {
     let v = expr::apply_unop(op, &a.value(owned))?;
@@ -391,22 +497,23 @@ fn generic_unary<'a>(
 #[inline(always)]
 fn binary<'a>(
     op: BinOp,
-    a: Operand<'a>,
-    b: Operand<'a>,
+    a: &mut Operand<'a>,
+    b: &Operand<'a>,
     owned: &mut Vec<Value>,
-) -> Result<Operand<'a>, ValueError> {
-    match direct_binary(op, a, b, owned) {
-        Some(r) => Ok(r),
-        None => generic_binary(op, a, b, owned),
-    }
+) -> Result<(), ValueError> {
+    *a = match direct_binary(op, a, b, owned) {
+        Some(r) => r,
+        None => generic_binary(op, a, b, owned)?,
+    };
+    Ok(())
 }
 
 /// The direct arm of `a op b`, if its pair has one.
 #[inline(always)]
 fn direct_binary<'a>(
     op: BinOp,
-    a: Operand<'a>,
-    b: Operand<'a>,
+    a: &Operand<'a>,
+    b: &Operand<'a>,
     owned: &[Value],
 ) -> Option<Operand<'a>> {
     use Operand::{Bool, Id, Int};
@@ -415,7 +522,7 @@ fn direct_binary<'a>(
         BinOp::Or => Some(Bool(a.truthy(owned) || b.truthy(owned))),
         BinOp::Add | BinOp::Sub => {
             let sub = op == BinOp::Sub;
-            match (a, b) {
+            match (*a, *b) {
                 (Int(x), Int(y)) if sub => Some(Int(x.wrapping_sub(y))),
                 (Int(x), Int(y)) => Some(Int(x.wrapping_add(y))),
                 // Either side an identifier: ring arithmetic.
@@ -427,7 +534,7 @@ fn direct_binary<'a>(
                 _ => None,
             }
         }
-        BinOp::Shl | BinOp::Shr => match (a, b) {
+        BinOp::Shl | BinOp::Shr => match (*a, *b) {
             (Id(x), Int(n)) if (0..=u32::MAX as i64).contains(&n) => {
                 Some(Id(if op == BinOp::Shl {
                     x.shl(n as u32)
@@ -448,8 +555,8 @@ fn direct_binary<'a>(
 #[inline(never)]
 fn generic_binary<'a>(
     op: BinOp,
-    a: Operand<'a>,
-    b: Operand<'a>,
+    a: &Operand<'a>,
+    b: &Operand<'a>,
     owned: &mut Vec<Value>,
 ) -> Result<Operand<'a>, ValueError> {
     let v = expr::apply_binop(op, &a.value(owned), &b.value(owned))?;
@@ -458,9 +565,9 @@ fn generic_binary<'a>(
 
 /// [`Value::compare`] of the pairs with a direct arm; `None` for the rest.
 #[inline(always)]
-fn compare(a: Operand<'_>, b: Operand<'_>, owned: &[Value]) -> Option<Ordering> {
+fn compare(a: &Operand<'_>, b: &Operand<'_>, owned: &[Value]) -> Option<Ordering> {
     use Operand::{Bool, Id, Int};
-    Some(match (a, b) {
+    Some(match (*a, *b) {
         (Id(x), Id(y)) => x.cmp(&y),
         (Int(x), Int(y)) => x.cmp(&y),
         (Bool(x), Bool(y)) => x.cmp(&y),
@@ -494,29 +601,30 @@ fn holds(op: BinOp, ord: Ordering) -> bool {
 #[inline(always)]
 fn interval<'a>(
     kind: IntervalKind,
-    value: Operand<'a>,
-    low: Operand<'a>,
-    high: Operand<'a>,
+    value: &mut Operand<'a>,
+    low: &Operand<'a>,
+    high: &Operand<'a>,
     owned: &mut Vec<Value>,
-) -> Result<Operand<'a>, ValueError> {
-    match (value.ring(), low.ring(), high.ring()) {
-        (Some(k), Some(a), Some(b)) => Ok(Operand::Bool(match kind {
+) -> Result<(), ValueError> {
+    *value = match (value.ring(), low.ring(), high.ring()) {
+        (Some(k), Some(a), Some(b)) => Operand::Bool(match kind {
             IntervalKind::OpenOpen => k.in_oo(a, b),
             IntervalKind::OpenClosed => k.in_oc(a, b),
             IntervalKind::ClosedOpen => k.in_co(a, b),
             IntervalKind::ClosedClosed => k.in_cc(a, b),
-        })),
-        _ => generic_interval(kind, value, low, high, owned),
-    }
+        }),
+        _ => generic_interval(kind, value, low, high, owned)?,
+    };
+    Ok(())
 }
 
 /// A ring interval through [`expr::apply_interval`].
 #[inline(never)]
 fn generic_interval<'a>(
     kind: IntervalKind,
-    value: Operand<'a>,
-    low: Operand<'a>,
-    high: Operand<'a>,
+    value: &Operand<'a>,
+    low: &Operand<'a>,
+    high: &Operand<'a>,
     owned: &mut Vec<Value>,
 ) -> Result<Operand<'a>, ValueError> {
     let v = expr::apply_interval(
@@ -636,6 +744,17 @@ mod tests {
             .build()
     }
 
+    /// `expr` compiled to run its byte-code even where it has a flat form.
+    fn stack_form(expr: &Expr) -> Program {
+        let p = Program::compile(expr);
+        Program {
+            form: Form::Stack {
+                max_stack: stack_bound(&p.ops),
+            },
+            ..p
+        }
+    }
+
     /// Exact agreement: same variant and bits (`Value`'s `==` equates
     /// `Int(1)` with `Double(1.0)`), same error.
     fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
@@ -703,8 +822,9 @@ mod tests {
     }
 
     /// Every binary operator on every pair of edge values, read from the
-    /// fields and from constants, agrees with `expr::apply_binop`; each
-    /// unary operator and interval kind with its `apply_*` likewise.
+    /// fields and from constants, agrees with `expr::apply_binop` in the
+    /// flat form and in the byte-code loop; each unary operator and
+    /// interval kind with its `apply_*` likewise.
     #[test]
     fn every_operator_pair_matches_the_apply_functions() {
         let vals = edges();
@@ -718,28 +838,31 @@ mod tests {
                         Expr::bin(op, field(0), field(1)),
                         Expr::bin(op, Expr::Const(a.clone()), Expr::Const(b.clone())),
                     ] {
-                        let p = Program::compile(&e);
-                        let got = p.eval_fields(&fields, &mut ctx());
-                        assert!(same(&got, &want), "{a:?} {op:?} {b:?}: {got:?} != {want:?}");
-                        let truth = p.eval_bool_concat(&[&fields], &mut ctx());
-                        assert_eq!(
-                            truth,
-                            want.as_ref().map(Value::truthy).map_err(Clone::clone)
-                        );
+                        for p in [Program::compile(&e), stack_form(&e)] {
+                            let got = p.eval_fields(&fields, &mut ctx());
+                            assert!(same(&got, &want), "{a:?} {op:?} {b:?}: {got:?} != {want:?}");
+                            let truth = p.eval_bool_concat(&[&fields], &mut ctx());
+                            assert_eq!(
+                                truth,
+                                want.as_ref().map(Value::truthy).map_err(Clone::clone)
+                            );
+                        }
                     }
                 }
                 for c in &vals {
                     let fields = [a.clone(), b.clone(), c.clone()];
                     for kind in KINDS {
                         let want = expr::apply_interval(kind, a, b, c);
-                        let p = Program::compile(&Expr::Interval {
+                        let e = Expr::Interval {
                             kind,
                             value: Box::new(field(0)),
                             low: Box::new(field(1)),
                             high: Box::new(field(2)),
-                        });
-                        let got = p.eval_fields(&fields, &mut ctx());
-                        assert!(same(&got, &want), "{a:?} in {kind:?} {b:?}, {c:?}");
+                        };
+                        for p in [Program::compile(&e), stack_form(&e)] {
+                            let got = p.eval_fields(&fields, &mut ctx());
+                            assert!(same(&got, &want), "{a:?} in {kind:?} {b:?}, {c:?}");
+                        }
                     }
                 }
             }
@@ -858,7 +981,7 @@ mod tests {
             e = Expr::bin(BinOp::Add, Expr::int(i), e);
         }
         let p = Program::compile(&e);
-        assert_eq!(p.max_stack, 51);
+        assert_eq!(p.form, Form::Stack { max_stack: 51 });
         assert_eq!(p.eval(&tup(), &mut ctx()).unwrap(), Value::Int(1226));
         // At the inline depth exactly.
         let mut e = Expr::Field(0);
@@ -866,14 +989,19 @@ mod tests {
             e = Expr::bin(BinOp::Sub, Expr::Field(1), e);
         }
         let p = Program::compile(&e);
-        assert_eq!(p.max_stack, INLINE_STACK);
+        assert_eq!(
+            p.form,
+            Form::Stack {
+                max_stack: INLINE_STACK
+            }
+        );
         assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
     }
 
-    /// The shapes that once had a flat form of their own (a leaf, one
-    /// binary operator over two leaves, one interval over three) need no
-    /// more stack than their operands, and evaluate as the nested shapes
-    /// do: through the one loop, to the reference interpreter's result.
+    /// A leaf, one binary operator over two leaves and one interval over
+    /// three take the flat form; deeper shapes run the byte-code. Both
+    /// agree with the reference interpreter, and the byte-code of a flat
+    /// shape does too.
     #[test]
     fn flat_form_covers_leaves_binaries_and_intervals() {
         let ring = Expr::Interval {
@@ -883,15 +1011,18 @@ mod tests {
             high: Box::new(Expr::Const(Value::Id(Uint160::MAX))),
         };
         let flat = [
-            (Expr::Field(1), 1),
-            (Expr::int(7), 1),
-            (Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(1)), 2),
-            (Expr::bin(BinOp::Add, Expr::Field(2), Expr::int(1)), 2),
-            (ring.clone(), 3),
+            Expr::Field(1),
+            Expr::int(7),
+            Expr::bin(BinOp::Eq, Expr::Field(0), Expr::Field(1)),
+            Expr::bin(BinOp::Add, Expr::Field(2), Expr::int(1)),
+            ring.clone(),
+            Expr::Call(Builtin::Now, vec![]),
         ];
-        for (e, depth) in &flat {
+        for e in &flat {
             let p = Program::compile(e);
-            assert_eq!(p.max_stack, *depth, "{e:?}");
+            assert!(matches!(p.form, Form::Flat(_)), "{e:?}");
+            assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
+            let p = stack_form(e);
             assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
         }
         let nested = [
@@ -910,11 +1041,12 @@ mod tests {
                 ring,
                 Expr::bin(BinOp::Ne, Expr::Field(0), Expr::Field(1)),
             ),
-            Expr::Call(Builtin::Now, vec![]),
+            Expr::Call(Builtin::Sha1, vec![Expr::Field(0)]),
             Expr::Unary(crate::expr::UnOp::Neg, Box::new(Expr::Field(0))),
         ];
         for e in &nested {
             let p = Program::compile(e);
+            assert!(matches!(p.form, Form::Stack { .. }), "{e:?}");
             assert_eq!(p.eval(&tup(), &mut ctx()), e.eval(&tup(), &mut ctx()));
         }
     }

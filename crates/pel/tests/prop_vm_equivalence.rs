@@ -1,7 +1,10 @@
 //! Property tests: the PEL evaluator — flat form and byte-code alike —
 //! agrees with the reference AST interpreter on randomly generated
-//! expressions, through every entry point, and ring-interval tests agree
+//! expressions and on Chord-shaped ring programs over full-width
+//! identifiers, through every entry point, and ring-interval tests agree
 //! with direct `Uint160` interval arithmetic.
+
+use std::sync::Arc;
 
 use p2_pel::{BinOp, Builtin, EvalContext, Expr, IntervalKind, Program, UnOp};
 use p2_value::{SimTime, Tuple, TupleBuilder, Uint160, Value};
@@ -10,17 +13,101 @@ use proptest::prelude::*;
 /// Fields in every generated tuple; expressions also load past them.
 const FIELDS: usize = 4;
 
+/// Full-width identifiers: SHA-1 hashes, the top of the ring, and values
+/// at and one below a limb boundary (so subtraction borrows across limbs),
+/// beside small ones.
+fn arb_id() -> impl Strategy<Value = Uint160> {
+    prop_oneof![
+        any::<u64>().prop_map(|v| Uint160::hash_of(&v.to_be_bytes())),
+        Just(Uint160::MAX),
+        Just(Uint160::ZERO),
+        Just(Uint160::from_limbs([u64::MAX, 0, 0])),
+        Just(Uint160::from_limbs([0, 1, 0])),
+        Just(Uint160::from_limbs([u64::MAX, u64::MAX, 0])),
+        Just(Uint160::from_limbs([0, 0, 1])),
+        any::<u64>().prop_map(Uint160::from_u64),
+    ]
+}
+
+/// An address string: drawn values of the first arm are one shared `Arc`,
+/// those of the second equal to it through an `Arc` of their own.
+fn arb_addr() -> impl Strategy<Value = Value> {
+    let shared = Value::Str(Arc::from("n1:10000"));
+    prop_oneof![
+        Just(shared),
+        Just(()).prop_map(|_| Value::str("n1:10000")),
+        Just(()).prop_map(|_| Value::str("n2:10000")),
+    ]
+}
+
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
         Just(Value::Int(i64::MIN)),
         Just(Value::Int(i64::MAX)),
+        (-2i64..3).prop_map(Value::Int),
         (-1.0e9..1.0e9f64).prop_map(Value::Double),
         any::<bool>().prop_map(Value::Bool),
         "[a-z]{0,8}".prop_map(Value::str),
-        any::<u64>().prop_map(|v| Value::Id(Uint160::from_u64(v))),
+        arb_addr(),
+        arb_id().prop_map(Value::Id),
         (0u64..1_000_000_000).prop_map(|us| Value::Time(SimTime::from_micros(us))),
         Just(Value::Null),
+    ]
+}
+
+/// Fields of a ring program's tuple: mostly identifiers, beside small
+/// integers (a shift amount of 159 too) and addresses.
+fn arb_ring_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_id().prop_map(Value::Id),
+        arb_id().prop_map(Value::Id),
+        arb_id().prop_map(Value::Id),
+        (-2i64..3).prop_map(Value::Int),
+        Just(Value::Int(159)),
+        arb_addr(),
+    ]
+}
+
+/// Fields in every ring program's tuple.
+const RING_FIELDS: usize = 6;
+
+/// Chord-shaped programs: `F - F - c` and `F == F - F - c` (the lookup
+/// and best-successor distances), a ring interval `&&` an address
+/// equality, both together (L3's filter), `(1I << F) + F` (finger
+/// targets) and `F == 159 || F == F`. One field index in seven is past
+/// the tuple, so load errors meet the direct arms too.
+fn arb_ring_expr() -> impl Strategy<Value = Expr> {
+    let f = || (0..RING_FIELDS + 1).prop_map(Expr::Field);
+    let c = || prop_oneof![Just(Expr::int(1)), arb_ring_value().prop_map(Expr::Const),];
+    let sub = |a, b| Expr::bin(BinOp::Sub, a, b);
+    let distance = (f(), f(), f(), c())
+        .prop_map(move |(d, k, b, c)| Expr::bin(BinOp::Eq, d, sub(sub(k, b), c)))
+        .boxed();
+    let ring_test = ((arb_interval_kind(), f(), f(), f()), (f(), f()))
+        .prop_map(|((kind, v, lo, hi), (x, y))| {
+            Expr::bin(
+                BinOp::And,
+                interval(kind, v, lo, hi),
+                Expr::bin(BinOp::Eq, x, y),
+            )
+        })
+        .boxed();
+    prop_oneof![
+        (f(), f(), c()).prop_map(move |(k, b, c)| sub(sub(k, b), c)),
+        distance.clone(),
+        ring_test.clone(),
+        (distance, ring_test).prop_map(|(d, r)| Expr::bin(BinOp::And, d, r)),
+        (f(), f()).prop_map(|(i, n)| Expr::bin(
+            BinOp::Add,
+            Expr::bin(BinOp::Shl, Expr::Const(Value::Id(Uint160::ONE)), i),
+            n,
+        )),
+        (f(), f(), f()).prop_map(|(a, b, c)| Expr::bin(
+            BinOp::Or,
+            Expr::bin(BinOp::Eq, a, Expr::int(159)),
+            Expr::bin(BinOp::Eq, b, c),
+        )),
     ]
 }
 
@@ -164,6 +251,49 @@ fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
+/// Checks that `expr` compiled evaluates exactly as the interpreter does
+/// on `tuple`, through every entry point (`eval_concat` and
+/// `eval_bool_concat` over `tuple` cut at `cuts`), and leaves the RNG
+/// where the interpreter left it.
+fn check_agreement(expr: &Expr, tuple: &Tuple, cuts: Vec<usize>) {
+    let mut ctx = EvalContext::new("n1", 9);
+    ctx.set_now(SimTime::from_secs(123));
+    let program = Program::compile(expr);
+    let parts = split(tuple.values(), cuts);
+
+    // Each entry point runs on a clone of the same context; the draw
+    // after it shows the RNG advanced exactly as the interpreter's did.
+    let mut direct_ctx = ctx.clone();
+    let direct = expr.eval(tuple, &mut direct_ctx);
+    let next_draw = direct_ctx.next_u64();
+
+    let mut vm_ctx = ctx.clone();
+    let via_eval = program.eval(tuple, &mut vm_ctx);
+    assert!(
+        same(&via_eval, &direct),
+        "eval {:?} != {:?}",
+        via_eval,
+        direct
+    );
+    assert_eq!(vm_ctx.next_u64(), next_draw);
+
+    let mut concat_ctx = ctx.clone();
+    let via_concat = program.eval_concat(&parts, &mut concat_ctx);
+    assert!(
+        same(&via_concat, &direct),
+        "eval_concat {:?} != {:?}",
+        via_concat,
+        direct
+    );
+    assert_eq!(concat_ctx.next_u64(), next_draw);
+
+    let mut bool_ctx = ctx.clone();
+    let via_bool = program.eval_bool_concat(&parts, &mut bool_ctx);
+    let expect = direct.as_ref().map(Value::truthy).map_err(Clone::clone);
+    assert_eq!(via_bool, expect);
+    assert_eq!(bool_ctx.next_u64(), next_draw);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -173,32 +303,16 @@ proptest! {
         tuple in arb_tuple(),
         cuts in proptest::collection::vec(0..FIELDS + 1, 0..4),
     ) {
-        let mut ctx = EvalContext::new("n1", 9);
-        ctx.set_now(SimTime::from_secs(123));
-        let program = Program::compile(&expr);
-        let parts = split(tuple.values(), cuts);
+        check_agreement(&expr, &tuple, cuts);
+    }
 
-        // Each entry point runs on a clone of the same context; the draw
-        // after it shows the RNG advanced exactly as the interpreter's did.
-        let mut direct_ctx = ctx.clone();
-        let direct = expr.eval(&tuple, &mut direct_ctx);
-        let next_draw = direct_ctx.next_u64();
-
-        let mut vm_ctx = ctx.clone();
-        let via_eval = program.eval(&tuple, &mut vm_ctx);
-        prop_assert!(same(&via_eval, &direct), "eval {:?} != {:?}", via_eval, direct);
-        prop_assert_eq!(vm_ctx.next_u64(), next_draw);
-
-        let mut concat_ctx = ctx.clone();
-        let via_concat = program.eval_concat(&parts, &mut concat_ctx);
-        prop_assert!(same(&via_concat, &direct), "eval_concat {:?} != {:?}", via_concat, direct);
-        prop_assert_eq!(concat_ctx.next_u64(), next_draw);
-
-        let mut bool_ctx = ctx.clone();
-        let via_bool = program.eval_bool_concat(&parts, &mut bool_ctx);
-        let expect = direct.as_ref().map(Value::truthy).map_err(Clone::clone);
-        prop_assert_eq!(via_bool, expect);
-        prop_assert_eq!(bool_ctx.next_u64(), next_draw);
+    #[test]
+    fn ring_programs_agree_with_ast_interpreter(
+        expr in arb_ring_expr(),
+        values in proptest::collection::vec(arb_ring_value(), RING_FIELDS),
+        cuts in proptest::collection::vec(0..RING_FIELDS + 1, 0..4),
+    ) {
+        check_agreement(&expr, &Tuple::new("ring", values), cuts);
     }
 
     #[test]
