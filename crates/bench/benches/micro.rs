@@ -98,6 +98,15 @@ fn bench_pel(c: &mut Criterion) {
     c.bench_function("pel_vm_ring_sub", |bench| {
         bench.iter(|| ring_sub.eval_concat(black_box(&parts), &mut ctx))
     });
+    // The flat form beside them: a bare field and `K - B`.
+    let field = Program::compile(&Expr::Field(b));
+    c.bench_function("pel_flat_field", |bench| {
+        bench.iter(|| field.eval_concat(black_box(&parts), &mut ctx))
+    });
+    let id_sub = Program::compile(&Expr::bin(BinOp::Sub, Expr::Field(k), Expr::Field(b)));
+    c.bench_function("pel_flat_id_sub", |bench| {
+        bench.iter(|| id_sub.eval_concat(black_box(&parts), &mut ctx))
+    });
 }
 
 fn bench_tuples(c: &mut Criterion) {

@@ -8,12 +8,14 @@
 //! ([`Program::eval_concat`]), probes walk the table through its borrowing
 //! lookup iterator, and an aggregation appends its witness row and value
 //! as two more segments, so the only tuple ever materialized is the head
-//! tuple. Evaluation reads its operands from those segments too: every
-//! program runs in PEL's one evaluation loop, which copies identifiers,
-//! integers and booleans onto its operand stack unboxed and borrows every
-//! other field (see `p2_pel::vm`), so no program clones a field it loads
-//! unless that field is its result, and a filter's `bool` is read without
-//! building a `Value`.
+//! tuple. Evaluation reads its operands from those segments too: a flat
+//! program (a bare field, constant or no-argument builtin, one binary
+//! operator over two leaves, one ring interval over three) reads them in
+//! place, and any other program runs in PEL's evaluation loop, which
+//! copies identifiers, integers and booleans onto its operand stack
+//! unboxed and borrows every other field (see `p2_pel::vm`). So no program
+//! clones a field it loads unless that field is its result, and a
+//! byte-code filter's `bool` is read without building a `Value`.
 //! A strand with no ops is a bare head projection.
 //!
 //! # Level delays

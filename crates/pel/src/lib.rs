@@ -12,10 +12,12 @@
 //! * [`Expr`] — the expression AST the planner produces (constants, tuple
 //!   field accesses, arithmetic, comparisons, ring-interval tests, built-in
 //!   functions such as `f_now`, `f_rand`, `f_coinFlip`, `f_sha1`).
-//! * [`Program`] — a compiled byte-code program ([`Op`] sequence). Every
-//!   program runs in one evaluation loop whose operand stack holds
-//!   identifiers, integers, booleans, doubles and timestamps unboxed and
-//!   borrows every other field or constant, so ring arithmetic,
+//! * [`Program`] — a compiled byte-code program ([`Op`] sequence). A bare
+//!   field, constant or no-argument builtin, one operator over two leaves
+//!   and one ring interval over three evaluate flat, on borrowed operands.
+//!   Every other program runs in one evaluation loop whose operand stack
+//!   holds identifiers, integers, booleans, doubles and timestamps unboxed
+//!   and borrows every other field or constant, so ring arithmetic,
 //!   comparisons and intervals build no [`p2_value::Value`] per operator;
 //!   operand pairs without a direct arm go to the reference interpreter's
 //!   operator functions (see [`vm`]).

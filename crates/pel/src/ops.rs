@@ -9,8 +9,9 @@ use crate::expr::{BinOp, Builtin, IntervalKind, UnOp};
 /// The byte-code is a pure stack language: operations pop their operands
 /// from the evaluation stack and push their result. Programs are produced
 /// by [`crate::Program::compile`] from an [`crate::Expr`] in post-order,
-/// which is exactly the RPN/postfix form described in the paper, and run
-/// by the evaluation loop in [`crate::vm`].
+/// which is exactly the RPN/postfix form described in the paper. (A
+/// program simple enough for the flat form never runs its ops; see
+/// [`crate::vm`].)
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Push a literal value.

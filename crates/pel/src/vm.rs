@@ -1,41 +1,52 @@
 //! The PEL byte-code compiler and evaluator.
 //!
-//! [`Program::compile`] lowers an [`Expr`] to post-order byte-code ([`Op`]).
-//! Every program, from a bare field to Chord's
-//! `D == K - B - 1 && B in (N, K) && NI == NI'`, runs its byte-code in one
-//! evaluation loop.
+//! [`Program::compile`] lowers an [`Expr`] to post-order byte-code ([`Op`])
+//! and picks, from the expression alone, one of two evaluation forms:
 //!
-//! The loop's operand stack holds [`Copy`] operands: an identifier, an
-//! integer, a boolean, a double or a timestamp by value, and any other
-//! field or constant (a string, `Null`) as a borrowed `&Value`. A program
-//! over identifiers, integers and booleans therefore builds no [`Value`]
-//! between operators and clones no field it loads: it converts its top
-//! operand to a `Value` once, at the end, and
-//! [`Program::eval_bool_concat`] reads the top operand's truthiness
-//! without building one at all. A computed string (`f_localAddr()`, `+` on
-//! two strings) is the one result that needs an owned slot; it goes to a
-//! side list, which a program that computes no string never allocates.
-//! The operand stack lives inline up to `INLINE_STACK` entries and spills
-//! to the heap only beyond.
+//! * **Flat.** A bare field or constant, a builtin called with no argument
+//!   (`f_now()`), a binary operator over two fields or constants
+//!   (`X == Y`, `C + 1`), or a ring interval over three (Chord's
+//!   `K in (N, S]`). Most programs the planner emits have one of these
+//!   shapes: assignments and head projections are mostly bare fields, and
+//!   most selections are one comparison. A flat program reads its operands
+//!   as `&Value`s straight from the input fields and its own constants and
+//!   calls the reference interpreter's operator function once: no operand
+//!   stack, and no clone except the returned value.
+//! * **Byte-code.** Everything else (`D == K - B - 1 && B in (N, K) &&
+//!   NI == NI'`, `f_now() - T > 20`) runs its ops in one loop over a stack
+//!   of [`Copy`] operands: an identifier, an integer, a boolean, a double
+//!   or a timestamp by value, and any other field or constant (a string,
+//!   `Null`) as a borrowed `&Value`. Each operator reads its operands in
+//!   place and writes its result over the first. A program over
+//!   identifiers, integers and booleans therefore builds no [`Value`]
+//!   between operators and clones no field it loads: it converts its
+//!   result operand to a `Value` once, at the end, and
+//!   [`Program::eval_bool_concat`] reads its truthiness without building
+//!   one at all. A computed string (`f_localAddr()` inside a larger
+//!   expression, `+` on two strings) is the one result that needs an owned
+//!   slot; it goes to a side list, which a program that computes no string
+//!   never allocates. The operand stack lives inline up to `INLINE_STACK`
+//!   entries and spills to the heap only beyond.
 //!
-//! Each operator has direct arms for the operand pairs Chord's rules use:
-//! `+` and `-` on `Id`/`Id`, `Id`/`Int≥0` (either side) and `Int`/`Int`;
-//! `<<` and `>>` of an `Id` by an `Int` in `0..=u32::MAX`; the six
-//! comparisons on `Id`/`Id`, `Int`/`Int`, `Bool`/`Bool`, `Id`/`Int≥0`
-//! (either side) and `Str`/`Str` (one shared [`Arc`] is equal without a
-//! byte compare); ring intervals over `Id` and `Int≥0` operands; `&&`,
-//! `||` and `!` on truthiness. Every other pair goes, borrowed, to the
-//! reference interpreter's operator functions ([`expr::apply_binop`],
-//! [`expr::apply_unop`], [`expr::apply_builtin`],
+//! In the loop, each operator has direct arms for the operand pairs
+//! Chord's rules use: `+` and `-` on `Id`/`Id`, `Id`/`Int≥0` (either side)
+//! and `Int`/`Int`; `<<` and `>>` of an `Id` by an `Int` in
+//! `0..=u32::MAX`; the six comparisons on `Id`/`Id`, `Int`/`Int`,
+//! `Bool`/`Bool`, `Id`/`Int≥0` (either side) and `Str`/`Str` (one shared
+//! [`Arc`] is equal without a byte compare); ring intervals over `Id` and
+//! `Int≥0` operands; `&&`, `||` and `!` on truthiness. Doubles and
+//! timestamps have no arm of their own. Every other pair goes, borrowed,
+//! to the reference interpreter's operator functions
+//! ([`expr::apply_binop`], [`expr::apply_unop`], [`expr::apply_builtin`],
 //! [`expr::apply_interval`]), which stay the one definition of PEL's
 //! semantics: a direct arm returns exactly what they return for its pair,
 //! in variant, bits and error.
 //!
-//! So the loop agrees with [`Expr::eval`] on results and errors alike. It
-//! visits operands in the interpreter's left-to-right order, so field
+//! So both forms agree with [`Expr::eval`] on results and errors alike.
+//! They visit operands in the interpreter's left-to-right order, so field
 //! loads — and the first out-of-range field, which is the error returned —
 //! come in the same order, as do builtin calls and with them every RNG
-//! draw, and it stops at the first error. The property tests in
+//! draw, and they stop at the first error. The property tests in
 //! `tests/prop_vm_equivalence.rs` and the pair grid in this module's tests
 //! check it.
 
@@ -57,9 +68,12 @@ const INLINE_STACK: usize = 4;
 ///
 /// Dataflow elements (selections, projections, aggregations) are
 /// parameterized by one or more compiled programs; each program evaluates a
-/// single expression over an input tuple and yields one value. Every
-/// program runs its byte-code on a stack of unboxed operands (see the
-/// [module docs](crate::vm)) and returns what [`Expr::eval`] returns.
+/// single expression over an input tuple and yields one value. A program
+/// takes the flat form when its expression is a bare field or constant, a
+/// builtin called with no argument, a binary operator over two leaves, or
+/// a ring interval over three, and runs its byte-code on a stack of
+/// unboxed operands otherwise (see the [module docs](crate::vm)). Either
+/// way it returns what [`Expr::eval`] returns.
 ///
 /// The byte-code is held behind an [`Arc`], so cloning a program shares
 /// the compiled ops instead of duplicating them.
@@ -126,19 +140,6 @@ impl Flat {
             Flat::Interval(kind, [value, low, high]) => {
                 expr::apply_interval(*kind, value.get(&load)?, low.get(&load)?, high.get(&load)?)
             }
-        }
-    }
-
-    /// [`Flat::eval`] as a boolean. A leaf is not cloned.
-    #[inline(always)]
-    fn eval_bool<'a>(
-        &'a self,
-        ctx: &mut EvalContext,
-        load: impl Fn(usize) -> Result<&'a Value, ValueError>,
-    ) -> Result<bool, ValueError> {
-        match self {
-            Flat::Leaf(a) => Ok(a.get(&load)?.truthy()),
-            _ => Ok(self.eval(ctx, load)?.truthy()),
         }
     }
 }
@@ -342,7 +343,7 @@ impl Program {
         ctx: &mut EvalContext,
     ) -> Result<bool, ValueError> {
         match &self.form {
-            Form::Flat(flat) => flat.eval_bool(ctx, concat_loader(parts)),
+            Form::Flat(flat) => Ok(flat.eval(ctx, concat_loader(parts))?.truthy()),
             Form::Stack { max_stack } => {
                 self.run(*max_stack, ctx, concat_loader(parts), |top, owned| {
                     top.truthy(&owned)
