@@ -31,7 +31,7 @@ fn bench_front_end(c: &mut Criterion) {
 
 fn bench_node_cascade(c: &mut Criterion) {
     // A single Chord node processing a lookup for a key it owns: measures
-    // the full demux -> join -> select -> project -> wrap-around path.
+    // the full dispatch -> strand -> local head -> dispatch path.
     let mut node = P2Node::with_facts(
         chord::program(),
         NodeConfig::new("node0:11111", 7).without_jitter(),

@@ -10,9 +10,9 @@
 //!   no tables or PEL. This isolates the engine's per-handoff cost: queue
 //!   pop, adjacency lookup, tuple clone per route.
 //! * `chord_deliver` — a single-node Chord ring answering `lookup` tuples
-//!   end-to-end (demux, rule strands with their probes and aggregations,
-//!   netout), through both the one-at-a-time and the batched delivery
-//!   entry points.
+//!   end-to-end (predicate dispatch, rule strands with their probes and
+//!   aggregations, self-routing heads), through both the one-at-a-time and
+//!   the batched delivery entry points.
 //! * `plan_sharing` — wall time and resident memory to bring up many Chord
 //!   nodes by re-planning per node (the pre-PR-3 path) versus instantiating
 //!   from one shared `PlannedProgram`.
@@ -153,7 +153,8 @@ struct ChordDeliverResult {
 }
 
 /// A one-node Chord ring (the node is its own successor) answering lookups
-/// locally: the full demux → rule-strand → netout path with real tables.
+/// locally: the full dispatch → rule-strand → head → dispatch path with
+/// real tables.
 fn bench_chord_deliver(lookups: u64, batch: usize) -> ChordDeliverResult {
     let mut host = chord::build_node("n0:11111", None, 7, false).expect("chord node plans");
     let node = host.node_mut();
@@ -497,8 +498,8 @@ struct BenchReport {
 }
 
 /// Asserts that every rule of `plan` lowers to strands, with no rule
-/// element besides its strands, trigger timer, egress, delete bridge and
-/// materialized aggregate; returns the number of strands.
+/// element besides its strands, trigger timer and materialized aggregate;
+/// returns the number of strands.
 fn assert_strands_only(plan: &PlannedProgram) -> usize {
     let meta = plan.obs_meta();
     let mut strands = 0;
@@ -514,7 +515,7 @@ fn assert_strands_only(plan: &PlannedProgram) -> usize {
                 strands += 1;
                 rules_with_strands.insert(rule);
             }
-            "periodic" | "netout" | "delete" | "table_agg" => {}
+            "periodic" | "table_agg" => {}
             other => panic!("rule {rule} lowered to a {other} element"),
         }
     }

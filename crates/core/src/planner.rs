@@ -6,15 +6,23 @@
 //!
 //! ```text
 //! trigger ─ strand(checks, probes*, anti-joins*, assignments*, conditions,
-//!                  [aggregation], head) ─ NetOut ─┐
-//!                                                 └── local wrap → Demux
+//!                  [aggregation], head) ═ head ─┬─ remote: network
+//!                                               └─ local: dispatch(name)
+//!                                                    → Insert, strands
 //! ```
 //!
 //! where the trigger is a `periodic` timer element, the arrival of a stream
-//! tuple (via the node's main demultiplexer) or the insertion delta of a
+//! tuple (through its predicate's dispatch) or the insertion delta of a
 //! materialized table. Rules whose body consists solely of a table and whose
 //! head aggregates over it become materialized [`TableAgg`] watchers feeding
 //! an op-less strand, their head projection.
+//!
+//! Figure 2's network-out element and the demultiplexer its local arc
+//! loops back into are not elements here: each strand's output slot is a
+//! `p2_dataflow::Head` the engine runs itself (see `p2_dataflow::engine`,
+//! *Heads and dispatch*). A predicate's dispatch lists the table's
+//! `Insert`, then the strands the predicate triggers, in plan order, then
+//! any watch tap; delivered tuples enter through it too.
 //!
 //! # One strand per trigger
 //!
@@ -43,13 +51,20 @@
 //!
 //! A strand runs its `k` steps (each trigger check and op counts one, the
 //! head one more) in one call. The planner records `k − 1` levels as a
-//! delay on the strand's output slot (`Graph::set_delay`), and the engine
+//! delay on the strand's output slot (`Wiring::set_delay`), and the engine
 //! holds each head tuple back by exactly that much (see
 //! `p2_dataflow::engine`, *Level delays*), so tuples surface in the
-//! breadth-first order the golden event stream was pinned on. Every poke
-//! runs: a strand whose probes find nothing emits nothing and stores
-//! nothing, and the profiler counts the call as a wasted poke. Rules that
-//! draw on the RNG lower the same way: a strand draws once per row, in
+//! breadth-first order the golden event stream was pinned on. The head
+//! step then fires where the element it replaces ran. For a strand
+//! triggered at level `L`, a located head routes at level `L + k` (the
+//! network-out element's), and its local tuple reaches its dispatch's
+//! consumers at `L + k + 2` (the demultiplexer ran at `L + k + 1`); a head
+//! without a location reaches its consumers at `L + k + 1`; a `delete`
+//! head deletes at `L + k` and pokes the aggregates at `L + k + 1`.
+//!
+//! Every poke runs: a strand whose probes find nothing emits nothing and
+//! stores nothing, and the profiler counts the call as a wasted poke. Rules
+//! that draw on the RNG lower the same way: a strand draws once per row, in
 //! lookup order, inside one call, so a seed fixes the draws.
 //!
 //! # Shared plans
@@ -60,13 +75,14 @@
 //!   program**: rule analysis, variable layout, PEL compilation, element
 //!   naming and edge wiring. It compiles everything that does not depend on
 //!   the node into shared, immutable form: the engine's routing table
-//!   (element names, adjacency, level delays; `p2_dataflow::Routing`), one
-//!   [`StrandBody`] per rule strand (trigger checks, ops with their probe
-//!   keys and aggregation, head programs), the table [`Schema`], the demux
-//!   classifier map and the profiler's element metadata. Tables stay
-//!   declarations with their indices. A table's id is its position in the
-//!   plan's declarations; every op, bridge and aggregate names its table by
-//!   that id, and the schema maps names to ids.
+//!   (element names, adjacency, level delays, heads and predicate
+//!   dispatches; `p2_dataflow::Routing`), one [`StrandBody`] per rule
+//!   strand (trigger checks, ops with their probe keys and aggregation,
+//!   head programs), the table [`Schema`] and the profiler's element
+//!   metadata. Tables stay declarations with their indices. A table's id
+//!   is its position in the plan's declarations; every op, bridge, delete
+//!   head and aggregate names its table by that id, and the schema maps
+//!   names to ids.
 //! * [`PlannedProgram::instantiate`] stamps out one node from the plan. It
 //!   creates the node's tables, in id order, builds each element's
 //!   per-node state — a strand is the shared body plus scratch — and hands
@@ -83,10 +99,10 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use p2_dataflow::elements::{
-    AggOp, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert, NetOut, Periodic,
-    StrandBody, StrandOp, TableAgg,
+    AggOp, Collector, CollectorHandle, FusedStrand, Insert, Periodic, StrandBody, StrandOp,
+    TableAgg,
 };
-use p2_dataflow::{Element, Engine, Route, Routing};
+use p2_dataflow::{Element, Engine, Head, Routing, Wiring};
 use p2_obs::{ElemKind, ElemMeta, ObsMeta, RuleClassBits};
 use p2_overlog::{
     analyze, AggSpec, BodyTerm, Expr as OExpr, HeadArg, Predicate, Program, Rule, RuleClass,
@@ -154,12 +170,8 @@ impl Planned {
 /// A node-independent element description; instantiation turns it into a
 /// stateful element. Tables are named by id.
 enum ElementSpec {
-    /// The node's main demultiplexer, over the program-wide shared map.
-    Demux,
     /// Insert bridge into table `table`.
     Insert { table: usize },
-    /// Delete bridge into table `table`.
-    Delete { table: usize },
     /// Materialized aggregate watcher over a table.
     TableAgg {
         table: usize,
@@ -180,8 +192,6 @@ enum ElementSpec {
         period_value: Value,
         extra_args: Vec<Value>,
     },
-    /// Network egress reading the destination from `dest_field`.
-    NetOut { dest_field: usize },
     /// Observation tap for a watched tuple name.
     Collector { watch: String },
 }
@@ -190,13 +200,10 @@ impl ElementSpec {
     /// The element-kind mirror the profiler reports under.
     fn obs_kind(&self) -> ElemKind {
         match self {
-            ElementSpec::Demux => ElemKind::Demux,
             ElementSpec::Insert { .. } => ElemKind::Insert,
-            ElementSpec::Delete { .. } => ElemKind::Delete,
             ElementSpec::TableAgg { .. } => ElemKind::TableAgg,
             ElementSpec::Strand(_) => ElemKind::Strand,
             ElementSpec::Periodic { .. } => ElemKind::Periodic,
-            ElementSpec::NetOut { .. } => ElemKind::NetOut,
             ElementSpec::Collector { .. } => ElemKind::Collector,
         }
     }
@@ -284,11 +291,9 @@ impl TablePlan {
 /// [`PlannedProgram::instantiate`].
 pub struct PlannedProgram {
     specs: Vec<ElementSpec>,
-    /// Element names, adjacency and level delays, shared by every engine.
+    /// Element names, adjacency, level delays, heads and dispatches,
+    /// shared by every engine.
     routing: Arc<Routing>,
-    entry: Route,
-    demux_map: Arc<HashMap<Arc<str>, usize>>,
-    demux_default: usize,
     /// Table declarations in id order.
     tables: Vec<TablePlan>,
     schema: Arc<Schema>,
@@ -379,12 +384,7 @@ impl PlannedProgram {
         let mut elements: Vec<Box<dyn Element>> = Vec::with_capacity(self.specs.len());
         for spec in &self.specs {
             elements.push(match spec {
-                ElementSpec::Demux => Box::new(Demux::from_shared(
-                    self.demux_map.clone(),
-                    self.demux_default,
-                )),
                 ElementSpec::Insert { table } => Box::new(Insert::new(*table)),
-                ElementSpec::Delete { table } => Box::new(Delete::new(*table)),
                 ElementSpec::TableAgg {
                     table,
                     func,
@@ -413,7 +413,6 @@ impl PlannedProgram {
                     }
                     Box::new(periodic)
                 }
-                ElementSpec::NetOut { dest_field } => Box::new(NetOut::new(*dest_field)),
                 ElementSpec::Collector { watch } => {
                     let (collector, handle) = Collector::new();
                     collectors.insert(watch.clone(), handle);
@@ -425,7 +424,7 @@ impl PlannedProgram {
         let tables = self.tables.iter().map(TablePlan::build).collect();
         let mut engine =
             Engine::with_routing(self.routing.clone(), elements, tables, local_addr, seed);
-        engine.set_entry(self.entry);
+        engine.set_dispatch_entry();
         Planned {
             engine,
             schema: self.schema.clone(),
@@ -435,7 +434,7 @@ impl PlannedProgram {
 }
 
 enum TriggerSource<'a> {
-    /// Arrival of a stream tuple through the main demultiplexer.
+    /// Arrival of a stream tuple through its predicate's dispatch.
     Stream(&'a str),
     /// Insert delta of a materialized table.
     TableDelta(&'a str),
@@ -453,19 +452,18 @@ struct Builder<'a> {
     program: &'a Program,
     config: &'a PlanConfig,
     specs: Vec<ElementSpec>,
-    names: Vec<Arc<str>>,
-    edges: Vec<(usize, usize, Route)>,
-    delays: Vec<(usize, usize, u32)>,
+    wiring: Wiring,
     tables: Vec<TablePlan>,
     schema: Schema,
-    demux_id: usize,
-    demux_names: Vec<String>,
+    /// Predicate name per dispatch id, sorted.
+    dispatch_names: Vec<String>,
     insert_ids: HashMap<String, usize>,
     /// TableAgg elements per table name, wired to that table's insert and
     /// delete pokes at the end of planning.
     table_aggs: HashMap<String, Vec<usize>>,
-    /// Delete elements per table name (their output also pokes TableAggs).
-    delete_ids: HashMap<String, Vec<usize>>,
+    /// Strands with a `delete` head, per table name (the rows they remove
+    /// also poke TableAggs).
+    delete_strands: HashMap<String, Vec<usize>>,
     /// Per-rule delta-safety classification from the whole-program
     /// analyzer, parallel to `program.rules`; stamped on each element for
     /// the profiler.
@@ -501,7 +499,7 @@ impl<'a> Builder<'a> {
         }
         let schema = Schema::new(tables.iter().map(|t| &t.spec));
 
-        // Collect every tuple name the demultiplexer must know about.
+        // Collect every tuple name that gets a dispatch.
         let mut names: BTreeSet<String> = BTreeSet::new();
         for m in &program.materializations {
             names.insert(m.name.clone());
@@ -520,7 +518,7 @@ impl<'a> Builder<'a> {
         for w in &config.watches {
             names.insert(w.clone());
         }
-        let demux_names: Vec<String> = names.into_iter().collect();
+        let dispatch_names: Vec<String> = names.into_iter().collect();
 
         // Whole-program analysis: total (never fails), so planning proceeds
         // even for programs the analyzer has complaints about — the planner
@@ -532,16 +530,13 @@ impl<'a> Builder<'a> {
             program,
             config,
             specs: Vec::new(),
-            names: Vec::new(),
-            edges: Vec::new(),
-            delays: Vec::new(),
+            wiring: Wiring::default(),
             tables,
             schema,
-            demux_id: 0,
-            demux_names,
+            dispatch_names,
             insert_ids: HashMap::new(),
             table_aggs: HashMap::new(),
-            delete_ids: HashMap::new(),
+            delete_strands: HashMap::new(),
             rule_classes,
             current_class: RuleClass {
                 deterministic: false,
@@ -552,14 +547,17 @@ impl<'a> Builder<'a> {
             current_rule: None,
             elem_rules: Vec::new(),
         };
-        builder.demux_id = builder.add("demux", ElementSpec::Demux);
+        for name in &builder.dispatch_names {
+            builder.wiring.add_dispatch(name.as_str());
+        }
 
-        // One Insert bridge per materialized table, fed from the demux.
+        // One Insert bridge per materialized table, its dispatch's first
+        // consumer.
         for table in 0..builder.tables.len() {
             let name = builder.tables[table].spec.name.clone();
             let id = builder.add(format!("insert:{name}"), ElementSpec::Insert { table });
-            let port = builder.demux_port(&name).expect("declared above");
-            builder.connect(builder.demux_id, port, id, 0);
+            let dispatch = builder.dispatch_of(&name).expect("declared above");
+            builder.wiring.connect_dispatch(dispatch, id, 0);
             builder.insert_ids.insert(name, id);
         }
         Ok(builder)
@@ -567,25 +565,13 @@ impl<'a> Builder<'a> {
 
     fn add(&mut self, name: impl Into<Arc<str>>, spec: ElementSpec) -> usize {
         self.specs.push(spec);
-        self.names.push(name.into());
         self.elem_rules
             .push(self.current_rule.clone().map(|r| (r, self.current_class)));
-        self.specs.len() - 1
+        self.wiring.add(name)
     }
 
-    fn connect(&mut self, from: usize, out_port: usize, to: usize, in_port: usize) {
-        self.edges.push((
-            from,
-            out_port,
-            Route {
-                element: to,
-                port: in_port,
-            },
-        ));
-    }
-
-    fn demux_port(&self, name: &str) -> Option<usize> {
-        self.demux_names.iter().position(|n| n == name)
+    fn dispatch_of(&self, name: &str) -> Option<usize> {
+        self.dispatch_names.iter().position(|n| n == name)
     }
 
     fn table_id(&self, rule: &Rule, name: &str) -> Result<usize, PlanError> {
@@ -695,8 +681,8 @@ impl<'a> Builder<'a> {
                 format!("watch:{w}"),
                 ElementSpec::Collector { watch: w.clone() },
             );
-            if let Some(port) = self.demux_port(w) {
-                self.connect(self.demux_id, port, id, 0);
+            if let Some(dispatch) = self.dispatch_of(w) {
+                self.wiring.connect_dispatch(dispatch, id, 0);
             }
         }
 
@@ -706,12 +692,10 @@ impl<'a> Builder<'a> {
         for (table, aggs) in table_aggs {
             for agg in aggs {
                 if let Some(insert) = self.insert_ids.get(&table).copied() {
-                    self.connect(insert, 0, agg, 0);
+                    self.wiring.connect(insert, 0, agg, 0);
                 }
-                if let Some(deletes) = self.delete_ids.get(&table).cloned() {
-                    for d in deletes {
-                        self.connect(d, 0, agg, 0);
-                    }
+                for &strand in self.delete_strands.get(&table).into_iter().flatten() {
+                    self.wiring.connect(strand, 0, agg, 0);
                 }
             }
         }
@@ -741,16 +725,13 @@ impl<'a> Builder<'a> {
             });
         }
 
-        let (demux_map, demux_default) = Demux::build_map(&self.demux_names);
-        let entry = Route {
-            element: self.demux_id,
-            port: 0,
-        };
+        let routing = Routing::compile(self.wiring);
         let obs = Arc::new(ObsMeta {
             elems: self
                 .specs
                 .iter()
-                .zip(&self.names)
+                .enumerate()
+                .map(|(i, spec)| (spec, routing.name(i)))
                 .zip(&self.elem_rules)
                 .map(|((spec, name), attribution)| ElemMeta {
                     name: name.clone(),
@@ -760,13 +741,9 @@ impl<'a> Builder<'a> {
                 })
                 .collect(),
         });
-        let routing = Routing::compile(self.names, &self.edges, &self.delays);
         Ok(PlannedProgram {
             specs: self.specs,
             routing: Arc::new(routing),
-            entry,
-            demux_map,
-            demux_default,
             tables: self.tables,
             schema: Arc::new(self.schema),
             facts,
@@ -864,12 +841,12 @@ impl<'a> Builder<'a> {
         let body = StrandBody::new(pre_filters, ops, head_fields, out_name);
         let id = self.add(format!("{}:strand", rule.id), ElementSpec::Strand(body));
         if levels > 0 {
-            self.delays.push((id, 0, levels));
+            self.wiring.set_delay(id, 0, levels);
         }
         id
     }
 
-    /// Builds one strand: the strand element, its routing, and its trigger.
+    /// Builds one strand: the strand element, its head, and its trigger.
     fn build_strand(
         &mut self,
         rule: &Rule,
@@ -879,30 +856,24 @@ impl<'a> Builder<'a> {
     ) -> Result<(), PlanError> {
         let strand = self.analyze_strand(rule, trigger, &source, other_tables)?;
         let strand = self.add_strand(rule, strand);
-        let mut chain = vec![strand];
-        self.route_head(rule, &mut chain)?;
-
-        // --- Wire the chain and its trigger source.
-        for pair in chain.windows(2) {
-            self.connect(pair[0], 0, pair[1], 0);
-        }
+        self.route_head(rule, strand)?;
         match source {
             TriggerSource::Stream(name) => {
-                let port = self.demux_port(name).ok_or_else(|| {
-                    PlanError::in_rule(&rule.id, format!("no demux port for stream `{name}`"))
+                let dispatch = self.dispatch_of(name).ok_or_else(|| {
+                    PlanError::in_rule(&rule.id, format!("no dispatch for stream `{name}`"))
                 })?;
-                self.connect(self.demux_id, port, strand, 0);
+                self.wiring.connect_dispatch(dispatch, strand, 0);
             }
             TriggerSource::TableDelta(name) => {
                 let insert = *self.insert_ids.get(name).ok_or_else(|| {
                     PlanError::in_rule(&rule.id, format!("no insert element for table `{name}`"))
                 })?;
-                self.connect(insert, 0, strand, 0);
+                self.wiring.connect(insert, 0, strand, 0);
             }
             TriggerSource::Periodic(pred) => {
                 let periodic = self.make_periodic(rule, pred)?;
                 let id = self.add(format!("{}:periodic", rule.id), periodic);
-                self.connect(id, 0, strand, 0);
+                self.wiring.connect(id, 0, strand, 0);
             }
         }
         Ok(())
@@ -1212,10 +1183,10 @@ impl<'a> Builder<'a> {
         Ok(strand)
     }
 
-    /// Routes the head projection output: deletes go straight to the head
-    /// table, everything else goes through a network egress element whose
-    /// local side wraps around to the demultiplexer.
-    fn route_head(&mut self, rule: &Rule, chain: &mut Vec<usize>) -> Result<(), PlanError> {
+    /// Makes `strand`'s output slot its rule's head: a delete of the head
+    /// table, a send by the head's location whose local side goes to the
+    /// head predicate's dispatch, or, with no location, that dispatch.
+    fn route_head(&mut self, rule: &Rule, strand: usize) -> Result<(), PlanError> {
         if rule.delete {
             let body_loc = rule
                 .positive_predicates()
@@ -1228,42 +1199,31 @@ impl<'a> Builder<'a> {
                 ));
             }
             let table = self.table_id(rule, &rule.head.name)?;
-            let id = self.add(
-                format!("{}:delete:{}", rule.id, rule.head.name),
-                ElementSpec::Delete { table },
-            );
-            chain.push(id);
-            self.delete_ids
+            self.wiring.set_head(strand, 0, Head::Delete { table });
+            self.delete_strands
                 .entry(rule.head.name.clone())
                 .or_default()
-                .push(id);
+                .push(strand);
             return Ok(());
         }
 
-        match &rule.head.location {
-            None => {
-                // No location specifier: the tuple stays local; feed it back
-                // through the demultiplexer.
-                let last = *chain.last().expect("head projection exists");
-                self.connect(last, 0, self.demux_id, 0);
-                Ok(())
-            }
-            Some(loc) => {
-                let dest_field = Self::head_dest_field(rule, loc)?;
-                let id = self.add(
-                    format!("{}:netout", rule.id),
-                    ElementSpec::NetOut { dest_field },
-                );
-                chain.push(id);
-                // Local tuples wrap around into the demultiplexer.
-                self.connect(id, 0, self.demux_id, 0);
-                Ok(())
-            }
-        }
+        let dispatch = self
+            .dispatch_of(&rule.head.name)
+            .expect("every head has a dispatch");
+        let head = match &rule.head.location {
+            // No location specifier: the tuple stays local.
+            None => Head::Local(dispatch),
+            Some(loc) => Head::Located {
+                dest_field: Self::head_dest_field(rule, loc)?,
+                dispatch,
+            },
+        };
+        self.wiring.set_head(strand, 0, head);
+        Ok(())
     }
 
     /// The head-argument position carrying the head's location variable
-    /// (the field a network egress element reads the destination from).
+    /// (the field a located head reads the destination from).
     fn head_dest_field(rule: &Rule, loc: &str) -> Result<usize, PlanError> {
         rule.head
             .args
@@ -1389,12 +1349,8 @@ impl<'a> Builder<'a> {
                 ..StrandSpec::default()
             },
         );
-        let mut chain = vec![agg_id, head];
-        self.route_head(rule, &mut chain)?;
-        for pair in chain.windows(2) {
-            self.connect(pair[0], 0, pair[1], 0);
-        }
-        Ok(())
+        self.wiring.connect(agg_id, 0, head, 0);
+        self.route_head(rule, head)
     }
 
     /// Chooses which table predicate an aggregate rule aggregates over.
@@ -1554,12 +1510,19 @@ mod tests {
         "#;
         let planned = plan_src(src).unwrap();
         let desc = planned.engine.describe();
-        assert!(desc.contains("Demux"));
-        assert!(desc.contains("NetOut"));
-        // Bare head projections are op-less strands.
-        assert!(desc.contains("P1:strand"));
-        assert!(desc.contains("P2:strand"));
+        // Bare head projections are op-less strands, and their elements
+        // are all the plan has besides the table's insert bridge.
+        assert!(desc.starts_with(
+            "[0] insert:node (Insert)\n[1] P1:strand (FusedStrand)\n\
+             [2] P2:strand (FusedStrand)\n"
+        ));
+        // Each head sends to its location or, when it is this node, hands
+        // the tuple to its predicate's dispatch: P1's `ping` triggers P2.
+        assert!(desc.contains("  1:0 => send to field 0, or dispatch ping\n"));
+        assert!(desc.contains("  2:0 => send to field 0, or dispatch pong\n"));
+        assert!(desc.contains("  dispatch ping -> 2:0\n  dispatch pingEvent -> 1:0\n"));
         assert!(!desc.contains("+1 levels"), "{desc}");
+        assert_eq!(planned.engine.len(), 3);
     }
 
     #[test]
@@ -1624,7 +1587,7 @@ mod tests {
         let rules = ["R1", "R2", "R3", "R4", "R5"];
         let expected: BTreeSet<(&str, &str)> = rules
             .iter()
-            .flat_map(|&r| [(r, "strand"), (r, "netout")])
+            .map(|&r| (r, "strand"))
             .chain([("R5", "table_agg")])
             .collect();
         assert_eq!(rule_kinds, expected);
@@ -1650,10 +1613,6 @@ mod tests {
             .contains("R1:strand"));
         let run = |seed: u64| {
             let mut node = plan.instantiate("n1", seed);
-            node.engine.set_entry(Route {
-                element: 0,
-                port: 0,
-            });
             node.engine.start(p2_value::SimTime::ZERO);
             let at = p2_value::SimTime::from_secs(1);
             for a in ["a", "b", "c"] {
@@ -1693,10 +1652,6 @@ mod tests {
         let mut planned = PlannedProgram::compile(&program, &PlanConfig::new().without_jitter())
             .unwrap()
             .instantiate("n1", 7);
-        planned.engine.set_entry(Route {
-            element: 0,
-            port: 0,
-        });
         planned.engine.start(p2_value::SimTime::ZERO);
         for (y, s) in [("n7", 5i64), ("n8", 1), ("n9", 3)] {
             let member = p2_value::Tuple::new(
@@ -1729,8 +1684,25 @@ mod tests {
             materialize(neighbor, infinity, infinity, keys(2)).
             L3 delete neighbor@X(X, Y) :- deadNeighbor@X(X, Y).
         "#;
-        let planned = plan_src(src).unwrap();
-        assert!(planned.engine.describe().contains("Delete"));
+        let mut planned = plan_src(src).unwrap();
+        // The rule is a strand whose head deletes from `neighbor` (table 0):
+        // no delete element.
+        let desc = planned.engine.describe();
+        assert!(desc.contains("[1] L3:strand (FusedStrand)\n"), "{desc}");
+        assert!(desc.contains("  1:0 => delete from table 0\n"), "{desc}");
+        assert_eq!(planned.engine.len(), 2);
+
+        let at = p2_value::SimTime::from_secs(1);
+        let pair =
+            |name: &str, y: &str| p2_value::Tuple::new(name, vec![Value::str("n1"), Value::str(y)]);
+        planned.engine.start(p2_value::SimTime::ZERO);
+        for y in ["n2", "n3"] {
+            planned.engine.deliver(pair("neighbor", y), at);
+        }
+        planned.engine.deliver(pair("deadNeighbor", "n2"), at);
+        let rows = planned.catalog().get("neighbor").unwrap().len();
+        assert_eq!(rows, 1);
+        assert_eq!(planned.engine.stats().malformed_heads, 0);
     }
 
     #[test]
@@ -1847,10 +1819,6 @@ mod tests {
         let member = node.catalog().get("member").unwrap();
         assert!(member.indexes().is_empty());
         assert!(member.group_indexes().is_empty());
-        node.engine.set_entry(Route {
-            element: 0,
-            port: 0,
-        });
         node.engine.start(p2_value::SimTime::ZERO);
         let at = p2_value::SimTime::from_secs(1);
         for i in 0..8i64 {

@@ -1,6 +1,5 @@
-//! General-purpose "glue" elements: demultiplexer, queue, and tap.
+//! General-purpose "glue" elements: queue and tap.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -8,74 +7,6 @@ use parking_lot::Mutex;
 use p2_value::{SimTime, Tuple};
 
 use crate::element::{Element, ElementCtx};
-
-/// Routes tuples to an output port chosen by tuple name.
-///
-/// Tuple name `names[i]` goes to output port `i`; tuples whose name is not
-/// listed go to the *default port* `names.len()`. This is the big
-/// classifier at the entry of every planned dataflow (Figure 2's
-/// "Demux (tuple name)"): Chord's planner generates dozens of arms, and
-/// every delivered tuple passes through here, so the name→port mapping is a
-/// prebuilt hash table rather than a linear scan.
-pub struct Demux {
-    ports: Arc<HashMap<Arc<str>, usize>>,
-    default_port: usize,
-}
-
-impl Demux {
-    /// Creates a demux for the given tuple names.
-    pub fn new(names: Vec<String>) -> Demux {
-        let (ports, default_port) = Demux::build_map(&names);
-        Demux {
-            ports,
-            default_port,
-        }
-    }
-
-    /// Builds the shareable name→port map for a list of tuple names. The
-    /// shared-plan path builds this once per program and stamps out per-node
-    /// demuxes via [`Demux::from_shared`].
-    pub fn build_map(names: &[String]) -> (Arc<HashMap<Arc<str>, usize>>, usize) {
-        let mut ports = HashMap::with_capacity(names.len());
-        for (i, n) in names.iter().enumerate() {
-            // First occurrence wins, matching the old linear scan.
-            ports.entry(Arc::from(n.as_str())).or_insert(i);
-        }
-        (Arc::new(ports), names.len())
-    }
-
-    /// Creates a demux over a prebuilt shared name→port map (no per-node
-    /// copy of the classifier table).
-    pub fn from_shared(ports: Arc<HashMap<Arc<str>, usize>>, default_port: usize) -> Demux {
-        Demux {
-            ports,
-            default_port,
-        }
-    }
-
-    /// The port unmatched tuples are emitted on.
-    pub fn default_port(&self) -> usize {
-        self.default_port
-    }
-
-    /// The port a given tuple name is routed to, if it is known. O(1).
-    pub fn port_for(&self, name: &str) -> Option<usize> {
-        self.ports.get(name).copied()
-    }
-}
-
-impl Element for Demux {
-    fn class(&self) -> &'static str {
-        "Demux"
-    }
-
-    fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        let port = self
-            .port_for(tuple.name())
-            .unwrap_or_else(|| self.default_port());
-        ctx.emit(port, tuple.clone());
-    }
-}
 
 /// A pass-through queue.
 ///
@@ -172,45 +103,6 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, Graph, Route};
     use p2_value::TupleBuilder;
-
-    #[test]
-    fn demux_routes_by_name() {
-        let mut g = Graph::new();
-        let d = g.add(
-            "demux",
-            Box::new(Demux::new(vec!["lookup".into(), "succ".into()])),
-        );
-        let (c_lookup, lookup_buf) = Collector::new();
-        let (c_succ, succ_buf) = Collector::new();
-        let (c_other, other_buf) = Collector::new();
-        let l = g.add("lookups", Box::new(c_lookup));
-        let s = g.add("succs", Box::new(c_succ));
-        let o = g.add("other", Box::new(c_other));
-        g.connect(d, 0, l, 0);
-        g.connect(d, 1, s, 0);
-        g.connect(d, 2, o, 0);
-
-        let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: d,
-            port: 0,
-        });
-        engine.start(SimTime::ZERO);
-        for name in ["lookup", "succ", "succ", "ping"] {
-            engine.deliver(TupleBuilder::new(name).push("n1").build(), SimTime::ZERO);
-        }
-        assert_eq!(lookup_buf.lock().len(), 1);
-        assert_eq!(succ_buf.lock().len(), 2);
-        assert_eq!(other_buf.lock().len(), 1);
-    }
-
-    #[test]
-    fn demux_port_queries() {
-        let d = Demux::new(vec!["a".into(), "b".into()]);
-        assert_eq!(d.port_for("b"), Some(1));
-        assert_eq!(d.port_for("zzz"), None);
-        assert_eq!(d.default_port(), 2);
-    }
 
     #[test]
     fn queue_forwards_and_counts() {

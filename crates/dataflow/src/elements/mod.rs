@@ -3,20 +3,19 @@
 //! These are the building blocks the OverLog planner assembles into per-node
 //! dataflow graphs (paper §3.4): the rule strand (probes, anti-joins,
 //! selections, assignments, aggregation and the head projection in one
-//! element), bridges to stored tables (insert, delete, materialized
-//! aggregates), event sources (`periodic`), network egress, and
-//! general-purpose glue (demultiplexers, queues, taps).
+//! element), bridges to stored tables (insert, materialized aggregates),
+//! event sources (`periodic`), and general-purpose glue (queues, taps).
+//! Heads route themselves through the engine (`crate::Head`), so there is
+//! no network-egress, demultiplexer or delete element.
 
 mod glue;
-mod net;
 mod relational;
 mod source;
 mod strand;
 mod table_ops;
 
-pub use glue::{Collector, CollectorHandle, Demux, Queue};
-pub use net::NetOut;
+pub use glue::{Collector, CollectorHandle, Queue};
 pub use relational::ProbeKey;
 pub use source::Periodic;
 pub use strand::{AggOp, FusedStrand, StrandBody, StrandOp};
-pub use table_ops::{Delete, Insert, TableAgg};
+pub use table_ops::{Insert, TableAgg};

@@ -1,6 +1,7 @@
-//! Elements bridging the dataflow graph and stored tables: insert, delete,
-//! and materialized table aggregates. (A rule's per-row aggregation over a
-//! table is a strand op, `crate::elements::AggOp`.)
+//! Elements bridging the dataflow graph and stored tables: insert and
+//! materialized table aggregates. (A rule's per-row aggregation over a
+//! table is a strand op, `crate::elements::AggOp`; a `delete` rule's head
+//! is a `crate::Head::Delete` the engine runs.)
 //!
 //! # Materialized aggregation
 //!
@@ -72,59 +73,6 @@ impl Element for Insert {
                 ctx.emit(0, tuple.clone());
                 for e in self.spill.drain(..) {
                     ctx.emit(1, e);
-                }
-            }
-            Err(_) => {
-                self.errors += 1;
-                self.spill.clear();
-            }
-        }
-    }
-}
-
-/// Removes the arriving tuple from a table (OverLog `delete` rules).
-///
-/// Removed rows are emitted on port 0 so deletions can drive further
-/// processing (e.g. re-computing a materialized aggregate).
-pub struct Delete {
-    /// The table's id.
-    table: usize,
-    /// Number of deletes that failed (malformed tuples).
-    pub errors: u64,
-    /// Reused removal spill buffer, mirroring `Insert`'s eviction buffer:
-    /// the delete hot path (`Table::delete_matching_spill`) appends removed
-    /// rows here instead of allocating a fresh `Vec` per tuple.
-    spill: Vec<Tuple>,
-}
-
-impl Delete {
-    /// Creates a delete bridge for the table with id `table`.
-    pub fn new(table: usize) -> Delete {
-        Delete {
-            table,
-            errors: 0,
-            spill: Vec::new(),
-        }
-    }
-}
-
-impl Element for Delete {
-    fn class(&self) -> &'static str {
-        "Delete"
-    }
-
-    fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
-        debug_assert!(self.spill.is_empty(), "spill buffer drained every call");
-        let result = ctx
-            .table_mut(self.table)
-            .delete_matching_spill(tuple, &mut self.spill);
-        match result {
-            Ok(_removed) => {
-                if !self.spill.is_empty() {
-                    ctx.note_state_change();
-                }
-                for r in self.spill.drain(..) {
-                    ctx.emit(0, r);
                 }
             }
             Err(_) => {
@@ -249,8 +197,8 @@ impl Element for TableAgg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elements::{AggOp, Collector, Demux, FusedStrand};
-    use crate::engine::{Engine, Graph, Route};
+    use crate::elements::{AggOp, Collector, FusedStrand};
+    use crate::engine::{Engine, Graph, Head, Route};
     use p2_pel::{BinOp, Expr, IntervalKind, Program};
     use p2_table::{Table, TableSpec};
     use p2_value::{SimTime, TupleBuilder, Uint160};
@@ -348,13 +296,44 @@ mod tests {
         assert_eq!(evicted_buf.lock().len(), 1);
     }
 
+    /// An op-less strand projecting its trigger's `width` fields under
+    /// `name`: a `delete` rule's strand.
+    fn projection(width: usize, name: &str) -> Box<dyn Element> {
+        let head = (0..width).map(|i| Program::compile(&Expr::Field(i)));
+        Box::new(FusedStrand::new(vec![], vec![], head.collect(), name))
+    }
+
     #[test]
     fn delete_removes_and_emits() {
         let row = TupleBuilder::new("neighbor").push("n1").push("n2").build();
-        let t = table(TableSpec::new("neighbor", vec![1]), vec![row.clone()]);
-        let (out, engine) = run_counted(Box::new(Delete::new(0)), t, vec![row.clone()]);
-        assert_eq!(out, vec![row]);
-        assert!(engine.tables()[0].is_empty());
+        let mut g = Graph::new();
+        let t = g.add_table(table(
+            TableSpec::new("neighbor", vec![1]),
+            vec![row.clone()],
+        ));
+        let del = g.add("delete", projection(2, "neighbor"));
+        g.set_head(del, 0, Head::Delete { table: t });
+        let (c, buf) = Collector::new();
+        let c = g.add("removed", Box::new(c));
+        g.connect(del, 0, c, 0);
+        let mut engine = Engine::new(g, "n1", 1);
+        engine.set_entry(Route {
+            element: del,
+            port: 0,
+        });
+        // A miss removes nothing and emits nothing; the hit emits the
+        // removed row to the slot's routes.
+        let other = TupleBuilder::new("neighbor").push("n1").push("n3").build();
+        engine.deliver(other, SimTime::from_secs(1));
+        assert!(buf.lock().is_empty());
+        engine.deliver(row.clone(), SimTime::from_secs(1));
+        let removed: Vec<Tuple> = buf.lock().iter().map(|(_, t)| t.clone()).collect();
+        assert_eq!(removed, vec![row]);
+        assert!(engine.tables()[t].is_empty());
+        assert_eq!(engine.stats().malformed_heads, 0);
+        // Two strand calls and the collector's one: the delete itself
+        // calls no element.
+        assert_eq!(engine.stats().handoffs, 2 + 1);
     }
 
     #[test]
@@ -656,29 +635,24 @@ mod tests {
         let mut g = Graph::new();
         let t = g.add_table(table(TableSpec::new("succ", vec![1]), vec![]));
         // "succ" tuples insert, "zap" tuples (same layout) delete — the
-        // planner's insert-delta and delete-delta wiring in miniature.
-        let demux = g.add(
-            "demux",
-            Box::new(Demux::new(vec!["succ".into(), "zap".into()])),
-        );
+        // planner's insert-delta and delete-head wiring in miniature.
+        let (to_insert, to_delete) = (g.add_dispatch("succ"), g.add_dispatch("zap"));
         let ins = g.add("insert", Box::new(Insert::new(t)));
-        let del = g.add("delete", Box::new(Delete::new(t)));
+        let del = g.add("delete", projection(3, "succ"));
         let agg = g.add(
             "count",
             Box::new(TableAgg::new(t, AggFunc::Count, None, vec![0], "succCount")),
         );
         let (c, buf) = Collector::new();
         let c = g.add("tap", Box::new(c));
-        g.connect(demux, 0, ins, 0);
-        g.connect(demux, 1, del, 0);
+        g.connect_dispatch(to_insert, ins, 0);
+        g.connect_dispatch(to_delete, del, 0);
+        g.set_head(del, 0, Head::Delete { table: t });
         g.connect(ins, 0, agg, 0);
         g.connect(del, 0, agg, 0);
         g.connect(agg, 0, c, 0);
         let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: demux,
-            port: 0,
-        });
+        engine.set_dispatch_entry();
         engine.start(SimTime::ZERO);
 
         let s1 = TupleBuilder::new("succ")

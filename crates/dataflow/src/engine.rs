@@ -3,16 +3,17 @@
 //!
 //! # Architecture: build-time graph, compiled run-time form
 //!
-//! A [`Graph`] is the *construction* representation: elements plus the
-//! list of edges in `connect` order, convenient to assemble incrementally.
-//! [`Routing::compile`] turns element names, edges and level delays into a
-//! dense adjacency table — a flat slice of [`Route`]s with one contiguous
-//! span per `(element, output port)` slot, addressed by
-//! `port_base[element] + port`. Routing an emission is then two array loads
-//! and a slice walk. The compiled form is semantically identical to the
-//! edge list (see [`Engine::routes_of`], which the property tests compare
-//! against [`Graph::connect`] semantics). [`Engine::new`] compiles a graph
-//! and hands the result to [`Engine::with_routing`], the one constructor.
+//! A [`Graph`] is the *construction* representation: elements plus a
+//! [`Wiring`] — the edges in `connect` order, level delays, heads and
+//! predicate dispatches — convenient to assemble incrementally.
+//! [`Routing::compile`] turns a wiring into a dense adjacency table — a flat
+//! slice of [`Route`]s with one contiguous span per `(element, output
+//! port)` slot, addressed by `port_base[element] + port`, followed by one
+//! span per dispatch. Routing an emission is then two array loads and a
+//! slice walk. The compiled form is semantically identical to the edge list
+//! (see [`Engine::routes_of`], which the property tests compare against
+//! [`Graph::connect`] semantics). [`Engine::new`] compiles a graph and hands
+//! the result to [`Engine::with_routing`], the one constructor.
 //!
 //! # Hot-path allocation discipline
 //!
@@ -23,7 +24,7 @@
 //! it creates. Tuple fan-out across a multi-route port clones the
 //! (`Arc`-backed, cheap) tuple for all but the last route, which takes the
 //! original. Network sends carry `Arc<str>` destinations (see
-//! [`Outgoing`]), so handing a tuple to the simulator does not allocate
+//! [`Outgoing`]), so handing a tuple to the network does not allocate
 //! either.
 //!
 //! # Batched delivery
@@ -34,6 +35,32 @@
 //! per-delivery bookkeeping (one outgoing buffer, one queue drain) across
 //! the batch.
 //!
+//! # Heads and dispatch
+//!
+//! In the paper's Figure 2 a rule's head passes through a network-out
+//! element, and a tuple addressed to the local node loops back into the
+//! node's demultiplexer, which hands it to every rule and table bridge
+//! listening for its name. Neither reads a table, so here neither is an
+//! element: an output slot may carry a [`Head`] ([`Graph::set_head`]) that
+//! the engine runs itself, the way a compiled constraint program calls its
+//! occurrence procedures directly.
+//!
+//! * A *dispatch* ([`Graph::add_dispatch`]) is the list of consumers of one
+//!   predicate — in the planner's graphs its table's `Insert`, then the
+//!   strands it triggers, in plan order. A local head fans out to its
+//!   predicate's dispatch, and so does every tuple [`Engine::deliver`]
+//!   hands in once [`Engine::set_dispatch_entry`] is set; a name without a
+//!   dispatch is dropped.
+//! * [`Head::Located`] reads the destination from a field: a remote tuple
+//!   goes to the network, a local one to its dispatch. A missing, empty or
+//!   `"null"` destination drops the tuple and counts it in
+//!   [`EngineStats::malformed_heads`].
+//! * [`Head::Delete`] removes the tuple's match from a table and hands each
+//!   removed row to the slot's routes (the table's materialized
+//!   aggregates).
+//!
+//! None of these steps calls an element, so none counts a handoff.
+//!
 //! # Level delays
 //!
 //! The FIFO work queue processes emissions in breadth-first level order,
@@ -43,23 +70,37 @@
 //! rule strand (`elements::FusedStrand`) runs its `k` steps — trigger
 //! checks, probes, anti-joins, assignments, conditions, an aggregation,
 //! the head — in one call at level 1. The golden event stream was pinned
-//! when each step was an element of its own and the head surfaced at
-//! level `k`; emitted at level 1, the strand's sends would move against
-//! longer or shorter sibling strands.
+//! when each step was an element of its own, the head surfaced at level
+//! `k`, a network-out element routed it at level `k + 1` and a local tuple
+//! went through the demultiplexer at level `k + 2`; emitted at level 1,
+//! the strand's sends would move against longer or shorter sibling
+//! strands.
 //!
 //! An output slot may therefore carry a **level delay**
-//! ([`Graph::set_delay`], compiled into `slot_delay` beside the route
-//! spans). Every queue entry carries a remaining-level count, set from its
-//! slot's delay when the emission is routed; [`Engine`]'s drain loop moves
-//! an entry whose count is above zero to the back of the queue with one
-//! level fewer, without calling any element, cloning any tuple or counting
-//! a handoff. Each such move lands the entry exactly where a forwarding
+//! ([`Graph::set_delay`], compiled beside the slot's route span). Every
+//! queue entry carries a remaining-level count, set from its slot's delay
+//! when the emission is routed; [`Engine`]'s drain loop moves an entry
+//! whose count is above zero to the back of the queue with one level
+//! fewer, without calling any element, cloning any tuple or counting a
+//! handoff. Each such move lands the entry exactly where a forwarding
 //! element would have pushed its output, so after `k − 1` moves the head
 //! tuple reaches its consumer at level `k`, which keeps the 100-node golden
 //! pins bit-identical. A slot with several routes enqueues them side by
 //! side and nothing runs between their re-queues, so a fan-out stays
 //! contiguous, as a forwarder's single emission would have kept it. Dead
 //! tuples (filtered out inside a strand) are never enqueued at all.
+//!
+//! A head takes the levels of the elements it replaces. A located or
+//! delete head waits out the slot's delay as one queue entry and runs
+//! where the network-out or delete element ran; a located head's local
+//! tuple then fans out to its dispatch one level later, where the
+//! demultiplexer would have pushed it, and a delete's removed rows reach
+//! their routes at the next level, as the delete element's emissions did.
+//! A head without a location went straight to the demultiplexer, so its
+//! tuple fans out to its dispatch at once, one level later than the slot's
+//! delay. A delivered tuple fans out to its dispatch at once: the queue is
+//! empty when a delivery starts, so skipping the demultiplexer's level
+//! moves every entry by the same one level.
 //!
 //! # Per-node engines over a shared plan
 //!
@@ -79,7 +120,7 @@
 //! reading a table twice (a self-join) takes two shared borrows of it.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use p2_obs::{NodeObs, ObsMeta, TraceEvent};
@@ -98,8 +139,92 @@ pub struct Route {
     pub port: usize,
 }
 
-/// A dataflow graph under construction: elements plus directed edges from
-/// output ports to input ports, and the tables its elements name by id.
+/// How a rule's head tuple leaves its strand's output slot (see the
+/// module-level *Heads and dispatch* section).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Head {
+    /// A head without a location: the tuple fans out to this dispatch.
+    Local(usize),
+    /// Field `dest_field` names the destination: a remote tuple goes to the
+    /// network, a local one fans out to `dispatch`.
+    Located { dest_field: usize, dispatch: usize },
+    /// A `delete` head: its match in table `table` is removed, and the
+    /// removed row goes to the slot's routes.
+    Delete { table: usize },
+}
+
+/// The wiring of a dataflow graph under construction: element names,
+/// edges, level delays, heads and predicate dispatches, each in call order.
+/// A [`Graph`] keeps one beside its elements; the planner builds one for
+/// its shared plan. [`Routing::compile`] turns it into the run-time form.
+#[derive(Debug, Clone, Default)]
+pub struct Wiring {
+    names: Vec<Arc<str>>,
+    /// `(from, out_port, to)` in `connect` order.
+    edges: Vec<(usize, usize, Route)>,
+    /// `(from, out_port, levels)` in `set_delay` order; see *Level delays*.
+    delays: Vec<(usize, usize, u32)>,
+    /// `(from, out_port, head)` in `set_head` order.
+    heads: Vec<(usize, usize, Head)>,
+    /// Predicate name per dispatch id.
+    dispatches: Vec<Arc<str>>,
+    /// `(dispatch, to)` in `connect_dispatch` order.
+    dispatch_edges: Vec<(usize, Route)>,
+}
+
+impl Wiring {
+    /// Names the next element, returning its index.
+    pub fn add(&mut self, name: impl Into<Arc<str>>) -> usize {
+        self.names.push(name.into());
+        self.names.len() - 1
+    }
+
+    /// Connects `from`'s output port `out_port` to `to`'s input port
+    /// `in_port`.
+    pub fn connect(&mut self, from: usize, out_port: usize, to: usize, in_port: usize) {
+        let route = Route {
+            element: to,
+            port: in_port,
+        };
+        self.edges.push((from, out_port, route));
+    }
+
+    /// Holds every tuple emitted on `from`'s output port `out_port` back by
+    /// `levels` breadth-first levels (see the module-level *Level delays*
+    /// section). A later call for the same port replaces an earlier one.
+    pub fn set_delay(&mut self, from: usize, out_port: usize, levels: u32) {
+        self.delays.push((from, out_port, levels));
+    }
+
+    /// Makes `from`'s output port `out_port` a head slot: every tuple
+    /// emitted there routes itself as `head` says. A [`Head::Delete`]
+    /// slot's routes receive the rows it removes; other head slots should
+    /// have no routes. A later call for the same port replaces an earlier
+    /// one.
+    pub fn set_head(&mut self, from: usize, out_port: usize, head: Head) {
+        self.heads.push((from, out_port, head));
+    }
+
+    /// Declares the dispatch of predicate `name`, returning its id. A name
+    /// declared twice keeps its first dispatch for deliveries by name.
+    pub fn add_dispatch(&mut self, name: impl Into<Arc<str>>) -> usize {
+        self.dispatches.push(name.into());
+        self.dispatches.len() - 1
+    }
+
+    /// Appends `to`'s input port `in_port` to dispatch `dispatch`'s
+    /// consumers.
+    pub fn connect_dispatch(&mut self, dispatch: usize, to: usize, in_port: usize) {
+        let route = Route {
+            element: to,
+            port: in_port,
+        };
+        self.dispatch_edges.push((dispatch, route));
+    }
+}
+
+/// A dataflow graph under construction: elements plus their [`Wiring`],
+/// and the tables its elements name by id.
 ///
 /// An output port may be connected to several input ports; the engine
 /// duplicates tuples across them (the explicit `Dup` element of the paper's
@@ -107,11 +232,7 @@ pub struct Route {
 #[derive(Default)]
 pub struct Graph {
     elements: Vec<Box<dyn Element>>,
-    names: Vec<Arc<str>>,
-    /// `(from, out_port, to)` in `connect` order.
-    edges: Vec<(usize, usize, Route)>,
-    /// `(from, out_port, levels)` in `set_delay` order; see *Level delays*.
-    delays: Vec<(usize, usize, u32)>,
+    wiring: Wiring,
     tables: Vec<Table>,
 }
 
@@ -124,8 +245,7 @@ impl Graph {
     /// Adds an element, returning its index.
     pub fn add(&mut self, name: impl Into<Arc<str>>, element: Box<dyn Element>) -> usize {
         self.elements.push(element);
-        self.names.push(name.into());
-        self.elements.len() - 1
+        self.wiring.add(name)
     }
 
     /// Adds a table for the elements to name, returning its id.
@@ -136,19 +256,28 @@ impl Graph {
 
     /// Connects `from`'s output port `out_port` to `to`'s input port `in_port`.
     pub fn connect(&mut self, from: usize, out_port: usize, to: usize, in_port: usize) {
-        let route = Route {
-            element: to,
-            port: in_port,
-        };
-        self.edges.push((from, out_port, route));
+        self.wiring.connect(from, out_port, to, in_port);
     }
 
-    /// Holds every tuple emitted on `from`'s output port `out_port` back by
-    /// `levels` breadth-first levels before its routes receive it (see the
-    /// module-level *Level delays* section). A later call for the same port
-    /// replaces an earlier one.
+    /// Holds a port's tuples back by `levels` levels; see
+    /// [`Wiring::set_delay`].
     pub fn set_delay(&mut self, from: usize, out_port: usize, levels: u32) {
-        self.delays.push((from, out_port, levels));
+        self.wiring.set_delay(from, out_port, levels);
+    }
+
+    /// Makes a port a head slot; see [`Wiring::set_head`].
+    pub fn set_head(&mut self, from: usize, out_port: usize, head: Head) {
+        self.wiring.set_head(from, out_port, head);
+    }
+
+    /// Declares a predicate's dispatch; see [`Wiring::add_dispatch`].
+    pub fn add_dispatch(&mut self, name: impl Into<Arc<str>>) -> usize {
+        self.wiring.add_dispatch(name)
+    }
+
+    /// Adds a consumer to a dispatch; see [`Wiring::connect_dispatch`].
+    pub fn connect_dispatch(&mut self, dispatch: usize, to: usize, in_port: usize) {
+        self.wiring.connect_dispatch(dispatch, to, in_port);
     }
 
     /// Number of elements in the graph.
@@ -164,44 +293,62 @@ impl Graph {
     /// Human-readable description of the graph (element classes and edges),
     /// used by the examples and for debugging planner output.
     pub fn describe(&self) -> String {
-        let routing = Routing::compile(self.names.clone(), &self.edges, &self.delays);
+        let routing = Routing::compile(self.wiring.clone());
         routing.describe(|e| self.elements[e].class())
     }
 }
 
+/// One compiled output slot (or dispatch): its span of `Routing::routes`,
+/// its level delay and its head.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    start: u32,
+    end: u32,
+    delay: u32,
+    head: Option<Head>,
+}
+
 /// The compiled, node-independent wiring of a dataflow graph: element
-/// names, the dense adjacency table and the per-slot level delays (see the
-/// module docs). [`Routing::compile`] builds it once per graph shape, and
-/// every engine running that shape shares it through an `Arc`.
+/// names, the dense adjacency table, the per-slot level delays and heads,
+/// and the predicate dispatches (see the module docs).
+/// [`Routing::compile`] builds it once per graph shape, and every engine
+/// running that shape shares it through an `Arc`.
 #[derive(Debug)]
 pub struct Routing {
     names: Box<[Arc<str>]>,
     /// `port_base[e]` is the flat slot index of element `e`'s output port 0;
     /// `port_base[e + 1] - port_base[e]` is the number of connected output
-    /// ports recorded for `e`. One trailing entry marks the total.
+    /// ports recorded for `e`. One trailing entry marks the total, which is
+    /// also the slot index of dispatch 0.
     port_base: Box<[usize]>,
-    /// Per-slot `(start, end)` span into `routes`.
-    route_spans: Box<[(u32, u32)]>,
-    /// Per-slot level delay, parallel to `route_spans`.
-    slot_delay: Box<[u32]>,
+    /// Element slots, then one slot per dispatch.
+    slots: Box<[Slot]>,
     /// All routes, concatenated in slot order; connect-call order is
     /// preserved within a slot.
     routes: Box<[Route]>,
+    /// Predicate name per dispatch id.
+    dispatch_names: Box<[Arc<str>]>,
+    /// Dispatch id per predicate name, for deliveries.
+    dispatch_ids: HashMap<Arc<str>, usize>,
 }
 
 impl Routing {
-    /// Compiles the edges `(from, out_port, to)` of a graph whose elements
-    /// are `names` into the dense adjacency table. `delays` holds
-    /// `(from, out_port, levels)` level delays; the last one given for a
-    /// slot wins, and one on a slot without routes is dropped.
-    pub fn compile(
-        names: Vec<Arc<str>>,
-        edges: &[(usize, usize, Route)],
-        delays: &[(usize, usize, u32)],
-    ) -> Routing {
+    /// Compiles a graph's wiring into the dense adjacency table. The last
+    /// delay or head given for a slot wins; a delay on a slot with neither
+    /// routes nor a head is dropped.
+    pub fn compile(wiring: Wiring) -> Routing {
+        let Wiring {
+            names,
+            edges,
+            delays,
+            heads,
+            dispatches,
+            dispatch_edges,
+        } = wiring;
         // Output-port count per element (highest connected port + 1).
         let mut port_counts = vec![0usize; names.len()];
-        for &(e, p, _) in edges {
+        let head_ports = heads.iter().map(|&(e, p, _)| (e, p));
+        for (e, p) in edges.iter().map(|&(e, p, _)| (e, p)).chain(head_ports) {
             port_counts[e] = port_counts[e].max(p + 1);
         }
         let mut port_base = Vec::with_capacity(names.len() + 1);
@@ -212,34 +359,48 @@ impl Routing {
         }
         port_base.push(total);
 
-        // Lay the routes out contiguously in (element, port) order; the
-        // sort is stable, so the per-slot route order is exactly the
-        // `connect` call order.
-        let mut sorted: Vec<&(usize, usize, Route)> = edges.iter().collect();
-        sorted.sort_by_key(|&&(e, p, _)| (e, p));
-        let mut route_spans = vec![(0u32, 0u32); total];
-        let mut routes = Vec::with_capacity(edges.len());
-        for &&(e, p, route) in &sorted {
-            let span = &mut route_spans[port_base[e] + p];
-            if span.1 == 0 {
-                span.0 = routes.len() as u32;
+        // Lay the routes out contiguously in slot order (dispatch slots
+        // after every element's); the sort is stable, so the per-slot route
+        // order is exactly the `connect` call order.
+        let dispatch_routes = dispatch_edges.iter().map(|&(d, r)| (total + d, r));
+        let mut sorted: Vec<(usize, Route)> = edges
+            .iter()
+            .map(|&(e, p, r)| (port_base[e] + p, r))
+            .chain(dispatch_routes)
+            .collect();
+        sorted.sort_by_key(|&(slot, _)| slot);
+        let mut slots = vec![Slot::default(); total + dispatches.len()];
+        let mut routes = Vec::with_capacity(sorted.len());
+        for (slot, route) in sorted {
+            let slot = &mut slots[slot];
+            if slot.end == 0 {
+                slot.start = routes.len() as u32;
             }
             routes.push(route);
-            span.1 = routes.len() as u32;
+            slot.end = routes.len() as u32;
         }
-        let mut slot_delay = vec![0u32; total];
-        for &(e, p, levels) in delays {
-            let slot = port_base[e] + p;
-            if p < port_counts[e] && route_spans[slot].1 > 0 {
-                slot_delay[slot] = levels;
+        for (e, p, head) in heads {
+            slots[port_base[e] + p].head = Some(head);
+        }
+        for (e, p, levels) in delays {
+            if p < port_counts[e] {
+                let slot = &mut slots[port_base[e] + p];
+                if slot.end > 0 || slot.head.is_some() {
+                    slot.delay = levels;
+                }
             }
+        }
+        let mut dispatch_ids = HashMap::with_capacity(dispatches.len());
+        for (d, name) in dispatches.iter().enumerate() {
+            dispatch_ids.entry(name.clone()).or_insert(d);
         }
         Routing {
             names: names.into(),
             port_base: port_base.into(),
-            route_spans: route_spans.into(),
-            slot_delay: slot_delay.into(),
+            slots: slots.into(),
             routes: routes.into(),
+            dispatch_names: dispatches.into(),
+            dispatch_ids,
         }
     }
 
@@ -258,7 +419,7 @@ impl Routing {
         &self.names[element]
     }
 
-    /// Number of routes (edges) over all slots.
+    /// Number of routes (edges and dispatch consumers) over all slots.
     pub fn route_count(&self) -> usize {
         self.routes.len()
     }
@@ -268,19 +429,31 @@ impl Routing {
     /// edge (tuples emitted there are discarded).
     pub fn routes_of(&self, element: usize, out_port: usize) -> &[Route] {
         match self.slot(element, out_port) {
-            Some(slot) => {
-                let (start, end) = self.route_spans[slot];
-                &self.routes[start as usize..end as usize]
-            }
+            Some(slot) => self.span(slot),
             None => &[],
         }
     }
 
     /// The compiled level delay of `(element, out_port)` (0 when none, or
-    /// when the slot has no routes).
+    /// when the slot has neither routes nor a head).
     pub fn delay_of(&self, element: usize, out_port: usize) -> u32 {
         self.slot(element, out_port)
-            .map_or(0, |slot| self.slot_delay[slot])
+            .map_or(0, |slot| self.slots[slot].delay)
+    }
+
+    /// The dispatch id of predicate `name`, if it has one.
+    pub fn dispatch_of(&self, name: &str) -> Option<usize> {
+        self.dispatch_ids.get(name).copied()
+    }
+
+    /// The consumers of dispatch `dispatch`, in `connect_dispatch` order
+    /// (empty for an unknown id).
+    pub fn dispatch_routes(&self, dispatch: usize) -> &[Route] {
+        if dispatch < self.dispatch_names.len() {
+            self.span(self.port_base[self.names.len()] + dispatch)
+        } else {
+            &[]
+        }
     }
 
     /// The flat slot index of a connected `(element, out_port)`.
@@ -292,23 +465,52 @@ impl Routing {
         (out_port < self.port_base[element + 1] - base).then_some(base + out_port)
     }
 
-    /// Describes the graph, one line per element (`class` names its class)
-    /// and one per route in slot order; a delayed slot reads `+N levels`.
+    /// The routes of slot `slot`.
+    fn span(&self, slot: usize) -> &[Route] {
+        let Slot { start, end, .. } = self.slots[slot];
+        &self.routes[start as usize..end as usize]
+    }
+
+    /// Describes the graph, one line per element (`class` names its class),
+    /// one per route in slot order (a delayed slot reads `+N levels`), one
+    /// per head slot (`=>`) and one per dispatch consumer.
     fn describe(&self, class: impl Fn(usize) -> &'static str) -> String {
         let mut out = String::new();
         for (i, name) in self.names.iter().enumerate() {
             out.push_str(&format!("[{i}] {name} ({})\n", class(i)));
         }
+        let levels = |delay: u32| match delay {
+            0 => String::new(),
+            n => format!(" +{n} levels"),
+        };
+        let names = &self.dispatch_names;
         for e in 0..self.names.len() {
             for p in 0..self.port_base[e + 1] - self.port_base[e] {
-                let delay = self.delay_of(e, p);
-                for r in self.routes_of(e, p) {
-                    out.push_str(&format!("  {e}:{p} -> {}:{}", r.element, r.port));
-                    if delay > 0 {
-                        out.push_str(&format!(" +{delay} levels"));
-                    }
-                    out.push('\n');
+                let slot = self.slots[self.port_base[e] + p];
+                let mut suffix = levels(slot.delay);
+                if let Some(head) = slot.head {
+                    let head = match head {
+                        Head::Local(d) => format!("dispatch {}", names[d]),
+                        Head::Located {
+                            dest_field,
+                            dispatch,
+                        } => format!(
+                            "send to field {dest_field}, or dispatch {}",
+                            names[dispatch]
+                        ),
+                        Head::Delete { table } => format!("delete from table {table}"),
+                    };
+                    out.push_str(&format!("  {e}:{p} => {head}{suffix}\n"));
+                    suffix = " (removed rows)".to_string();
                 }
+                for r in self.routes_of(e, p) {
+                    out.push_str(&format!("  {e}:{p} -> {}:{}{suffix}\n", r.element, r.port));
+                }
+            }
+        }
+        for (d, name) in self.dispatch_names.iter().enumerate() {
+            for r in self.dispatch_routes(d) {
+                out.push_str(&format!("  dispatch {name} -> {}:{}\n", r.element, r.port));
             }
         }
         out
@@ -333,14 +535,56 @@ pub struct EngineStats {
     /// PEL evaluations that raised an error, summed over every element
     /// ([`ElementCtx::note_eval_error`]); 0 in a clean run.
     pub eval_errors: u64,
+    /// Head tuples dropped as malformed: a [`Head::Located`] tuple whose
+    /// destination field is missing, empty or `"null"`, or a
+    /// [`Head::Delete`] tuple too short for its table's key. Neither sent
+    /// nor dispatched; 0 in a clean run.
+    pub malformed_heads: u64,
 }
 
-/// One pending delivery in the work queue.
+/// Where [`Engine::deliver`] hands external tuples.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// One element's input port.
+    Port(Route),
+    /// The dispatch of the tuple's name.
+    Dispatch,
+}
+
+/// What a queue entry does once its level delay has run out.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Pushes the tuple into an element's input port: one handoff.
+    Push(Route),
+    /// Runs the located or delete head of slot `slot`.
+    Head(usize),
+}
+
+/// One pending step in the work queue.
 struct Pending {
-    route: Route,
+    step: Step,
     tuple: Tuple,
-    /// Breadth-first levels left to wait before `route` receives `tuple`.
+    /// Breadth-first levels left to wait before `step` runs.
     delay: u32,
+}
+
+/// Enqueues `tuple` for every route in `routes`, `delay` levels late: a
+/// clone for all but the last route, which takes the tuple.
+fn fan_out(queue: &mut VecDeque<Pending>, routes: &[Route], tuple: Tuple, delay: u32) {
+    if let Some((last, rest)) = routes.split_last() {
+        for &route in rest {
+            queue.push_back(Pending {
+                step: Step::Push(route),
+                tuple: tuple.clone(),
+                delay,
+            });
+        }
+        queue.push_back(Pending {
+            step: Step::Push(*last),
+            tuple,
+            delay,
+        });
+    }
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -366,7 +610,7 @@ impl PartialOrd for TimerEntry {
 /// The per-node execution engine.
 ///
 /// The engine owns the node's elements, a FIFO work queue of pending
-/// `(route, tuple)` deliveries, and a timer heap, and shares the compiled
+/// element pushes and head steps, and a timer heap, and shares the compiled
 /// [`Routing`] with every engine of the same plan. External drivers (the
 /// network simulator or a unit test) interact with it through four calls:
 /// [`Engine::start`], [`Engine::deliver`] / [`Engine::deliver_many`], and
@@ -377,7 +621,7 @@ pub struct Engine {
     routing: Arc<Routing>,
     /// The node's tables, indexed by table id.
     tables: Box<[Table]>,
-    entry: Option<Route>,
+    entry: Option<Entry>,
     queue: VecDeque<Pending>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
@@ -390,6 +634,8 @@ pub struct Engine {
     scratch_emissions: Vec<(usize, Tuple)>,
     /// Reused timer-request buffer, same lifecycle.
     scratch_timers: Vec<(u64, SimTime)>,
+    /// Reused buffer for the rows a delete head removes.
+    scratch_removed: Vec<Tuple>,
     /// Observability taps (profiler counters + provenance tracing). `None`
     /// by default: the disabled cost is one branch per element invocation,
     /// and enabling it never changes what the engine does — only what it
@@ -403,12 +649,10 @@ impl Engine {
     pub fn new(graph: Graph, local_addr: impl Into<Arc<str>>, seed: u64) -> Engine {
         let Graph {
             elements,
-            names,
-            edges,
-            delays,
+            wiring,
             tables,
         } = graph;
-        let routing = Routing::compile(names, &edges, &delays);
+        let routing = Routing::compile(wiring);
         Engine::with_routing(Arc::new(routing), elements, tables, local_addr, seed)
     }
 
@@ -441,6 +685,7 @@ impl Engine {
             started: false,
             scratch_emissions: Vec::new(),
             scratch_timers: Vec::new(),
+            scratch_removed: Vec::new(),
             obs: None,
         }
     }
@@ -494,7 +739,14 @@ impl Engine {
     /// Declares the input port that externally injected tuples (network
     /// arrivals, application requests) are delivered to.
     pub fn set_entry(&mut self, route: Route) {
-        self.entry = Some(route);
+        self.entry = Some(Entry::Port(route));
+    }
+
+    /// Delivers externally injected tuples to the dispatch of their name
+    /// (see the module-level *Heads and dispatch* section) instead of to
+    /// one port.
+    pub fn set_dispatch_entry(&mut self) {
+        self.entry = Some(Entry::Dispatch);
     }
 
     /// The node's address.
@@ -595,10 +847,33 @@ impl Engine {
         outgoing
     }
 
+    /// Enqueues an external tuple at `entry`.
+    fn enter(&mut self, entry: Entry, tuple: Tuple) {
+        self.stats.injected += 1;
+        if let Some(obs) = &mut self.obs {
+            if obs.tagged(&tuple) {
+                obs.trace_recv(self.now, &tuple);
+            }
+        }
+        match entry {
+            Entry::Port(route) => self.queue.push_back(Pending {
+                step: Step::Push(route),
+                tuple,
+                delay: 0,
+            }),
+            Entry::Dispatch => {
+                let routing = &*self.routing;
+                if let Some(d) = routing.dispatch_of(tuple.name()) {
+                    fan_out(&mut self.queue, routing.dispatch_routes(d), tuple, 0);
+                }
+            }
+        }
+    }
+
     /// Delivers an externally produced tuple (network arrival or application
-    /// event) to the entry port and runs the graph to completion.
+    /// event) to the entry and runs the graph to completion.
     ///
-    /// With no entry port configured the tuple is dropped and counted in
+    /// With no entry configured the tuple is dropped and counted in
     /// [`EngineStats::dropped_no_entry`]; it is not counted as injected and
     /// does not advance the node's clock.
     pub fn deliver(&mut self, tuple: Tuple, now: SimTime) -> Vec<Outgoing> {
@@ -607,25 +882,15 @@ impl Engine {
             return Vec::new();
         };
         self.set_now(now);
-        self.stats.injected += 1;
-        if let Some(obs) = &mut self.obs {
-            if obs.tagged(&tuple) {
-                obs.trace_recv(self.now, &tuple);
-            }
-        }
+        self.enter(entry, tuple);
         let mut outgoing = Vec::new();
-        self.queue.push_back(Pending {
-            route: entry,
-            tuple,
-            delay: 0,
-        });
         self.drain(&mut outgoing);
         self.stats.sent += outgoing.len() as u64;
         outgoing
     }
 
     /// Delivers a batch of external tuples at the same virtual instant: the
-    /// whole batch is enqueued at the entry port, then the graph runs to
+    /// whole batch is enqueued at the entry, then the graph runs to
     /// completion once. Equivalent to the tuples arriving back-to-back, but
     /// with the per-delivery bookkeeping (outgoing buffer, queue drain)
     /// amortized across the batch.
@@ -639,21 +904,10 @@ impl Engine {
             return Vec::new();
         };
         self.set_now(now);
-        let mut outgoing = Vec::new();
-        let before = self.queue.len();
         for tuple in tuples {
-            if let Some(obs) = &mut self.obs {
-                if obs.tagged(&tuple) {
-                    obs.trace_recv(self.now, &tuple);
-                }
-            }
-            self.queue.push_back(Pending {
-                route: entry,
-                tuple,
-                delay: 0,
-            });
+            self.enter(entry, tuple);
         }
-        self.stats.injected += (self.queue.len() - before) as u64;
+        let mut outgoing = Vec::new();
         self.drain(&mut outgoing);
         self.stats.sent += outgoing.len() as u64;
         outgoing
@@ -718,21 +972,21 @@ impl Engine {
                 continue;
             }
             let slot = base + port;
-            let (start, end) = routing.route_spans[slot];
-            let delay = routing.slot_delay[slot];
-            if let Some((last, rest)) = routing.routes[start as usize..end as usize].split_last() {
-                for &route in rest {
-                    self.queue.push_back(Pending {
-                        route,
-                        tuple: tuple.clone(),
-                        delay,
-                    });
-                }
-                self.queue.push_back(Pending {
-                    route: *last,
+            let Slot { delay, head, .. } = routing.slots[slot];
+            match head {
+                None => fan_out(&mut self.queue, routing.span(slot), tuple, delay),
+                // Where the demultiplexer would have pushed it.
+                Some(Head::Local(d)) => fan_out(
+                    &mut self.queue,
+                    routing.dispatch_routes(d),
+                    tuple,
+                    delay + 1,
+                ),
+                Some(_) => self.queue.push_back(Pending {
+                    step: Step::Head(slot),
                     tuple,
                     delay,
-                });
+                }),
             }
         }
         for (token, fire_at) in self.scratch_timers.drain(..) {
@@ -748,22 +1002,24 @@ impl Engine {
 
     /// Processes the work queue until empty (run to completion).
     fn drain(&mut self, outgoing: &mut Vec<Outgoing>) {
-        while let Some(Pending {
-            route,
-            tuple,
-            delay,
-        }) = self.queue.pop_front()
-        {
+        while let Some(Pending { step, tuple, delay }) = self.queue.pop_front() {
             if delay > 0 {
                 // One level later: where a forwarding element would have
                 // pushed it (see *Level delays*).
                 self.queue.push_back(Pending {
-                    route,
+                    step,
                     tuple,
                     delay: delay - 1,
                 });
                 continue;
             }
+            let route = match step {
+                Step::Push(route) => route,
+                Step::Head(slot) => {
+                    self.run_head(slot, tuple, outgoing);
+                    continue;
+                }
+            };
             let idx = route.element;
             self.stats.handoffs += 1;
             let sends_before = outgoing.len();
@@ -786,6 +1042,58 @@ impl Engine {
                 self.record_obs_push(idx, &tuple, state_changed, sends_before, outgoing);
             }
             self.absorb(idx);
+        }
+    }
+
+    /// Runs the located or delete head of slot `slot` on `tuple`, at the
+    /// level the network-out or delete element it replaces ran (see
+    /// *Level delays*).
+    fn run_head(&mut self, slot: usize, tuple: Tuple, outgoing: &mut Vec<Outgoing>) {
+        let routing = &*self.routing;
+        match routing.slots[slot].head {
+            Some(Head::Located {
+                dest_field,
+                dispatch,
+            }) => {
+                // Hot path: the destination is a string value, whose
+                // `Arc<str>` is shared into `Outgoing.dst` directly — no
+                // allocation per send.
+                let dst: Option<Arc<str>> = match tuple.get(dest_field) {
+                    Ok(Value::Str(s)) => Some(s.clone()),
+                    Ok(other) => Some(Arc::from(other.to_display_string())),
+                    Err(_) => None,
+                };
+                let Some(dst) = dst.filter(|d| !d.is_empty() && &**d != "null") else {
+                    self.stats.malformed_heads += 1;
+                    return;
+                };
+                if &*dst == self.eval.local_addr_str() {
+                    // The demultiplexer's level, one after this step.
+                    let consumers = routing.dispatch_routes(dispatch);
+                    fan_out(&mut self.queue, consumers, tuple, 1);
+                } else {
+                    if let Some(obs) = self.obs.as_deref_mut() {
+                        if obs.tagged(&tuple) {
+                            obs.trace_send(self.now, &dst, &tuple);
+                        }
+                    }
+                    outgoing.push(Outgoing { dst, tuple });
+                }
+            }
+            Some(Head::Delete { table }) => {
+                debug_assert!(self.scratch_removed.is_empty());
+                let removed = &mut self.scratch_removed;
+                if self.tables[table]
+                    .delete_matching_spill(&tuple, removed)
+                    .is_err()
+                {
+                    self.stats.malformed_heads += 1;
+                }
+                for row in removed.drain(..) {
+                    fan_out(&mut self.queue, routing.span(slot), row, 0);
+                }
+            }
+            Some(Head::Local(_)) | None => unreachable!("only located and delete heads queue"),
         }
     }
 
@@ -851,6 +1159,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::element::{Element, ElementCtx};
+    use crate::elements::{Collector, TableAgg};
+    use p2_table::{AggFunc, TableSpec};
     use p2_value::{TupleBuilder, Value};
 
     /// Appends a constant field to every tuple and forwards it on port 0.
@@ -1193,5 +1503,387 @@ mod tests {
         // not vacuous.
         let (_, undelayed, _, _) = run_held(Hold::Nothing);
         assert_ne!(undelayed, out);
+    }
+    /// Collects what dispatch `name` of `g` hands its one consumer.
+    fn tap(g: &mut Graph, name: &str) -> crate::elements::CollectorHandle {
+        let d = g.add_dispatch(name);
+        let (c, buf) = Collector::new();
+        let c = g.add(format!("tap:{name}"), Box::new(c));
+        g.connect_dispatch(d, c, 0);
+        buf
+    }
+
+    #[test]
+    fn local_wraps_and_remote_sends() {
+        let mut g = Graph::new();
+        let local_buf = tap(&mut g, "succ");
+        let head = g.add("head", Box::new(Forward));
+        g.set_head(
+            head,
+            0,
+            Head::Located {
+                dest_field: 0,
+                dispatch: 0,
+            },
+        );
+        let mut engine = Engine::new(g, "n1", 1);
+        engine.set_entry(Route {
+            element: head,
+            port: 0,
+        });
+
+        let local = TupleBuilder::new("succ").push("n1").push(5i64).build();
+        let out = engine.deliver(local, SimTime::ZERO);
+        assert!(out.is_empty());
+        assert_eq!(local_buf.lock().len(), 1);
+
+        let remote = TupleBuilder::new("succ").push("n7").push(5i64).build();
+        let out = engine.deliver(remote, SimTime::ZERO);
+        assert_eq!(out.len(), 1);
+        assert_eq!(&*out[0].dst, "n7");
+        assert_eq!(local_buf.lock().len(), 1);
+        // Two calls of `head` and the tap's one: routing a head calls no
+        // element.
+        assert_eq!(engine.stats().handoffs, 3);
+        assert_eq!(engine.stats().sent, 1);
+        assert_eq!(engine.stats().malformed_heads, 0);
+    }
+
+    #[test]
+    fn malformed_destinations_are_dropped() {
+        let mut g = Graph::new();
+        let local_buf = tap(&mut g, "x");
+        let t = g.add_table(Table::new(TableSpec::new("gone", vec![1])));
+        let (x, gone) = (0, g.add_dispatch("gone"));
+        let head = g.add("head", Box::new(Forward));
+        g.set_head(
+            head,
+            0,
+            Head::Located {
+                dest_field: 1,
+                dispatch: x,
+            },
+        );
+        g.connect_dispatch(x, head, 0);
+        let delete = g.add("delete", Box::new(Forward));
+        g.set_head(delete, 0, Head::Delete { table: t });
+        g.connect_dispatch(gone, delete, 0);
+        let mut engine = Engine::new(g, "n1", 1);
+        engine.set_dispatch_entry();
+        // A missing, an empty and a `"null"` destination, and a delete too
+        // short for its table's key: each is dropped and counted, neither
+        // sent nor dispatched.
+        let short = TupleBuilder::new("x").push("n1").build();
+        let empty = TupleBuilder::new("x").push("n1").push("").build();
+        let null = TupleBuilder::new("x").push("n1").push("null").build();
+        let keyless = TupleBuilder::new("gone").push("n1").build();
+        for t in [short, empty, null, keyless] {
+            assert!(engine.deliver(t, SimTime::ZERO).is_empty());
+        }
+        // `head` is the tap's only other consumer of `x`, before it.
+        assert_eq!(local_buf.lock().len(), 3);
+        assert_eq!(engine.stats().malformed_heads, 4);
+        assert_eq!(engine.stats().sent, 0);
+        assert_eq!(engine.stats().handoffs, 3 + 3 + 1);
+    }
+
+    #[test]
+    fn demux_routes_by_name() {
+        let mut g = Graph::new();
+        let lookup_buf = tap(&mut g, "lookup");
+        let succ_buf = tap(&mut g, "succ");
+        // A second consumer of `succ` receives each tuple after the first.
+        let (c, second_buf) = Collector::new();
+        let second = g.add("second", Box::new(c));
+        g.connect_dispatch(1, second, 0);
+
+        let mut engine = Engine::new(g, "n1", 1);
+        engine.set_dispatch_entry();
+        engine.start(SimTime::ZERO);
+        for name in ["lookup", "succ", "succ", "ping"] {
+            engine.deliver(TupleBuilder::new(name).push("n1").build(), SimTime::ZERO);
+        }
+        engine.deliver_many(
+            vec![
+                TupleBuilder::new("succ").push("n2").build(),
+                TupleBuilder::new("zzz").build(),
+            ],
+            SimTime::ZERO,
+        );
+        assert_eq!(lookup_buf.lock().len(), 1);
+        assert_eq!(succ_buf.lock().len(), 3);
+        assert_eq!(second_buf.lock().len(), 3);
+        // A name without a dispatch enters and is dropped, as a
+        // demultiplexer's unconnected default port dropped it.
+        assert_eq!(engine.stats().injected, 6);
+        assert_eq!(engine.stats().dropped_no_entry, 0);
+        assert_eq!(engine.stats().handoffs, 7);
+    }
+
+    #[test]
+    fn demux_port_queries() {
+        let mut g = Graph::new();
+        let sink = g.add("sink", Box::new(Forward));
+        let a = g.add_dispatch("a");
+        let b = g.add_dispatch("b");
+        let again = g.add_dispatch("a");
+        g.connect_dispatch(b, sink, 0);
+        g.connect_dispatch(again, sink, 1);
+        let described = g.describe();
+        let engine = Engine::new(g, "n1", 1);
+        let routing = engine.routing();
+        assert_eq!((a, b, again), (0, 1, 2));
+        assert_eq!(routing.dispatch_of("b"), Some(b));
+        // A repeated name delivers to its first dispatch.
+        assert_eq!(routing.dispatch_of("a"), Some(a));
+        assert_eq!(routing.dispatch_of("zzz"), None);
+        assert!(routing.dispatch_routes(a).is_empty());
+        let to_sink = |port| Route {
+            element: sink,
+            port,
+        };
+        assert_eq!(routing.dispatch_routes(b), &[to_sink(0)]);
+        assert_eq!(routing.dispatch_routes(again), &[to_sink(1)]);
+        assert!(routing.dispatch_routes(99).is_empty());
+        // Dispatch consumers are routes, but of no element's port.
+        assert_eq!(routing.route_count(), 2);
+        assert!(engine.routes_of(sink, 0).is_empty());
+        assert_eq!(
+            described,
+            "[0] sink (Forward)\n  dispatch b -> 0:0\n  dispatch a -> 0:1\n"
+        );
+    }
+
+    /// Logs each tuple it receives, then emits the tuples `out` on port 0:
+    /// a rule strand whose head derives them.
+    struct Derive {
+        name: &'static str,
+        log: Arc<std::sync::Mutex<Vec<String>>>,
+        out: Vec<Tuple>,
+    }
+
+    impl Element for Derive {
+        fn class(&self) -> &'static str {
+            "Derive"
+        }
+        fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("{} {tuple}", self.name));
+            for t in &self.out {
+                ctx.emit(0, t.clone());
+            }
+        }
+    }
+
+    /// Test-local stand-in for the network-out element heads replaced: a
+    /// tuple whose field `dest_field` names this node leaves on port 0, any
+    /// other is sent there.
+    struct EgressFwd {
+        dest_field: usize,
+    }
+
+    impl Element for EgressFwd {
+        fn class(&self) -> &'static str {
+            "EgressFwd"
+        }
+        fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+            let Value::Str(dst) = tuple.field(self.dest_field) else {
+                panic!("test destinations are strings");
+            };
+            if **dst == *ctx.local_addr() {
+                ctx.emit(0, tuple.clone());
+            } else {
+                ctx.send(dst.clone(), tuple.clone());
+            }
+        }
+    }
+
+    /// Test-local stand-in for the demultiplexer dispatch replaced: tuple
+    /// name `names[i]` leaves on port `i`.
+    struct DemuxFwd {
+        names: Vec<&'static str>,
+    }
+
+    impl Element for DemuxFwd {
+        fn class(&self) -> &'static str {
+            "DemuxFwd"
+        }
+        fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+            if let Some(port) = self.names.iter().position(|n| *n == tuple.name()) {
+                ctx.emit(port, tuple.clone());
+            }
+        }
+    }
+
+    /// Test-local stand-in for the delete element [`Head::Delete`]
+    /// replaced: removes the tuple's match and emits it on port 0.
+    struct DeleteFwd {
+        table: usize,
+    }
+
+    impl Element for DeleteFwd {
+        fn class(&self) -> &'static str {
+            "DeleteFwd"
+        }
+        fn push(&mut self, _port: usize, tuple: &Tuple, ctx: &mut ElementCtx<'_>) {
+            let mut removed = Vec::new();
+            let table = ctx.table_mut(self.table);
+            table.delete_matching_spill(tuple, &mut removed).unwrap();
+            for row in removed {
+                ctx.emit(0, row);
+            }
+        }
+    }
+
+    /// A delivered `go` reaches four sibling strands of different depths:
+    /// `a` derives two located heads for this node two levels late, `b`
+    /// two remote ones one level late, `c` a `delete` head whose table's
+    /// aggregate feeds `w`, and `d` an unlocated head one level late.
+    /// `e` derives a remote head three levels late. Local heads fan out to
+    /// `x`, `y` and `z`, each of which sends. With
+    /// `emulate`, the deleted egress, demultiplexer and delete elements do
+    /// the routing as forwarding elements; without, heads and dispatch do.
+    /// Returns the invocation log, the sends and the handoff count of the
+    /// start and one delivery.
+    fn run_heads(emulate: bool) -> (Vec<String>, Vec<Outgoing>, u64) {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let row = |s: i64| {
+            let name = format!("n{s}");
+            TupleBuilder::new("succ")
+                .push("n1")
+                .push(s)
+                .push(name)
+                .build()
+        };
+        let head =
+            |name: &str, dst: &str, i: i64| TupleBuilder::new(name).push(dst).push(i).build();
+        let derive = |name, out| -> Box<dyn Element> {
+            Box::new(Derive {
+                name,
+                log: log.clone(),
+                out,
+            })
+        };
+        let logged = |name, dst| -> Box<dyn Element> {
+            Box::new(Logged {
+                name,
+                log: log.clone(),
+                copies: 0,
+                dst: Some(dst),
+            })
+        };
+        let mut g = Graph::new();
+        let mut succ = Table::new(TableSpec::new("succ", vec![1]));
+        for s in [5, 9] {
+            succ.insert(row(s), SimTime::ZERO).unwrap();
+        }
+        let t = g.add_table(succ);
+        let a = g.add(
+            "a",
+            derive("a", vec![head("loc", "n1", 1), head("loc", "n1", 2)]),
+        );
+        let b = g.add(
+            "b",
+            derive("b", vec![head("rem", "n7", 1), head("rem", "n8", 2)]),
+        );
+        let c = g.add("c", derive("c", vec![row(5)]));
+        let d = g.add(
+            "d",
+            derive("d", vec![Tuple::new("loc", vec![Value::Int(3)])]),
+        );
+        let e = g.add("e", derive("e", vec![head("rem", "ne", 1)]));
+        let strands = [a, b, c, d, e];
+        let consumers = [g.add("x", logged("x", "nx")), g.add("y", logged("y", "ny"))];
+        let consumers = [consumers[0], consumers[1], g.add("z", logged("z", "nz"))];
+        let agg = TableAgg::new(t, AggFunc::Count, None, vec![0], "cnt");
+        let agg = g.add("agg", Box::new(agg));
+        let w = g.add("w", logged("w", "nw"));
+        g.connect(agg, 0, w, 0);
+        for (strand, levels) in [(a, 2), (b, 1), (d, 1), (e, 3)] {
+            g.set_delay(strand, 0, levels);
+        }
+        if emulate {
+            let demux = g.add(
+                "demux",
+                Box::new(DemuxFwd {
+                    names: vec!["go", "loc"],
+                }),
+            );
+            for strand in strands {
+                g.connect(demux, 0, strand, 0);
+            }
+            for consumer in consumers {
+                g.connect(demux, 1, consumer, 0);
+            }
+            for strand in [a, b, e] {
+                let egress = g.add("egress", Box::new(EgressFwd { dest_field: 0 }));
+                g.connect(strand, 0, egress, 0);
+                g.connect(egress, 0, demux, 0);
+            }
+            let delete = g.add("delete", Box::new(DeleteFwd { table: t }));
+            g.connect(c, 0, delete, 0);
+            g.connect(delete, 0, agg, 0);
+            g.connect(d, 0, demux, 0);
+            let mut engine = Engine::new(g, "n1", 1);
+            engine.set_entry(Route {
+                element: demux,
+                port: 0,
+            });
+            return run_go(engine, &log);
+        }
+        let (go, loc) = (g.add_dispatch("go"), g.add_dispatch("loc"));
+        for strand in strands {
+            g.connect_dispatch(go, strand, 0);
+        }
+        for consumer in consumers {
+            g.connect_dispatch(loc, consumer, 0);
+        }
+        let located = Head::Located {
+            dest_field: 0,
+            dispatch: loc,
+        };
+        g.set_head(a, 0, located);
+        g.set_head(b, 0, located);
+        g.set_head(e, 0, located);
+        g.set_head(c, 0, Head::Delete { table: t });
+        g.connect(c, 0, agg, 0);
+        g.set_head(d, 0, Head::Local(loc));
+        let mut engine = Engine::new(g, "n1", 1);
+        engine.set_dispatch_entry();
+        run_go(engine, &log)
+    }
+
+    /// Starts `engine`, delivers one `go` and returns what
+    /// [`run_heads`] returns.
+    fn run_go(
+        mut engine: Engine,
+        log: &std::sync::Mutex<Vec<String>>,
+    ) -> (Vec<String>, Vec<Outgoing>, u64) {
+        let mut out = engine.start(SimTime::ZERO);
+        let go = TupleBuilder::new("go").push("n1").build();
+        out.extend(engine.deliver(go, SimTime::from_secs(1)));
+        let invocations = log.lock().unwrap().clone();
+        (invocations, out, engine.stats().handoffs)
+    }
+
+    #[test]
+    fn heads_match_egress_and_demux_forwarders() {
+        let (fwd_log, fwd_out, fwd_handoffs) = run_heads(true);
+        let (log, out, handoffs) = run_heads(false);
+        assert_eq!(log, fwd_log);
+        assert_eq!(out, fwd_out);
+        let dsts: Vec<&str> = out.iter().map(|o| &*o.dst).collect();
+        // `w`'s first count is the aggregate's start-up value. Then, by
+        // level: `b`'s sends (3), the delete's count and `d`'s local head
+        // (4), `e`'s send (5) and `a`'s two local heads (6).
+        let order = ["nw", "n7", "n8", "nw", "nx", "ny", "nz", "ne"];
+        let local = ["nx", "ny", "nz", "nx", "ny", "nz"];
+        assert_eq!(dsts, [&order[..], &local[..]].concat(), "{log:#?}");
+        // The forwarders' calls are gone: the demultiplexer passes of the
+        // delivery and the three local heads, five egress calls and one
+        // delete.
+        assert_eq!(handoffs + 1 + 3 + 5 + 1, fwd_handoffs);
     }
 }

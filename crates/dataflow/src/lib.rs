@@ -13,12 +13,15 @@
 //! * [`Engine`], [`Graph`] and [`Routing`] — per-node execution: an
 //!   explicit work queue (push semantics), a timer wheel, network send
 //!   collection, and runtime statistics, over a compiled routing table that
-//!   engines running the same graph shape share;
+//!   engines running the same graph shape share. The routing table also
+//!   routes rule heads ([`Head`]: to the network, to a table delete, or to
+//!   the consumers of their predicate) and external deliveries, with no
+//!   element call;
 //! * [`elements`] — the element library used by the OverLog planner: the
 //!   rule strand (probes, anti-joins, selections, assignments, per-row
 //!   aggregation and the head projection in one element), materialized
-//!   aggregates, table insert/delete bridges, demultiplexers, queues,
-//!   periodic event sources, network output, and debugging taps.
+//!   aggregates, the table insert bridge, queues, periodic event sources,
+//!   and debugging taps.
 //!
 //! # Tables are re-read, not mirrored
 //!
@@ -48,4 +51,4 @@ pub mod elements;
 pub mod engine;
 
 pub use element::{Element, ElementCtx, Outgoing};
-pub use engine::{Engine, EngineStats, Graph, Route, Routing};
+pub use engine::{Engine, EngineStats, Graph, Head, Route, Routing, Wiring};

@@ -11,10 +11,8 @@
 //! dividing differently — so non-uniform buckets are common and a probe
 //! that trusted the hash would be caught.
 
-use p2_dataflow::elements::{
-    AggOp, Collector, CollectorHandle, Delete, Demux, FusedStrand, Insert,
-};
-use p2_dataflow::{Engine, Graph, Route};
+use p2_dataflow::elements::{AggOp, Collector, CollectorHandle, FusedStrand, Insert};
+use p2_dataflow::{Engine, Graph, Head};
 use p2_pel::{BinOp, EvalContext, Expr, Program};
 use p2_table::{AggFunc, Table, TableSpec};
 use p2_value::{SimTime, Tuple, TupleBuilder, Value};
@@ -170,8 +168,8 @@ fn naive_probe(table: &Table, func: AggFunc, event: &Tuple) -> Option<Tuple> {
     Some(event.extended(extra).renamed("out"))
 }
 
-/// Demuxed insert/delete bridges into the table plus the aggregating
-/// strand on the event stream.
+/// Insert bridge and delete head on the table, plus the aggregating
+/// strand on the event stream, each reached through its name's dispatch.
 struct Rig {
     engine: Engine,
     buf: CollectorHandle,
@@ -222,24 +220,23 @@ impl Rig {
 
         let mut g = Graph::new();
         assert_eq!(g.add_table(table), TABLE);
-        let demux = g.add(
-            "demux",
-            Box::new(Demux::new(vec!["row".into(), "zap".into(), "ev".into()])),
-        );
         let ins = g.add("insert", Box::new(Insert::new(TABLE)));
-        let del = g.add("delete", Box::new(Delete::new(TABLE)));
+        // A `delete` rule's strand: it projects the pattern, and its head
+        // deletes the match.
+        let zap = (0..4).map(|i| Program::compile(&Expr::Field(i)));
+        let zap = FusedStrand::new(vec![], vec![], zap.collect(), "zap");
+        let del = g.add("delete", Box::new(zap));
+        g.set_head(del, 0, Head::Delete { table: TABLE });
         let probe_id = g.add("probe", Box::new(probe));
         let (c, buf) = Collector::new();
         let tap = g.add("tap", Box::new(c));
-        g.connect(demux, 0, ins, 0);
-        g.connect(demux, 1, del, 0);
-        g.connect(demux, 2, probe_id, 0);
+        for (name, consumer) in [("row", ins), ("zap", del), ("ev", probe_id)] {
+            let dispatch = g.add_dispatch(name);
+            g.connect_dispatch(dispatch, consumer, 0);
+        }
         g.connect(probe_id, 0, tap, 0);
         let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: demux,
-            port: 0,
-        });
+        engine.set_dispatch_entry();
         engine.start(SimTime::ZERO);
         Rig { engine, buf }
     }

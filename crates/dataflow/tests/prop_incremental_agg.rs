@@ -7,8 +7,9 @@
 //! cannot represent exactly, so a `sum`/`avg` kept as a running total with
 //! retractions would drift from the from-scratch fold.
 
-use p2_dataflow::elements::{Collector, Delete, Demux, Insert, TableAgg};
-use p2_dataflow::{Engine, Graph, Route};
+use p2_dataflow::elements::{Collector, FusedStrand, Insert, TableAgg};
+use p2_dataflow::{Engine, Graph, Head};
+use p2_pel::{Expr, Program};
 use p2_table::{AggFunc, Table, TableSpec};
 use p2_value::{SimTime, Tuple, Value};
 use proptest::prelude::*;
@@ -129,8 +130,8 @@ proptest! {
         actions in proptest::collection::vec(arb_action(), 1..80),
         max_size in 2usize..8,
     ) {
-        // The planner's wiring in miniature: inserts and deletes bridge
-        // into the table and poke the aggregate; an extra poke stream lets
+        // The planner's wiring in miniature: the insert bridge and a
+        // delete rule's head write the table and poke the aggregate; an extra poke stream lets
         // the test surface expiry-only changes the way any later poke
         // would.
         let agg_col = match func {
@@ -142,29 +143,26 @@ proptest! {
             .with_max_size(max_size);
         let mut g = Graph::new();
         let table = g.add_table(Table::new(spec));
-        let demux = g.add(
-            "demux",
-            Box::new(Demux::new(vec!["t".into(), "zap".into(), "poke".into()])),
-        );
         let ins = g.add("insert", Box::new(Insert::new(table)));
-        let del = g.add("delete", Box::new(Delete::new(table)));
+        let zap = (0..3).map(|i| Program::compile(&Expr::Field(i)));
+        let zap = FusedStrand::new(vec![], vec![], zap.collect(), "zap");
+        let del = g.add("delete", Box::new(zap));
+        g.set_head(del, 0, Head::Delete { table });
         let agg = g.add(
             "agg",
             Box::new(TableAgg::new(table, func, agg_col, vec![0], "out")),
         );
         let (c, buf) = Collector::new();
         let tap = g.add("tap", Box::new(c));
-        g.connect(demux, 0, ins, 0);
-        g.connect(demux, 1, del, 0);
+        for (name, consumer) in [("t", ins), ("zap", del), ("poke", agg)] {
+            let dispatch = g.add_dispatch(name);
+            g.connect_dispatch(dispatch, consumer, 0);
+        }
         g.connect(ins, 0, agg, 0);
         g.connect(del, 0, agg, 0);
-        g.connect(demux, 2, agg, 0);
         g.connect(agg, 0, tap, 0);
         let mut engine = Engine::new(g, "n1", 1);
-        engine.set_entry(Route {
-            element: demux,
-            port: 0,
-        });
+        engine.set_dispatch_entry();
         engine.start(SimTime::ZERO);
 
         let mut model = RecomputeModel {

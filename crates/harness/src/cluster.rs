@@ -139,6 +139,7 @@ struct Departed {
     storage: p2_table::TableStats,
     engine: crate::metrics::EngineOps,
     eval_errors: u64,
+    malformed_heads: u64,
     obs: Vec<p2_obs::ElemCounters>,
 }
 
@@ -513,6 +514,7 @@ impl ChordCluster {
         self.departed.storage += node.catalog().stats_total();
         self.departed.engine.absorb(stats);
         self.departed.eval_errors += stats.eval_errors;
+        self.departed.malformed_heads += stats.malformed_heads;
         if let Some(obs) = node.obs() {
             p2_obs::merge_counters(&mut self.departed.obs, obs.counters());
         }
@@ -603,11 +605,21 @@ impl ChordCluster {
     /// (`p2_dataflow::EngineStats::eval_errors`): rule evaluations that
     /// failed and dropped their tuple. 0 in a clean run.
     pub fn eval_errors(&self) -> u64 {
+        self.departed.eval_errors + self.live_sum(|s| s.eval_errors)
+    }
+
+    /// Head tuples dropped as malformed, summed over all nodes, crashed
+    /// ones included (`p2_dataflow::EngineStats::malformed_heads`): heads
+    /// whose destination was missing, empty or `"null"`. 0 in a clean run.
+    pub fn malformed_heads(&self) -> u64 {
+        self.departed.malformed_heads + self.live_sum(|s| s.malformed_heads)
+    }
+
+    /// One engine counter summed over the up nodes.
+    fn live_sum(&self, counter: impl Fn(p2_dataflow::EngineStats) -> u64) -> u64 {
         let up = self.sim.up_ids();
-        let live: u64 = up
-            .map(|id| self.sim.node_by_id(id).node().stats().eval_errors)
-            .sum();
-        self.departed.eval_errors + live
+        up.map(|id| counter(self.sim.node_by_id(id).node().stats()))
+            .sum()
     }
 
     /// Turns on the rule-level profiler on every node. Counters start at

@@ -40,23 +40,29 @@ fn measure(cluster: &mut ChordCluster) -> (u64, u64, u64, u64, u64) {
 const GOLDEN_100: (u64, u64, u64, u64, u64) = (29_634, 29_638, 0, 2_787_660, 31_838);
 
 /// What one golden run, `build(100, 120, 42)` and its measurement window,
-/// leaves: the pin, the failed PEL evaluations, the element calls and the
-/// final routing state.
+/// leaves: the pin, the failed PEL evaluations and malformed heads, the
+/// element calls (in all and in the window) and the final routing state.
 #[derive(Debug, PartialEq)]
 struct GoldenRun {
     pin: (u64, u64, u64, u64, u64),
     eval_errors: u64,
+    malformed_heads: u64,
     handoffs: u64,
+    window_handoffs: u64,
     state: Vec<(String, Vec<Vec<String>>)>,
 }
 
 fn golden_run() -> GoldenRun {
     let mut cluster = ChordCluster::build(100, 120, 42);
+    let before = cluster.engine_stats().handoffs;
     let pin = measure(&mut cluster);
+    let handoffs = cluster.engine_stats().handoffs;
     GoldenRun {
         pin,
         eval_errors: cluster.eval_errors(),
-        handoffs: cluster.engine_stats().handoffs,
+        malformed_heads: cluster.malformed_heads(),
+        handoffs,
+        window_handoffs: handoffs - before,
         state: routing_state(&cluster),
     }
 }
@@ -76,9 +82,26 @@ fn hundred_node_ring_matches_golden_stats() {
         run.pin, GOLDEN_100,
         "fixed-seed run diverged from the golden pin"
     );
-    // Every rule of the clean run evaluates: no node dropped a tuple to a
-    // failed PEL evaluation.
+    // Every rule of the clean run evaluates, and every head it derives
+    // names a destination: no node dropped a tuple to a failed PEL
+    // evaluation or a malformed head.
     assert_eq!(run.eval_errors, 0, "rule evaluations failed");
+    assert_eq!(run.malformed_heads, 0, "heads were dropped as malformed");
+    // Heads route themselves and deliveries dispatch by name, so element
+    // calls are strands, table inserts, aggregates and watch taps only:
+    // 361,456 in the window (11.35 per simulated event), where an egress
+    // element per head, a demultiplexer pass per local or delivered tuple
+    // and a delete element per delete head made 726,923 (22.83). Strands
+    // alone are 8.0 per event. The bound is half the old count.
+    let per_event = run.window_handoffs as f64 / run.pin.4 as f64;
+    eprintln!(
+        "{} element calls in the window: {per_event:.2} per event",
+        run.window_handoffs
+    );
+    assert!(
+        run.window_handoffs <= 726_923 / 2,
+        "{per_event:.2} element calls per simulated event"
+    );
 }
 
 /// The pin holds on a plan whose every rule strand is one strand element:
@@ -91,7 +114,7 @@ fn unscheduled_ring_matches_golden_stats() {
     for elem in meta.elems.iter().filter(|e| e.rule.is_some()) {
         let kind = elem.kind.as_str();
         assert!(
-            ["strand", "periodic", "netout", "delete", "table_agg"].contains(&kind),
+            ["strand", "periodic", "table_agg"].contains(&kind),
             "{} lowered to a {kind}",
             elem.name
         );

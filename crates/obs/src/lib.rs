@@ -80,13 +80,10 @@ pub struct RuleClassBits {
 /// the planner's `ElementSpec` variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemKind {
-    Demux,
     Insert,
-    Delete,
     TableAgg,
     Strand,
     Periodic,
-    NetOut,
     Collector,
 }
 
@@ -94,13 +91,10 @@ impl ElemKind {
     /// Stable lowercase name used in reports and traces.
     pub fn as_str(self) -> &'static str {
         match self {
-            ElemKind::Demux => "demux",
             ElemKind::Insert => "insert",
-            ElemKind::Delete => "delete",
             ElemKind::TableAgg => "table_agg",
             ElemKind::Strand => "strand",
             ElemKind::Periodic => "periodic",
-            ElemKind::NetOut => "netout",
             ElemKind::Collector => "collector",
         }
     }
@@ -108,10 +102,9 @@ impl ElemKind {
     /// Whether an invocation of this element counts as a *poke*: rule-body
     /// work that may find nothing to do. Every strand and materialized
     /// aggregate invocation is one. A poke that yields zero emissions, zero
-    /// sends and zero state change is recorded as wasted. Forwarding/IO
-    /// elements (demux, netout, periodic, collector) and table writers are
-    /// excluded — their invocations are either unconditional plumbing or
-    /// real mutations.
+    /// sends and zero state change is recorded as wasted. Event sources and
+    /// taps (periodic, collector) and table writers are excluded — their
+    /// invocations are either unconditional plumbing or real mutations.
     pub fn pokeable(self) -> bool {
         matches!(self, ElemKind::Strand | ElemKind::TableAgg)
     }
@@ -610,8 +603,8 @@ pub struct ProfileReport {
     pub rules: Vec<RuleProfile>,
     /// Per-table insert refresh profiles, sorted by table name.
     pub tables: Vec<TableProfile>,
-    /// Counters summed over elements not owned by any rule (demux, table
-    /// writers, netout, ...).
+    /// Counters summed over elements not owned by any rule (table
+    /// writers, watch taps).
     pub infra: ElemCounters,
     /// Counters summed over every element.
     pub totals: ElemCounters,
@@ -739,9 +732,9 @@ mod tests {
         ObsMeta {
             elems: vec![
                 ElemMeta {
-                    name: Arc::from("demux"),
+                    name: Arc::from("watch:lookupResults"),
                     rule: None,
-                    kind: ElemKind::Demux,
+                    kind: ElemKind::Collector,
                     class: None,
                 },
                 ElemMeta {
@@ -770,7 +763,7 @@ mod tests {
     fn wasted_pokes_require_pokeable_and_no_effect() {
         let m = Arc::new(meta());
         let mut obs = NodeObs::new(m, Arc::from("n0"));
-        // Demux: not pokeable, never wasted.
+        // Collector: not pokeable, never wasted.
         obs.record_push(0, 0, 0, false);
         // Strand: emitted nothing -> wasted.
         obs.record_push(1, 0, 0, false);

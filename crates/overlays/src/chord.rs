@@ -357,8 +357,8 @@ mod tests {
     fn strand_fusion_covers_the_dominant_chord_shapes() {
         // Every one of the 45 rules lowers to strands: joins, aggregations
         // (L2/L3, SU1, S3), bare head projections and S1's head alike. The
-        // only other rule elements are timers, egress, deletes and S1's
-        // materialized aggregate.
+        // only other rule elements are timers and S1's materialized
+        // aggregate; heads, deletes included, route themselves.
         let plan = shared_plan(false);
         let rules = rule_kinds(plan);
         assert_eq!(rules.len(), 45);
@@ -366,7 +366,7 @@ mod tests {
             assert!(kinds.contains(&"strand"), "{rule}: {kinds:?}");
             for kind in kinds {
                 assert!(
-                    ["strand", "periodic", "netout", "delete", "table_agg"].contains(kind),
+                    ["strand", "periodic", "table_agg"].contains(kind),
                     "{rule}: {kinds:?}"
                 );
             }
@@ -404,8 +404,9 @@ mod tests {
         };
         assert_eq!(strands(plan), 49);
         // Rule and table elements plus the two harness watches; the
-        // strands' output slots carry level delays, not elements.
-        assert_eq!(plan.element_count(), 117);
+        // strands' output slots carry level delays and heads, not
+        // elements.
+        assert_eq!(plan.element_count(), 67);
         assert_eq!(strands(shared_plan_opts(false, true)), 51);
     }
 

@@ -88,7 +88,17 @@ mod tests {
         assert_eq!(host.node().table("env").unwrap().len(), 2);
         let desc = host.node().graph_description();
         assert!(desc.contains("R5:strand"));
-        assert!(desc.contains("L3:delete:neighbor"));
+        // L3's head deletes from `neighbor` itself: no delete element.
+        let l3 = desc
+            .lines()
+            .find_map(|l| l.strip_suffix("] L3:strand (FusedStrand)"))
+            .and_then(|l| l.strip_prefix('['))
+            .expect("L3 plans to a strand");
+        assert!(
+            desc.contains(&format!("  {l3}:0 => delete from table ")),
+            "{desc}"
+        );
+        assert!(!desc.contains("Delete"), "{desc}");
     }
 
     #[test]

@@ -73,6 +73,7 @@ impl Uint160 {
     }
 
     /// Wrapping addition modulo 2^160.
+    #[inline]
     pub fn wrapping_add(self, rhs: Uint160) -> Uint160 {
         let (l0, c0) = self.limbs[0].overflowing_add(rhs.limbs[0]);
         let (l1a, c1a) = self.limbs[1].overflowing_add(rhs.limbs[1]);
@@ -83,10 +84,17 @@ impl Uint160 {
         Uint160::from_limbs([l0, l1, l2])
     }
 
-    /// Wrapping subtraction modulo 2^160.
+    /// Wrapping subtraction modulo 2^160: one borrow chain over the limbs,
+    /// the top limb's borrow discarded by the mask.
+    #[inline]
     pub fn wrapping_sub(self, rhs: Uint160) -> Uint160 {
-        // a - b mod 2^160 == a + (2^160 - b) == a + (!b + 1) under the mask.
-        self.wrapping_add(rhs.not_160()).wrapping_add(Uint160::ONE)
+        let (l0, b0) = self.limbs[0].overflowing_sub(rhs.limbs[0]);
+        let (l1a, b1a) = self.limbs[1].overflowing_sub(rhs.limbs[1]);
+        let (l1, b1b) = l1a.overflowing_sub(b0 as u64);
+        let l2 = self.limbs[2]
+            .wrapping_sub(rhs.limbs[2])
+            .wrapping_sub((b1a as u64) + (b1b as u64));
+        Uint160::from_limbs([l0, l1, l2])
     }
 
     /// Bitwise complement within 160 bits.
@@ -296,6 +304,45 @@ mod tests {
         assert!(Uint160::ZERO.is_zero());
         assert_eq!(Uint160::ONE.low_u64(), 1);
         assert_eq!(Uint160::MAX.wrapping_add(Uint160::ONE), Uint160::ZERO);
+    }
+
+    /// The borrow chain agrees with the two's-complement identity
+    /// `a - b == a + !b + 1 (mod 2^160)` on limb and ring boundaries, and on
+    /// pairs that wrap below zero.
+    #[test]
+    fn wrapping_sub_matches_complement_addition() {
+        let edges = [
+            Uint160::ZERO,
+            Uint160::ONE,
+            Uint160::from_u64(2),
+            Uint160::from_u64(u64::MAX),
+            Uint160::from_u128(1 << 64),
+            Uint160::from_u128((1 << 64) + 1),
+            Uint160::from_u128(u128::MAX),
+            Uint160::pow2(128),
+            Uint160::pow2(128).wrapping_add(Uint160::ONE),
+            Uint160::pow2(159),
+            Uint160::MAX.wrapping_sub(Uint160::ONE),
+            Uint160::MAX,
+            Uint160::hash_of(b"key"),
+            Uint160::hash_of(b"node"),
+        ];
+        for a in edges {
+            for b in edges {
+                let complement = a.wrapping_add(b.not_160()).wrapping_add(Uint160::ONE);
+                assert_eq!(a.wrapping_sub(b), complement, "{a:?} - {b:?}");
+                assert_eq!(a.wrapping_sub(b).wrapping_add(b), a);
+            }
+        }
+        // Pairs that wrap: a smaller minuend borrows through every limb.
+        assert_eq!(
+            Uint160::ONE.wrapping_sub(Uint160::from_u64(2)),
+            Uint160::MAX
+        );
+        assert_eq!(
+            Uint160::pow2(128).wrapping_sub(Uint160::MAX),
+            Uint160::pow2(128).wrapping_add(Uint160::ONE)
+        );
     }
 
     #[test]
